@@ -6,7 +6,7 @@
 STATICCHECK_VERSION := 2025.1.1
 GOVULNCHECK_VERSION := v1.1.4
 
-.PHONY: all build test race cover lint fmt-check vet paylint lint-fixtures staticcheck govulncheck fuzz-smoke bench-smoke bench-shard bench-wire loadgen-smoke ci
+.PHONY: all build test race cover lint fmt-check vet paylint lint-fixtures staticcheck govulncheck fuzz-smoke bench-check bench-smoke bench-shard bench-wire loadgen-smoke ci
 
 all: build test
 
@@ -76,6 +76,12 @@ loadgen-smoke:
 	go run ./cmd/loadgen -workers 25 -tasks 10 -codec json -duration 2s -min-rounds 3 -advance-after 100ms
 	go run ./cmd/loadgen -workers 25 -tasks 10 -codec tlv -duration 2s -min-rounds 3 -advance-after 100ms
 
+# The benchmark module's own tests (bench/ is a separate module, so
+# `go test ./...` skips it): the mirror-vs-sim.Run equivalence, the
+# --seed 1 goldens, and BENCHMARK.json consistency.
+bench-check:
+	cd bench && go test ./...
+
 # Runs every benchmark once, including BenchmarkBeam (the dispatch-tuning
 # grid recorded in BENCH_beam.json) and BenchmarkShardReprice (the
 # geo-sharded engine grid recorded in BENCH_shard.json).
@@ -92,4 +98,4 @@ bench-shard:
 bench-wire:
 	go test -run xxx -bench . -benchtime 1000x -benchmem ./internal/wire/binary/
 
-ci: lint build test race fuzz-smoke bench-smoke loadgen-smoke
+ci: lint build test race bench-check fuzz-smoke bench-smoke loadgen-smoke

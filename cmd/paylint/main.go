@@ -2,7 +2,7 @@
 // analyzers that enforce the determinism, aliasing, wire-compatibility,
 // and concurrency invariants every performance PR rests on
 // (byte-identical simulation output for a given seed at any worker
-// count; balanced locks, pools, and context leases).
+// count; balanced locks and pools).
 //
 // Usage:
 //

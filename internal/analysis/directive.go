@@ -23,8 +23,6 @@ import (
 //	  receiver scratch field; callers must copy before the next call.
 //	//paylint:poolpair <reason>  — on a pooled-value acquire site: the
 //	  value's release is deliberately unbalanced here.
-//	//paylint:leasepair <reason>  — on a context-lease acquire site:
-//	  the lease's Release is deliberately unbalanced here.
 //	//paylint:lockorder <reason>  — on a Lock call: the flagged rank or
 //	  balance deviation is deliberate.
 //	//paylint:atomic <reason>  — on a field access: the mixed

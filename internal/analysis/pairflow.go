@@ -7,11 +7,11 @@ import (
 	"go/types"
 )
 
-// Resource-lifecycle analysis: poolpair and leasepair.
+// Resource-lifecycle analysis: poolpair.
 //
-// Both analyzers interpret function bodies over the CFG (cfg.go) with
-// the same small ownership lattice; they differ only in the declared
-// acquire/release pair tables below. A resource variable is:
+// The analyzer interprets function bodies over the CFG (cfg.go) with a
+// small ownership lattice, driven by the acquire/release pair table
+// below. A resource variable is:
 //
 //	Owned      — definitely holds an unreleased resource
 //	CondOwned  — holds one iff the error bound alongside it is nil;
@@ -24,34 +24,24 @@ import (
 // passed to another call or goroutine, sent on a channel, or captured
 // by a closure (the closure may release it; each closure body is
 // analyzed as its own function unit). Storing a pooled value into a
-// struct field, map, or through a pointer is an escape — for pool pairs
-// that is itself a violation, because a pooled buffer that outlives the
-// function defeats recycling and invites aliasing bugs; for leases the
-// store is an accepted transfer (the engine deliberately parks its
-// current lease in a field).
+// struct field, map, or through a pointer is an escape, and itself a
+// violation: a pooled buffer that outlives the function defeats
+// recycling and invites aliasing bugs.
 
 // A ResourcePair declares one acquire/release discipline.
 type ResourcePair struct {
 	// Name labels the resource in diagnostics ("pooled buffer").
 	Name string
-	// Verb is the suppression directive verb and the analyzer the pair
-	// belongs to ("poolpair" or "leasepair").
+	// Verb is the suppression directive verb ("poolpair").
 	Verb string
-	// AcquireKeys are funcKey values whose call results are the resource.
+	// AcquireKeys are funcKey values whose first call result is the
+	// resource.
 	AcquireKeys []string
-	// AcquireResultType, if set, makes any call returning this named type
-	// (typeKey form: "pkgpath.TypeName") an acquire site.
-	AcquireResultType string
 	// ReleaseKeys are funcKey values that release the resource, passed as
-	// the first argument — or as the receiver when ReleaseRecv is set.
+	// the first argument.
 	ReleaseKeys []string
-	// ReleaseRecv marks the resource as the release call's receiver.
-	ReleaseRecv bool
 	// ReleaseHint names the missing call in diagnostics ("Put").
 	ReleaseHint string
-	// EscapeViolation reports stores into fields/maps/pointers as
-	// findings rather than silent ownership transfers.
-	EscapeViolation bool
 }
 
 // poolPairs are the recycled-value disciplines: raw sync.Pool plus the
@@ -60,12 +50,11 @@ type ResourcePair struct {
 // pooled buffer the caller must hand back to binary.PutBuffer.
 var poolPairs = []*ResourcePair{
 	{
-		Name:            "pooled value",
-		Verb:            "poolpair",
-		AcquireKeys:     []string{"sync.(Pool).Get"},
-		ReleaseKeys:     []string{"sync.(Pool).Put"},
-		ReleaseHint:     "Put",
-		EscapeViolation: true,
+		Name:        "pooled value",
+		Verb:        "poolpair",
+		AcquireKeys: []string{"sync.(Pool).Get"},
+		ReleaseKeys: []string{"sync.(Pool).Put"},
+		ReleaseHint: "Put",
 	},
 	{
 		Name: "pooled buffer",
@@ -74,32 +63,15 @@ var poolPairs = []*ResourcePair{
 			"paydemand/internal/wire/binary.GetBuffer",
 			"paydemand/internal/server.readBody",
 		},
-		ReleaseKeys:     []string{"paydemand/internal/wire/binary.PutBuffer"},
-		ReleaseHint:     "binary.PutBuffer",
-		EscapeViolation: true,
+		ReleaseKeys: []string{"paydemand/internal/wire/binary.PutBuffer"},
+		ReleaseHint: "binary.PutBuffer",
 	},
 	{
-		Name:            "pooled solver",
-		Verb:            "poolpair",
-		AcquireKeys:     []string{"paydemand/internal/selection.(SolverPool).Get"},
-		ReleaseKeys:     []string{"paydemand/internal/selection.(SolverPool).Put"},
-		ReleaseHint:     "Put",
-		EscapeViolation: true,
-	},
-}
-
-// leasePairs is the context-lease discipline: anything returning an
-// engine.ContextHold must Release it exactly once. Field stores are
-// transfers, not violations — the engine parks its own lease in a field
-// and releases it on the next acquire.
-var leasePairs = []*ResourcePair{
-	{
-		Name:              "context lease",
-		Verb:              "leasepair",
-		AcquireResultType: "paydemand/internal/engine.ContextHold",
-		ReleaseKeys:       []string{"paydemand/internal/engine.(ContextHold).Release"},
-		ReleaseRecv:       true,
-		ReleaseHint:       "Release",
+		Name:        "pooled solver",
+		Verb:        "poolpair",
+		AcquireKeys: []string{"paydemand/internal/selection.(SolverPool).Get"},
+		ReleaseKeys: []string{"paydemand/internal/selection.(SolverPool).Put"},
+		ReleaseHint: "Put",
 	},
 }
 
@@ -111,16 +83,6 @@ var PoolPair = &Analyzer{
 		"SolverPool.Get) are released on every path and never escape into " +
 		"fields or maps (suppress with //paylint:poolpair <reason>)",
 	Run: func(p *Pass) error { return runPairAnalyzer(p, poolPairs) },
-}
-
-// LeasePair reports engine context leases (HoldContext results) that are
-// not Released on every path, including error returns.
-var LeasePair = &Analyzer{
-	Name: "leasepair",
-	Doc: "check that engine.ContextHold leases are balanced by Release " +
-		"on every path, including error returns (suppress with " +
-		"//paylint:leasepair <reason>)",
-	Run: func(p *Pass) error { return runPairAnalyzer(p, leasePairs) },
 }
 
 // funcKey renders a *types.Func as pkgpath.Func or pkgpath.(Recv).Method,
@@ -145,19 +107,6 @@ func funcKey(f *types.Func) string {
 		return f.Pkg().Path() + ".(" + named.Obj().Name() + ")." + f.Name()
 	}
 	return f.Pkg().Path() + "." + f.Name()
-}
-
-// typeKey renders a named type as pkgpath.TypeName; "" otherwise.
-func typeKey(t types.Type) string {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return ""
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil {
-		return ""
-	}
-	return obj.Pkg().Path() + "." + obj.Name()
 }
 
 // calleeFunc resolves a call's target *types.Func, nil for builtins,
@@ -342,21 +291,11 @@ func (r *pairRunner) report(node ast.Node, verb, format string, args ...any) {
 
 // acquirePair matches a call against the tables; nil if not an acquire.
 func (r *pairRunner) acquirePair(call *ast.CallExpr) *ResourcePair {
-	fn := calleeFunc(r.pass.TypesInfo, call)
-	key := funcKey(fn)
+	key := funcKey(calleeFunc(r.pass.TypesInfo, call))
 	for _, p := range r.pairs {
 		for _, k := range p.AcquireKeys {
 			if key == k {
 				return p
-			}
-		}
-		if p.AcquireResultType != "" && fn != nil {
-			sig := fn.Type().(*types.Signature)
-			results := sig.Results()
-			for i := 0; i < results.Len(); i++ {
-				if typeKey(results.At(i).Type()) == p.AcquireResultType {
-					return p
-				}
 			}
 		}
 	}
@@ -375,12 +314,6 @@ func (r *pairRunner) releaseOperand(call *ast.CallExpr) ast.Expr {
 			if key != k {
 				continue
 			}
-			if p.ReleaseRecv {
-				if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-					return sel.X
-				}
-				return nil
-			}
 			if len(call.Args) > 0 {
 				return call.Args[0]
 			}
@@ -396,26 +329,6 @@ func (r *pairRunner) objOf(e ast.Expr) types.Object {
 		return r.pass.TypesInfo.ObjectOf(id)
 	}
 	return nil
-}
-
-// resultIndexFor locates which result of an acquire call is the
-// resource. Key-based pairs put it first; type-based pairs match the
-// declared result type.
-func (r *pairRunner) resultIndexFor(pair *ResourcePair, call *ast.CallExpr) int {
-	if pair.AcquireResultType == "" {
-		return 0
-	}
-	fn := calleeFunc(r.pass.TypesInfo, call)
-	if fn == nil {
-		return 0
-	}
-	results := fn.Type().(*types.Signature).Results()
-	for i := 0; i < results.Len(); i++ {
-		if typeKey(results.At(i).Type()) == pair.AcquireResultType {
-			return i
-		}
-	}
-	return 0
 }
 
 // errResultObj finds the error bound alongside the resource in a
@@ -607,18 +520,11 @@ func (r *pairRunner) bindCall(s *pairState, stmt ast.Stmt, lhs []ast.Expr, call 
 		return
 	}
 	consumed[call] = true
-	idx := r.resultIndexFor(pair, call)
-	if idx >= len(lhs) {
-		return
-	}
-	resIdent, ok := ast.Unparen(lhs[idx]).(*ast.Ident)
+	resIdent, ok := ast.Unparen(lhs[0]).(*ast.Ident)
 	if !ok {
-		// Stored straight into a field/map/element: an escape for pool
-		// pairs, an accepted ownership transfer otherwise.
-		if pair.EscapeViolation {
-			r.report(stmt, pair.Verb, "%s from %s escapes into a field, map, or pointer target; pooled values must stay function-local until %s",
-				pair.Name, callName(call), pair.ReleaseHint)
-		}
+		// Stored straight into a field/map/element: an escape.
+		r.report(stmt, pair.Verb, "%s from %s escapes into a field, map, or pointer target; pooled values must stay function-local until %s",
+			pair.Name, callName(call), pair.ReleaseHint)
 		return
 	}
 	if resIdent.Name == "_" {
@@ -651,10 +557,8 @@ func (r *pairRunner) bindValues(s *pairState, stmt ast.Stmt, lhs, rhs []ast.Expr
 		consumed[call] = true
 		ident, ok := ast.Unparen(lhs[i]).(*ast.Ident)
 		if !ok {
-			if pair.EscapeViolation {
-				r.report(stmt, pair.Verb, "%s from %s escapes into a field, map, or pointer target; pooled values must stay function-local until %s",
-					pair.Name, callName(call), pair.ReleaseHint)
-			}
+			r.report(stmt, pair.Verb, "%s from %s escapes into a field, map, or pointer target; pooled values must stay function-local until %s",
+				pair.Name, callName(call), pair.ReleaseHint)
 			continue
 		}
 		if ident.Name == "_" {
@@ -682,7 +586,7 @@ func (r *pairRunner) bind(s *pairState, stmt ast.Stmt, ident *ast.Ident, info re
 
 // moveOrEscape handles an assignment whose RHS is a tracked variable:
 // ident targets move ownership; field, index, and pointer targets are
-// escapes — violations for pool pairs, silent transfers otherwise.
+// escapes, which are violations.
 func (r *pairRunner) moveOrEscape(s *pairState, stmt *ast.AssignStmt, lhs, rhs ast.Expr) {
 	obj := r.objOf(rhs)
 	if obj == nil {
@@ -705,10 +609,8 @@ func (r *pairRunner) moveOrEscape(s *pairState, stmt *ast.AssignStmt, lhs, rhs a
 		s.res[newObj] = info
 	case *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
 		delete(s.res, obj)
-		if info.pair.EscapeViolation {
-			r.report(stmt, info.pair.Verb, "%s escapes into a field, map, or pointer target; pooled values must stay function-local until %s",
-				info.pair.Name, info.pair.ReleaseHint)
-		}
+		r.report(stmt, info.pair.Verb, "%s escapes into a field, map, or pointer target; pooled values must stay function-local until %s",
+			info.pair.Name, info.pair.ReleaseHint)
 	}
 }
 

@@ -132,7 +132,10 @@ func (c *Client) RoundKnown(ctx context.Context, known int) (wire.RoundInfo, err
 
 // RoundInto is RoundKnown decoding into a caller-owned message, reusing
 // its Tasks capacity across polls — the allocation-free way to poll.
+// Every other field is reset first: the JSON decoder leaves fields the
+// response omits (an unset Unchanged, an absent task list) untouched.
 func (c *Client) RoundInto(ctx context.Context, known int, out *wire.RoundInfo) error {
+	*out = wire.RoundInfo{Tasks: out.Tasks[:0]}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+wire.PathRound, nil)
 	if err != nil {
 		return fmt.Errorf("client: build request: %w", err)

@@ -528,6 +528,34 @@ func TestClientRoundIntoReusesCapacity(t *testing.T) {
 	}
 }
 
+// TestClientRoundIntoClearsStaleFields polls into one reused message in
+// both codecs: a known-round hit sets Unchanged, and after an advance the
+// re-poll must read the new round with Unchanged cleared and the task
+// list back, not the previous response's leftovers.
+func TestClientRoundIntoClearsStaleFields(t *testing.T) {
+	for _, codec := range []Codec{CodecJSON, CodecTLV} {
+		p, srv := startPlatform(t, defaultTasks())
+		ctx := context.Background()
+		c := New(srv.URL, srv.Client(), WithCodec(codec))
+		var info wire.RoundInfo
+		if err := c.RoundInto(ctx, 1, &info); err != nil {
+			t.Fatal(err)
+		}
+		if !info.Unchanged || info.Round != 1 {
+			t.Fatalf("codec %d: known-round poll: %+v, want unchanged round 1", codec, info)
+		}
+		if _, _, err := p.Advance(); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.RoundInto(ctx, 1, &info); err != nil {
+			t.Fatal(err)
+		}
+		if info.Unchanged || info.Round != 2 || len(info.Tasks) == 0 {
+			t.Errorf("codec %d: re-poll after advance: %+v, want round 2 with tasks", codec, info)
+		}
+	}
+}
+
 func TestWorkerTLVFullCampaign(t *testing.T) {
 	// The whole worker loop — register, poll with known round, plan
 	// locally, submit — over the binary codec.

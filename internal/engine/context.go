@@ -1,108 +1,46 @@
 package engine
 
 import (
-	"sync"
-	"sync/atomic"
-
+	"paydemand/internal/geo"
 	"paydemand/internal/selection"
 )
 
-// A lease is one shared solver context plus the reference count that
-// decides when its storage may be recycled. The published context holds
-// one reference (dropped at the next BeginRound/Reprice/Clear); every
-// HoldContext adds one more. A lease whose count reaches zero returns to
-// the engine's free pool and its next Reset reuses the distance table in
-// place — which is how the steady-state reprice path allocates nothing
-// even though solvers may keep reading a context after it was replaced.
-type lease struct {
-	ctx  selection.RoundContext
-	refs atomic.Int32
-	pool *leasePool
-}
-
-// release drops one reference, recycling the lease once nobody reads it.
-func (l *lease) release() {
-	if l.refs.Add(-1) == 0 {
-		l.pool.put(l)
-	}
-}
-
-// leasePool is the free list of recyclable leases. It has its own lock
-// because ContextHold.Release runs outside whatever lock the driver
-// serializes engine mutations under (that is the point of a hold: the
-// solve happens after the driver's lock is dropped).
-type leasePool struct {
-	mu   sync.Mutex
-	free []*lease
-}
-
-// get pops a free lease (or makes one) and gives it the publication
-// reference.
-func (p *leasePool) get() *lease {
-	p.mu.Lock()
-	var l *lease
-	if n := len(p.free); n > 0 {
-		l = p.free[n-1]
-		p.free = p.free[:n-1]
-	}
-	p.mu.Unlock()
-	if l == nil {
-		l = &lease{pool: p}
-	}
-	l.refs.Store(1)
-	return l
-}
-
-// put returns a lease whose references are gone to the free list.
-func (p *leasePool) put(l *lease) {
-	p.mu.Lock()
-	p.free = append(p.free, l)
-	p.mu.Unlock()
-}
-
-// releaseCurrent drops the publication reference of the current context,
-// if any.
-func (e *Engine) releaseCurrent() {
-	if e.cur != nil {
-		e.cur.release()
-		e.cur = nil
-	}
-}
+// The shared solver context is one distance table over the whole board,
+// indexed by board position. Task locations never move, so the table is
+// built once per board — lazily, by the first successful Reprice, so
+// constructing an engine stays cheap — and is never written again. Each
+// round merely publishes it (a successful Reprice) and unpublishes it
+// (BeginRound, Clear, a failed Reprice); candidates link to it through
+// their board position, so the open set shrinking round by round costs
+// nothing.
+//
+// Because the table is immutable for its board's lifetime, a solve that
+// keeps reading it after the driver's lock is released needs no pin: the
+// next reprice publishes the very same table. SetBoard drops the table
+// and the next reprice allocates a fresh one instead of recycling the old
+// storage, so a solve still holding the previous board's table keeps a
+// valid, unchanged copy until the garbage collector reclaims it.
 
 // Context returns the current round's shared solver context, or nil when
-// none is published (context disabled, no open tasks, or not repriced).
-// The context is valid until the next BeginRound/Reprice/Clear; a caller
-// that solves against it beyond that must pin it with HoldContext.
-func (e *Engine) Context() *selection.RoundContext {
-	if e.cur == nil {
-		return nil
-	}
-	return &e.cur.ctx
-}
+// none is published (context disabled, no open tasks, not repriced, or
+// the last reprice failed). The context is immutable and stays readable
+// indefinitely, even after the round advances or the board is replaced.
+func (e *Engine) Context() *selection.RoundContext { return e.ctx }
 
-// ContextHold pins one round's shared context against recycling. The
-// zero value (returned when nothing is published) is a valid no-op hold.
-type ContextHold struct {
-	l *lease
-}
-
-// HoldContext pins the currently published context so it stays readable
-// across subsequent reprices: the HTTP platform snapshots a planning
-// problem under its mutex, then solves outside it, where a concurrent
-// round advance may already be repricing. Call Release when the solve is
-// done; until then the context's storage is not recycled.
-func (e *Engine) HoldContext() ContextHold {
-	if e.cur == nil {
-		return ContextHold{}
+// publishContext publishes the board's distance table, building it on
+// first use.
+func (e *Engine) publishContext() error {
+	if e.table == nil {
+		locs := make([]geo.Point, len(e.states))
+		for i, st := range e.states {
+			locs[i] = st.Location
+		}
+		t, err := selection.NewRoundContext(locs)
+		if err != nil {
+			return err
+		}
+		e.table = t
 	}
-	e.cur.refs.Add(1)
-	return ContextHold{l: e.cur}
-}
-
-// Release drops the hold. It is safe to call on the zero value and must
-// be called exactly once otherwise.
-func (h ContextHold) Release() {
-	if h.l != nil {
-		h.l.release()
-	}
+	e.ctx = e.table
+	return nil
 }

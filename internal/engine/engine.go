@@ -14,20 +14,21 @@
 //   - internal/sat drives the snapshot/settle/stats stages around a
 //     centralized reverse auction instead of published prices.
 //
-// All per-round storage — the open-task snapshot, the neighbor grid, the
-// mechanism's task views, the assembled mechanism input (bids, budget,
-// forecast), the published reward map, and the shared
-// selection.RoundContext — is grow-only scratch recycled across rounds,
-// so a steady-state Reprice allocates nothing at all: mechanisms write
-// into an engine-owned map through RewardsInto, and the engine republishes
-// that map each round. Because of that scratch, an Engine is NOT safe for
-// concurrent mutation: drivers serialize BeginRound/Reprice/Commit calls
-// (the simulator is single-threaded between rounds; the HTTP platform
-// holds its mutex). Read-only accessors, ProblemInto included, are safe
-// to call concurrently between mutations, which is what the simulator's
-// speculative workers do. Solvers that keep using a round's shared
-// context after the driver's lock is released must pin it with
-// HoldContext so the next reprice cannot recycle it underneath them.
+// All per-round storage — the open-task snapshot and its locations, the
+// neighbor grid, the mechanism's task views, the assembled mechanism input
+// (bids, budget, forecast), and the published reward map — is grow-only
+// scratch recycled across rounds, so a steady-state Reprice allocates
+// nothing at all: mechanisms write into an engine-owned map through
+// RewardsInto, and the engine republishes that map each round. The shared
+// selection.RoundContext is not per-round at all: it is one immutable
+// distance table per board (see context.go). Because of the scratch, an
+// Engine is NOT safe for concurrent mutation: drivers serialize
+// BeginRound/Reprice/Commit calls (the simulator is single-threaded
+// between rounds; the HTTP platform holds its mutex). Read-only
+// accessors, ProblemInto included, are safe to call concurrently between
+// mutations, which is what the simulator's speculative workers do.
+// Problems keep reading the shared context safely after the driver's lock
+// is released, because nothing ever writes it.
 package engine
 
 import (
@@ -38,6 +39,7 @@ import (
 	"paydemand/internal/geo"
 	"paydemand/internal/incentive"
 	"paydemand/internal/metrics"
+	"paydemand/internal/selection"
 	"paydemand/internal/stats"
 	"paydemand/internal/task"
 )
@@ -54,7 +56,7 @@ type Config struct {
 	Area geo.Rect
 	// NeighborRadius is the radius R of the neighbor-count demand factor.
 	NeighborRadius float64
-	// DisableContext skips building the per-round shared solver context
+	// DisableContext skips building the board's shared solver context
 	// and validates task locations directly instead. Selection results
 	// are bit-for-bit identical either way; the flag exists for the
 	// simulator's equivalence ablation.
@@ -91,25 +93,32 @@ type Engine struct {
 	cfg   Config
 	board *task.Board
 
+	// states is the board's task list in board order, captured when the
+	// board is bound. A task's index in it is its board position.
+	states []*task.State
+
 	// Published round state, valid from a Reprice until the next
-	// BeginRound/Clear.
-	round   int
-	open    []*task.State
-	rewards map[task.ID]float64
-	mean    float64
+	// BeginRound/Clear. open is the snapshot in board order; openLocs and
+	// openPos hold each snapshot entry's location and board position.
+	round    int
+	open     []*task.State
+	openLocs []geo.Point
+	openPos  []int
+	rewards  map[task.ID]float64
+	mean     float64
 
 	// Grow-only per-round scratch.
 	grid      geo.GridIndex
 	viewBuf   []incentive.TaskView
-	taskLocs  []geo.Point
 	closed    []task.ID
 	in        incentive.RoundInput
 	bidBuf    []incentive.Bid
 	rewardBuf map[task.ID]float64
 
-	// Shared-context lease state (see context.go).
-	cur  *lease
-	pool leasePool
+	// Shared solver context (see context.go): table is the board's
+	// distance table once built, ctx the published alias of it.
+	table *selection.RoundContext
+	ctx   *selection.RoundContext
 }
 
 // New validates the configuration and builds an engine. Area and
@@ -120,11 +129,21 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Board == nil {
 		return nil, errors.New("engine: nil board")
 	}
-	e := &Engine{cfg: cfg, board: cfg.Board}
+	e := &Engine{cfg: cfg}
 	if err := e.checkCapabilities(); err != nil {
 		return nil, err
 	}
+	e.bindBoard(cfg.Board)
 	return e, nil
+}
+
+// bindBoard makes b the engine's board. The distance table of any
+// previous board is dropped, never reused: a problem built before the
+// swap may still be solving against it.
+func (e *Engine) bindBoard(b *task.Board) {
+	e.board = b
+	e.states = b.States()
+	e.table = nil
 }
 
 // checkCapabilities verifies that the configuration can supply every
@@ -158,9 +177,10 @@ func (e *Engine) checkCapabilities() error {
 func (e *Engine) Board() *task.Board { return e.board }
 
 // SetBoard replaces the engine's task board (a platform restoring a
-// snapshot) and clears all published round state; callers reprice next.
+// snapshot) and clears all published round state; callers reprice next,
+// which builds a fresh distance table for the new board.
 func (e *Engine) SetBoard(b *task.Board) {
-	e.board = b
+	e.bindBoard(b)
 	e.Clear()
 }
 
@@ -171,8 +191,9 @@ func (e *Engine) SetMechanism(m incentive.Mechanism) { e.cfg.Mechanism = m }
 
 // BeginRound starts round k: it unpublishes the previous round's rewards
 // and context, resets the closed-task set, and snapshots the tasks open
-// at k in board order. The returned slice is engine-owned scratch, valid
-// until the next BeginRound; it is the same slice Open returns.
+// at k in board order, with their locations and board positions. The
+// returned slice is engine-owned scratch, valid until the next
+// BeginRound; it is the same slice Open returns.
 //
 //paylint:aliases open
 func (e *Engine) BeginRound(round int) []*task.State {
@@ -180,8 +201,17 @@ func (e *Engine) BeginRound(round int) []*task.State {
 	e.rewards = nil
 	e.mean = 0
 	e.closed = e.closed[:0]
-	e.releaseCurrent()
-	e.open = e.board.OpenAtInto(e.open, round)
+	e.ctx = nil
+	e.open = e.open[:0]
+	e.openLocs = e.openLocs[:0]
+	e.openPos = e.openPos[:0]
+	for i, st := range e.states {
+		if st.OpenAt(round) {
+			e.open = append(e.open, st)
+			e.openLocs = append(e.openLocs, st.Location)
+			e.openPos = append(e.openPos, i)
+		}
+	}
 	return e.open
 }
 
@@ -191,16 +221,17 @@ func (e *Engine) Clear() {
 	e.rewards = nil
 	e.mean = 0
 	e.closed = e.closed[:0]
-	e.releaseCurrent()
+	e.ctx = nil
 	e.open = e.open[:0]
+	e.openLocs = e.openLocs[:0]
+	e.openPos = e.openPos[:0]
 }
 
 // Reprice prices the current round's open snapshot: it counts each open
 // task's neighboring users among userLocs with the reusable grid index,
 // consults the mechanism, computes the mean published reward (summing in
 // board order — float addition is not associative), validates the
-// rewards, and rebuilds the shared solver context over the open task
-// locations. With no open tasks it publishes nothing and returns nil
+// rewards, and publishes the board's shared solver context. With no open tasks it publishes nothing and returns nil
 // without consulting the mechanism. On error nothing stays published:
 // a driver that keeps serving after a failed reprice serves no prices
 // rather than the previous round's.
@@ -220,7 +251,7 @@ func (e *Engine) Reprice(userLocs []geo.Point) error {
 
 // RepriceViews is the pricing half of Reprice over caller-supplied task
 // views: mechanism input assembly, mechanism consultation, board-order
-// mean, reward validation, shared-context rebuild, publication. views must
+// mean, reward validation, shared-context publication. views must
 // hold one entry per open-snapshot task, in board order — normally the
 // slice NeighborViews returned, but the geo-sharded engine builds it by
 // merging per-region neighbor counts so pricing still happens once,
@@ -271,6 +302,7 @@ func (e *Engine) RepriceViews(views []incentive.TaskView, userLocs []geo.Point) 
 	// may stay published.
 	e.rewards = nil
 	e.mean = 0
+	e.ctx = nil
 	if err := e.cfg.Mechanism.RewardsInto(&e.in, e.rewardBuf); err != nil {
 		return err
 	}
@@ -290,8 +322,9 @@ func (e *Engine) RepriceViews(views []incentive.TaskView, userLocs []geo.Point) 
 	}
 	// Validate the round's shared selection inputs once, here, instead of
 	// once per user selection call: reward sanity below, task locations
-	// inside the context build (or the explicit loop when the context is
-	// disabled). ProblemInto then marks its problems CandidatesValid.
+	// inside the board's context build (or the explicit loop when the
+	// context is disabled). ProblemInto then marks its problems
+	// CandidatesValid.
 	// Scanning in board order keeps the reported task deterministic when
 	// several rewards are NaN.
 	for _, st := range e.open {
@@ -305,7 +338,7 @@ func (e *Engine) RepriceViews(views []incentive.TaskView, userLocs []geo.Point) 
 				return fmt.Errorf("task %d: non-finite location %v", st.ID, st.Location)
 			}
 		}
-	} else if err := e.resetContext(); err != nil {
+	} else if err := e.publishContext(); err != nil {
 		return err
 	}
 	e.rewards = rewards
@@ -365,23 +398,6 @@ func (e *Engine) buildBids(userLocs []geo.Point, views []incentive.TaskView) []i
 		e.bidBuf = append(e.bidBuf, incentive.Bid{Worker: i, Cost: e.cfg.BidCostPerMeter * best})
 	}
 	return e.bidBuf
-}
-
-// resetContext rebuilds the shared solver context over the open snapshot's
-// task locations, recycling a context no solver holds anymore.
-func (e *Engine) resetContext() error {
-	e.taskLocs = e.taskLocs[:0]
-	for _, st := range e.open {
-		e.taskLocs = append(e.taskLocs, st.Location)
-	}
-	l := e.pool.get()
-	if err := l.ctx.Reset(e.taskLocs); err != nil {
-		e.pool.put(l)
-		return err
-	}
-	e.releaseCurrent()
-	e.cur = l
-	return nil
 }
 
 // Round returns the round number of the current snapshot.

@@ -283,53 +283,120 @@ func TestDisableContext(t *testing.T) {
 	}
 }
 
-// TestHoldContextSurvivesReprice pins the lease contract: a context held
-// across a reprice keeps its old distance table while the engine
-// publishes a new one, and releasing the hold recycles the lease.
-func TestHoldContextSurvivesReprice(t *testing.T) {
-	board := testBoard(t)
+// TestContextLivesForBoard pins the board-lifetime context: one table
+// over every board task, indexed by board position, republished unchanged
+// round after round, unpublished between BeginRound and Reprice, and
+// replaced by a freshly allocated table when the board is swapped.
+func TestContextLivesForBoard(t *testing.T) {
 	mech := stubMechanism{rewards: map[task.ID]float64{1: 10, 2: 20, 3: 30}}
-	e := testEngine(t, Config{Board: board, Mechanism: mech, Area: geo.Square(1000), NeighborRadius: 100})
-
+	e := testEngine(t, Config{Board: testBoard(t), Mechanism: mech, Area: geo.Square(1000), NeighborRadius: 100})
+	if e.Context() != nil {
+		t.Fatal("context built before the first reprice")
+	}
 	e.BeginRound(1)
 	if err := e.Reprice(nil); err != nil {
 		t.Fatal(err)
 	}
-	held := e.Context()
-	hold := e.HoldContext()
-	wantLen := held.Len()
-	wantDist := held.Dist(0, 1)
+	first := e.Context()
+	if first == nil || first.Len() != 3 {
+		t.Fatalf("context = %v, want a table over all 3 board tasks", first)
+	}
+	want := first.Dist(1, 2)
 
-	// Complete task 1 so the next round's context is over 2 tasks.
+	// Completing task 1 shrinks the open set; the table does not shrink,
+	// and candidates link to it by board position.
 	if _, _, err := e.Commit(1, 1); err != nil {
 		t.Fatal(err)
 	}
 	e.BeginRound(2)
+	if e.Context() != nil {
+		t.Error("context still published after BeginRound")
+	}
 	if err := e.Reprice(nil); err != nil {
 		t.Fatal(err)
 	}
-	if e.Context() == held {
-		t.Fatal("reprice recycled a held context")
+	if e.Context() != first || first.Len() != 3 || first.Dist(1, 2) != want {
+		t.Error("reprice rebuilt or changed the board's table")
 	}
-	if held.Len() != wantLen || held.Dist(0, 1) != wantDist {
-		t.Error("held context mutated across reprice")
+	p, _ := e.ProblemInto(Spec{Start: geo.Pt(0, 0), MaxDistance: 5000}, Worker(2), nil)
+	if len(p.Candidates) != 2 || p.Candidates[0].CtxIndex != 1 || p.Candidates[1].CtxIndex != 2 {
+		t.Errorf("candidates = %+v, want board positions 1 and 2", p.Candidates)
 	}
-	second := e.Context()
-	hold.Release()
 
-	// With no hold on it, round 2's lease returns to the pool when round 3
-	// begins, and the next reprice recycles it (the pool is LIFO).
-	e.BeginRound(3)
+	// A new board gets a new table; the old one is left as it was for any
+	// solve still reading it.
+	e.SetBoard(testBoard(t))
+	if e.Context() != nil {
+		t.Error("context published across SetBoard")
+	}
+	e.BeginRound(1)
 	if err := e.Reprice(nil); err != nil {
 		t.Fatal(err)
 	}
-	if e.Context() != second {
-		t.Error("released lease not recycled")
+	if e.Context() == first {
+		t.Error("SetBoard reused the previous board's table")
 	}
+	if first.Dist(1, 2) != want {
+		t.Error("previous board's table mutated")
+	}
+}
 
-	// The zero-value hold (nothing published) is a valid no-op.
-	e.Clear()
-	e.HoldContext().Release()
+// TestProblemIntoReach pins the reach bound: a task past the budget is no
+// candidate, one exactly on it is, and a NaN budget keeps every task so
+// Validate still rejects the problem.
+func TestProblemIntoReach(t *testing.T) {
+	mech := stubMechanism{rewards: map[task.ID]float64{1: 10, 2: 20, 3: 30}}
+	e := testEngine(t, Config{Board: testBoard(t), Mechanism: mech, Area: geo.Square(1000), NeighborRadius: 100})
+	e.BeginRound(1)
+	if err := e.Reprice(nil); err != nil {
+		t.Fatal(err)
+	}
+	start := geo.Pt(100, 0)
+	for _, tc := range []struct {
+		budget  float64
+		wantIDs []task.ID
+	}{
+		{99, nil},
+		{100, []task.ID{1}}, // task 1 sits exactly on the budget
+		{math.Nextafter(100, 0), nil},
+		{math.Inf(1), []task.ID{1, 2, 3}},
+		{math.NaN(), []task.ID{1, 2, 3}},
+	} {
+		p, _ := e.ProblemInto(Spec{Start: start, MaxDistance: tc.budget}, Worker(1), nil)
+		var got []task.ID
+		for _, c := range p.Candidates {
+			got = append(got, c.ID)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(tc.wantIDs) {
+			t.Errorf("budget %v: candidates %v, want %v", tc.budget, got, tc.wantIDs)
+		}
+		if err := p.Validate(); (err != nil) != math.IsNaN(tc.budget) {
+			t.Errorf("budget %v: Validate = %v", tc.budget, err)
+		}
+	}
+}
+
+// TestProblemIntoAllocs pins candidate assembly into a reused buffer at
+// zero allocations.
+func TestProblemIntoAllocs(t *testing.T) {
+	mech := stubMechanism{rewards: map[task.ID]float64{1: 10, 2: 20, 3: 30}}
+	e := testEngine(t, Config{Board: testBoard(t), Mechanism: mech, Area: geo.Square(1000), NeighborRadius: 100})
+	e.BeginRound(1)
+	if err := e.Reprice(nil); err != nil {
+		t.Fatal(err)
+	}
+	var who Actor = Worker(1)
+	spec := Spec{Start: geo.Pt(0, 0), MaxDistance: 800, CostPerMeter: 0.001}
+	_, buf := e.ProblemInto(spec, who, nil)
+	allocs := testing.AllocsPerRun(100, func() {
+		_, buf = e.ProblemInto(spec, who, buf)
+	})
+	if allocs > 0 {
+		t.Errorf("ProblemInto allocates %v objects/op, want 0", allocs)
+	}
+	if len(buf) != 2 {
+		t.Errorf("%d candidates, want the 2 tasks within reach", len(buf))
+	}
 }
 
 // TestRepriceSteadyStateAllocs pins the zero-allocation contract: once

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"math"
+
 	"paydemand/internal/geo"
 	"paydemand/internal/selection"
 	"paydemand/internal/task"
@@ -45,12 +47,21 @@ type Spec struct {
 
 // ProblemInto assembles one actor's selection problem for the current
 // round into a caller-owned candidate buffer, returning the problem and
-// the (possibly re-grown) buffer: every task of the open snapshot still
-// accepting measurements that the actor has not contributed to, priced
-// at this round's rewards, in board order, linked to the shared context
-// by snapshot position. The round's shared inputs were validated by
-// Reprice, so the problem is marked CandidatesValid and solvers skip the
-// per-candidate re-validation.
+// the (possibly re-grown) buffer: every task of the open snapshot within
+// the actor's reach (selection.Reachable) that still accepts measurements
+// and that the actor has not contributed to, priced at this round's
+// rewards, in board order, linked to the shared context by board
+// position. The round's shared inputs were validated by Reprice, so the
+// problem is marked CandidatesValid and solvers skip the per-candidate
+// re-validation.
+//
+// Dropping the unreachable tasks changes no plan: every solver filters
+// its candidates through the same reach test first, so it sees the same
+// reachable tasks in the same order either way. The test runs before any
+// per-task state lookup because on a large board it rejects almost
+// everything, most of it with a cheap axis test before the square root.
+// A NaN budget keeps every candidate; Validate then rejects the problem
+// exactly as before.
 //
 // ProblemInto only reads engine state, so any number of goroutines may
 // call it concurrently (over distinct buffers) between engine mutations
@@ -62,14 +73,28 @@ func (e *Engine) ProblemInto(spec Spec, who Actor, buf []selection.Candidate) (s
 		MaxDistance:     spec.MaxDistance,
 		CostPerMeter:    spec.CostPerMeter,
 		PerTaskDistance: spec.PerTaskDistance,
+		Ctx:             e.ctx,
 		CandidatesValid: true,
-	}
-	if e.cur != nil {
-		p.Ctx = &e.cur.ctx
 	}
 	buf = buf[:0]
 	id := who.ActorID()
-	for i, st := range e.open {
+	start, ovh, budget := spec.Start, spec.PerTaskDistance, spec.MaxDistance
+	for i, loc := range e.openLocs {
+		// Exact cheap reject before the square root: Dist is
+		// math.Hypot(dx, dy), and Hypot(dx, dy) >= max(|dx|, |dy|) — it
+		// scales by the larger magnitude m and returns m*sqrt(1+q*q) with
+		// q <= 1, and sqrt(1+q*q) >= 1 survives IEEE rounding because
+		// rounding is monotone. Adding ovh preserves the order for the
+		// same reason, so |dx|+ovh > budget (or |dy|+ovh > budget) implies
+		// Dist+ovh > budget: the task fails Reachable too. Comparisons
+		// with a NaN are false, so a NaN budget rejects nothing here.
+		if math.Abs(loc.X-start.X)+ovh > budget || math.Abs(loc.Y-start.Y)+ovh > budget {
+			continue
+		}
+		if !selection.Reachable(start, loc, ovh, budget) {
+			continue
+		}
+		st := e.open[i]
 		if !st.OpenAt(e.round) || st.Contributed(id) || who.HasDone(st.ID) {
 			continue
 		}
@@ -79,9 +104,9 @@ func (e *Engine) ProblemInto(spec Spec, who Actor, buf []selection.Candidate) (s
 		}
 		buf = append(buf, selection.Candidate{
 			ID:       st.ID,
-			Location: st.Location,
+			Location: loc,
 			Reward:   reward,
-			CtxIndex: i,
+			CtxIndex: e.openPos[i],
 		})
 	}
 	p.Candidates = buf

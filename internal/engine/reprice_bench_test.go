@@ -102,8 +102,9 @@ func benchEngine(b *testing.B, w benchWorld, kind string) *Engine {
 //
 //   - engine/<mechanism>: BeginRound + Reprice on one long-lived Engine,
 //     priced by the named mechanism with its capability inputs wired in.
-//     Steady state allocates nothing (the grid, views, bids, rewards, and
-//     context are grow-only scratch; see TestRepriceSteadyStateAllocs).
+//     Steady state allocates nothing (the grid, views, bids and rewards
+//     are grow-only scratch and the board's context is built once; see
+//     TestRepriceSteadyStateAllocs).
 //   - rebuild: what the HTTP platform did before the engine existed —
 //     a fresh grid index, view slice, and solver context every round,
 //     priced on-demand.
@@ -161,5 +162,25 @@ func BenchmarkReprice(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkProblemInto measures candidate assembly for one user on a
+// city-sized board (1000 open tasks over 3 km, a 50 m reach), where the
+// reach bound rejects nearly every task: the per-user cost is one scan of
+// the round's open-task locations.
+func BenchmarkProblemInto(b *testing.B) {
+	w := newBenchWorld(b, 2000, 1000)
+	eng := benchEngine(b, w, "on-demand")
+	eng.BeginRound(1)
+	if err := eng.Reprice(w.users); err != nil {
+		b.Fatal(err)
+	}
+	var who Actor = Worker(1)
+	var buf []selection.Candidate
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, buf = eng.ProblemInto(Spec{Start: w.users[i%len(w.users)], MaxDistance: 50, CostPerMeter: 0.002}, who, buf)
 	}
 }

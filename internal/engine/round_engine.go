@@ -40,7 +40,6 @@ type RoundEngine interface {
 	RewardFor(id task.ID) (float64, bool)
 	MeanPublishedReward() float64
 	Context() *selection.RoundContext
-	HoldContext() ContextHold
 
 	// Plan assembly and commit.
 	ProblemInto(spec Spec, who Actor, buf []selection.Candidate) (selection.Problem, []selection.Candidate)

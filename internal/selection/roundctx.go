@@ -6,54 +6,41 @@ import (
 	"paydemand/internal/geo"
 )
 
-// RoundContext is the per-round shared solver state: the pairwise distance
-// table over one sensing round's open task set, computed once and consulted
-// by every user's selection call in that round. Task locations are static,
-// so the table — which every solver previously rebuilt per call — is
-// identical for all users of a round.
+// RoundContext is the shared solver state: the pairwise distance table
+// over a set of task locations, computed once and consulted by every
+// user's selection call. Task locations are static, so the table — which
+// every solver previously rebuilt per call — is identical for all users of
+// a round and for every round of a campaign; the round engine builds one
+// per task board.
 //
 // Wire it up by setting Problem.Ctx and giving each Candidate the CtxIndex
 // of its task in the location slice the context was built over. Distances
 // are stored exactly as geo.Point.Dist computes them, so solver results are
 // bit-for-bit identical to the uncached path.
 //
-// A RoundContext may be Reset between rounds to reuse its storage. It must
-// not be mutated while any Problem referencing it is being solved; read-only
-// concurrent use (multiple goroutines solving against one frozen context)
-// is safe.
+// A RoundContext is immutable once built, so any number of goroutines may
+// solve against it concurrently, for as long as they hold it.
 type RoundContext struct {
 	locs []geo.Point
 	dist []float64 // row-major n x n pairwise distances
 	n    int
 }
 
-// NewRoundContext builds a context over the round's task locations. It
-// rejects non-finite locations, taking that check over from per-call
-// Problem validation.
+// NewRoundContext builds a context over the given task locations, which
+// are copied; the caller may reuse its slice. It rejects non-finite
+// locations, taking that check over from per-call Problem validation.
 func NewRoundContext(locs []geo.Point) (*RoundContext, error) {
-	c := &RoundContext{}
-	if err := c.Reset(locs); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// Reset rebuilds the context in place over a new location set, reusing the
-// previous round's storage when it is large enough. The locations are
-// copied; the caller may reuse its slice.
-func (c *RoundContext) Reset(locs []geo.Point) error {
 	for i, l := range locs {
 		if !l.IsFinite() {
-			return fmt.Errorf("%w: non-finite task location %v at index %d", ErrBadProblem, l, i)
+			return nil, fmt.Errorf("%w: non-finite task location %v at index %d", ErrBadProblem, l, i)
 		}
 	}
 	n := len(locs)
-	c.n = n
-	c.locs = append(c.locs[:0], locs...)
-	if cap(c.dist) < n*n {
-		c.dist = make([]float64, n*n)
+	c := &RoundContext{
+		locs: append([]geo.Point(nil), locs...),
+		dist: make([]float64, n*n),
+		n:    n,
 	}
-	c.dist = c.dist[:n*n]
 	for a := 0; a < n; a++ {
 		la := c.locs[a]
 		row := c.dist[a*n : (a+1)*n]
@@ -61,7 +48,7 @@ func (c *RoundContext) Reset(locs []geo.Point) error {
 			row[b] = la.Dist(c.locs[b])
 		}
 	}
-	return nil
+	return c, nil
 }
 
 // Len returns the number of tasks the context covers.

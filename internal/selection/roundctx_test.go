@@ -90,17 +90,17 @@ func TestNewRoundContextRejectsNonFinite(t *testing.T) {
 	}
 }
 
-// TestRoundContextReset checks storage reuse across rounds of different
-// sizes: distances must always match direct computation.
-func TestRoundContextReset(t *testing.T) {
+// TestRoundContextSizes checks contexts of different sizes, the empty one
+// included: distances must always match direct computation.
+func TestRoundContextSizes(t *testing.T) {
 	rng := stats.NewRNG(11)
-	ctx := &RoundContext{}
 	for _, n := range []int{5, 12, 3, 0, 8} {
 		locs := make([]geo.Point, n)
 		for i := range locs {
 			locs[i] = geo.Pt(rng.Uniform(0, 100), rng.Uniform(0, 100))
 		}
-		if err := ctx.Reset(locs); err != nil {
+		ctx, err := NewRoundContext(locs)
+		if err != nil {
 			t.Fatal(err)
 		}
 		if ctx.Len() != n {

@@ -59,10 +59,13 @@ type Problem struct {
 	// travel time; setting this to sensing-time x speed lifts that
 	// assumption. Sensing consumes time (budget) but not movement cost.
 	PerTaskDistance float64 `json:"per_task_distance"`
-	// Candidates are the tasks available to this user (open, not yet
-	// contributed to by them).
+	// Candidates are the tasks available to this user: open, not yet
+	// contributed to by them, and — when the round engine assembles the
+	// problem — within their reach (see Reachable). Solvers consider only
+	// reachable candidates either way, so the engine's bound changes no
+	// plan.
 	Candidates []Candidate `json:"candidates"`
-	// Ctx is the optional per-round shared solver context. When set,
+	// Ctx is the optional shared solver context. When set,
 	// solvers look task-pair distances up in its precomputed table (via
 	// each candidate's CtxIndex) instead of recomputing them per call.
 	// Results are bit-for-bit identical either way.
@@ -239,21 +242,35 @@ func buildPlan(p *Problem, orderIdx []int) Plan {
 	return plan
 }
 
+// Reachable reports whether a task at loc can be visited at all by a user
+// standing at start: its direct distance plus the per-task overhead does
+// not exceed the travel budget. It is the one reach test of the codebase —
+// the solvers' candidate filter, the engine's candidate assembly, and the
+// simulator's speculative-replay check all call it, so a candidate the
+// engine drops is exactly one no solver would have considered.
+//
+// The test is written as the negation of "out of reach" (d+ovh > budget),
+// so a NaN budget or overhead counts as reachable: callers that assemble
+// candidates keep everything and leave the rejection to Validate, which
+// every solver runs before filtering.
+func Reachable(start, loc geo.Point, perTaskDistance, maxDistance float64) bool {
+	return !(start.Dist(loc)+perTaskDistance > maxDistance)
+}
+
 // reachableInto appends to buf[:0] the indices of candidates that can be
-// visited at all within the budget (their direct distance from the start,
-// plus the per-task overhead, does not exceed MaxDistance) and offer a
-// positive reward. Dropping the rest is sound: visiting a task always
-// consumes at least the direct distance plus its overhead, and a
-// non-positive-reward task can never increase profit since detours are
-// never free. Callers pass solver-owned scratch so steady state is
-// allocation-free.
+// visited at all within the budget (see Reachable) and offer a positive
+// reward. Dropping the rest is sound: visiting a task always consumes at
+// least the direct distance plus its overhead, and a non-positive-reward
+// task can never increase profit since detours are never free. Callers
+// validate the problem first, so no budget here is NaN. Callers pass
+// solver-owned scratch so steady state is allocation-free.
 func reachableInto(p *Problem, buf []int) []int {
 	out := buf[:0]
 	for i, c := range p.Candidates {
 		if c.Reward <= 0 {
 			continue
 		}
-		if p.Start.Dist(c.Location)+p.PerTaskDistance <= p.MaxDistance {
+		if Reachable(p.Start, c.Location, p.PerTaskDistance, p.MaxDistance) {
 			out = append(out, i)
 		}
 	}

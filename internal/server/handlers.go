@@ -130,26 +130,46 @@ func (p *Platform) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		p.writeError(w, http.StatusBadRequest, "bad submit body: %v", err)
 		return
 	}
+	// Only the board and worker bookkeeping runs under the mutex; the log
+	// line and the response encode and write happen after it is released.
 	p.mu.Lock()
-	defer p.mu.Unlock()
-
-	if _, known := p.workers[req.UserID]; !known {
-		p.writeError(w, http.StatusNotFound, "unknown worker %d", req.UserID)
+	resp, round, status, msg := p.submitLocked(&req)
+	p.mu.Unlock()
+	if status != 0 {
+		p.writeError(w, status, "%s", msg)
 		return
+	}
+	p.logger.Info("submission",
+		"user_id", req.UserID, "round", round,
+		"uploaded", len(req.Measurements), "paid", resp.TotalPaid)
+	if acceptsTLV(r) {
+		buf := binary.GetBuffer()
+		*buf = binary.AppendSubmitResponse((*buf)[:0], &resp)
+		p.writeRaw(w, http.StatusOK, binary.ContentType, *buf)
+		binary.PutBuffer(buf)
+		return
+	}
+	p.writeJSON(w, http.StatusOK, resp)
+}
+
+// submitLocked records one submission's measurements and returns the
+// response and the round they were recorded in. A rejected submission
+// returns a non-zero HTTP status and its error message instead. Callers
+// hold p.mu.
+func (p *Platform) submitLocked(req *wire.SubmitRequest) (resp wire.SubmitResponse, round, status int, msg string) {
+	if _, known := p.workers[req.UserID]; !known {
+		return resp, 0, http.StatusNotFound, fmt.Sprintf("unknown worker %d", req.UserID)
 	}
 	if p.done {
-		p.writeError(w, http.StatusConflict, "campaign is done")
-		return
+		return resp, 0, http.StatusConflict, "campaign is done"
 	}
 	if req.Round != p.round {
-		p.writeError(w, http.StatusConflict, "stale round %d, current is %d", req.Round, p.round)
-		return
+		return resp, 0, http.StatusConflict, fmt.Sprintf("stale round %d, current is %d", req.Round, p.round)
 	}
 	if req.Location.IsFinite() {
 		p.workers[req.UserID] = req.Location
 	}
 
-	resp := wire.SubmitResponse{}
 	board := p.eng.Board()
 	for _, m := range req.Measurements {
 		res := wire.SubmitResult{TaskID: m.TaskID}
@@ -185,17 +205,7 @@ func (p *Platform) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Results = append(resp.Results, res)
 	}
-	p.logger.Info("submission",
-		"user_id", req.UserID, "round", p.round,
-		"uploaded", len(req.Measurements), "paid", resp.TotalPaid)
-	if acceptsTLV(r) {
-		buf := binary.GetBuffer()
-		*buf = binary.AppendSubmitResponse((*buf)[:0], &resp)
-		p.writeRaw(w, http.StatusOK, binary.ContentType, *buf)
-		binary.PutBuffer(buf)
-		return
-	}
-	p.writeJSON(w, http.StatusOK, resp)
+	return resp, p.round, 0, ""
 }
 
 // recordReason maps task.Record errors to stable protocol strings.
@@ -266,21 +276,19 @@ func (p *Platform) handlePlan(w http.ResponseWriter, r *http.Request) {
 	round := p.round
 	// The candidate buffer is per-request (nil, so ProblemInto allocates):
 	// the problem escapes the lock and must not share engine scratch. The
-	// shared distance context is engine scratch, so it is pinned with a
-	// hold for the duration of the solve — a concurrent Advance may
-	// reprice, and an in-flight solve must never observe a mutation.
+	// shared distance context needs no such care: it is the board's
+	// immutable table, which a concurrent Advance republishes and a
+	// Restore replaces without ever writing it.
 	problem, _ := p.eng.ProblemInto(engine.Spec{
 		Start:        req.Location,
 		MaxDistance:  req.Speed * req.TimeBudget,
 		CostPerMeter: req.CostPerMeter,
 	}, engine.Worker(req.UserID), nil)
-	hold := p.eng.HoldContext()
 	p.mu.Unlock()
 
 	alg := p.planners.Get()
 	plan, err := alg.Select(problem)
 	p.planners.Put(alg)
-	hold.Release()
 	if err != nil {
 		p.writeError(w, http.StatusInternalServerError, "plan: %v", err)
 		return

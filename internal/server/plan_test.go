@@ -4,9 +4,11 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 
+	"paydemand/internal/engine"
 	"paydemand/internal/geo"
 	"paydemand/internal/selection"
 	"paydemand/internal/wire"
@@ -223,5 +225,103 @@ func TestPlanEndpointCustomPlanner(t *testing.T) {
 	defer mu.Unlock()
 	if built == 0 {
 		t.Error("custom Planner factory never invoked")
+	}
+}
+
+// TestProblemContextSurvivesAdvanceAndRestore pins why plan solves need
+// no hold on the shared context: a problem built under the lock before an
+// Advance or a Restore still reads the same distances afterwards, while
+// other workers plan concurrently (run under -race in CI, which reports
+// any write to a table a solve is reading).
+func TestProblemContextSurvivesAdvanceAndRestore(t *testing.T) {
+	p := testPlatform(t)
+	srv := httptest.NewServer(p)
+	defer srv.Close()
+	var reg wire.RegisterResponse
+	doJSON(t, srv, http.MethodPost, wire.PathRegister,
+		wire.RegisterRequest{Location: geo.Pt(500, 500)}, &reg)
+	if err := p.Reprice(); err != nil {
+		t.Fatal(err)
+	}
+	snap := p.Snapshot()
+
+	p.mu.Lock()
+	problem, _ := p.eng.ProblemInto(engine.Spec{
+		Start: geo.Pt(500, 500), MaxDistance: 5000, CostPerMeter: 0.01,
+	}, engine.Worker(reg.UserID), nil)
+	p.mu.Unlock()
+	if problem.Ctx == nil || len(problem.Candidates) < 2 {
+		t.Fatalf("problem = %d candidates, ctx %v", len(problem.Candidates), problem.Ctx)
+	}
+	distances := func() []float64 {
+		var out []float64
+		for _, a := range problem.Candidates {
+			for _, b := range problem.Candidates {
+				out = append(out, problem.Ctx.Dist(a.CtxIndex, b.CtxIndex))
+			}
+		}
+		return out
+	}
+	want := distances()
+	wantPlan, err := (&selection.Auto{}).Select(problem)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var wg, started sync.WaitGroup
+	stop := make(chan struct{})
+	errs := make(chan string, 8)
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		started.Add(1)
+		go func() {
+			defer wg.Done()
+			var once sync.Once
+			defer once.Do(started.Done)
+			alg := &selection.Auto{}
+			for {
+				// The stale problem, solved outside the lock...
+				got, err := alg.Select(problem)
+				if err != nil || !reflect.DeepEqual(got, wantPlan) {
+					errs <- "stale problem solved differently"
+					return
+				}
+				// ...beside live plans against whatever round is current.
+				code := doJSON(t, srv, http.MethodPost, wire.PathPlan, planRequest(reg.UserID), nil)
+				if code != http.StatusOK && code != http.StatusConflict {
+					errs <- "unexpected plan status"
+					return
+				}
+				once.Do(started.Done)
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	started.Wait()
+	for i := 0; i < 3; i++ {
+		if _, _, err := p.Advance(); err != nil {
+			t.Error(err)
+		}
+		if err := p.Restore(snap); err != nil {
+			t.Error(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for msg := range errs {
+		t.Error(msg)
+	}
+	if got := distances(); !reflect.DeepEqual(got, want) {
+		t.Errorf("distances after advance and restore = %v, want %v", got, want)
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.eng.Context() == problem.Ctx {
+		t.Error("restored board reuses the replaced board's table")
 	}
 }

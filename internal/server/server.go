@@ -105,10 +105,10 @@ type Platform struct {
 	// eng is the round state machine shared with the simulator: open-task
 	// snapshot, neighbor counting, repricing, shared solver context,
 	// commits, round state. All engine mutations happen under mu; plan
-	// solves that outlive the lock pin the context with eng.HoldContext,
-	// which lets the engine recycle its round scratch (a steady-state
-	// reprice allocates only the mechanism's reward map) without an
-	// in-flight solve ever observing a mutation. With cfg.Shards > 0
+	// solves run outside it against a problem built under it, whose
+	// candidates are per-request and whose shared context is the board's
+	// immutable distance table, so an in-flight solve never observes a
+	// mutation. With cfg.Shards > 0
 	// this is the geo-sharded engine; the platform drives it
 	// identically.
 	eng engine.RoundEngine

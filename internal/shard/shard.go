@@ -484,10 +484,6 @@ func (s *Engine) MeanPublishedReward() float64 { return s.inner.MeanPublishedRew
 // pricing).
 func (s *Engine) Context() *selection.RoundContext { return s.inner.Context() }
 
-// HoldContext pins the published context against recycling; the lease
-// machinery has its own lock, so holds are shard-safe.
-func (s *Engine) HoldContext() engine.ContextHold { return s.inner.HoldContext() }
-
 // ProblemInto assembles one actor's selection problem; see
 // engine.ProblemInto for the contract.
 func (s *Engine) ProblemInto(spec engine.Spec, who engine.Actor, buf []selection.Candidate) (selection.Problem, []selection.Candidate) {

@@ -28,11 +28,11 @@ type Observer interface {
 	// reprice: observers that keep it past the call must copy it.
 	RoundStart(round int, rewards map[task.ID]float64)
 	// UserPlanned fires after each user's task selection, whether or not
-	// the plan is empty. The problem (including its Candidates slice and
-	// shared round context) is backed by simulation-owned buffers that are
-	// reused for the next user: it is valid only for the duration of the
-	// call, so observers that retain it must copy what they keep. The plan
-	// is the observer's to keep.
+	// the plan is empty. The problem's Candidates slice is backed by a
+	// simulation-owned buffer that is reused for the next user: it is valid
+	// only for the duration of the call, so observers that retain it must
+	// copy what they keep. The shared context it points to is immutable.
+	// The plan is the observer's to keep.
 	UserPlanned(round int, userID int, problem selection.Problem, plan selection.Plan)
 	// RoundEnd fires after all users have acted, with the round's stats.
 	RoundEnd(round int, stats metrics.RoundStats)
@@ -406,7 +406,8 @@ func (s *Simulation) runRound(k int, obs Observer) (metrics.RoundStats, error) {
 // candidate overlap, not Plan.Touches overlap: a solver may legitimately
 // depend on candidates it does not select (Auto dispatches DP vs greedy on
 // the reachable-candidate count), so an untouched-but-selectable closed
-// task still forces a replay.
+// task still forces a replay. Candidates are reach-bounded, so a closed
+// task out of the user's reach never does.
 func (s *Simulation) runUsers(k int, perm []int, obs Observer, rs *metrics.RoundStats, idle []float64) error {
 	parallel := s.pool != nil && len(perm) > 1
 	if parallel {
@@ -508,14 +509,18 @@ func (s *Simulation) speculate(perm []int) {
 // invalidated reports whether any task filled by an earlier commit of this
 // round was still selectable by u at the round-start snapshot — in which
 // case u's speculative problem is stale and must be re-solved. The user's
-// own contribution state cannot have changed (each user commits once per
-// round), so checking it now is equivalent to checking it at snapshot
-// time. Tasks a user already contributed to were never its candidates and
-// never invalidate it, which keeps replays rare outside pathological
-// contention.
+// own contribution state and location cannot have changed (each user
+// commits, and moves, once per round, at its own turn), so checking them
+// now is equivalent to checking them at snapshot time. Tasks a user
+// already contributed to, and tasks out of its reach, were never its
+// candidates and never invalidate it, which keeps replays rare outside
+// pathological contention.
 func (s *Simulation) invalidated(u *agent.User) bool {
+	spec := s.specFor(u)
 	for _, id := range s.eng.Closed() {
-		if !s.board.Get(id).Contributed(u.ID) && !u.HasDone(id) {
+		st := s.board.Get(id)
+		if selection.Reachable(spec.Start, st.Location, spec.PerTaskDistance, spec.MaxDistance) &&
+			!st.Contributed(u.ID) && !u.HasDone(id) {
 			return true
 		}
 	}
@@ -538,12 +543,17 @@ func (s *Simulation) problemFor(u *agent.User) selection.Problem {
 // it with per-position buffers so every user's problem of a round can be
 // alive at once; the sequential path passes the shared s.candBuf scratch.
 func (s *Simulation) problemForInto(u *agent.User, buf []selection.Candidate) (selection.Problem, []selection.Candidate) {
-	return s.eng.ProblemInto(engine.Spec{
+	return s.eng.ProblemInto(s.specFor(u), u, buf)
+}
+
+// specFor is the user-dependent half of u's selection problem.
+func (s *Simulation) specFor(u *agent.User) engine.Spec {
+	return engine.Spec{
 		Start:           u.Location,
 		MaxDistance:     u.MaxTravelDistance(),
 		CostPerMeter:    u.CostPerMeter,
 		PerTaskDistance: s.cfg.SensingTime * u.Speed,
-	}, u, buf)
+	}
 }
 
 // Run is a convenience that builds and runs a simulation in one call.

@@ -18,7 +18,9 @@ type TraceEvent struct {
 	Round int    `json:"round"`
 	// Rewards is set on round_start: the published reward per open task.
 	Rewards map[task.ID]float64 `json:"rewards,omitempty"`
-	// UserID, Candidates, Plan are set on user_planned.
+	// UserID, Candidates, Plan are set on user_planned. Candidates counts
+	// the tasks the engine offered the user: open, not yet contributed to,
+	// and within the user's reach.
 	UserID     int             `json:"user_id,omitempty"`
 	Candidates int             `json:"candidates,omitempty"`
 	Plan       *selection.Plan `json:"plan,omitempty"`

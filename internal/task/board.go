@@ -50,21 +50,13 @@ func (b *Board) States() []*State {
 // OpenAt returns the states of tasks open at round k (incomplete and not
 // past deadline), in creation order.
 func (b *Board) OpenAt(round int) []*State {
-	return b.OpenAtInto(nil, round)
-}
-
-// OpenAtInto is OpenAt into a caller-provided buffer: it appends the open
-// states to buf[:0] and returns the (possibly re-grown) slice. The round
-// engine snapshots the open set every round, so reusing one buffer keeps
-// the round loop allocation-free.
-func (b *Board) OpenAtInto(buf []*State, round int) []*State {
-	buf = buf[:0]
+	var out []*State
 	for _, s := range b.states {
 		if s.OpenAt(round) {
-			buf = append(buf, s)
+			out = append(out, s)
 		}
 	}
-	return buf
+	return out
 }
 
 // Sub returns a board over the subset of tasks keep selects, preserving
