@@ -17,7 +17,7 @@ test:
 	go test ./...
 
 race:
-	go test -race ./internal/experiments/ ./internal/sim/ ./internal/selection/ ./internal/server/ ./internal/engine/ ./internal/shard/ ./internal/client/ ./internal/incentive/ ./internal/mobility/ ./cmd/loadgen/
+	go test -race ./internal/experiments/ ./internal/sim/ ./internal/selection/ ./internal/server/ ./internal/engine/ ./internal/shard/ ./internal/geo/ ./internal/sat/ ./internal/client/ ./internal/incentive/ ./internal/mobility/ ./cmd/loadgen/
 
 # Aggregate coverage across every package, with a function summary.
 cover:
@@ -86,7 +86,7 @@ bench-check:
 # grid recorded in BENCH_beam.json) and BenchmarkShardReprice (the
 # geo-sharded engine grid recorded in BENCH_shard.json).
 bench-smoke:
-	go test -run xxx -bench . -benchtime 1x -benchmem ./internal/selection/ ./internal/sim/ ./internal/experiments/ ./internal/engine/ ./internal/shard/ ./internal/wire/binary/
+	go test -run xxx -bench . -benchtime 1x -benchmem ./internal/selection/ ./internal/sim/ ./internal/experiments/ ./internal/engine/ ./internal/shard/ ./internal/geo/ ./internal/sat/ ./internal/wire/binary/
 
 # The full sharded-reprice grid at recording fidelity; the numbers at the
 # repo root (BENCH_shard.json) came from this command.

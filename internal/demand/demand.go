@@ -146,6 +146,11 @@ func (c Config) Demand(round int, in Inputs, maxNeighbors int) (float64, error) 
 	if err := c.Validate(); err != nil {
 		return 0, err
 	}
+	return c.demand(round, in, maxNeighbors)
+}
+
+// demand is Demand over a configuration the caller has validated.
+func (c Config) demand(round int, in Inputs, maxNeighbors int) (float64, error) {
 	x1 := c.DeadlineFactor(in.Deadline, round)
 	x2, err := c.ProgressFactor(in.Progress)
 	if err != nil {
@@ -180,7 +185,7 @@ func (c Config) DemandsInto(round int, inputs []Inputs, out []float64) ([]float6
 	}
 	out = out[:0]
 	for i, in := range inputs {
-		d, err := c.Demand(round, in, maxNeighbors)
+		d, err := c.demand(round, in, maxNeighbors)
 		if err != nil {
 			return nil, fmt.Errorf("demand: task %d: %w", i, err)
 		}

@@ -107,6 +107,14 @@ type Engine struct {
 	rewards  map[task.ID]float64
 	mean     float64
 
+	// Reach index over the open snapshot, rebuilt by BeginRound (see
+	// problem.go): reach holds openLocs, reachMaxHalf is the largest
+	// reach-box half-width answered from it, and reachOK says whether
+	// ProblemInto may query it this round.
+	reach        geo.GridIndex
+	reachMaxHalf float64
+	reachOK      bool
+
 	// Grow-only per-round scratch.
 	grid      geo.GridIndex
 	viewBuf   []incentive.TaskView
@@ -190,10 +198,11 @@ func (e *Engine) SetBoard(b *task.Board) {
 func (e *Engine) SetMechanism(m incentive.Mechanism) { e.cfg.Mechanism = m }
 
 // BeginRound starts round k: it unpublishes the previous round's rewards
-// and context, resets the closed-task set, and snapshots the tasks open
-// at k in board order, with their locations and board positions. The
-// returned slice is engine-owned scratch, valid until the next
-// BeginRound; it is the same slice Open returns.
+// and context, resets the closed-task set, snapshots the tasks open at k
+// in board order, with their locations and board positions, and indexes
+// the snapshot's locations for ProblemInto's reach queries. The returned
+// slice is engine-owned scratch, valid until the next BeginRound; it is
+// the same slice Open returns.
 //
 //paylint:aliases open
 func (e *Engine) BeginRound(round int) []*task.State {
@@ -205,13 +214,22 @@ func (e *Engine) BeginRound(round int) []*task.State {
 	e.open = e.open[:0]
 	e.openLocs = e.openLocs[:0]
 	e.openPos = e.openPos[:0]
+	var box geo.Rect
+	finite := true
 	for i, st := range e.states {
 		if st.OpenAt(round) {
+			loc := st.Location
+			if len(e.open) == 0 {
+				box = geo.Rect{Min: loc, Max: loc}
+			}
+			box = box.Union(geo.Rect{Min: loc, Max: loc})
+			finite = finite && loc.IsFinite()
 			e.open = append(e.open, st)
-			e.openLocs = append(e.openLocs, st.Location)
+			e.openLocs = append(e.openLocs, loc)
 			e.openPos = append(e.openPos, i)
 		}
 	}
+	e.indexReach(box, finite)
 	return e.open
 }
 
@@ -225,6 +243,7 @@ func (e *Engine) Clear() {
 	e.open = e.open[:0]
 	e.openLocs = e.openLocs[:0]
 	e.openPos = e.openPos[:0]
+	e.reachOK = false
 }
 
 // Reprice prices the current round's open snapshot: it counts each open
@@ -351,13 +370,16 @@ func (e *Engine) RepriceViews(views []incentive.TaskView, userLocs []geo.Point) 
 // reusable grid index over the given user locations. It is the geometric
 // half of Reprice, exported so the geo-sharded engine can run it
 // per-region (each region calls it on its halo-mirrored user set) before
-// pricing globally with RepriceViews. The returned slice is engine-owned
-// scratch, valid until the next NeighborViews/Reprice (mechanisms consume
-// it synchronously inside Rewards).
+// pricing globally with RepriceViews. The grid's cell side is R/2: a
+// query then scans a block of 5x5 small cells, about two thirds the area
+// of the 3x3 block of R-sized cells, so fewer users reach the distance
+// test. The returned slice is engine-owned scratch, valid until the next
+// NeighborViews/Reprice (mechanisms consume it synchronously inside
+// Rewards).
 //
 //paylint:aliases viewBuf
 func (e *Engine) NeighborViews(userLocs []geo.Point) ([]incentive.TaskView, error) {
-	if err := e.grid.Reset(e.cfg.Area, e.cfg.NeighborRadius, userLocs); err != nil {
+	if err := e.grid.Reset(e.cfg.Area, e.cfg.NeighborRadius/2, userLocs); err != nil {
 		return nil, err
 	}
 	if cap(e.viewBuf) < len(e.open) {

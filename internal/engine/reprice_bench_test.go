@@ -109,59 +109,62 @@ func benchEngine(b *testing.B, w benchWorld, kind string) *Engine {
 //     a fresh grid index, view slice, and solver context every round,
 //     priced on-demand.
 func BenchmarkReprice(b *testing.B) {
-	for _, users := range []int{50, 200, 1000} {
-		for _, tasks := range []int{20, 100} {
-			name := fmt.Sprintf("users=%d/tasks=%d", users, tasks)
-			for _, kind := range []string{"on-demand", "fixed", "auction", "incentme"} {
-				b.Run("engine/"+kind+"/"+name, func(b *testing.B) {
-					w := newBenchWorld(b, users, tasks)
-					eng := benchEngine(b, w, kind)
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						eng.BeginRound(1)
-						if err := eng.Reprice(w.users); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
-			}
-			b.Run("rebuild/"+name, func(b *testing.B) {
+	cells := []struct{ users, tasks int }{
+		{50, 20}, {50, 100}, {200, 20}, {200, 100}, {1000, 20}, {1000, 100},
+		{2000, 1000}, // the benchmark's city-sim size, where neighbor counting leads
+	}
+	for _, c := range cells {
+		users, tasks := c.users, c.tasks
+		name := fmt.Sprintf("users=%d/tasks=%d", users, tasks)
+		for _, kind := range []string{"on-demand", "fixed", "auction", "incentme"} {
+			b.Run("engine/"+kind+"/"+name, func(b *testing.B) {
 				w := newBenchWorld(b, users, tasks)
+				eng := benchEngine(b, w, kind)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					open := w.board.OpenAt(1)
-					grid, err := geo.NewGridIndex(w.area, 500, w.users)
-					if err != nil {
+					eng.BeginRound(1)
+					if err := eng.Reprice(w.users); err != nil {
 						b.Fatal(err)
-					}
-					views := make([]incentive.TaskView, len(open))
-					locs := make([]geo.Point, len(open))
-					for j, st := range open {
-						views[j] = incentive.TaskView{
-							ID:        st.ID,
-							Location:  st.Location,
-							Deadline:  st.Deadline,
-							Required:  st.Required,
-							Received:  st.Received(),
-							Neighbors: grid.CountWithin(st.Location, 500),
-						}
-						locs[j] = st.Location
-					}
-					rewards, err := w.mech.Rewards(&incentive.RoundInput{Round: 1, Views: views})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, err := selection.NewRoundContext(locs); err != nil {
-						b.Fatal(err)
-					}
-					if len(rewards) == 0 {
-						b.Fatal("no rewards")
 					}
 				}
 			})
 		}
+		b.Run("rebuild/"+name, func(b *testing.B) {
+			w := newBenchWorld(b, users, tasks)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				open := w.board.OpenAt(1)
+				grid, err := geo.NewGridIndex(w.area, 500, w.users)
+				if err != nil {
+					b.Fatal(err)
+				}
+				views := make([]incentive.TaskView, len(open))
+				locs := make([]geo.Point, len(open))
+				for j, st := range open {
+					views[j] = incentive.TaskView{
+						ID:        st.ID,
+						Location:  st.Location,
+						Deadline:  st.Deadline,
+						Required:  st.Required,
+						Received:  st.Received(),
+						Neighbors: grid.CountWithin(st.Location, 500),
+					}
+					locs[j] = st.Location
+				}
+				rewards, err := w.mech.Rewards(&incentive.RoundInput{Round: 1, Views: views})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := selection.NewRoundContext(locs); err != nil {
+					b.Fatal(err)
+				}
+				if len(rewards) == 0 {
+					b.Fatal("no rewards")
+				}
+			}
+		})
 	}
 }
 

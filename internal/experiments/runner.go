@@ -69,11 +69,11 @@ func runTrials[T any](o Options, configs int, run func(config, trial int) (T, er
 	}
 
 	var (
-		next      atomic.Int64 // next job index to claim
-		completed atomic.Int64 // successfully finished jobs
-		stop      atomic.Bool  // set on first failure; unclaimed jobs exit
+		next atomic.Int64 // next job index to claim
+		stop atomic.Bool  // set on first failure; unclaimed jobs exit
 
-		mu          sync.Mutex // guards firstErr/firstErrIdx and Progress calls
+		mu          sync.Mutex // guards completed, firstErr/firstErrIdx and Progress calls
+		completed   int        // successfully finished jobs
 		firstErr    error
 		firstErrIdx = math.MaxInt
 
@@ -103,10 +103,12 @@ func runTrials[T any](o Options, configs int, run func(config, trial int) (T, er
 					return
 				}
 				out[c][t] = v
-				n := int(completed.Add(1))
 				if o.Progress != nil {
+					// Counting under the lock that serializes Progress
+					// keeps the reported counts strictly increasing.
 					mu.Lock()
-					o.Progress(n, total)
+					completed++
+					o.Progress(completed, total)
 					mu.Unlock()
 				}
 			}

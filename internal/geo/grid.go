@@ -10,6 +10,13 @@ import (
 // every round to count the neighboring mobile users of each task (the users
 // within R meters of the task location, Section IV of the paper).
 //
+// Storage is compressed sparse row: the points are kept sorted by cell
+// (row-major), so the cells c0..c1 of one grid row are one contiguous run
+// of pts, pts[start[row*cols+c0]:start[row*cols+c1+1]]. The sort is a
+// stable counting sort, so within a cell the points keep their input
+// order and a query visits points in exactly the order the historical
+// bucket-per-cell layout did.
+//
 // The zero value is not usable; construct with NewGridIndex. GridIndex is
 // not safe for concurrent mutation; concurrent read-only queries are safe.
 type GridIndex struct {
@@ -17,13 +24,14 @@ type GridIndex struct {
 	cellSize float64
 	cols     int
 	rows     int
-	cells    [][]int // cell -> indices into pts
-	pts      []Point
+	start    []int   // cell -> offset of its run in pts; len cols*rows+1
+	pts      []Point // the points, sorted by cell
+	idx      []int   // pts[k] is the caller's point idx[k]
 }
 
 // NewGridIndex builds an index over the given points within bounds. cellSize
-// is the side length of each grid cell in meters; a good choice is the query
-// radius. Points outside bounds are clamped into it for bucketing purposes
+// is the side length of each grid cell in meters; about half the query
+// radius is a good choice. Points outside bounds are clamped into it for bucketing purposes
 // (queries remain exact because candidate distances are always re-checked).
 func NewGridIndex(bounds Rect, cellSize float64, pts []Point) (*GridIndex, error) {
 	g := &GridIndex{}
@@ -34,8 +42,8 @@ func NewGridIndex(bounds Rect, cellSize float64, pts []Point) (*GridIndex, error
 }
 
 // Reset rebuilds the index in place over a new point set, reusing the
-// previous build's storage (the point copy, the cell table, and each
-// cell's bucket) when it is large enough. After the first few builds over
+// previous build's storage (the cell offsets, the sorted point copy and
+// its index map) when it is large enough. After the first few builds over
 // same-sized inputs a Reset allocates nothing, which is what lets the
 // platform engine rebuild its neighbor index every round without garbage.
 // The points are copied; the caller may reuse its slice. Query results are
@@ -51,23 +59,41 @@ func (g *GridIndex) Reset(bounds Rect, cellSize float64, pts []Point) error {
 	g.cellSize = cellSize
 	g.cols = int(math.Ceil(bounds.Width()/cellSize)) + 1
 	g.rows = int(math.Ceil(bounds.Height()/cellSize)) + 1
-	n := g.cols * g.rows
-	// Grow the cell table while keeping the existing buckets' capacity:
-	// reslicing to capacity first preserves bucket headers populated by
-	// earlier, larger builds.
-	if cap(g.cells) < n {
-		g.cells = append(g.cells[:cap(g.cells)], make([][]int, n-cap(g.cells))...)
+	cells := g.cols * g.rows
+	n := len(pts)
+	g.start = resize(g.start, cells+1)
+	g.pts = resize(g.pts, n)
+	g.idx = resize(g.idx, n)
+	clear(g.start)
+	// Counting sort: count each cell into start[c+1], prefix-sum so start[c]
+	// is cell c's offset, place each point at its cell's cursor (advancing
+	// start[c] to the cell's end), then shift back by one cell. The cell
+	// is computed twice rather than kept, which saves a scratch slice.
+	for _, p := range pts {
+		g.start[g.cellOf(p)+1]++
 	}
-	g.cells = g.cells[:n]
-	for i := range g.cells {
-		g.cells[i] = g.cells[i][:0]
+	for c := 1; c <= cells; c++ {
+		g.start[c] += g.start[c-1]
 	}
-	g.pts = append(g.pts[:0], pts...)
-	for i, p := range g.pts {
+	for i, p := range pts {
 		c := g.cellOf(p)
-		g.cells[c] = append(g.cells[c], i)
+		k := g.start[c]
+		g.pts[k] = p
+		g.idx[k] = i
+		g.start[c] = k + 1
 	}
+	copy(g.start[1:], g.start[:cells])
+	g.start[0] = 0
 	return nil
+}
+
+// resize returns s resized to n, reallocating only when its capacity is
+// short; the contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // Len returns the number of indexed points.
@@ -75,28 +101,105 @@ func (g *GridIndex) Len() int { return len(g.pts) }
 
 // cellOf maps a point to its cell slot, clamping out-of-bounds points.
 func (g *GridIndex) cellOf(p Point) int {
-	p = g.bounds.Clamp(p)
-	col := int((p.X - g.bounds.Min.X) / g.cellSize)
-	row := int((p.Y - g.bounds.Min.Y) / g.cellSize)
-	if col >= g.cols {
-		col = g.cols - 1
+	return g.row(p.Y)*g.cols + g.col(p.X)
+}
+
+// col and row map a coordinate to its clamped grid column or row: the
+// coordinate is clamped into the bounds, so a point outside them lands in
+// an edge cell. Both are monotone non-decreasing in the coordinate, which
+// is what makes Cells exact: every point whose coordinates lie inside a
+// query box is bucketed in a cell of the box's span, whatever the
+// rounding of the box's corners. A NaN coordinate maps to 0.
+func (g *GridIndex) col(x float64) int {
+	return axisCell(x, g.bounds.Min.X, g.bounds.Max.X, g.cellSize, g.cols)
+}
+
+func (g *GridIndex) row(y float64) int {
+	return axisCell(y, g.bounds.Min.Y, g.bounds.Max.Y, g.cellSize, g.rows)
+}
+
+func axisCell(v, lo, hi, size float64, n int) int {
+	if v > hi {
+		v = hi
 	}
-	if row >= g.rows {
-		row = g.rows - 1
+	c := (v - lo) / size
+	switch {
+	case !(c > 0): // below lo, or NaN
+		return 0
+	case c >= float64(n-1):
+		return n - 1
 	}
-	return row*g.cols + col
+	return int(c)
+}
+
+// Cells returns the span of grid cells a query box touches, clamped to
+// the grid: columns c0..c1 and rows r0..r1. Every indexed point whose
+// coordinates lie within box (inclusive) is bucketed in that span. Use
+// Run to read the points of one row of the span.
+func (g *GridIndex) Cells(box Rect) (c0, c1, r0, r1 int) {
+	return g.col(box.Min.X), g.col(box.Max.X), g.row(box.Min.Y), g.row(box.Max.Y)
+}
+
+// Run returns the points bucketed in cells c0..c1 of one grid row, in
+// scan order (cell by cell, input order within a cell), and each point's
+// index into the slice the index was built over; both are empty when
+// c1 < c0. The slices alias the index's storage: read them before the
+// next Reset and do not modify them.
+func (g *GridIndex) Run(row, c0, c1 int) ([]Point, []int) {
+	if c1 < c0 {
+		return nil, nil
+	}
+	lo, hi := g.start[row*g.cols+c0], g.start[row*g.cols+c1+1]
+	return g.pts[lo:hi], g.idx[lo:hi]
+}
+
+// band returns the squared-distance band of a query of radius r around
+// center: a point whose dx*dx+dy*dy lies below lo is within r, one above
+// hi is not, and only points inside [lo, hi] need the exact test
+// math.Hypot(dx, dy) < r — p.Dist(center) < r, the paper's strict
+// neighbor test, with which the result must agree bit for bit.
+//
+// When r and center are in a sane range the band is narrow: dx*dx+dy*dy
+// is within a few ulps of the exact squared distance and Hypot within one
+// or two ulps of the exact distance, so r²(1−1e-9) and r²(1+1e-9) decide
+// by a margin of about 1e-9 relative against errors of about 1e-15. The
+// bounds on r keep r² and the band normal floats, so an underflowing
+// dx*dx (a point far inside the disk) or an overflowing one (a point far
+// outside it) still lands on the right side. A NaN squared distance is
+// in neither range and falls through to the exact test. Outside the sane
+// range the band is everything and every point takes the exact test.
+func band(center Point, r float64) (lo, hi float64) {
+	if r > 1e-100 && r < 1e100 && center.IsFinite() {
+		return r * r * (1 - 1e-9), r * r * (1 + 1e-9)
+	}
+	return -1, math.Inf(1)
+}
+
+// span returns the cells a disk of radius r around center touches. A
+// point with Dist(center) < r has |dx| < r in floats (Hypot is at least
+// the larger magnitude), hence lies within [center.X-r, center.X+r] after
+// rounding those corners to nearest; the monotone cell mapping then puts
+// it inside the span.
+func (g *GridIndex) span(center Point, r float64) (c0, c1, r0, r1 int) {
+	return g.Cells(Rect{Min: Pt(center.X-r, center.Y-r), Max: Pt(center.X+r, center.Y+r)})
 }
 
 // CountWithin returns the number of indexed points strictly within radius r
 // of center. The paper defines a neighboring user as one whose distance to a
 // task is less than R, hence the strict inequality.
 func (g *GridIndex) CountWithin(center Point, r float64) int {
+	lo, hi := band(center, r)
+	c0, c1, r0, r1 := g.span(center, r)
 	count := 0
-	g.forEachCandidate(center, r, func(i int) {
-		if g.pts[i].Dist(center) < r {
-			count++
+	for row := r0; row <= r1; row++ {
+		pts, _ := g.Run(row, c0, c1)
+		for _, p := range pts {
+			dx, dy := p.X-center.X, p.Y-center.Y
+			if d2 := dx*dx + dy*dy; d2 < lo || !(d2 > hi) && math.Hypot(dx, dy) < r {
+				count++
+			}
 		}
-	})
+	}
 	return count
 }
 
@@ -113,18 +216,25 @@ func (g *GridIndex) Within(center Point, r float64) []int {
 // result set.
 func (g *GridIndex) WithinInto(dst []int, center Point, r float64) []int {
 	dst = dst[:0]
-	g.forEachCandidate(center, r, func(i int) {
-		if g.pts[i].Dist(center) < r {
-			dst = append(dst, i)
+	lo, hi := band(center, r)
+	c0, c1, r0, r1 := g.span(center, r)
+	for row := r0; row <= r1; row++ {
+		pts, idx := g.Run(row, c0, c1)
+		for k, p := range pts {
+			dx, dy := p.X-center.X, p.Y-center.Y
+			if d2 := dx*dx + dy*dy; d2 < lo || !(d2 > hi) && math.Hypot(dx, dy) < r {
+				dst = append(dst, idx[k])
+			}
 		}
-	})
+	}
 	return dst
 }
 
 // Nearest returns the index of the indexed point nearest to center and its
-// distance. ok is false if the index is empty.
+// distance. ok is false if no indexed point lies at a finite distance from
+// center: the index is empty, center is not finite, or every point is.
 func (g *GridIndex) Nearest(center Point) (idx int, dist float64, ok bool) {
-	if len(g.pts) == 0 {
+	if len(g.pts) == 0 || !center.IsFinite() {
 		return 0, 0, false
 	}
 	// Expand ring by ring until a hit is found, then one more ring to be
@@ -135,12 +245,16 @@ func (g *GridIndex) Nearest(center Point) (idx int, dist float64, ok bool) {
 	bestD := math.Inf(1)
 	maxR := g.bounds.Diagonal() + center.Dist(g.bounds.Clamp(center)) + 2*g.cellSize
 	for r := g.cellSize; ; r += g.cellSize {
-		g.forEachCandidate(center, r, func(i int) {
-			if d := g.pts[i].Dist(center); d < bestD {
-				bestD = d
-				best = i
+		c0, c1, r0, r1 := g.span(center, r)
+		for row := r0; row <= r1; row++ {
+			pts, ids := g.Run(row, c0, c1)
+			for k, p := range pts {
+				if d := p.Dist(center); d < bestD {
+					bestD = d
+					best = ids[k]
+				}
 			}
-		})
+		}
 		if best >= 0 && bestD <= r {
 			return best, bestD, true
 		}
@@ -152,40 +266,6 @@ func (g *GridIndex) Nearest(center Point) (idx int, dist float64, ok bool) {
 			return best, bestD, true
 		}
 	}
-}
-
-// forEachCandidate invokes fn for every point index in cells overlapping the
-// disk of radius r around center. Points may be reported that are outside
-// the disk; callers must re-check distances.
-func (g *GridIndex) forEachCandidate(center Point, r float64, fn func(i int)) {
-	minCol := int(math.Floor((center.X - r - g.bounds.Min.X) / g.cellSize))
-	maxCol := int(math.Floor((center.X + r - g.bounds.Min.X) / g.cellSize))
-	minRow := int(math.Floor((center.Y - r - g.bounds.Min.Y) / g.cellSize))
-	maxRow := int(math.Floor((center.Y + r - g.bounds.Min.Y) / g.cellSize))
-	// Clamp into the grid on both ends: out-of-bounds points are bucketed in
-	// edge cells, so even a disk entirely outside the grid must scan the
-	// nearest edge cells. The distance re-check keeps results exact.
-	minCol = clampInt(minCol, 0, g.cols-1)
-	maxCol = clampInt(maxCol, 0, g.cols-1)
-	minRow = clampInt(minRow, 0, g.rows-1)
-	maxRow = clampInt(maxRow, 0, g.rows-1)
-	for row := minRow; row <= maxRow; row++ {
-		for col := minCol; col <= maxCol; col++ {
-			for _, i := range g.cells[row*g.cols+col] {
-				fn(i)
-			}
-		}
-	}
-}
-
-func clampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }
 
 // CountWithinBrute is the O(n) reference implementation of CountWithin, used

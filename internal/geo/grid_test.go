@@ -1,7 +1,10 @@
 package geo
 
 import (
+	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -313,5 +316,102 @@ func TestGridIndexResetSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("steady-state Reset allocates %v objects/op, want 0", allocs)
+	}
+}
+
+// withinBrute is the O(n) reference for WithinInto: the indices of all
+// points strictly within r of center, in input order.
+func withinBrute(pts []Point, center Point, r float64) []int {
+	var out []int
+	for i, p := range pts {
+		if p.Dist(center) < r {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// nearestBrute is the O(n) reference for Nearest: the smallest finite
+// distance from center, and whether any point has one.
+func nearestBrute(pts []Point, center Point) (float64, bool) {
+	best, ok := math.Inf(1), false
+	for _, p := range pts {
+		if d := p.Dist(center); d < best {
+			best, ok = d, true
+		}
+	}
+	return best, ok
+}
+
+// TestGridIndexMatchesBruteProperty checks CountWithin, WithinInto and
+// Nearest against the brute-force references on random grids whose cell
+// size does not divide the bounds. The point sets mix uniform points with
+// points on cell seams, points outside the bounds on every side (clamped
+// into edge cells), and NaN and infinite coordinates. Radii include ones
+// that put an indexed point exactly at distance r and one ulp either side
+// of it (where the squared-distance band defers to the exact test), points
+// on the center's axes, and tiny, huge, zero, infinite and NaN radii.
+func TestGridIndexMatchesBruteProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(2024))
+	inf, nan := math.Inf(1), math.NaN()
+	var buf []int
+	for trial := 0; trial < 60; trial++ {
+		side := 200 + rng.Float64()*2800
+		bounds := Rect{Min: Pt(-side/3, 10), Max: Pt(side, 10+side*(0.5+rng.Float64()))}
+		cell := side / (1 + rng.Float64()*15)
+		pts := randomPoints(rng, rng.Intn(400), bounds)
+		for k := 0; k < 10; k++ {
+			// On cell seams, and outside the bounds on every side.
+			seam := Pt(bounds.Min.X+float64(rng.Intn(8))*cell, bounds.Min.Y+float64(rng.Intn(8))*cell)
+			out := Pt(bounds.Min.X+rng.Float64()*3*side-side, bounds.Min.Y+rng.Float64()*3*side-side)
+			pts = append(pts, seam, out, Pt(bounds.Max.X+rng.Float64()*cell, bounds.Max.Y+rng.Float64()*cell))
+		}
+		if trial%3 == 0 {
+			pts = append(pts, Pt(nan, 5), Pt(5, nan), Pt(nan, nan), Pt(inf, 5), Pt(5, -inf), Pt(inf, inf), Pt(-inf, nan))
+		}
+		rng.Shuffle(len(pts), func(i, j int) { pts[i], pts[j] = pts[j], pts[i] })
+		g, err := NewGridIndex(bounds, cell, pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for q := 0; q < 40; q++ {
+			center := Pt(bounds.Min.X+rng.Float64()*1.4*side-0.2*side, bounds.Min.Y+rng.Float64()*1.4*side-0.2*side)
+			if q%10 == 9 {
+				center = pts[rng.Intn(len(pts))] // possibly non-finite
+			}
+			var radii []float64
+			if len(pts) > 0 {
+				p := pts[rng.Intn(len(pts))]
+				edge := p.Dist(center)
+				radii = append(radii, edge, math.Nextafter(edge, -inf), math.Nextafter(edge, inf))
+				axis := math.Abs(p.X - center.X) // a point on the center's horizontal axis
+				pts2 := append(append([]Point(nil), pts...), Pt(center.X+axis, center.Y))
+				if g2, err := NewGridIndex(bounds, cell, pts2); err == nil {
+					for _, r := range []float64{axis, math.Nextafter(axis, inf)} {
+						if got, want := g2.CountWithin(center, r), CountWithinBrute(pts2, center, r); got != want {
+							t.Fatalf("trial %d: axis CountWithin(%v, %v) = %d, want %d", trial, center, r, got, want)
+						}
+					}
+				}
+			}
+			radii = append(radii, rng.Float64()*side, 0, -1, 1e-300, 5e-324, 1e-100, 1e100, 1e300, math.MaxFloat64, inf, nan)
+			for _, r := range radii {
+				want := withinBrute(pts, center, r)
+				if got := g.CountWithin(center, r); got != len(want) {
+					t.Fatalf("trial %d: CountWithin(%v, %v) = %d, want %d", trial, center, r, got, len(want))
+				}
+				buf = g.WithinInto(buf, center, r)
+				got := append([]int(nil), buf...)
+				sort.Ints(got)
+				if !slices.Equal(got, want) {
+					t.Fatalf("trial %d: WithinInto(%v, %v) = %v, want %v", trial, center, r, got, want)
+				}
+			}
+			idx, dist, ok := g.Nearest(center)
+			wantD, wantOK := nearestBrute(pts, center)
+			if ok != wantOK || ok && (dist != wantD || pts[idx].Dist(center) != dist) {
+				t.Fatalf("trial %d: Nearest(%v) = %d, %v, %v; want dist %v, %v", trial, center, idx, dist, ok, wantD, wantOK)
+			}
+		}
 	}
 }
