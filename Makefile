@@ -6,7 +6,7 @@
 STATICCHECK_VERSION := 2025.1.1
 GOVULNCHECK_VERSION := v1.1.4
 
-.PHONY: all build test race cover lint fmt-check vet paylint lint-fixtures staticcheck govulncheck fuzz-smoke bench-check bench-smoke bench-shard bench-wire loadgen-smoke ci
+.PHONY: all build test race cover lint fmt-check vet paylint lint-fixtures staticcheck govulncheck fuzz-smoke bench-check bench-smoke bench-wire loadgen-smoke ci
 
 all: build test
 
@@ -17,7 +17,7 @@ test:
 	go test ./...
 
 race:
-	go test -race ./internal/experiments/ ./internal/sim/ ./internal/selection/ ./internal/server/ ./internal/engine/ ./internal/shard/ ./internal/geo/ ./internal/sat/ ./internal/client/ ./internal/incentive/ ./internal/mobility/ ./cmd/loadgen/
+	go test -race ./internal/experiments/ ./internal/sim/ ./internal/selection/ ./internal/server/ ./internal/engine/ ./internal/geo/ ./internal/sat/ ./internal/client/ ./internal/incentive/ ./internal/mobility/ ./cmd/loadgen/
 
 # Aggregate coverage across every package, with a function summary.
 cover:
@@ -83,15 +83,9 @@ bench-check:
 	cd bench && go test ./...
 
 # Runs every benchmark once, including BenchmarkBeam (the dispatch-tuning
-# grid recorded in BENCH_beam.json) and BenchmarkShardReprice (the
-# geo-sharded engine grid recorded in BENCH_shard.json).
+# grid recorded in BENCH_beam.json).
 bench-smoke:
-	go test -run xxx -bench . -benchtime 1x -benchmem ./internal/selection/ ./internal/sim/ ./internal/experiments/ ./internal/engine/ ./internal/shard/ ./internal/geo/ ./internal/sat/ ./internal/wire/binary/
-
-# The full sharded-reprice grid at recording fidelity; the numbers at the
-# repo root (BENCH_shard.json) came from this command.
-bench-shard:
-	go test -run xxx -bench BenchmarkShardReprice -benchtime 10x -benchmem ./internal/shard/
+	go test -run xxx -bench . -benchtime 1x -benchmem ./internal/selection/ ./internal/sim/ ./internal/experiments/ ./internal/engine/ ./internal/geo/ ./internal/sat/ ./internal/wire/binary/
 
 # The wire-codec grid at recording fidelity; the numbers at the repo root
 # (BENCH_wire.json) came from this command plus a pair of loadgen runs.

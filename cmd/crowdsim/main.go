@@ -55,7 +55,6 @@ func run(args []string, out io.Writer) error {
 		compare   = fs.Bool("compare", false, "run on-demand, fixed, steered and the SAT auction side by side")
 		parallel  = fs.Int("parallel", 0, "trial worker goroutines (0 = one per CPU, 1 = sequential); results are identical at any setting")
 		roundPar  = fs.Int("round-parallel", 1, "speculative solver goroutines within each round (0 = one per CPU, 1 = sequential); results are identical at any setting")
-		shards    = fs.Int("shards", 0, "geographic regions the round engine is partitioned into (0 = single engine); results are identical at any setting")
 		beamWidth = fs.Int("beam-width", 0, "beam search width for beam and auto (0 = solver default)")
 		beamImpr  = fs.Int("beam-improve", 0, "beam 2-opt/or-opt polish rounds (0 = solver default)")
 	)
@@ -97,7 +96,6 @@ func run(args []string, out io.Writer) error {
 		TimeBudgetJitter: *jitter,
 		Mobility:         mob,
 		RoundParallelism: *roundPar,
-		Shards:           *shards,
 		BeamWidth:        *beamWidth,
 		BeamImprove:      *beamImpr,
 	}

@@ -41,7 +41,6 @@ func run(args []string, out io.Writer) error {
 		list      = fs.Bool("list", false, "list the available figure IDs and exit")
 		parallel  = fs.Int("parallel", 0, "trial worker goroutines (0 = one per CPU, 1 = sequential); output is identical at any setting")
 		roundPar  = fs.Int("round-parallel", 1, "speculative solver goroutines within each round (0 = one per CPU, 1 = sequential); output is identical at any setting")
-		shards    = fs.Int("shards", 0, "geographic regions the round engine is partitioned into (0 = single engine); output is identical at any setting")
 		progress  = fs.Bool("progress", false, "report completed/total trials on stderr while a figure runs")
 		beamWidth = fs.Int("beam-width", 0, "beam search width for auto's mid band (0 = solver default)")
 		beamImpr  = fs.Int("beam-improve", 0, "beam 2-opt/or-opt polish rounds (0 = solver default)")
@@ -91,7 +90,6 @@ func run(args []string, out io.Writer) error {
 	// path: dense figure sweeps (200+ users, many open tasks) push Auto
 	// into its beam band, and these tune it without touching the figures.
 	opts.Base.RoundParallelism = *roundPar
-	opts.Base.Shards = *shards
 	opts.Base.BeamWidth = *beamWidth
 	opts.Base.BeamImprove = *beamImpr
 	for _, id := range ids {

@@ -38,9 +38,9 @@ import (
 //   - statements the Options.Atomic predicate claims: the builder emits
 //     them as a single opaque node with no internal control flow, and the
 //     client interprets the whole statement itself. lockorder uses this
-//     for the symmetric lock-in-loop/unlock-in-loop idiom of the
-//     two-phase cross-shard commit, which a 0-or-1-iteration loop model
-//     would falsely flag (see lockorder.go).
+//     for the symmetric lock-in-loop/unlock-in-loop idiom of a two-phase
+//     commit over a lock set, which a 0-or-1-iteration loop model would
+//     falsely flag (see lockorder.go).
 //
 // # Defer semantics
 //

@@ -12,7 +12,6 @@ var DeterministicPackages = []string{
 	"paydemand/internal/sim",
 	"paydemand/internal/selection",
 	"paydemand/internal/engine",
-	"paydemand/internal/shard",
 	"paydemand/internal/experiments",
 	"paydemand/internal/metrics",
 	"paydemand/internal/server",
@@ -63,15 +62,10 @@ func isConcurrencyPackage(path string) bool {
 // The ranks encode the acquisition order the system actually uses,
 // outermost first:
 //
-//   - server.Platform.mu is the outermost lock: HTTP handlers take it
-//     before driving the engine, which commits into shard regions.
-//   - shard.region.mu comes next; the two-phase cross-shard commit
-//     acquires region locks in ascending region-ID order (a total order
-//     within the class, below the granularity this table sees — the
-//     symmetric lock/unlock loop check in lockorder covers it).
-//   - shard.Engine.closedMu nests inside region locks: CommitPlan
-//     appends to the closed list while still holding the plan's regions.
-//   - selection.SolverPool.mu is a leaf lock guarding a free list;
+//   - server.Platform.mu (10) is the outermost lock: HTTP handlers take
+//     it before driving the round engine, which takes no locks of its
+//     own.
+//   - selection.SolverPool.mu (40) is a leaf lock guarding a free list;
 //     nothing may be acquired under it, which its maximal rank
 //     expresses.
 //
@@ -79,7 +73,5 @@ func isConcurrencyPackage(path string) bool {
 // but still subject to the missing-Unlock-on-path check.
 var LockRanks = map[string]int{
 	"paydemand/internal/server.Platform.mu":      10,
-	"paydemand/internal/shard.region.mu":         20,
-	"paydemand/internal/shard.Engine.closedMu":   30,
 	"paydemand/internal/selection.SolverPool.mu": 40,
 }

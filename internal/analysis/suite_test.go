@@ -60,8 +60,29 @@ func TestPoolPair(t *testing.T) {
 	analysistest.Run(t, analysis.PoolPair, "poolpair", "paydemand/internal/server")
 }
 
+// TestLockOrder type-checks the fixture as an in-scope package and ranks
+// its two lock classes for the test's duration: region.mu below
+// Engine.closedMu, with both above server.Platform.mu and below
+// selection.SolverPool.mu, so the fixture exercises ordering between
+// ranked classes without the production table carrying test-only entries.
 func TestLockOrder(t *testing.T) {
-	analysistest.Run(t, analysis.LockOrder, "lockorder", "paydemand/internal/shard")
+	const pkg = "paydemand/internal/engine"
+	ranks := map[string]int{
+		pkg + ".region.mu":       20,
+		pkg + ".Engine.closedMu": 30,
+	}
+	for class, rank := range ranks {
+		if _, taken := analysis.LockRanks[class]; taken {
+			t.Fatalf("fixture lock class %s is already ranked", class)
+		}
+		analysis.LockRanks[class] = rank
+	}
+	t.Cleanup(func() {
+		for class := range ranks {
+			delete(analysis.LockRanks, class)
+		}
+	})
+	analysistest.Run(t, analysis.LockOrder, "lockorder", pkg)
 }
 
 // TestFlowOutOfScope proves the ConcurrencyPackages scoping of the

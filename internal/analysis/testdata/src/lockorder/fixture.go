@@ -1,8 +1,7 @@
 // Fixture for the lockorder analyzer (type-checked as
-// paydemand/internal/shard, so region.mu and Engine.closedMu resolve to
-// the ranked lock classes declared in LockRanks: region.mu rank 20,
-// Engine.closedMu rank 30).
-package shard
+// paydemand/internal/engine; TestLockOrder ranks its lock classes for
+// the test's duration: region.mu rank 20, Engine.closedMu rank 30).
+package engine
 
 import "sync"
 

@@ -270,17 +270,14 @@ func (e *Engine) Reprice(userLocs []geo.Point) error {
 
 // RepriceViews is the pricing half of Reprice over caller-supplied task
 // views: mechanism input assembly, mechanism consultation, board-order
-// mean, reward validation, shared-context publication. views must
-// hold one entry per open-snapshot task, in board order — normally the
-// slice NeighborViews returned, but the geo-sharded engine builds it by
-// merging per-region neighbor counts so pricing still happens once,
-// globally (the demand normalization of Eq. 5 couples every task through
-// the max neighbor count, so pricing cannot be sharded without changing
-// output). userLocs is the round's full user-location slice in user order;
-// it feeds bid construction for mechanisms that declare the bids
-// capability and may be nil otherwise. The sharded engine passes the same
-// global slice it partitioned, so assembled inputs — bid workers, costs,
-// ordering — are byte-identical to the unsharded engine's.
+// mean, reward validation, shared-context publication. views must hold
+// one entry per open-snapshot task, in board order — the slice
+// NeighborViews returned. userLocs is the round's full user-location
+// slice in user order; it feeds bid construction for mechanisms that
+// declare the bids capability and may be nil otherwise. It stays exported
+// beside Reprice so the benchmark's round-loop mirror (bench/mirror.go)
+// can time neighbor counting and pricing as separate layers; calling
+// NeighborViews then RepriceViews is exactly Reprice.
 func (e *Engine) RepriceViews(views []incentive.TaskView, userLocs []geo.Point) error {
 	if len(e.open) == 0 {
 		return nil
@@ -368,14 +365,13 @@ func (e *Engine) RepriceViews(views []incentive.TaskView, userLocs []geo.Point) 
 // NeighborViews builds the mechanism's per-task observations for the
 // current open snapshot, counting each task's neighboring users with the
 // reusable grid index over the given user locations. It is the geometric
-// half of Reprice, exported so the geo-sharded engine can run it
-// per-region (each region calls it on its halo-mirrored user set) before
-// pricing globally with RepriceViews. The grid's cell side is R/2: a
-// query then scans a block of 5x5 small cells, about two thirds the area
-// of the 3x3 block of R-sized cells, so fewer users reach the distance
-// test. The returned slice is engine-owned scratch, valid until the next
-// NeighborViews/Reprice (mechanisms consume it synchronously inside
-// Rewards).
+// half of Reprice, exported so the benchmark's round-loop mirror
+// (bench/mirror.go) can time it apart from pricing (RepriceViews). The
+// grid's cell side is R/2: a query then scans a block of 5x5 small cells,
+// about two thirds the area of the 3x3 block of R-sized cells, so fewer
+// users reach the distance test. The returned slice is engine-owned
+// scratch, valid until the next NeighborViews/Reprice (mechanisms consume
+// it synchronously inside Rewards).
 //
 //paylint:aliases viewBuf
 func (e *Engine) NeighborViews(userLocs []geo.Point) ([]incentive.TaskView, error) {
@@ -481,9 +477,8 @@ func (e *Engine) CommitPaid(user int, id task.ID, paid float64) (completed bool,
 // published rewards. It returns the number of tasks committed; on error
 // n < len(ids) and the failing task is ids[n] (nothing after it was
 // attempted, matching a driver's sequential per-task loop). The
-// geo-sharded engine overrides this with a two-phase cross-shard commit;
-// drivers that commit whole plans should use it rather than looping over
-// Commit so they get shard atomicity for free.
+// simulator commits each user's plan through it, and the benchmark's
+// round-loop mirror (bench/mirror.go) times it as the commit layer.
 func (e *Engine) CommitPlan(user int, ids []task.ID) (n int, err error) {
 	for i, id := range ids {
 		if _, _, err := e.Commit(user, id); err != nil {

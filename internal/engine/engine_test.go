@@ -1,8 +1,11 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"paydemand/internal/geo"
@@ -153,6 +156,111 @@ func TestRoundPipeline(t *testing.T) {
 		t.Errorf("coverage = %v", tr.Coverage)
 	}
 }
+
+// TestCommitPlan pins CommitPlan's partial-failure contract: the plan
+// commits in order; on error n < len(ids), ids[n] is the task that
+// failed, nothing after it was attempted, and Closed lists the tasks
+// filled so far in commit order. The board is testBoard's: tasks 1 and 3
+// fill on one measurement, task 2 needs two.
+func TestCommitPlan(t *testing.T) {
+	const user = 7
+	tests := []struct {
+		name    string
+		prior   map[int][]task.ID // commits made before the plan, keyed by user
+		ids     []task.ID
+		wantN   int
+		wantErr error // nil: success; errUnknown: unknown-task error
+		closed  []task.ID
+		paid    float64 // board total after the plan
+	}{
+		{name: "empty", ids: nil, wantN: 0, paid: 0},
+		{name: "all commit", ids: []task.ID{3, 1, 2}, wantN: 3, closed: []task.ID{3, 1}, paid: 60},
+		{name: "unknown mid plan", ids: []task.ID{1, 99, 3}, wantN: 1, wantErr: errUnknown, closed: []task.ID{1}, paid: 10},
+		{name: "unknown first", ids: []task.ID{99, 1}, wantN: 0, wantErr: errUnknown, paid: 0},
+		{name: "repeat within plan", ids: []task.ID{2, 2, 3}, wantN: 1, wantErr: task.ErrAlreadyContributed, paid: 20},
+		{
+			name:  "already contributed",
+			prior: map[int][]task.ID{user: {2}},
+			ids:   []task.ID{1, 2, 3}, wantN: 1, wantErr: task.ErrAlreadyContributed,
+			closed: []task.ID{1}, paid: 30,
+		},
+		{
+			name:  "filled by another user",
+			prior: map[int][]task.ID{8: {3}},
+			ids:   []task.ID{2, 3, 1}, wantN: 1, wantErr: task.ErrCompleted,
+			closed: []task.ID{3}, paid: 50,
+		},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			board := testBoard(t)
+			e := testEngine(t, Config{
+				Board: board, Mechanism: stubMechanism{rewards: map[task.ID]float64{1: 10, 2: 20, 3: 30}},
+				Area: geo.Square(1000), NeighborRadius: 100,
+			})
+			e.BeginRound(1)
+			if err := e.Reprice(nil); err != nil {
+				t.Fatal(err)
+			}
+			for u, ids := range tt.prior {
+				for _, id := range ids {
+					if _, _, err := e.Commit(u, id); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			before := make(map[task.ID]int)
+			for _, st := range board.States() {
+				before[st.ID] = st.Received()
+			}
+
+			n, err := e.CommitPlan(user, tt.ids)
+			if n != tt.wantN {
+				t.Fatalf("n = %d, want %d (err %v)", n, tt.wantN, err)
+			}
+			switch {
+			case tt.wantErr == nil:
+				if err != nil {
+					t.Fatalf("err = %v, want nil", err)
+				}
+				if n != len(tt.ids) {
+					t.Errorf("n = %d on success, want len(ids) = %d", n, len(tt.ids))
+				}
+			case err == nil:
+				t.Fatalf("err = nil, want %v", tt.wantErr)
+			default:
+				if n >= len(tt.ids) {
+					t.Fatalf("n = %d on error, want < %d", n, len(tt.ids))
+				}
+				if tt.wantErr == errUnknown {
+					if want := fmt.Sprintf("engine: commit to unknown task %d", tt.ids[n]); err.Error() != want {
+						t.Errorf("err = %q, want %q", err, want)
+					}
+				} else if !errors.Is(err, tt.wantErr) {
+					t.Errorf("err = %v, want %v", err, tt.wantErr)
+				}
+				if !strings.Contains(err.Error(), fmt.Sprintf("task %d", tt.ids[n])) {
+					t.Errorf("err %q does not name ids[n] = %d", err, tt.ids[n])
+				}
+				for _, id := range tt.ids[n+1:] {
+					if st := board.Get(id); st != nil && st.Received() != before[id] {
+						t.Errorf("task %d after the failure was attempted", id)
+					}
+				}
+			}
+			if got := e.Closed(); !slices.Equal(got, tt.closed) {
+				t.Errorf("closed = %v, want %v", got, tt.closed)
+			}
+			if got := board.TotalRewardPaid(); got != tt.paid {
+				t.Errorf("total paid = %v, want %v", got, tt.paid)
+			}
+		})
+	}
+}
+
+// errUnknown marks a TestCommitPlan case failing on a task the board
+// does not hold, whose error wraps no sentinel.
+var errUnknown = errors.New("unknown task")
 
 func TestProblemIntoFiltering(t *testing.T) {
 	mech := stubMechanism{rewards: map[task.ID]float64{1: 10, 2: 20}} // task 3 unpriced

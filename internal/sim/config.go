@@ -223,12 +223,10 @@ type Config struct {
 	// byte-identical to the sequential loop at any setting (see DESIGN.md
 	// section 10).
 	RoundParallelism int `json:"round_parallelism,omitempty"`
-	// Shards is the number of geographic regions the round engine is
-	// partitioned into. Zero keeps the historical single engine; any
-	// value >= 1 runs the geo-sharded engine (internal/shard), which is
-	// byte-identical to the single engine at every shard count — the
-	// knob trades wall-clock for nothing else (see DESIGN.md section
-	// 14). Negative values are rejected.
+	// Shards is kept only so configs that name it fail loudly: the
+	// geo-sharded engine was removed (DESIGN.md section 14), and Validate
+	// rejects any non-zero value rather than silently running the single
+	// engine.
 	Shards int `json:"shards,omitempty"`
 }
 
@@ -348,8 +346,8 @@ func (c Config) Validate() error {
 	if c.RoundParallelism < 0 {
 		return fmt.Errorf("sim: round parallelism %d, want >= 0 (0 or 1 = sequential)", c.RoundParallelism)
 	}
-	if c.Shards < 0 {
-		return fmt.Errorf("sim: shards %d, want >= 0 (0 = unsharded engine)", c.Shards)
+	if c.Shards != 0 {
+		return fmt.Errorf("sim: shards %d: the geo-sharded engine was removed; omit shards or set it to 0", c.Shards)
 	}
 	switch c.Mobility {
 	case MobilityStationary, MobilityRandomWaypoint, MobilityLevyWalk:

@@ -71,6 +71,28 @@ func TestParallelRoundDeterminism(t *testing.T) {
 				Mobility:  MobilityRandomWaypoint,
 			},
 		},
+		{
+			// Bids + budget capability: the auction's bid assembly is a
+			// function of the round-start user slice, which speculation
+			// must not disturb.
+			name: "auction",
+			cfg: Config{
+				Workload:  workload.Config{NumUsers: 50, NumTasks: 12, Required: 4},
+				Rounds:    5,
+				Mechanism: MechanismAuction,
+			},
+		},
+		{
+			// Mobility-forecast capability under moving users.
+			name: "incentme",
+			cfg: Config{
+				Workload:            workload.Config{NumUsers: 50, NumTasks: 12, Required: 4},
+				Rounds:              5,
+				Mechanism:           MechanismIncentMe,
+				Mobility:            MobilityRandomWaypoint,
+				MobilityUncertainty: 0.3,
+			},
+		},
 	}
 	for _, alg := range algorithms {
 		for _, sc := range scenarios {

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"encoding/json"
 	"math"
+	"strings"
 	"testing"
 
 	"paydemand/internal/metrics"
@@ -349,6 +351,43 @@ func TestConfigValidateRejections(t *testing.T) {
 				t.Error("New accepted invalid config")
 			}
 		})
+	}
+}
+
+// TestShardsValidation pins the compatibility contract of the removed
+// geo-sharded engine: a config naming any non-zero shard count — set in
+// code or loaded from saved JSON — fails loudly instead of silently
+// running the single engine, and zero (the field's omitted value) runs.
+func TestShardsValidation(t *testing.T) {
+	for _, shards := range []int{-1, 1, 4} {
+		cfg := smallConfig()
+		cfg.Shards = shards
+		err := cfg.Validate()
+		if err == nil || !strings.Contains(err.Error(), "geo-sharded engine was removed") {
+			t.Errorf("shards=%d: Validate err = %v, want the removed-engine error", shards, err)
+		}
+		if _, err := New(cfg, 1); err == nil {
+			t.Errorf("shards=%d: New accepted the config", shards)
+		}
+	}
+	var saved Config
+	if err := json.Unmarshal([]byte(`{"workload":{"num_users":10,"num_tasks":5,"required":2},"shards":4}`), &saved); err != nil {
+		t.Fatal(err)
+	}
+	if saved.Shards != 4 {
+		t.Fatalf("shards field not decoded: %+v", saved)
+	}
+	if err := saved.Validate(); err == nil {
+		t.Error("saved JSON config naming shards validated")
+	}
+	cfg := smallConfig()
+	cfg.Rounds = 2
+	s, err := New(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(nil); err != nil {
+		t.Fatal(err)
 	}
 }
 

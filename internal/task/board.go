@@ -59,22 +59,6 @@ func (b *Board) OpenAt(round int) []*State {
 	return out
 }
 
-// Sub returns a board over the subset of tasks keep selects, preserving
-// creation order. The sub-board SHARES the underlying *State values with
-// b: a measurement recorded through either board is visible through both.
-// The geo-sharded engine uses this to give each region a board over its
-// owned tasks while commits keep mutating the one global task set.
-func (b *Board) Sub(keep func(*State) bool) *Board {
-	sub := &Board{byID: make(map[ID]*State)}
-	for _, s := range b.states {
-		if keep(s) {
-			sub.states = append(sub.states, s)
-			sub.byID[s.ID] = s
-		}
-	}
-	return sub
-}
-
 // AllSettledAt reports whether every task is either complete or expired at
 // round k, i.e. there is nothing left to publish.
 func (b *Board) AllSettledAt(round int) bool {
