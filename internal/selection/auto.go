@@ -3,10 +3,12 @@ package selection
 // Auto's dispatch ladder thresholds.
 const (
 	// DefaultAutoThreshold is the largest filtered instance Auto solves
-	// exactly. It is deliberately below DefaultDPMaxTasks: the DP table
-	// has 2^m x m entries (~9 MB at m = 16 but ~190 MB at m = 20), and
-	// Auto runs once per user per round, so the exact solver must stay
-	// cheap.
+	// exactly. It is deliberately below DefaultDPMaxTasks: the DP's time
+	// and memory scale with the number of budget-feasible subsets, which
+	// at an unbounded budget is all 2^m of them (a ~9.4 MB table and
+	// ~40 ms per solve at m = 16, ~190 MB at m = 20; tight budgets cost
+	// far less, see DP), and Auto runs once per user per round, so the
+	// exact solver's worst case must stay cheap.
 	DefaultAutoThreshold = 16
 
 	// DefaultAutoBeamMaxTasks is the largest filtered instance Auto

@@ -17,15 +17,17 @@ const (
 	DefaultBeamImprove = 2
 	// BeamExactMaxTasks is the largest filtered instance Beam solves
 	// exactly by delegating to the Held-Karp DP over the same shared
-	// round context. The DP table at this size is 2^10 x 10 entries
-	// (~80 KB), far below any pruning payoff, and the delegation gives
-	// the solver a provable contract on small instances: Beam equals the
-	// optimum wherever the fuzz harness can afford to cross-check it.
+	// round context. The DP table at this size is at most 2^10 x 10
+	// entries (~90 KB), far below any pruning payoff, and the delegation
+	// gives the solver a provable contract on small instances: Beam
+	// equals the optimum wherever the fuzz harness can afford to
+	// cross-check it.
 	BeamExactMaxTasks = 10
 )
 
 // Beam is the deterministic beam-search task selection solver that breaks
-// the DP task cap: where the exact solver's O(m^2 2^m) table forbids
+// the DP task cap: where the exact solver's worst case — O(m^2 2^m) time
+// and O(m 2^m) space once every subset fits the budget — forbids
 // instances past DPHardMaxTasks, the beam keeps only the Width best
 // partial routes per depth and runs in O(Width x m^2) time and O(Width x
 // m) space, so dense boards (100+ open tasks in a user's travel radius)

@@ -2,6 +2,7 @@ package selection
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"paydemand/internal/geo"
@@ -20,6 +21,9 @@ import (
 //   - on small instances DP and BruteForce, both exact, agree on the
 //     optimal profit; DP dominates Greedy; and the beam matches the DP
 //     optimum within 1e-6 (its exact-regime delegation contract);
+//   - past BruteForce's cap and up to DefaultAutoThreshold, the rest of
+//     the DP's band, the DP dominates the beam, 2-opt and Greedy, and
+//     Auto returns exactly the DP's plan;
 //   - at every size — including the dense 30..80-candidate regime the
 //     beam exists for, where no exact oracle is affordable — 2-opt never
 //     falls below the Greedy plan it improves, and the beam never falls
@@ -30,8 +34,10 @@ import (
 // input is reproducible from five scalars and the corpus stays readable.
 // The committed seed corpus in testdata/fuzz/FuzzSolverEquivalence
 // covers the edge regimes: zero tasks, zero budget, zero cost, heavy
-// per-task overhead, a dense high-reward instance, and the beyond-DP
-// densities (m = 30..80) where only the heuristic invariants apply.
+// per-task overhead, a dense high-reward instance, m = 16 boards at a
+// tight and a near-unbounded budget (the two edges of the DP's budget
+// frontier at Auto's threshold), and the beyond-DP densities
+// (m = 30..80) where only the heuristic invariants apply.
 func FuzzSolverEquivalence(f *testing.F) {
 	f.Add(int64(1), 4, 800.0, 0.002, 0.0)
 	f.Add(int64(2024), 7, 1500.0, 0.01, 30.0)
@@ -72,8 +78,12 @@ func FuzzSolverEquivalence(f *testing.F) {
 
 		algs := []Algorithm{&Greedy{}, &TwoOptGreedy{}, &Beam{}}
 		exact := nTasks < BruteForceMaxTasks
+		dpBand := !exact && nTasks <= DefaultAutoThreshold
 		if exact {
 			algs = append(algs, &DP{}, &BruteForce{})
+		}
+		if dpBand {
+			algs = append(algs, &DP{}, &Auto{})
 		}
 		plans := map[string]Plan{}
 		for _, alg := range algs {
@@ -114,6 +124,19 @@ func FuzzSolverEquivalence(f *testing.F) {
 			if math.Abs(beam.Profit-dp.Profit) > 1e-6 {
 				t.Fatalf("beam profit %v not within 1e-6 of DP optimum %v on %d candidates",
 					beam.Profit, dp.Profit, nTasks)
+			}
+		}
+		if dpBand {
+			dp := plans[(&DP{}).Name()]
+			for _, h := range []Plan{beam, to, gr} {
+				if dp.Profit < h.Profit-1e-9 {
+					t.Fatalf("DP profit %v < heuristic profit %v on %d candidates: optimal solver dominated",
+						dp.Profit, h.Profit, nTasks)
+				}
+			}
+			if auto := plans[(&Auto{}).Name()]; !reflect.DeepEqual(auto, dp) {
+				t.Fatalf("Auto plan %+v != DP plan %+v on %d candidates, within its exact threshold %d",
+					auto, dp, nTasks, DefaultAutoThreshold)
 			}
 		}
 	})

@@ -295,14 +295,6 @@ func growInts(buf []int, n int) []int {
 	return buf[:n]
 }
 
-// growInt8s is growFloats for int8 slices.
-func growInt8s(buf []int8, n int) []int8 {
-	if cap(buf) < n {
-		return make([]int8, n)
-	}
-	return buf[:n]
-}
-
 // growBools is growFloats for bool slices.
 func growBools(buf []bool, n int) []bool {
 	if cap(buf) < n {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -37,11 +38,19 @@ func (p *Platform) writeError(w http.ResponseWriter, status int, format string, 
 	p.writeJSON(w, status, wire.Error{Message: fmt.Sprintf(format, args...)})
 }
 
-// decode parses a bounded JSON request body.
+// decode parses a bounded JSON request body: exactly one JSON value of the
+// request type, with no unknown fields and nothing but whitespace after
+// it.
 func decode(r *http.Request, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the JSON value")
+	}
+	return nil
 }
 
 // handleRegister assigns a worker ID and records the starting location.
