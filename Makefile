@@ -69,6 +69,7 @@ fuzz-smoke:
 	go test -run FuzzBinaryRoundTrip -fuzz FuzzBinaryRoundTrip -fuzztime 15s ./internal/wire/binary/
 	go test -run FuzzBinaryDecodeHardened -fuzz FuzzBinaryDecodeHardened -fuzztime 15s ./internal/wire/binary/
 	go test -run FuzzJSONHandlers -fuzz FuzzJSONHandlers -fuzztime 15s ./internal/server/
+	go test -run FuzzNeighborCounts -fuzz FuzzNeighborCounts -fuzztime 15s ./internal/engine/
 
 # A short closed-loop run against a self-hosted platform in each codec:
 # at least one round must complete with zero protocol errors (the

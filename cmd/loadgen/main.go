@@ -1,10 +1,10 @@
 // Command loadgen drives a platform with N simulated workers in a closed
 // loop — each worker polls the round (with the known-round short
-// circuit), requests a plan, submits measurements, and immediately polls
-// again — while a coordinator advances the round as soon as every worker
-// has acted. It reports round throughput and per-endpoint latency
-// percentiles, the harness behind BENCH_wire.json's JSON-vs-TLV serving
-// comparison.
+// circuit), requests a plan, submits measurements from the plan's last
+// task, where it then stands, and immediately polls again — while a
+// coordinator advances the round as soon as every worker has acted. It
+// reports round throughput and per-endpoint latency percentiles, the
+// harness behind BENCH_wire.json's JSON-vs-TLV serving comparison.
 //
 // With no -platform it self-hosts one on a loopback listener: a long
 // campaign (huge per-task demand and deadline) so the round loop runs at
@@ -142,6 +142,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			}
 			var info wire.RoundInfo
 			lastSeen := 0
+			loc := start
+			taskLoc := map[task.ID]geo.Point{}
 			for runCtx.Err() == nil {
 				t0 := time.Now()
 				err := cl.RoundInto(runCtx, lastSeen, &info)
@@ -171,8 +173,13 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 					continue
 				}
 				lastSeen = info.Round
-				if workerAct(runCtx, cl, id, start, &planH, &submitH,
-					&plans, &submits, &conflicts, &protoErrors) {
+				for _, tk := range info.Tasks {
+					taskLoc[tk.ID] = tk.Location
+				}
+				var ok bool
+				ok, loc = workerAct(runCtx, cl, id, loc, taskLoc, &planH, &submitH,
+					&plans, &submits, &conflicts, &protoErrors)
+				if ok {
 					atomic.AddInt64(&acted, 1)
 				}
 			}
@@ -268,11 +275,15 @@ coordinate:
 	return nil
 }
 
-// workerAct plans and submits for the current round; reports whether the
-// worker counts as having acted (plan/submit attempted, even if the
-// submit lost a round-advance race).
-func workerAct(ctx context.Context, cl *client.Client, id int, loc geo.Point,
-	planH, submitH *hist, plans, submits, conflicts, protoErrors *int64) bool {
+// workerAct plans from loc and submits for the current round, reporting
+// whether the worker counts as having acted (plan/submit attempted, even
+// if the submit lost a round-advance race) and where it stands after. A
+// worker walks its plan: it submits from the plan's last task, looked up
+// in taskLoc (the locations of the tasks it has polled), and stands there
+// once the submit is accepted. A worker that never moved would run out of
+// reachable tasks it has not yet measured.
+func workerAct(ctx context.Context, cl *client.Client, id int, loc geo.Point, taskLoc map[task.ID]geo.Point,
+	planH, submitH *hist, plans, submits, conflicts, protoErrors *int64) (bool, geo.Point) {
 	t0 := time.Now()
 	plan, err := cl.Plan(ctx, wire.PlanRequest{
 		UserID:       id,
@@ -285,15 +296,22 @@ func workerAct(ctx context.Context, cl *client.Client, id int, loc geo.Point,
 		if ctx.Err() == nil {
 			atomic.AddInt64(protoErrors, 1)
 		}
-		return false
+		return false, loc
 	}
 	planH.observe(time.Since(t0).Microseconds())
 	atomic.AddInt64(plans, 1)
 	if len(plan.Order) == 0 {
-		return true
+		return true, loc
+	}
+	// The plan's tasks are open in its round, so they were open in every
+	// earlier round too, the polled one included.
+	end, ok := taskLoc[plan.Order[len(plan.Order)-1]]
+	if !ok {
+		atomic.AddInt64(protoErrors, 1)
+		return false, loc
 	}
 
-	req := wire.SubmitRequest{UserID: id, Round: plan.Round, Location: loc}
+	req := wire.SubmitRequest{UserID: id, Round: plan.Round, Location: end}
 	for _, taskID := range plan.Order {
 		req.Measurements = append(req.Measurements,
 			wire.Measurement{TaskID: taskID, Value: 50 + float64(taskID%16)})
@@ -303,18 +321,18 @@ func workerAct(ctx context.Context, cl *client.Client, id int, loc geo.Point,
 		var apiErr *client.APIError
 		if errors.As(err, &apiErr) && apiErr.StatusCode == http.StatusConflict {
 			// The coordinator advanced mid-walk; an expected race, not a
-			// protocol failure.
+			// protocol failure. The platform did not record the walk.
 			atomic.AddInt64(conflicts, 1)
-			return true
+			return true, loc
 		}
 		if ctx.Err() == nil {
 			atomic.AddInt64(protoErrors, 1)
 		}
-		return false
+		return false, loc
 	}
 	submitH.observe(time.Since(t0).Microseconds())
 	atomic.AddInt64(submits, 1)
-	return true
+	return true, end
 }
 
 // selfHost serves a fresh platform on a loopback listener. Demand and

@@ -11,9 +11,13 @@ import (
 )
 
 // TestLoadgenSmoke self-hosts a platform and runs a short closed loop in
-// each codec: at least one round must complete with zero protocol errors
-// and real plan/submit traffic, and the JSON report must parse. This is
-// the `make loadgen-smoke` CI gate.
+// each codec: 20 rounds must complete with zero protocol errors and real
+// plan/submit traffic, and the JSON report must parse. This is the `make
+// loadgen-smoke` CI gate. The tasks are spread thin (200 in a 10 km
+// square, against a 1.2 km walk per round), so workers keep finding
+// tasks only by walking their plans: at least half the plans must end in
+// a submit. Workers that stayed where they registered submitted on about
+// a quarter of them.
 func TestLoadgenSmoke(t *testing.T) {
 	for _, codec := range []string{"json", "tlv"} {
 		t.Run("codec="+codec, func(t *testing.T) {
@@ -23,10 +27,11 @@ func TestLoadgenSmoke(t *testing.T) {
 			var buf bytes.Buffer
 			err := run(ctx, []string{
 				"-workers", "8",
-				"-tasks", "8",
+				"-tasks", "200",
+				"-area", "10000",
 				"-codec", codec,
-				"-duration", "500ms",
-				"-min-rounds", "3",
+				"-duration", "1ms",
+				"-min-rounds", "20",
 				"-advance-after", "50ms",
 				"-out", outPath,
 			}, &buf)
@@ -41,14 +46,14 @@ func TestLoadgenSmoke(t *testing.T) {
 			if err := json.Unmarshal(data, &rep); err != nil {
 				t.Fatalf("report not JSON: %v\n%s", err, data)
 			}
-			if rep.Rounds < 3 {
-				t.Errorf("rounds = %d, want >= 3", rep.Rounds)
+			if rep.Rounds < 20 {
+				t.Errorf("rounds = %d, want >= 20", rep.Rounds)
 			}
 			if rep.Errors != 0 {
 				t.Errorf("protocol errors = %d", rep.Errors)
 			}
-			if rep.Plans == 0 || rep.Submits == 0 {
-				t.Errorf("no real traffic: plans=%d submits=%d", rep.Plans, rep.Submits)
+			if rep.Plans == 0 || 2*rep.Submits < rep.Plans {
+				t.Errorf("workers ran out of tasks: %d submits for %d plans, want at least half", rep.Submits, rep.Plans)
 			}
 			if rep.Latency["poll"].Count == 0 {
 				t.Error("empty poll histogram")

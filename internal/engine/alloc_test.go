@@ -16,7 +16,9 @@ import (
 // engine-owned scratch and every capability input (bids, budget,
 // forecast, rng) assembled into recycled buffers, a steady-state
 // BeginRound+Reprice allocates nothing regardless of which mechanism is
-// pricing.
+// pricing. The steady state cycles through user moves below and above
+// movedShare, so both the user-by-user count update and the full
+// recount are held to it.
 func TestRepriceSteadyStateAllocsAllMechanisms(t *testing.T) {
 	area := geo.Square(1000)
 	tasks := make([]task.Task, 12)
@@ -41,6 +43,18 @@ func TestRepriceSteadyStateAllocsAllMechanisms(t *testing.T) {
 	for i := range locs {
 		locs[i] = geo.Pt(rng.Uniform(0, 1000), rng.Uniform(0, 1000))
 	}
+	// Each step of the cycle locs -> few -> locs -> many -> locs moves one
+	// user or half of them, below and above the cut-off.
+	few := append([]geo.Point(nil), locs...)
+	few[0] = geo.Pt(500, 500)
+	many := append([]geo.Point(nil), locs...)
+	for i := range many[:len(many)/2] {
+		many[i] = geo.Pt(rng.Uniform(0, 1000), rng.Uniform(0, 1000))
+	}
+	if cut := movedShare * float64(len(locs)); !(1 < cut && cut <= float64(len(locs)/2)) {
+		t.Fatalf("moves of 1 and %d of %d users do not straddle movedShare %v", len(locs)/2, len(locs), movedShare)
+	}
+	cycle := [][]geo.Point{few, locs, many, locs}
 
 	mechs := []struct {
 		name  string
@@ -93,9 +107,11 @@ func TestRepriceSteadyStateAllocsAllMechanisms(t *testing.T) {
 				t.Fatal("warm-up reprice published nothing")
 			}
 			allocs := testing.AllocsPerRun(100, func() {
-				e.BeginRound(1)
-				if err := e.Reprice(locs); err != nil {
-					t.Fatal(err)
+				for _, users := range cycle {
+					e.BeginRound(1)
+					if err := e.Reprice(users); err != nil {
+						t.Fatal(err)
+					}
 				}
 			})
 			if allocs > 0 {

@@ -45,7 +45,8 @@ func NewGridIndex(bounds Rect, cellSize float64, pts []Point) (*GridIndex, error
 // previous build's storage (the cell offsets, the sorted point copy and
 // its index map) when it is large enough. After the first few builds over
 // same-sized inputs a Reset allocates nothing, which is what lets the
-// platform engine rebuild its neighbor index every round without garbage.
+// platform engine rebuild its open-task reach index every round, and its
+// neighbor index whenever it recounts every task, without garbage.
 // The points are copied; the caller may reuse its slice. Query results are
 // identical to a fresh NewGridIndex over the same inputs.
 func (g *GridIndex) Reset(bounds Rect, cellSize float64, pts []Point) error {
@@ -193,11 +194,37 @@ func (g *GridIndex) CountWithin(center Point, r float64) int {
 	count := 0
 	for row := r0; row <= r1; row++ {
 		pts, _ := g.Run(row, c0, c1)
-		for _, p := range pts {
-			dx, dy := p.X-center.X, p.Y-center.Y
-			if d2 := dx*dx + dy*dy; d2 < lo || !(d2 > hi) && math.Hypot(dx, dy) < r {
-				count++
-			}
+		count += countWithin(pts, center, r, lo, hi)
+	}
+	return count
+}
+
+// WithinRadius reports whether p lies strictly within radius r of
+// center, deciding the pair exactly as a CountWithin query around center
+// does: the result is always p.Dist(center) < r, bit for bit. A caller
+// that keeps neighbor counts up to date pair by pair with it agrees with
+// a full CountWithin recount.
+func WithinRadius(center, p Point, r float64) bool {
+	lo, hi := band(center, r)
+	return countWithin([]Point{p}, center, r, lo, hi) == 1
+}
+
+// countWithin returns how many of pts lie strictly within r of center,
+// given the query's band (see band). Its loop body is the pair predicate
+// of every radius query — CountWithin, WithinInto and WithinRadius — so
+// they all decide a pair identically. It takes a run of points rather
+// than one because the predicate does not inline, and CountWithin, the
+// engine's neighbor count, would pay about half again its time for a
+// call per point. WithinInto does pay a call per point, which about
+// doubles its scan; its one caller, the SAT baseline's bid collection,
+// does far more work per hit, and `experiments -fig ext-sat-vs-wst` runs
+// no slower for it.
+func countWithin(pts []Point, center Point, r, lo, hi float64) int {
+	count := 0
+	for _, p := range pts {
+		dx, dy := p.X-center.X, p.Y-center.Y
+		if d2 := dx*dx + dy*dy; d2 < lo || !(d2 > hi) && math.Hypot(dx, dy) < r {
+			count++
 		}
 	}
 	return count
@@ -220,9 +247,8 @@ func (g *GridIndex) WithinInto(dst []int, center Point, r float64) []int {
 	c0, c1, r0, r1 := g.span(center, r)
 	for row := r0; row <= r1; row++ {
 		pts, idx := g.Run(row, c0, c1)
-		for k, p := range pts {
-			dx, dy := p.X-center.X, p.Y-center.Y
-			if d2 := dx*dx + dy*dy; d2 < lo || !(d2 > hi) && math.Hypot(dx, dy) < r {
+		for k := range pts {
+			if countWithin(pts[k:k+1], center, r, lo, hi) == 1 {
 				dst = append(dst, idx[k])
 			}
 		}

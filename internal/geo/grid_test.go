@@ -343,8 +343,10 @@ func nearestBrute(pts []Point, center Point) (float64, bool) {
 	return best, ok
 }
 
-// TestGridIndexMatchesBruteProperty checks CountWithin, WithinInto and
-// Nearest against the brute-force references on random grids whose cell
+// TestGridIndexMatchesBruteProperty checks CountWithin, WithinInto,
+// WithinRadius (with either point as center: the pair predicate is
+// symmetric) and Nearest against the brute-force references on random
+// grids whose cell
 // size does not divide the bounds. The point sets mix uniform points with
 // points on cell seams, points outside the bounds on every side (clamped
 // into edge cells), and NaN and infinite coordinates. Radii include ones
@@ -405,6 +407,15 @@ func TestGridIndexMatchesBruteProperty(t *testing.T) {
 				sort.Ints(got)
 				if !slices.Equal(got, want) {
 					t.Fatalf("trial %d: WithinInto(%v, %v) = %v, want %v", trial, center, r, got, want)
+				}
+				inside := make([]bool, len(pts))
+				for _, i := range want {
+					inside[i] = true
+				}
+				for i, p := range pts {
+					if WithinRadius(center, p, r) != inside[i] || WithinRadius(p, center, r) != inside[i] {
+						t.Fatalf("trial %d: WithinRadius of %v and %v at %v is not %v both ways round", trial, center, p, r, inside[i])
+					}
 				}
 			}
 			idx, dist, ok := g.Nearest(center)
