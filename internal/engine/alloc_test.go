@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"runtime"
 	"testing"
 
 	"paydemand/internal/demand"
@@ -128,4 +129,28 @@ func newTestBoard(t *testing.T, tasks []task.Task) *task.Board {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// TestFirstRepriceAllocsCitySize bounds what a fresh engine allocates for
+// its first BeginRound+Reprice at city size (1000 tasks, 2000 users, R =
+// 500 m, on-demand pricing): everything it builds is linear in tasks and
+// users, about 0.4 MiB. A structure quadratic in the board — a task-pair
+// distance table alone is 8 MB here — fails the 1 MiB bound.
+func TestFirstRepriceAllocsCitySize(t *testing.T) {
+	w := newBenchWorld(t, 2000, 1000)
+	e := benchEngine(t, w, "on-demand")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	e.BeginRound(1)
+	err := e.Reprice(w.users)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const limit = 1 << 20
+	got := after.TotalAlloc - before.TotalAlloc
+	if got >= limit {
+		t.Errorf("first reprice allocated %d KiB, want < %d KiB", got>>10, limit>>10)
+	}
+	t.Logf("first reprice allocated %d KiB", got>>10)
 }

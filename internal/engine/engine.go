@@ -1,8 +1,8 @@
 // Package engine implements the canonical round state machine of the
 // crowdsensing platform: the per-round pipeline of open-task snapshot,
-// neighbor counting, demand-based repricing (Eqs. 3-7), shared solver
-// context construction, measurement commit with double-fill protection,
-// and round/trial statistics (Sec. VI).
+// neighbor counting, demand-based repricing (Eqs. 3-7), per-user problem
+// assembly, measurement commit with double-fill protection, and
+// round/trial statistics (Sec. VI).
 //
 // The engine owns platform state and scratch; frontends own behavior.
 // Three drivers sit on top of it:
@@ -19,16 +19,15 @@
 // (bids, budget, forecast), and the published reward map — is grow-only
 // scratch recycled across rounds, so a steady-state Reprice allocates
 // nothing at all: mechanisms write into an engine-owned map through
-// RewardsInto, and the engine republishes that map each round. The shared
-// selection.RoundContext is not per-round at all: it is one immutable
-// distance table per board (see context.go). Because of the scratch, an
-// Engine is NOT safe for concurrent mutation: drivers serialize
-// BeginRound/Reprice/Commit calls (the simulator is single-threaded
-// between rounds; the HTTP platform holds its mutex). Read-only
-// accessors, ProblemInto included, are safe to call concurrently between
-// mutations, which is what the simulator's speculative workers do.
-// Problems keep reading the shared context safely after the driver's lock
-// is released, because nothing ever writes it.
+// RewardsInto, and the engine republishes that map each round. Because
+// of the scratch, an Engine is NOT safe for concurrent mutation: drivers
+// serialize BeginRound/Reprice/Commit calls (the simulator is
+// single-threaded between rounds; the HTTP platform holds its mutex).
+// Read-only accessors, ProblemInto included, are safe to call
+// concurrently between mutations, which is what the simulator's
+// speculative workers do. A problem ProblemInto returns shares no engine
+// storage beyond the caller's candidate buffer, so it stays solvable
+// after the driver's lock is released.
 package engine
 
 import (
@@ -39,7 +38,6 @@ import (
 	"paydemand/internal/geo"
 	"paydemand/internal/incentive"
 	"paydemand/internal/metrics"
-	"paydemand/internal/selection"
 	"paydemand/internal/stats"
 	"paydemand/internal/task"
 )
@@ -56,11 +54,6 @@ type Config struct {
 	Area geo.Rect
 	// NeighborRadius is the radius R of the neighbor-count demand factor.
 	NeighborRadius float64
-	// DisableContext skips building the board's shared solver context
-	// and validates task locations directly instead. Selection results
-	// are bit-for-bit identical either way; the flag exists for the
-	// simulator's equivalence ablation.
-	DisableContext bool
 	// RequirePriced drops tasks without a published reward from candidate
 	// sets built by ProblemInto. The HTTP platform sets it (an unpriced
 	// task is not published on the wire); the simulator keeps the
@@ -132,11 +125,6 @@ type Engine struct {
 	in        incentive.RoundInput
 	bidBuf    []incentive.Bid
 	rewardBuf map[task.ID]float64
-
-	// Shared solver context (see context.go): table is the board's
-	// distance table once built, ctx the published alias of it.
-	table *selection.RoundContext
-	ctx   *selection.RoundContext
 }
 
 // New validates the configuration and builds an engine. Area and
@@ -155,14 +143,11 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// bindBoard makes b the engine's board. The distance table of any
-// previous board is dropped, never reused: a problem built before the
-// swap may still be solving against it. The neighbor counts belong to
-// the old board too.
+// bindBoard makes b the engine's board. The neighbor counts belong to
+// the old board, so they are dropped.
 func (e *Engine) bindBoard(b *task.Board) {
 	e.board = b
 	e.states = b.States()
-	e.table = nil
 	e.nbOK = false
 }
 
@@ -197,8 +182,7 @@ func (e *Engine) checkCapabilities() error {
 func (e *Engine) Board() *task.Board { return e.board }
 
 // SetBoard replaces the engine's task board (a platform restoring a
-// snapshot) and clears all published round state; callers reprice next,
-// which builds a fresh distance table for the new board.
+// snapshot) and clears all published round state; callers reprice next.
 func (e *Engine) SetBoard(b *task.Board) {
 	e.bindBoard(b)
 	e.Clear()
@@ -209,8 +193,8 @@ func (e *Engine) SetBoard(b *task.Board) {
 // Already-published rewards are untouched.
 func (e *Engine) SetMechanism(m incentive.Mechanism) { e.cfg.Mechanism = m }
 
-// BeginRound starts round k: it unpublishes the previous round's rewards
-// and context, resets the closed-task set, snapshots the tasks open at k
+// BeginRound starts round k: it unpublishes the previous round's
+// rewards, resets the closed-task set, snapshots the tasks open at k
 // in board order, with their locations and board positions, and indexes
 // the snapshot's locations for ProblemInto's reach queries. The returned
 // slice is engine-owned scratch, valid until the next BeginRound; it is
@@ -222,7 +206,6 @@ func (e *Engine) BeginRound(round int) []*task.State {
 	e.rewards = nil
 	e.mean = 0
 	e.closed = e.closed[:0]
-	e.ctx = nil
 	e.open = e.open[:0]
 	e.openLocs = e.openLocs[:0]
 	e.openPos = e.openPos[:0]
@@ -246,12 +229,11 @@ func (e *Engine) BeginRound(round int) []*task.State {
 }
 
 // Clear unpublishes everything (a finished campaign): no open tasks, no
-// rewards, no context. The round number is preserved.
+// rewards. The round number is preserved.
 func (e *Engine) Clear() {
 	e.rewards = nil
 	e.mean = 0
 	e.closed = e.closed[:0]
-	e.ctx = nil
 	e.open = e.open[:0]
 	e.openLocs = e.openLocs[:0]
 	e.openPos = e.openPos[:0]
@@ -262,10 +244,11 @@ func (e *Engine) Clear() {
 // task's neighboring users among userLocs with the reusable grid index,
 // consults the mechanism, computes the mean published reward (summing in
 // board order — float addition is not associative), validates the
-// rewards, and publishes the board's shared solver context. With no open tasks it publishes nothing and returns nil
-// without consulting the mechanism. On error nothing stays published:
-// a driver that keeps serving after a failed reprice serves no prices
-// rather than the previous round's.
+// rewards and the open tasks' locations, and publishes the rewards. With
+// no open tasks it publishes nothing and returns nil without consulting
+// the mechanism. On error nothing stays published: a driver that keeps
+// serving after a failed reprice serves no prices rather than the
+// previous round's.
 func (e *Engine) Reprice(userLocs []geo.Point) error {
 	if len(e.open) == 0 {
 		return nil
@@ -282,7 +265,7 @@ func (e *Engine) Reprice(userLocs []geo.Point) error {
 
 // RepriceViews is the pricing half of Reprice over caller-supplied task
 // views: mechanism input assembly, mechanism consultation, board-order
-// mean, reward validation, shared-context publication. views must hold
+// mean, reward and location validation, publication. views must hold
 // one entry per open-snapshot task, in board order — the slice
 // NeighborViews returned. userLocs is the round's full user-location
 // slice in user order; it feeds bid construction for mechanisms that
@@ -330,7 +313,6 @@ func (e *Engine) RepriceViews(views []incentive.TaskView, userLocs []geo.Point) 
 	// may stay published.
 	e.rewards = nil
 	e.mean = 0
-	e.ctx = nil
 	if err := e.cfg.Mechanism.RewardsInto(&e.in, e.rewardBuf); err != nil {
 		return err
 	}
@@ -349,10 +331,8 @@ func (e *Engine) RepriceViews(views []incentive.TaskView, userLocs []geo.Point) 
 		mean = total / float64(len(rewards))
 	}
 	// Validate the round's shared selection inputs once, here, instead of
-	// once per user selection call: reward sanity below, task locations
-	// inside the board's context build (or the explicit loop when the
-	// context is disabled). ProblemInto then marks its problems
-	// CandidatesValid.
+	// once per user selection call: reward sanity, then task locations.
+	// ProblemInto then marks its problems CandidatesValid.
 	// Scanning in board order keeps the reported task deterministic when
 	// several rewards are NaN.
 	for _, st := range e.open {
@@ -360,14 +340,10 @@ func (e *Engine) RepriceViews(views []incentive.TaskView, userLocs []geo.Point) 
 			return fmt.Errorf("mechanism %s: NaN reward for task %d", e.cfg.Mechanism.Name(), st.ID)
 		}
 	}
-	if e.cfg.DisableContext {
-		for _, st := range e.open {
-			if !st.Location.IsFinite() {
-				return fmt.Errorf("task %d: non-finite location %v", st.ID, st.Location)
-			}
+	for _, st := range e.open {
+		if !st.Location.IsFinite() {
+			return fmt.Errorf("task %d: non-finite location %v", st.ID, st.Location)
 		}
-	} else if err := e.publishContext(); err != nil {
-		return err
 	}
 	e.rewards = rewards
 	e.mean = mean

@@ -98,8 +98,9 @@ func TestRoundPipeline(t *testing.T) {
 	if r, ok := e.RewardFor(2); !ok || r != 20 {
 		t.Errorf("RewardFor(2) = %v, %v", r, ok)
 	}
-	if ctx := e.Context(); ctx == nil || ctx.Len() != 3 {
-		t.Fatalf("context = %v", ctx)
+	p, _ := e.ProblemInto(Spec{Start: geo.Pt(50, 50), MaxDistance: 5000}, Worker(7), nil)
+	if len(p.Candidates) != 3 || p.Candidates[1].ID != 2 || p.Candidates[1].Reward != 20 {
+		t.Fatalf("problem candidates = %+v, want board tasks 1-3 at their rewards", p.Candidates)
 	}
 
 	var rs metrics.RoundStats
@@ -275,8 +276,9 @@ func TestProblemIntoFiltering(t *testing.T) {
 		{requirePriced: false, wantIDs: []task.ID{1, 2, 3}},
 		{requirePriced: true, wantIDs: []task.ID{1, 2}},
 	} {
+		board := testBoard(t)
 		e := testEngine(t, Config{
-			Board: testBoard(t), Mechanism: mech,
+			Board: board, Mechanism: mech,
 			Area: geo.Square(1000), NeighborRadius: 100,
 			RequirePriced: tc.requirePriced,
 		})
@@ -285,9 +287,8 @@ func TestProblemIntoFiltering(t *testing.T) {
 			t.Fatal(err)
 		}
 		p, _ := e.ProblemInto(spec, Worker(1), nil)
-		if !p.CandidatesValid || p.Ctx == nil {
-			t.Errorf("requirePriced=%v: problem = valid %v, ctx %v",
-				tc.requirePriced, p.CandidatesValid, p.Ctx)
+		if !p.CandidatesValid {
+			t.Errorf("requirePriced=%v: problem not marked CandidatesValid", tc.requirePriced)
 		}
 		if len(p.Candidates) != len(tc.wantIDs) {
 			t.Fatalf("requirePriced=%v: %d candidates, want %d",
@@ -295,7 +296,7 @@ func TestProblemIntoFiltering(t *testing.T) {
 		}
 		for i, want := range tc.wantIDs {
 			c := p.Candidates[i]
-			if c.ID != want || c.Reward != mech.rewards[want] || c.CtxIndex != i {
+			if c.ID != want || c.Reward != mech.rewards[want] || c.Location != board.Get(want).Location {
 				t.Errorf("requirePriced=%v: candidate %d = %+v", tc.requirePriced, i, c)
 			}
 		}
@@ -334,7 +335,7 @@ func TestRepriceErrors(t *testing.T) {
 		if err := e.Reprice(nil); err == nil {
 			t.Fatal("mechanism error swallowed")
 		}
-		if e.Rewards() != nil || e.Context() != nil || e.MeanPublishedReward() != 0 {
+		if e.Rewards() != nil || e.MeanPublishedReward() != 0 {
 			t.Error("stale state left published after failed reprice")
 		}
 	})
@@ -370,82 +371,31 @@ func TestRepriceErrors(t *testing.T) {
 	})
 }
 
-func TestDisableContext(t *testing.T) {
-	board := testBoard(t)
-	mech := stubMechanism{rewards: map[task.ID]float64{1: 10, 2: 20, 3: 30}}
-	e := testEngine(t, Config{
-		Board: board, Mechanism: mech,
-		Area: geo.Square(1000), NeighborRadius: 100,
-		DisableContext: true,
-	})
-	e.BeginRound(1)
-	if err := e.Reprice(nil); err != nil {
-		t.Fatal(err)
-	}
-	if e.Context() != nil {
-		t.Error("context built despite DisableContext")
-	}
-	p, _ := e.ProblemInto(Spec{Start: geo.Pt(0, 0), MaxDistance: 5000}, Worker(1), nil)
-	if p.Ctx != nil {
-		t.Error("problem linked a context despite DisableContext")
-	}
-}
-
-// TestContextLivesForBoard pins the board-lifetime context: one table
-// over every board task, indexed by board position, republished unchanged
-// round after round, unpublished between BeginRound and Reprice, and
-// replaced by a freshly allocated table when the board is swapped.
-func TestContextLivesForBoard(t *testing.T) {
-	mech := stubMechanism{rewards: map[task.ID]float64{1: 10, 2: 20, 3: 30}}
-	e := testEngine(t, Config{Board: testBoard(t), Mechanism: mech, Area: geo.Square(1000), NeighborRadius: 100})
-	if e.Context() != nil {
-		t.Fatal("context built before the first reprice")
-	}
-	e.BeginRound(1)
-	if err := e.Reprice(nil); err != nil {
-		t.Fatal(err)
-	}
-	first := e.Context()
-	if first == nil || first.Len() != 3 {
-		t.Fatalf("context = %v, want a table over all 3 board tasks", first)
-	}
-	want := first.Dist(1, 2)
-
-	// Completing task 1 shrinks the open set; the table does not shrink,
-	// and candidates link to it by board position.
-	if _, _, err := e.Commit(1, 1); err != nil {
-		t.Fatal(err)
-	}
-	e.BeginRound(2)
-	if e.Context() != nil {
-		t.Error("context still published after BeginRound")
-	}
-	if err := e.Reprice(nil); err != nil {
-		t.Fatal(err)
-	}
-	if e.Context() != first || first.Len() != 3 || first.Dist(1, 2) != want {
-		t.Error("reprice rebuilt or changed the board's table")
-	}
-	p, _ := e.ProblemInto(Spec{Start: geo.Pt(0, 0), MaxDistance: 5000}, Worker(2), nil)
-	if len(p.Candidates) != 2 || p.Candidates[0].CtxIndex != 1 || p.Candidates[1].CtxIndex != 2 {
-		t.Errorf("candidates = %+v, want board positions 1 and 2", p.Candidates)
-	}
-
-	// A new board gets a new table; the old one is left as it was for any
-	// solve still reading it.
-	e.SetBoard(testBoard(t))
-	if e.Context() != nil {
-		t.Error("context published across SetBoard")
-	}
-	e.BeginRound(1)
-	if err := e.Reprice(nil); err != nil {
-		t.Fatal(err)
-	}
-	if e.Context() == first {
-		t.Error("SetBoard reused the previous board's table")
-	}
-	if first.Dist(1, 2) != want {
-		t.Error("previous board's table mutated")
+// TestRepriceRejectsNonFiniteTaskLocation pins Reprice's location check,
+// the one that lets ProblemInto mark its problems CandidatesValid: a task
+// whose location turned non-finite fails the reprice with an error naming
+// it, and no rewards stay published, not even the previous round's.
+func TestRepriceRejectsNonFiniteTaskLocation(t *testing.T) {
+	for _, bad := range []geo.Point{geo.Pt(math.NaN(), 500), geo.Pt(500, math.Inf(-1))} {
+		board := testBoard(t)
+		mech := stubMechanism{rewards: map[task.ID]float64{1: 10, 2: 20, 3: 30}}
+		e := testEngine(t, Config{Board: board, Mechanism: mech, Area: geo.Square(1000), NeighborRadius: 100})
+		e.BeginRound(1)
+		if err := e.Reprice(nil); err != nil {
+			t.Fatal(err)
+		}
+		board.Get(2).Location = bad
+		e.BeginRound(2)
+		err := e.Reprice([]geo.Point{geo.Pt(500, 500)})
+		if err == nil {
+			t.Fatalf("location %v: reprice accepted", bad)
+		}
+		if want := "task 2: non-finite location "; !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("location %v: err = %q, want prefix %q", bad, err, want)
+		}
+		if e.Rewards() != nil || e.MeanPublishedReward() != 0 {
+			t.Errorf("location %v: rewards published despite the failed reprice", bad)
+		}
 	}
 }
 

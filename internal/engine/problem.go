@@ -32,7 +32,7 @@ func (Worker) HasDone(task.ID) bool { return false }
 
 // Spec is the user-dependent half of a selection problem: where the user
 // stands and what its budget converts to. The engine supplies the
-// round-dependent half (candidates, prices, shared context).
+// round-dependent half (candidates and their prices).
 type Spec struct {
 	// Start is the user's current location.
 	Start geo.Point
@@ -51,8 +51,7 @@ type Spec struct {
 // the (possibly re-grown) buffer: every task of the open snapshot within
 // the actor's reach (selection.Reachable) that still accepts measurements
 // and that the actor has not contributed to, priced at this round's
-// rewards, in board order, linked to the shared context by board
-// position. The round's shared inputs were validated by Reprice, so the
+// rewards, in board order. The round's shared inputs were validated by Reprice, so the
 // problem is marked CandidatesValid and solvers skip the per-candidate
 // re-validation.
 //
@@ -65,10 +64,11 @@ type Spec struct {
 // exactly as before.
 //
 // When the actor's reach box spans a small part of the snapshot, only the
-// reach index's cells under the box are visited (see reachSpan); the
-// survivors are then sorted back into board order. Each visited task
-// goes through exactly the checks of the full scan, so the candidate list
-// is byte-identical.
+// reach index's cells under the box are visited (see reachSpan): the
+// snapshot positions passing the axis test are sorted back into board
+// order and then offered. Each visited task goes through exactly the
+// checks of the full scan, in the same order, so the candidate list is
+// byte-identical.
 //
 // ProblemInto only reads engine state, so any number of goroutines may
 // call it concurrently (over distinct buffers) between engine mutations
@@ -80,22 +80,29 @@ func (e *Engine) ProblemInto(spec Spec, who Actor, buf []selection.Candidate) (s
 		MaxDistance:     spec.MaxDistance,
 		CostPerMeter:    spec.CostPerMeter,
 		PerTaskDistance: spec.PerTaskDistance,
-		Ctx:             e.ctx,
 		CandidatesValid: true,
 	}
 	buf = buf[:0]
 	id := who.ActorID()
 	start, ovh, budget := spec.Start, spec.PerTaskDistance, spec.MaxDistance
 	if c0, c1, r0, r1, ok := e.reachSpan(start, ovh, budget); ok {
+		// Concurrent callers share no engine scratch, so the positions go
+		// to the stack: 64 covers a reach box's share of a uniform
+		// 1000-task snapshot (at most 1/reachShare² of it).
+		var arr [64]int
+		pos := arr[:0]
 		for row := r0; row <= r1; row++ {
 			locs, idx := e.reach.Run(row, c0, c1)
 			for k, loc := range locs {
 				if !axisOutOfReach(start, loc, ovh, budget) {
-					buf = e.offer(buf, idx[k], start, ovh, budget, id, who)
+					pos = append(pos, idx[k])
 				}
 			}
 		}
-		slices.SortFunc(buf, func(a, b selection.Candidate) int { return a.CtxIndex - b.CtxIndex })
+		slices.Sort(pos)
+		for _, i := range pos {
+			buf = e.offer(buf, i, start, ovh, budget, id, who)
+		}
 	} else {
 		// The linear scan inlines offer's checks: a call per task costs
 		// about a tenth of a paper-sized scan.
@@ -111,12 +118,7 @@ func (e *Engine) ProblemInto(spec Spec, who Actor, buf []selection.Candidate) (s
 			if e.cfg.RequirePriced && !priced {
 				continue
 			}
-			buf = append(buf, selection.Candidate{
-				ID:       st.ID,
-				Location: loc,
-				Reward:   reward,
-				CtxIndex: e.openPos[i],
-			})
+			buf = append(buf, selection.Candidate{ID: st.ID, Location: loc, Reward: reward})
 		}
 	}
 	p.Candidates = buf
@@ -153,12 +155,7 @@ func (e *Engine) offer(buf []selection.Candidate, i int, start geo.Point, ovh, b
 	if e.cfg.RequirePriced && !priced {
 		return buf
 	}
-	return append(buf, selection.Candidate{
-		ID:       st.ID,
-		Location: loc,
-		Reward:   reward,
-		CtxIndex: e.openPos[i],
-	})
+	return append(buf, selection.Candidate{ID: st.ID, Location: loc, Reward: reward})
 }
 
 // indexReach rebuilds the reach index over the open snapshot's
@@ -187,10 +184,11 @@ func (e *Engine) indexReach(box geo.Rect, finite bool) {
 // reachShare bounds the reach boxes ProblemInto answers from the index:
 // a box's side may be at most 1/reachShare of the snapshot's longer
 // extent, so it covers at most 1/reachShare² of the snapshot's bounding
-// square. The grid path sorts its survivors back into board order, which
-// costs more than the axis tests it saves once the box covers much of
-// the snapshot: on uniform boards of 20 to 1000 tasks it wins while the
-// box covers up to about a tenth of the square and loses beyond.
+// square. The grid path sorts the positions it keeps back into board
+// order, which costs more than the axis tests it saves once the box
+// covers much of the snapshot: on uniform boards of 20 to 1000 tasks it
+// wins while the box covers up to about a tenth of the square and loses
+// beyond.
 const reachShare = 4
 
 // reachSpan returns the span of reach-index cells that can hold a task

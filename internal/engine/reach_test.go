@@ -14,19 +14,17 @@ import (
 )
 
 // unprunedProblem is ProblemInto without the reach bound: every open task
-// the actor may still measure, in board order, linked to the context by
-// board position — the candidate list the engine built before it dropped
-// unreachable tasks.
+// the actor may still measure, in board order — the candidate list the
+// engine built before it dropped unreachable tasks.
 func (e *Engine) unprunedProblem(spec Spec, who Actor) selection.Problem {
 	p := selection.Problem{
 		Start:           spec.Start,
 		MaxDistance:     spec.MaxDistance,
 		CostPerMeter:    spec.CostPerMeter,
 		PerTaskDistance: spec.PerTaskDistance,
-		Ctx:             e.ctx,
 		CandidatesValid: true,
 	}
-	for i, st := range e.open {
+	for _, st := range e.open {
 		if !st.OpenAt(e.round) || st.Contributed(who.ActorID()) || who.HasDone(st.ID) {
 			continue
 		}
@@ -35,7 +33,7 @@ func (e *Engine) unprunedProblem(spec Spec, who Actor) selection.Problem {
 			continue
 		}
 		p.Candidates = append(p.Candidates, selection.Candidate{
-			ID: st.ID, Location: st.Location, Reward: reward, CtxIndex: e.openPos[i],
+			ID: st.ID, Location: st.Location, Reward: reward,
 		})
 	}
 	return p
@@ -95,8 +93,7 @@ func TestReachBoundedProblemsSolveIdentically(t *testing.T) {
 		e := testEngine(t, Config{
 			Board: board, Mechanism: stubMechanism{rewards: rewards},
 			Area: geo.Square(1000), NeighborRadius: 100,
-			DisableContext: b%4 == 3,
-			RequirePriced:  b%2 == 1,
+			RequirePriced: b%2 == 1,
 		})
 		e.BeginRound(1)
 		if err := e.Reprice(nil); err != nil {
@@ -318,22 +315,25 @@ func cityEngine(t *testing.T) (*Engine, []geo.Point) {
 }
 
 // TestProblemIntoCitySizeAllocs pins that candidate assembly at city
-// size (1000 open tasks over 3 km, a 50 m reach, so the grid path runs)
-// allocates nothing once the caller's buffer has grown.
+// size (1000 open tasks over 3 km, so the grid path runs) allocates
+// nothing once the caller's buffer has grown, at city-sim's 50 m reach
+// and at a 300 m one, whose box holds about 40 tasks to sort.
 func TestProblemIntoCitySizeAllocs(t *testing.T) {
 	e, starts := cityEngine(t)
-	if _, _, _, _, ok := e.reachSpan(starts[0], 0, 50); !ok {
-		t.Fatal("a 50 m reach on a 3 km board takes the linear scan")
-	}
-	var buf []selection.Candidate
-	var who Actor = Worker(1)
-	run := func() {
-		for _, s := range starts {
-			_, buf = e.ProblemInto(Spec{Start: s, MaxDistance: 50, CostPerMeter: 0.002}, who, buf)
+	for _, reach := range []float64{50, 300} {
+		if _, _, _, _, ok := e.reachSpan(starts[0], 0, reach); !ok {
+			t.Fatalf("a %v m reach on a 3 km board takes the linear scan", reach)
 		}
-	}
-	run() // grow buf
-	if allocs := testing.AllocsPerRun(20, run); allocs > 0 {
-		t.Errorf("steady-state ProblemInto allocates %v objects per %d calls, want 0", allocs, len(starts))
+		var buf []selection.Candidate
+		var who Actor = Worker(1)
+		run := func() {
+			for _, s := range starts {
+				_, buf = e.ProblemInto(Spec{Start: s, MaxDistance: reach, CostPerMeter: 0.002}, who, buf)
+			}
+		}
+		run() // grow buf
+		if allocs := testing.AllocsPerRun(20, run); allocs > 0 {
+			t.Errorf("reach %v: steady-state ProblemInto allocates %v objects per %d calls, want 0", reach, allocs, len(starts))
+		}
 	}
 }

@@ -24,7 +24,7 @@ type benchWorld struct {
 	users  []geo.Point
 }
 
-func newBenchWorld(b *testing.B, users, tasks int) benchWorld {
+func newBenchWorld(b testing.TB, users, tasks int) benchWorld {
 	b.Helper()
 	area := geo.Square(3000)
 	rng := stats.NewRNG(int64(1000*users + tasks))
@@ -61,7 +61,7 @@ func newBenchWorld(b *testing.B, users, tasks int) benchWorld {
 
 // benchEngine builds a long-lived engine priced by the named mechanism,
 // with whatever capability inputs it declares wired into the config.
-func benchEngine(b *testing.B, w benchWorld, kind string) *Engine {
+func benchEngine(b testing.TB, w benchWorld, kind string) *Engine {
 	b.Helper()
 	cfg := Config{Board: w.board, Area: w.area, NeighborRadius: 500}
 	var err error
@@ -95,7 +95,7 @@ func benchEngine(b *testing.B, w benchWorld, kind string) *Engine {
 }
 
 // BenchmarkReprice measures one full round repricing — open snapshot,
-// neighbor counting, mechanism pricing, shared context build — over a
+// neighbor counting, mechanism pricing, location validation — over a
 // mechanism x users x tasks grid, comparing the engine's recycled
 // scratch against the pre-engine approach of rebuilding every structure
 // per round.
@@ -103,11 +103,9 @@ func benchEngine(b *testing.B, w benchWorld, kind string) *Engine {
 //   - engine/<mechanism>: BeginRound + Reprice on one long-lived Engine,
 //     priced by the named mechanism with its capability inputs wired in.
 //     Steady state allocates nothing (the grid, views, bids and rewards
-//     are grow-only scratch and the board's context is built once; see
-//     TestRepriceSteadyStateAllocs).
+//     are grow-only scratch; see TestRepriceSteadyStateAllocs).
 //   - rebuild: what the HTTP platform did before the engine existed —
-//     a fresh grid index, view slice, and solver context every round,
-//     priced on-demand.
+//     a fresh grid index and view slice every round, priced on-demand.
 func BenchmarkReprice(b *testing.B) {
 	cells := []struct{ users, tasks int }{
 		{50, 20}, {50, 100}, {200, 20}, {200, 100}, {1000, 20}, {1000, 100},
@@ -141,7 +139,6 @@ func BenchmarkReprice(b *testing.B) {
 					b.Fatal(err)
 				}
 				views := make([]incentive.TaskView, len(open))
-				locs := make([]geo.Point, len(open))
 				for j, st := range open {
 					views[j] = incentive.TaskView{
 						ID:        st.ID,
@@ -151,13 +148,9 @@ func BenchmarkReprice(b *testing.B) {
 						Received:  st.Received(),
 						Neighbors: grid.CountWithin(st.Location, 500),
 					}
-					locs[j] = st.Location
 				}
 				rewards, err := w.mech.Rewards(&incentive.RoundInput{Round: 1, Views: views})
 				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := selection.NewRoundContext(locs); err != nil {
 					b.Fatal(err)
 				}
 				if len(rewards) == 0 {

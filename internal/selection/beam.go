@@ -16,8 +16,7 @@ const (
 	// benchmark grid.
 	DefaultBeamImprove = 2
 	// BeamExactMaxTasks is the largest filtered instance Beam solves
-	// exactly by delegating to the Held-Karp DP over the same shared
-	// round context. The DP table at this size is at most 2^10 x 10
+	// exactly by delegating to the Held-Karp DP. The DP table at this size is at most 2^10 x 10
 	// entries (~90 KB), far below any pruning payoff, and the delegation
 	// gives the solver a provable contract on small instances: Beam
 	// equals the optimum wherever the fuzz harness can afford to
@@ -33,8 +32,8 @@ const (
 // m) space, so dense boards (100+ open tasks in a user's travel radius)
 // get near-optimal routes instead of silently degrading to pure greedy.
 //
-// The search expands routes one visit at a time over the shared
-// RoundContext distance table, scoring a partial route by its realized
+// The search expands routes one visit at a time over a per-call distance
+// table of the filtered candidates, scoring a partial route by its realized
 // profit and breaking every tie deterministically (higher profit, then
 // less consumed budget, then the expansion discovered first in scan
 // order). The best route found is polished with alternating 2-opt and

@@ -140,40 +140,6 @@ func TestBeamDeterministic(t *testing.T) {
 	}
 }
 
-// TestBeamRoundContextEquivalence: solving with and without the shared
-// round context is bit-for-bit identical, like every other solver.
-func TestBeamRoundContextEquivalence(t *testing.T) {
-	rng := stats.NewRNG(55)
-	for trial := 0; trial < 40; trial++ {
-		p := denseProblem(rng, 50)
-		locs := make([]geo.Point, len(p.Candidates))
-		for i, c := range p.Candidates {
-			locs[i] = c.Location
-		}
-		ctx, err := NewRoundContext(locs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pc := p
-		pc.Ctx = ctx
-		pc.Candidates = append([]Candidate(nil), p.Candidates...)
-		for i := range pc.Candidates {
-			pc.Candidates[i].CtxIndex = i
-		}
-		plain, err := (&Beam{}).Select(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cached, err := (&Beam{}).Select(pc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(plain, cached) {
-			t.Fatalf("trial %d: cached plan diverged:\n%+v\n%+v", trial, plain, cached)
-		}
-	}
-}
-
 // TestBeamWidthMonotoneQuality: widening the beam can only change the
 // profit by finding better routes — spot-check that a degenerate width of
 // 1 never beats the default, and that all widths respect the 2-opt floor.

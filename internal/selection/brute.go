@@ -12,8 +12,7 @@ const BruteForceMaxTasks = 9
 // and returns the feasible plan with maximum profit. It exists as the
 // ground-truth oracle for testing the DP solver and is exponential in the
 // worst way; do not use it outside tests and tiny instances. Like the
-// production solvers it honors the shared round context and reuses
-// scratch, so the cached-path equivalence tests cover it too.
+// production solvers it reuses scratch between calls.
 type BruteForce struct {
 	idxs []int
 	cur  []int

@@ -111,8 +111,7 @@ func (d *DP) selectValidated(p *Problem) (Plan, error) {
 		return Plan{}, fmt.Errorf("%w: %d candidates, cap %d", ErrTooManyTasks, m, d.maxTasks())
 	}
 
-	// Distance tables over the filtered candidates, looked up in the shared
-	// round context when the problem carries one. The pair table is stored
+	// Distance tables over the filtered candidates. The pair table is stored
 	// by destination so the relaxation into one task reads one row.
 	d.reward = growFloats(d.reward, m)
 	d.startDist = growFloats(d.startDist, m)

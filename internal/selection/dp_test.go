@@ -33,7 +33,7 @@ const dpCorpusSize = 2000
 //   - grid-aligned start and task locations on a third of them, which
 //     produce equal path lengths (and co-located tasks);
 //   - equal rewards on a third, which produce equal profits;
-//   - a shared RoundContext on half, over a superset of the candidates.
+//   - task ids drawn from a larger set on half, so ids skip numbers.
 //
 // The problems are regenerated from the seed on every run, so only the
 // plans are recorded.
@@ -44,7 +44,7 @@ func dpCorpus() []Problem {
 		m := i % 17
 		grid := rng.Intn(3) == 0
 		equalRewards := rng.Intn(3) == 0
-		withCtx := rng.Intn(2) == 0
+		superset := rng.Intn(2) == 0
 		point := func() geo.Point {
 			if grid {
 				return geo.Pt(100*float64(rng.IntBetween(0, 10)), 100*float64(rng.IntBetween(0, 10)))
@@ -69,10 +69,10 @@ func dpCorpus() []Problem {
 			p.PerTaskDistance = rng.Uniform(0, 150)
 		}
 
-		// The context covers a few tasks nobody here may pick, so
-		// CtxIndex differs from the candidate position.
+		// A few drawn tasks nobody here may pick, so a task's id differs
+		// from its candidate position.
 		n := m
-		if withCtx {
+		if superset {
 			n += rng.IntBetween(0, 4)
 		}
 		locs := make([]geo.Point, n)
@@ -81,18 +81,11 @@ func dpCorpus() []Problem {
 		}
 		reward := rng.Uniform(0.5, 4)
 		for _, k := range rng.Perm(n)[:m] {
-			c := Candidate{ID: task.ID(k + 1), Location: locs[k], Reward: reward, CtxIndex: k}
+			c := Candidate{ID: task.ID(k + 1), Location: locs[k], Reward: reward}
 			if !equalRewards {
 				c.Reward = rng.Uniform(-0.5, 4) // occasionally non-positive, exercising the filter
 			}
 			p.Candidates = append(p.Candidates, c)
-		}
-		if withCtx {
-			ctx, err := NewRoundContext(locs)
-			if err != nil {
-				panic(err)
-			}
-			p.Ctx = ctx
 		}
 		out = append(out, p)
 	}

@@ -41,8 +41,7 @@ func (g *Greedy) selectOrder(p *Problem) []int {
 		taken[k] = false
 	}
 	// cur == -1 denotes the user's start location; afterwards it is the
-	// candidate index of the last visited task, so the shared round
-	// context serves the task-to-task distances.
+	// candidate index of the last visited task.
 	cur := -1
 	budget := p.MaxDistance
 	g.order = g.order[:0]

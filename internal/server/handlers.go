@@ -232,8 +232,8 @@ func recordReason(err error) string {
 }
 
 // handlePlan solves a worker's task selection problem against the current
-// round's published rewards. The round state (candidates, shared distance
-// context, round number) is snapshotted under the lock, but the solve
+// round's published rewards. The round state (candidates and round
+// number) is snapshotted under the lock, but the solve
 // itself runs outside it on a pooled solver, so any number of workers can
 // plan concurrently without serializing behind each other or blocking
 // uploads.
@@ -284,10 +284,7 @@ func (p *Platform) handlePlan(w http.ResponseWriter, r *http.Request) {
 	p.workers[req.UserID] = req.Location
 	round := p.round
 	// The candidate buffer is per-request (nil, so ProblemInto allocates):
-	// the problem escapes the lock and must not share engine scratch. The
-	// shared distance context needs no such care: it is the board's
-	// immutable table, which a concurrent Advance republishes and a
-	// Restore replaces without ever writing it.
+	// the problem escapes the lock and must not share engine scratch.
 	problem, _ := p.eng.ProblemInto(engine.Spec{
 		Start:        req.Location,
 		MaxDistance:  req.Speed * req.TimeBudget,

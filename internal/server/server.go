@@ -96,11 +96,10 @@ type Platform struct {
 	planners *selection.SolverPool
 
 	// eng is the round state machine shared with the simulator: open-task
-	// snapshot, neighbor counting, repricing, shared solver context,
-	// commits, round state. All engine mutations happen under mu; plan
-	// solves run outside it against a problem built under it, whose
-	// candidates are per-request and whose shared context is the board's
-	// immutable distance table, so an in-flight solve never observes a
+	// snapshot, neighbor counting, repricing, problem assembly, commits,
+	// round state. All engine mutations happen under mu; plan solves run
+	// outside it against a problem built under it, whose candidates are
+	// per-request copies, so an in-flight solve never observes a
 	// mutation.
 	eng *engine.Engine
 

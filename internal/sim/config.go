@@ -186,12 +186,6 @@ type Config struct {
 	// runs on its best route; zero means selection.DefaultBeamImprove.
 	// Negative values are rejected loudly.
 	BeamImprove int `json:"beam_improve"`
-	// DisableRoundContext turns off the shared solver context (the
-	// task-pair distance table computed once per board and reused by every
-	// user's selection call) and recomputes distances per user
-	// instead. Results are bit-for-bit identical either way; the flag
-	// exists for equivalence testing and debugging, not for production.
-	DisableRoundContext bool `json:"disable_round_context,omitempty"`
 	// SensingTime is the seconds one measurement takes on site. The paper
 	// assumes it negligible (its default, 0); a positive value consumes
 	// user time budget per selected task.

@@ -30,8 +30,7 @@ type Observer interface {
 	// the plan is empty. The problem's Candidates slice is backed by a
 	// simulation-owned buffer that is reused for the next user: it is valid
 	// only for the duration of the call, so observers that retain it must
-	// copy what they keep. The shared context it points to is immutable.
-	// The plan is the observer's to keep.
+	// copy what they keep. The plan is the observer's to keep.
 	UserPlanned(round int, userID int, problem selection.Problem, plan selection.Plan)
 	// RoundEnd fires after all users have acted, with the round's stats.
 	RoundEnd(round int, stats metrics.RoundStats)
@@ -78,7 +77,7 @@ type Simulation struct {
 	// (see Observer.UserPlanned for the resulting aliasing rules), the
 	// idle-time tracker, and the user-location slice fed to the engine's
 	// reprice. The round-level scratch — open snapshot, neighbor grid, task
-	// views, shared solver context — lives inside the engine.
+	// views — lives inside the engine.
 	candBuf  []selection.Candidate
 	idleBuf  []float64
 	userLocs []geo.Point
@@ -173,7 +172,6 @@ func NewFromScenario(cfg Config, sc workload.Scenario, seed int64) (*Simulation,
 		Mechanism:       mech,
 		Area:            sc.Area,
 		NeighborRadius:  cfg.NeighborRadius,
-		DisableContext:  cfg.DisableRoundContext,
 		RequirePriced:   false,
 		RNG:             mechRNG,
 		Budget:          cfg.Budget,

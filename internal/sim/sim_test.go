@@ -322,6 +322,19 @@ func TestRoundsOverride(t *testing.T) {
 	}
 }
 
+// TestConfigRejectsOversizedDPMaxTasks pins the loud failure for the DP
+// overflow misconfiguration at the config layer.
+func TestConfigRejectsOversizedDPMaxTasks(t *testing.T) {
+	cfg := Config{DPMaxTasks: 64}
+	err := cfg.Validate()
+	if err == nil {
+		t.Fatal("DPMaxTasks 64 validated, want error")
+	}
+	if !strings.Contains(err.Error(), "hard cap") {
+		t.Errorf("error %q does not mention the hard cap", err)
+	}
+}
+
 func TestConfigValidateRejections(t *testing.T) {
 	tests := []struct {
 		name   string
