@@ -121,25 +121,6 @@ func TestParseAlgorithmRoundTrips(t *testing.T) {
 	}
 }
 
-func TestRunRoundParallelMatchesSequential(t *testing.T) {
-	args := []string{"-users", "30", "-tasks", "6", "-required", "2", "-trials", "2", "-rounds", "3", "-json"}
-	var seq strings.Builder
-	if err := run(append(args, "-round-parallel", "1"), &seq); err != nil {
-		t.Fatal(err)
-	}
-	var par strings.Builder
-	if err := run(append(args, "-round-parallel", "8"), &par); err != nil {
-		t.Fatal(err)
-	}
-	if seq.String() != par.String() {
-		t.Errorf("-round-parallel 8 output differs from -round-parallel 1:\npar:\n%s\nseq:\n%s",
-			par.String(), seq.String())
-	}
-	if err := run(append(args, "-round-parallel", "-2"), &seq); err == nil {
-		t.Error("negative -round-parallel accepted")
-	}
-}
-
 func TestRunParallelMatchesSequential(t *testing.T) {
 	args := []string{"-users", "20", "-tasks", "5", "-required", "3", "-trials", "4", "-rounds", "3"}
 	var seq strings.Builder

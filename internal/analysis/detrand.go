@@ -5,9 +5,9 @@ import (
 )
 
 // Detrand bans the wall clock and ad-hoc randomness in the deterministic
-// packages. Simulation output must be a pure function of the seed, which
-// PR 3's speculative round engine sharpened into a draw-sequence contract
-// (stats.RNG.PermInto reproduces rand.Perm's exact draws): one stray
+// packages. Simulation output must be a pure function of the seed, down
+// to a draw-sequence contract (stats.RNG.PermInto reproduces rand.Perm's
+// exact draws): one stray
 // time.Now() or math/rand call in a hot path silently breaks
 // reproducibility in a way no fixed-seed test can reliably catch.
 //

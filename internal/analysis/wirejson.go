@@ -12,8 +12,7 @@ import (
 // changing output bytes for every consumer and breaking recorded
 // regression JSON. Requiring an explicit tag on every exported field —
 // including `json:"-"` for diagnostics that must stay out of the wire
-// format, like the speculative-engine counters on metrics.RoundStats —
-// turns that silent drift into a build-time decision.
+// format — turns that silent drift into a build-time decision.
 //
 // Two scopes:
 //   - paydemand/internal/wire: every struct is a protocol message, so

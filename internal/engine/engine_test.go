@@ -109,8 +109,8 @@ func TestRoundPipeline(t *testing.T) {
 		t.Errorf("start stats = %+v", rs)
 	}
 
-	// Task 1 needs one measurement: the commit pays the published reward,
-	// completes the task, and lands in the closed set.
+	// Task 1 needs one measurement: the commit pays the published reward
+	// and completes the task on the board, leaving the others open.
 	reward, completed, err := e.Commit(7, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -118,8 +118,10 @@ func TestRoundPipeline(t *testing.T) {
 	if reward != 10 || !completed {
 		t.Errorf("commit = reward %v, completed %v", reward, completed)
 	}
-	if got := e.Closed(); len(got) != 1 || got[0] != 1 {
-		t.Errorf("closed = %v", got)
+	for _, st := range board.States() {
+		if st.Complete() != (st.ID == 1) {
+			t.Errorf("task %d complete = %v after committing task 1", st.ID, st.Complete())
+		}
 	}
 	// Double-fill protection: the same user again, then any user on the
 	// now-complete task.
@@ -138,14 +140,16 @@ func TestRoundPipeline(t *testing.T) {
 		t.Errorf("finish stats = %+v", rs)
 	}
 
-	// Next round: task 1 is complete and drops from the snapshot; the
-	// closed set resets.
+	// Next round: task 1 is complete and drops from the snapshot, which
+	// holds only tasks still accepting measurements.
 	open = e.BeginRound(2)
 	if len(open) != 2 || open[0].ID != 2 || open[1].ID != 3 {
 		t.Fatalf("round 2 open = %v", open)
 	}
-	if len(e.Closed()) != 0 {
-		t.Error("closed set survived BeginRound")
+	for _, st := range open {
+		if st.Complete() {
+			t.Errorf("round 2 snapshot holds complete task %d", st.ID)
+		}
 	}
 
 	var tr metrics.TrialResult
@@ -160,9 +164,9 @@ func TestRoundPipeline(t *testing.T) {
 
 // TestCommitPlan pins CommitPlan's partial-failure contract: the plan
 // commits in order; on error n < len(ids), ids[n] is the task that
-// failed, nothing after it was attempted, and Closed lists the tasks
-// filled so far in commit order. The board is testBoard's: tasks 1 and 3
-// fill on one measurement, task 2 needs two.
+// failed, nothing after it was attempted, and the round's commits have
+// filled exactly the closed tasks, in commit order. The board is
+// testBoard's: tasks 1 and 3 fill on one measurement, task 2 needs two.
 func TestCommitPlan(t *testing.T) {
 	const user = 7
 	tests := []struct {
@@ -203,10 +207,18 @@ func TestCommitPlan(t *testing.T) {
 			if err := e.Reprice(nil); err != nil {
 				t.Fatal(err)
 			}
+			// filled collects the tasks this round's commits completed,
+			// in commit order: the prior commits report it directly, the
+			// plan's through the board state of its committed prefix.
+			var filled []task.ID
 			for u, ids := range tt.prior {
 				for _, id := range ids {
-					if _, _, err := e.Commit(u, id); err != nil {
+					_, completed, err := e.Commit(u, id)
+					if err != nil {
 						t.Fatal(err)
+					}
+					if completed {
+						filled = append(filled, id)
 					}
 				}
 			}
@@ -249,8 +261,13 @@ func TestCommitPlan(t *testing.T) {
 					}
 				}
 			}
-			if got := e.Closed(); !slices.Equal(got, tt.closed) {
-				t.Errorf("closed = %v, want %v", got, tt.closed)
+			for _, id := range tt.ids[:n] {
+				if board.Get(id).Complete() {
+					filled = append(filled, id)
+				}
+			}
+			if !slices.Equal(filled, tt.closed) {
+				t.Errorf("closed = %v, want %v", filled, tt.closed)
 			}
 			if got := board.TotalRewardPaid(); got != tt.paid {
 				t.Errorf("total paid = %v, want %v", got, tt.paid)

@@ -71,9 +71,7 @@ type Spec struct {
 // byte-identical.
 //
 // ProblemInto only reads engine state, so any number of goroutines may
-// call it concurrently (over distinct buffers) between engine mutations
-// — the simulator's speculative workers build every user's problem of a
-// round in parallel this way.
+// call it concurrently (over distinct buffers) between engine mutations.
 func (e *Engine) ProblemInto(spec Spec, who Actor, buf []selection.Candidate) (selection.Problem, []selection.Candidate) {
 	p := selection.Problem{
 		Start:           spec.Start,

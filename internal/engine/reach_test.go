@@ -262,9 +262,8 @@ func TestProblemIntoGridMatchesLinearScan(t *testing.T) {
 }
 
 // TestProblemIntoConcurrentReaders runs the grid path from several
-// goroutines at once, as the simulator's speculative workers do, and
-// checks each result against a sequential call; under -race it also
-// shows the reach index is only read.
+// goroutines at once and checks each result against a sequential call;
+// under -race it also shows the reach index is only read.
 func TestProblemIntoConcurrentReaders(t *testing.T) {
 	e, starts := cityEngine(t)
 	want := make([][]selection.Candidate, len(starts))

@@ -2,17 +2,18 @@ package selection
 
 import "sync"
 
-// SolverPool hands out Algorithm instances for concurrent selection work.
-// Solvers keep grow-only scratch between calls and are therefore not safe
-// for concurrent use; the pool gives each goroutine exclusive use of an
+// SolverPool hands out Algorithm instances for concurrent selection work;
+// the platform's POST /v1/plan handler draws one per request. Solvers
+// keep grow-only scratch between calls and are therefore not safe for
+// concurrent use; the pool gives each goroutine exclusive use of an
 // instance for the duration of a solve while keeping the scratch warm
 // across solves — a Get after a Put returns the recycled instance, so a
-// steady pool of workers reaches the same allocation-free hot path as a
-// single sequential solver.
+// steady stream of requests reaches the same allocation-free hot path as
+// a single sequential solver.
 //
 // Unlike sync.Pool the free list is never dropped by the garbage
 // collector: DP scratch at m near 20 is hundreds of megabytes, and
-// rebuilding it mid-simulation would erase the point of pooling.
+// rebuilding it between requests would erase the point of pooling.
 type SolverPool struct {
 	newAlg func() Algorithm
 	mu     sync.Mutex

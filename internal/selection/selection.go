@@ -147,19 +147,6 @@ type Plan struct {
 // Empty reports whether the plan selects no tasks.
 func (pl Plan) Empty() bool { return len(pl.Order) == 0 }
 
-// Touches reports whether the plan visits the given task. Plans are short
-// (a handful of tasks within one travel budget), so a linear scan beats
-// any index. The speculative round engine uses it to detect plans whose
-// committed work an earlier user invalidated.
-func (pl Plan) Touches(id task.ID) bool {
-	for _, o := range pl.Order {
-		if o == id {
-			return true
-		}
-	}
-	return false
-}
-
 // Len returns the number of selected tasks.
 func (pl Plan) Len() int { return len(pl.Order) }
 
@@ -218,9 +205,9 @@ func buildPlan(p *Problem, orderIdx []int) Plan {
 // Reachable reports whether a task at loc can be visited at all by a user
 // standing at start: its direct distance plus the per-task overhead does
 // not exceed the travel budget. It is the one reach test of the codebase —
-// the solvers' candidate filter, the engine's candidate assembly, and the
-// simulator's speculative-replay check all call it, so a candidate the
-// engine drops is exactly one no solver would have considered.
+// the solvers' candidate filter and the engine's candidate assembly both
+// call it, so a candidate the engine drops is exactly one no solver would
+// have considered.
 //
 // The test is written as the negation of "out of reach" (d+ovh > budget),
 // so a NaN budget or overhead counts as reachable: callers that assemble

@@ -51,9 +51,6 @@ func TestSimServerEquivalence(t *testing.T) {
 		Mechanism: sim.MechanismOnDemand,
 		Algorithm: sim.AlgorithmGreedy,
 		Mobility:  sim.MobilityStationary,
-		// Sequential turns: the mirror must interleave plan and submit per
-		// user, which is exactly the order the sequential loop commits in.
-		RoundParallelism: 1,
 	}
 	s, err := sim.NewFromScenario(cfg, sc, seed+1)
 	if err != nil {

@@ -207,15 +207,10 @@ type Config struct {
 	// equilibrium after one round. Consumed by forecast-driven mechanisms
 	// (MechanismIncentMe); ignored otherwise.
 	MobilityUncertainty float64 `json:"mobility_uncertainty,omitempty"`
-	// RoundParallelism is the number of worker goroutines that solve the
-	// per-user task selection problems of one round concurrently. Zero or
-	// one runs the historical sequential loop. Higher values use the
-	// speculative engine: every user's problem is solved against the
-	// round-start snapshot in parallel, plans are committed in the usual
-	// random user order, and a user is re-solved inline only when an
-	// earlier commit filled a task in its candidate set — so results are
-	// byte-identical to the sequential loop at any setting (see DESIGN.md
-	// section 10).
+	// RoundParallelism is kept only so configs that name it fail loudly:
+	// the parallel round engine was removed, and Validate rejects any
+	// value other than 0 or 1 (both meant the sequential loop, now the
+	// only one).
 	RoundParallelism int `json:"round_parallelism,omitempty"`
 	// Shards is kept only so configs that name it fail loudly: the
 	// geo-sharded engine was removed (DESIGN.md section 14), and Validate
@@ -337,8 +332,8 @@ func (c Config) Validate() error {
 	if c.ChurnRate < 0 || c.ChurnRate >= 1 {
 		return fmt.Errorf("sim: churn rate %v, want in [0, 1)", c.ChurnRate)
 	}
-	if c.RoundParallelism < 0 {
-		return fmt.Errorf("sim: round parallelism %d, want >= 0 (0 or 1 = sequential)", c.RoundParallelism)
+	if c.RoundParallelism != 0 && c.RoundParallelism != 1 {
+		return fmt.Errorf("sim: round parallelism %d: round parallelism was removed (rounds are sequential); omit it or set it to 0 or 1", c.RoundParallelism)
 	}
 	if c.Shards != 0 {
 		return fmt.Errorf("sim: shards %d: the geo-sharded engine was removed; omit shards or set it to 0", c.Shards)
