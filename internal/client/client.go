@@ -6,6 +6,10 @@
 // (the default and the debugging surface) or the compact TLV codec
 // (internal/wire/binary), selected with WithCodec(CodecTLV). Endpoints
 // without a binary codec always use JSON regardless of the option.
+//
+// JSON round polls decode without reflection: the canonical body the
+// platform writes goes through wire.DecodeRoundInfoJSON, and any other
+// body falls back to encoding/json with its exact result and errors.
 package client
 
 import (
@@ -273,8 +277,8 @@ func (c *Client) post(ctx context.Context, path string, in, out any) error {
 }
 
 // do sends the request and decodes the response by its Content-Type. The
-// response is read into a recycled buffer; both decoders copy everything
-// they keep, so the buffer never escapes.
+// response is read into a recycled buffer; every decoder copies everything
+// it keeps, so the buffer never escapes.
 func (c *Client) do(req *http.Request, out any) error {
 	if c.codec == CodecTLV && tlvDecodable(out) {
 		req.Header.Set("Accept", binary.ContentType)
@@ -310,6 +314,9 @@ func (c *Client) do(req *http.Request, out any) error {
 		if !ok {
 			return fmt.Errorf("client: unexpected TLV response for %T", out)
 		}
+		return nil
+	}
+	if m, ok := out.(*wire.RoundInfo); ok && wire.DecodeRoundInfoJSON(body, m) {
 		return nil
 	}
 	if err := json.Unmarshal(body, out); err != nil {

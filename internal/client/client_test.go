@@ -1,13 +1,16 @@
 package client
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -509,22 +512,70 @@ func TestClientRoundKnownShortCircuit(t *testing.T) {
 func TestClientRoundIntoReusesCapacity(t *testing.T) {
 	_, srv := startPlatform(t, defaultTasks())
 	ctx := context.Background()
-	c := New(srv.URL, srv.Client(), WithCodec(CodecTLV))
-	var info wire.RoundInfo
-	if err := c.RoundInto(ctx, 0, &info); err != nil {
-		t.Fatal(err)
-	}
-	first := cap(info.Tasks)
-	if first == 0 {
-		t.Fatal("no tasks decoded")
-	}
-	for i := 0; i < 3; i++ {
+	for _, codec := range []Codec{CodecJSON, CodecTLV} {
+		c := New(srv.URL, srv.Client(), WithCodec(codec))
+		var info wire.RoundInfo
 		if err := c.RoundInto(ctx, 0, &info); err != nil {
 			t.Fatal(err)
 		}
+		first := cap(info.Tasks)
+		if first == 0 {
+			t.Fatalf("codec %d: no tasks decoded", codec)
+		}
+		for i := 0; i < 3; i++ {
+			if err := c.RoundInto(ctx, 0, &info); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if cap(info.Tasks) != first {
+			t.Errorf("codec %d: tasks capacity %d -> %d; repolls should reuse", codec, first, cap(info.Tasks))
+		}
 	}
-	if cap(info.Tasks) != first {
-		t.Errorf("tasks capacity %d -> %d; repolls should reuse", first, cap(info.Tasks))
+}
+
+// TestClientRoundJSONFallback pins the fallback behind the client's
+// reflection-free round decode: a body that is not the platform's
+// canonical form (here re-indented by a proxy) decodes through
+// encoding/json to the same message, and a body encoding/json rejects
+// still fails with encoding/json's error.
+func TestClientRoundJSONFallback(t *testing.T) {
+	_, srv := startPlatform(t, defaultTasks())
+	ctx := context.Background()
+	want, err := New(srv.URL, srv.Client()).Round(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		resp, err := srv.Client().Get(srv.URL + r.URL.Path)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadGateway)
+			return
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		var pretty bytes.Buffer
+		if err := json.Indent(&pretty, body, "", "  "); err != nil {
+			http.Error(w, err.Error(), http.StatusBadGateway)
+			return
+		}
+		_, _ = w.Write(pretty.Bytes())
+	}))
+	defer proxy.Close()
+	got, err := New(proxy.URL, proxy.Client()).Round(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("via pretty-printing proxy %+v, direct %+v", got, want)
+	}
+
+	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		_, _ = w.Write([]byte(`{"round":1.5,"tasks":null,"done":false}` + "\n"))
+	}))
+	defer bad.Close()
+	_, err = New(bad.URL, bad.Client()).Round(ctx)
+	if err == nil || !strings.Contains(err.Error(), "cannot unmarshal number 1.5") {
+		t.Errorf("fractional round: err = %v, want encoding/json's unmarshal error", err)
 	}
 }
 

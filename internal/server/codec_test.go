@@ -6,10 +6,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"testing"
 
 	"paydemand/internal/geo"
+	"paydemand/internal/task"
 	"paydemand/internal/wire"
 	"paydemand/internal/wire/binary"
 )
@@ -74,6 +76,160 @@ func TestTLVRoundMatchesJSON(t *testing.T) {
 	}
 }
 
+// fetchRound polls /v1/round in one codec, announcing known when it is
+// positive, and returns the 200 response body.
+func fetchRound(t *testing.T, srv *httptest.Server, known int, tlv bool) []byte {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodGet, srv.URL+wire.PathRound, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if known > 0 {
+		req.Header.Set(wire.HeaderKnownRound, strconv.Itoa(known))
+	}
+	if tlv {
+		req.Header.Set("Accept", binary.ContentType)
+	}
+	resp, err := srv.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, data)
+	}
+	return data
+}
+
+// fillRound has two fresh workers measure each of testPlatform's three
+// tasks (Required 2) in round 1, so every task fills but the campaign
+// goes on until the next advance.
+func fillRound(t *testing.T, srv *httptest.Server) {
+	t.Helper()
+	for w := 0; w < 2; w++ {
+		var reg wire.RegisterResponse
+		if code := doJSON(t, srv, http.MethodPost, wire.PathRegister,
+			wire.RegisterRequest{Location: geo.Pt(500, 500)}, &reg); code != http.StatusOK {
+			t.Fatalf("register: status %d", code)
+		}
+		sub := wire.SubmitRequest{UserID: reg.UserID, Round: 1, Location: geo.Pt(500, 500)}
+		for id := task.ID(1); id <= 3; id++ {
+			sub.Measurements = append(sub.Measurements, wire.Measurement{TaskID: id, Value: 50})
+		}
+		var resp wire.SubmitResponse
+		if code := doJSON(t, srv, http.MethodPost, wire.PathSubmit, sub, &resp); code != http.StatusOK {
+			t.Fatalf("submit: status %d", code)
+		}
+		for _, res := range resp.Results {
+			if !res.Accepted {
+				t.Fatalf("task %d rejected: %s", res.TaskID, res.Reason)
+			}
+		}
+	}
+}
+
+// TestRoundFastJSONDecodeFires pins that the platform's JSON round bodies
+// take the client's reflection-free decode path and that it agrees with
+// the TLV decode: a change to wire.RoundInfo, TaskInfo, a json tag or the
+// server's writer fails here instead of silently falling back to
+// encoding/json. It covers a full round, a known-round Unchanged reply,
+// a round whose tasks have all filled, and a done campaign.
+func TestRoundFastJSONDecodeFires(t *testing.T) {
+	p := testPlatform(t)
+	srv := httptest.NewServer(p)
+	defer srv.Close()
+
+	check := func(name string, known int) wire.RoundInfo {
+		t.Helper()
+		body := fetchRound(t, srv, known, false)
+		var viaJSON, viaTLV wire.RoundInfo
+		if !wire.DecodeRoundInfoJSON(body, &viaJSON) {
+			t.Fatalf("%s: fast path rejected the platform body %q", name, body)
+		}
+		if err := binary.DecodeRoundInfo(fetchRound(t, srv, known, true), &viaTLV); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(viaJSON, viaTLV) {
+			t.Fatalf("%s: fast JSON %+v != TLV %+v", name, viaJSON, viaTLV)
+		}
+		return viaJSON
+	}
+
+	if full := check("full round", 0); len(full.Tasks) == 0 || full.Done {
+		t.Fatalf("full round: %+v", full)
+	}
+	if hit := check("unchanged", 1); !hit.Unchanged {
+		t.Fatalf("known round: %+v, want unchanged", hit)
+	}
+	fillRound(t, srv)
+	if empty := check("empty round", 0); empty.Tasks != nil || empty.Done {
+		t.Fatalf("filled round: %+v, want no tasks and not done", empty)
+	}
+	for i := 0; i < 10 && !p.Round().Done; i++ {
+		if _, _, err := p.Advance(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if end := check("done", 0); !end.Done {
+		t.Fatalf("campaign not done after 10 advances: %+v", end)
+	}
+}
+
+// TestDecodeRoundFastJSONNoAllocs pins the client's JSON poll decode to
+// zero allocations on the platform's real body once the message's task
+// list has grown.
+func TestDecodeRoundFastJSONNoAllocs(t *testing.T) {
+	p := testPlatform(t)
+	srv := httptest.NewServer(p)
+	defer srv.Close()
+	body := fetchRound(t, srv, 0, false)
+	var m wire.RoundInfo
+	if !wire.DecodeRoundInfoJSON(body, &m) {
+		t.Fatalf("fast path rejected %q", body)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		m = wire.RoundInfo{Tasks: m.Tasks[:0]}
+		if !wire.DecodeRoundInfoJSON(body, &m) {
+			t.Fatal("fast path rejected the platform body")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state DecodeRoundInfoJSON allocs = %v, want 0", allocs)
+	}
+}
+
+// TestEmptyRoundAfterPooledPoll pins the recycled task list against the
+// bytes the platform has always served: after a poll that returned tasks
+// to the pool, a round whose tasks have all filled (but which is not
+// done) is still "tasks":null in JSON, not the recycled empty list's
+// "tasks":[], and the TLV body of a nil list.
+func TestEmptyRoundAfterPooledPoll(t *testing.T) {
+	p := testPlatform(t)
+	srv := httptest.NewServer(p)
+	defer srv.Close()
+
+	for _, tlv := range []bool{false, true} {
+		if body := fetchRound(t, srv, 0, tlv); bytes.Contains(body, []byte(`"tasks":null`)) {
+			t.Fatalf("tlv=%v: first poll has no tasks: %q", tlv, body)
+		}
+	}
+	fillRound(t, srv)
+	if got, want := string(fetchRound(t, srv, 0, false)), `{"round":1,"tasks":null,"done":false}`+"\n"; got != want {
+		t.Errorf("json body %q, want %q", got, want)
+	}
+	want := binary.AppendRoundInfo(nil, &wire.RoundInfo{Round: 1})
+	if got := fetchRound(t, srv, 0, true); !bytes.Equal(got, want) {
+		t.Errorf("tlv body %x, want %x", got, want)
+	}
+	if info := p.Round(); info.Tasks != nil {
+		t.Errorf("Platform.Round() tasks %+v, want nil", info.Tasks)
+	}
+}
+
 // TestKnownRoundShortCircuit pins the steady-state polling optimization
 // in both codecs: a poller that already holds the current round gets a
 // tiny Unchanged response with no task list; a stale or absent known
@@ -85,28 +241,7 @@ func TestKnownRoundShortCircuit(t *testing.T) {
 
 	fetch := func(known int, tlv bool) wire.RoundInfo {
 		t.Helper()
-		req, err := http.NewRequest(http.MethodGet, srv.URL+wire.PathRound, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if known > 0 {
-			req.Header.Set(wire.HeaderKnownRound, strconv.Itoa(known))
-		}
-		if tlv {
-			req.Header.Set("Accept", binary.ContentType)
-		}
-		resp, err := srv.Client().Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		data, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %d: %s", resp.StatusCode, data)
-		}
+		data := fetchRound(t, srv, known, tlv)
 		var info wire.RoundInfo
 		if tlv {
 			if err := binary.DecodeRoundInfo(data, &info); err != nil {

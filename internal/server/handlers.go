@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"strconv"
+	"sync"
 
 	"paydemand/internal/aggregate"
 	"paydemand/internal/engine"
@@ -105,10 +106,20 @@ func (p *Platform) handleRound(w http.ResponseWriter, r *http.Request) {
 		p.writeRoundInfo(w, r, wire.RoundInfo{Round: round, Unchanged: true})
 		return
 	}
-	info := p.roundInfoLocked()
+	tasks := taskListPool.Get().(*[]wire.TaskInfo)
+	info := p.roundInfoLocked(*tasks)
 	p.mu.Unlock()
 	p.writeRoundInfo(w, r, info)
+	if info.Tasks != nil {
+		*tasks = info.Tasks[:0]
+	}
+	taskListPool.Put(tasks)
 }
+
+// taskListPool recycles the task lists handleRound publishes: every
+// worker polls the full list every round, so building it fresh per poll
+// would allocate the whole list each time.
+var taskListPool = sync.Pool{New: func() any { return new([]wire.TaskInfo) }}
 
 // writeRoundInfo writes a round response in the negotiated codec.
 func (p *Platform) writeRoundInfo(w http.ResponseWriter, r *http.Request, info wire.RoundInfo) {

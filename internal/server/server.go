@@ -290,11 +290,14 @@ func (p *Platform) Advance() (round int, done bool, err error) {
 func (p *Platform) Round() wire.RoundInfo {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.roundInfoLocked()
+	return p.roundInfoLocked(nil)
 }
 
-func (p *Platform) roundInfoLocked() wire.RoundInfo {
-	info := wire.RoundInfo{Round: p.round, Done: p.done}
+// roundInfoLocked builds the published round, appending its task list to
+// tasks[:0]. A round with no open task gets a nil list, which both codecs
+// encode as they always have (JSON "tasks":null), whatever tasks held.
+func (p *Platform) roundInfoLocked(tasks []wire.TaskInfo) wire.RoundInfo {
+	info := wire.RoundInfo{Round: p.round, Tasks: tasks[:0], Done: p.done}
 	// The engine's snapshot is from reprice time; tasks filled since then
 	// are no longer open and drop out of the published round.
 	for _, st := range p.eng.Open() {
@@ -313,6 +316,9 @@ func (p *Platform) roundInfoLocked() wire.RoundInfo {
 			Received: st.Received(),
 			Reward:   reward,
 		})
+	}
+	if len(info.Tasks) == 0 {
+		info.Tasks = nil
 	}
 	return info
 }

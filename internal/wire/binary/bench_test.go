@@ -1,6 +1,7 @@
 package binary
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"testing"
@@ -12,7 +13,9 @@ import (
 // is the paper's serving hot spot (every worker polls it every round);
 // PlanRequest/SubmitRequest are the small per-action messages. JSON
 // columns measure the reflective encoding/json cost the TLV codec
-// replaces on the hot endpoints.
+// replaces on the hot endpoints; the jsonfast column is the client's
+// reflection-free decode of the canonical JSON round body
+// (wire.DecodeRoundInfoJSON).
 
 func benchRoundInfo(n int) wire.RoundInfo { return sampleRoundInfo(n) }
 
@@ -49,6 +52,10 @@ func BenchmarkDecodeRoundInfo(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		var canonical bytes.Buffer
+		if err := json.NewEncoder(&canonical).Encode(&m); err != nil {
+			b.Fatal(err)
+		}
 		tlvData := AppendRoundInfo(nil, &m)
 		b.Run(fmt.Sprintf("codec=json/tasks=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
@@ -58,6 +65,17 @@ func BenchmarkDecodeRoundInfo(b *testing.B) {
 				out = wire.RoundInfo{Tasks: out.Tasks[:0]}
 				if err := json.Unmarshal(jsonData, &out); err != nil {
 					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("codec=jsonfast/tasks=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(canonical.Len()))
+			var out wire.RoundInfo
+			for i := 0; i < b.N; i++ {
+				out = wire.RoundInfo{Tasks: out.Tasks[:0]}
+				if !wire.DecodeRoundInfoJSON(canonical.Bytes(), &out) {
+					b.Fatal("fast path rejected the encoder's output")
 				}
 			}
 		})
