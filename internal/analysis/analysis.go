@@ -30,10 +30,8 @@
 //   - poolpair: pooled values (sync.Pool.Get, binary.GetBuffer,
 //     SolverPool.Get) are released on every path and never escape the
 //     acquiring function (flow-sensitive, over the CFG in cfg.go).
-//   - lockorder: mutexes are acquired in ascending LockRanks order,
-//     never double-locked, and released on every path (flow-sensitive).
-//   - atomicfield: struct fields touched via sync/atomic anywhere are
-//     accessed atomically everywhere.
+//   - lockorder: mutexes are released on every path and never
+//     double-locked (flow-sensitive).
 //   - directive: every //paylint: suppression directive is well-formed,
 //     attached to a node it can actually suppress, and still suppressing
 //     something (stale directives are findings too). It runs last so it
@@ -188,5 +186,5 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 // preceding analyzers consulted.
 func All() []*Analyzer {
 	return []*Analyzer{Mapiter, Detrand, ScratchAlias, WireJSON, WireBin,
-		PoolPair, LockOrder, AtomicField, Directive}
+		PoolPair, LockOrder, Directive}
 }

@@ -19,9 +19,10 @@ import (
 // "atoms" in evaluation order: simple statements appear verbatim, and a
 // branching statement is decomposed — its init statement and condition
 // expression land in the block that evaluates them, its body in successor
-// blocks. A block therefore never contains an IfStmt, ForStmt, SwitchStmt
-// or similar composite (two deliberate exceptions below), and a client's
-// Transfer function may interpret each node without worrying about
+// blocks; a range statement's head block holds just its ranged
+// expression. A block therefore never contains an IfStmt, ForStmt,
+// RangeStmt, SwitchStmt or similar composite, and a client's Transfer
+// function may interpret each node without worrying about
 // double-visiting nested bodies.
 //
 // Edges record the branch condition and polarity where one exists
@@ -29,18 +30,6 @@ import (
 // `err != nil`-shaped branches — this is how the resource-lifecycle
 // analyzers understand that a value acquired by `v, err := f()` is not
 // owned on the error path.
-//
-// The exceptions to decomposition:
-//
-//   - RangeStmt: the node itself opens its head block, standing for the
-//     per-iteration header; clients interpret only X/Key/Value. The body
-//     hangs off successor blocks as usual.
-//   - statements the Options.Atomic predicate claims: the builder emits
-//     them as a single opaque node with no internal control flow, and the
-//     client interprets the whole statement itself. lockorder uses this
-//     for the symmetric lock-in-loop/unlock-in-loop idiom of a two-phase
-//     commit over a lock set, which a 0-or-1-iteration loop model would
-//     falsely flag (see lockorder.go).
 //
 // # Defer semantics
 //
@@ -91,9 +80,8 @@ type Edge struct {
 type Block struct {
 	// Index is the block's position in CFG.Blocks.
 	Index int
-	// Nodes are the block's atoms in evaluation order: simple statements,
-	// bare condition expressions, range headers, and Atomic-claimed
-	// statements.
+	// Nodes are the block's atoms in evaluation order: simple statements
+	// and bare condition or ranged expressions.
 	Nodes []ast.Node
 	// Succs are the outgoing edges.
 	Succs []Edge
@@ -101,10 +89,6 @@ type Block struct {
 
 // CFGOptions tunes BuildCFG.
 type CFGOptions struct {
-	// Atomic, when non-nil, may claim a for or range statement: the
-	// builder emits it as one opaque node instead of decomposing it, and
-	// the client's Transfer interprets the whole loop.
-	Atomic func(ast.Stmt) bool
 	// NoReturn, when non-nil, marks calls that never return (os.Exit,
 	// log.Fatalf); panic is always recognized. A statement ending in such
 	// a call terminates its block with no successors.
@@ -233,10 +217,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		}
 		b.cur = after
 	case *ast.ForStmt:
-		if b.opt.Atomic != nil && b.opt.Atomic(s) {
-			b.add(s)
-			return
-		}
 		label := b.takeLabel()
 		if s.Init != nil {
 			b.stmt(s.Init)
@@ -271,15 +251,11 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		b.frames = b.frames[:len(b.frames)-1]
 		b.cur = after
 	case *ast.RangeStmt:
-		if b.opt.Atomic != nil && b.opt.Atomic(s) {
-			b.add(s)
-			return
-		}
 		label := b.takeLabel()
 		head := b.newBlock()
 		b.edge(b.cur, head, nil, false)
 		b.cur = head
-		b.add(s) // range header: clients interpret X/Key/Value only
+		b.add(s.X) // the ranged expression; the body gets blocks of its own
 		body := b.newBlock()
 		after := b.newBlock()
 		b.edge(head, body, nil, false)

@@ -50,8 +50,6 @@ func runTrace(t *testing.T, body *ast.BlockStmt, opt CFGOptions) []string {
 				}
 			case *ast.CallExpr: // replayed defer
 				tr.steps = append(tr.steps, exprName(x.Fun))
-			case *ast.ForStmt, *ast.RangeStmt: // claimed atomic loop
-				tr.steps = append(tr.steps, "loop")
 			}
 		},
 		AtExit: func(s FlowState) {
@@ -140,8 +138,6 @@ func runReach(t *testing.T, body *ast.BlockStmt, opt CFGOptions) (may, must map[
 				}
 			case *ast.CallExpr: // replayed defer
 				r.mark(exprName(x.Fun))
-			case *ast.ForStmt, *ast.RangeStmt: // claimed atomic loop
-				r.mark("loop")
 			}
 		},
 		AtExit: func(s FlowState) {
@@ -204,8 +200,8 @@ func TestCFGDeferOnEveryReturn(t *testing.T) {
 	}
 }
 
-// TestCFGLoopBodyConditional pins the 0-or-1-iteration loop model: an
-// unclaimed loop body may execute but is never guaranteed to.
+// TestCFGLoopBodyConditional pins the 0-or-1-iteration loop model: a
+// loop body may execute but is never guaranteed to.
 func TestCFGLoopBodyConditional(t *testing.T) {
 	may, must := runReach(t, parseBody(t, "for i := 0; i < n; i++ { a() }; b()"), CFGOptions{})
 	if !may["a"] || must["a"] {
@@ -213,20 +209,6 @@ func TestCFGLoopBodyConditional(t *testing.T) {
 	}
 	if !must["b"] {
 		t.Errorf("must = %v, want b after the loop on every path", must)
-	}
-}
-
-// TestCFGAtomicLoopOpaque pins the claimed-loop model used for the
-// two-phase lock idiom: the whole loop is one unconditional atom.
-func TestCFGAtomicLoopOpaque(t *testing.T) {
-	body := parseBody(t, "for _, r := range rs { a() }; b()")
-	atomic := func(s ast.Stmt) bool {
-		_, ok := s.(*ast.RangeStmt)
-		return ok
-	}
-	exits := runTrace(t, body, CFGOptions{Atomic: atomic})
-	if len(exits) != 1 || exits[0] != "loop,b" {
-		t.Fatalf("exits = %q, want [loop,b]: claimed loops are single atoms", exits)
 	}
 }
 

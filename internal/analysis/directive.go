@@ -23,11 +23,8 @@ import (
 //	  receiver scratch field; callers must copy before the next call.
 //	//paylint:poolpair <reason>  — on a pooled-value acquire site: the
 //	  value's release is deliberately unbalanced here.
-//	//paylint:lockorder <reason>  — on a Lock call: the flagged rank or
-//	  balance deviation is deliberate.
-//	//paylint:atomic <reason>  — on a field access: the mixed
-//	  atomic/non-atomic access is safe (say why — e.g. guarded by a
-//	  happens-before the analyzer cannot see).
+//	//paylint:lockorder <reason>  — on a Lock call: the flagged
+//	  double-lock or unbalanced release is deliberate.
 //
 // The argument is mandatory: a directive is an auditable exception, and
 // an exception without a recorded justification is itself a finding (see

@@ -18,7 +18,7 @@ import (
 //   - //paylint:aliases without a field name, not attached to an
 //     exported function declaration, or naming a field that does not
 //     exist on the receiver's type;
-//   - //paylint:poolpair, lockorder, or atomic without a reason;
+//   - //paylint:poolpair or lockorder without a reason;
 //   - stale directives: a well-formed directive whose owning analyzer
 //     ran in this batch and suppressed nothing with it. The justification
 //     excused a finding that no longer exists, so the directive must go
@@ -43,11 +43,10 @@ var verbOwner = map[string]string{
 	"aliases":   "scratchalias",
 	"poolpair":  "poolpair",
 	"lockorder": "lockorder",
-	"atomic":    "atomicfield",
 }
 
 // knownVerbs is the alphabetical verb list for the unknown-verb message.
-const knownVerbs = "aliases, atomic, lockorder, poolpair, sorted"
+const knownVerbs = "aliases, lockorder, poolpair, sorted"
 
 func runDirective(pass *Pass) error {
 	idx := pass.directiveIdx()
@@ -83,7 +82,7 @@ func runDirective(pass *Pass) error {
 					d.Args, fn.Name.Name, d.Args)
 				malformed = true
 			}
-		case "poolpair", "lockorder", "atomic":
+		case "poolpair", "lockorder":
 			if d.Args == "" {
 				pass.Reportf(d.Pos, "//paylint:%s needs a reason: say why this deviation from the %s invariant is safe",
 					d.Verb, verbOwner[d.Verb])

@@ -7,44 +7,24 @@ import (
 	"strings"
 )
 
-// lockorder enforces the declared lock hierarchy (LockRanks in scope.go)
-// and release discipline at every sync.Mutex/RWMutex Lock/Unlock site it
-// can see intra-procedurally:
+// lockorder enforces release discipline at every sync.Mutex/RWMutex
+// Lock/Unlock site it can see intra-procedurally:
 //
-//   - a ranked lock may only be acquired while every ranked lock already
-//     held has a strictly smaller rank (ascending acquisition order);
 //   - no lock is acquired twice without an intervening release;
 //   - every lock acquired in a function is released on every path to
 //     return, counting deferred unlocks at their exit-time effect.
 //
 // Lock identity is a canonical (root variable, selector path) pair, so
-// r.mu and s.regions[i].mu are distinguished from s.closedMu. Accessing
-// a mutex through a range variable or an index expression canonicalizes
-// the varying step to "[]", making the key a bulk key: the symmetric
-// two-phase commit idiom
-//
-//	for _, r := range regs { r.mu.Lock() }
-//	... replay ...
-//	for i := len(regs) - 1; i >= 0; i-- { regs[i].mu.Unlock() }
-//
-// locks and unlocks the same bulk key {regs, "[].mu"}. Loops containing
-// bulk lock operations are claimed atomically from the CFG builder
-// (CFGOptions.Atomic) — a 0-or-1-iteration loop model would otherwise
-// report the lock phase as conditional. Within the class the ascending
-// region-ID order of the loop itself is the total order; the table ranks
-// whole classes.
-//
-// Lock classes rank by the mutex field's owning named type
-// (pkgpath.Type.field). Unranked mutexes (locals, unlisted fields) are
-// exempt from ordering but still checked for balance.
+// p.mu and p.stats.mu are distinct locks. An index expression
+// canonicalizes its varying step to "[]", so regs[i].mu and regs[j].mu
+// share one key.
 
 // LockOrder is the lock-discipline analyzer.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
-	Doc: "check mutex discipline in the concurrency packages: ranked " +
-		"locks acquired in ascending LockRanks order, no double-lock, and " +
-		"every Lock released on all paths to return (suppress with " +
-		"//paylint:lockorder <reason>)",
+	Doc: "check mutex discipline in the concurrency packages: no " +
+		"double-lock, and every Lock released on all paths to return " +
+		"(suppress with //paylint:lockorder <reason>)",
 	Run: runLockOrder,
 }
 
@@ -63,15 +43,8 @@ var mutexOps = map[string]struct {
 }
 
 // lockKey identifies one lock: the root variable plus the selector path
-// from it, with varying steps (range vars, index expressions)
-// canonicalized to "[]".
+// from it, with index steps canonicalized to "[]".
 type lockKey struct {
-	root types.Object
-	path string
-}
-
-// rootPath is a range variable's canonical expansion.
-type rootPath struct {
 	root types.Object
 	path string
 }
@@ -86,10 +59,6 @@ const (
 // heldLock is one tracked acquisition.
 type heldLock struct {
 	status lockStatus
-	class  string
-	rank   int
-	ranked bool
-	bulk   bool
 	disp   string   // display form for diagnostics
 	node   ast.Node // the Lock call: report anchor + directive site
 }
@@ -136,9 +105,8 @@ func (s *lockState) JoinFlow(other FlowState) bool {
 
 // lockRunner carries per-function interpretation context.
 type lockRunner struct {
-	pass       *Pass
-	rangeRoots map[types.Object]rootPath
-	reported   map[string]bool
+	pass     *Pass
+	reported map[string]bool
 }
 
 func runLockOrder(pass *Pass) error {
@@ -164,81 +132,14 @@ func runLockOrder(pass *Pass) error {
 }
 
 func analyzeLockBody(pass *Pass, body *ast.BlockStmt) {
-	r := &lockRunner{pass: pass, rangeRoots: map[types.Object]rootPath{}, reported: map[string]bool{}}
-	r.prescanRanges(body)
-	atomicLoops := r.findAtomicLoops(body)
-	cfg := BuildCFG(body, CFGOptions{
-		Atomic:   func(s ast.Stmt) bool { return atomicLoops[s] },
-		NoReturn: noReturnCall(pass),
-	})
+	r := &lockRunner{pass: pass, reported: map[string]bool{}}
+	cfg := BuildCFG(body, CFGOptions{NoReturn: noReturnCall(pass)})
 	fa := &FlowAnalysis{
 		Entry:    &lockState{locks: map[lockKey]heldLock{}},
 		Transfer: func(s FlowState, n ast.Node) { r.transfer(s.(*lockState), n) },
 		AtExit:   func(s FlowState) { r.atExit(s.(*lockState)) },
 	}
 	fa.Run(cfg)
-}
-
-// prescanRanges records every range value variable's canonical root, so
-// r.mu inside `for _, r := range regs` keys as {regs, "[].mu"}.
-func (r *lockRunner) prescanRanges(body *ast.BlockStmt) {
-	inspectSameFunc(body, func(n ast.Node) bool {
-		rs, ok := n.(*ast.RangeStmt)
-		if !ok || rs.Value == nil {
-			return true
-		}
-		id, ok := ast.Unparen(rs.Value).(*ast.Ident)
-		if !ok || id.Name == "_" {
-			return true
-		}
-		obj := r.pass.TypesInfo.ObjectOf(id)
-		if obj == nil {
-			return true
-		}
-		if root, path, ok := r.canon(rs.X); ok {
-			r.rangeRoots[obj] = rootPath{root: root, path: path + "[]"}
-		}
-		return true
-	})
-}
-
-// findAtomicLoops marks the outermost loops containing bulk-keyed mutex
-// operations; the CFG keeps them opaque so the lock and unlock phases of
-// the two-phase commit read as unconditional.
-func (r *lockRunner) findAtomicLoops(body *ast.BlockStmt) map[ast.Stmt]bool {
-	out := map[ast.Stmt]bool{}
-	var mark func(n ast.Node) bool
-	mark = func(n ast.Node) bool {
-		stmt, ok := n.(ast.Stmt)
-		if !ok {
-			return true
-		}
-		switch stmt.(type) {
-		case *ast.ForStmt, *ast.RangeStmt:
-		default:
-			return true
-		}
-		bulk := false
-		inspectSameFunc(stmt, func(x ast.Node) bool {
-			call, ok := x.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if _, recv, ok := r.mutexCall(call); ok {
-				if _, path, ok := r.canon(recv); ok && strings.Contains(path, "[]") {
-					bulk = true
-				}
-			}
-			return true
-		})
-		if bulk {
-			out[stmt] = true
-			return false // claim the outermost loop of a nest
-		}
-		return true
-	}
-	inspectSameFunc(body, mark)
-	return out
 }
 
 // mutexCall classifies a call against mutexOps, returning the op key and
@@ -263,9 +164,6 @@ func (r *lockRunner) canon(e ast.Expr) (types.Object, string, bool) {
 		if obj == nil {
 			return nil, "", false
 		}
-		if rp, ok := r.rangeRoots[obj]; ok {
-			return rp.root, rp.path, true
-		}
 		return obj, "", true
 	case *ast.SelectorExpr:
 		root, path, ok := r.canon(x.X)
@@ -285,28 +183,6 @@ func (r *lockRunner) canon(e ast.Expr) (types.Object, string, bool) {
 		return r.canon(x.X)
 	}
 	return nil, "", false
-}
-
-// lockClass resolves the mutex field's owning type class
-// (pkgpath.Type.field), "" for non-field mutexes.
-func (r *lockRunner) lockClass(recv ast.Expr) string {
-	sel, ok := ast.Unparen(recv).(*ast.SelectorExpr)
-	if !ok {
-		return ""
-	}
-	selection, ok := r.pass.TypesInfo.Selections[sel]
-	if !ok {
-		return ""
-	}
-	t := selection.Recv()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return ""
-	}
-	return named.Obj().Pkg().Path() + "." + named.Obj().Name() + "." + sel.Sel.Name
 }
 
 func (r *lockRunner) report(node ast.Node, format string, args ...any) {
@@ -348,29 +224,12 @@ func (r *lockRunner) transfer(s *lockState, n ast.Node) {
 			delete(s.locks, key)
 			continue
 		}
-		class := r.lockClass(recv)
-		rank, ranked := LockRanks[class]
-		bulk := strings.Contains(path, "[]")
 		disp := root.Name() + strings.TrimSuffix(path, "#R")
 		if existing, held := s.locks[key]; held && existing.status == lockHeld {
-			if bulk {
-				continue // idempotent within the symmetric loop idiom
-			}
 			r.report(call, "%s is locked again while already held; this deadlocks", disp)
 			continue
 		}
-		if ranked {
-			for k, h := range s.locks {
-				if k == key || h.status != lockHeld || !h.ranked {
-					continue
-				}
-				if h.rank >= rank {
-					r.report(call, "%s (lock class %s, rank %d) acquired while holding %s (lock class %s, rank %d); locks must be acquired in ascending rank order",
-						disp, class, rank, h.disp, h.class, h.rank)
-				}
-			}
-		}
-		s.locks[key] = heldLock{status: lockHeld, class: class, rank: rank, ranked: ranked, bulk: bulk, disp: disp, node: call}
+		s.locks[key] = heldLock{status: lockHeld, disp: disp, node: call}
 	}
 }
 

@@ -32,8 +32,6 @@ import (
 type ResourcePair struct {
 	// Name labels the resource in diagnostics ("pooled buffer").
 	Name string
-	// Verb is the suppression directive verb ("poolpair").
-	Verb string
 	// AcquireKeys are funcKey values whose first call result is the
 	// resource.
 	AcquireKeys []string
@@ -51,14 +49,12 @@ type ResourcePair struct {
 var poolPairs = []*ResourcePair{
 	{
 		Name:        "pooled value",
-		Verb:        "poolpair",
 		AcquireKeys: []string{"sync.(Pool).Get"},
 		ReleaseKeys: []string{"sync.(Pool).Put"},
 		ReleaseHint: "Put",
 	},
 	{
 		Name: "pooled buffer",
-		Verb: "poolpair",
 		AcquireKeys: []string{
 			"paydemand/internal/wire/binary.GetBuffer",
 			"paydemand/internal/server.readBody",
@@ -68,7 +64,6 @@ var poolPairs = []*ResourcePair{
 	},
 	{
 		Name:        "pooled solver",
-		Verb:        "poolpair",
 		AcquireKeys: []string{"paydemand/internal/selection.(SolverPool).Get"},
 		ReleaseKeys: []string{"paydemand/internal/selection.(SolverPool).Put"},
 		ReleaseHint: "Put",
@@ -271,10 +266,10 @@ func noReturnCall(pass *Pass) func(*ast.CallExpr) bool {
 	}
 }
 
-// report emits one deduplicated diagnostic, honoring the pair's
-// suppression verb at the anchoring node.
-func (r *pairRunner) report(node ast.Node, verb, format string, args ...any) {
-	if r.pass.Suppressed(node, verb) {
+// report emits one deduplicated diagnostic, honoring a
+// //paylint:poolpair directive at the anchoring node.
+func (r *pairRunner) report(node ast.Node, format string, args ...any) {
+	if r.pass.Suppressed(node, "poolpair") {
 		return
 	}
 	msg := fmt.Sprintf(format, args...)
@@ -469,7 +464,7 @@ func (r *pairRunner) transfer(s *pairState, n ast.Node) {
 	if es, ok := n.(*ast.ExprStmt); ok {
 		if call, ok := unwrapAcquireExpr(ast.Unparen(es.X)).(*ast.CallExpr); ok && !consumed[call] {
 			if pair := r.acquirePair(call); pair != nil {
-				r.report(es, pair.Verb, "result of %s is discarded; the %s can never be released (missing %s)",
+				r.report(es, "result of %s is discarded; the %s can never be released (missing %s)",
 					callName(call), pair.Name, pair.ReleaseHint)
 			}
 		}
@@ -523,12 +518,12 @@ func (r *pairRunner) bindCall(s *pairState, stmt ast.Stmt, lhs []ast.Expr, call 
 	resIdent, ok := ast.Unparen(lhs[0]).(*ast.Ident)
 	if !ok {
 		// Stored straight into a field/map/element: an escape.
-		r.report(stmt, pair.Verb, "%s from %s escapes into a field, map, or pointer target; pooled values must stay function-local until %s",
+		r.report(stmt, "%s from %s escapes into a field, map, or pointer target; pooled values must stay function-local until %s",
 			pair.Name, callName(call), pair.ReleaseHint)
 		return
 	}
 	if resIdent.Name == "_" {
-		r.report(stmt, pair.Verb, "%s result of %s is discarded; it can never be released (missing %s)",
+		r.report(stmt, "%s result of %s is discarded; it can never be released (missing %s)",
 			pair.Name, callName(call), pair.ReleaseHint)
 		return
 	}
@@ -557,12 +552,12 @@ func (r *pairRunner) bindValues(s *pairState, stmt ast.Stmt, lhs, rhs []ast.Expr
 		consumed[call] = true
 		ident, ok := ast.Unparen(lhs[i]).(*ast.Ident)
 		if !ok {
-			r.report(stmt, pair.Verb, "%s from %s escapes into a field, map, or pointer target; pooled values must stay function-local until %s",
+			r.report(stmt, "%s from %s escapes into a field, map, or pointer target; pooled values must stay function-local until %s",
 				pair.Name, callName(call), pair.ReleaseHint)
 			continue
 		}
 		if ident.Name == "_" {
-			r.report(stmt, pair.Verb, "%s result of %s is discarded; it can never be released (missing %s)",
+			r.report(stmt, "%s result of %s is discarded; it can never be released (missing %s)",
 				pair.Name, callName(call), pair.ReleaseHint)
 			continue
 		}
@@ -578,7 +573,7 @@ func (r *pairRunner) bind(s *pairState, stmt ast.Stmt, ident *ast.Ident, info re
 		return
 	}
 	if old, ok := s.res[obj]; ok && old.status != resCondOwned {
-		r.report(old.acquire, old.pair.Verb, "%s acquired here is overwritten before it is released (missing %s)",
+		r.report(old.acquire, "%s acquired here is overwritten before it is released (missing %s)",
 			old.pair.Name, old.pair.ReleaseHint)
 	}
 	s.res[obj] = info
@@ -609,7 +604,7 @@ func (r *pairRunner) moveOrEscape(s *pairState, stmt *ast.AssignStmt, lhs, rhs a
 		s.res[newObj] = info
 	case *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
 		delete(s.res, obj)
-		r.report(stmt, info.pair.Verb, "%s escapes into a field, map, or pointer target; pooled values must stay function-local until %s",
+		r.report(stmt, "%s escapes into a field, map, or pointer target; pooled values must stay function-local until %s",
 			info.pair.Name, info.pair.ReleaseHint)
 	}
 }
@@ -677,13 +672,13 @@ func (r *pairRunner) atExit(s *pairState) {
 	for _, info := range s.res {
 		switch info.status {
 		case resOwned:
-			r.report(info.acquire, info.pair.Verb, "%s acquired here is not released on every path (missing %s)",
+			r.report(info.acquire, "%s acquired here is not released on every path (missing %s)",
 				info.pair.Name, info.pair.ReleaseHint)
 		case resCondOwned:
-			r.report(info.acquire, info.pair.Verb, "%s acquired here is not released on the success path (missing %s)",
+			r.report(info.acquire, "%s acquired here is not released on the success path (missing %s)",
 				info.pair.Name, info.pair.ReleaseHint)
 		case resMaybe:
-			r.report(info.acquire, info.pair.Verb, "%s acquired here is released on some paths but not others (missing %s)",
+			r.report(info.acquire, "%s acquired here is released on some paths but not others (missing %s)",
 				info.pair.Name, info.pair.ReleaseHint)
 		}
 	}

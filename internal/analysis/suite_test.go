@@ -60,29 +60,8 @@ func TestPoolPair(t *testing.T) {
 	analysistest.Run(t, analysis.PoolPair, "poolpair", "paydemand/internal/server")
 }
 
-// TestLockOrder type-checks the fixture as an in-scope package and ranks
-// its two lock classes for the test's duration: region.mu below
-// Engine.closedMu, with both above server.Platform.mu and below
-// selection.SolverPool.mu, so the fixture exercises ordering between
-// ranked classes without the production table carrying test-only entries.
 func TestLockOrder(t *testing.T) {
-	const pkg = "paydemand/internal/engine"
-	ranks := map[string]int{
-		pkg + ".region.mu":       20,
-		pkg + ".Engine.closedMu": 30,
-	}
-	for class, rank := range ranks {
-		if _, taken := analysis.LockRanks[class]; taken {
-			t.Fatalf("fixture lock class %s is already ranked", class)
-		}
-		analysis.LockRanks[class] = rank
-	}
-	t.Cleanup(func() {
-		for class := range ranks {
-			delete(analysis.LockRanks, class)
-		}
-	})
-	analysistest.Run(t, analysis.LockOrder, "lockorder", pkg)
+	analysistest.Run(t, analysis.LockOrder, "lockorder", "paydemand/internal/engine")
 }
 
 // TestFlowOutOfScope proves the ConcurrencyPackages scoping of the
@@ -92,10 +71,6 @@ func TestFlowOutOfScope(t *testing.T) {
 	analysistest.RunAnalyzers(t,
 		[]*analysis.Analyzer{analysis.PoolPair, analysis.LockOrder},
 		"lockorder_outofscope", "paydemand/internal/geo")
-}
-
-func TestAtomicField(t *testing.T) {
-	analysistest.Run(t, analysis.AtomicField, "atomicfield", "paydemand/internal/metrics")
 }
 
 func TestDirective(t *testing.T) {
@@ -116,7 +91,7 @@ func TestDirectiveStale(t *testing.T) {
 // -only flag both refer to analyzers by these names.
 func TestSuiteNames(t *testing.T) {
 	want := []string{"mapiter", "detrand", "scratchalias", "wirejson", "wirebin",
-		"poolpair", "lockorder", "atomicfield", "directive"}
+		"poolpair", "lockorder", "directive"}
 	all := analysis.All()
 	if len(all) != len(want) {
 		t.Fatalf("All() returned %d analyzers, want %d", len(all), len(want))

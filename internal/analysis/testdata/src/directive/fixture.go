@@ -75,3 +75,6 @@ func (b *Buf) MissingField() []int {
 
 /* want `unknown directive //paylint:nolint` */ //paylint:nolint just because
 func unknownVerb()                              {}
+
+/* want `unknown directive //paylint:atomic` */ //paylint:atomic read after all writers joined
+func retiredVerb()                              {}

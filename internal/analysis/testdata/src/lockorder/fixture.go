@@ -1,6 +1,5 @@
 // Fixture for the lockorder analyzer (type-checked as
-// paydemand/internal/engine; TestLockOrder ranks its lock classes for
-// the test's duration: region.mu rank 20, Engine.closedMu rank 30).
+// paydemand/internal/engine).
 package engine
 
 import "sync"
@@ -51,64 +50,34 @@ func doubleLock(r *region) {
 	r.mu.Unlock()
 }
 
-// Rank order: closedMu (rank 30) must never be held when a region lock
-// (rank 20) is acquired.
+// Loops: the body runs 0 or 1 times in the CFG model, so a lock the
+// body takes must also be released in the body.
 
-func badOrder(e *Engine, r *region) {
-	e.closedMu.Lock()
-	r.mu.Lock() // want `locks must be acquired in ascending rank order`
-	r.mu.Unlock()
-	e.closedMu.Unlock()
-}
-
-func goodOrder(e *Engine, r *region) {
-	r.mu.Lock()
-	e.closedMu.Lock()
-	e.closedMu.Unlock()
-	r.mu.Unlock()
-}
-
-// Two locks of the same rank cannot be ordered by the table; pairwise
-// acquisition is flagged unless a directive documents the order.
-
-func pairUnordered(a, b *region) {
-	a.mu.Lock()
-	b.mu.Lock() // want `locks must be acquired in ascending rank order`
-	b.mu.Unlock()
-	a.mu.Unlock()
-}
-
-func pairAscending(a, b *region) {
-	a.mu.Lock()
-	//paylint:lockorder caller sorts a and b by ascending region ID
-	b.mu.Lock()
-	b.mu.Unlock()
-	a.mu.Unlock()
-}
-
-// The symmetric two-phase idiom: the lock and unlock loops canonicalize
-// to the same bulk key {regs, "[].mu"} and balance each other.
-
-func commitAll(regs []*region) {
+func perIteration(regs []*region) {
 	for _, r := range regs {
 		r.mu.Lock()
+		r.id++
+		r.mu.Unlock()
 	}
+}
+
+func lockInLoopLeak(regs []*region) {
 	for i := range regs {
-		regs[i].id++
-	}
-	for i := len(regs) - 1; i >= 0; i-- {
-		regs[i].mu.Unlock()
+		regs[i].mu.Lock() // want `regs\[\]\.mu locked here may still be held on some paths at return`
 	}
 }
 
-func lockAllLeak(regs []*region) {
-	for _, r := range regs {
-		r.mu.Lock() // want `regs\[\]\.mu locked here is not unlocked on every path to return`
-	}
+// Two locks held at once are not ordered against each other; each is
+// only checked for balance.
+
+func twoFields(e *Engine, r *region) {
+	e.closedMu.Lock()
+	r.mu.Lock()
+	r.mu.Unlock()
+	e.closedMu.Unlock()
 }
 
-// Locals and unlisted fields are unranked: exempt from ordering but
-// still checked for balance.
+// Locals are checked for balance like fields.
 
 func localBalanced() {
 	var mu sync.Mutex

@@ -79,6 +79,16 @@ func errPathBalanced() error {
 	return nil
 }
 
+// A loop body may run zero times, so a release inside it does not cover
+// an acquire before the loop.
+
+func loopRelease(xs []int) {
+	buf := binary.GetBuffer() // want `pooled buffer acquired here is released on some paths but not others`
+	for range xs {
+		binary.PutBuffer(buf)
+	}
+}
+
 // readBody is an acquire front (declared in the analyzer's pair table):
 // it returns a pooled buffer the caller owns. Returning the buffer
 // transfers ownership out of this function, so readBody itself is clean.
