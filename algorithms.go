@@ -169,26 +169,16 @@ func NewBudgetScaledSteeredMechanism(maxReward float64) (*SteeredMechanism, erro
 
 // Analytic Hierarchy Process (Section IV-B).
 type (
-	// PairwiseMatrix is a validated AHP comparison matrix.
+	// PairwiseMatrix is a validated 3×3 AHP comparison matrix over the
+	// three demand criteria.
 	PairwiseMatrix = ahp.PairwiseMatrix
-	// AHPHierarchy is a two-level AHP decision hierarchy.
-	AHPHierarchy = ahp.Hierarchy
 	// Consistency summarizes AHP judgment consistency (CI/CR).
 	Consistency = ahp.Consistency
-	// WeightMethod selects the weight-derivation method.
-	WeightMethod = ahp.WeightMethod
 )
 
-// AHP weight-derivation methods.
-const (
-	WeightsColumnNormalizedRowMean = ahp.ColumnNormalizedRowMean
-	WeightsEigenvector             = ahp.Eigenvector
-	WeightsGeometricMean           = ahp.GeometricMean
-)
-
-// NewPairwiseMatrix validates rows as an AHP comparison matrix.
-func NewPairwiseMatrix(rows [][]float64) (*PairwiseMatrix, error) {
-	return ahp.NewPairwiseMatrix(rows)
+// NewPairwiseMatrix validates a as an AHP comparison matrix.
+func NewPairwiseMatrix(a [3][3]float64) (*PairwiseMatrix, error) {
+	return ahp.NewPairwiseMatrix(a)
 }
 
 // PaperAHPMatrix returns the paper's Table I example comparison matrix.

@@ -61,7 +61,7 @@ func seriesPoint(b *testing.B, f experiments.Figure, name string, x float64) flo
 // BenchmarkTableII_AHPWeights regenerates Table II: deriving the criteria
 // weights from the Table I pairwise comparison matrix.
 func BenchmarkTableII_AHPWeights(b *testing.B) {
-	var w []float64
+	var w [3]float64
 	for i := 0; i < b.N; i++ {
 		w = paydemand.PaperAHPMatrix().PaperWeights()
 	}
@@ -244,7 +244,8 @@ func BenchmarkRewardUpdate(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mech.Rewards(&paydemand.RoundInput{Round: 1 + i%15, Views: views}); err != nil {
+		out := make(map[paydemand.TaskID]float64, len(views))
+		if err := mech.RewardsInto(&paydemand.RoundInput{Round: 1 + i%15, Views: views}, out); err != nil {
 			b.Fatal(err)
 		}
 	}

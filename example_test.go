@@ -102,10 +102,11 @@ func ExampleGreedySelector() {
 func ExampleNewOnDemandMechanism() {
 	scheme, _ := paydemand.NewRewardScheme(1000, 400, 0.5, 5)
 	mech, _ := paydemand.NewOnDemandMechanism(scheme)
-	rewards, err := mech.Rewards(&paydemand.RoundInput{Round: 2, Views: []paydemand.TaskView{
+	rewards := make(map[paydemand.TaskID]float64)
+	err := mech.RewardsInto(&paydemand.RoundInput{Round: 2, Views: []paydemand.TaskView{
 		{ID: 1, Deadline: 2, Required: 20, Received: 0, Neighbors: 0},
 		{ID: 2, Deadline: 15, Required: 20, Received: 18, Neighbors: 9},
-	}})
+	}}, rewards)
 	if err != nil {
 		panic(err)
 	}

@@ -1,37 +1,15 @@
-// Package ahp implements the Analytic Hierarchy Process (Saaty, 1980) used
-// by the demand-based dynamic incentive mechanism to weigh the three demand
-// criteria (deadline, completing progress, neighboring mobile users).
-//
-// The package covers the full AHP workflow:
-//
-//   - building and validating positive reciprocal pairwise comparison
-//     matrices on the 1-9 Saaty scale (Table I of the paper);
-//   - deriving priority (weight) vectors by three standard methods: the
-//     column-normalized row mean used in the paper (Eq. 6), the principal
-//     eigenvector method, and the geometric-mean (logarithmic least squares)
-//     method;
-//   - measuring judgment consistency via the consistency index (CI) and
-//     consistency ratio (CR);
-//   - composing a multi-level hierarchy (criteria weights x per-criterion
-//     alternative scores) into global alternative priorities.
+// Package ahp implements the part of the Analytic Hierarchy Process
+// (Saaty, 1980) the demand-based dynamic incentive mechanism uses: a
+// validated 3×3 pairwise comparison matrix over the three demand criteria
+// of Eq. 2 (deadline, completing progress, neighboring mobile users), the
+// column-normalized row-mean weights of Eq. 6 (Tables I and II of the
+// paper), and the consistency ratio of those judgments.
 package ahp
 
 import (
 	"errors"
 	"fmt"
 	"math"
-
-	"paydemand/internal/matrix"
-)
-
-// Saaty-scale anchor values for the relative importance of one criterion
-// over another. Intermediate values 2, 4, 6, 8 are also legal.
-const (
-	EqualImportance    = 1.0
-	ModerateImportance = 3.0
-	StrongImportance   = 5.0
-	VeryStrong         = 7.0
-	ExtremeImportance  = 9.0
 )
 
 // MaxScale is the largest legal Saaty judgment. Entries must lie in
@@ -43,44 +21,27 @@ var (
 	ErrNotReciprocal = errors.New("ahp: matrix is not reciprocal")
 	ErrNotPositive   = errors.New("ahp: matrix entries must be positive")
 	ErrBadScale      = errors.New("ahp: judgment outside the 1/9..9 Saaty scale")
-	ErrTooSmall      = errors.New("ahp: need at least one criterion")
 )
 
 // reciprocalTol is the tolerance used when checking a[i][j]*a[j][i] == 1.
 const reciprocalTol = 1e-9
 
 // PairwiseMatrix is a validated positive reciprocal pairwise comparison
-// matrix A where A[i][j] expresses how much more important criterion i is
-// than criterion j.
+// matrix A over the three demand criteria, where A[i][j] expresses how much
+// more important criterion i is than criterion j.
 //
-// Construct with NewPairwiseMatrix or FromUpperTriangle; the zero value is
-// not usable.
+// Construct with NewPairwiseMatrix; the zero value is not usable.
 type PairwiseMatrix struct {
-	m *Dense
+	a [3][3]float64
 }
 
-// Dense is re-exported so callers do not need to import internal/matrix.
-type Dense = matrix.Dense
-
-// NewPairwiseMatrix validates rows as a positive reciprocal comparison
-// matrix and wraps it. Diagonal entries must be 1 and a[i][j]*a[j][i] must
-// equal 1 within a small tolerance. Entries must lie on the extended Saaty
-// scale [1/9, 9].
-func NewPairwiseMatrix(rows [][]float64) (*PairwiseMatrix, error) {
-	m, err := matrix.NewFromRows(rows)
-	if err != nil {
-		return nil, fmt.Errorf("ahp: %w", err)
-	}
-	if !m.IsSquare() {
-		return nil, fmt.Errorf("ahp: comparison matrix must be square, got %dx%d", m.Rows(), m.Cols())
-	}
-	if m.Rows() == 0 {
-		return nil, ErrTooSmall
-	}
-	n := m.Rows()
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			v := m.At(i, j)
+// NewPairwiseMatrix validates a as a positive reciprocal comparison matrix
+// and wraps it. Diagonal entries must be 1 and a[i][j]*a[j][i] must equal 1
+// within a small tolerance. Entries must lie on the extended Saaty scale
+// [1/9, 9].
+func NewPairwiseMatrix(a [3][3]float64) (*PairwiseMatrix, error) {
+	for i := range a {
+		for j, v := range a[i] {
 			if v <= 0 || math.IsNaN(v) || math.IsInf(v, 0) {
 				return nil, fmt.Errorf("%w: a[%d][%d] = %v", ErrNotPositive, i, j, v)
 			}
@@ -89,51 +50,18 @@ func NewPairwiseMatrix(rows [][]float64) (*PairwiseMatrix, error) {
 			}
 		}
 	}
-	for i := 0; i < n; i++ {
-		if math.Abs(m.At(i, i)-1) > reciprocalTol {
-			return nil, fmt.Errorf("%w: diagonal a[%d][%d] = %v", ErrNotReciprocal, i, i, m.At(i, i))
+	for i := range a {
+		if math.Abs(a[i][i]-1) > reciprocalTol {
+			return nil, fmt.Errorf("%w: diagonal a[%d][%d] = %v", ErrNotReciprocal, i, i, a[i][i])
 		}
-		for j := i + 1; j < n; j++ {
-			if math.Abs(m.At(i, j)*m.At(j, i)-1) > reciprocalTol {
+		for j := i + 1; j < len(a); j++ {
+			if math.Abs(a[i][j]*a[j][i]-1) > reciprocalTol {
 				return nil, fmt.Errorf("%w: a[%d][%d]*a[%d][%d] = %v",
-					ErrNotReciprocal, i, j, j, i, m.At(i, j)*m.At(j, i))
+					ErrNotReciprocal, i, j, j, i, a[i][j]*a[j][i])
 			}
 		}
 	}
-	return &PairwiseMatrix{m: m}, nil
-}
-
-// FromUpperTriangle builds an n x n comparison matrix from the strictly
-// upper triangular judgments given in row-major order:
-// a[0][1], a[0][2], ..., a[0][n-1], a[1][2], ... Lower-triangle entries are
-// filled with reciprocals and the diagonal with ones. For n criteria,
-// n*(n-1)/2 judgments are required.
-func FromUpperTriangle(n int, judgments []float64) (*PairwiseMatrix, error) {
-	if n < 1 {
-		return nil, ErrTooSmall
-	}
-	want := n * (n - 1) / 2
-	if len(judgments) != want {
-		return nil, fmt.Errorf("ahp: got %d judgments for %d criteria, want %d", len(judgments), n, want)
-	}
-	rows := make([][]float64, n)
-	for i := range rows {
-		rows[i] = make([]float64, n)
-		rows[i][i] = 1
-	}
-	k := 0
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			v := judgments[k]
-			k++
-			if v <= 0 {
-				return nil, fmt.Errorf("%w: judgment %d = %v", ErrNotPositive, k-1, v)
-			}
-			rows[i][j] = v
-			rows[j][i] = 1 / v
-		}
-	}
-	return NewPairwiseMatrix(rows)
+	return &PairwiseMatrix{a: a}, nil
 }
 
 // PaperExampleMatrix returns the paper's Table I example comparison matrix
@@ -145,7 +73,7 @@ func FromUpperTriangle(n int, judgments []float64) (*PairwiseMatrix, error) {
 //	C2 [ 1/3   1    2 ]
 //	C3 [ 1/5  1/2   1 ]
 func PaperExampleMatrix() *PairwiseMatrix {
-	pm, err := NewPairwiseMatrix([][]float64{
+	pm, err := NewPairwiseMatrix([3][3]float64{
 		{1, 3, 5},
 		{1.0 / 3, 1, 2},
 		{1.0 / 5, 1.0 / 2, 1},
@@ -158,25 +86,102 @@ func PaperExampleMatrix() *PairwiseMatrix {
 	return pm
 }
 
-// N returns the number of criteria.
-func (p *PairwiseMatrix) N() int { return p.m.Rows() }
-
 // At returns the judgment a[i][j].
-func (p *PairwiseMatrix) At(i, j int) float64 { return p.m.At(i, j) }
+func (p *PairwiseMatrix) At(i, j int) float64 { return p.a[i][j] }
 
-// Matrix returns a copy of the underlying dense matrix.
-func (p *PairwiseMatrix) Matrix() *Dense { return p.m.Clone() }
+// Rows returns a copy of the judgments (Table I of the paper).
+func (p *PairwiseMatrix) Rows() [3][3]float64 { return p.a }
 
 // Normalized returns the column-normalized comparison matrix (Table II of
-// the paper): each entry divided by its column sum.
-func (p *PairwiseMatrix) Normalized() *Dense {
-	norm, err := p.m.NormalizeColumns()
-	if err != nil {
-		// Column sums of a validated positive matrix are strictly positive.
-		panic(fmt.Sprintf("ahp: normalize validated matrix: %v", err))
+// the paper): each entry divided by its column sum. Column sums of a
+// validated matrix are strictly positive.
+func (p *PairwiseMatrix) Normalized() [3][3]float64 {
+	var sums [3]float64
+	for i := range p.a {
+		for j, v := range p.a[i] {
+			sums[j] += v
+		}
 	}
-	return norm
+	var out [3][3]float64
+	for i := range p.a {
+		for j, v := range p.a[i] {
+			out[i][j] = v / sums[j]
+		}
+	}
+	return out
 }
 
-// String renders the judgments for logs.
-func (p *PairwiseMatrix) String() string { return p.m.String() }
+// PaperWeights derives the priority vector exactly as the paper does
+// (Eq. 6): column-normalize, then average each row. The result is positive
+// and sums to 1.
+func (p *PairwiseMatrix) PaperWeights() [3]float64 {
+	var w [3]float64
+	for i, row := range p.Normalized() {
+		var s float64
+		for _, v := range row {
+			s += v
+		}
+		w[i] = s / 3
+	}
+	return w
+}
+
+// randomIndex3 is Saaty's random consistency index RI(3): the mean
+// consistency index of randomly generated 3×3 reciprocal matrices.
+const randomIndex3 = 0.58
+
+// DefaultCRThreshold is the conventional acceptance threshold for the
+// consistency ratio: judgments with CR <= 0.1 are considered consistent.
+const DefaultCRThreshold = 0.1
+
+// Consistency summarizes how self-consistent a judgment matrix is.
+type Consistency struct {
+	// LambdaMax is the dominant eigenvalue of the comparison matrix. For a
+	// perfectly consistent matrix LambdaMax == 3.
+	LambdaMax float64 `json:"lambda_max"`
+	// Index is the consistency index CI = (LambdaMax - 3) / 2.
+	Index float64 `json:"index"`
+	// Ratio is the consistency ratio CR = CI / RI(3).
+	Ratio float64 `json:"ratio"`
+}
+
+// Acceptable reports whether the consistency ratio is within the
+// conventional 0.1 threshold.
+func (c Consistency) Acceptable() bool { return c.Ratio <= DefaultCRThreshold }
+
+// Consistency computes the consistency statistics of the judgment matrix.
+// LambdaMax comes from power iteration: for a positive reciprocal matrix
+// the Perron-Frobenius theorem guarantees a unique dominant positive
+// eigenpair, and with the iterate normalized to sum 1 the sum of A*v
+// estimates the dominant eigenvalue.
+func (p *PairwiseMatrix) Consistency() (Consistency, error) {
+	const (
+		maxIter = 1000
+		tol     = 1e-12
+	)
+	v := [3]float64{1.0 / 3, 1.0 / 3, 1.0 / 3}
+	prev := math.NaN()
+	for iter := 0; iter < maxIter; iter++ {
+		var w [3]float64
+		for i, row := range p.a {
+			var s float64
+			for j, a := range row {
+				s += a * v[j]
+			}
+			w[i] = s
+		}
+		lambda := 0.0
+		for _, x := range w {
+			lambda += x
+		}
+		for i := range w {
+			v[i] = w[i] / lambda
+		}
+		if !math.IsNaN(prev) && math.Abs(lambda-prev) <= tol*math.Max(1, math.Abs(lambda)) {
+			ci := (lambda - 3) / 2
+			return Consistency{LambdaMax: lambda, Index: ci, Ratio: ci / randomIndex3}, nil
+		}
+		prev = lambda
+	}
+	return Consistency{}, fmt.Errorf("ahp: consistency: power iteration did not converge after %d iterations", maxIter)
+}

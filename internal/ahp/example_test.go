@@ -10,7 +10,7 @@ import (
 // comparison matrix over the three demand criteria and derive the weight
 // vector with the column-normalized row-mean method (Eq. 6).
 func Example() {
-	pm, err := ahp.NewPairwiseMatrix([][]float64{
+	pm, err := ahp.NewPairwiseMatrix([3][3]float64{
 		{1, 3, 5},
 		{1.0 / 3, 1, 2},
 		{1.0 / 5, 1.0 / 2, 1},
@@ -29,43 +29,4 @@ func Example() {
 	// Output:
 	// weights: (0.648, 0.230, 0.122)
 	// consistent: true
-}
-
-// ExampleFromUpperTriangle builds the same matrix from just the three
-// upper-triangle judgments.
-func ExampleFromUpperTriangle() {
-	pm, err := ahp.FromUpperTriangle(3, []float64{3, 5, 2})
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("a[2][0] = %.3f\n", pm.At(2, 0))
-	// Output:
-	// a[2][0] = 0.200
-}
-
-// ExampleHierarchy_Compose scores three tasks under the paper's criteria
-// weights.
-func ExampleHierarchy_Compose() {
-	h := &ahp.Hierarchy{
-		Criteria:      ahp.PaperExampleMatrix(),
-		CriteriaNames: []string{"deadline", "progress", "neighbors"},
-	}
-	// Per-criterion scores of three tasks (rows) under three criteria.
-	priorities, err := h.Compose([][]float64{
-		{0.9, 0.1, 0.2}, // urgent deadline
-		{0.1, 0.9, 0.2}, // barely started
-		{0.1, 0.1, 0.9}, // isolated location
-	})
-	if err != nil {
-		panic(err)
-	}
-	for i, p := range priorities {
-		fmt.Printf("task %d priority %.3f\n", i+1, p)
-	}
-	// The deadline carries the largest weight, so task 1 ranks first.
-
-	// Output:
-	// task 1 priority 0.631
-	// task 2 priority 0.296
-	// task 3 priority 0.198
 }

@@ -36,8 +36,9 @@ const weightTol = 1e-9
 // Config holds the demand-indicator parameters.
 type Config struct {
 	// Weights are (w1, w2, w3) for the deadline, progress and neighbor
-	// factors; they must be non-negative and sum to 1. Derive them with an
-	// ahp.PairwiseMatrix (the paper's example yields 0.648/0.230/0.122).
+	// factors; they must be non-negative and sum to 1. Derive them with
+	// ahp.PairwiseMatrix.PaperWeights (Eq. 6; the paper's Table I example
+	// yields 0.648/0.230/0.122).
 	Weights [3]float64 `json:"weights"`
 	// Lambda1, Lambda2, Lambda3 scale the three factors (the paper's
 	// lambda coefficients). They must be positive; the paper leaves their

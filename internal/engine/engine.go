@@ -353,7 +353,7 @@ func (e *Engine) RepriceViews(views []incentive.TaskView, userLocs []geo.Point) 
 // mirror (bench/mirror.go) can time it apart from pricing
 // (RepriceViews). The returned slice is engine-owned scratch, valid
 // until the next NeighborViews/Reprice (mechanisms consume it
-// synchronously inside Rewards).
+// synchronously inside RewardsInto).
 //
 // The counts are kept from one call to the next. When few users moved
 // since the last count, only the moved users are recounted (see

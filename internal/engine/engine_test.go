@@ -38,14 +38,6 @@ func (m stubMechanism) RewardsInto(in *incentive.RoundInput, out map[task.ID]flo
 	return nil
 }
 
-func (m stubMechanism) Rewards(in *incentive.RoundInput) (map[task.ID]float64, error) {
-	out := make(map[task.ID]float64, len(in.Views))
-	if err := m.RewardsInto(in, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 func testBoard(t *testing.T) *task.Board {
 	t.Helper()
 	b, err := task.NewBoard([]task.Task{

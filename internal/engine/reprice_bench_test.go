@@ -149,8 +149,8 @@ func BenchmarkReprice(b *testing.B) {
 						Neighbors: grid.CountWithin(st.Location, 500),
 					}
 				}
-				rewards, err := w.mech.Rewards(&incentive.RoundInput{Round: 1, Views: views})
-				if err != nil {
+				rewards := make(map[task.ID]float64, len(views))
+				if err := w.mech.RewardsInto(&incentive.RoundInput{Round: 1, Views: views}, rewards); err != nil {
 					b.Fatal(err)
 				}
 				if len(rewards) == 0 {

@@ -8,23 +8,21 @@ import (
 // TableI reproduces the paper's Table I: the example pairwise comparison
 // matrix over the three demand criteria. The "series" are the matrix rows.
 func TableI(Options) (Figure, error) {
-	pm := ahp.PaperExampleMatrix()
 	return matrixFigure("table1",
-		"Pairwise comparison matrix A over the demand criteria", pm.Matrix().Row, pm.N()), nil
+		"Pairwise comparison matrix A over the demand criteria", ahp.PaperExampleMatrix().Rows()), nil
 }
 
 // TableII reproduces Table II: the column-normalized matrix and, as an
 // extra series, the derived weight vector W = (0.648, 0.230, 0.122).
 func TableII(Options) (Figure, error) {
 	pm := ahp.PaperExampleMatrix()
-	norm := pm.Normalized()
 	f := matrixFigure("table2",
-		"Column-normalized comparison matrix and derived weights", norm.Row, pm.N())
+		"Column-normalized comparison matrix and derived weights", pm.Normalized())
 	w := pm.PaperWeights()
 	f.Series = append(f.Series, Series{
 		Name: "W (row mean)",
 		X:    []float64{1, 2, 3},
-		Y:    w,
+		Y:    w[:],
 	})
 	cons, err := pm.Consistency()
 	if err != nil {
@@ -35,22 +33,17 @@ func TableII(Options) (Figure, error) {
 	return f, nil
 }
 
-// matrixFigure renders an n x n matrix as one series per row.
-func matrixFigure(id, title string, row func(int) []float64, n int) Figure {
+// matrixFigure renders a 3×3 matrix as one series per row.
+func matrixFigure(id, title string, m [3][3]float64) Figure {
 	f := Figure{
 		ID:     id,
 		Title:  title,
 		XLabel: "criterion (column)",
 		YLabel: "judgment",
 	}
-	names := []string{"C1 (deadline)", "C2 (progress)", "C3 (neighbors)"}
-	for i := 0; i < n; i++ {
-		name := names[i%len(names)]
-		xs := make([]float64, n)
-		for j := range xs {
-			xs[j] = float64(j + 1)
-		}
-		f.Series = append(f.Series, Series{Name: name, X: xs, Y: row(i)})
+	names := [3]string{"C1 (deadline)", "C2 (progress)", "C3 (neighbors)"}
+	for i := range m {
+		f.Series = append(f.Series, Series{Name: names[i], X: []float64{1, 2, 3}, Y: m[i][:]})
 	}
 	return f
 }

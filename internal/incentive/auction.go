@@ -117,11 +117,6 @@ func clearSorted(sorted []Bid, budget float64) (k int, pay float64) {
 	return k, pay
 }
 
-// Rewards implements Mechanism.
-func (m *Auction) Rewards(in *RoundInput) (map[task.ID]float64, error) {
-	return allocRewards(m, in)
-}
-
 // RewardsInto implements Mechanism: it clears the round's auction and
 // prices every open task at the uniform winner payment. When the budget
 // affords no worker, no task is priced.

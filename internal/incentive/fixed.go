@@ -35,11 +35,6 @@ func (m *Fixed) Name() string { return "fixed" }
 // Requires implements Mechanism: the level draws need the seeded stream.
 func (m *Fixed) Requires() Capabilities { return CapRNG }
 
-// Rewards implements Mechanism.
-func (m *Fixed) Rewards(in *RoundInput) (map[task.ID]float64, error) {
-	return allocRewards(m, in)
-}
-
 // RewardsInto implements Mechanism. The first time a task is seen it draws
 // a uniform level in [1, N] from in.RNG; afterwards the memoized level is
 // reused, so the reward is constant across rounds. Draws happen in view

@@ -50,11 +50,6 @@ func (m *IncentMe) Requires() Capabilities { return CapMobility }
 // Scheme returns the mechanism's reward scheme.
 func (m *IncentMe) Scheme() RewardScheme { return m.scheme }
 
-// Rewards implements Mechanism.
-func (m *IncentMe) Rewards(in *RoundInput) (map[task.ID]float64, error) {
-	return allocRewards(m, in)
-}
-
 // RewardsInto implements Mechanism.
 func (m *IncentMe) RewardsInto(in *RoundInput, out map[task.ID]float64) error {
 	if in.Mobility == nil {

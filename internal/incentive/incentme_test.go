@@ -48,7 +48,7 @@ func TestIncentMeRequiresForecast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Rewards(&RoundInput{Round: 1, Views: testViews()}); err == nil {
+	if _, err := price(m, &RoundInput{Round: 1, Views: testViews()}); err == nil {
 		t.Error("nil forecast accepted")
 	}
 }
@@ -67,14 +67,14 @@ func TestIncentMeScarcityDirection(t *testing.T) {
 		{ID: 1, Deadline: 2, Required: 20, Received: 0, Neighbors: 8},
 		{ID: 2, Deadline: 12, Required: 20, Received: 0, Neighbors: 8},
 	}
-	flat, err := m.Rewards(&RoundInput{Round: 1, Views: views, Mobility: flatForecast{supply: 8}})
+	flat, err := price(m, &RoundInput{Round: 1, Views: views, Mobility: flatForecast{supply: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if flat[1] != flat[2] {
 		t.Errorf("flat forecast prices differ: %v vs %v", flat[1], flat[2])
 	}
-	drained, err := m.Rewards(&RoundInput{Round: 1, Views: views, Mobility: drainForecast{}})
+	drained, err := price(m, &RoundInput{Round: 1, Views: views, Mobility: drainForecast{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestIncentMeCompletedTasksFloor(t *testing.T) {
 		{ID: 1, Deadline: 10, Required: 5, Received: 9},
 		{ID: 2, Deadline: 10, Required: 5, Received: 5},
 	}
-	rewards, err := m.Rewards(&RoundInput{Round: 1, Views: views, Mobility: flatForecast{supply: 3}})
+	rewards, err := price(m, &RoundInput{Round: 1, Views: views, Mobility: flatForecast{supply: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestIncentMeRejectsBadForecast(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, bad := range []float64{-1, math.NaN(), math.Inf(1)} {
-		if _, err := m.Rewards(&RoundInput{Round: 1, Views: testViews(), Mobility: flatForecast{supply: bad}}); err == nil {
+		if _, err := price(m, &RoundInput{Round: 1, Views: testViews(), Mobility: flatForecast{supply: bad}}); err == nil {
 			t.Errorf("forecast value %v accepted", bad)
 		}
 	}

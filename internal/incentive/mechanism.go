@@ -158,8 +158,7 @@ type RoundInput struct {
 //
 // RewardsInto must write an entry into out for every view it prices; a
 // mechanism may deliberately price nothing (an auction whose budget
-// affords no worker) by leaving out untouched. Rewards is the allocating
-// convenience form of RewardsInto.
+// affords no worker) by leaving out untouched.
 type Mechanism interface {
 	// Name returns a short identifier used in experiment output
 	// ("on-demand", "fixed", "steered", "auction", "incentme").
@@ -167,22 +166,9 @@ type Mechanism interface {
 	// Requires declares which optional RoundInput fields the mechanism
 	// consumes. The engine populates exactly these.
 	Requires() Capabilities
-	// Rewards returns the per-measurement reward of each task for the
-	// round described by in. The returned map is freshly allocated and
-	// owned by the caller.
-	Rewards(in *RoundInput) (map[task.ID]float64, error)
-	// RewardsInto writes the per-measurement rewards into out, which the
-	// caller has cleared; it must not delete foreign keys or retain out.
-	// This is the hot-path form: a steady-state call allocates nothing.
+	// RewardsInto writes the per-measurement reward of each task for the
+	// round described by in into out, which the caller has cleared; it
+	// must not delete foreign keys or retain out. A steady-state call
+	// allocates nothing.
 	RewardsInto(in *RoundInput, out map[task.ID]float64) error
-}
-
-// allocRewards adapts RewardsInto into the allocating Rewards form; every
-// mechanism's Rewards is this one-liner.
-func allocRewards(m Mechanism, in *RoundInput) (map[task.ID]float64, error) {
-	out := make(map[task.ID]float64, len(in.Views))
-	if err := m.RewardsInto(in, out); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

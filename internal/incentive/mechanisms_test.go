@@ -10,6 +10,13 @@ import (
 	"paydemand/internal/task"
 )
 
+// price runs one round of m into a fresh reward map.
+func price(m Mechanism, in *RoundInput) (map[task.ID]float64, error) {
+	out := make(map[task.ID]float64, len(in.Views))
+	err := m.RewardsInto(in, out)
+	return out, err
+}
+
 func testViews() []TaskView {
 	return []TaskView{
 		{ID: 1, Location: geo.Pt(0, 0), Deadline: 10, Required: 20, Received: 0, Neighbors: 0},
@@ -41,7 +48,7 @@ func TestOnDemandRewardsWithinSchemeRange(t *testing.T) {
 	if m.Name() != "on-demand" {
 		t.Errorf("Name = %q", m.Name())
 	}
-	rewards, err := m.Rewards(&RoundInput{Round: 1, Views: testViews()})
+	rewards, err := price(m, &RoundInput{Round: 1, Views: testViews()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +73,7 @@ func TestOnDemandDirectionality(t *testing.T) {
 		{ID: 1, Deadline: 2, Required: 20, Received: 0, Neighbors: 0},
 		{ID: 2, Deadline: 15, Required: 20, Received: 19, Neighbors: 10},
 	}
-	rewards, err := m.Rewards(&RoundInput{Round: 2, Views: views})
+	rewards, err := price(m, &RoundInput{Round: 2, Views: views})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +97,7 @@ func TestOnDemandDemandLevels(t *testing.T) {
 		}
 	}
 	// Rewards must equal scheme.Reward(level) exactly.
-	rewards, err := m.Rewards(&RoundInput{Round: 2, Views: testViews()})
+	rewards, err := price(m, &RoundInput{Round: 2, Views: testViews()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,14 +129,14 @@ func TestFixedRewardsStableAcrossRounds(t *testing.T) {
 	}
 	rng := stats.NewRNG(42)
 	views := testViews()
-	r1, err := m.Rewards(&RoundInput{Round: 1, Views: views, RNG: rng})
+	r1, err := price(m, &RoundInput{Round: 1, Views: views, RNG: rng})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Mutate the views heavily; fixed rewards must not move.
 	views[0].Received = 19
 	views[1].Neighbors = 0
-	r2, err := m.Rewards(&RoundInput{Round: 7, Views: views, RNG: rng})
+	r2, err := price(m, &RoundInput{Round: 7, Views: views, RNG: rng})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +156,7 @@ func TestFixedLevelsWithinRange(t *testing.T) {
 	for i := range views {
 		views[i] = TaskView{ID: task.ID(i), Deadline: 10, Required: 20}
 	}
-	if _, err := m.Rewards(&RoundInput{Round: 1, Views: views, RNG: stats.NewRNG(7)}); err != nil {
+	if _, err := price(m, &RoundInput{Round: 1, Views: views, RNG: stats.NewRNG(7)}); err != nil {
 		t.Fatal(err)
 	}
 	seen := map[int]bool{}
@@ -226,7 +233,7 @@ func TestSteeredQuality(t *testing.T) {
 
 func TestSteeredRewards(t *testing.T) {
 	m := NewSteered()
-	rewards, err := m.Rewards(&RoundInput{Round: 3, Views: testViews()})
+	rewards, err := price(m, &RoundInput{Round: 3, Views: testViews()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,8 +274,8 @@ func TestSteeredValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("delta > 1 accepted")
 	}
-	if _, err := bad.Rewards(&RoundInput{Round: 1, Views: testViews()}); err == nil {
-		t.Error("Rewards with bad params succeeded")
+	if _, err := price(bad, &RoundInput{Round: 1, Views: testViews()}); err == nil {
+		t.Error("RewardsInto with bad params succeeded")
 	}
 	bad2 := &Steered{Rc: -1, Mu: 100, Delta: 0.2}
 	if err := bad2.Validate(); err == nil {
@@ -330,15 +337,5 @@ func TestPaperOnDemandUsesAHPWeights(t *testing.T) {
 		if math.Abs(w[i]-want[i]) > 0.001 {
 			t.Errorf("w[%d] = %v, want %v", i, w[i], want[i])
 		}
-	}
-}
-
-func TestNewOnDemandFromAHPWrongOrder(t *testing.T) {
-	pm, err := mustMatrix2()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewOnDemandFromAHP(pm, [3]float64{1, 1, 1}, paperScheme(t)); err == nil {
-		t.Error("2x2 criteria matrix accepted")
 	}
 }

@@ -47,11 +47,6 @@ func (m *OnDemand) Scheme() RewardScheme { return m.scheme }
 // DemandConfig returns the mechanism's demand-indicator configuration.
 func (m *OnDemand) DemandConfig() demand.Config { return m.demandCfg }
 
-// Rewards implements Mechanism.
-func (m *OnDemand) Rewards(in *RoundInput) (map[task.ID]float64, error) {
-	return allocRewards(m, in)
-}
-
 // RewardsInto implements Mechanism. It evaluates Eqs. 2-7 for every view,
 // reusing the mechanism's scratch so steady-state calls allocate nothing.
 func (m *OnDemand) RewardsInto(in *RoundInput, out map[task.ID]float64) error {

@@ -10,14 +10,10 @@ import (
 // NewOnDemandFromAHP builds the on-demand mechanism with criteria weights
 // derived from an AHP pairwise comparison matrix over the three demand
 // criteria (deadline, progress, neighbors), using the paper's
-// column-normalized row-mean method.
+// column-normalized row-mean method (Eq. 6).
 func NewOnDemandFromAHP(pm *ahp.PairwiseMatrix, lambdas [3]float64, scheme RewardScheme) (*OnDemand, error) {
-	if pm.N() != 3 {
-		return nil, fmt.Errorf("incentive: need a 3x3 criteria matrix, got %dx%d", pm.N(), pm.N())
-	}
-	w := pm.PaperWeights()
 	cfg := demand.Config{
-		Weights: [3]float64{w[0], w[1], w[2]},
+		Weights: pm.PaperWeights(),
 		Lambda1: lambdas[0], Lambda2: lambdas[1], Lambda3: lambdas[2],
 	}
 	return NewOnDemand(cfg, scheme)

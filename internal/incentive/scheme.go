@@ -3,6 +3,7 @@ package incentive
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"paydemand/internal/demand"
 )
@@ -27,16 +28,17 @@ type RewardScheme struct {
 	Levels demand.LevelMapper `json:"levels"`
 }
 
-// Validate checks the scheme.
+// Validate checks the scheme. R0 and Lambda must be finite; the
+// comparisons are written so that NaN fails them.
 func (s RewardScheme) Validate() error {
 	if err := s.Levels.Validate(); err != nil {
 		return err
 	}
-	if s.R0 <= 0 {
-		return fmt.Errorf("%w: r0 = %v, want > 0", ErrBadScheme, s.R0)
+	if !(s.R0 > 0) || math.IsInf(s.R0, 1) {
+		return fmt.Errorf("%w: r0 = %v, want finite > 0", ErrBadScheme, s.R0)
 	}
-	if s.Lambda < 0 {
-		return fmt.Errorf("%w: lambda = %v, want >= 0", ErrBadScheme, s.Lambda)
+	if !(s.Lambda >= 0) || math.IsInf(s.Lambda, 1) {
+		return fmt.Errorf("%w: lambda = %v, want finite >= 0", ErrBadScheme, s.Lambda)
 	}
 	return nil
 }
@@ -75,8 +77,9 @@ func (s RewardScheme) MaxTotalPayout(totalRequired int) float64 {
 //
 //	r0 = B / (Sigma phi_i) - lambda*(N - 1)
 //
-// which guarantees the worst-case payout never exceeds B. It returns
-// ErrBudgetTooSmall if the derived r0 is not positive.
+// which guarantees the worst-case payout never exceeds B. Budget and lambda
+// must be finite. It returns ErrBudgetTooSmall if the derived r0 is not
+// positive.
 //
 // The paper's defaults (B = 1000, 20 tasks x 20 measurements, lambda = 0.5,
 // N = 5) give r0 = 1000/400 - 0.5*4 = 0.5.
@@ -87,10 +90,10 @@ func R0FromBudget(budget float64, totalRequired int, lambda float64, levels dema
 	if totalRequired <= 0 {
 		return 0, fmt.Errorf("%w: total required measurements %d", ErrBadScheme, totalRequired)
 	}
-	if budget <= 0 {
+	if !(budget > 0) || math.IsInf(budget, 1) {
 		return 0, fmt.Errorf("%w: budget %v", ErrBadScheme, budget)
 	}
-	if lambda < 0 {
+	if !(lambda >= 0) || math.IsInf(lambda, 1) {
 		return 0, fmt.Errorf("%w: lambda %v", ErrBadScheme, lambda)
 	}
 	r0 := budget/float64(totalRequired) - lambda*float64(levels.N-1)

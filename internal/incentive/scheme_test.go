@@ -94,6 +94,14 @@ func TestR0FromBudgetErrors(t *testing.T) {
 	if _, err := R0FromBudget(1000, 400, 0.5, demand.LevelMapper{N: 0}); err == nil {
 		t.Error("invalid level mapper accepted")
 	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := R0FromBudget(v, 400, 0.5, lm); err == nil {
+			t.Errorf("budget %v accepted", v)
+		}
+		if _, err := R0FromBudget(1000, 400, v, lm); err == nil {
+			t.Errorf("lambda %v accepted", v)
+		}
+	}
 }
 
 func TestSchemeValidate(t *testing.T) {
@@ -105,6 +113,14 @@ func TestSchemeValidate(t *testing.T) {
 	}
 	if err := (RewardScheme{R0: 1, Lambda: 1, Levels: demand.LevelMapper{N: 0}}).Validate(); err == nil {
 		t.Error("bad levels accepted")
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := (RewardScheme{R0: v, Lambda: 1, Levels: demand.LevelMapper{N: 5}}).Validate(); err == nil {
+			t.Errorf("r0=%v accepted", v)
+		}
+		if err := (RewardScheme{R0: 1, Lambda: v, Levels: demand.LevelMapper{N: 5}}).Validate(); err == nil {
+			t.Errorf("lambda=%v accepted", v)
+		}
 	}
 }
 

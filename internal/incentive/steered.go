@@ -102,11 +102,6 @@ func (m *Steered) RewardAt(x int) float64 {
 // Requires implements Mechanism: Eq. 13 needs only the views.
 func (m *Steered) Requires() Capabilities { return 0 }
 
-// Rewards implements Mechanism.
-func (m *Steered) Rewards(in *RoundInput) (map[task.ID]float64, error) {
-	return allocRewards(m, in)
-}
-
 // RewardsInto implements Mechanism.
 func (m *Steered) RewardsInto(in *RoundInput, out map[task.ID]float64) error {
 	if err := m.Validate(); err != nil {

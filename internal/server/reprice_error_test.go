@@ -31,13 +31,6 @@ func (m failAfterMechanism) RewardsInto(in *incentive.RoundInput, out map[task.I
 	return m.inner.RewardsInto(in, out)
 }
 
-func (m failAfterMechanism) Rewards(in *incentive.RoundInput) (map[task.ID]float64, error) {
-	if in.Round >= m.failFrom {
-		return nil, fmt.Errorf("pricing backend down at round %d", in.Round)
-	}
-	return m.inner.Rewards(in)
-}
-
 // TestAdvanceRepriceFailure is the regression for the stale-reward bug:
 // when the reprice inside Advance fails, the platform must not keep
 // serving the previous round's rewards (or its stale plan context), and

@@ -7,6 +7,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"paydemand/internal/demand"
 	"paydemand/internal/geo"
@@ -296,14 +297,18 @@ func (c Config) Validate() error {
 	if c.Rounds < 0 {
 		return fmt.Errorf("sim: rounds %d, want >= 0", c.Rounds)
 	}
-	if c.NeighborRadius <= 0 {
-		return fmt.Errorf("sim: neighbor radius %v, want > 0", c.NeighborRadius)
+	// The range checks below are written so that NaN fails them; the
+	// IsInf checks reject the "Inf" a flag parser accepts.
+	if !(c.NeighborRadius > 0) || math.IsInf(c.NeighborRadius, 1) {
+		return fmt.Errorf("sim: neighbor radius %v, want finite > 0", c.NeighborRadius)
 	}
-	if c.UserSpeed <= 0 || c.UserTimeBudget < 0 || c.CostPerMeter < 0 {
+	if !(c.UserSpeed > 0) || !(c.UserTimeBudget >= 0) || !(c.CostPerMeter >= 0) ||
+		math.IsInf(c.UserSpeed, 1) || math.IsInf(c.UserTimeBudget, 1) || math.IsInf(c.CostPerMeter, 1) {
 		return fmt.Errorf("sim: bad user parameters (speed %v, budget %v, cost %v)",
 			c.UserSpeed, c.UserTimeBudget, c.CostPerMeter)
 	}
-	if c.Budget <= 0 || c.RewardLambda < 0 || c.DemandLevels < 1 {
+	if !(c.Budget > 0) || !(c.RewardLambda >= 0) || math.IsInf(c.Budget, 1) || math.IsInf(c.RewardLambda, 1) ||
+		c.DemandLevels < 1 {
 		return fmt.Errorf("sim: bad reward parameters (budget %v, lambda %v, levels %d)",
 			c.Budget, c.RewardLambda, c.DemandLevels)
 	}
@@ -323,13 +328,13 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: beam improve rounds %d, want >= 0 (0 = default %d)",
 			c.BeamImprove, selection.DefaultBeamImprove)
 	}
-	if c.SensingTime < 0 {
-		return fmt.Errorf("sim: sensing time %v, want >= 0", c.SensingTime)
+	if !(c.SensingTime >= 0) || math.IsInf(c.SensingTime, 1) {
+		return fmt.Errorf("sim: sensing time %v, want finite >= 0", c.SensingTime)
 	}
-	if c.TimeBudgetJitter < 0 || c.TimeBudgetJitter > 1 {
+	if !(c.TimeBudgetJitter >= 0 && c.TimeBudgetJitter <= 1) {
 		return fmt.Errorf("sim: time budget jitter %v, want in [0, 1]", c.TimeBudgetJitter)
 	}
-	if c.ChurnRate < 0 || c.ChurnRate >= 1 {
+	if !(c.ChurnRate >= 0 && c.ChurnRate < 1) {
 		return fmt.Errorf("sim: churn rate %v, want in [0, 1)", c.ChurnRate)
 	}
 	if c.RoundParallelism != 0 && c.RoundParallelism != 1 {
@@ -343,7 +348,7 @@ func (c Config) Validate() error {
 	default:
 		return fmt.Errorf("sim: unknown mobility %v", c.Mobility)
 	}
-	if c.MobilityUncertainty < 0 || c.MobilityUncertainty > 1 {
+	if !(c.MobilityUncertainty >= 0 && c.MobilityUncertainty <= 1) {
 		return fmt.Errorf("sim: mobility uncertainty %v, want in [0, 1]", c.MobilityUncertainty)
 	}
 	if !validMechanism(c.Mechanism) {

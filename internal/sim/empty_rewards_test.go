@@ -20,10 +20,6 @@ func (emptyRewardMechanism) RewardsInto(*incentive.RoundInput, map[task.ID]float
 	return nil
 }
 
-func (emptyRewardMechanism) Rewards(*incentive.RoundInput) (map[task.ID]float64, error) {
-	return map[task.ID]float64{}, nil
-}
-
 // TestEmptyRewardMapNoNaN is the regression for the MeanPublishedReward
 // division: a mechanism returning an empty reward map while tasks are
 // open must record a zero mean, not 0/0 = NaN, and the run's aggregate

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -352,6 +353,31 @@ func TestConfigValidateRejections(t *testing.T) {
 		// Both must fail loudly here, not degrade silently downstream.
 		{"negative beam width", func(c *Config) { c.BeamWidth = -1 }},
 		{"negative beam improve", func(c *Config) { c.BeamImprove = -3 }},
+	}
+	// Every float knob must be finite: NaN passes a plain `x < 0` check
+	// and the flag parser accepts "NaN" and "Inf".
+	floats := []struct {
+		name string
+		set  func(*Config, float64)
+	}{
+		{"radius", func(c *Config, v float64) { c.NeighborRadius = v }},
+		{"speed", func(c *Config, v float64) { c.UserSpeed = v }},
+		{"time budget", func(c *Config, v float64) { c.UserTimeBudget = v }},
+		{"cost per meter", func(c *Config, v float64) { c.CostPerMeter = v }},
+		{"budget", func(c *Config, v float64) { c.Budget = v }},
+		{"lambda", func(c *Config, v float64) { c.RewardLambda = v }},
+		{"sensing time", func(c *Config, v float64) { c.SensingTime = v }},
+		{"jitter", func(c *Config, v float64) { c.TimeBudgetJitter = v }},
+		{"churn", func(c *Config, v float64) { c.ChurnRate = v }},
+		{"mobility uncertainty", func(c *Config, v float64) { c.MobilityUncertainty = v }},
+	}
+	for _, f := range floats {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			tests = append(tests, struct {
+				name   string
+				mutate func(*Config)
+			}{fmt.Sprintf("%s %v", f.name, v), func(c *Config) { f.set(c, v) }})
+		}
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -60,10 +60,10 @@ func TestPublicIncentiveAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rewards, err := mech.Rewards(&paydemand.RoundInput{Round: 1, Views: []paydemand.TaskView{
+	rewards := make(map[paydemand.TaskID]float64)
+	if err := mech.RewardsInto(&paydemand.RoundInput{Round: 1, Views: []paydemand.TaskView{
 		{ID: 1, Deadline: 10, Required: 20},
-	}})
-	if err != nil {
+	}}, rewards); err != nil {
 		t.Fatal(err)
 	}
 	if len(rewards) != 1 {
@@ -79,12 +79,12 @@ func TestPublicIncentiveAPI(t *testing.T) {
 	if !fixed.Requires().Has(paydemand.CapRNG) {
 		t.Error("fixed does not declare the rng capability")
 	}
-	fr, err := fixed.Rewards(&paydemand.RoundInput{
+	fr := make(map[paydemand.TaskID]float64)
+	if err := fixed.RewardsInto(&paydemand.RoundInput{
 		Round: 1,
 		Views: []paydemand.TaskView{{ID: 1, Deadline: 10, Required: 20}},
 		RNG:   paydemand.NewMechanismRNG(42),
-	})
-	if err != nil {
+	}, fr); err != nil {
 		t.Fatal(err)
 	}
 	if len(fr) != 1 {
@@ -94,13 +94,13 @@ func TestPublicIncentiveAPI(t *testing.T) {
 	if auction.Requires() != paydemand.CapBids|paydemand.CapBudget {
 		t.Errorf("auction capabilities = %v", auction.Requires())
 	}
-	ar, err := auction.Rewards(&paydemand.RoundInput{
+	ar := make(map[paydemand.TaskID]float64)
+	if err := auction.RewardsInto(&paydemand.RoundInput{
 		Round:  1,
 		Views:  []paydemand.TaskView{{ID: 1, Deadline: 10, Required: 20}},
 		Bids:   []paydemand.Bid{{Worker: 0, Cost: 2}, {Worker: 1, Cost: 9}},
 		Budget: 10,
-	})
-	if err != nil {
+	}, ar); err != nil {
 		t.Fatal(err)
 	}
 	// Budget 10 affords only the cheap bid (the 9-bid exceeds 10/2), and
