@@ -71,6 +71,7 @@ fuzz-smoke:
 	go test -run FuzzJSONHandlers -fuzz FuzzJSONHandlers -fuzztime 15s ./internal/server/
 	go test -run FuzzRoundInfoJSON -fuzz FuzzRoundInfoJSON -fuzztime 15s ./internal/wire/
 	go test -run FuzzNeighborCounts -fuzz FuzzNeighborCounts -fuzztime 15s ./internal/engine/
+	go test -run FuzzTaskRoundCounts -fuzz FuzzTaskRoundCounts -fuzztime 15s ./internal/task/
 
 # A short closed-loop run against a self-hosted platform in each codec:
 # at least one round must complete with zero protocol errors (the

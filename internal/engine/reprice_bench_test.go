@@ -163,8 +163,9 @@ func BenchmarkReprice(b *testing.B) {
 
 // BenchmarkProblemInto measures candidate assembly for one user on a
 // city-sized board (1000 open tasks over 3 km, a 50 m reach), where the
-// reach bound rejects nearly every task: the per-user cost is one scan of
-// the round's open-task locations.
+// reach bound rejects nearly every task: the per-user cost is a walk of
+// the reach index's cells under the user's reach box and the axis test
+// on the few tasks bucketed there.
 func BenchmarkProblemInto(b *testing.B) {
 	w := newBenchWorld(b, 2000, 1000)
 	eng := benchEngine(b, w, "on-demand")

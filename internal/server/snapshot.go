@@ -63,13 +63,23 @@ func (p *Platform) Snapshot() Snapshot {
 
 // Restore replaces the platform's campaign state with the snapshot and
 // reprices the current round. The platform must have been constructed
-// with the same task set (IDs are cross-checked).
+// with the same task set: every snapshot task must match the configured
+// task field for field, and no contribution may be dated after the
+// snapshot's round.
 func (p *Platform) Restore(snap Snapshot) error {
 	if snap.Version != snapshotVersion {
 		return fmt.Errorf("server: snapshot version %d, want %d", snap.Version, snapshotVersion)
 	}
 	if snap.Round < 1 {
 		return fmt.Errorf("server: snapshot round %d, want >= 1", snap.Round)
+	}
+	for _, ts := range snap.Board.Tasks {
+		for _, c := range ts.Contributions {
+			if c.Round > snap.Round {
+				return fmt.Errorf("server: snapshot task %d has a contribution at round %d, after snapshot round %d",
+					ts.Task.ID, c.Round, snap.Round)
+			}
+		}
 	}
 	board, err := task.RestoreBoard(snap.Board)
 	if err != nil {
@@ -81,9 +91,13 @@ func (p *Platform) Restore(snap Snapshot) error {
 		return fmt.Errorf("server: snapshot has %d tasks, platform configured with %d",
 			board.Len(), p.eng.Board().Len())
 	}
-	for _, id := range p.eng.Board().IDs() {
-		if board.Get(id) == nil {
-			return fmt.Errorf("server: snapshot missing task %d", id)
+	for _, want := range p.eng.Board().States() {
+		got := board.Get(want.ID)
+		if got == nil {
+			return fmt.Errorf("server: snapshot missing task %d", want.ID)
+		}
+		if got.Task != want.Task {
+			return fmt.Errorf("server: snapshot task %+v, platform configured with %+v", got.Task, want.Task)
 		}
 	}
 	p.eng.SetBoard(board)

@@ -3,10 +3,12 @@ package server
 import (
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
 	"paydemand/internal/geo"
+	"paydemand/internal/task"
 	"paydemand/internal/wire"
 )
 
@@ -109,6 +111,50 @@ func TestRestoreRejectsBadSnapshots(t *testing.T) {
 	other.Board.Tasks = other.Board.Tasks[:1]
 	if err := p.Restore(other); err == nil {
 		t.Error("snapshot with missing tasks accepted")
+	}
+}
+
+// TestRestoreRejectsRewrittenTasks: a snapshot with the configured task
+// IDs but a different task spec, or with a contribution dated after the
+// snapshot's round, is not the campaign the platform was built for.
+func TestRestoreRejectsRewrittenTasks(t *testing.T) {
+	base := testPlatform(t)
+	runSomeCampaign(t, base)
+	good := base.Snapshot()
+	if err := testPlatform(t).Restore(good); err != nil {
+		t.Fatalf("unmodified snapshot rejected: %v", err)
+	}
+	cases := []struct {
+		name   string
+		mutate func(ts *task.Snapshot)
+	}{
+		{"moved", func(ts *task.Snapshot) { ts.Task.Location = geo.Pt(1e6, 1e6) }},
+		{"required", func(ts *task.Snapshot) { ts.Task.Required = 999 }},
+		{"deadline", func(ts *task.Snapshot) { ts.Task.Deadline = 1 << 40 }},
+		{"future contribution", func(ts *task.Snapshot) {
+			ts.Contributions = append(ts.Contributions, task.ContributionRecord{User: 7, Round: good.Round + 1})
+		}},
+		{"huge round", func(ts *task.Snapshot) {
+			ts.Task.Deadline = 1 << 40
+			ts.Contributions = append(ts.Contributions, task.ContributionRecord{User: 7, Round: 1 << 39})
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			snap := base.Snapshot()
+			if snap.Round != 2 {
+				t.Fatalf("snapshot round %d, want 2", snap.Round)
+			}
+			tc.mutate(&snap.Board.Tasks[0])
+			p := testPlatform(t)
+			before := p.Board().Snapshot()
+			if err := p.Restore(snap); err == nil {
+				t.Fatal("rewritten snapshot restored")
+			}
+			if !reflect.DeepEqual(p.Board().Snapshot(), before) {
+				t.Error("rejected restore changed the board")
+			}
+		})
 	}
 }
 

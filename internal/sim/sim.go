@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"paydemand/internal/agent"
 	"paydemand/internal/engine"
@@ -82,6 +83,17 @@ type Simulation struct {
 	// permBuf is the grow-only per-round user-order permutation buffer
 	// (filled by PermInto with the exact draws Perm used to make).
 	permBuf []int
+	// emptyMemo holds, per user slot, the user and spec of that slot's
+	// last selection problem when it was empty (user nil otherwise); see
+	// runUsers. Churn replaces users in place, so its length is fixed.
+	emptyMemo []emptyProblem
+}
+
+// emptyProblem records a user whose selection problem came out empty for
+// the given spec.
+type emptyProblem struct {
+	user *agent.User
+	spec engine.Spec
 }
 
 // New generates a scenario from cfg.Workload with the given seed and
@@ -171,6 +183,7 @@ func NewFromScenario(cfg Config, sc workload.Scenario, seed int64) (*Simulation,
 		mob:      mob,
 	}
 	s.users = make([]*agent.User, len(sc.UserLocations))
+	s.emptyMemo = make([]emptyProblem, len(sc.UserLocations))
 	for i, loc := range sc.UserLocations {
 		u := s.newUser(loc, jitterRNG)
 		if err := u.Validate(); err != nil {
@@ -334,10 +347,40 @@ func (s *Simulation) runRound(k int, obs Observer) (metrics.RoundStats, error) {
 // in perm order solves its selection problem against the board as the
 // earlier users' commits left it, then commits the resulting plan
 // (records, profit, movement, idle-time bookkeeping).
+//
+// A user whose last problem was empty and whose spec is bitwise unchanged
+// gets an empty problem without a call to the engine. This is sound
+// because, within a simulation, every check the engine makes before
+// offering a task only ever turns false over later turns: reach depends
+// only on the spec and the task's fixed location; a task that is not
+// OpenAt one turn stays closed, since it only completes or passes its
+// deadline as the round rises, and every task of a later round's open
+// snapshot was in the earlier one; Contributed and the user's HasDone set
+// only grow; and the simulation never requires pricing. A churned-in
+// user is a new *agent.User, so its slot misses.
 func (s *Simulation) runUsers(k int, perm []int, obs Observer, rs *metrics.RoundStats, idle []float64) error {
 	for _, ui := range perm {
 		u := s.users[ui]
-		problem := s.problemFor(u)
+		spec := s.specFor(u)
+		memo := &s.emptyMemo[ui]
+		var problem selection.Problem
+		if memo.user == u && sameSpec(memo.spec, spec) {
+			problem = selection.Problem{
+				Start:           spec.Start,
+				MaxDistance:     spec.MaxDistance,
+				CostPerMeter:    spec.CostPerMeter,
+				PerTaskDistance: spec.PerTaskDistance,
+				Candidates:      s.candBuf[:0],
+				CandidatesValid: true,
+			}
+		} else {
+			problem = s.problemFor(spec, u)
+			if len(problem.Candidates) == 0 {
+				*memo = emptyProblem{user: u, spec: spec}
+			} else {
+				memo.user = nil
+			}
+		}
 		plan, err := s.alg.Select(problem)
 		if err != nil {
 			return fmt.Errorf("user %d: %w", u.ID, err)
@@ -375,8 +418,8 @@ func (s *Simulation) runUsers(k int, perm []int, obs Observer, rs *metrics.Round
 // resulting aliasing rules). The engine supplies the round-dependent half
 // — candidates in board order and this round's prices — so the simulation
 // is deterministic under a seed.
-func (s *Simulation) problemFor(u *agent.User) selection.Problem {
-	p, buf := s.eng.ProblemInto(s.specFor(u), u, s.candBuf)
+func (s *Simulation) problemFor(spec engine.Spec, u *agent.User) selection.Problem {
+	p, buf := s.eng.ProblemInto(spec, u, s.candBuf)
 	s.candBuf = buf
 	return p
 }
@@ -389,6 +432,16 @@ func (s *Simulation) specFor(u *agent.User) engine.Spec {
 		CostPerMeter:    u.CostPerMeter,
 		PerTaskDistance: s.cfg.SensingTime * u.Speed,
 	}
+}
+
+// sameSpec reports whether two specs are bitwise equal, so a NaN or a
+// signed zero never passes for another value.
+func sameSpec(a, b engine.Spec) bool {
+	return math.Float64bits(a.Start.X) == math.Float64bits(b.Start.X) &&
+		math.Float64bits(a.Start.Y) == math.Float64bits(b.Start.Y) &&
+		math.Float64bits(a.MaxDistance) == math.Float64bits(b.MaxDistance) &&
+		math.Float64bits(a.CostPerMeter) == math.Float64bits(b.CostPerMeter) &&
+		math.Float64bits(a.PerTaskDistance) == math.Float64bits(b.PerTaskDistance)
 }
 
 // Run is a convenience that builds and runs a simulation in one call.

@@ -9,8 +9,10 @@
 package task
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 
 	"paydemand/internal/geo"
 )
@@ -64,8 +66,11 @@ type State struct {
 	// contributors maps each contributing user to the round it
 	// contributed in.
 	contributors map[int]int
-	// receivedAt[k] is the number of measurements recorded at round k.
-	receivedAt map[int]int
+	// perRound holds one entry per round with a recorded measurement, in
+	// ascending round order. It is never indexed by round number: a
+	// restored snapshot may carry a contribution at any round up to a
+	// deadline as large as Validate allows.
+	perRound []roundCount
 	// rewardPaid is the total reward paid out for this task so far.
 	rewardPaid float64
 	// completedRound is the round at which the task reached Required
@@ -83,8 +88,12 @@ func NewState(t Task) (*State, error) {
 	return &State{
 		Task:         t,
 		contributors: make(map[int]int),
-		receivedAt:   make(map[int]int),
 	}, nil
+}
+
+// roundCount is the number of measurements recorded during one round.
+type roundCount struct {
+	round, n int
 }
 
 // Received returns the number of measurements received so far (pi_i).
@@ -143,7 +152,7 @@ func (s *State) Record(user, round int, reward float64) error {
 	}
 	s.contributors[user] = round
 	s.received++
-	s.receivedAt[round]++
+	s.countAt(round)
 	s.rewardPaid += reward
 	if s.firstRound == 0 {
 		s.firstRound = round
@@ -154,17 +163,46 @@ func (s *State) Record(user, round int, reward float64) error {
 	return nil
 }
 
+// countAt adds one measurement to round's entry of perRound, inserting
+// the entry in round order when it is new.
+func (s *State) countAt(round int) {
+	i, found := s.findRound(round)
+	if found {
+		s.perRound[i].n++
+		return
+	}
+	s.perRound = slices.Insert(s.perRound, i, roundCount{round: round, n: 1})
+}
+
+// findRound returns the position of round's entry in perRound, or where
+// it would be inserted, and whether it is present.
+func (s *State) findRound(round int) (int, bool) {
+	return slices.BinarySearchFunc(s.perRound, round, func(rc roundCount, k int) int {
+		return cmp.Compare(rc.round, k)
+	})
+}
+
 // ReceivedAt returns the number of measurements recorded during round k.
-func (s *State) ReceivedAt(round int) int { return s.receivedAt[round] }
+func (s *State) ReceivedAt(round int) int {
+	if i, found := s.findRound(round); found {
+		return s.perRound[i].n
+	}
+	return 0
+}
 
 // ReceivedBy returns the cumulative number of measurements recorded in
-// rounds 1..k.
+// rounds 1..k. At or past the last round with a measurement — every
+// per-round stats call of a campaign — that is all of them.
 func (s *State) ReceivedBy(round int) int {
+	if last := len(s.perRound) - 1; last < 0 || round >= s.perRound[last].round {
+		return s.received
+	}
 	total := 0
-	for k, n := range s.receivedAt {
-		if k <= round {
-			total += n
+	for _, rc := range s.perRound {
+		if rc.round > round {
+			break
 		}
+		total += rc.n
 	}
 	return total
 }
