@@ -69,6 +69,7 @@ fuzz-smoke:
 	go test -run FuzzBinaryRoundTrip -fuzz FuzzBinaryRoundTrip -fuzztime 15s ./internal/wire/binary/
 	go test -run FuzzBinaryDecodeHardened -fuzz FuzzBinaryDecodeHardened -fuzztime 15s ./internal/wire/binary/
 	go test -run FuzzJSONHandlers -fuzz FuzzJSONHandlers -fuzztime 15s ./internal/server/
+	go test -run FuzzTLVHandlers -fuzz FuzzTLVHandlers -fuzztime 15s ./internal/server/
 	go test -run FuzzRoundInfoJSON -fuzz FuzzRoundInfoJSON -fuzztime 15s ./internal/wire/
 	go test -run FuzzNeighborCounts -fuzz FuzzNeighborCounts -fuzztime 15s ./internal/engine/
 	go test -run FuzzTaskRoundCounts -fuzz FuzzTaskRoundCounts -fuzztime 15s ./internal/task/

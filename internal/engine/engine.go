@@ -110,12 +110,14 @@ type Engine struct {
 	// Incremental neighbor counts (see NeighborViews): nbCount holds,
 	// per board position, the number of users among nbLocs within R of
 	// the task, as counted at round nbRound; nbOK says the counts are
-	// exact for every task open since. moved is per-call scratch.
+	// exact for every task open since. moved and near are per-call
+	// scratch.
 	nbLocs  []geo.Point
 	nbCount []int
 	nbRound int
 	nbOK    bool
 	moved   []int
+	near    []int
 
 	// Grow-only per-round scratch.
 	grid      geo.GridIndex
@@ -417,13 +419,23 @@ func (e *Engine) recount(userLocs []geo.Point) error {
 // queries of side 2R over the open tasks, where a recount costs one grid
 // build over all users plus one query of side 2R per open task over the
 // users, so the break-even share hardly depends on the population sizes.
-// BenchmarkNeighborViews at the benchmark's city size (2000 users, 1000
-// open tasks, R = 500 m in a 3 km square; 2-CPU host), forcing each path
-// in turn, measured the user-by-user update at 17 µs with nobody moved,
-// 77-90 µs at 1% moved, 0.39-0.41 ms at 6%, 0.60-0.74 ms at 10%,
-// 1.1-1.4 ms at 15%, 1.8-2.1 ms at 25% and 6.9-8.4 ms at 100%, against
-// 1.25-1.6 ms for a recount at any share.
-const movedShare = 0.125
+// BenchmarkNeighborViews (R = 500 m in a 3 km square; 2-CPU host), each
+// path forced in turn, three runs each, measured:
+//
+//	moved  city update   city recount  paper update  paper recount
+//	0%     20-22 µs      -             0.5-0.6 µs    -
+//	1%     43-52 µs      1.5-1.6 ms    0.7-0.8 µs    4.0-5.4 µs
+//	6%     0.25-0.32 ms  1.7 ms        1.1-1.3 µs    4.1-4.2 µs
+//	10%    0.43-0.50 ms  1.7 ms        1.6-1.7 µs    3.1-3.8 µs
+//	15%    0.59-0.66 ms  1.5-1.6 ms    1.8-2.3 µs    3.4-4.6 µs
+//	25%    1.07-1.16 ms  1.5-1.7 ms    3.1-3.4 µs    3.3-4.3 µs
+//	40%    1.75-2.05 ms  1.4-1.6 ms    4.1-4.8 µs    3.9-5.3 µs
+//	50%    2.19-2.40 ms  1.5-1.7 ms    4.5-5.9 µs    4.1-4.6 µs
+//	100%   4.4-4.7 ms    1.6-1.7 ms    9.9-12.7 µs   3.8-4.6 µs
+//
+// City size is 2000 users and 1000 open tasks, paper size 100 users and
+// 20 tasks. At both sizes the costs cross near a third of the users.
+const movedShare = 0.35
 
 // shiftMoved brings the neighbor counts up to date for userLocs by
 // recounting only the users whose location changed, bitwise, since the
@@ -441,11 +453,12 @@ const movedShare = 0.125
 //   - fewer than movedShare of the users moved.
 //
 // A moved user takes -1 on each open task within R of its old location
-// and +1 on each within R of its new one. Every pair is decided by
-// geo.WithinRadius with the task as center, the very predicate
-// CountWithin applies around the task, so each count ends as a recount
-// would leave it. Candidates come from the reach cells under the box
-// [u.X-R, u.X+R] x [u.Y-R, u.Y+R] around the user's location u, corners
+// and +1 on each within R of its new one, found by a WithinInto query of
+// radius R around the user's location u over the reach index. That query
+// applies the pair predicate CountWithin applies around the task, and
+// the predicate is symmetric for two finite points (see geo's within),
+// so each count ends as a recount would leave it. Candidates come from
+// the reach cells under the box [u.X-R, u.X+R] x [u.Y-R, u.Y+R], corners
 // rounded to nearest, and that box holds every task the predicate
 // accepts. The predicate accepts a task at t only when the computed
 // |dx| = |fl(u.X-t.X)| is below R: either Hypot(dx, dy) < R, and Hypot
@@ -486,15 +499,9 @@ func (e *Engine) shiftMoved(userLocs []geo.Point) bool {
 // shift adds delta to the count of every open task within R of a user
 // at u (see shiftMoved).
 func (e *Engine) shift(u geo.Point, delta int) {
-	r := e.cfg.NeighborRadius
-	c0, c1, r0, r1 := e.reach.Cells(geo.Rect{Min: geo.Pt(u.X-r, u.Y-r), Max: geo.Pt(u.X+r, u.Y+r)})
-	for row := r0; row <= r1; row++ {
-		locs, idx := e.reach.Run(row, c0, c1)
-		for k, loc := range locs {
-			if geo.WithinRadius(loc, u, r) {
-				e.nbCount[e.openPos[idx[k]]] += delta
-			}
-		}
+	e.near = e.reach.WithinInto(e.near, u, e.cfg.NeighborRadius)
+	for _, i := range e.near {
+		e.nbCount[e.openPos[i]] += delta
 	}
 }
 

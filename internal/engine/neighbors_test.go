@@ -55,6 +55,18 @@ func (o *neighborOracle) check(step string) (recounted bool) {
 	return o.e.grid.Len() > 0
 }
 
+// cutOff is the fewest of n users whose moves make NeighborViews
+// recount rather than update user by user, as shiftMoved compares
+// against movedShare.
+func cutOff(n int) int {
+	limit := movedShare * float64(n)
+	m := 1
+	for float64(m) < limit {
+		m++
+	}
+	return m
+}
+
 // expect is check plus the path the call must take.
 func (o *neighborOracle) expect(step string, recount bool) {
 	o.t.Helper()
@@ -91,6 +103,7 @@ func TestNeighborViewsIncrementalMatchesRecount(t *testing.T) {
 		board := boardOf(uniform(80, 0, 1000), func(i int) int { return 1 + i%8 })
 		// Some users start outside the area, where the grid clamps them.
 		o := newNeighborOracle(t, board, r, uniform(200, -60, 1060))
+		cut := cutOff(len(o.locs))
 		round := 1
 		o.e.BeginRound(round)
 		o.expect("first count", true)
@@ -98,9 +111,9 @@ func TestNeighborViewsIncrementalMatchesRecount(t *testing.T) {
 			var movers int
 			switch rng.Intn(3) {
 			case 1:
-				movers = 1 + rng.Intn(20) // below the cut-off of 25
+				movers = 1 + rng.Intn(cut-1) // below the cut-off
 			case 2:
-				movers = 25 + rng.Intn(176)
+				movers = cut + rng.Intn(len(o.locs)-cut+1)
 			}
 			for _, i := range rng.Perm(len(o.locs))[:movers] {
 				o.locs[i] = geo.Pt(rng.Uniform(-60, 1060), rng.Uniform(-60, 1060))
@@ -114,13 +127,13 @@ func TestNeighborViewsIncrementalMatchesRecount(t *testing.T) {
 			}
 			o.e.BeginRound(round)
 			recounted := o.check(fmt.Sprintf("step %d, round %d, %d moved", step, round, movers))
-			if movers >= 25 && !recounted {
+			if movers >= cut && !recounted {
 				t.Fatalf("step %d: %d of %d users moved without a recount", step, movers, len(o.locs))
 			}
 		}
 	})
 
-	// Two tasks keep the reach index up; 40 users put the cut-off at 5.
+	// Two tasks keep the reach index up over 40 parked users.
 	center := geo.Pt(500, 500)
 	pair := boardOf([]geo.Point{center, geo.Pt(200, 800)}, func(int) int { return 9 })
 	parked := func() []geo.Point {
@@ -178,14 +191,17 @@ func TestNeighborViewsIncrementalMatchesRecount(t *testing.T) {
 		o.e.BeginRound(1)
 		o.expect("parked", true)
 		o.expect("nobody moved", false)
-		for i := 0; i < 4; i++ {
-			o.locs[i] = geo.Pt(center.X+float64(10*i), center.Y)
+		// Movers spread over the first 140 m east, then north, of the
+		// task, all within R of it.
+		cut := cutOff(len(o.locs))
+		for i := 0; i < cut-1; i++ {
+			o.locs[i] = geo.Pt(center.X+float64(140*i/cut), center.Y)
 		}
-		o.expect("4 of 40 moved", false)
-		for i := 0; i < 5; i++ {
-			o.locs[i] = geo.Pt(center.X, center.Y+float64(10*i+5))
+		o.expect(fmt.Sprintf("%d of %d moved", cut-1, len(o.locs)), false)
+		for i := 0; i < cut; i++ {
+			o.locs[i] = geo.Pt(center.X, center.Y+float64(5+140*i/cut))
 		}
-		o.expect("5 of 40 moved", true)
+		o.expect(fmt.Sprintf("%d of %d moved", cut, len(o.locs)), true)
 	})
 
 	t.Run("non-finite", func(t *testing.T) {
@@ -259,6 +275,12 @@ func FuzzNeighborCounts(f *testing.F) {
 	f.Add(int64(1), uint16(150), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
 	f.Add(int64(2), uint16(40), []byte{1, 1, 1, 1, 9, 1, 1, 10, 1, 1, 11, 1})
 	f.Add(int64(3), uint16(999), []byte{2, 2, 3, 2, 2, 0, 0, 8, 2, 2, 6, 2})
+	// One mover takes the user-by-user update and half the users a
+	// recount, so the fuzzer reaches both sides of the cut-off.
+	const users = 48
+	if cut := cutOff(users); !(1 < cut && cut <= users/2) {
+		f.Fatalf("moves of 1 and %d of %d users do not straddle the cut-off %d", users/2, users, cut)
+	}
 	f.Fuzz(func(t *testing.T, seed int64, radius uint16, ops []byte) {
 		if len(ops) > 64 {
 			ops = ops[:64]
@@ -274,7 +296,7 @@ func FuzzNeighborCounts(f *testing.F) {
 				Required: 1 + rng.Intn(2),
 			}
 		}
-		locs := make([]geo.Point, 48)
+		locs := make([]geo.Point, users)
 		for i := range locs {
 			locs[i] = geo.Pt(rng.Uniform(-50, 1050), rng.Uniform(-50, 1050))
 		}

@@ -182,35 +182,41 @@ func BenchmarkProblemInto(b *testing.B) {
 	}
 }
 
-// BenchmarkNeighborViews measures one NeighborViews call at the
-// benchmark's city size (2000 users, 1000 open tasks, R = 500 m in a
-// 3 km square) against the previous call's locations, with the given
-// share of users moved to fresh uniform locations: the calls alternate
-// between two location sets that differ in exactly that share. Below
-// movedShare the counts are updated user by user; from it on every task
-// is recounted.
+// BenchmarkNeighborViews measures one NeighborViews call against the
+// previous call's locations, with the given share of users moved to
+// fresh uniform locations: the calls alternate between two location sets
+// that differ in exactly that share. Below movedShare the counts are
+// updated user by user; from it on every task is recounted. It runs at
+// the benchmark's city size (2000 users, 1000 open tasks) and at the
+// paper's (100 users, 20 tasks), both with R = 500 m in a 3 km square,
+// so the cut-off is measured at both.
 func BenchmarkNeighborViews(b *testing.B) {
-	for _, pct := range []int{0, 1, 6, 25, 100} {
-		b.Run(fmt.Sprintf("moved=%d%%", pct), func(b *testing.B) {
-			w := newBenchWorld(b, 2000, 1000)
-			eng := benchEngine(b, w, "on-demand")
-			eng.BeginRound(1)
-			rng := stats.NewRNG(int64(pct))
-			next := append([]geo.Point(nil), w.users...)
-			for i := 0; i < len(next)*pct/100; i++ {
-				next[i] = geo.Pt(rng.Uniform(0, 3000), rng.Uniform(0, 3000))
-			}
-			sets := [2][]geo.Point{w.users, next}
-			if _, err := eng.NeighborViews(sets[1]); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.NeighborViews(sets[i%2]); err != nil {
+	for _, size := range []struct {
+		name         string
+		users, tasks int
+	}{{"city", 2000, 1000}, {"paper", 100, 20}} {
+		for _, pct := range []int{0, 1, 6, 10, 15, 25, 40, 50, 100} {
+			b.Run(fmt.Sprintf("%s/moved=%d%%", size.name, pct), func(b *testing.B) {
+				w := newBenchWorld(b, size.users, size.tasks)
+				eng := benchEngine(b, w, "on-demand")
+				eng.BeginRound(1)
+				rng := stats.NewRNG(int64(pct))
+				next := append([]geo.Point(nil), w.users...)
+				for i := 0; i < len(next)*pct/100; i++ {
+					next[i] = geo.Pt(rng.Uniform(0, 3000), rng.Uniform(0, 3000))
+				}
+				sets := [2][]geo.Point{w.users, next}
+				if _, err := eng.NeighborViews(sets[1]); err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := eng.NeighborViews(sets[i%2]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

@@ -194,40 +194,32 @@ func (g *GridIndex) CountWithin(center Point, r float64) int {
 	count := 0
 	for row := r0; row <= r1; row++ {
 		pts, _ := g.Run(row, c0, c1)
-		count += countWithin(pts, center, r, lo, hi)
-	}
-	return count
-}
-
-// WithinRadius reports whether p lies strictly within radius r of
-// center, deciding the pair exactly as a CountWithin query around center
-// does: the result is always p.Dist(center) < r, bit for bit. A caller
-// that keeps neighbor counts up to date pair by pair with it agrees with
-// a full CountWithin recount.
-func WithinRadius(center, p Point, r float64) bool {
-	lo, hi := band(center, r)
-	return countWithin([]Point{p}, center, r, lo, hi) == 1
-}
-
-// countWithin returns how many of pts lie strictly within r of center,
-// given the query's band (see band). Its loop body is the pair predicate
-// of every radius query — CountWithin, WithinInto and WithinRadius — so
-// they all decide a pair identically. It takes a run of points rather
-// than one because the predicate does not inline, and CountWithin, the
-// engine's neighbor count, would pay about half again its time for a
-// call per point. WithinInto does pay a call per point, which about
-// doubles its scan; its one caller, the SAT baseline's bid collection,
-// does far more work per hit, and `experiments -fig ext-sat-vs-wst` runs
-// no slower for it.
-func countWithin(pts []Point, center Point, r, lo, hi float64) int {
-	count := 0
-	for _, p := range pts {
-		dx, dy := p.X-center.X, p.Y-center.Y
-		if d2 := dx*dx + dy*dy; d2 < lo || !(d2 > hi) && math.Hypot(dx, dy) < r {
-			count++
+		for _, p := range pts {
+			dx, dy := p.X-center.X, p.Y-center.Y
+			if within(dx, dy, dx*dx+dy*dy, r, lo, hi) {
+				count++
+			}
 		}
 	}
 	return count
+}
+
+// within is the pair predicate of every radius query: whether a point at
+// offset (dx, dy) from the query's center, d2 = dx*dx+dy*dy, lies
+// strictly within r, given the query's band (see band). CountWithin and
+// WithinInto both decide each pair with it, so they agree bit for bit.
+// It takes d2 from the caller because computing it here would put the
+// function past the inlining budget (math.Hypot alone takes most of it),
+// and a call per point would cost a query about three times its scan;
+// `go build -gcflags=-m ./internal/geo` must report "can inline within".
+//
+// It is symmetric in the pair: swapping the two points negates dx and dy
+// exactly (fl(a-b) = -fl(b-a) under round to nearest), which changes
+// neither d2 nor Hypot, and the band depends on the center only through
+// whether it is finite. So for two finite points a query around either
+// one decides the pair alike.
+func within(dx, dy, d2, r, lo, hi float64) bool {
+	return d2 < lo || !(d2 > hi) && math.Hypot(dx, dy) < r
 }
 
 // Within returns the indices (into the original point slice) of all points
@@ -240,15 +232,17 @@ func (g *GridIndex) Within(center Point, r float64) []int {
 // following the repo's grow-only `...Into` convention: callers on hot
 // paths pass the previous query's slice back in and reach zero
 // steady-state allocations once the buffer has grown to the largest
-// result set.
+// result set. It decides every pair as CountWithin does, so a caller that
+// keeps counts up to date from its results agrees with a recount.
 func (g *GridIndex) WithinInto(dst []int, center Point, r float64) []int {
 	dst = dst[:0]
 	lo, hi := band(center, r)
 	c0, c1, r0, r1 := g.span(center, r)
 	for row := r0; row <= r1; row++ {
 		pts, idx := g.Run(row, c0, c1)
-		for k := range pts {
-			if countWithin(pts[k:k+1], center, r, lo, hi) == 1 {
+		for k, p := range pts {
+			dx, dy := p.X-center.X, p.Y-center.Y
+			if within(dx, dy, dx*dx+dy*dy, r, lo, hi) {
 				dst = append(dst, idx[k])
 			}
 		}

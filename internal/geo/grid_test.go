@@ -343,20 +343,21 @@ func nearestBrute(pts []Point, center Point) (float64, bool) {
 	return best, ok
 }
 
-// TestGridIndexMatchesBruteProperty checks CountWithin, WithinInto,
-// WithinRadius (with either point as center: the pair predicate is
+// TestGridIndexMatchesBruteProperty checks CountWithin and WithinInto
+// (with either point of each pair as center: the pair predicate is
 // symmetric) and Nearest against the brute-force references on random
-// grids whose cell
-// size does not divide the bounds. The point sets mix uniform points with
-// points on cell seams, points outside the bounds on every side (clamped
-// into edge cells), and NaN and infinite coordinates. Radii include ones
-// that put an indexed point exactly at distance r and one ulp either side
-// of it (where the squared-distance band defers to the exact test), points
-// on the center's axes, and tiny, huge, zero, infinite and NaN radii.
+// grids whose cell size does not divide the bounds. The point sets mix
+// uniform points with points on cell seams, points outside the bounds on
+// every side (clamped into edge cells), and NaN and infinite coordinates.
+// Radii include ones that put an indexed point exactly at distance r and
+// one ulp either side of it (where the squared-distance band defers to
+// the exact test), points on the center's axes, and tiny, huge, zero,
+// infinite and NaN radii.
 func TestGridIndexMatchesBruteProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
 	inf, nan := math.Inf(1), math.NaN()
 	var buf []int
+	var one GridIndex // holds one query center at a time
 	for trial := 0; trial < 60; trial++ {
 		side := 200 + rng.Float64()*2800
 		bounds := Rect{Min: Pt(-side/3, 10), Max: Pt(side, 10+side*(0.5+rng.Float64()))}
@@ -396,6 +397,11 @@ func TestGridIndexMatchesBruteProperty(t *testing.T) {
 					}
 				}
 			}
+			// One cell spans the bounds, so these queries cost little
+			// beyond the pair test they check.
+			if err := one.Reset(bounds, 2*side, []Point{center}); err != nil {
+				t.Fatal(err)
+			}
 			radii = append(radii, rng.Float64()*side, 0, -1, 1e-300, 5e-324, 1e-100, 1e100, 1e300, math.MaxFloat64, inf, nan)
 			for _, r := range radii {
 				want := withinBrute(pts, center, r)
@@ -412,9 +418,13 @@ func TestGridIndexMatchesBruteProperty(t *testing.T) {
 				for _, i := range want {
 					inside[i] = true
 				}
+				// The other way round: an index holding only center,
+				// queried around each point, decides every pair alike.
 				for i, p := range pts {
-					if WithinRadius(center, p, r) != inside[i] || WithinRadius(p, center, r) != inside[i] {
-						t.Fatalf("trial %d: WithinRadius of %v and %v at %v is not %v both ways round", trial, center, p, r, inside[i])
+					n := one.CountWithin(p, r)
+					buf = one.WithinInto(buf, p, r)
+					if n != len(buf) || (n == 1) != inside[i] || n > 1 || n == 1 && buf[0] != 0 {
+						t.Fatalf("trial %d: query around %v at %v counts %d, finds %v; want inside %v", trial, p, r, n, buf, inside[i])
 					}
 				}
 			}

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
+	"paydemand/internal/geo"
 	"paydemand/internal/wire"
+	"paydemand/internal/wire/binary"
 )
 
 // FuzzJSONHandlers feeds arbitrary bodies to the JSON write endpoints
@@ -46,14 +49,9 @@ func FuzzJSONHandlers(f *testing.F) {
 		{wire.PathSubmit, func() any { return new(wire.SubmitRequest) }},
 	}
 	f.Fuzz(func(t *testing.T, which uint8, body []byte) {
-		p := testPlatform(t)
-		if code, _ := serveFuzz(p, http.MethodPost, wire.PathRegister, []byte(`{}`)); code != http.StatusOK {
-			t.Fatalf("register the fixture worker: %d", code)
-		}
-		_, before := serveFuzz(p, http.MethodGet, wire.PathStatus, nil)
-
+		p, before := fuzzPlatform(t)
 		ep := endpoints[int(which)%len(endpoints)]
-		code, resp := serveFuzz(p, http.MethodPost, ep.path, body)
+		code, resp := serveFuzz(p, http.MethodPost, ep.path, jsonType, body)
 		if code >= 500 {
 			t.Fatalf("%s body %q -> %d %s", ep.path, body, code, resp)
 		}
@@ -61,19 +59,78 @@ func FuzzJSONHandlers(f *testing.F) {
 			t.Fatalf("%s accepted an undecodable body %q -> %d %s", ep.path, body, code, resp)
 		}
 		if code/100 != 2 {
-			if _, after := serveFuzz(p, http.MethodGet, wire.PathStatus, nil); !bytes.Equal(after, before) {
-				t.Fatalf("%s rejected body %q (%d) but changed status:\n before %s\n after  %s",
-					ep.path, body, code, before, after)
-			}
+			requireStatus(t, p, before, ep.path, body, code)
 		}
 	})
 }
 
-// serveFuzz runs one JSON request through the platform's handler and
-// returns the status code and response body.
-func serveFuzz(p *Platform, method, path string, body []byte) (int, []byte) {
+// FuzzTLVHandlers feeds arbitrary TLV bodies, with the TLV Content-Type
+// and Accept headers, to /v1/plan and /v1/submit of a fresh platform with
+// one registered worker, and asserts that no handler panics or answers
+// 5xx, and that a rejected body leaves the platform's /v1/status response
+// byte for byte unchanged. The TLV codec carries what JSON cannot:
+// infinities and NaN in every float field.
+//
+// The first input selects the endpoint, the second is the raw body. The
+// seeds are one well-formed body per endpoint plus a plan with an
+// infinite speed and a zero time budget, whose travel budget is NaN.
+func FuzzTLVHandlers(f *testing.F) {
+	plan := wire.PlanRequest{UserID: 1, Location: geo.Pt(100, 100), Speed: 1.4, TimeBudget: 600, CostPerMeter: 0.002}
+	f.Add(uint8(0), binary.AppendPlanRequest(nil, &plan))
+	f.Add(uint8(1), binary.AppendSubmitRequest(nil, &wire.SubmitRequest{
+		UserID:       1,
+		Round:        1,
+		Measurements: []wire.Measurement{{TaskID: 1, Value: 3.5}},
+		Location:     geo.Pt(100, 100),
+	}))
+	plan.Speed, plan.TimeBudget = math.Inf(1), 0
+	f.Add(uint8(0), binary.AppendPlanRequest(nil, &plan))
+
+	paths := []string{wire.PathPlan, wire.PathSubmit}
+	f.Fuzz(func(t *testing.T, which uint8, body []byte) {
+		p, before := fuzzPlatform(t)
+		path := paths[int(which)%len(paths)]
+		code, resp := serveFuzz(p, http.MethodPost, path, binary.ContentType, body)
+		if code >= 500 {
+			t.Fatalf("%s body %q -> %d %q", path, body, code, resp)
+		}
+		if code/100 != 2 {
+			requireStatus(t, p, before, path, body, code)
+		}
+	})
+}
+
+const jsonType = "application/json"
+
+// fuzzPlatform returns a fresh platform with one registered worker (ID
+// 1) and its /v1/status response.
+func fuzzPlatform(t *testing.T) (*Platform, []byte) {
+	t.Helper()
+	p := testPlatform(t)
+	if code, _ := serveFuzz(p, http.MethodPost, wire.PathRegister, jsonType, []byte(`{}`)); code != http.StatusOK {
+		t.Fatalf("register the fixture worker: %d", code)
+	}
+	_, status := serveFuzz(p, http.MethodGet, wire.PathStatus, jsonType, nil)
+	return p, status
+}
+
+// requireStatus fails the test unless p's /v1/status response is still
+// before, after the request to path with body was answered code.
+func requireStatus(t *testing.T, p *Platform, before []byte, path string, body []byte, code int) {
+	t.Helper()
+	if _, after := serveFuzz(p, http.MethodGet, wire.PathStatus, jsonType, nil); !bytes.Equal(after, before) {
+		t.Fatalf("%s rejected body %q (%d) but changed status:\n before %s\n after  %s",
+			path, body, code, before, after)
+	}
+}
+
+// serveFuzz runs one request through the platform's handler, with body
+// and Accept headers of the given content type, and returns the status
+// code and response body.
+func serveFuzz(p *Platform, method, path, contentType string, body []byte) (int, []byte) {
 	req := httptest.NewRequest(method, path, bytes.NewReader(body))
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", contentType)
+	req.Header.Set("Accept", contentType)
 	rec := httptest.NewRecorder()
 	p.ServeHTTP(rec, req)
 	return rec.Code, rec.Body.Bytes()

@@ -268,16 +268,22 @@ func (p *Platform) handlePlan(w http.ResponseWriter, r *http.Request) {
 		p.writeError(w, http.StatusBadRequest, "non-finite location")
 		return
 	}
-	if req.Speed <= 0 || math.IsNaN(req.Speed) {
-		p.writeError(w, http.StatusBadRequest, "speed %v, want > 0", req.Speed)
+	// The comparisons are written so that NaN fails them too.
+	if !(req.Speed > 0) || math.IsInf(req.Speed, 1) {
+		p.writeError(w, http.StatusBadRequest, "speed %v, want finite > 0", req.Speed)
 		return
 	}
-	if req.TimeBudget < 0 || math.IsNaN(req.TimeBudget) {
-		p.writeError(w, http.StatusBadRequest, "time budget %v, want >= 0", req.TimeBudget)
+	if !(req.TimeBudget >= 0) || math.IsInf(req.TimeBudget, 1) {
+		p.writeError(w, http.StatusBadRequest, "time budget %v, want finite >= 0", req.TimeBudget)
 		return
 	}
-	if req.CostPerMeter < 0 || math.IsNaN(req.CostPerMeter) {
-		p.writeError(w, http.StatusBadRequest, "cost per meter %v, want >= 0", req.CostPerMeter)
+	if !(req.CostPerMeter >= 0) || math.IsInf(req.CostPerMeter, 1) {
+		p.writeError(w, http.StatusBadRequest, "cost per meter %v, want finite >= 0", req.CostPerMeter)
+		return
+	}
+	maxDistance := req.Speed * req.TimeBudget
+	if math.IsInf(maxDistance, 1) {
+		p.writeError(w, http.StatusBadRequest, "speed %v times time budget %v overflows", req.Speed, req.TimeBudget)
 		return
 	}
 
@@ -298,7 +304,7 @@ func (p *Platform) handlePlan(w http.ResponseWriter, r *http.Request) {
 	// the problem escapes the lock and must not share engine scratch.
 	problem, _ := p.eng.ProblemInto(engine.Spec{
 		Start:        req.Location,
-		MaxDistance:  req.Speed * req.TimeBudget,
+		MaxDistance:  maxDistance,
 		CostPerMeter: req.CostPerMeter,
 	}, engine.Worker(req.UserID), nil)
 	p.mu.Unlock()

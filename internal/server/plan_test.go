@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +14,7 @@ import (
 	"paydemand/internal/geo"
 	"paydemand/internal/selection"
 	"paydemand/internal/wire"
+	"paydemand/internal/wire/binary"
 )
 
 // planRequest is a valid baseline request tests mutate per case.
@@ -105,6 +107,8 @@ func TestPlanEndpointRejections(t *testing.T) {
 		{"negative speed", func(r *wire.PlanRequest) { r.Speed = -5 }, http.StatusBadRequest},
 		{"negative time budget", func(r *wire.PlanRequest) { r.TimeBudget = -1 }, http.StatusBadRequest},
 		{"negative cost", func(r *wire.PlanRequest) { r.CostPerMeter = -0.1 }, http.StatusBadRequest},
+		// Both finite, but their product, the travel budget, overflows.
+		{"overflowing budget", func(r *wire.PlanRequest) { r.Speed, r.TimeBudget = 1e308, 1e308 }, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -126,6 +130,62 @@ func TestPlanEndpointRejections(t *testing.T) {
 	}
 	if code := doJSON(t, srv, http.MethodPost, wire.PathPlan, planRequest(reg.UserID), nil); code != http.StatusConflict {
 		t.Errorf("plan after done: code %d, want %d", code, http.StatusConflict)
+	}
+}
+
+// TestPlanEndpointRejectsNonFiniteTLV sends the plan parameters JSON
+// cannot carry, infinities and NaN, in TLV bodies: each is a client
+// error, answered 400 before the platform records anything. An infinite
+// speed with a zero time budget once made a NaN travel budget that the
+// solver rejected with a 500.
+func TestPlanEndpointRejectsNonFiniteTLV(t *testing.T) {
+	p := testPlatform(t)
+	srv := httptest.NewServer(p)
+	defer srv.Close()
+
+	var reg wire.RegisterResponse
+	doJSON(t, srv, http.MethodPost, wire.PathRegister,
+		wire.RegisterRequest{Location: geo.Pt(500, 500)}, &reg)
+	code, before, _ := doTLV(t, srv, http.MethodGet, wire.PathStatus, nil)
+	if code != http.StatusOK {
+		t.Fatalf("status: code %d", code)
+	}
+
+	inf, nan := math.Inf(1), math.NaN()
+	cases := []struct {
+		name string
+		mut  func(*wire.PlanRequest)
+	}{
+		{"infinite speed, zero time budget", func(r *wire.PlanRequest) { r.Speed, r.TimeBudget = inf, 0 }},
+		{"infinite speed", func(r *wire.PlanRequest) { r.Speed = inf }},
+		{"infinite time budget", func(r *wire.PlanRequest) { r.TimeBudget = inf }},
+		{"infinite cost", func(r *wire.PlanRequest) { r.CostPerMeter = inf }},
+		{"NaN speed", func(r *wire.PlanRequest) { r.Speed = nan }},
+		{"NaN time budget", func(r *wire.PlanRequest) { r.TimeBudget = nan }},
+		{"NaN cost", func(r *wire.PlanRequest) { r.CostPerMeter = nan }},
+		{"negative infinite time budget", func(r *wire.PlanRequest) { r.TimeBudget = -inf }},
+		{"overflowing budget", func(r *wire.PlanRequest) { r.Speed, r.TimeBudget = 1e308, 1e308 }},
+		{"infinite location", func(r *wire.PlanRequest) { r.Location.X = inf }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			req := planRequest(reg.UserID)
+			req.Location = geo.Pt(100, 100)
+			tc.mut(&req)
+			code, body, _ := doTLV(t, srv, http.MethodPost, wire.PathPlan, binary.AppendPlanRequest(nil, &req))
+			if code != http.StatusBadRequest {
+				t.Errorf("code %d (%q), want %d", code, body, http.StatusBadRequest)
+			}
+			if _, after, _ := doTLV(t, srv, http.MethodGet, wire.PathStatus, nil); !bytes.Equal(after, before) {
+				t.Errorf("rejected plan changed status:\n before %s\n after  %s", before, after)
+			}
+		})
+	}
+
+	// The same request with finite parameters is served.
+	req := planRequest(reg.UserID)
+	if code, body, _ := doTLV(t, srv, http.MethodPost, wire.PathPlan, binary.AppendPlanRequest(nil, &req)); code != http.StatusOK {
+		t.Fatalf("finite plan: code %d (%q)", code, body)
 	}
 }
 

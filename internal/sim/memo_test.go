@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 
@@ -12,11 +13,14 @@ import (
 )
 
 // memoOracle recomputes every user's problem through the engine at
-// UserPlanned and requires the problem runUsers handed the solver to
-// match it, so the empty-problem memo can never hide a candidate. It also
-// counts the turns the memo served, from a copy of the memo taken at
-// RoundStart: each user acts once a round, so its slot is unchanged
-// until its own turn.
+// UserPlanned and requires the problem runUsers reported to match it, so
+// the empty-problem memo can never hide a candidate. It also counts the
+// turns the memo served, from a copy of the memo taken at RoundStart:
+// each user acts once a round, so its slot is unchanged until its own
+// turn. At each of those turns, where runUsers settles the user without
+// the solver, a fresh solver of the configured kind must solve the
+// reported problem to exactly the reported plan, and that plan must be
+// Plan{}.
 type memoOracle struct {
 	BaseObserver
 	t     *testing.T
@@ -30,7 +34,7 @@ func (o *memoOracle) RoundStart(int, map[task.ID]float64) {
 	o.memo = append(o.memo[:0], o.s.emptyMemo...)
 }
 
-func (o *memoOracle) UserPlanned(round, userID int, got selection.Problem, _ selection.Plan) {
+func (o *memoOracle) UserPlanned(round, userID int, got selection.Problem, plan selection.Plan) {
 	o.turns++
 	slot := slices.IndexFunc(o.s.users, func(u *agent.User) bool { return u.ID == userID })
 	if slot < 0 {
@@ -40,6 +44,17 @@ func (o *memoOracle) UserPlanned(round, userID int, got selection.Problem, _ sel
 	spec := o.s.specFor(u)
 	if m := o.memo[slot]; m.user == u && sameSpec(m.spec, spec) {
 		o.hits++
+		fresh, err := o.s.cfg.buildAlgorithm()
+		if err != nil {
+			o.t.Fatal(err)
+		}
+		want, err := fresh.Select(got)
+		if err != nil {
+			o.t.Fatalf("round %d user %d: a fresh %s rejects the memo problem: %v", round, userID, fresh.Name(), err)
+		}
+		if !reflect.DeepEqual(plan, want) || !reflect.DeepEqual(plan, selection.Plan{}) {
+			o.t.Fatalf("round %d user %d: memo plan %+v, a fresh %s solves %+v", round, userID, plan, fresh.Name(), want)
+		}
 	}
 	want, _ := o.s.eng.ProblemInto(spec, u, nil)
 	if got.Start != want.Start || got.MaxDistance != want.MaxDistance ||
@@ -84,26 +99,32 @@ func TestEmptyProblemMemoMatchesEngine(t *testing.T) {
 		{"rounds past deadlines", func(c *Config) { c.Rounds = 20 }, false},
 		{"paper defaults", func(c *Config) { *c = smallConfig() }, false},
 	}
+	algs := []AlgorithmKind{AlgorithmDP, AlgorithmGreedy, AlgorithmAuto, AlgorithmTwoOpt, AlgorithmBeam}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := citySmall()
-			tc.mutate(&cfg)
-			for seed := int64(1); seed <= 3; seed++ {
-				s, err := New(cfg, seed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				o := &memoOracle{t: t, s: s}
-				if _, err := s.Run(o); err != nil {
-					t.Fatal(err)
-				}
-				if o.turns == 0 {
-					t.Fatal("no user turns")
-				}
-				if tc.wantHits && o.hits == 0 {
-					t.Errorf("seed %d: memo never hit in %d turns", seed, o.turns)
-				}
-				t.Logf("seed %d: memo hit %d of %d turns", seed, o.hits, o.turns)
+			for _, alg := range algs {
+				t.Run(alg.String(), func(t *testing.T) {
+					cfg := citySmall()
+					tc.mutate(&cfg)
+					cfg.Algorithm = alg
+					for seed := int64(1); seed <= 3; seed++ {
+						s, err := New(cfg, seed)
+						if err != nil {
+							t.Fatal(err)
+						}
+						o := &memoOracle{t: t, s: s}
+						if _, err := s.Run(o); err != nil {
+							t.Fatal(err)
+						}
+						if o.turns == 0 {
+							t.Fatal("no user turns")
+						}
+						if tc.wantHits && o.hits == 0 {
+							t.Errorf("seed %d: memo never hit in %d turns", seed, o.turns)
+						}
+						t.Logf("seed %d: memo hit %d of %d turns", seed, o.hits, o.turns)
+					}
+				})
 			}
 		})
 	}

@@ -358,28 +358,35 @@ func (s *Simulation) runRound(k int, obs Observer) (metrics.RoundStats, error) {
 // snapshot was in the earlier one; Contributed and the user's HasDone set
 // only grow; and the simulation never requires pricing. A churned-in
 // user is a new *agent.User, so its slot misses.
+//
+// Such a user is also settled with the empty plan without a call to the
+// solver. Every solver returns Plan{} for a valid problem with no
+// candidates (the DP and the beam at m == 0, greedy and 2-opt from an
+// empty order, Auto by dispatching to the DP), Select is a pure function
+// of the problem, and no solver draws randomness. The memo entry is
+// written before the first Select on its spec, and a Select error aborts
+// the run, so a spec the memo serves has already passed Validate.
 func (s *Simulation) runUsers(k int, perm []int, obs Observer, rs *metrics.RoundStats, idle []float64) error {
 	for _, ui := range perm {
 		u := s.users[ui]
 		spec := s.specFor(u)
 		memo := &s.emptyMemo[ui]
-		var problem selection.Problem
 		if memo.user == u && sameSpec(memo.spec, spec) {
-			problem = selection.Problem{
+			obs.UserPlanned(k, u.ID, selection.Problem{
 				Start:           spec.Start,
 				MaxDistance:     spec.MaxDistance,
 				CostPerMeter:    spec.CostPerMeter,
 				PerTaskDistance: spec.PerTaskDistance,
 				Candidates:      s.candBuf[:0],
 				CandidatesValid: true,
-			}
+			}, selection.Plan{})
+			continue
+		}
+		problem := s.problemFor(spec, u)
+		if len(problem.Candidates) == 0 {
+			*memo = emptyProblem{user: u, spec: spec}
 		} else {
-			problem = s.problemFor(spec, u)
-			if len(problem.Candidates) == 0 {
-				*memo = emptyProblem{user: u, spec: spec}
-			} else {
-				memo.user = nil
-			}
+			memo.user = nil
 		}
 		plan, err := s.alg.Select(problem)
 		if err != nil {
