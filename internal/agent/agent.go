@@ -51,7 +51,6 @@ func New(id int, loc geo.Point) *User {
 		Speed:        DefaultSpeed,
 		TimeBudget:   DefaultTimeBudget,
 		CostPerMeter: DefaultCostPerMeter,
-		done:         make(map[task.ID]bool),
 	}
 }
 
@@ -99,7 +98,9 @@ func (u *User) AddProfit(p float64) { u.profit += p }
 // whole campaign.
 func (u *User) HasDone(id task.ID) bool { return u.done[id] }
 
-// MarkDone records that the user contributed to the task.
+// MarkDone records that the user contributed to the task. The set is
+// allocated on first use, so a user whose driver reads contributions off
+// the board instead (the simulation does) allocates none.
 func (u *User) MarkDone(id task.ID) {
 	if u.done == nil {
 		u.done = make(map[task.ID]bool)

@@ -6,29 +6,23 @@ import (
 
 	"paydemand/internal/geo"
 	"paydemand/internal/selection"
-	"paydemand/internal/task"
 )
 
 // Actor is the engine's view of one acting user when assembling its
 // candidate set: an identity to check against the board's contribution
-// records, plus the actor's own memory of performed tasks (drivers that
-// track none use Worker). *agent.User implements Actor.
+// records, which hold every measurement a user has made. *agent.User
+// implements Actor; drivers that track no user object use Worker.
 type Actor interface {
 	// ActorID is the user's ID as recorded in task contributions.
 	ActorID() int
-	// HasDone reports whether the actor already performed the task.
-	HasDone(id task.ID) bool
 }
 
-// Worker is the Actor of a driver with no user-side memory (the HTTP
-// platform knows only the board's contribution records): just an ID.
+// Worker is the Actor of a driver with no user object (the HTTP platform
+// knows only the board's contribution records): just an ID.
 type Worker int
 
 // ActorID implements Actor.
 func (w Worker) ActorID() int { return int(w) }
-
-// HasDone implements Actor.
-func (Worker) HasDone(task.ID) bool { return false }
 
 // Spec is the user-dependent half of a selection problem: where the user
 // stands and what its budget converts to. The engine supplies the
@@ -99,7 +93,7 @@ func (e *Engine) ProblemInto(spec Spec, who Actor, buf []selection.Candidate) (s
 		}
 		slices.Sort(pos)
 		for _, i := range pos {
-			buf = e.offer(buf, i, start, ovh, budget, id, who)
+			buf = e.offer(buf, i, start, ovh, budget, id)
 		}
 	} else {
 		// The linear scan inlines offer's checks: a call per task costs
@@ -109,7 +103,7 @@ func (e *Engine) ProblemInto(spec Spec, who Actor, buf []selection.Candidate) (s
 				continue
 			}
 			st := e.open[i]
-			if !st.OpenAt(e.round) || st.Contributed(id) || who.HasDone(st.ID) {
+			if !st.OpenAt(e.round) || st.Contributed(id) {
 				continue
 			}
 			reward, priced := e.rewards[st.ID]
@@ -140,13 +134,13 @@ func axisOutOfReach(start, loc geo.Point, ovh, budget float64) bool {
 // the actor, priced when pricing is required. ProblemInto's linear scan
 // repeats these checks inline; TestProblemIntoGridMatchesLinearScan
 // fails if the two drift apart.
-func (e *Engine) offer(buf []selection.Candidate, i int, start geo.Point, ovh, budget float64, id int, who Actor) []selection.Candidate {
+func (e *Engine) offer(buf []selection.Candidate, i int, start geo.Point, ovh, budget float64, id int) []selection.Candidate {
 	loc := e.openLocs[i]
 	if !selection.Reachable(start, loc, ovh, budget) {
 		return buf
 	}
 	st := e.open[i]
-	if !st.OpenAt(e.round) || st.Contributed(id) || who.HasDone(st.ID) {
+	if !st.OpenAt(e.round) || st.Contributed(id) {
 		return buf
 	}
 	reward, priced := e.rewards[st.ID]

@@ -25,7 +25,7 @@ func (e *Engine) unprunedProblem(spec Spec, who Actor) selection.Problem {
 		CandidatesValid: true,
 	}
 	for _, st := range e.open {
-		if !st.OpenAt(e.round) || st.Contributed(who.ActorID()) || who.HasDone(st.ID) {
+		if !st.OpenAt(e.round) || st.Contributed(who.ActorID()) {
 			continue
 		}
 		reward, priced := e.rewards[st.ID]

@@ -51,7 +51,7 @@ type Auto struct {
 	dp     DP
 	beam   Beam
 	greedy Greedy
-	idxs   []int
+	reach  reach
 	order  []int
 }
 
@@ -77,23 +77,25 @@ func (a *Auto) Select(p Problem) (Plan, error) {
 	if err := p.Validate(); err != nil {
 		return Plan{}, err
 	}
-	a.idxs = reachableInto(&p, a.idxs)
-	m := len(a.idxs)
+	// One filter per solve: the rung it dispatches to (and the beam's
+	// exact band and greedy floor) reuse its indices and start distances.
+	a.reach.filter(&p)
+	m := len(a.reach.idxs)
 	if m <= min(threshold, DPHardMaxTasks) {
 		a.dp.MaxTasks = threshold
-		return a.dp.selectValidated(&p)
+		return a.dp.solve(&p, &a.reach)
 	}
 	if m <= a.beamMaxTasks() {
 		a.beam.Width = a.BeamWidth
 		a.beam.Improve = a.BeamImprove
-		return a.beam.selectValidated(&p)
+		return a.beam.solve(&p, &a.reach)
 	}
 	// Last resort past the beam band: greedy with the cheap 2-opt
 	// order-improvement pass over Auto-owned scratch. (Returning the raw
 	// greedy order here was a bug: large instances got a strictly worse
 	// route than TwoOptGreedy would produce for the same O(m^2) greedy
 	// cost, exactly where route quality matters most.)
-	a.order = append(a.order[:0], a.greedy.selectOrder(&p)...)
+	a.order = append(a.order[:0], a.greedy.orderOf(&p, &a.reach)...)
 	improveOrder(&p, a.order)
 	return buildPlan(&p, a.order), nil
 }

@@ -58,8 +58,7 @@ type Beam struct {
 	greedy Greedy // baseline whose (2-opted) plan floors the result
 
 	// Reusable scratch, grown on demand and retained across calls.
-	idxs      []int
-	startDist []float64
+	reach     reach     // Select's own filter; Auto passes its own
 	dist      []float64 // m x m over the filtered candidates
 	vis       []uint64  // two levels of per-state visited bitsets
 	end       []int     // two levels of per-state last-visit indices
@@ -103,14 +102,13 @@ func (bm *Beam) Select(p Problem) (Plan, error) {
 	if err := p.Validate(); err != nil {
 		return Plan{}, err
 	}
-	return bm.selectValidated(&p)
+	bm.reach.filter(&p)
+	return bm.solve(&p, &bm.reach)
 }
 
-// selectValidated is Select without re-validating (Auto validates once
-// and dispatches here).
-func (bm *Beam) selectValidated(p *Problem) (Plan, error) {
-	bm.idxs = reachableInto(p, bm.idxs)
-	idxs := bm.idxs
+// solve runs the beam over a validated problem's filtered candidates r.
+func (bm *Beam) solve(p *Problem, r *reach) (Plan, error) {
+	idxs := r.idxs
 	m := len(idxs)
 	if m == 0 {
 		return Plan{}, nil
@@ -119,22 +117,14 @@ func (bm *Beam) selectValidated(p *Problem) (Plan, error) {
 		// Exact regime: the Held-Karp table is tiny here, and the DP's
 		// optimum trivially dominates both the beam and the greedy floor.
 		bm.dp.MaxTasks = BeamExactMaxTasks
-		return bm.dp.selectValidated(p)
+		return bm.dp.solve(p, r)
 	}
 
-	// Distance tables over the filtered candidates, shared by the search,
-	// the greedy floor, and the polish passes via Problem lookups.
-	bm.startDist = growFloats(bm.startDist, m)
-	bm.dist = growFloats(bm.dist, m*m)
-	startDist, dist := bm.startDist, bm.dist
-	for a := 0; a < m; a++ {
-		startDist[a] = p.Start.Dist(p.Candidates[idxs[a]].Location)
-		for b := 0; b < m; b++ {
-			dist[a*m+b] = p.candDist(idxs[a], idxs[b])
-		}
-	}
+	// The pair table over the filtered candidates feeds the search; the
+	// greedy floor and the polish passes use Problem lookups.
+	bm.dist = pairDists(p, idxs, bm.dist)
 
-	bestLevel, bestSlot, bestProfit, bestTravel := bm.search(p, m, startDist, dist)
+	bestLevel, bestSlot, bestProfit, bestTravel := bm.search(p, r, bm.dist)
 
 	// Reconstruct the best route by walking the recorded expansions back
 	// to the root, then polish it.
@@ -155,7 +145,7 @@ func (bm *Beam) selectValidated(p *Problem) (Plan, error) {
 
 	// Greedy + 2-opt floor: the beam result is never allowed below the
 	// plan the heuristic ladder would have produced.
-	bm.gorder = append(bm.gorder[:0], bm.greedy.selectOrder(p)...)
+	bm.gorder = append(bm.gorder[:0], bm.greedy.orderOf(p, r)...)
 	bm.polish(p, bm.gorder)
 	gTravel := orderTravel(p, bm.gorder)
 	gProfit := orderReward(p, bm.gorder) - gTravel*p.CostPerMeter
@@ -175,7 +165,8 @@ func (bm *Beam) selectValidated(p *Problem) (Plan, error) {
 // search runs the pruned beam expansion and returns the (level, slot)
 // coordinates, profit, and travel of the best feasible route found. A
 // returned slot of -1 means no positive-profit route exists.
-func (bm *Beam) search(p *Problem, m int, startDist, dist []float64) (bestLevel, bestSlot int, bestProfit, bestTravel float64) {
+func (bm *Beam) search(p *Problem, r *reach, dist []float64) (bestLevel, bestSlot int, bestProfit, bestTravel float64) {
+	m, startDist := len(r.idxs), r.start
 	W := bm.width()
 	words := (m + 63) / 64
 	ovh := p.PerTaskDistance
@@ -226,7 +217,7 @@ func (bm *Beam) search(p *Problem, m int, startDist, dist []float64) (bestLevel,
 					continue
 				}
 				nt := sTravel + leg
-				nr := sReward + p.Candidates[bm.idxs[j]].Reward
+				nr := sReward + p.Candidates[r.idxs[j]].Reward
 				topCount = bm.pushTop(topCount, s, j, nt, nr, nr-nt*cpm)
 			}
 		}

@@ -14,9 +14,9 @@ const BruteForceMaxTasks = 9
 // worst way; do not use it outside tests and tiny instances. Like the
 // production solvers it reuses scratch between calls.
 type BruteForce struct {
-	idxs []int
-	cur  []int
-	used []bool
+	reach reach
+	cur   []int
+	used  []bool
 }
 
 var _ Algorithm = (*BruteForce)(nil)
@@ -29,8 +29,8 @@ func (bf *BruteForce) Select(p Problem) (Plan, error) {
 	if err := p.Validate(); err != nil {
 		return Plan{}, err
 	}
-	bf.idxs = reachableInto(&p, bf.idxs)
-	idxs := bf.idxs
+	bf.reach.filter(&p)
+	idxs := bf.reach.idxs
 	if len(idxs) > BruteForceMaxTasks {
 		return Plan{}, fmt.Errorf("%w: %d candidates, cap %d", ErrTooManyTasks, len(idxs), BruteForceMaxTasks)
 	}

@@ -58,18 +58,17 @@ type DP struct {
 	MaxTasks int
 
 	// Reusable scratch, grown on demand and retained across calls.
-	idxs      []int
-	reward    []float64 // per filtered candidate
-	startDist []float64
-	distTo    []float64 // distTo[q*m+j] is the distance from j to q
-	live      []uint64  // bitset of the subsets holding a stored state
-	rowAt     []int32   // subset -> offset of its row; read only behind its live bit
-	dp        []float64 // one m-wide row of consumed budgets per live subset
-	parent    []int8    // predecessor links, row for row with dp
-	ends      []int     // the stored ends of the subset being extended
-	endDist   []float64 // their consumed budgets
-	orderRev  []int
-	order     []int
+	reach    reach     // Select's own filter; Auto and Beam pass theirs
+	reward   []float64 // per filtered candidate
+	distTo   []float64 // distTo[q*m+j] is the distance from j to q
+	live     []uint64  // bitset of the subsets holding a stored state
+	rowAt    []int32   // subset -> offset of its row; read only behind its live bit
+	dp       []float64 // one m-wide row of consumed budgets per live subset
+	parent   []int8    // predecessor links, row for row with dp
+	ends     []int     // the stored ends of the subset being extended
+	endDist  []float64 // their consumed budgets
+	orderRev []int
+	order    []int
 }
 
 var _ Algorithm = (*DP)(nil)
@@ -91,14 +90,13 @@ func (d *DP) Select(p Problem) (Plan, error) {
 	if err := p.Validate(); err != nil {
 		return Plan{}, err
 	}
-	return d.selectValidated(&p)
+	d.reach.filter(&p)
+	return d.solve(&p, &d.reach)
 }
 
-// selectValidated is Select without re-validating (Auto validates once and
-// dispatches here).
-func (d *DP) selectValidated(p *Problem) (Plan, error) {
-	d.idxs = reachableInto(p, d.idxs)
-	idxs := d.idxs
+// solve runs the DP over a validated problem's filtered candidates r.
+func (d *DP) solve(p *Problem, r *reach) (Plan, error) {
+	idxs, startDist := r.idxs, r.start
 	m := len(idxs)
 	if m == 0 {
 		return Plan{}, nil
@@ -111,19 +109,15 @@ func (d *DP) selectValidated(p *Problem) (Plan, error) {
 		return Plan{}, fmt.Errorf("%w: %d candidates, cap %d", ErrTooManyTasks, m, d.maxTasks())
 	}
 
-	// Distance tables over the filtered candidates. The pair table is stored
-	// by destination so the relaxation into one task reads one row.
+	// The pair table is symmetric, so read by destination it puts the
+	// relaxation into one task on one row.
 	d.reward = growFloats(d.reward, m)
-	d.startDist = growFloats(d.startDist, m)
-	d.distTo = growFloats(d.distTo, m*m)
-	reward, startDist, distTo := d.reward, d.startDist, d.distTo
-	for a := 0; a < m; a++ {
-		reward[a] = p.Candidates[idxs[a]].Reward
-		startDist[a] = p.Start.Dist(p.Candidates[idxs[a]].Location)
-		for b := 0; b < m; b++ {
-			distTo[b*m+a] = p.candDist(idxs[a], idxs[b])
-		}
+	reward := d.reward
+	for a, i := range idxs {
+		reward[a] = p.Candidates[i].Reward
 	}
+	d.distTo = pairDists(p, idxs, d.distTo)
+	distTo := d.distTo
 
 	// dp stores consumed budget: travel distance plus the per-task
 	// overhead of every visit so far. All states of one mask share the

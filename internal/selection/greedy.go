@@ -11,7 +11,7 @@ import "math"
 // A Greedy value keeps scratch buffers between calls so repeated Selects
 // are allocation-free; it is not safe for concurrent use.
 type Greedy struct {
-	idxs  []int
+	reach reach // selectOrder's own filter; Auto and Beam pass theirs
 	taken []bool
 	order []int
 }
@@ -29,12 +29,19 @@ func (g *Greedy) Select(p Problem) (Plan, error) {
 	return buildPlan(&p, g.selectOrder(&p)), nil
 }
 
-// selectOrder runs the greedy loop and returns the chosen candidate
-// indices in visiting order. The returned slice is solver-owned scratch,
-// valid until the next call.
+// selectOrder filters a validated problem's candidates and runs the
+// greedy loop over them (see orderOf).
 func (g *Greedy) selectOrder(p *Problem) []int {
-	g.idxs = reachableInto(p, g.idxs)
-	idxs := g.idxs
+	g.reach.filter(p)
+	return g.orderOf(p, &g.reach)
+}
+
+// orderOf runs the greedy loop over a validated problem's filtered
+// candidates r and returns the chosen candidate indices in visiting
+// order. The returned slice is solver-owned scratch, valid until the next
+// call.
+func (g *Greedy) orderOf(p *Problem, r *reach) []int {
+	idxs := r.idxs
 	g.taken = growBools(g.taken, len(idxs))
 	taken := g.taken
 	for k := range taken {
@@ -54,7 +61,10 @@ func (g *Greedy) selectOrder(p *Problem) []int {
 				continue
 			}
 			c := p.Candidates[idx]
-			d := p.legDist(cur, idx)
+			d := r.start[k]
+			if cur >= 0 {
+				d = p.candDist(cur, idx)
+			}
 			if d+p.PerTaskDistance > budget {
 				continue
 			}

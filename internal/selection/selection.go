@@ -205,36 +205,72 @@ func buildPlan(p *Problem, orderIdx []int) Plan {
 // Reachable reports whether a task at loc can be visited at all by a user
 // standing at start: its direct distance plus the per-task overhead does
 // not exceed the travel budget. It is the one reach test of the codebase —
-// the solvers' candidate filter and the engine's candidate assembly both
-// call it, so a candidate the engine drops is exactly one no solver would
-// have considered.
+// the solvers' candidate filter (reach.filter, through withinReach) and
+// the engine's candidate assembly both apply it, so a candidate the
+// engine drops is exactly one no solver would have considered.
 //
 // The test is written as the negation of "out of reach" (d+ovh > budget),
 // so a NaN budget or overhead counts as reachable: callers that assemble
 // candidates keep everything and leave the rejection to Validate, which
 // every solver runs before filtering.
 func Reachable(start, loc geo.Point, perTaskDistance, maxDistance float64) bool {
-	return !(start.Dist(loc)+perTaskDistance > maxDistance)
+	return withinReach(start.Dist(loc), perTaskDistance, maxDistance)
 }
 
-// reachableInto appends to buf[:0] the indices of candidates that can be
-// visited at all within the budget (see Reachable) and offer a positive
-// reward. Dropping the rest is sound: visiting a task always consumes at
-// least the direct distance plus its overhead, and a non-positive-reward
-// task can never increase profit since detours are never free. Callers
-// validate the problem first, so no budget here is NaN. Callers pass
-// solver-owned scratch so steady state is allocation-free.
-func reachableInto(p *Problem, buf []int) []int {
-	out := buf[:0]
+// withinReach is Reachable over an already computed direct distance d.
+func withinReach(d, perTaskDistance, maxDistance float64) bool {
+	return !(d+perTaskDistance > maxDistance)
+}
+
+// reach is one problem's filtered candidate set: the indices of the
+// candidates that can be visited at all within the budget (see Reachable)
+// and offer a positive reward, in candidate order, with each one's
+// distance from the start. Dropping the rest is sound: visiting a task
+// always consumes at least the direct distance plus its overhead, and a
+// non-positive-reward task can never increase profit since detours are
+// never free.
+//
+// A solver's standalone Select fills its own reach; Auto fills one and
+// hands it to the solver it dispatches to, so a dispatched solve neither
+// filters again nor recomputes a start distance.
+type reach struct {
+	idxs  []int     // candidate indices
+	start []float64 // start[k] is the distance from the start to candidate idxs[k]
+}
+
+// filter refills r from p, reusing r's storage so steady state is
+// allocation-free. Callers validate the problem first, so no budget here
+// is NaN.
+func (r *reach) filter(p *Problem) {
+	r.idxs, r.start = r.idxs[:0], r.start[:0]
 	for i, c := range p.Candidates {
 		if c.Reward <= 0 {
 			continue
 		}
-		if Reachable(p.Start, c.Location, p.PerTaskDistance, p.MaxDistance) {
-			out = append(out, i)
+		if d := p.Start.Dist(c.Location); withinReach(d, p.PerTaskDistance, p.MaxDistance) {
+			r.idxs = append(r.idxs, i)
+			r.start = append(r.start, d)
 		}
 	}
-	return out
+}
+
+// pairDists fills buf (grown as needed) with the m×m distance table over
+// the candidates idxs, row-major, and returns it. Dist is math.Hypot of
+// the coordinate differences, and negating both differences changes
+// neither magnitude, so the table is bitwise symmetric: each unordered
+// pair is computed once and mirrored. The diagonal is zero.
+func pairDists(p *Problem, idxs []int, buf []float64) []float64 {
+	m := len(idxs)
+	buf = growFloats(buf, m*m)
+	for a := 0; a < m; a++ {
+		buf[a*m+a] = 0
+		for b := a + 1; b < m; b++ {
+			d := p.candDist(idxs[a], idxs[b])
+			buf[a*m+b] = d
+			buf[b*m+a] = d
+		}
+	}
+	return buf
 }
 
 // growFloats returns a zero-filled-on-demand float slice of length n,

@@ -334,6 +334,19 @@ func (c Config) Validate() error {
 	if !(c.TimeBudgetJitter >= 0 && c.TimeBudgetJitter <= 1) {
 		return fmt.Errorf("sim: time budget jitter %v, want in [0, 1]", c.TimeBudgetJitter)
 	}
+	// Each finite knob can still overflow in the products the solver
+	// reads: a user's travel budget is speed × its jittered time budget
+	// (at most the time budget × (1 + jitter), and the products are
+	// monotone under rounding), and its per-task overhead is speed ×
+	// sensing time. An infinite budget makes every subset feasible; an
+	// infinite overhead makes every travel value Inf − Inf = NaN.
+	if maxTime := c.UserTimeBudget * (1 + c.TimeBudgetJitter); math.IsInf(maxTime, 1) || math.IsInf(c.UserSpeed*maxTime, 1) {
+		return fmt.Errorf("sim: speed %v times time budget %v (jitter %v) overflows",
+			c.UserSpeed, c.UserTimeBudget, c.TimeBudgetJitter)
+	}
+	if math.IsInf(c.UserSpeed*c.SensingTime, 1) {
+		return fmt.Errorf("sim: speed %v times sensing time %v overflows", c.UserSpeed, c.SensingTime)
+	}
 	if !(c.ChurnRate >= 0 && c.ChurnRate < 1) {
 		return fmt.Errorf("sim: churn rate %v, want in [0, 1)", c.ChurnRate)
 	}

@@ -57,3 +57,33 @@ func BenchmarkRunRound(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkNew times a trial's setup, sim.New: scenario generation,
+// board, mechanism, engine and users, with the trial's RNG streams split
+// off the seed. At paper size (100 users, 20 tasks) seeding those streams
+// used to dominate, so a stream the configuration never draws from
+// should cost no seeding; city size (2000 users, 1000 tasks, phi = 10,
+// 25 s budget) is the other end of the bench workloads.
+func BenchmarkNew(b *testing.B) {
+	sizes := []struct {
+		name string
+		cfg  Config
+	}{
+		{"paper", Config{}},
+		{"city", Config{
+			Workload:       workload.Config{NumUsers: 2000, NumTasks: 1000, Required: 10},
+			Budget:         25000,
+			UserTimeBudget: 25,
+		}},
+	}
+	for _, sz := range sizes {
+		b.Run(sz.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := New(sz.cfg, int64(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -355,8 +355,8 @@ func (s *Simulation) runRound(k int, obs Observer) (metrics.RoundStats, error) {
 // only on the spec and the task's fixed location; a task that is not
 // OpenAt one turn stays closed, since it only completes or passes its
 // deadline as the round rises, and every task of a later round's open
-// snapshot was in the earlier one; Contributed and the user's HasDone set
-// only grow; and the simulation never requires pricing. A churned-in
+// snapshot was in the earlier one; the board's contribution records only
+// grow; and the simulation never requires pricing. A churned-in
 // user is a new *agent.User, so its slot misses.
 //
 // Such a user is also settled with the empty plan without a call to the
@@ -397,11 +397,10 @@ func (s *Simulation) runUsers(k int, perm []int, obs Observer, rs *metrics.Round
 			continue
 		}
 		// n tasks committed means ids[:n] succeeded and, on error,
-		// ids[n] is the task that failed.
+		// ids[n] is the task that failed. The board records each commit
+		// under u.ID, which is all the engine checks (a churned-in user
+		// gets a fresh ID), so the user keeps no done set of its own.
 		n, err := s.eng.CommitPlan(u.ID, plan.Order)
-		for _, id := range plan.Order[:n] {
-			u.MarkDone(id)
-		}
 		if err != nil {
 			return fmt.Errorf("user %d task %d: %w", u.ID, plan.Order[n], err)
 		}

@@ -353,6 +353,17 @@ func TestConfigValidateRejections(t *testing.T) {
 		// Both must fail loudly here, not degrade silently downstream.
 		{"negative beam width", func(c *Config) { c.BeamWidth = -1 }},
 		{"negative beam improve", func(c *Config) { c.BeamImprove = -3 }},
+		// Finite knobs whose products overflow: an infinite travel budget
+		// makes every subset feasible, an infinite per-task overhead makes
+		// every travel value NaN.
+		{"speed x time budget overflows", func(c *Config) { c.UserSpeed, c.UserTimeBudget = 1e200, 1e200 }},
+		{"time budget x jitter overflows", func(c *Config) {
+			c.UserSpeed, c.UserTimeBudget, c.TimeBudgetJitter = 1e-300, math.MaxFloat64, 0.5
+		}},
+		{"speed x jittered budget overflows", func(c *Config) {
+			c.UserSpeed, c.UserTimeBudget, c.TimeBudgetJitter = 1e300, 1.5e8, 0.5
+		}},
+		{"speed x sensing time overflows", func(c *Config) { c.UserSpeed, c.SensingTime = 1e300, 1e10 }},
 	}
 	// Every float knob must be finite: NaN passes a plain `x < 0` check
 	// and the flag parser accepts "NaN" and "Inf".

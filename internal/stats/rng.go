@@ -10,28 +10,45 @@ import (
 // RNG wraps math/rand.Rand with the draw helpers the simulator needs. All
 // simulator randomness flows through an explicit RNG so that experiments
 // are reproducible from a single seed; there are no global random sources.
+//
+// An RNG keeps its seed and builds its source on the first draw. Seeding
+// a math/rand source fills 607 words, which costs more than a short
+// stream of draws; a trial splits several streams (mobility, churn,
+// budget jitter, ...) that its configuration may never draw from, and
+// those cost nothing.
 type RNG struct {
-	r *rand.Rand
+	seed int64
+	r    *rand.Rand // nil until the first draw
 }
 
 // NewRNG returns a deterministic generator for the given seed.
 func NewRNG(seed int64) *RNG {
-	return &RNG{r: rand.New(rand.NewSource(seed))}
+	return &RNG{seed: seed}
+}
+
+// src returns the generator's source, seeding it on first use.
+func (g *RNG) src() *rand.Rand {
+	if g.r == nil {
+		g.r = rand.New(rand.NewSource(g.seed))
+	}
+	return g.r
 }
 
 // Split derives an independent child generator from the parent's stream.
 // Distinct calls yield distinct streams; use it to give each trial of an
 // experiment its own generator so trials are independent yet reproducible.
+// The child's seed is drawn from the parent at once, so the parent's
+// stream does not depend on when, or whether, the child is drawn from.
 func (g *RNG) Split() *RNG {
-	return NewRNG(g.r.Int63())
+	return NewRNG(g.src().Int63())
 }
 
 // Float64 returns a uniform draw in [0, 1).
-func (g *RNG) Float64() float64 { return g.r.Float64() }
+func (g *RNG) Float64() float64 { return g.src().Float64() }
 
 // Uniform returns a uniform draw in [lo, hi).
 func (g *RNG) Uniform(lo, hi float64) float64 {
-	return lo + g.r.Float64()*(hi-lo)
+	return lo + g.src().Float64()*(hi-lo)
 }
 
 // IntBetween returns a uniform integer in the inclusive range [lo, hi].
@@ -40,20 +57,20 @@ func (g *RNG) IntBetween(lo, hi int) int {
 	if lo > hi {
 		panic("stats: IntBetween with lo > hi")
 	}
-	return lo + g.r.Intn(hi-lo+1)
+	return lo + g.src().Intn(hi-lo+1)
 }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
-func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
+func (g *RNG) Intn(n int) int { return g.src().Intn(n) }
 
 // Int63 returns a non-negative pseudo-random 63-bit integer.
-func (g *RNG) Int63() int64 { return g.r.Int63() }
+func (g *RNG) Int63() int64 { return g.src().Int63() }
 
 // NormFloat64 returns a standard normal draw.
-func (g *RNG) NormFloat64() float64 { return g.r.NormFloat64() }
+func (g *RNG) NormFloat64() float64 { return g.src().NormFloat64() }
 
 // Perm returns a random permutation of [0, n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
+func (g *RNG) Perm(n int) []int { return g.src().Perm(n) }
 
 // PermInto fills buf with a random permutation of [0, n), reusing buf's
 // storage when it is large enough. It consumes exactly the same draws from
@@ -67,8 +84,9 @@ func (g *RNG) PermInto(buf []int, n int) []int {
 		buf = make([]int, n)
 	}
 	buf = buf[:n]
+	r := g.src()
 	for i := 0; i < n; i++ {
-		j := g.r.Intn(i + 1)
+		j := r.Intn(i + 1)
 		buf[i] = buf[j]
 		buf[j] = i
 	}
@@ -76,4 +94,4 @@ func (g *RNG) PermInto(buf []int, n int) []int {
 }
 
 // Shuffle randomizes the order of n elements using the provided swap.
-func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
+func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.src().Shuffle(n, swap) }

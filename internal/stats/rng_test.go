@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -158,5 +160,69 @@ func TestShuffle(t *testing.T) {
 	}
 	if sum != 45 {
 		t.Errorf("Shuffle lost elements: %v", xs)
+	}
+}
+
+// TestLazySeedingMatchesEagerStreams holds the lazily seeded RNG to
+// math/rand seeded at construction: every draw, through every helper,
+// equals rand.New(rand.NewSource(s)) with the same seed, whether a child
+// is first drawn before or after its parent's next Split, and a sibling
+// that is never drawn leaves every other stream unchanged.
+func TestLazySeedingMatchesEagerStreams(t *testing.T) {
+	for _, seed := range []int64{0, 1, -1, 7, 42, 1 << 40, -(1 << 62), 9223372036854775807} {
+		parent, ref := NewRNG(seed), rand.New(rand.NewSource(seed))
+		early := parent.Split()
+		earlyRef := rand.New(rand.NewSource(ref.Int63()))
+		if got, want := early.Float64(), earlyRef.Float64(); got != want {
+			t.Fatalf("seed %d: child drawn before the next Split: %v, want %v", seed, got, want)
+		}
+		late := parent.Split()
+		lateRef := rand.New(rand.NewSource(ref.Int63()))
+		_ = parent.Split() // a sibling that is never drawn
+		ref.Int63()
+		if got, want := late.Int63(), lateRef.Int63(); got != want {
+			t.Fatalf("seed %d: child drawn after the next Split: %d, want %d", seed, got, want)
+		}
+		if got, want := parent.Int63(), ref.Int63(); got != want {
+			t.Fatalf("seed %d: parent after the undrawn sibling: %d, want %d", seed, got, want)
+		}
+
+		// Each helper as a fresh child's first draw, then one more draw
+		// to show it consumed what the standard library does.
+		helpers := []struct {
+			name string
+			draw func(g *RNG, r *rand.Rand) bool
+		}{
+			{"PermInto", func(g *RNG, r *rand.Rand) bool { return slices.Equal(g.PermInto(nil, 9), r.Perm(9)) }},
+			{"Perm", func(g *RNG, r *rand.Rand) bool { return slices.Equal(g.Perm(9), r.Perm(9)) }},
+			{"NormFloat64", func(g *RNG, r *rand.Rand) bool { return g.NormFloat64() == r.NormFloat64() }},
+			{"Shuffle", func(g *RNG, r *rand.Rand) bool {
+				a, b := []int{0, 1, 2, 3, 4, 5, 6}, []int{0, 1, 2, 3, 4, 5, 6}
+				g.Shuffle(len(a), func(i, j int) { a[i], a[j] = a[j], a[i] })
+				r.Shuffle(len(b), func(i, j int) { b[i], b[j] = b[j], b[i] })
+				return slices.Equal(a, b)
+			}},
+		}
+		for _, h := range helpers {
+			g, r := parent.Split(), rand.New(rand.NewSource(ref.Int63()))
+			if !h.draw(g, r) || g.Float64() != r.Float64() {
+				t.Fatalf("seed %d: %s on a fresh child diverged from math/rand", seed, h.name)
+			}
+		}
+	}
+}
+
+// TestSplitOfUndrawnChildAllocatesNoSource pins the point of lazy
+// seeding: splitting a child off a drawn parent allocates the child's
+// header only, not the ~5 KB math/rand source.
+func TestSplitOfUndrawnChildAllocatesNoSource(t *testing.T) {
+	parent := NewRNG(1)
+	parent.Float64()
+	var child *RNG
+	if allocs := testing.AllocsPerRun(100, func() { child = parent.Split() }); allocs != 1 {
+		t.Errorf("Split allocated %v times, want 1 (the RNG header)", allocs)
+	}
+	if child.r != nil {
+		t.Error("Split seeded the child's source before its first draw")
 	}
 }
