@@ -14,10 +14,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
+	"paydemand/internal/experiments"
 	"paydemand/internal/metrics"
 	"paydemand/internal/sat"
 	"paydemand/internal/sim"
@@ -35,7 +33,7 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("crowdsim", flag.ContinueOnError)
 	var (
-		mechanism = fs.String("mechanism", "on-demand", "incentive mechanism: on-demand | fixed | steered | equal-weights | deadline-only | progress-only | neighbors-only | auction | incentme")
+		mechanism = fs.String("mechanism", "on-demand", "incentive mechanism: on-demand | fixed | steered | steered-raw | equal-weights | deadline-only | progress-only | neighbors-only | auction | incentme")
 		algorithm = fs.String("algorithm", "auto", "task selection: dp | greedy | auto | greedy+2opt | beam")
 		users     = fs.Int("users", workload.DefaultNumUsers, "number of mobile users")
 		tasks     = fs.Int("tasks", workload.DefaultNumTasks, "number of sensing tasks")
@@ -60,16 +58,31 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *compare {
+		// The comparison prints its own table over its own mechanisms.
+		var conflict string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "json", "per-round", "trace", "mechanism":
+				if conflict == "" {
+					conflict = f.Name
+				}
+			}
+		})
+		if conflict != "" {
+			return fmt.Errorf("-%s cannot be combined with -compare", conflict)
+		}
+	}
 
-	mech, err := parseMechanism(*mechanism)
+	mech, err := sim.ParseMechanism(*mechanism)
 	if err != nil {
 		return err
 	}
-	alg, err := parseAlgorithm(*algorithm)
+	alg, err := sim.ParseAlgorithm(*algorithm)
 	if err != nil {
 		return err
 	}
-	mob, err := parseMobility(*mobility)
+	mob, err := sim.ParseMobility(*mobility)
 	if err != nil {
 		return err
 	}
@@ -98,7 +111,7 @@ func run(args []string, out io.Writer) error {
 		return runComparison(out, cfg, *trials, *seed, *parallel)
 	}
 
-	results, err := forEachTrial(*trials, *parallel, func(i int) (metrics.TrialResult, error) {
+	results, err := experiments.RunTrials(*trials, *parallel, func(i int) (metrics.TrialResult, error) {
 		var obs sim.Observer
 		var traceFile *os.File
 		if *tracePath != "" && i == 0 {
@@ -166,74 +179,6 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-// forEachTrial runs fn(i) for i in [0, trials) across the given number
-// of worker goroutines (0 = one per CPU, 1 = in the calling goroutine),
-// collecting results into index-ordered slots so aggregation order — and
-// therefore output — is independent of the worker count. The first error
-// cancels trials not yet started.
-func forEachTrial(trials, workers int, fn func(i int) (metrics.TrialResult, error)) ([]metrics.TrialResult, error) {
-	if trials < 0 {
-		return nil, fmt.Errorf("trials %d, want >= 0", trials)
-	}
-	if workers < 0 {
-		return nil, fmt.Errorf("parallel %d, want >= 0", workers)
-	}
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > trials {
-		workers = trials
-	}
-	out := make([]metrics.TrialResult, trials)
-	if workers <= 1 {
-		for i := 0; i < trials; i++ {
-			res, err := fn(i)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = res
-		}
-		return out, nil
-	}
-	var (
-		next     atomic.Int64
-		stop     atomic.Bool
-		mu       sync.Mutex
-		firstErr error
-		firstIdx = trials
-		wg       sync.WaitGroup
-	)
-	next.Store(-1)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= trials || stop.Load() {
-					return
-				}
-				res, err := fn(i)
-				if err != nil {
-					stop.Store(true)
-					mu.Lock()
-					if i < firstIdx {
-						firstErr, firstIdx = err, i
-					}
-					mu.Unlock()
-					return
-				}
-				out[i] = res
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
-}
-
 // runComparison averages the three incentive mechanisms plus the SAT
 // auction over the same trial seeds and prints them side by side.
 func runComparison(out io.Writer, cfg sim.Config, trials int, seed int64, parallel int) error {
@@ -243,7 +188,7 @@ func runComparison(out io.Writer, cfg sim.Config, trials int, seed int64, parall
 	for _, mech := range mechs {
 		mcfg := cfg
 		mcfg.Mechanism = mech
-		results, err := forEachTrial(trials, parallel, func(i int) (metrics.TrialResult, error) {
+		results, err := experiments.RunTrials(trials, parallel, func(i int) (metrics.TrialResult, error) {
 			return sim.Run(mcfg, seed+int64(i))
 		})
 		if err != nil {
@@ -264,7 +209,7 @@ func runComparison(out io.Writer, cfg sim.Config, trials int, seed int64, parall
 		CostPerMeter:   cfg.CostPerMeter,
 		Budget:         cfg.Budget,
 	}
-	satResults, err := forEachTrial(trials, parallel, func(i int) (metrics.TrialResult, error) {
+	satResults, err := experiments.RunTrials(trials, parallel, func(i int) (metrics.TrialResult, error) {
 		return sat.Run(satCfg, seed+int64(i))
 	})
 	if err != nil {
@@ -300,44 +245,4 @@ func runComparison(out io.Writer, cfg sim.Config, trials int, seed int64, parall
 	row("task gini (balance)", func(s metrics.Summary) float64 { return s.TaskGini })
 	row("profit gini (fairness)", func(s metrics.Summary) float64 { return s.ProfitGini })
 	return nil
-}
-
-func parseMechanism(s string) (sim.MechanismKind, error) {
-	kinds := []sim.MechanismKind{
-		sim.MechanismOnDemand, sim.MechanismFixed, sim.MechanismSteered,
-		sim.MechanismSteeredRaw, sim.MechanismEqualWeights, sim.MechanismDeadlineOnly,
-		sim.MechanismProgressOnly, sim.MechanismNeighborsOnly,
-		sim.MechanismAuction, sim.MechanismIncentMe,
-	}
-	for _, k := range kinds {
-		if k.String() == s {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown mechanism %q", s)
-}
-
-func parseMobility(s string) (sim.MobilityKind, error) {
-	kinds := []sim.MobilityKind{
-		sim.MobilityStationary, sim.MobilityRandomWaypoint, sim.MobilityLevyWalk,
-	}
-	for _, k := range kinds {
-		if k.String() == s {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown mobility %q", s)
-}
-
-func parseAlgorithm(s string) (sim.AlgorithmKind, error) {
-	kinds := []sim.AlgorithmKind{
-		sim.AlgorithmDP, sim.AlgorithmGreedy, sim.AlgorithmAuto, sim.AlgorithmTwoOpt,
-		sim.AlgorithmBeam,
-	}
-	for _, k := range kinds {
-		if k.String() == s {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown algorithm %q", s)
 }

@@ -6,8 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"paydemand/internal/sim"
 )
 
 // runArgs drives run with small, fast parameters.
@@ -80,6 +78,16 @@ func TestRunBadFlags(t *testing.T) {
 	if err := run([]string{"-not-a-flag"}, &sb); err == nil {
 		t.Error("unknown flag accepted")
 	}
+	// -compare prints its own table over its own mechanisms, so the flags
+	// that shape the single-configuration output are rejected beside it.
+	for _, extra := range [][]string{
+		{"-json"}, {"-per-round"}, {"-trace", filepath.Join(t.TempDir(), "t.jsonl")}, {"-mechanism", "fixed"},
+	} {
+		err := run(append([]string{"-compare"}, extra...), &sb)
+		if err == nil || !strings.Contains(err.Error(), extra[0]) {
+			t.Errorf("-compare %s: err = %v, want one naming %s", extra[0], err, extra[0])
+		}
+	}
 }
 
 func TestRunTraceFile(t *testing.T) {
@@ -91,33 +99,6 @@ func TestRunTraceFile(t *testing.T) {
 	}
 	if !strings.Contains(string(data), `"kind":"round_start"`) {
 		t.Errorf("trace content wrong: %.100s", data)
-	}
-}
-
-func TestParseMechanismRoundTrips(t *testing.T) {
-	kinds := []sim.MechanismKind{
-		sim.MechanismOnDemand, sim.MechanismFixed, sim.MechanismSteered,
-		sim.MechanismSteeredRaw, sim.MechanismEqualWeights,
-		sim.MechanismDeadlineOnly, sim.MechanismProgressOnly, sim.MechanismNeighborsOnly,
-	}
-	for _, k := range kinds {
-		got, err := parseMechanism(k.String())
-		if err != nil || got != k {
-			t.Errorf("parseMechanism(%q) = %v, %v", k.String(), got, err)
-		}
-	}
-}
-
-func TestParseAlgorithmRoundTrips(t *testing.T) {
-	kinds := []sim.AlgorithmKind{
-		sim.AlgorithmDP, sim.AlgorithmGreedy, sim.AlgorithmAuto, sim.AlgorithmTwoOpt,
-		sim.AlgorithmBeam,
-	}
-	for _, k := range kinds {
-		got, err := parseAlgorithm(k.String())
-		if err != nil || got != k {
-			t.Errorf("parseAlgorithm(%q) = %v, %v", k.String(), got, err)
-		}
 	}
 }
 

@@ -26,6 +26,7 @@ import (
 	"paydemand/internal/incentive"
 	"paydemand/internal/mobility"
 	"paydemand/internal/server"
+	"paydemand/internal/sim"
 	"paydemand/internal/stats"
 	"paydemand/internal/workload"
 )
@@ -49,7 +50,7 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		nTasks     = fs.Int("tasks", workload.DefaultNumTasks, "number of sensing tasks")
 		required   = fs.Int("required", workload.DefaultRequired, "measurements per task")
 		seed       = fs.Int64("seed", 1, "scenario seed")
-		mechanism  = fs.String("mechanism", "on-demand", "incentive mechanism: on-demand | fixed | steered | auction | incentme")
+		mechanism  = fs.String("mechanism", "on-demand", "incentive mechanism: on-demand | fixed | steered | steered-raw | equal-weights | deadline-only | progress-only | neighbors-only | auction | incentme")
 		budget     = fs.Float64("budget", 1000, "reward budget B")
 		lambda     = fs.Float64("lambda", 0.5, "per-level reward increment")
 		levels     = fs.Int("levels", 5, "demand levels N")
@@ -62,6 +63,10 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		statePath  = fs.String("state", "", "snapshot file: loaded at startup if present, written at shutdown (resumes campaigns across restarts)")
 	)
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	kind, err := sim.ParseMechanism(*mechanism)
+	if err != nil {
 		return err
 	}
 
@@ -77,25 +82,13 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		return err
 	}
 
+	// The scheme is derived here, not by sim.Config, so that -lambda 0
+	// means λ = 0 rather than the simulator's default.
 	scheme, err := incentive.SchemeFromBudget(*budget, *nTasks**required, *lambda, demand.LevelMapper{N: *levels})
 	if err != nil {
 		return err
 	}
-	var mech incentive.Mechanism
-	switch *mechanism {
-	case "on-demand":
-		mech, err = incentive.NewPaperOnDemand(scheme)
-	case "fixed":
-		mech, err = incentive.NewFixed(scheme)
-	case "steered":
-		mech, err = incentive.NewBudgetScaledSteered(scheme.MaxReward())
-	case "auction":
-		mech, err = incentive.NewAuction(), nil
-	case "incentme":
-		mech, err = incentive.NewIncentMe(scheme)
-	default:
-		return fmt.Errorf("unknown mechanism %q", *mechanism)
-	}
+	mech, err := sim.NewMechanism(kind, scheme)
 	if err != nil {
 		return err
 	}

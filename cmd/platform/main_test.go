@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"paydemand/internal/sim"
 	"paydemand/internal/wire"
 )
 
@@ -140,18 +141,35 @@ func TestPlatformStatePersistence(t *testing.T) {
 	}
 }
 
+// TestPlatformMechanismVariants starts a platform for every mechanism
+// name the simulator knows — each kind from 1 up to the first without a
+// name — and fetches the published round. The auction prices only tasks
+// that workers bid on, so with no worker registered it publishes none.
 func TestPlatformMechanismVariants(t *testing.T) {
-	for _, mech := range []string{"fixed", "steered"} {
+	n := 0
+	for k := sim.MechanismKind(1); ; k++ {
+		mech := k.String()
+		if _, err := sim.ParseMechanism(mech); err != nil {
+			break
+		}
+		n++
 		base, stop := startPlatform(t, "-round-every", "0", "-mechanism", mech)
 		var round wire.RoundInfo
 		if code := getJSON(t, base+wire.PathRound, &round); code != 200 {
 			t.Fatalf("%s: round = %d", mech, code)
 		}
-		if len(round.Tasks) != 4 {
-			t.Errorf("%s: %d tasks", mech, len(round.Tasks))
+		want := 4
+		if k == sim.MechanismAuction {
+			want = 0
+		}
+		if len(round.Tasks) != want {
+			t.Errorf("%s: %d tasks, want %d", mech, len(round.Tasks), want)
 		}
 		if err := stop(); err != nil {
 			t.Fatalf("%s: shutdown: %v", mech, err)
 		}
+	}
+	if n != 10 {
+		t.Errorf("started %d mechanisms, want all 10", n)
 	}
 }

@@ -22,7 +22,7 @@ import (
 
 	"paydemand/internal/client"
 	"paydemand/internal/geo"
-	"paydemand/internal/selection"
+	"paydemand/internal/sim"
 	"paydemand/internal/stats"
 )
 
@@ -55,14 +55,13 @@ func run(ctx context.Context, args []string) error {
 	if *count < 1 {
 		return fmt.Errorf("count %d, want >= 1", *count)
 	}
-	var codecOpt client.Codec
-	switch *codec {
-	case "json":
-		codecOpt = client.CodecJSON
-	case "tlv":
-		codecOpt = client.CodecTLV
-	default:
-		return fmt.Errorf("unknown codec %q", *codec)
+	codecOpt, err := client.ParseCodec(*codec)
+	if err != nil {
+		return err
+	}
+	alg, err := sim.ParseAlgorithm(*algorithm)
+	if err != nil {
+		return err
 	}
 
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
@@ -70,23 +69,6 @@ func run(ctx context.Context, args []string) error {
 		client.WithCodec(codecOpt),
 		client.WithMaxIdleConnsPerHost(*count))
 	rng := stats.NewRNG(*seed)
-
-	newAlgorithm := func() (selection.Algorithm, error) {
-		switch *algorithm {
-		case "dp":
-			return &selection.DP{}, nil
-		case "greedy":
-			return &selection.Greedy{}, nil
-		case "auto":
-			return &selection.Auto{}, nil
-		case "greedy+2opt":
-			return &selection.TwoOptGreedy{}, nil
-		case "beam":
-			return &selection.Beam{}, nil
-		default:
-			return nil, fmt.Errorf("unknown algorithm %q", *algorithm)
-		}
-	}
 
 	// Simulated noise sensor: a smooth spatial field plus per-reading
 	// jitter, in dBA.
@@ -102,7 +84,8 @@ func run(ctx context.Context, args []string) error {
 	var wg sync.WaitGroup
 	errCh := make(chan error, *count)
 	for i := 0; i < *count; i++ {
-		alg, err := newAlgorithm()
+		// Solvers keep per-instance scratch, so each worker gets its own.
+		solver, err := sim.Config{Algorithm: alg}.NewAlgorithm()
 		if err != nil {
 			return err
 		}
@@ -110,7 +93,7 @@ func run(ctx context.Context, args []string) error {
 			Start:        geo.Pt(rng.Uniform(0, *area), rng.Uniform(0, *area)),
 			Speed:        *speed,
 			TimeBudget:   *timeBudget,
-			Algorithm:    alg,
+			Algorithm:    solver,
 			Sensor:       sensor,
 			PollInterval: *poll,
 		})

@@ -660,3 +660,16 @@ func TestClientDefaultTransportTuned(t *testing.T) {
 		t.Error("explicit http.Client replaced")
 	}
 }
+
+func TestParseCodec(t *testing.T) {
+	for name, want := range map[string]Codec{"json": CodecJSON, "tlv": CodecTLV} {
+		if got, err := ParseCodec(name); err != nil || got != want {
+			t.Errorf("ParseCodec(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, bad := range []string{"", "JSON", "binary"} {
+		if _, err := ParseCodec(bad); err == nil {
+			t.Errorf("ParseCodec(%q) accepted", bad)
+		}
+	}
+}

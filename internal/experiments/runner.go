@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -23,6 +24,23 @@ func (o Options) workers() int {
 		return o.Parallelism
 	}
 	return runtime.GOMAXPROCS(0)
+}
+
+// RunTrials executes run(i) for every i in [0, n) on the figure runners'
+// worker pool and returns the results in index order: parallelism 0
+// means one worker per CPU (GOMAXPROCS), 1 runs every trial on the
+// calling goroutine, and the output does not depend on it. The first
+// error in index order among the failed trials is returned.
+func RunTrials[T any](n, parallelism int, run func(i int) (T, error)) ([]T, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("experiments: %d trials, want >= 0", n)
+	}
+	out, err := runTrials(Options{Trials: n, Parallelism: parallelism}, 1,
+		func(_, i int) (T, error) { return run(i) })
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
 }
 
 // runTrials executes run(config, trial) for every pair in

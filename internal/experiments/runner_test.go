@@ -107,6 +107,42 @@ func TestRunTrialsErrorPropagation(t *testing.T) {
 
 // TestRunTrialsProgress checks the completion callback: one call per
 // trial, monotonically increasing, ending at (total, total).
+// TestRunTrialsIndexed pins the exported single-configuration runner:
+// index-ordered results at every parallelism, the first failure in
+// index order, and the argument checks.
+func TestRunTrialsIndexed(t *testing.T) {
+	boom := errors.New("boom")
+	for _, workers := range []int{0, 1, 3, 20} {
+		got, err := RunTrials(10, workers, func(i int) (int, error) { return i * i, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range got {
+			if v != i*i {
+				t.Fatalf("parallelism %d: slot %d = %d, want %d", workers, i, v, i*i)
+			}
+		}
+		_, err = RunTrials(10, workers, func(i int) (int, error) {
+			if i == 4 || i == 7 {
+				return 0, fmt.Errorf("trial %d: %w", i, boom)
+			}
+			return 0, nil
+		})
+		if err == nil || err.Error() != "trial 4: boom" {
+			t.Errorf("parallelism %d: err = %v, want trial 4: boom", workers, err)
+		}
+	}
+	if got, err := RunTrials(0, 2, func(int) (int, error) { return 1, nil }); err != nil || len(got) != 0 {
+		t.Errorf("zero trials: %v, %v", got, err)
+	}
+	if _, err := RunTrials(-1, 1, func(int) (int, error) { return 0, nil }); err == nil {
+		t.Error("negative trial count accepted")
+	}
+	if _, err := RunTrials(3, -1, func(int) (int, error) { return 0, nil }); err == nil {
+		t.Error("negative parallelism accepted")
+	}
+}
+
 func TestRunTrialsProgress(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		var mu sync.Mutex

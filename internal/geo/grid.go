@@ -222,14 +222,9 @@ func within(dx, dy, d2, r, lo, hi float64) bool {
 	return d2 < lo || !(d2 > hi) && math.Hypot(dx, dy) < r
 }
 
-// Within returns the indices (into the original point slice) of all points
-// strictly within radius r of center, in unspecified order.
-func (g *GridIndex) Within(center Point, r float64) []int {
-	return g.WithinInto(nil, center, r)
-}
-
-// WithinInto is Within appending into dst (reset to dst[:0] first),
-// following the repo's grow-only `...Into` convention: callers on hot
+// WithinInto returns the indices (into the original point slice) of all
+// points strictly within radius r of center, in unspecified order,
+// appending into dst (reset to dst[:0] first) and following the repo's grow-only `...Into` convention: callers on hot
 // paths pass the previous query's slice back in and reach zero
 // steady-state allocations once the buffer has grown to the largest
 // result set. It decides every pair as CountWithin does, so a caller that
@@ -248,44 +243,6 @@ func (g *GridIndex) WithinInto(dst []int, center Point, r float64) []int {
 		}
 	}
 	return dst
-}
-
-// Nearest returns the index of the indexed point nearest to center and its
-// distance. ok is false if no indexed point lies at a finite distance from
-// center: the index is empty, center is not finite, or every point is.
-func (g *GridIndex) Nearest(center Point) (idx int, dist float64, ok bool) {
-	if len(g.pts) == 0 || !center.IsFinite() {
-		return 0, 0, false
-	}
-	// Expand ring by ring until a hit is found, then one more ring to be
-	// exact (a nearer point may live in an adjacent ring). The search
-	// radius must reach the far corner of the grid even when the query
-	// point lies outside the bounds.
-	best := -1
-	bestD := math.Inf(1)
-	maxR := g.bounds.Diagonal() + center.Dist(g.bounds.Clamp(center)) + 2*g.cellSize
-	for r := g.cellSize; ; r += g.cellSize {
-		c0, c1, r0, r1 := g.span(center, r)
-		for row := r0; row <= r1; row++ {
-			pts, ids := g.Run(row, c0, c1)
-			for k, p := range pts {
-				if d := p.Dist(center); d < bestD {
-					bestD = d
-					best = ids[k]
-				}
-			}
-		}
-		if best >= 0 && bestD <= r {
-			return best, bestD, true
-		}
-		if r > maxR {
-			// Everything has been scanned.
-			if best < 0 {
-				return 0, 0, false
-			}
-			return best, bestD, true
-		}
-	}
 }
 
 // CountWithinBrute is the O(n) reference implementation of CountWithin, used

@@ -71,16 +71,16 @@ func TestGridIndexWithin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := g.Within(Pt(0, 0), 5)
+	got := g.WithinInto(nil, Pt(0, 0), 5)
 	if len(got) != 2 {
-		t.Fatalf("Within = %v, want 2 hits", got)
+		t.Fatalf("WithinInto = %v, want 2 hits", got)
 	}
 	seen := map[int]bool{}
 	for _, i := range got {
 		seen[i] = true
 	}
 	if !seen[0] || !seen[2] {
-		t.Errorf("Within = %v, want indices 0 and 2", got)
+		t.Errorf("WithinInto = %v, want indices 0 and 2", got)
 	}
 }
 
@@ -99,54 +99,6 @@ func TestGridIndexPointsOutsideBounds(t *testing.T) {
 	}
 }
 
-func TestGridIndexNearest(t *testing.T) {
-	pts := []Point{Pt(10, 10), Pt(90, 90), Pt(40, 40)}
-	g, err := NewGridIndex(Square(100), 10, pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx, dist, ok := g.Nearest(Pt(35, 35))
-	if !ok || idx != 2 {
-		t.Fatalf("Nearest = %d, %v, %v; want idx 2", idx, dist, ok)
-	}
-}
-
-func TestGridIndexNearestMatchesBrute(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	bounds := Square(1000)
-	pts := randomPoints(rng, 200, bounds)
-	g, err := NewGridIndex(bounds, 50, pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for trial := 0; trial < 50; trial++ {
-		q := Pt(rng.Float64()*1000, rng.Float64()*1000)
-		idx, dist, ok := g.Nearest(q)
-		if !ok {
-			t.Fatal("Nearest reported empty index")
-		}
-		bestD := -1.0
-		for _, p := range pts {
-			if d := p.Dist(q); bestD < 0 || d < bestD {
-				bestD = d
-			}
-		}
-		if dist != bestD {
-			t.Fatalf("Nearest dist = %v (idx %d), brute = %v", dist, idx, bestD)
-		}
-	}
-}
-
-func TestGridIndexNearestEmpty(t *testing.T) {
-	g, err := NewGridIndex(Square(100), 10, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := g.Nearest(Pt(5, 5)); ok {
-		t.Error("Nearest on empty index reported ok")
-	}
-}
-
 func TestGridIndexLen(t *testing.T) {
 	g, err := NewGridIndex(Square(100), 10, []Point{Pt(1, 1), Pt(2, 2)})
 	if err != nil {
@@ -154,24 +106,6 @@ func TestGridIndexLen(t *testing.T) {
 	}
 	if g.Len() != 2 {
 		t.Errorf("Len = %d, want 2", g.Len())
-	}
-}
-
-func TestGridIndexNearestFromOutsideBounds(t *testing.T) {
-	pts := []Point{Pt(10, 10), Pt(90, 90)}
-	g, err := NewGridIndex(Square(100), 10, pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Query origin far outside the grid: ring expansion must still find
-	// the true nearest point.
-	idx, dist, ok := g.Nearest(Pt(-500, -500))
-	if !ok || idx != 0 {
-		t.Fatalf("Nearest outside bounds = %d, %v, %v", idx, dist, ok)
-	}
-	want := Pt(10, 10).Dist(Pt(-500, -500))
-	if dist != want {
-		t.Errorf("dist = %v, want %v", dist, want)
 	}
 }
 
@@ -242,6 +176,8 @@ func TestGridIndexResetRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestGridIndexWithinIntoMatchesWithin checks that a query into a reused
+// buffer returns exactly what the same query into a nil one does.
 func TestGridIndexWithinIntoMatchesWithin(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	bounds := Square(2000)
@@ -254,14 +190,14 @@ func TestGridIndexWithinIntoMatchesWithin(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		center := Pt(rng.Float64()*2000, rng.Float64()*2000)
 		r := rng.Float64() * 800
-		want := g.Within(center, r)
+		want := g.WithinInto(nil, center, r)
 		buf = g.WithinInto(buf, center, r)
 		if len(buf) != len(want) {
-			t.Fatalf("WithinInto(%v, %v) found %d, Within found %d", center, r, len(buf), len(want))
+			t.Fatalf("WithinInto(%v, %v) into a reused buffer found %d, into nil %d", center, r, len(buf), len(want))
 		}
 		for i := range buf {
 			if buf[i] != want[i] {
-				t.Fatalf("WithinInto(%v, %v)[%d] = %d, Within = %d", center, r, i, buf[i], want[i])
+				t.Fatalf("WithinInto(%v, %v)[%d] = %d into a reused buffer, %d into nil", center, r, i, buf[i], want[i])
 			}
 		}
 	}
@@ -331,21 +267,9 @@ func withinBrute(pts []Point, center Point, r float64) []int {
 	return out
 }
 
-// nearestBrute is the O(n) reference for Nearest: the smallest finite
-// distance from center, and whether any point has one.
-func nearestBrute(pts []Point, center Point) (float64, bool) {
-	best, ok := math.Inf(1), false
-	for _, p := range pts {
-		if d := p.Dist(center); d < best {
-			best, ok = d, true
-		}
-	}
-	return best, ok
-}
-
 // TestGridIndexMatchesBruteProperty checks CountWithin and WithinInto
 // (with either point of each pair as center: the pair predicate is
-// symmetric) and Nearest against the brute-force references on random
+// symmetric) against the brute-force references on random
 // grids whose cell size does not divide the bounds. The point sets mix
 // uniform points with points on cell seams, points outside the bounds on
 // every side (clamped into edge cells), and NaN and infinite coordinates.
@@ -427,11 +351,6 @@ func TestGridIndexMatchesBruteProperty(t *testing.T) {
 						t.Fatalf("trial %d: query around %v at %v counts %d, finds %v; want inside %v", trial, p, r, n, buf, inside[i])
 					}
 				}
-			}
-			idx, dist, ok := g.Nearest(center)
-			wantD, wantOK := nearestBrute(pts, center)
-			if ok != wantOK || ok && (dist != wantD || pts[idx].Dist(center) != dist) {
-				t.Fatalf("trial %d: Nearest(%v) = %d, %v, %v; want dist %v, %v", trial, center, idx, dist, ok, wantD, wantOK)
 			}
 		}
 	}

@@ -27,6 +27,7 @@ import (
 	"paydemand/internal/engine"
 	"paydemand/internal/geo"
 	"paydemand/internal/metrics"
+	"paydemand/internal/selection"
 	"paydemand/internal/stats"
 	"paydemand/internal/task"
 	"paydemand/internal/workload"
@@ -94,18 +95,26 @@ func (c Config) Validate() error {
 	if c.Rounds < 0 {
 		return fmt.Errorf("sat: rounds %d, want >= 0", c.Rounds)
 	}
-	if c.UserSpeed <= 0 || c.UserTimeBudget < 0 || c.CostPerMeter < 0 {
+	// The range checks below are written so that NaN fails them; the
+	// IsInf checks reject the "Inf" a flag parser accepts.
+	if !(c.UserSpeed > 0) || !(c.UserTimeBudget >= 0) || !(c.CostPerMeter >= 0) ||
+		math.IsInf(c.UserSpeed, 1) || math.IsInf(c.UserTimeBudget, 1) || math.IsInf(c.CostPerMeter, 1) {
 		return fmt.Errorf("sat: bad user parameters (speed %v, budget %v, cost %v)",
 			c.UserSpeed, c.UserTimeBudget, c.CostPerMeter)
 	}
-	if c.Budget <= 0 {
-		return fmt.Errorf("sat: budget %v, want > 0", c.Budget)
+	// A user's travel budget is speed × time budget; an infinite one
+	// would make every task reachable.
+	if math.IsInf(c.UserSpeed*c.UserTimeBudget, 1) {
+		return fmt.Errorf("sat: speed %v times time budget %v overflows", c.UserSpeed, c.UserTimeBudget)
 	}
-	if c.Margin < 0 {
-		return fmt.Errorf("sat: margin %v, want >= 0", c.Margin)
+	if !(c.Budget > 0) || math.IsInf(c.Budget, 1) {
+		return fmt.Errorf("sat: budget %v, want finite > 0", c.Budget)
 	}
-	if c.MinBid < 0 {
-		return fmt.Errorf("sat: min bid %v, want >= 0", c.MinBid)
+	if !(c.Margin >= 0) || math.IsInf(c.Margin, 1) {
+		return fmt.Errorf("sat: margin %v, want finite >= 0", c.Margin)
+	}
+	if !(c.MinBid >= 0) || math.IsInf(c.MinBid, 1) {
+		return fmt.Errorf("sat: min bid %v, want finite >= 0", c.MinBid)
 	}
 	return nil
 }
@@ -116,18 +125,12 @@ type Bid struct {
 	Task task.ID `json:"task"`
 	// Amount is what the platform pays if the bid wins.
 	Amount float64 `json:"amount"`
-	// cost is the user's true marginal cost at bid time (travel from its
-	// round-start location).
-	cost float64
-	// dist is the corresponding travel distance.
-	dist float64
 }
 
 // Simulation runs a SAT-mode campaign. Create with New, call Run once.
 type Simulation struct {
-	cfg      Config
-	scenario workload.Scenario
-	board    *task.Board
+	cfg   Config
+	board *task.Board
 	// eng runs the snapshot/settle/stats stages shared with the WST
 	// simulator; the reverse auction replaces the publish/select stages,
 	// so the engine has no mechanism and never reprices.
@@ -137,13 +140,8 @@ type Simulation struct {
 	// remainingBudget is the platform's unspent payment budget.
 	remainingBudget float64
 
-	// Grow-only bid-collection scratch: the open-task location grid the
-	// reachability queries run over, the per-user radius-query result
-	// buffer, and the task-location slice the grid is rebuilt from. With
-	// them a steady-state collectBids allocates only the bid slice.
-	taskGrid geo.GridIndex
-	nearBuf  []int
-	taskLocs []geo.Point
+	// candBuf is collectBids' grow-only candidate buffer.
+	candBuf []selection.Candidate
 }
 
 // New generates a scenario and prepares the campaign.
@@ -175,7 +173,6 @@ func New(cfg Config, seed int64) (*Simulation, error) {
 	}
 	return &Simulation{
 		cfg:             cfg,
-		scenario:        sc,
 		board:           board,
 		eng:             eng,
 		users:           users,
@@ -237,7 +234,7 @@ func (s *Simulation) runRound(k int) (metrics.RoundStats, error) {
 		return rs, nil
 	}
 
-	bids := s.collectBids(k, open)
+	bids := s.collectBids()
 	if len(bids) > 0 {
 		total := 0.0
 		for _, b := range bids {
@@ -257,15 +254,14 @@ func (s *Simulation) runRound(k int) (metrics.RoundStats, error) {
 		return bids[i].Task < bids[j].Task
 	})
 
-	// Per-user marginal state during assignment.
-	pos := make(map[int]geo.Point, len(s.users))
-	travelLeft := make(map[int]float64, len(s.users))
-	won := make(map[int]bool)
-	byID := make(map[int]*agent.User, len(s.users))
-	for _, u := range s.users {
-		pos[u.ID] = u.Location
-		travelLeft[u.ID] = u.MaxTravelDistance()
-		byID[u.ID] = u
+	// Per-user marginal state during assignment, by slot: user IDs are
+	// slot+1, and the population never changes.
+	pos := make([]geo.Point, len(s.users))
+	travelLeft := make([]float64, len(s.users))
+	won := make([]bool, len(s.users))
+	for i, u := range s.users {
+		pos[i] = u.Location
+		travelLeft[i] = u.MaxTravelDistance()
 	}
 
 	for _, b := range bids {
@@ -273,13 +269,11 @@ func (s *Simulation) runRound(k int) (metrics.RoundStats, error) {
 		if !st.OpenAt(k) || st.Contributed(b.User) {
 			continue
 		}
-		u := byID[b.User]
-		if u.HasDone(b.Task) {
-			continue
-		}
+		i := b.User - 1
+		u := s.users[i]
 		// Marginal travel from the user's position after earlier awards.
-		d := pos[b.User].Dist(st.Location)
-		if d > travelLeft[b.User] {
+		d := pos[i].Dist(st.Location)
+		if d > travelLeft[i] {
 			continue
 		}
 		if b.Amount > s.remainingBudget {
@@ -288,82 +282,45 @@ func (s *Simulation) runRound(k int) (metrics.RoundStats, error) {
 		if _, err := s.eng.CommitPaid(b.User, b.Task, b.Amount); err != nil {
 			return rs, err
 		}
-		u.MarkDone(b.Task)
 		s.remainingBudget -= b.Amount
-		travelLeft[b.User] -= d
-		pos[b.User] = st.Location
+		travelLeft[i] -= d
+		pos[i] = st.Location
 		u.AddProfit(b.Amount - d*u.CostPerMeter)
 		rs.RoundProfit += b.Amount - d*u.CostPerMeter
-		if !won[b.User] {
-			won[b.User] = true
+		if !won[i] {
+			won[i] = true
 			rs.ActiveUsers++
 		}
 	}
 
 	// Winners end the round at their last assigned task.
-	for id, p := range pos {
-		byID[id].MoveTo(p)
+	for i, u := range s.users {
+		u.MoveTo(pos[i])
 	}
 	s.eng.FinishRoundStats(&rs)
 	return rs, nil
 }
 
-// collectBids gathers every user's per-task offers for the round. Instead
-// of testing every (user, task) pair, a grid index over the open-task
-// locations answers each user's reachability query in O(tasks within
-// radius): WithinInto with radius nextafter(maxTravel) matches the
-// brute-force `d > maxTravel` cutoff exactly (no float exists between
-// them, so strictly-within the bumped radius is precisely d <= maxTravel).
-// The hit indices are sorted back into board order before bids are
-// appended, keeping the bid sequence — and the float summation order of
-// the round's mean bid — byte-identical to the historical double loop.
-func (s *Simulation) collectBids(k int, open []*task.State) []Bid {
+// collectBids gathers every user's per-task offers for the round, users
+// in slot order: one bid per task of the engine's open snapshot that the
+// user can reach within its travel budget and has not yet measured, in
+// board order, at the user's true travel cost plus margin and minimum
+// bid. The engine's ProblemInto assembles exactly that task list; bids
+// are collected before the round's first award, so every snapshot task
+// still accepts measurements.
+func (s *Simulation) collectBids() []Bid {
 	var bids []Bid
-	maxR := 0.0
 	for _, u := range s.users {
-		if r := u.MaxTravelDistance(); r > maxR {
-			maxR = r
-		}
-	}
-	if maxR > 0 && !math.IsInf(maxR, 1) {
-		s.taskLocs = s.taskLocs[:0]
-		for _, st := range open {
-			s.taskLocs = append(s.taskLocs, st.Location)
-		}
-		if err := s.taskGrid.Reset(s.scenario.Area, maxR, s.taskLocs); err == nil {
-			for _, u := range s.users {
-				maxTravel := u.MaxTravelDistance()
-				s.nearBuf = s.taskGrid.WithinInto(s.nearBuf, u.Location, math.Nextafter(maxTravel, math.Inf(1)))
-				sort.Ints(s.nearBuf)
-				for _, ti := range s.nearBuf {
-					st := open[ti]
-					if u.HasDone(st.ID) || st.Contributed(u.ID) {
-						continue
-					}
-					d := u.Location.Dist(st.Location)
-					cost := d * u.CostPerMeter
-					amount := cost*(1+s.cfg.Margin) + s.cfg.MinBid
-					bids = append(bids, Bid{User: u.ID, Task: st.ID, Amount: amount, cost: cost, dist: d})
-				}
-			}
-			return bids
-		}
-	}
-	// Fallback for degenerate inputs (no travel budget, non-finite radii,
-	// unusable area): the historical exhaustive scan.
-	for _, u := range s.users {
-		maxTravel := u.MaxTravelDistance()
-		for _, st := range open {
-			if u.HasDone(st.ID) || st.Contributed(u.ID) {
-				continue
-			}
-			d := u.Location.Dist(st.Location)
-			if d > maxTravel {
-				continue
-			}
-			cost := d * u.CostPerMeter
-			amount := cost*(1+s.cfg.Margin) + s.cfg.MinBid
-			bids = append(bids, Bid{User: u.ID, Task: st.ID, Amount: amount, cost: cost, dist: d})
+		var p selection.Problem
+		p, s.candBuf = s.eng.ProblemInto(engine.Spec{
+			Start:        u.Location,
+			MaxDistance:  u.MaxTravelDistance(),
+			CostPerMeter: u.CostPerMeter,
+		}, u, s.candBuf)
+		for _, c := range p.Candidates {
+			d := u.Location.Dist(c.Location)
+			amount := d*u.CostPerMeter*(1+s.cfg.Margin) + s.cfg.MinBid
+			bids = append(bids, Bid{User: u.ID, Task: c.ID, Amount: amount})
 		}
 	}
 	return bids

@@ -102,6 +102,19 @@ func TestValidateRejections(t *testing.T) {
 		{"negative min bid", func(c *Config) { c.MinBid = -1 }},
 		{"negative speed", func(c *Config) { c.UserSpeed = -2 }},
 		{"bad workload", func(c *Config) { c.Workload.NumTasks = -1 }},
+		{"NaN speed", func(c *Config) { c.UserSpeed = math.NaN() }},
+		{"infinite speed", func(c *Config) { c.UserSpeed = math.Inf(1) }},
+		{"infinite time budget", func(c *Config) { c.UserTimeBudget = math.Inf(1) }},
+		{"NaN time budget", func(c *Config) { c.UserTimeBudget = math.NaN() }},
+		{"speed times time budget overflows", func(c *Config) { c.UserSpeed, c.UserTimeBudget = 1e200, 1e200 }},
+		{"NaN cost per meter", func(c *Config) { c.CostPerMeter = math.NaN() }},
+		{"infinite cost per meter", func(c *Config) { c.CostPerMeter = math.Inf(1) }},
+		{"NaN budget", func(c *Config) { c.Budget = math.NaN() }},
+		{"infinite budget", func(c *Config) { c.Budget = math.Inf(1) }},
+		{"NaN margin", func(c *Config) { c.Margin = math.NaN() }},
+		{"infinite margin", func(c *Config) { c.Margin = math.Inf(1) }},
+		{"NaN min bid", func(c *Config) { c.MinBid = math.NaN() }},
+		{"infinite min bid", func(c *Config) { c.MinBid = math.Inf(1) }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

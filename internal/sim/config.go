@@ -8,6 +8,8 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 
 	"paydemand/internal/demand"
 	"paydemand/internal/geo"
@@ -54,17 +56,57 @@ const (
 	MechanismIncentMe
 )
 
-// mechanismKinds lists every valid kind in declaration order, for
-// validation messages and CLI parsing.
-var mechanismKinds = []MechanismKind{
-	MechanismOnDemand, MechanismFixed, MechanismSteered, MechanismSteeredRaw,
-	MechanismEqualWeights, MechanismDeadlineOnly, MechanismProgressOnly,
-	MechanismNeighborsOnly, MechanismAuction, MechanismIncentMe,
+// mechanismKinds, algorithmKinds and mobilityKinds list every valid kind
+// of each enumeration in declaration order: Validate accepts exactly
+// these, and the Parse functions map their String names back.
+var (
+	mechanismKinds = []MechanismKind{
+		MechanismOnDemand, MechanismFixed, MechanismSteered, MechanismSteeredRaw,
+		MechanismEqualWeights, MechanismDeadlineOnly, MechanismProgressOnly,
+		MechanismNeighborsOnly, MechanismAuction, MechanismIncentMe,
+	}
+	algorithmKinds = []AlgorithmKind{
+		AlgorithmDP, AlgorithmGreedy, AlgorithmAuto, AlgorithmTwoOpt, AlgorithmBeam,
+	}
+	mobilityKinds = []MobilityKind{
+		MobilityStationary, MobilityRandomWaypoint, MobilityLevyWalk,
+	}
+)
+
+// ParseMechanism returns the mechanism kind whose String is name.
+func ParseMechanism(name string) (MechanismKind, error) {
+	return parseKind("mechanism", name, mechanismKinds)
 }
 
-// MechanismKinds returns every valid mechanism kind in declaration order.
-func MechanismKinds() []MechanismKind {
-	return append([]MechanismKind(nil), mechanismKinds...)
+// ParseAlgorithm returns the algorithm kind whose String is name.
+func ParseAlgorithm(name string) (AlgorithmKind, error) {
+	return parseKind("algorithm", name, algorithmKinds)
+}
+
+// ParseMobility returns the mobility kind whose String is name.
+func ParseMobility(name string) (MobilityKind, error) {
+	return parseKind("mobility", name, mobilityKinds)
+}
+
+// parseKind returns the entry of kinds whose String is name; an unknown
+// name gets an error listing the valid ones.
+func parseKind[K fmt.Stringer](what, name string, kinds []K) (K, error) {
+	for _, k := range kinds {
+		if k.String() == name {
+			return k, nil
+		}
+	}
+	var zero K
+	return zero, fmt.Errorf("sim: unknown %s %q (valid kinds: %s)", what, name, kindList(kinds))
+}
+
+// kindList renders kinds for error messages: "on-demand, fixed, ...".
+func kindList[K fmt.Stringer](kinds []K) string {
+	names := make([]string, len(kinds))
+	for i, k := range kinds {
+		names[i] = k.String()
+	}
+	return strings.Join(names, ", ")
 }
 
 // String implements fmt.Stringer.
@@ -356,16 +398,17 @@ func (c Config) Validate() error {
 	if c.Shards != 0 {
 		return fmt.Errorf("sim: shards %d: the geo-sharded engine was removed; omit shards or set it to 0", c.Shards)
 	}
-	switch c.Mobility {
-	case MobilityStationary, MobilityRandomWaypoint, MobilityLevyWalk:
-	default:
-		return fmt.Errorf("sim: unknown mobility %v", c.Mobility)
+	if !slices.Contains(mobilityKinds, c.Mobility) {
+		return fmt.Errorf("sim: unknown mobility %v (valid kinds: %s)", c.Mobility, kindList(mobilityKinds))
 	}
 	if !(c.MobilityUncertainty >= 0 && c.MobilityUncertainty <= 1) {
 		return fmt.Errorf("sim: mobility uncertainty %v, want in [0, 1]", c.MobilityUncertainty)
 	}
-	if !validMechanism(c.Mechanism) {
-		return fmt.Errorf("sim: unknown mechanism %v (valid kinds: %s)", c.Mechanism, mechanismKindList())
+	if !slices.Contains(mechanismKinds, c.Mechanism) {
+		return fmt.Errorf("sim: unknown mechanism %v (valid kinds: %s)", c.Mechanism, kindList(mechanismKinds))
+	}
+	if !slices.Contains(algorithmKinds, c.Algorithm) {
+		return fmt.Errorf("sim: unknown algorithm %v (valid kinds: %s)", c.Algorithm, kindList(algorithmKinds))
 	}
 	// Cross-check the mechanism's declared capabilities against the knobs
 	// that supply them, so an unsatisfiable configuration fails here with
@@ -387,29 +430,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// validMechanism reports whether k is a recognized mechanism kind.
-func validMechanism(k MechanismKind) bool {
-	for _, v := range mechanismKinds {
-		if k == v {
-			return true
-		}
-	}
-	return false
-}
-
-// mechanismKindList renders every valid kind for error messages:
-// "on-demand, fixed, ...".
-func mechanismKindList() string {
-	s := ""
-	for i, k := range mechanismKinds {
-		if i > 0 {
-			s += ", "
-		}
-		s += k.String()
-	}
-	return s
-}
-
 // buildMobility constructs the configured mobility model over the area.
 func (c Config) buildMobility(area geo.Rect) (mobility.Model, error) {
 	switch c.Mobility {
@@ -424,18 +444,25 @@ func (c Config) buildMobility(area geo.Rect) (mobility.Model, error) {
 	}
 }
 
-// buildMechanism constructs the configured incentive mechanism.
-// totalRequired is the campaign's total measurement requirement (for
-// Eq. 9). Capability inputs — the fixed mechanism's RNG, the auction's
-// bids and budget, the forecast — are not baked in here: they reach the
-// mechanism per round through the engine's RoundInput assembly.
+// buildMechanism constructs the configured incentive mechanism over the
+// reward scheme its budget, λ and level count derive (Eq. 9).
+// totalRequired is the campaign's total measurement requirement.
 func (c Config) buildMechanism(totalRequired int) (incentive.Mechanism, error) {
 	levels := demand.LevelMapper{N: c.DemandLevels}
 	scheme, err := incentive.SchemeFromBudget(c.Budget, totalRequired, c.RewardLambda, levels)
 	if err != nil {
 		return nil, err
 	}
-	switch c.Mechanism {
+	return NewMechanism(c.Mechanism, scheme)
+}
+
+// NewMechanism builds the incentive mechanism of the given kind over a
+// reward scheme. Capability inputs — the fixed mechanism's RNG, the
+// auction's bids and budget, the forecast — are not baked in here: they
+// reach the mechanism per round through the engine's RoundInput
+// assembly.
+func NewMechanism(kind MechanismKind, scheme incentive.RewardScheme) (incentive.Mechanism, error) {
+	switch kind {
 	case MechanismOnDemand:
 		return incentive.NewPaperOnDemand(scheme)
 	case MechanismFixed:
@@ -457,12 +484,14 @@ func (c Config) buildMechanism(totalRequired int) (incentive.Mechanism, error) {
 	case MechanismIncentMe:
 		return incentive.NewIncentMe(scheme)
 	default:
-		return nil, fmt.Errorf("sim: unknown mechanism %v (valid kinds: %s)", c.Mechanism, mechanismKindList())
+		return nil, fmt.Errorf("sim: unknown mechanism %v (valid kinds: %s)", kind, kindList(mechanismKinds))
 	}
 }
 
-// buildAlgorithm constructs the configured selection algorithm.
-func (c Config) buildAlgorithm() (selection.Algorithm, error) {
+// NewAlgorithm builds the configured selection algorithm; zero fields
+// mean the defaults, as everywhere in Config.
+func (c Config) NewAlgorithm() (selection.Algorithm, error) {
+	c = c.withDefaults()
 	switch c.Algorithm {
 	case AlgorithmDP:
 		return &selection.DP{MaxTasks: c.DPMaxTasks}, nil
@@ -479,6 +508,6 @@ func (c Config) buildAlgorithm() (selection.Algorithm, error) {
 	case AlgorithmBeam:
 		return &selection.Beam{Width: c.BeamWidth, Improve: c.BeamImprove}, nil
 	default:
-		return nil, fmt.Errorf("sim: unknown algorithm %v", c.Algorithm)
+		return nil, fmt.Errorf("sim: unknown algorithm %v (valid kinds: %s)", c.Algorithm, kindList(algorithmKinds))
 	}
 }

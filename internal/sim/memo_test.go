@@ -44,7 +44,7 @@ func (o *memoOracle) UserPlanned(round, userID int, got selection.Problem, plan 
 	spec := o.s.specFor(u)
 	if m := o.memo[slot]; m.user == u && sameSpec(m.spec, spec) {
 		o.hits++
-		fresh, err := o.s.cfg.buildAlgorithm()
+		fresh, err := o.s.cfg.NewAlgorithm()
 		if err != nil {
 			o.t.Fatal(err)
 		}

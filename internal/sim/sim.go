@@ -133,7 +133,7 @@ func NewFromScenario(cfg Config, sc workload.Scenario, seed int64) (*Simulation,
 	if err != nil {
 		return nil, err
 	}
-	alg, err := cfg.buildAlgorithm()
+	alg, err := cfg.NewAlgorithm()
 	if err != nil {
 		return nil, err
 	}
