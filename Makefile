@@ -6,7 +6,7 @@
 STATICCHECK_VERSION := 2025.1.1
 GOVULNCHECK_VERSION := v1.1.4
 
-.PHONY: all build test race cover lint fmt-check vet paylint lint-fixtures staticcheck govulncheck fuzz-smoke bench-check bench-smoke bench-wire loadgen-smoke ci
+.PHONY: all build test race cover lint fmt-check vet paylint lint-fixtures staticcheck govulncheck fuzz-smoke bench-check bench-smoke bench-wire loadgen-smoke paper-check ci
 
 all: build test
 
@@ -97,4 +97,15 @@ bench-smoke:
 bench-wire:
 	go test -run xxx -bench . -benchtime 1000x -benchmem ./internal/wire/binary/
 
-ci: lint build test race bench-check fuzz-smoke bench-smoke loadgen-smoke
+# Regenerates every figure and table at the paper's 100 trials, seed 1, and
+# compares the output byte for byte with the committed golden (about 30 s
+# on two CPUs). TestRunAllGolden holds the 2-trial output the same way on
+# every `go test`. Both are amd64 goldens, like the seeded regression
+# constants: Go allows fused multiply-add on other architectures, which
+# may move a last digit there.
+paper-check:
+	go run ./cmd/experiments -all -trials 100 -seed 1 > paper-check.out
+	cmp paper-check.out cmd/experiments/testdata/all-trials100-seed1.txt
+	rm -f paper-check.out
+
+ci: lint build test race bench-check fuzz-smoke bench-smoke loadgen-smoke paper-check

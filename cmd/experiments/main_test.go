@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -111,5 +112,24 @@ func TestRunRejectsNegativeTrials(t *testing.T) {
 	var sb strings.Builder
 	if err := run([]string{"-fig", "6a", "-trials", "-3", "-plot=false"}, &sb); err == nil {
 		t.Error("negative -trials accepted")
+	}
+}
+
+// TestRunAllGolden pins every registered figure's full output at two
+// trials per configuration, seed 1, byte for byte. The golden is amd64
+// output: Go allows fused multiply-add on other architectures, which may
+// move the last digit. `make paper-check` holds the 100-trial (paper
+// fidelity) output to all-trials100-seed1.txt the same way.
+func TestRunAllGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "all-trials2-seed1.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := run([]string{"-all", "-trials", "2", "-seed", "1"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("-all -trials 2 -seed 1 output differs from testdata/all-trials2-seed1.txt; got:\n%s", buf.String())
 	}
 }
