@@ -58,6 +58,11 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *trials < 1 {
+		// Zero trials would print a table of zeros that reads like a
+		// measured campaign.
+		return fmt.Errorf("-trials %d, want >= 1", *trials)
+	}
 	if *compare {
 		// The comparison prints its own table over its own mechanisms.
 		var conflict string

@@ -78,6 +78,12 @@ func TestRunBadFlags(t *testing.T) {
 	if err := run([]string{"-not-a-flag"}, &sb); err == nil {
 		t.Error("unknown flag accepted")
 	}
+	for _, args := range [][]string{{"-trials", "0"}, {"-compare", "-trials", "0"}, {"-trials", "-2"}} {
+		err := run(args, &sb)
+		if err == nil || !strings.Contains(err.Error(), "-trials") {
+			t.Errorf("%v: err = %v, want one naming -trials", args, err)
+		}
+	}
 	// -compare prints its own table over its own mechanisms, so the flags
 	// that shape the single-configuration output are rejected beside it.
 	for _, extra := range [][]string{

@@ -16,7 +16,7 @@
 // gates CI directly. With -json, findings are emitted instead as a JSON
 // array of {file, line, col, analyzer, message} objects in the same
 // deterministic order (an empty array when the tree is clean), which CI
-// uploads as an artifact. See DESIGN.md sections 11 and 16 for the
+// uploads as an artifact. See DESIGN.md sections 11 and 15 for the
 // invariants and the //paylint: suppression syntax.
 package main
 

@@ -8,219 +8,114 @@ import (
 )
 
 // Ablation experiments beyond the paper's figures: they probe the design
-// choices DESIGN.md section 7 calls out. Each reuses the sweep machinery
-// with a different set of mechanism or configuration variants.
+// choices DESIGN.md section 7 calls out. Each is a population sweep of
+// on-demand variants of Options.Base, plotted as overall completeness.
 
-// ablationSweep runs one metric over the user sweep for a list of named
-// configurations, fanning the (variant, user-count, trial) grid across
-// the trial-runner worker pool.
-func ablationSweep(opts Options, variants []namedConfig, pick func(metrics.Summary) float64) ([]Series, error) {
-	opts = opts.withDefaults()
-	nu := len(opts.UserSweep)
-	results, err := runTrials(opts, len(variants)*nu, func(c, trial int) (metrics.TrialResult, error) {
-		vi, ui := c/nu, c%nu
-		v, users := variants[vi], opts.UserSweep[ui]
-		cfg := v.cfg
-		cfg.Workload.NumUsers = users
-		res, err := sim.Run(cfg, trialSeed(opts.Seed, 5000+vi*100+ui, trial))
-		if err != nil {
-			return metrics.TrialResult{}, fmt.Errorf("%s users=%d trial=%d: %w", v.name, users, trial, err)
+// onDemandSweep returns a variants function with one on-demand copy of
+// opts.Base per value; set adjusts the copy to its value and names it.
+func onDemandSweep[T any](values []T, set func(*sim.Config, T) string) func(Options) []namedConfig {
+	return func(opts Options) []namedConfig {
+		out := make([]namedConfig, len(values))
+		for i, v := range values {
+			cfg := opts.Base
+			cfg.Mechanism = sim.MechanismOnDemand
+			out[i] = namedConfig{set(&cfg, v), cfg}
 		}
-		return res, nil
-	})
-	if err != nil {
-		return nil, err
+		return out
 	}
-	series := make([]Series, len(variants))
-	for vi, v := range variants {
-		s := Series{Name: v.name}
-		for ui, users := range opts.UserSweep {
-			var agg metrics.Aggregator
-			for _, res := range results[vi*nu+ui] {
-				agg.Add(res)
-			}
-			s.X = append(s.X, float64(users))
-			s.Y = append(s.Y, pick(agg.Summary()))
-		}
-		series[vi] = s
-	}
-	return series, nil
 }
 
-type namedConfig struct {
+// weightVariant names one demand-weighting mechanism of ablation-weights.
+type weightVariant struct {
 	name string
-	cfg  sim.Config
+	mech sim.MechanismKind
 }
 
-// withMechanism builds a variant of the base options config.
-func withMechanism(opts Options, mech sim.MechanismKind) sim.Config {
-	cfg := opts.Base
-	cfg.Mechanism = mech
-	return cfg
-}
+func overallCompleteness(s metrics.Summary) float64 { return s.OverallCompleteness * 100 }
 
-// AblationWeights compares the AHP-derived demand weights against equal
-// weights and the three single-factor demands, on overall completeness.
-func AblationWeights(opts Options) (Figure, error) {
-	opts = opts.withDefaults()
-	variants := []namedConfig{
-		{"ahp", withMechanism(opts, sim.MechanismOnDemand)},
-		{"equal", withMechanism(opts, sim.MechanismEqualWeights)},
-		{"deadline-only", withMechanism(opts, sim.MechanismDeadlineOnly)},
-		{"progress-only", withMechanism(opts, sim.MechanismProgressOnly)},
-		{"neighbors-only", withMechanism(opts, sim.MechanismNeighborsOnly)},
-	}
-	series, err := ablationSweep(opts, variants, func(s metrics.Summary) float64 {
-		return s.OverallCompleteness * 100
-	})
-	if err != nil {
-		return Figure{}, err
-	}
-	return Figure{
-		ID:     "ablation-weights",
-		Title:  "Demand weighting ablation: overall completeness",
-		XLabel: "number of users",
-		YLabel: "overall completeness (%)",
-		Series: series,
-		Notes:  "ahp = the paper's Table I weights; others replace the weight vector only.",
-	}, nil
-}
-
-// AblationLevels sweeps the demand-level count N of Table III, rescaling
-// lambda to keep the Eq. 9 budget constraint satisfiable.
-func AblationLevels(opts Options) (Figure, error) {
-	opts = opts.withDefaults()
-	var variants []namedConfig
-	for _, n := range []int{1, 2, 5, 10, 20} {
-		cfg := opts.Base
-		cfg.Mechanism = sim.MechanismOnDemand
-		cfg.DemandLevels = n
-		cfg.RewardLambda = 2.0 / float64(n)
-		variants = append(variants, namedConfig{fmt.Sprintf("N=%d", n), cfg})
-	}
-	series, err := ablationSweep(opts, variants, func(s metrics.Summary) float64 {
-		return s.OverallCompleteness * 100
-	})
-	if err != nil {
-		return Figure{}, err
-	}
-	return Figure{
-		ID:     "ablation-levels",
-		Title:  "Demand-level granularity ablation: overall completeness",
-		XLabel: "number of users",
-		YLabel: "overall completeness (%)",
-		Series: series,
-		Notes:  "lambda rescaled as 2/N so r0 from Eq. 9 stays positive at B = 1000.",
-	}, nil
-}
-
-// AblationBudget sweeps the per-round user time budget the paper never
-// states (DESIGN.md assumption 2).
-func AblationBudget(opts Options) (Figure, error) {
-	opts = opts.withDefaults()
-	var variants []namedConfig
-	for _, budget := range []float64{150, 300, 600, 1200} {
-		cfg := opts.Base
-		cfg.Mechanism = sim.MechanismOnDemand
-		cfg.UserTimeBudget = budget
-		variants = append(variants, namedConfig{fmt.Sprintf("%.0fs", budget), cfg})
-	}
-	series, err := ablationSweep(opts, variants, func(s metrics.Summary) float64 {
-		return s.OverallCompleteness * 100
-	})
-	if err != nil {
-		return Figure{}, err
-	}
-	return Figure{
-		ID:     "ablation-budget",
-		Title:  "Per-round time budget sensitivity: overall completeness",
-		XLabel: "number of users",
-		YLabel: "overall completeness (%)",
-		Series: series,
-		Notes:  "600 s is this implementation's default (DESIGN.md section 4).",
-	}, nil
-}
-
-// AblationSensing lifts the paper's negligible-sensing-time assumption:
-// each measurement consumes the given on-site seconds out of the user's
-// round budget.
-func AblationSensing(opts Options) (Figure, error) {
-	opts = opts.withDefaults()
-	var variants []namedConfig
-	for _, sensing := range []float64{0, 30, 60, 120} {
-		cfg := opts.Base
-		cfg.Mechanism = sim.MechanismOnDemand
-		cfg.SensingTime = sensing
-		variants = append(variants, namedConfig{fmt.Sprintf("%.0fs/meas", sensing), cfg})
-	}
-	series, err := ablationSweep(opts, variants, func(s metrics.Summary) float64 {
-		return s.OverallCompleteness * 100
-	})
-	if err != nil {
-		return Figure{}, err
-	}
-	return Figure{
-		ID:     "ablation-sensing",
-		Title:  "Sensing-time sensitivity: overall completeness",
-		XLabel: "number of users",
-		YLabel: "overall completeness (%)",
-		Series: series,
-		Notes:  "0 s is the paper's assumption (Section III-C: sensing time negligible next to travel).",
-	}, nil
-}
-
-// AblationMobility compares the between-round user movement models, an
-// extension beyond the paper's stationary population.
-func AblationMobility(opts Options) (Figure, error) {
-	opts = opts.withDefaults()
-	var variants []namedConfig
-	for _, mob := range []sim.MobilityKind{
-		sim.MobilityStationary, sim.MobilityRandomWaypoint, sim.MobilityLevyWalk,
-	} {
-		cfg := opts.Base
-		cfg.Mechanism = sim.MechanismOnDemand
-		cfg.Mobility = mob
-		variants = append(variants, namedConfig{mob.String(), cfg})
-	}
-	series, err := ablationSweep(opts, variants, func(s metrics.Summary) float64 {
-		return s.OverallCompleteness * 100
-	})
-	if err != nil {
-		return Figure{}, err
-	}
-	return Figure{
-		ID:     "ablation-mobility",
-		Title:  "Mobility model ablation: overall completeness",
-		XLabel: "number of users",
-		YLabel: "overall completeness (%)",
-		Series: series,
-		Notes:  "Mobile users redistribute between rounds with their idle time, changing each task's neighboring-user counts.",
-	}, nil
-}
-
-// AblationChurn probes robustness to population churn, an extension
-// beyond the paper's fixed population.
-func AblationChurn(opts Options) (Figure, error) {
-	opts = opts.withDefaults()
-	var variants []namedConfig
-	for _, churn := range []float64{0, 0.1, 0.3, 0.5} {
-		cfg := opts.Base
-		cfg.Mechanism = sim.MechanismOnDemand
-		cfg.ChurnRate = churn
-		variants = append(variants, namedConfig{fmt.Sprintf("churn=%.0f%%", churn*100), cfg})
-	}
-	series, err := ablationSweep(opts, variants, func(s metrics.Summary) float64 {
-		return s.OverallCompleteness * 100
-	})
-	if err != nil {
-		return Figure{}, err
-	}
-	return Figure{
-		ID:     "ablation-churn",
-		Title:  "Population churn robustness: overall completeness",
-		XLabel: "number of users",
-		YLabel: "overall completeness (%)",
-		Series: series,
-		Notes:  "Each round the given fraction of users departs and is replaced by fresh users with no contribution history.",
-	}, nil
+// ablationFigures share seed offset 5000, which keeps their populations
+// apart from the paper figures'.
+var ablationFigures = []userFigure{
+	{
+		// The AHP-derived demand weights against equal weights and the
+		// three single-factor demands.
+		id:     "ablation-weights",
+		title:  "Demand weighting ablation: overall completeness",
+		notes:  "ahp = the paper's Table I weights; others replace the weight vector only.",
+		yLabel: "overall completeness (%)", seedBase: 5000, pick: overallCompleteness,
+		variants: onDemandSweep([]weightVariant{
+			{"ahp", sim.MechanismOnDemand},
+			{"equal", sim.MechanismEqualWeights},
+			{"deadline-only", sim.MechanismDeadlineOnly},
+			{"progress-only", sim.MechanismProgressOnly},
+			{"neighbors-only", sim.MechanismNeighborsOnly},
+		}, func(cfg *sim.Config, v weightVariant) string {
+			cfg.Mechanism = v.mech
+			return v.name
+		}),
+	},
+	{
+		// The demand-level count N of Table III, rescaling lambda to keep
+		// the Eq. 9 budget constraint satisfiable.
+		id:     "ablation-levels",
+		title:  "Demand-level granularity ablation: overall completeness",
+		notes:  "lambda rescaled as 2/N so r0 from Eq. 9 stays positive at B = 1000.",
+		yLabel: "overall completeness (%)", seedBase: 5000, pick: overallCompleteness,
+		variants: onDemandSweep([]int{1, 2, 5, 10, 20}, func(cfg *sim.Config, n int) string {
+			cfg.DemandLevels = n
+			cfg.RewardLambda = 2.0 / float64(n)
+			return fmt.Sprintf("N=%d", n)
+		}),
+	},
+	{
+		// The per-round user time budget the paper never states (DESIGN.md
+		// assumption 2).
+		id:     "ablation-budget",
+		title:  "Per-round time budget sensitivity: overall completeness",
+		notes:  "600 s is this implementation's default (DESIGN.md section 4).",
+		yLabel: "overall completeness (%)", seedBase: 5000, pick: overallCompleteness,
+		variants: onDemandSweep([]float64{150, 300, 600, 1200}, func(cfg *sim.Config, budget float64) string {
+			cfg.UserTimeBudget = budget
+			return fmt.Sprintf("%.0fs", budget)
+		}),
+	},
+	{
+		// Lifts the paper's negligible-sensing-time assumption: each
+		// measurement consumes the given on-site seconds out of the user's
+		// round budget.
+		id:     "ablation-sensing",
+		title:  "Sensing-time sensitivity: overall completeness",
+		notes:  "0 s is the paper's assumption (Section III-C: sensing time negligible next to travel).",
+		yLabel: "overall completeness (%)", seedBase: 5000, pick: overallCompleteness,
+		variants: onDemandSweep([]float64{0, 30, 60, 120}, func(cfg *sim.Config, sensing float64) string {
+			cfg.SensingTime = sensing
+			return fmt.Sprintf("%.0fs/meas", sensing)
+		}),
+	},
+	{
+		// The between-round user movement models, an extension beyond the
+		// paper's stationary population.
+		id:     "ablation-mobility",
+		title:  "Mobility model ablation: overall completeness",
+		notes:  "Mobile users redistribute between rounds with their idle time, changing each task's neighboring-user counts.",
+		yLabel: "overall completeness (%)", seedBase: 5000, pick: overallCompleteness,
+		variants: onDemandSweep([]sim.MobilityKind{
+			sim.MobilityStationary, sim.MobilityRandomWaypoint, sim.MobilityLevyWalk,
+		}, func(cfg *sim.Config, mob sim.MobilityKind) string {
+			cfg.Mobility = mob
+			return mob.String()
+		}),
+	},
+	{
+		// Robustness to population churn, an extension beyond the paper's
+		// fixed population.
+		id:     "ablation-churn",
+		title:  "Population churn robustness: overall completeness",
+		notes:  "Each round the given fraction of users departs and is replaced by fresh users with no contribution history.",
+		yLabel: "overall completeness (%)", seedBase: 5000, pick: overallCompleteness,
+		variants: onDemandSweep([]float64{0, 0.1, 0.3, 0.5}, func(cfg *sim.Config, churn float64) string {
+			cfg.ChurnRate = churn
+			return fmt.Sprintf("churn=%.0f%%", churn*100)
+		}),
+	},
 }

@@ -1,8 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (Section VI). Each figure has a runner that sweeps the same
-// parameter the paper sweeps, averages over repeated trials, and returns
-// the plotted series; renderers emit ASCII tables, simple ASCII plots and
-// CSV.
+// evaluation (Section VI). Each figure sweeps the same parameter the
+// paper sweeps, averages over repeated trials, and returns the plotted
+// series; renderers emit ASCII tables, simple ASCII plots and CSV.
 package experiments
 
 import (
@@ -120,34 +119,27 @@ type Figure struct {
 // Runner produces a Figure.
 type Runner func(Options) (Figure, error)
 
-// registry maps figure IDs to runners: one entry per paper table and
-// figure, plus the ablation studies of DESIGN.md section 7.
-var registry = map[string]Runner{
-	"table1": TableI,
-	"table2": TableII,
-	"table3": TableIII,
-	"fig5a":  Fig5a,
-	"fig5b":  Fig5b,
-	"fig6a":  Fig6a,
-	"fig6b":  Fig6b,
-	"fig7a":  Fig7a,
-	"fig7b":  Fig7b,
-	"fig8a":  Fig8a,
-	"fig8b":  Fig8b,
-	"fig9a":  Fig9a,
-	"fig9b":  Fig9b,
-
-	"ablation-weights":  AblationWeights,
-	"ablation-levels":   AblationLevels,
-	"ablation-budget":   AblationBudget,
-	"ablation-churn":    AblationChurn,
-	"ablation-mobility": AblationMobility,
-	"ablation-sensing":  AblationSensing,
-
-	"ext-sat-vs-wst":        ExtSATvsWST,
-	"ext-reward-trajectory": ExtRewardTrajectory,
-	"ext-truthfulness":      ExtTruthfulness,
-}
+// registry maps figure IDs to runners: the tables, Fig. 5 and two
+// extensions have runners of their own; every other figure is a row of
+// the population-sweep or round-series tables.
+var registry = func() map[string]Runner {
+	r := map[string]Runner{
+		"table1":           TableI,
+		"table2":           TableII,
+		"table3":           TableIII,
+		"fig5a":            Fig5a,
+		"fig5b":            Fig5b,
+		"ext-sat-vs-wst":   ExtSATvsWST,
+		"ext-truthfulness": ExtTruthfulness,
+	}
+	for _, f := range append(paperUserFigures, ablationFigures...) {
+		r[f.id] = f.run
+	}
+	for _, f := range roundFigures {
+		r[f.id] = f.run
+	}
+	return r
+}()
 
 // PaperIDs returns the IDs of the paper's own tables and figures, sorted,
 // excluding the ablation and extension studies.

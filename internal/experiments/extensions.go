@@ -8,41 +8,12 @@ import (
 	"paydemand/internal/sim"
 )
 
-// ExtRewardTrajectory plots the mean published per-measurement reward per
-// round for the three mechanisms — the mechanism-design story behind all
-// the paper's comparison figures made directly visible: fixed prices stay
-// flat, steered prices only decay, and on-demand prices climb as the
-// remaining (hard, remote) tasks approach their deadlines.
-func ExtRewardTrajectory(opts Options) (Figure, error) {
-	series, err := sweepRounds(opts, metrics.MetricMeanReward)
-	if err != nil {
-		return Figure{}, err
-	}
-	return Figure{
-		ID:     "ext-reward-trajectory",
-		Title:  "Mean published reward per round (100 users)",
-		XLabel: "round",
-		YLabel: "mean reward per measurement ($)",
-		Series: series,
-		Notes: "Extension view: the same runs as Fig. 6(b)-8(b), showing the price signal " +
-			"itself. Rounds after a mechanism's task set empties publish no rewards and " +
-			"report zero.",
-	}, nil
-}
-
 // ExtSATvsWST compares the paper's WST mode under the on-demand incentive
 // against a Server-Assigned-Tasks reverse auction (the mode the paper
 // argues against in Sections I-II) on overall completeness and platform
 // cost per measurement.
 func ExtSATvsWST(opts Options) (Figure, error) {
 	opts = opts.withDefaults()
-
-	completeness := make([]Series, 2)
-	cost := make([]Series, 2)
-	completeness[0] = Series{Name: "wst-on-demand"}
-	completeness[1] = Series{Name: "sat-auction"}
-	cost[0] = Series{Name: "wst-on-demand ($/meas)"}
-	cost[1] = Series{Name: "sat-auction ($/meas)"}
 
 	// One engine job covers the paired WST and SAT runs of a trial, so the
 	// two modes share the fan-out and keep their historical seeds.
@@ -70,22 +41,26 @@ func ExtSATvsWST(opts Options) (Figure, error) {
 		return Figure{}, err
 	}
 
+	// Completeness of both modes, then their platform cost.
+	series := []Series{
+		{Name: "wst-on-demand"}, {Name: "sat-auction"},
+		{Name: "wst-on-demand ($/meas)"}, {Name: "sat-auction ($/meas)"},
+	}
 	for ui, users := range opts.UserSweep {
 		var wstAgg, satAgg metrics.Aggregator
 		for _, pr := range results[ui] {
 			wstAgg.Add(pr.wst)
 			satAgg.Add(pr.sat)
 		}
-		x := float64(users)
 		w, s := wstAgg.Summary(), satAgg.Summary()
-		completeness[0].X = append(completeness[0].X, x)
-		completeness[0].Y = append(completeness[0].Y, w.OverallCompleteness*100)
-		completeness[1].X = append(completeness[1].X, x)
-		completeness[1].Y = append(completeness[1].Y, s.OverallCompleteness*100)
-		cost[0].X = append(cost[0].X, x)
-		cost[0].Y = append(cost[0].Y, w.AvgRewardPerMeasurement)
-		cost[1].X = append(cost[1].X, x)
-		cost[1].Y = append(cost[1].Y, s.AvgRewardPerMeasurement)
+		ys := []float64{
+			w.OverallCompleteness * 100, s.OverallCompleteness * 100,
+			w.AvgRewardPerMeasurement, s.AvgRewardPerMeasurement,
+		}
+		for i, y := range ys {
+			series[i].X = append(series[i].X, float64(users))
+			series[i].Y = append(series[i].Y, y)
+		}
 	}
 
 	return Figure{
@@ -93,7 +68,7 @@ func ExtSATvsWST(opts Options) (Figure, error) {
 		Title:  "WST on-demand vs SAT reverse auction",
 		XLabel: "number of users",
 		YLabel: "overall completeness (%) / $ per measurement",
-		Series: append(completeness, cost...),
+		Series: series,
 		Notes: "Extension beyond the paper: the SAT baseline assigns tasks centrally by " +
 			"first-price reverse auction with a 20% bidder margin. Central assignment edges " +
 			"out WST on completeness because the server exploits global knowledge of every " +

@@ -26,46 +26,88 @@ func baseConfig(opts Options, mech sim.MechanismKind, users, rounds int) sim.Con
 	return cfg
 }
 
-// sweepUsers runs the three-mechanism comparison over the user sweep and
-// extracts one final metric per summary. Configurations are the
-// (mechanism, user-count) grid; trials fan out across the worker pool and
-// are aggregated back in trial order, so the output matches a sequential
-// run exactly.
-func sweepUsers(opts Options, pick func(metrics.Summary) float64) ([]Series, error) {
+// namedConfig is one plotted variant of a population sweep.
+type namedConfig struct {
+	name string
+	cfg  sim.Config
+}
+
+// comparedVariants are the three compared mechanisms over opts.Base, each
+// run until its largest task deadline (Rounds forced to 0).
+func comparedVariants(opts Options) []namedConfig {
+	out := make([]namedConfig, len(comparedMechanisms))
+	for i, mech := range comparedMechanisms {
+		out[i] = namedConfig{mech.String(), baseConfig(opts, mech, 0, 0)}
+	}
+	return out
+}
+
+// userFigure is a figure that plots one final metric against the number
+// of users, one series per configuration variant.
+type userFigure struct {
+	id, title, yLabel, notes string
+	// seedBase offsets the configuration index of every trial seed, so
+	// figure families that share a sweep draw distinct populations.
+	seedBase int
+	variants func(Options) []namedConfig
+	pick     func(metrics.Summary) float64
+}
+
+// run sweeps the (variant, user-count) grid. Trials fan out across the
+// worker pool and are aggregated back in trial order, so the output
+// matches a sequential run exactly.
+func (f userFigure) run(opts Options) (Figure, error) {
 	opts = opts.withDefaults()
+	variants := f.variants(opts)
 	nu := len(opts.UserSweep)
-	results, err := runTrials(opts, len(comparedMechanisms)*nu, func(c, trial int) (metrics.TrialResult, error) {
-		mi, ui := c/nu, c%nu
-		mech, users := comparedMechanisms[mi], opts.UserSweep[ui]
-		cfg := baseConfig(opts, mech, users, 0)
-		res, err := sim.Run(cfg, trialSeed(opts.Seed, mi*100+ui, trial))
+	results, err := runTrials(opts, len(variants)*nu, func(c, trial int) (metrics.TrialResult, error) {
+		vi, ui := c/nu, c%nu
+		v, users := variants[vi], opts.UserSweep[ui]
+		cfg := v.cfg
+		cfg.Workload.NumUsers = users
+		res, err := sim.Run(cfg, trialSeed(opts.Seed, f.seedBase+vi*100+ui, trial))
 		if err != nil {
-			return metrics.TrialResult{}, fmt.Errorf("%s users=%d trial=%d: %w", mech, users, trial, err)
+			return metrics.TrialResult{}, fmt.Errorf("%s users=%d trial=%d: %w", v.name, users, trial, err)
 		}
 		return res, nil
 	})
 	if err != nil {
-		return nil, err
+		return Figure{}, err
 	}
-	series := make([]Series, len(comparedMechanisms))
-	for mi, mech := range comparedMechanisms {
-		s := Series{Name: mech.String()}
+	series := make([]Series, len(variants))
+	for vi, v := range variants {
+		s := Series{Name: v.name}
 		for ui, users := range opts.UserSweep {
 			var agg metrics.Aggregator
-			for _, res := range results[mi*nu+ui] {
+			for _, res := range results[vi*nu+ui] {
 				agg.Add(res)
 			}
 			s.X = append(s.X, float64(users))
-			s.Y = append(s.Y, pick(agg.Summary()))
+			s.Y = append(s.Y, f.pick(agg.Summary()))
 		}
-		series[mi] = s
+		series[vi] = s
 	}
-	return series, nil
+	return Figure{
+		ID:     f.id,
+		Title:  f.title,
+		XLabel: "number of users",
+		YLabel: f.yLabel,
+		Series: series,
+		Notes:  f.notes,
+	}, nil
 }
 
-// sweepRounds runs the three-mechanism comparison at the fixed series
-// population and extracts a per-round series.
-func sweepRounds(opts Options, metric metrics.RoundMetric) ([]Series, error) {
+// roundFigure is a figure that plots one per-round metric of the three
+// compared mechanisms at the series population, scaled by scale.
+type roundFigure struct {
+	id, title, yLabel, notes string
+	metric                   metrics.RoundMetric
+	scale                    float64
+}
+
+// run averages the per-round series of every compared mechanism over
+// the trials.
+func (f roundFigure) run(opts Options) (Figure, error) {
 	opts = opts.withDefaults()
 	results, err := runTrials(opts, len(comparedMechanisms), func(mi, trial int) (metrics.TrialResult, error) {
 		mech := comparedMechanisms[mi]
@@ -77,7 +119,7 @@ func sweepRounds(opts Options, metric metrics.RoundMetric) ([]Series, error) {
 		return res, nil
 	})
 	if err != nil {
-		return nil, err
+		return Figure{}, err
 	}
 	series := make([]Series, len(comparedMechanisms))
 	for mi, mech := range comparedMechanisms {
@@ -85,15 +127,65 @@ func sweepRounds(opts Options, metric metrics.RoundMetric) ([]Series, error) {
 		for _, res := range results[mi] {
 			agg.Add(res)
 		}
-		rs := agg.Series(metric, opts.Rounds)
+		rs := agg.Series(f.metric, opts.Rounds)
 		s := Series{Name: mech.String()}
 		for i, k := range rs.Rounds {
 			s.X = append(s.X, float64(k))
-			s.Y = append(s.Y, rs.Values[i])
+			s.Y = append(s.Y, rs.Values[i]*f.scale)
 		}
 		series[mi] = s
 	}
-	return series, nil
+	return Figure{
+		ID:     f.id,
+		Title:  f.title,
+		XLabel: "round",
+		YLabel: f.yLabel,
+		Series: series,
+		Notes:  f.notes,
+	}, nil
+}
+
+// paperUserFigures are Figs. 6(a)-9(b)'s population sweeps of the three
+// compared mechanisms; the ablations of DESIGN.md section 7 follow in
+// ablationFigures.
+var paperUserFigures = []userFigure{
+	{id: "fig6a", title: "Coverage vs number of users", yLabel: "coverage (%)",
+		variants: comparedVariants,
+		pick:     func(s metrics.Summary) float64 { return s.Coverage * 100 }},
+	{id: "fig7a", title: "Overall completeness vs number of users", yLabel: "overall completeness (%)",
+		variants: comparedVariants,
+		pick:     overallCompleteness},
+	{id: "fig8a", title: "Average measurements per task vs number of users", yLabel: "average # of measurements",
+		variants: comparedVariants,
+		pick:     func(s metrics.Summary) float64 { return s.AvgMeasurements }},
+	{id: "fig9a", title: "Variance of measurements vs number of users", yLabel: "variance of measurements",
+		variants: comparedVariants,
+		pick:     func(s metrics.Summary) float64 { return s.VarianceMeasurements }},
+	{id: "fig9b", title: "Average reward per measurement vs number of users", yLabel: "average reward per measurement ($)",
+		variants: comparedVariants,
+		pick:     func(s metrics.Summary) float64 { return s.AvgRewardPerMeasurement }},
+}
+
+// roundFigures are Figs. 6(b)-8(b) and the reward trajectory: the same
+// runs of the three compared mechanisms, read through different round
+// metrics.
+var roundFigures = []roundFigure{
+	{id: "fig6b", title: "Coverage vs sensing round (100 users)", yLabel: "coverage (%)",
+		metric: metrics.MetricCoverage, scale: 100},
+	{id: "fig7b", title: "Overall completeness vs sensing round (100 users)", yLabel: "overall completeness (%)",
+		metric: metrics.MetricCompleteness, scale: 100},
+	{id: "fig8b", title: "New measurements per round (100 users)", yLabel: "# of measurements",
+		metric: metrics.MetricNewMeasurements, scale: 1},
+	// The mechanism-design story behind all the comparison figures made
+	// directly visible: fixed prices stay flat, steered prices only decay,
+	// and on-demand prices climb as the remaining (hard, remote) tasks
+	// approach their deadlines.
+	{id: "ext-reward-trajectory", title: "Mean published reward per round (100 users)",
+		yLabel: "mean reward per measurement ($)",
+		metric: metrics.MetricMeanReward, scale: 1,
+		notes: "Extension view: the same runs as Fig. 6(b)-8(b), showing the price signal " +
+			"itself. Rounds after a mechanism's task set empties publish no rewards and " +
+			"report zero."},
 }
 
 // profitAtRound2 is the observer for Fig. 5: it records, at sensing round
@@ -208,153 +300,3 @@ func Fig5b(opts Options) (Figure, error) {
 		Notes:     "Differences are collected on identical per-user problem instances; zero differences (both algorithms equal) are omitted as in the paper's positive-difference boxplot.",
 	}, nil
 }
-
-// Fig6a reproduces Fig. 6(a): final coverage against the number of users.
-func Fig6a(opts Options) (Figure, error) {
-	series, err := sweepUsers(opts, func(s metrics.Summary) float64 {
-		return s.Coverage * 100
-	})
-	if err != nil {
-		return Figure{}, err
-	}
-	return Figure{
-		ID:     "fig6a",
-		Title:  "Coverage vs number of users",
-		XLabel: "number of users",
-		YLabel: "coverage (%)",
-		Series: series,
-	}, nil
-}
-
-// Fig6b reproduces Fig. 6(b): coverage against the sensing round at the
-// series population (100 users).
-func Fig6b(opts Options) (Figure, error) {
-	series, err := sweepRounds(opts, metrics.MetricCoverage)
-	if err != nil {
-		return Figure{}, err
-	}
-	for si := range series {
-		for i := range series[si].Y {
-			series[si].Y[i] *= 100
-		}
-	}
-	return Figure{
-		ID:     "fig6b",
-		Title:  "Coverage vs sensing round (100 users)",
-		XLabel: "round",
-		YLabel: "coverage (%)",
-		Series: series,
-	}, nil
-}
-
-// Fig7a reproduces Fig. 7(a): overall completeness against the number of
-// users.
-func Fig7a(opts Options) (Figure, error) {
-	series, err := sweepUsers(opts, func(s metrics.Summary) float64 {
-		return s.OverallCompleteness * 100
-	})
-	if err != nil {
-		return Figure{}, err
-	}
-	return Figure{
-		ID:     "fig7a",
-		Title:  "Overall completeness vs number of users",
-		XLabel: "number of users",
-		YLabel: "overall completeness (%)",
-		Series: series,
-	}, nil
-}
-
-// Fig7b reproduces Fig. 7(b): overall completeness against the sensing
-// round at the series population.
-func Fig7b(opts Options) (Figure, error) {
-	series, err := sweepRounds(opts, metrics.MetricCompleteness)
-	if err != nil {
-		return Figure{}, err
-	}
-	for si := range series {
-		for i := range series[si].Y {
-			series[si].Y[i] *= 100
-		}
-	}
-	return Figure{
-		ID:     "fig7b",
-		Title:  "Overall completeness vs sensing round (100 users)",
-		XLabel: "round",
-		YLabel: "overall completeness (%)",
-		Series: series,
-	}, nil
-}
-
-// Fig8a reproduces Fig. 8(a): average number of measurements per task
-// against the number of users.
-func Fig8a(opts Options) (Figure, error) {
-	series, err := sweepUsers(opts, func(s metrics.Summary) float64 {
-		return s.AvgMeasurements
-	})
-	if err != nil {
-		return Figure{}, err
-	}
-	return Figure{
-		ID:     "fig8a",
-		Title:  "Average measurements per task vs number of users",
-		XLabel: "number of users",
-		YLabel: "average # of measurements",
-		Series: series,
-	}, nil
-}
-
-// Fig8b reproduces Fig. 8(b): total new measurements per round at the
-// series population.
-func Fig8b(opts Options) (Figure, error) {
-	series, err := sweepRounds(opts, metrics.MetricNewMeasurements)
-	if err != nil {
-		return Figure{}, err
-	}
-	return Figure{
-		ID:     "fig8b",
-		Title:  "New measurements per round (100 users)",
-		XLabel: "round",
-		YLabel: "# of measurements",
-		Series: series,
-	}, nil
-}
-
-// Fig9a reproduces Fig. 9(a): variance of measurements against the number
-// of users.
-func Fig9a(opts Options) (Figure, error) {
-	series, err := sweepUsers(opts, func(s metrics.Summary) float64 {
-		return s.VarianceMeasurements
-	})
-	if err != nil {
-		return Figure{}, err
-	}
-	return Figure{
-		ID:     "fig9a",
-		Title:  "Variance of measurements vs number of users",
-		XLabel: "number of users",
-		YLabel: "variance of measurements",
-		Series: series,
-	}, nil
-}
-
-// Fig9b reproduces Fig. 9(b): average reward per measurement against the
-// number of users.
-func Fig9b(opts Options) (Figure, error) {
-	series, err := sweepUsers(opts, func(s metrics.Summary) float64 {
-		return s.AvgRewardPerMeasurement
-	})
-	if err != nil {
-		return Figure{}, err
-	}
-	return Figure{
-		ID:     "fig9b",
-		Title:  "Average reward per measurement vs number of users",
-		XLabel: "number of users",
-		YLabel: "average reward per measurement ($)",
-		Series: series,
-	}, nil
-}
-
-// verify that the observer satisfies the interface.
-var _ sim.Observer = (*profitAtRound2)(nil)

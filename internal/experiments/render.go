@@ -50,12 +50,8 @@ func RenderTable(w io.Writer, f Figure) error {
 func renderBoxplots(w io.Writer, f Figure) error {
 	rows := [][]string{{"boxplot", "n", "min", "q1", "median", "q3", "max", "whisk-lo", "whisk-hi", "outliers"}}
 	for i, b := range f.Boxplots {
-		label := fmt.Sprintf("box-%d", i+1)
-		if i < len(f.BoxLabels) {
-			label = f.BoxLabels[i]
-		}
 		rows = append(rows, []string{
-			label,
+			boxLabel(f, i),
 			strconv.Itoa(b.N),
 			formatNum(b.Min), formatNum(b.Q1), formatNum(b.Median),
 			formatNum(b.Q3), formatNum(b.Max),
@@ -64,6 +60,14 @@ func renderBoxplots(w io.Writer, f Figure) error {
 		})
 	}
 	return writeAligned(w, rows)
+}
+
+// boxLabel names the i-th boxplot, "box-<i+1>" where BoxLabels has none.
+func boxLabel(f Figure, i int) string {
+	if i < len(f.BoxLabels) {
+		return f.BoxLabels[i]
+	}
+	return fmt.Sprintf("box-%d", i+1)
 }
 
 // RenderPlot writes a crude ASCII line plot of the figure's series, good
@@ -138,10 +142,7 @@ func RenderCSV(w io.Writer, f Figure) error {
 		}
 	}
 	for i, b := range f.Boxplots {
-		label := fmt.Sprintf("box-%d", i+1)
-		if i < len(f.BoxLabels) {
-			label = f.BoxLabels[i]
-		}
+		label := boxLabel(f, i)
 		stats := []struct {
 			k string
 			v float64

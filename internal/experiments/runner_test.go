@@ -207,11 +207,10 @@ func TestOptionsValidate(t *testing.T) {
 func TestRunnerRejectsNegativeTrials(t *testing.T) {
 	o := tinyOpts()
 	o.Trials = -3
-	if _, err := Fig6a(o); err == nil {
-		t.Error("Fig6a accepted Trials = -3")
-	}
-	if _, err := AblationWeights(o); err == nil {
-		t.Error("AblationWeights accepted Trials = -3")
+	for _, id := range []string{"fig6a", "ablation-weights"} {
+		if _, err := registry[id](o); err == nil {
+			t.Errorf("%s accepted Trials = -3", id)
+		}
 	}
 }
 

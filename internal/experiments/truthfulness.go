@@ -53,7 +53,7 @@ func ExtTruthfulness(opts Options) (Figure, error) {
 			if err != nil {
 				return trialResult{}, err
 			}
-			if gain := auctionUtility(oc, w, truth[w]) - baseUtility[w]; gain > res.maxGain {
+			if gain := auctionUtilities(oc, truth)[w] - baseUtility[w]; gain > res.maxGain {
 				res.maxGain = gain
 			}
 			bids[w].Cost = truth[w]
@@ -100,14 +100,4 @@ func auctionUtilities(oc incentive.AuctionOutcome, truth []float64) []float64 {
 		out[b.Worker] = oc.Pay - truth[b.Worker]
 	}
 	return out
-}
-
-// auctionUtility computes one worker's utility from a clearing outcome.
-func auctionUtility(oc incentive.AuctionOutcome, worker int, trueCost float64) float64 {
-	for _, b := range oc.Order[:oc.Winners] {
-		if b.Worker == worker {
-			return oc.Pay - trueCost
-		}
-	}
-	return 0
 }

@@ -256,9 +256,9 @@ type Config struct {
 	// only one).
 	RoundParallelism int `json:"round_parallelism,omitempty"`
 	// Shards is kept only so configs that name it fail loudly: the
-	// geo-sharded engine was removed (DESIGN.md section 14), and Validate
-	// rejects any non-zero value rather than silently running the single
-	// engine.
+	// geo-sharded engine was removed (EXPERIMENTS.md, "Shard-scaling
+	// grid"), and Validate rejects any non-zero value rather than silently
+	// running the single engine.
 	Shards int `json:"shards,omitempty"`
 }
 

@@ -14,7 +14,7 @@
 // Floats travel as their IEEE 754 bit patterns, so values round-trip
 // exactly and JSON/TLV campaign outcomes stay byte-identical.
 //
-// Evolution rules (see DESIGN.md §15): new fields get fresh tags and are
+// Evolution rules (see DESIGN.md §14): new fields get fresh tags and are
 // appended to the message's tag table; decoders skip unknown tags (every
 // variable-width payload is length-prefixed, every scalar's width is
 // implied by its wire type), so old readers tolerate new writers. Tags

@@ -9,7 +9,7 @@ import (
 )
 
 // Field tags per message. Tags are append-only: never reuse or renumber a
-// tag once released (DESIGN.md §15 evolution rules). The Tags table below
+// tag once released (DESIGN.md §14 evolution rules). The Tags table below
 // mirrors these constants keyed by json field name; paylint's wirebin
 // analyzer checks that mapping against the wire structs, so a field added
 // to only the JSON codec (or a stale TLV entry) fails the build.
