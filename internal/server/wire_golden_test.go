@@ -1,0 +1,209 @@
+package server
+
+import (
+	"bytes"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+
+	"paydemand/internal/demand"
+	"paydemand/internal/geo"
+	"paydemand/internal/incentive"
+	"paydemand/internal/task"
+	"paydemand/internal/wire"
+	"paydemand/internal/wire/binary"
+)
+
+var updateWireGolden = flag.Bool("update-wire", false, "rewrite testdata/wire-golden.txt from the current server")
+
+// TestWireGolden pins every response of a small scripted campaign byte
+// for byte, in both codecs: status code, Content-Type and body (hex for
+// TLV). Three workers, five tasks, four rounds; each round makes a full
+// round poll, a known-round poll, one plan and one submit per worker (the
+// first worker's submit replayed once), a status call and an advance, and
+// the script ends with malformed plan and submit bodies. In TLV mode
+// every request carries the TLV Accept header, as the client sends it, so
+// the transcript also pins which endpoints answer JSON regardless.
+// Rewrite with -update-wire only when the protocol is meant to change.
+func TestWireGolden(t *testing.T) {
+	var got bytes.Buffer
+	for _, tlv := range []bool{false, true} {
+		wireGoldenCampaign(t, &got, tlv)
+	}
+	path := filepath.Join("testdata", "wire-golden.txt")
+	if *updateWireGolden {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("transcript differs from %s at line %d:\ngot:  %s\nwant: %s", path, i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("transcript differs from %s in length: %d lines, want %d", path, len(gl), len(wl))
+	}
+}
+
+// wireGoldenPlatform is the golden campaign's platform: five tasks
+// needing three measurements each, on-demand pricing.
+func wireGoldenPlatform(t *testing.T) *Platform {
+	t.Helper()
+	scheme, err := incentive.SchemeFromBudget(200, 15, 0.5, demand.LevelMapper{N: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mech, err := incentive.NewPaperOnDemand(scheme)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := New(Config{
+		Tasks: []task.Task{
+			{ID: 1, Location: geo.Pt(100, 100), Deadline: 4, Required: 3},
+			{ID: 2, Location: geo.Pt(300, 250), Deadline: 5, Required: 3},
+			{ID: 3, Location: geo.Pt(500, 500), Deadline: 3, Required: 3},
+			{ID: 4, Location: geo.Pt(700, 650), Deadline: 6, Required: 3},
+			{ID: 5, Location: geo.Pt(900, 900), Deadline: 6, Required: 3},
+		},
+		Mechanism:      mech,
+		Area:           geo.Square(1000),
+		NeighborRadius: 250,
+		Logger:         discardLogger(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// wireGoldenCampaign runs the scripted campaign against a fresh platform
+// in one codec and appends its transcript to out.
+func wireGoldenCampaign(t *testing.T, out *bytes.Buffer, tlv bool) {
+	srv := httptest.NewServer(wireGoldenPlatform(t))
+	defer srv.Close()
+	codec := "json"
+	if tlv {
+		codec = "tlv"
+	}
+	fmt.Fprintf(out, "# codec %s\n", codec)
+
+	call := func(method, path string, known int, body []byte, bodyTLV bool) []byte {
+		t.Helper()
+		req, err := http.NewRequest(method, srv.URL+path, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tlv {
+			req.Header.Set("Accept", binary.ContentType)
+		}
+		if body != nil {
+			ct := "application/json"
+			if bodyTLV {
+				ct = binary.ContentType
+			}
+			req.Header.Set("Content-Type", ct)
+		}
+		if known > 0 {
+			req.Header.Set(wire.HeaderKnownRound, strconv.Itoa(known))
+		}
+		resp, err := srv.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ct := resp.Header.Get("Content-Type")
+		shown := strings.TrimSuffix(string(data), "\n")
+		if ct == binary.ContentType {
+			shown = hex.EncodeToString(data)
+		}
+		label := method + " " + path
+		if known > 0 {
+			label += " known=" + strconv.Itoa(known)
+		}
+		fmt.Fprintf(out, "%s -> %d %s %s\n", label, resp.StatusCode, ct, shown)
+		return data
+	}
+	encode := func(m any) []byte {
+		t.Helper()
+		if tlv {
+			switch m := m.(type) {
+			case *wire.PlanRequest:
+				return binary.AppendPlanRequest(nil, m)
+			case *wire.SubmitRequest:
+				return binary.AppendSubmitRequest(nil, m)
+			}
+		}
+		b, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+
+	starts := []geo.Point{geo.Pt(150, 120), geo.Pt(520, 480), geo.Pt(850, 880)}
+	ids := make([]int, len(starts))
+	locs := append([]geo.Point(nil), starts...)
+	for i, loc := range starts {
+		var reg wire.RegisterResponse
+		body := call(http.MethodPost, wire.PathRegister, 0, encode(&wire.RegisterRequest{Location: loc}), false)
+		if err := json.Unmarshal(body, &reg); err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = reg.UserID
+	}
+	for round := 1; round <= 4; round++ {
+		call(http.MethodGet, wire.PathRound, 0, nil, false)
+		call(http.MethodGet, wire.PathRound, round, nil, false)
+		for i, id := range ids {
+			body := call(http.MethodPost, wire.PathPlan, 0, encode(&wire.PlanRequest{
+				UserID: id, Location: locs[i], Speed: 10, TimeBudget: 100, CostPerMeter: 0.01,
+			}), tlv)
+			var plan wire.PlanResponse
+			var err error
+			if tlv {
+				err = binary.DecodePlanResponse(body, &plan)
+			} else {
+				err = json.Unmarshal(body, &plan)
+			}
+			if err != nil {
+				t.Fatalf("round %d worker %d plan: %v", round, id, err)
+			}
+			sub := wire.SubmitRequest{UserID: id, Round: round, Location: locs[i]}
+			for k, tid := range plan.Order {
+				sub.Measurements = append(sub.Measurements, wire.Measurement{
+					TaskID: tid, Value: float64(10*id + k),
+				})
+			}
+			call(http.MethodPost, wire.PathSubmit, 0, encode(&sub), tlv)
+			if i == 0 {
+				// A same-round replay: every measurement is rejected.
+				call(http.MethodPost, wire.PathSubmit, 0, encode(&sub), tlv)
+			}
+			locs[i] = geo.Pt(locs[i].X+30, locs[i].Y+20)
+		}
+		call(http.MethodGet, wire.PathStatus, 0, nil, false)
+		call(http.MethodPost, wire.PathAdvance, 0, []byte("{}"), false)
+	}
+	call(http.MethodPost, wire.PathPlan, 0, []byte{0xff}, tlv)
+	call(http.MethodPost, wire.PathSubmit, 0, []byte("{\"user_id\":"), false)
+	call(http.MethodPost, wire.PathSubmit, 0, []byte{1, 1, 0}, true)
+}
