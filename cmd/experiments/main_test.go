@@ -30,6 +30,25 @@ func TestRunBareSuffixShorthand(t *testing.T) {
 	}
 }
 
+// TestRunSeriesUsersTitle checks that the vs-round figures name the
+// population they ran, not the paper's default.
+func TestRunSeriesUsersTitle(t *testing.T) {
+	for _, tc := range []struct{ fig, title string }{
+		{"6b", "Coverage vs sensing round (40 users)"},
+		{"7b", "Overall completeness vs sensing round (40 users)"},
+		{"8b", "New measurements per round (40 users)"},
+		{"ext-reward-trajectory", "Mean published reward per round (40 users)"},
+	} {
+		var sb strings.Builder
+		if err := run([]string{"-fig", tc.fig, "-trials", "1", "-series-users", "40", "-plot=false"}, &sb); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(sb.String(), tc.title) {
+			t.Errorf("-fig %s -series-users 40: no %q in\n%s", tc.fig, tc.title, sb.String())
+		}
+	}
+}
+
 func TestRunTableID(t *testing.T) {
 	var sb strings.Builder
 	if err := run([]string{"-fig", "table2", "-plot=false"}, &sb); err != nil {

@@ -4,8 +4,10 @@
 //
 // The hot endpoints (/v1/round, /v1/plan, /v1/submit) speak either JSON
 // (the default and the debugging surface) or the compact TLV codec
-// (internal/wire/binary), selected with WithCodec(CodecTLV). Endpoints
-// without a binary codec always use JSON regardless of the option.
+// (internal/wire/binary), selected with WithCodec(CodecTLV). In TLV mode
+// every request accepts TLV and the platform decides per endpoint: the
+// ones without a binary codec answer JSON, and responses are decoded by
+// their Content-Type.
 //
 // JSON round polls decode without reflection: the canonical body the
 // platform writes goes through wire.DecodeRoundInfoJSON, and any other
@@ -38,7 +40,7 @@ const (
 	CodecJSON Codec = iota
 	// CodecTLV uses the compact binary codec (internal/wire/binary) for
 	// the messages that have one, negotiated via Accept/Content-Type
-	// headers. Endpoints without a binary codec stay JSON.
+	// headers. Endpoints without a binary codec answer JSON.
 	CodecTLV
 )
 
@@ -245,16 +247,6 @@ func tlvDecode(data []byte, out any) (ok bool, err error) {
 	return false, nil
 }
 
-// tlvDecodable reports whether out could be decoded from TLV, without
-// decoding — used to decide the Accept header before the request.
-func tlvDecodable(out any) bool {
-	switch out.(type) {
-	case *wire.RoundInfo, *wire.PlanResponse, *wire.SubmitResponse:
-		return true
-	}
-	return false
-}
-
 func (c *Client) get(ctx context.Context, path string, out any) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
 	if err != nil {
@@ -288,11 +280,13 @@ func (c *Client) post(ctx context.Context, path string, in, out any) error {
 	return c.do(req, out)
 }
 
-// do sends the request and decodes the response by its Content-Type. The
-// response is read into a recycled buffer; every decoder copies everything
-// it keeps, so the buffer never escapes.
+// do sends the request and decodes the response by its Content-Type. In
+// TLV mode every request accepts TLV and the platform decides per
+// endpoint which responses use it. The response is read into a recycled
+// buffer; every decoder copies everything it keeps, so the buffer never
+// escapes.
 func (c *Client) do(req *http.Request, out any) error {
-	if c.codec == CodecTLV && tlvDecodable(out) {
+	if c.codec == CodecTLV {
 		req.Header.Set("Accept", binary.ContentType)
 	}
 	resp, err := c.http.Do(req)
@@ -303,7 +297,7 @@ func (c *Client) do(req *http.Request, out any) error {
 
 	buf := binary.GetBuffer()
 	defer binary.PutBuffer(buf)
-	if err := readInto(buf, io.LimitReader(resp.Body, 1<<20)); err != nil {
+	if err := binary.ReadAll(buf, io.LimitReader(resp.Body, 1<<20)); err != nil {
 		return fmt.Errorf("client: read response: %w", err)
 	}
 	body := *buf
@@ -335,24 +329,4 @@ func (c *Client) do(req *http.Request, out any) error {
 		return fmt.Errorf("client: decode response: %w", err)
 	}
 	return nil
-}
-
-// readInto appends r's bytes to the recycled buffer.
-func readInto(buf *[]byte, r io.Reader) error {
-	b := *buf
-	for {
-		if len(b) == cap(b) {
-			b = append(b, 0)[:len(b)]
-		}
-		n, err := r.Read(b[len(b):cap(b)])
-		b = b[:len(b)+n]
-		if err == io.EOF {
-			*buf = b
-			return nil
-		}
-		if err != nil {
-			*buf = b
-			return err
-		}
-	}
 }

@@ -485,6 +485,18 @@ func TestClientTLVCodec(t *testing.T) {
 	if len(resp.Results) != len(plan.Order) || resp.TotalPaid <= 0 {
 		t.Fatalf("TLV submit: %+v", resp)
 	}
+
+	// Endpoints without a binary codec answer JSON to a TLV client.
+	status, err := tlvC.Status(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status.TotalMeasurements != len(plan.Order) || status.Workers != 1 {
+		t.Errorf("TLV-mode status: %+v", status)
+	}
+	if _, err := tlvC.Estimate(ctx, plan.Order[0]); err != nil {
+		t.Errorf("TLV-mode estimate: %v", err)
+	}
 }
 
 func TestClientRoundKnownShortCircuit(t *testing.T) {

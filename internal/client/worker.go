@@ -154,9 +154,12 @@ func (w *Worker) Step(ctx context.Context) (done bool, err error) {
 	})
 	if err != nil {
 		// A stale-round conflict means the platform advanced while we were
-		// walking; skip this round rather than fail. (Replays within the
-		// same round are safe: the platform's once-per-user rule rejects
-		// duplicates without paying twice.)
+		// walking; skip this round rather than fail. A replay within the
+		// same round is never paid twice: the platform's once-per-user
+		// rule answers "already contributed" with reward 0. But if the
+		// first attempt was accepted and only its response lost, the
+		// replay's zero is all the worker sees, so its profit and done
+		// books miss the original payment.
 		var apiErr *APIError
 		if errors.As(err, &apiErr) && apiErr.StatusCode == http.StatusConflict {
 			return false, nil

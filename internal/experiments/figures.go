@@ -98,7 +98,8 @@ func (f userFigure) run(opts Options) (Figure, error) {
 }
 
 // roundFigure is a figure that plots one per-round metric of the three
-// compared mechanisms at the series population, scaled by scale.
+// compared mechanisms at the series population, scaled by scale. Its
+// title gets the population appended.
 type roundFigure struct {
 	id, title, yLabel, notes string
 	metric                   metrics.RoundMetric
@@ -137,7 +138,7 @@ func (f roundFigure) run(opts Options) (Figure, error) {
 	}
 	return Figure{
 		ID:     f.id,
-		Title:  f.title,
+		Title:  fmt.Sprintf("%s (%d users)", f.title, opts.SeriesUsers),
 		XLabel: "round",
 		YLabel: f.yLabel,
 		Series: series,
@@ -170,17 +171,17 @@ var paperUserFigures = []userFigure{
 // runs of the three compared mechanisms, read through different round
 // metrics.
 var roundFigures = []roundFigure{
-	{id: "fig6b", title: "Coverage vs sensing round (100 users)", yLabel: "coverage (%)",
+	{id: "fig6b", title: "Coverage vs sensing round", yLabel: "coverage (%)",
 		metric: metrics.MetricCoverage, scale: 100},
-	{id: "fig7b", title: "Overall completeness vs sensing round (100 users)", yLabel: "overall completeness (%)",
+	{id: "fig7b", title: "Overall completeness vs sensing round", yLabel: "overall completeness (%)",
 		metric: metrics.MetricCompleteness, scale: 100},
-	{id: "fig8b", title: "New measurements per round (100 users)", yLabel: "# of measurements",
+	{id: "fig8b", title: "New measurements per round", yLabel: "# of measurements",
 		metric: metrics.MetricNewMeasurements, scale: 1},
 	// The mechanism-design story behind all the comparison figures made
 	// directly visible: fixed prices stay flat, steered prices only decay,
 	// and on-demand prices climb as the remaining (hard, remote) tasks
 	// approach their deadlines.
-	{id: "ext-reward-trajectory", title: "Mean published reward per round (100 users)",
+	{id: "ext-reward-trajectory", title: "Mean published reward per round",
 		yLabel: "mean reward per measurement ($)",
 		metric: metrics.MetricMeanReward, scale: 1,
 		notes: "Extension view: the same runs as Fig. 6(b)-8(b), showing the price signal " +

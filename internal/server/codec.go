@@ -12,28 +12,44 @@ import (
 // Content negotiation for the hot endpoints (/v1/round, /v1/plan,
 // /v1/submit): a request whose Accept header names the TLV content type
 // gets a TLV response body, and a request body whose Content-Type names
-// it is decoded as TLV. Everything else — including every error body and
-// the cached /v1/status snapshot — stays JSON, the protocol's default and
-// its debugging surface. TLV responses encode into recycled buffers
-// (binary.GetBuffer), so a steady-state hit allocates no transport bytes.
+// it is decoded as TLV. Everything else — every other endpoint and every
+// error body — stays JSON, the protocol's default and its debugging
+// surface, whatever the Accept header says. The hot handlers go through
+// readMessage and writeMessage only, so which messages speak TLV is
+// decided here, per endpoint, by the codec functions each handler passes.
+// TLV responses encode into recycled buffers (binary.GetBuffer), so a
+// steady-state hit allocates no transport bytes.
 
-// acceptsTLV reports whether the client asked for a TLV response.
-func acceptsTLV(r *http.Request) bool {
-	return strings.Contains(r.Header.Get("Accept"), binary.ContentType)
+// readMessage decodes a hot request body into m: through decodeTLV when
+// the body is TLV, as one strict JSON value (decode) otherwise.
+func readMessage[M any](r *http.Request, m *M, decodeTLV func([]byte, *M) error) error {
+	if !strings.HasPrefix(r.Header.Get("Content-Type"), binary.ContentType) {
+		return decode(r, m)
+	}
+	body, err := readBody(r)
+	if err != nil {
+		return err
+	}
+	err = decodeTLV(*body, m)
+	binary.PutBuffer(body)
+	return err
 }
 
-// contentIsTLV reports whether the request body is TLV-encoded.
-func contentIsTLV(r *http.Request) bool {
-	return strings.HasPrefix(r.Header.Get("Content-Type"), binary.ContentType)
-}
-
-// writeRaw writes an already encoded body with the given content type.
-func (p *Platform) writeRaw(w http.ResponseWriter, status int, contentType string, body []byte) {
-	w.Header().Set("Content-Type", contentType)
-	w.WriteHeader(status)
-	if _, err := w.Write(body); err != nil {
+// writeMessage writes m as a 200 response: through appendTLV when the
+// client accepts TLV, as JSON otherwise.
+func writeMessage[M any](p *Platform, w http.ResponseWriter, r *http.Request, m *M, appendTLV func([]byte, *M) []byte) {
+	if !strings.Contains(r.Header.Get("Accept"), binary.ContentType) {
+		p.writeJSON(w, http.StatusOK, m)
+		return
+	}
+	buf := binary.GetBuffer()
+	*buf = appendTLV((*buf)[:0], m)
+	w.Header().Set("Content-Type", binary.ContentType)
+	w.WriteHeader(http.StatusOK)
+	if _, err := w.Write(*buf); err != nil {
 		p.logger.Error("write response", "err", err)
 	}
+	binary.PutBuffer(buf)
 }
 
 // errBodyTooLarge rejects oversized TLV request bodies.
@@ -45,27 +61,13 @@ var errBodyTooLarge = errors.New("request body exceeds limit")
 // decode scalars by value, so the decoded message never aliases it).
 func readBody(r *http.Request) (*[]byte, error) {
 	buf := binary.GetBuffer()
-	b := *buf
-	lr := io.LimitReader(r.Body, maxBodyBytes+1)
-	for {
-		if len(b) == cap(b) {
-			b = append(b, 0)[:len(b)]
-		}
-		n, err := lr.Read(b[len(b):cap(b)])
-		b = b[:len(b)+n]
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			*buf = b
-			binary.PutBuffer(buf)
-			return nil, err
-		}
+	err := binary.ReadAll(buf, io.LimitReader(r.Body, maxBodyBytes+1))
+	if err == nil && len(*buf) > maxBodyBytes {
+		err = errBodyTooLarge
 	}
-	*buf = b
-	if len(b) > maxBodyBytes {
+	if err != nil {
 		binary.PutBuffer(buf)
-		return nil, errBodyTooLarge
+		return nil, err
 	}
 	return buf, nil
 }

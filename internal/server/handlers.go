@@ -103,13 +103,13 @@ func (p *Platform) handleRound(w http.ResponseWriter, r *http.Request) {
 	if known > 0 && known == p.round && !p.done {
 		round := p.round
 		p.mu.Unlock()
-		p.writeRoundInfo(w, r, wire.RoundInfo{Round: round, Unchanged: true})
+		writeMessage(p, w, r, &wire.RoundInfo{Round: round, Unchanged: true}, binary.AppendRoundInfo)
 		return
 	}
 	tasks := taskListPool.Get().(*[]wire.TaskInfo)
 	info := p.roundInfoLocked(*tasks)
 	p.mu.Unlock()
-	p.writeRoundInfo(w, r, info)
+	writeMessage(p, w, r, &info, binary.AppendRoundInfo)
 	if info.Tasks != nil {
 		*tasks = info.Tasks[:0]
 	}
@@ -121,32 +121,10 @@ func (p *Platform) handleRound(w http.ResponseWriter, r *http.Request) {
 // would allocate the whole list each time.
 var taskListPool = sync.Pool{New: func() any { return new([]wire.TaskInfo) }}
 
-// writeRoundInfo writes a round response in the negotiated codec.
-func (p *Platform) writeRoundInfo(w http.ResponseWriter, r *http.Request, info wire.RoundInfo) {
-	if acceptsTLV(r) {
-		buf := binary.GetBuffer()
-		*buf = binary.AppendRoundInfo((*buf)[:0], &info)
-		p.writeRaw(w, http.StatusOK, binary.ContentType, *buf)
-		binary.PutBuffer(buf)
-		return
-	}
-	p.writeJSON(w, http.StatusOK, info)
-}
-
 // handleSubmit accepts a worker's measurements for the current round.
 func (p *Platform) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req wire.SubmitRequest
-	if contentIsTLV(r) {
-		body, err := readBody(r)
-		if err == nil {
-			err = binary.DecodeSubmitRequest(*body, &req)
-			binary.PutBuffer(body)
-		}
-		if err != nil {
-			p.writeError(w, http.StatusBadRequest, "bad submit body: %v", err)
-			return
-		}
-	} else if err := decode(r, &req); err != nil {
+	if err := readMessage(r, &req, binary.DecodeSubmitRequest); err != nil {
 		p.writeError(w, http.StatusBadRequest, "bad submit body: %v", err)
 		return
 	}
@@ -162,14 +140,7 @@ func (p *Platform) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	p.logger.Info("submission",
 		"user_id", req.UserID, "round", round,
 		"uploaded", len(req.Measurements), "paid", resp.TotalPaid)
-	if acceptsTLV(r) {
-		buf := binary.GetBuffer()
-		*buf = binary.AppendSubmitResponse((*buf)[:0], &resp)
-		p.writeRaw(w, http.StatusOK, binary.ContentType, *buf)
-		binary.PutBuffer(buf)
-		return
-	}
-	p.writeJSON(w, http.StatusOK, resp)
+	writeMessage(p, w, r, &resp, binary.AppendSubmitResponse)
 }
 
 // submitLocked records one submission's measurements and returns the
@@ -214,7 +185,6 @@ func (p *Platform) submitLocked(req *wire.SubmitRequest) (resp wire.SubmitRespon
 			res.Accepted = true
 			res.Reward = reward
 			resp.TotalPaid += reward
-			p.statusDirty = true
 			p.contribs[m.TaskID] = append(p.contribs[m.TaskID], reputation.Contribution{
 				User:  req.UserID,
 				Value: m.Value,
@@ -250,17 +220,7 @@ func recordReason(err error) string {
 // uploads.
 func (p *Platform) handlePlan(w http.ResponseWriter, r *http.Request) {
 	var req wire.PlanRequest
-	if contentIsTLV(r) {
-		body, err := readBody(r)
-		if err == nil {
-			err = binary.DecodePlanRequest(*body, &req)
-			binary.PutBuffer(body)
-		}
-		if err != nil {
-			p.writeError(w, http.StatusBadRequest, "bad plan body: %v", err)
-			return
-		}
-	} else if err := decode(r, &req); err != nil {
+	if err := readMessage(r, &req, binary.DecodePlanRequest); err != nil {
 		p.writeError(w, http.StatusBadRequest, "bad plan body: %v", err)
 		return
 	}
@@ -327,14 +287,7 @@ func (p *Platform) handlePlan(w http.ResponseWriter, r *http.Request) {
 		Cost:     plan.Cost,
 		Profit:   plan.Profit,
 	}
-	if acceptsTLV(r) {
-		buf := binary.GetBuffer()
-		*buf = binary.AppendPlanResponse((*buf)[:0], &resp)
-		p.writeRaw(w, http.StatusOK, binary.ContentType, *buf)
-		binary.PutBuffer(buf)
-		return
-	}
-	p.writeJSON(w, http.StatusOK, resp)
+	writeMessage(p, w, r, &resp, binary.AppendPlanResponse)
 }
 
 // handleAdvance moves to the next round.
@@ -347,39 +300,31 @@ func (p *Platform) handleAdvance(w http.ResponseWriter, r *http.Request) {
 	p.writeJSON(w, http.StatusOK, wire.AdvanceResponse{Round: round, Done: done})
 }
 
-// handleStatus reports the platform's metric snapshot. The board-derived
-// aggregates (each an O(tasks) walk) are cached and recomputed only when
-// something changed since the last hit (p.statusDirty); the open-task
-// count reuses the engine's cached open snapshot instead of re-scanning
-// the board, counting the snapshot entries still open — the same
-// filtering /v1/round applies, so status and round agree on what is
-// published. Only the cheap per-hit fields (round, done, worker count)
-// and the cache refresh run under the mutex; marshaling happens outside
-// it.
+// handleStatus reports the platform's metric snapshot, computed under the
+// mutex and encoded after it is released. The open-task count reuses the
+// engine's open snapshot instead of re-scanning the board, counting the
+// snapshot entries still open — the same filtering /v1/round applies, so
+// status and round agree on what is published.
 func (p *Platform) handleStatus(w http.ResponseWriter, r *http.Request) {
 	p.mu.Lock()
-	if p.statusDirty {
-		board := p.eng.Board()
-		openTasks := 0
-		for _, st := range p.eng.Open() {
-			if st.OpenAt(p.round) {
-				openTasks++
-			}
+	board := p.eng.Board()
+	openTasks := 0
+	for _, st := range p.eng.Open() {
+		if st.OpenAt(p.round) {
+			openTasks++
 		}
-		p.statusCache = wire.StatusResponse{
-			OpenTasks:               openTasks,
-			TotalMeasurements:       board.TotalReceived(),
-			Coverage:                board.Coverage(),
-			OverallCompleteness:     board.OverallCompleteness(),
-			TotalRewardPaid:         board.TotalRewardPaid(),
-			AvgRewardPerMeasurement: board.AverageRewardPerMeasurement(),
-		}
-		p.statusDirty = false
 	}
-	resp := p.statusCache
-	resp.Round = p.round
-	resp.Done = p.done
-	resp.Workers = len(p.workers)
+	resp := wire.StatusResponse{
+		Round:                   p.round,
+		Done:                    p.done,
+		Workers:                 len(p.workers),
+		OpenTasks:               openTasks,
+		TotalMeasurements:       board.TotalReceived(),
+		Coverage:                board.Coverage(),
+		OverallCompleteness:     board.OverallCompleteness(),
+		TotalRewardPaid:         board.TotalRewardPaid(),
+		AvgRewardPerMeasurement: board.AverageRewardPerMeasurement(),
+	}
 	p.mu.Unlock()
 	p.writeJSON(w, http.StatusOK, resp)
 }
@@ -435,11 +380,16 @@ func (p *Platform) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		p.writeError(w, http.StatusBadRequest, "bad task id %q", raw)
 		return
 	}
-	if p.eng.Board().Get(task.ID(id)) == nil {
+	// The board check reads under the mutex: Restore swaps the board.
+	p.mu.Lock()
+	known := p.eng.Board().Get(task.ID(id)) != nil
+	values := p.valuesLocked(task.ID(id))
+	p.mu.Unlock()
+	if !known {
 		p.writeError(w, http.StatusNotFound, "unknown task %d", id)
 		return
 	}
-	est, err := p.Estimate(task.ID(id))
+	est, err := aggregate.Aggregate(p.cfg.Aggregation, values)
 	if err != nil {
 		if errors.Is(err, aggregate.ErrNoData) {
 			p.writeError(w, http.StatusNotFound, "task %d has no measurements", id)

@@ -122,14 +122,6 @@ type Platform struct {
 	// contribs stores who uploaded what per task, for aggregation (e.g.
 	// building a noise map) and reputation scoring.
 	contribs map[task.ID][]reputation.Contribution
-	// statusDirty marks the cached board-derived status aggregates
-	// stale. /v1/status used to recompute coverage, completeness, and
-	// the open-task count — each an O(tasks) board walk — under the
-	// platform mutex on every hit; now the walk happens only after
-	// something actually changed (an accepted upload, a round advance, a
-	// reprice, a snapshot restore).
-	statusDirty bool
-	statusCache wire.StatusResponse
 }
 
 // New validates the configuration and builds the platform, publishing
@@ -227,7 +219,6 @@ func (p *Platform) maxRounds() int {
 // platform serves no stale prices; the error is also remembered in
 // p.repriceErr until the next successful reprice. Callers must hold p.mu.
 func (p *Platform) repriceLocked() error {
-	p.statusDirty = true
 	open := p.eng.BeginRound(p.round)
 	if len(open) == 0 {
 		p.repriceErr = nil
@@ -274,7 +265,6 @@ func (p *Platform) Advance() (round int, done bool, err error) {
 		p.done = true
 		p.eng.Clear()
 		p.repriceErr = nil
-		p.statusDirty = true
 		p.logger.Info("campaign done", "round", p.round)
 		return p.round, true, nil
 	}

@@ -117,7 +117,6 @@ func (p *Platform) Restore(snap Snapshot) error {
 	if p.done {
 		// SetBoard already cleared the published round state.
 		p.repriceErr = nil
-		p.statusDirty = true
 		return nil
 	}
 	return p.repriceLocked()

@@ -185,3 +185,31 @@ func TestSnapshotDoneCampaign(t *testing.T) {
 		t.Errorf("restored done campaign publishes: %+v", info)
 	}
 }
+
+// TestEstimateDuringRestore serves GET /v1/estimate while Restore swaps
+// the task board. Run with -race: the handler's task-existence check must
+// read the board under the platform mutex that Restore holds.
+func TestEstimateDuringRestore(t *testing.T) {
+	p := testPlatform(t)
+	runSomeCampaign(t, p)
+	snap := p.Snapshot()
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 50; i++ {
+			if err := p.Restore(snap); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 50; i++ {
+		rec := httptest.NewRecorder()
+		p.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, wire.PathEstimate+"?task=1", nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("estimate: status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	<-done
+}

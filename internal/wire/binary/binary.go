@@ -30,6 +30,7 @@ package binary
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"sync"
 )
@@ -89,6 +90,26 @@ func GetBuffer() *[]byte {
 func PutBuffer(b *[]byte) {
 	*b = (*b)[:0]
 	bufPool.Put(b)
+}
+
+// ReadAll appends r's bytes to the recycled buffer *buf until EOF,
+// growing it in place. The bytes read before an error stay in *buf.
+func ReadAll(buf *[]byte, r io.Reader) error {
+	b := *buf
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err != nil {
+			*buf = b
+			if err == io.EOF {
+				return nil
+			}
+			return err
+		}
+	}
 }
 
 // appendU32 appends a little-endian u32.
@@ -199,6 +220,12 @@ func (r *reader) boolean() (bool, error) {
 func (r *reader) i64() (int64, error) {
 	u, err := r.u64()
 	return int64(u), err
+}
+
+// int reads an i64 field as an int.
+func (r *reader) int() (int, error) {
+	v, err := r.i64()
+	return int(v), err
 }
 
 // f64 reads little-endian IEEE 754 bits.

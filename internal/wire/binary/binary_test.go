@@ -1,11 +1,14 @@
 package binary
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"math"
 	"reflect"
 	"testing"
+	"testing/iotest"
 
 	"paydemand/internal/geo"
 	"paydemand/internal/task"
@@ -371,4 +374,29 @@ func TestBufferPool(t *testing.T) {
 		t.Errorf("recycled buffer has length %d, want 0", len(*b2))
 	}
 	PutBuffer(b2)
+}
+
+// TestReadAll pins ReadAll: it appends to what the buffer holds, grows
+// past the pooled capacity, and keeps the bytes read before an error.
+func TestReadAll(t *testing.T) {
+	want := make([]byte, 10000)
+	for i := range want {
+		want[i] = byte(i)
+	}
+	b := GetBuffer()
+	defer PutBuffer(b)
+	*b = append(*b, 'x')
+	if err := ReadAll(b, iotest.HalfReader(bytes.NewReader(want))); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(*b, append([]byte{'x'}, want...)) {
+		t.Fatalf("read %d bytes, want %d after the prefix", len(*b)-1, len(want))
+	}
+
+	*b = (*b)[:0]
+	errBoom := errors.New("boom")
+	err := ReadAll(b, io.MultiReader(bytes.NewReader(want[:5]), iotest.ErrReader(errBoom)))
+	if !errors.Is(err, errBoom) || !bytes.Equal(*b, want[:5]) {
+		t.Fatalf("got %v with %d bytes, want boom with 5", err, len(*b))
+	}
 }

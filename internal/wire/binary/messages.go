@@ -204,17 +204,11 @@ func decodeTaskInfo(data []byte, t *wire.TaskInfo) error {
 		case tag == tagTaskInfoLocation && wt == wtMsg:
 			err = r.pointField(&t.Location)
 		case tag == tagTaskInfoDeadline && wt == wtI64:
-			var v int64
-			v, err = r.i64()
-			t.Deadline = int(v)
+			t.Deadline, err = r.int()
 		case tag == tagTaskInfoRequired && wt == wtI64:
-			var v int64
-			v, err = r.i64()
-			t.Required = int(v)
+			t.Required, err = r.int()
 		case tag == tagTaskInfoReceived && wt == wtI64:
-			var v int64
-			v, err = r.i64()
-			t.Received = int(v)
+			t.Received, err = r.int()
 		case tag == tagTaskInfoReward && wt == wtF64:
 			t.Reward, err = r.f64()
 		default:
@@ -239,9 +233,7 @@ func DecodeRoundInfo(data []byte, m *wire.RoundInfo) error {
 		}
 		switch {
 		case tag == tagRoundInfoRound && wt == wtI64:
-			var v int64
-			v, err = r.i64()
-			m.Round = int(v)
+			m.Round, err = r.int()
 		case tag == tagRoundInfoTasks && wt == wtMsgList:
 			var n int
 			var elems []byte
@@ -301,9 +293,7 @@ func DecodePlanRequest(data []byte, m *wire.PlanRequest) error {
 		}
 		switch {
 		case tag == tagPlanRequestUserID && wt == wtI64:
-			var v int64
-			v, err = r.i64()
-			m.UserID = int(v)
+			m.UserID, err = r.int()
 		case tag == tagPlanRequestLocation && wt == wtMsg:
 			err = r.pointField(&m.Location)
 		case tag == tagPlanRequestSpeed && wt == wtF64:
@@ -351,9 +341,7 @@ func DecodePlanResponse(data []byte, m *wire.PlanResponse) error {
 		}
 		switch {
 		case tag == tagPlanResponseRound && wt == wtI64:
-			var v int64
-			v, err = r.i64()
-			m.Round = int(v)
+			m.Round, err = r.int()
 		case tag == tagPlanResponseOrder && wt == wtI64List:
 			var p []byte
 			p, err = r.varPayload()
@@ -445,13 +433,9 @@ func DecodeSubmitRequest(data []byte, m *wire.SubmitRequest) error {
 		}
 		switch {
 		case tag == tagSubmitRequestUserID && wt == wtI64:
-			var v int64
-			v, err = r.i64()
-			m.UserID = int(v)
+			m.UserID, err = r.int()
 		case tag == tagSubmitRequestRound && wt == wtI64:
-			var v int64
-			v, err = r.i64()
-			m.Round = int(v)
+			m.Round, err = r.int()
 		case tag == tagSubmitRequestMeasurements && wt == wtMsgList:
 			var n int
 			var elems []byte

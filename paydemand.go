@@ -67,6 +67,8 @@ const (
 	MechanismDeadlineOnly  = sim.MechanismDeadlineOnly
 	MechanismProgressOnly  = sim.MechanismProgressOnly
 	MechanismNeighborsOnly = sim.MechanismNeighborsOnly
+	MechanismAuction       = sim.MechanismAuction
+	MechanismIncentMe      = sim.MechanismIncentMe
 )
 
 // AlgorithmKind selects the distributed task selection algorithm.

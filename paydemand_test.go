@@ -23,6 +23,20 @@ func TestQuickstart(t *testing.T) {
 	}
 }
 
+// TestFacadeMechanismKinds runs one trial of each mechanism kind the
+// facade exports beyond the paper's three.
+func TestFacadeMechanismKinds(t *testing.T) {
+	for _, kind := range []paydemand.MechanismKind{paydemand.MechanismAuction, paydemand.MechanismIncentMe} {
+		res, err := paydemand.Run(paydemand.Config{Mechanism: kind}, 1)
+		if err != nil {
+			t.Fatalf("%v: %v", kind, err)
+		}
+		if res.Mechanism != kind.String() || res.TotalMeasurements == 0 {
+			t.Errorf("%v: mechanism %q, %d measurements", kind, res.Mechanism, res.TotalMeasurements)
+		}
+	}
+}
+
 func TestPublicSelectionAPI(t *testing.T) {
 	problem := paydemand.SelectionProblem{
 		Start:        paydemand.Pt(0, 0),
