@@ -6,7 +6,7 @@
 STATICCHECK_VERSION := 2025.1.1
 GOVULNCHECK_VERSION := v1.1.4
 
-.PHONY: all build test race cover lint fmt-check vet paylint lint-fixtures staticcheck govulncheck fuzz-smoke bench-check bench-smoke bench-wire loadgen-smoke paper-check ci
+.PHONY: all build test race cover lint fmt-check vet paylint lint-fixtures staticcheck govulncheck fuzz-smoke bench-check bench-smoke bench-wire bench-pairs loadgen-smoke paper-check ci
 
 all: build test
 
@@ -96,6 +96,20 @@ bench-smoke:
 # (BENCH_wire.json) came from this command plus a pair of loadgen runs.
 bench-wire:
 	go test -run xxx -bench . -benchtime 1000x -benchmem ./internal/wire/binary/
+
+# Sizes a performance change: runs the repo benchmark alternately at BASE
+# (a detached worktree under .bench_build/, removed on exit) and in the
+# working tree for PAIRS pairs at seeds 400.., swapping which runs first
+# each pair, and prints per end-to-end metric the median change/base
+# ratio and the number of pairs the change won. Fails on any
+# "correct": false. Not part of `make ci`: 10 pairs of 20 s take about
+# eight minutes per workload.
+BASE ?= HEAD
+WORKLOAD ?= paper-sim
+SECONDS ?= 20
+PAIRS ?= 10
+bench-pairs:
+	go run ./scripts/benchpairs -base $(BASE) -workload $(WORKLOAD) -seconds $(SECONDS) -pairs $(PAIRS)
 
 # Regenerates every figure and table at the paper's 100 trials, seed 1, and
 # compares the output byte for byte with the committed golden (about 30 s

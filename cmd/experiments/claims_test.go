@@ -123,6 +123,73 @@ func TestPaperClaimsHoldInGolden(t *testing.T) {
 		}
 	}
 
+	// Fig. 6(b): on-demand is at 100% from round 5 and steered from round
+	// 2; fixed plateaus below 100, at 97.55% from round 3 on.
+	fig6b := table("fig6b", "on-demand", "fixed", "steered")
+	for i, round := range fig6b.x {
+		for _, c := range []struct {
+			col  string
+			from float64
+			want float64
+		}{{"on-demand", 5, 100}, {"steered", 2, 100}, {"fixed", 3, 97.55}} {
+			if v := fig6b.series[c.col][i]; round >= c.from && v != c.want {
+				t.Errorf("fig6b round %v: %s coverage %v, want %v from round %v", round, c.col, v, c.want, c.from)
+			}
+		}
+	}
+	if fig6b.x[len(fig6b.x)-1] != 15 {
+		t.Errorf("fig6b: last round %v, want 15", fig6b.x[len(fig6b.x)-1])
+	}
+
+	// Fig. 8(b): steered collects the most in round 1; from round 5 on,
+	// fixed and steered collect nothing while on-demand keeps collecting
+	// through round 15.
+	fig8b := table("fig8b", "on-demand", "fixed", "steered")
+	if st := fig8b.series["steered"][0]; fig8b.x[0] != 1 || st <= fig8b.series["on-demand"][0] || st <= fig8b.series["fixed"][0] {
+		t.Errorf("fig8b round %v: steered %v not the highest (on-demand %v, fixed %v)",
+			fig8b.x[0], st, fig8b.series["on-demand"][0], fig8b.series["fixed"][0])
+	}
+	for i, round := range fig8b.x {
+		if round < 5 {
+			continue
+		}
+		if od, fx, st := fig8b.series["on-demand"][i], fig8b.series["fixed"][i], fig8b.series["steered"][i]; fx != 0 || st != 0 || od <= 0 {
+			t.Errorf("fig8b round %v: on-demand %v, fixed %v, steered %v; want fixed and steered 0, on-demand above 0", round, od, fx, st)
+		}
+	}
+	if fig8b.x[len(fig8b.x)-1] != 15 {
+		t.Errorf("fig8b: last round %v, want 15", fig8b.x[len(fig8b.x)-1])
+	}
+
+	// Fig. 9(a): fixed's variance rises to a peak at 60 users and
+	// steered's at 80, then both fall; on-demand's falls throughout and
+	// is the lowest from 60 users on.
+	fig9a := table("fig9a", "on-demand", "fixed", "steered")
+	for _, c := range []struct {
+		col  string
+		peak float64
+	}{{"fixed", 60}, {"steered", 80}} {
+		v := fig9a.series[c.col]
+		for i := 1; i < len(v); i++ {
+			rising := fig9a.x[i] <= c.peak
+			if rising && v[i] <= v[i-1] || !rising && v[i] >= v[i-1] {
+				t.Errorf("fig9a: %s variance %v at %v users after %v; want a rise to %v users, then a fall",
+					c.col, v[i], fig9a.x[i], v[i-1], c.peak)
+			}
+		}
+	}
+	od9 := fig9a.series["on-demand"]
+	for i, x := range fig9a.x {
+		if i > 0 && od9[i] >= od9[i-1] {
+			t.Errorf("fig9a: on-demand variance %v at %v users does not fall from %v", od9[i], x, od9[i-1])
+		}
+		for _, c := range []string{"fixed", "steered"} {
+			if v := fig9a.series[c][i]; x >= 60 && od9[i] >= v {
+				t.Errorf("fig9a at %v users: on-demand %v not below %s %v", x, od9[i], c, v)
+			}
+		}
+	}
+
 	for _, id := range []string{"fig7a", "fig8a"} {
 		tab := table(id, "on-demand", "fixed", "steered")
 		for i, x := range tab.x {

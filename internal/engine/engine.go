@@ -16,10 +16,12 @@
 //
 // All per-round storage — the open-task snapshot and its locations, the
 // neighbor grid, the mechanism's task views, the assembled mechanism input
-// (bids, budget, forecast), and the published reward map — is grow-only
+// (bids, budget, forecast), and the published rewards — is grow-only
 // scratch recycled across rounds, so a steady-state Reprice allocates
 // nothing at all: mechanisms write into an engine-owned map through
-// RewardsInto, and the engine republishes that map each round. Because
+// RewardsInto, and the engine republishes that map each round together
+// with a copy by snapshot position, which is what problem assembly
+// reads. Because
 // of the scratch, an Engine is NOT safe for concurrent mutation: drivers
 // serialize BeginRound/Reprice/Commit calls (the simulator is
 // single-threaded; the HTTP platform holds its mutex). Read-only
@@ -92,11 +94,18 @@ type Engine struct {
 	// Published round state, valid from a Reprice until the next
 	// BeginRound/Clear. open is the snapshot in board order; openLocs and
 	// openPos hold each snapshot entry's location and board position.
+	// rewards is the mechanism's reward map and prices its copy by
+	// snapshot position: prices is empty while rewards is nil, and one
+	// entry per open task while it is published. The hot readers
+	// (ProblemInto, the platform's round listing) index prices; the map
+	// stays for the callers that take it by ID (Rewards, RewardFor,
+	// Commit).
 	round    int
 	open     []*task.State
 	openLocs []geo.Point
 	openPos  []int
 	rewards  map[task.ID]float64
+	prices   []price
 	mean     float64
 
 	// Reach index over the open snapshot, rebuilt by BeginRound (see
@@ -203,8 +212,7 @@ func (e *Engine) SetMechanism(m incentive.Mechanism) { e.cfg.Mechanism = m }
 //paylint:aliases open
 func (e *Engine) BeginRound(round int) []*task.State {
 	e.round = round
-	e.rewards = nil
-	e.mean = 0
+	e.unpublish()
 	e.open = e.open[:0]
 	e.openLocs = e.openLocs[:0]
 	e.openPos = e.openPos[:0]
@@ -230,8 +238,7 @@ func (e *Engine) BeginRound(round int) []*task.State {
 // Clear unpublishes everything (a finished campaign): no open tasks, no
 // rewards. The round number is preserved.
 func (e *Engine) Clear() {
-	e.rewards = nil
-	e.mean = 0
+	e.unpublish()
 	e.open = e.open[:0]
 	e.openLocs = e.openLocs[:0]
 	e.openPos = e.openPos[:0]
@@ -263,7 +270,10 @@ func (e *Engine) Reprice(userLocs []geo.Point) error {
 
 // RepriceViews is the pricing half of Reprice over caller-supplied task
 // views: mechanism input assembly, mechanism consultation, board-order
-// mean, reward and location validation, publication. views must hold
+// mean, reward and location validation, publication. It publishes the
+// mechanism's reward map (Rewards, RewardFor) together with its copy by
+// snapshot position (RewardAt), which ProblemInto reads; a failed
+// reprice publishes neither. views must hold
 // one entry per open-snapshot task, in board order — the slice
 // NeighborViews returned. userLocs is the round's full user-location
 // slice in user order; it feeds bid construction for mechanisms that
@@ -309,23 +319,28 @@ func (e *Engine) RepriceViews(views []incentive.TaskView, userLocs []geo.Point) 
 	// Unpublish before consulting the mechanism: clearing the recycled map
 	// invalidates a previously published alias of it, and on error nothing
 	// may stay published.
-	e.rewards = nil
-	e.mean = 0
+	e.unpublish()
 	if err := e.cfg.Mechanism.RewardsInto(&e.in, e.rewardBuf); err != nil {
 		return err
 	}
 	rewards := e.rewardBuf
-	// A mechanism may legally return no rewards for open tasks (for
-	// example when its budget is exhausted); the mean must then be zero,
-	// not 0/0 = NaN, which would poison every aggregate built on it.
+	// Copy the rewards into snapshot order, summing the priced ones in
+	// board order for the mean. A mechanism may legally return no
+	// rewards for open tasks (for example when its budget is exhausted);
+	// the mean must then be zero, not 0/0 = NaN, which would poison every
+	// aggregate built on it.
+	prices := e.prices[:0]
+	total := 0.0
+	for _, st := range e.open {
+		r, ok := rewards[st.ID]
+		prices = append(prices, price{reward: r, priced: ok})
+		if ok {
+			total += r
+		}
+	}
+	e.prices = prices[:0] // the grown storage, unpublished until validated
 	mean := 0.0
 	if len(rewards) > 0 {
-		total := 0.0
-		for _, st := range e.open {
-			if r, ok := rewards[st.ID]; ok {
-				total += r
-			}
-		}
 		mean = total / float64(len(rewards))
 	}
 	// Validate the round's shared selection inputs once, here, instead of
@@ -333,9 +348,9 @@ func (e *Engine) RepriceViews(views []incentive.TaskView, userLocs []geo.Point) 
 	// ProblemInto then marks its problems CandidatesValid.
 	// Scanning in board order keeps the reported task deterministic when
 	// several rewards are NaN.
-	for _, st := range e.open {
-		if r, ok := rewards[st.ID]; ok && math.IsNaN(r) {
-			return fmt.Errorf("mechanism %s: NaN reward for task %d", e.cfg.Mechanism.Name(), st.ID)
+	for i, pr := range prices {
+		if pr.priced && math.IsNaN(pr.reward) {
+			return fmt.Errorf("mechanism %s: NaN reward for task %d", e.cfg.Mechanism.Name(), e.open[i].ID)
 		}
 	}
 	for _, st := range e.open {
@@ -344,8 +359,24 @@ func (e *Engine) RepriceViews(views []incentive.TaskView, userLocs []geo.Point) 
 		}
 	}
 	e.rewards = rewards
+	e.prices = prices
 	e.mean = mean
 	return nil
+}
+
+// price is one open task's published reward, and whether the mechanism
+// priced it at all.
+type price struct {
+	reward float64
+	priced bool
+}
+
+// unpublish withdraws the round's prices: the reward map, its copy by
+// snapshot position and the mean.
+func (e *Engine) unpublish() {
+	e.rewards = nil
+	e.prices = e.prices[:0]
+	e.mean = 0
 }
 
 // NeighborViews builds the mechanism's per-task observations for the
@@ -541,6 +572,16 @@ func (e *Engine) Open() []*task.State { return e.open }
 // The map is engine-owned scratch recycled by the next Reprice: read it
 // before the round advances and do not retain it.
 func (e *Engine) Rewards() map[task.ID]float64 { return e.rewards }
+
+// RewardAt is RewardFor by snapshot position: the published reward of
+// Open()[i] and whether it is priced, read without a hash lookup.
+// Nothing is priced while no rewards are published.
+func (e *Engine) RewardAt(i int) (float64, bool) {
+	if i >= len(e.prices) {
+		return 0, false
+	}
+	return e.prices[i].reward, e.prices[i].priced
+}
 
 // RewardFor returns the published reward of one task and whether the
 // task is priced this round.

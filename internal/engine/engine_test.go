@@ -489,3 +489,62 @@ func TestRepriceSteadyStateAllocs(t *testing.T) {
 		t.Errorf("steady-state reprice allocates %v objects/op, want 0", allocs)
 	}
 }
+
+// TestRewardAtFollowsPublication pins the positional reward table to the
+// reward map it copies: after a reprice RewardAt(i) is RewardFor of the
+// i-th open task, priced or not, and BeginRound, a failed reprice (NaN
+// reward, non-finite location, mechanism error) and Clear unpublish both
+// alike, so an unpublished round prices nothing by position either.
+func TestRewardAtFollowsPublication(t *testing.T) {
+	board := testBoard(t)
+	mech := stubMechanism{rewards: map[task.ID]float64{1: 10, 2: 20}} // task 3 unpriced
+	e := testEngine(t, Config{Board: board, Mechanism: mech, Area: geo.Square(1000), NeighborRadius: 100})
+	check := func(stage string, published bool) {
+		t.Helper()
+		if got := e.Rewards() != nil; got != published {
+			t.Fatalf("%s: rewards published = %v, want %v", stage, got, published)
+		}
+		for i, st := range e.Open() {
+			gotR, gotOK := e.RewardAt(i)
+			wantR, wantOK := e.RewardFor(st.ID)
+			if gotR != wantR || gotOK != wantOK {
+				t.Errorf("%s: RewardAt(%d) = %v, %v; RewardFor(%d) = %v, %v", stage, i, gotR, gotOK, st.ID, wantR, wantOK)
+			}
+		}
+		if r, ok := e.RewardAt(len(e.Open())); r != 0 || ok {
+			t.Errorf("%s: RewardAt past the snapshot = %v, %v", stage, r, ok)
+		}
+	}
+	reprice := func(stage string, wantErr bool) {
+		t.Helper()
+		if err := e.Reprice(nil); (err != nil) != wantErr {
+			t.Fatalf("%s: reprice error %v, want error %v", stage, err, wantErr)
+		}
+	}
+
+	e.BeginRound(1)
+	check("before reprice", false)
+	reprice("round 1", false)
+	check("round 1", true)
+	e.BeginRound(2)
+	check("begin round 2", false)
+	reprice("round 2", false)
+	check("round 2", true)
+
+	e.SetMechanism(stubMechanism{rewards: map[task.ID]float64{1: 1, 2: math.NaN()}})
+	reprice("NaN reward", true)
+	check("NaN reward", false)
+	e.SetMechanism(stubMechanism{err: fmt.Errorf("backend down")})
+	reprice("mechanism error", true)
+	check("mechanism error", false)
+	e.SetMechanism(mech)
+	loc := board.Get(3).Location
+	board.Get(3).Location = geo.Pt(math.NaN(), 0)
+	reprice("non-finite location", true)
+	check("non-finite location", false)
+	board.Get(3).Location = loc
+	reprice("recovered", false)
+	check("recovered", true)
+	e.Clear()
+	check("clear", false)
+}

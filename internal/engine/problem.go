@@ -45,9 +45,12 @@ type Spec struct {
 // the (possibly re-grown) buffer: every task of the open snapshot within
 // the actor's reach (selection.Reachable) that still accepts measurements
 // and that the actor has not contributed to, priced at this round's
-// rewards, in board order. The round's shared inputs were validated by Reprice, so the
-// problem is marked CandidatesValid and solvers skip the per-candidate
-// re-validation.
+// rewards, in board order. Prices are read by snapshot position
+// (RewardAt) and contributions through task.State.Contributed (a bit
+// mask, then a binary search), so assembling a problem makes no hash
+// lookup. The round's shared inputs
+// were validated by Reprice, so the problem is marked CandidatesValid and
+// solvers skip the per-candidate re-validation.
 //
 // Dropping the unreachable tasks changes no plan: every solver filters
 // its candidates through the same reach test first, so it sees the same
@@ -106,7 +109,7 @@ func (e *Engine) ProblemInto(spec Spec, who Actor, buf []selection.Candidate) (s
 			if !st.OpenAt(e.round) || st.Contributed(id) {
 				continue
 			}
-			reward, priced := e.rewards[st.ID]
+			reward, priced := e.RewardAt(i)
 			if e.cfg.RequirePriced && !priced {
 				continue
 			}
@@ -143,7 +146,7 @@ func (e *Engine) offer(buf []selection.Candidate, i int, start geo.Point, ovh, b
 	if !st.OpenAt(e.round) || st.Contributed(id) {
 		return buf
 	}
-	reward, priced := e.rewards[st.ID]
+	reward, priced := e.RewardAt(i)
 	if e.cfg.RequirePriced && !priced {
 		return buf
 	}

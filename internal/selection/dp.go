@@ -96,8 +96,7 @@ func (d *DP) Select(p Problem) (Plan, error) {
 
 // solve runs the DP over a validated problem's filtered candidates r.
 func (d *DP) solve(p *Problem, r *reach) (Plan, error) {
-	idxs, startDist := r.idxs, r.start
-	m := len(idxs)
+	m := len(r.idxs)
 	if m == 0 {
 		return Plan{}, nil
 	}
@@ -108,6 +107,24 @@ func (d *DP) solve(p *Problem, r *reach) (Plan, error) {
 		}
 		return Plan{}, fmt.Errorf("%w: %d candidates, cap %d", ErrTooManyTasks, m, d.maxTasks())
 	}
+	if noProfit(p, r) {
+		return Plan{}, nil
+	}
+	// The DP weighs subsets in its own arithmetic, and where the walk
+	// about pays for itself that can disagree in the last bits with the
+	// plan's own accounting (buildPlan): a chosen plan may state a profit
+	// of 0 or just below. A rational user skips it.
+	if plan := d.run(p, r); plan.Profit > 0 {
+		return plan, nil
+	}
+	return Plan{}, nil
+}
+
+// run is the DP proper over a validated problem's 1 to DPHardMaxTasks
+// filtered candidates r.
+func (d *DP) run(p *Problem, r *reach) Plan {
+	idxs, startDist := r.idxs, r.start
+	m := len(idxs)
 
 	// The pair table is symmetric, so read by destination it puts the
 	// relaxation into one task on one row.
@@ -227,7 +244,7 @@ func (d *DP) solve(p *Problem, r *reach) (Plan, error) {
 	}
 
 	if bestMask == 0 {
-		return Plan{}, nil
+		return Plan{}
 	}
 
 	// Reconstruct the visiting order by walking parents back to the start.
@@ -245,7 +262,7 @@ func (d *DP) solve(p *Problem, r *reach) (Plan, error) {
 	for i, v := range d.orderRev {
 		d.order[len(d.orderRev)-1-i] = v
 	}
-	return buildPlan(p, d.order), nil
+	return buildPlan(p, d.order)
 }
 
 // addRow marks mask live, appends its row of unreached states (+Inf
@@ -269,4 +286,73 @@ func (d *DP) addRow(mask, m int) int {
 		links[k] = -1
 	}
 	return at
+}
+
+// screenTol is noProfit's relative margin, 512 units of roundoff: about
+// five times the rounding its soundness argument has to cover.
+const screenTol = 0x1p-44
+
+// noProfit reports whether the DP over the filtered candidates r would
+// return the empty plan, without running it. With d_j = r.start[j],
+// c = CostPerMeter, ovh = PerTaskDistance and R_f the sum of the rewards
+// of every j with d_j <= d_f, it holds when for every candidate f
+//
+//	R_f - c*d_f < -screenTol*(R_f + c*d_f + c*m*m*ovh)
+//
+// that is, when no candidate's nearer-or-equal rewards pay for the
+// straight walk to it. It reads the start distances the filter computed,
+// costs O(m²) additions and no Hypot, and fails on any NaN or infinity,
+// so it fires only on finite inputs.
+//
+// Soundness. The DP returns Plan{} exactly when no live subset's computed
+// profit exceeds 1e-12. Take a live subset S of k <= m <= DPHardMaxTasks
+// tasks and f its member farthest from the start. Filtered rewards are
+// positive, so S's exact reward total is at most R_f. Write u = 2^-53
+// and e = 5u for the relative error of Dist: the coordinate differences
+// round once, and Hypot's max*sqrt(1+(min/max)²) rounds a quotient, a
+// square, a sum, a root and a product, under 3.3u together. In the DP:
+//   - the subset reward, summed highest task first, is a recursive sum
+//     of k positive terms, so it is at most (1+u)^(k-1)*R_f in any order;
+//   - the mask's best budget D is one stored path's chain of 2k-1
+//     additions of non-negative terms (its first leg, the same float as
+//     d_a; k-1 computed legs; k overheads), and rounding to nearest loses
+//     at most a factor 1-u per addition, so D >= (1-u)^(2k-1)*(L+k*ovh)
+//     with L the sum of the computed legs. Each leg is at least 1-e
+//     times the exact distance, the exact path at least the exact
+//     straight distance to f, and d_f at most 1+e times that, so
+//     L >= (1-2e)*d_f;
+//   - travel = fl(D - fl(ovh*k)) cancels the overheads but not their
+//     rounding, at most (2k-1)u*k*ovh in D plus u*k*ovh in the product,
+//     so the exact difference is at least (1-(2k-1)u-2e)*d_f - 2k²u*ovh;
+//   - cost = fl(travel*c) rounds twice more, and whether the difference
+//     is positive or negative, cost >= (1-(2k+1)u-2e)*c*d_f - 4.1k²u*c*ovh.
+//
+// So before its last rounding the profit is at most
+// R_f - c*d_f + 26u*R_f + 63u*c*d_f + 4.1u*m²*c*ovh. The screen's own
+// sum, product, difference and margin round within another 27u*R_f +
+// 2u*c*d_f + 5u*(the margin), so the test passing leaves the exact
+// profit at most 0, and rounding, being monotone, keeps it there. The
+// argument takes every result to be normal; a subnormal result instead
+// rounds by at most 2^-1075 absolutely, and the at most 56 such
+// roundings, scaled by a finite c, stay below 3e-14, under the DP's
+// 1e-12. An overflowed path budget is +Inf, a state the DP skips, and an
+// overflowed cost only lowers the profit. FuzzSolverEquivalence's
+// shapeBreakEven instances, priced within ulps of the straight walk,
+// fail with a zero margin.
+func noProfit(p *Problem, r *reach) bool {
+	c := p.CostPerMeter
+	ovhSlack := c * float64(len(r.idxs)*len(r.idxs)) * p.PerTaskDistance
+	for _, df := range r.start {
+		sum := 0.0
+		for j, dj := range r.start {
+			if dj <= df {
+				sum += p.Candidates[r.idxs[j]].Reward
+			}
+		}
+		cost := c * df
+		if !(sum-cost < -screenTol*(sum+cost+ovhSlack)) {
+			return false
+		}
+	}
+	return true
 }

@@ -1,8 +1,10 @@
 package selection
 
 import (
+	"cmp"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"paydemand/internal/geo"
@@ -38,13 +40,18 @@ import (
 // reward to ≤ 0, shapeEdge puts one task exactly at the budget edge (its
 // direct distance plus the per-task overhead equals the budget), and
 // shapeCrowd draws DefaultAutoBeamMaxTasks+1 or more tasks inside the
-// user's reach, so Auto runs its last rung. The committed seed corpus in
+// user's reach, so Auto runs its last rung, and shapeBreakEven prices the
+// candidates within a few ulps of the walk to them (see breakEven),
+// where the DP's no-profit screen (noProfit) has nothing to spare:
+// whenever the screen fires, the unscreened DP (DP.run) and BruteForce
+// must both find nothing that pays. The committed seed corpus in
 // testdata/fuzz/FuzzSolverEquivalence covers the edge regimes: zero
 // tasks, zero budget, zero cost, heavy per-task overhead, a dense
 // high-reward instance, m = 16 boards at a tight and a near-unbounded
 // budget (the two edges of the DP's budget frontier at Auto's
 // threshold), the beyond-DP densities (m = 30..80), each shape bit in
-// the DP, beam and greedy bands, and a crowd past the beam band.
+// the DP, beam and greedy bands, a crowd past the beam band, and
+// break-even instances with and without a per-task overhead.
 func FuzzSolverEquivalence(f *testing.F) {
 	f.Add(int64(1), 4, 800.0, 0.002, 0.0, uint8(0))
 	f.Add(int64(2024), 7, 1500.0, 0.01, 30.0, uint8(0))
@@ -61,6 +68,12 @@ func FuzzSolverEquivalence(f *testing.F) {
 	f.Add(int64(16), 16, 2999.0, 0.001, 0.0, shapeNonPositive|shapeEdge)
 	f.Add(int64(33), 40, 2200.0, 0.004, 15.0, shapeNonPositive|shapeEdge)
 	f.Add(int64(64), 3, 900.0, 0.002, 25.0, shapeCrowd|shapeNonPositive|shapeEdge)
+	// Rewards within ulps of the straight walk, with and without a
+	// per-task overhead; a zero screen margin fires wrongly on each.
+	f.Add(int64(120), 1, 500.0, 0.0, 150.0, shapeBreakEven)
+	f.Add(int64(281), 2, 500.0, 0.001, 150.0, shapeBreakEven)
+	f.Add(int64(222), 3, 500.0, 0.002, 50.0, shapeBreakEven)
+	f.Add(int64(108), 9, 500.0, 0.008, 0.0, shapeBreakEven)
 	f.Fuzz(func(t *testing.T, seed int64, n int, budget, costPerMeter, perTask float64, shape uint8) {
 		if !finite(budget) || !finite(costPerMeter) || !finite(perTask) {
 			t.Skip("non-finite parameters are rejected by Problem.Validate")
@@ -112,6 +125,9 @@ func FuzzSolverEquivalence(f *testing.F) {
 			p.Candidates[0].Location = loc
 			p.MaxDistance = p.Start.Dist(loc) + perTask
 		}
+		if shape&shapeBreakEven != 0 {
+			breakEven(&p, rng)
+		}
 		var r reach
 		r.filter(&p)
 		m := len(r.idxs)
@@ -140,6 +156,18 @@ func FuzzSolverEquivalence(f *testing.F) {
 				t.Fatalf("%s: negative profit %v; the empty plan is always available", alg.Name(), pl.Profit)
 			}
 			plans[alg.Name()] = pl
+		}
+
+		// The screen stands in for the DP wherever the DP runs, so when it
+		// fires the DP itself and BruteForce must agree that nothing pays.
+		if m > 0 && m <= DefaultAutoThreshold && noProfit(&p, &r) {
+			var dp DP
+			if pl := dp.run(&p, &r); !pl.Empty() {
+				t.Fatalf("no-profit screen fired but the DP selects %v with profit %v", pl.Order, pl.Profit)
+			}
+			if pl, ok := plans[(&BruteForce{}).Name()]; ok && !pl.Empty() {
+				t.Fatalf("no-profit screen fired but BruteForce selects %v with profit %v", pl.Order, pl.Profit)
+			}
 		}
 
 		gr, to := plans[(&Greedy{}).Name()], plans[(&TwoOptGreedy{}).Name()]
@@ -197,7 +225,54 @@ const (
 	shapeNonPositive uint8 = 1 << iota // candidate 1's reward negated
 	shapeEdge                          // candidate 0 exactly at the budget edge
 	shapeCrowd                         // past the beam band, all within reach
+	shapeBreakEven                     // rewards within ulps of the walk; overrides the bits above
 )
+
+// breakEven reshapes p so that noProfit's bound sits within a few ulps
+// of zero. The candidates lie on one ray from the start, at up to 5 km,
+// and a meter costs 1 to 3, so one rounding of a cost is worth more than
+// the solvers' 1e-12 tolerance. In order of distance from the start,
+// each candidate's reward pays the extra straight walk beyond the one
+// before it, nudged by up to three ulps either way, so every prefix of
+// the candidates about breaks even; in half the instances every reward
+// then falls short by another 1024 ulps, which the screen must catch.
+// The drawn per-task overhead, zero in some corpus entries, is scaled by
+// 1e4, so the DP's travel (its path budget minus the overheads) cancels
+// and rounds at the overhead's magnitude. The budget fits every
+// candidate.
+func breakEven(p *Problem, rng *stats.RNG) {
+	a := 2 * math.Pi * rng.Float64()
+	p.CostPerMeter = 1 + 100*p.CostPerMeter
+	p.PerTaskDistance *= 1e4
+	far := 0.0
+	for i := range p.Candidates {
+		t := rng.Uniform(0, 5000)
+		p.Candidates[i].Location = geo.Pt(p.Start.X+t*math.Cos(a), p.Start.Y+t*math.Sin(a))
+		far = math.Max(far, p.Start.Dist(p.Candidates[i].Location))
+	}
+	p.MaxDistance = far + float64(len(p.Candidates)+1)*p.PerTaskDistance
+	byDist := make([]int, len(p.Candidates))
+	for i := range byDist {
+		byDist[i] = i
+	}
+	dist := func(i int) float64 { return p.Start.Dist(p.Candidates[i].Location) }
+	slices.SortStableFunc(byDist, func(i, j int) int { return cmp.Compare(dist(i), dist(j)) })
+	short := 1024 * rng.Intn(2)
+	prev := 0.0
+	for _, i := range byDist {
+		walk := p.CostPerMeter * dist(i)
+		r := walk - prev
+		prev = walk
+		for k := rng.Intn(7) - 3 - short; k != 0; {
+			if k > 0 {
+				r, k = math.Nextafter(r, math.Inf(1)), k-1
+			} else {
+				r, k = math.Nextafter(r, math.Inf(-1)), k+1
+			}
+		}
+		p.Candidates[i].Reward = r
+	}
+}
 
 func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 

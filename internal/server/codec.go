@@ -20,30 +20,41 @@ import (
 // TLV responses encode into recycled buffers (binary.GetBuffer), so a
 // steady-state hit allocates no transport bytes.
 
-// readMessage decodes a hot request body into m: through decodeTLV when
-// the body is TLV, as one strict JSON value (decode) otherwise.
-func readMessage[M any](r *http.Request, m *M, decodeTLV func([]byte, *M) error) error {
+// readMessage decodes a hot request body into m: through decodeTLV, a
+// closure that decodes into m, when the body is TLV, and as one strict
+// JSON value (decode) otherwise. A call through a func value leaks its
+// arguments to the heap but not the variables the func value captures,
+// so with m reached only through the closure the caller's message stays
+// on its stack. decode takes an interface, so the JSON path decodes into
+// a boxed copy instead.
+func readMessage[M any](r *http.Request, m *M, decodeTLV func([]byte) error) error {
 	if !strings.HasPrefix(r.Header.Get("Content-Type"), binary.ContentType) {
-		return decode(r, m)
+		box := new(M)
+		err := decode(r, box)
+		*m = *box
+		return err
 	}
 	body, err := readBody(r)
 	if err != nil {
 		return err
 	}
-	err = decodeTLV(*body, m)
+	err = decodeTLV(*body)
 	binary.PutBuffer(body)
 	return err
 }
 
-// writeMessage writes m as a 200 response: through appendTLV when the
-// client accepts TLV, as JSON otherwise.
-func writeMessage[M any](p *Platform, w http.ResponseWriter, r *http.Request, m *M, appendTLV func([]byte, *M) []byte) {
+// writeMessage writes m as a 200 response: through appendTLV, a closure
+// that appends m's encoding, when the client accepts TLV, and as JSON
+// otherwise. As in readMessage, only the JSON path boxes a copy of m.
+func writeMessage[M any](p *Platform, w http.ResponseWriter, r *http.Request, m *M, appendTLV func([]byte) []byte) {
 	if !strings.Contains(r.Header.Get("Accept"), binary.ContentType) {
-		p.writeJSON(w, http.StatusOK, m)
+		box := new(M)
+		*box = *m
+		p.writeJSON(w, http.StatusOK, box)
 		return
 	}
 	buf := binary.GetBuffer()
-	*buf = appendTLV((*buf)[:0], m)
+	*buf = appendTLV((*buf)[:0])
 	w.Header().Set("Content-Type", binary.ContentType)
 	w.WriteHeader(http.StatusOK)
 	if _, err := w.Write(*buf); err != nil {

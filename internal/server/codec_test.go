@@ -388,3 +388,72 @@ func TestTLVBadBodies(t *testing.T) {
 
 // jsonUnmarshal is a tiny indirection so codec tests read symmetrically.
 func jsonUnmarshal(data []byte, v any) error { return json.Unmarshal(data, v) }
+
+// discardWriter is a ResponseWriter that keeps one header map across
+// responses and drops the body, so an allocation count covers the
+// handler alone.
+type discardWriter struct {
+	header http.Header
+	code   int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.header }
+func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (w *discardWriter) WriteHeader(code int)        { w.code = code }
+
+// TestTLVHandlerAllocs pins the allocations of one TLV poll, plan and
+// submit served by the handler alone. Decoded requests and encoded
+// responses stay on the handler's stack (see readMessage and
+// writeMessage), one allocation fewer per message than when the seam
+// passed them to its codec funcs; what remains is the response's
+// Content-Type header value, the bounded body reader, the plan's
+// candidates and plan, and the log lines' boxed attributes.
+func TestTLVHandlerAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	p := testPlatform(t)
+	srv := httptest.NewServer(p)
+	var reg wire.RegisterResponse
+	if code := doJSON(t, srv, http.MethodPost, wire.PathRegister,
+		wire.RegisterRequest{Location: geo.Pt(500, 500)}, &reg); code != http.StatusOK {
+		t.Fatalf("register: status %d", code)
+	}
+	srv.Close()
+	planReq := planRequest(reg.UserID)
+	// A submission with no measurements changes nothing, so every run
+	// takes the same path.
+	subReq := wire.SubmitRequest{UserID: reg.UserID, Round: 1, Location: geo.Pt(500, 500)}
+
+	for _, tc := range []struct {
+		name   string
+		method string
+		path   string
+		body   []byte
+		serve  func(http.ResponseWriter, *http.Request)
+		allocs float64
+	}{
+		{"poll", http.MethodGet, wire.PathRound, nil, p.handleRound, 1},
+		{"plan", http.MethodPost, wire.PathPlan, binary.AppendPlanRequest(nil, &planReq), p.handlePlan, 8},
+		{"submit", http.MethodPost, wire.PathSubmit, binary.AppendSubmitRequest(nil, &subReq), p.handleSubmit, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			body := bytes.NewReader(tc.body)
+			req := httptest.NewRequest(tc.method, tc.path, body)
+			req.Header.Set("Accept", binary.ContentType)
+			req.Header.Set("Content-Type", binary.ContentType)
+			w := &discardWriter{header: http.Header{}}
+			run := func() {
+				body.Reset(tc.body)
+				tc.serve(w, req)
+			}
+			run()
+			if w.code != http.StatusOK {
+				t.Fatalf("status %d", w.code)
+			}
+			if got := testing.AllocsPerRun(100, run); got != tc.allocs {
+				t.Errorf("%s: %v allocs per request, want %v", tc.name, got, tc.allocs)
+			}
+		})
+	}
+}

@@ -101,15 +101,15 @@ func (p *Platform) handleRound(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if known > 0 && known == p.round && !p.done {
-		round := p.round
+		info := wire.RoundInfo{Round: p.round, Unchanged: true}
 		p.mu.Unlock()
-		writeMessage(p, w, r, &wire.RoundInfo{Round: round, Unchanged: true}, binary.AppendRoundInfo)
+		writeMessage(p, w, r, &info, func(b []byte) []byte { return binary.AppendRoundInfo(b, &info) })
 		return
 	}
 	tasks := taskListPool.Get().(*[]wire.TaskInfo)
 	info := p.roundInfoLocked(*tasks)
 	p.mu.Unlock()
-	writeMessage(p, w, r, &info, binary.AppendRoundInfo)
+	writeMessage(p, w, r, &info, func(b []byte) []byte { return binary.AppendRoundInfo(b, &info) })
 	if info.Tasks != nil {
 		*tasks = info.Tasks[:0]
 	}
@@ -124,7 +124,7 @@ var taskListPool = sync.Pool{New: func() any { return new([]wire.TaskInfo) }}
 // handleSubmit accepts a worker's measurements for the current round.
 func (p *Platform) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req wire.SubmitRequest
-	if err := readMessage(r, &req, binary.DecodeSubmitRequest); err != nil {
+	if err := readMessage(r, &req, func(b []byte) error { return binary.DecodeSubmitRequest(b, &req) }); err != nil {
 		p.writeError(w, http.StatusBadRequest, "bad submit body: %v", err)
 		return
 	}
@@ -140,7 +140,7 @@ func (p *Platform) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	p.logger.Info("submission",
 		"user_id", req.UserID, "round", round,
 		"uploaded", len(req.Measurements), "paid", resp.TotalPaid)
-	writeMessage(p, w, r, &resp, binary.AppendSubmitResponse)
+	writeMessage(p, w, r, &resp, func(b []byte) []byte { return binary.AppendSubmitResponse(b, &resp) })
 }
 
 // submitLocked records one submission's measurements and returns the
@@ -220,7 +220,7 @@ func recordReason(err error) string {
 // uploads.
 func (p *Platform) handlePlan(w http.ResponseWriter, r *http.Request) {
 	var req wire.PlanRequest
-	if err := readMessage(r, &req, binary.DecodePlanRequest); err != nil {
+	if err := readMessage(r, &req, func(b []byte) error { return binary.DecodePlanRequest(b, &req) }); err != nil {
 		p.writeError(w, http.StatusBadRequest, "bad plan body: %v", err)
 		return
 	}
@@ -287,7 +287,7 @@ func (p *Platform) handlePlan(w http.ResponseWriter, r *http.Request) {
 		Cost:     plan.Cost,
 		Profit:   plan.Profit,
 	}
-	writeMessage(p, w, r, &resp, binary.AppendPlanResponse)
+	writeMessage(p, w, r, &resp, func(b []byte) []byte { return binary.AppendPlanResponse(b, &resp) })
 }
 
 // handleAdvance moves to the next round.

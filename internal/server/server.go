@@ -271,7 +271,11 @@ func (p *Platform) Advance() (round int, done bool, err error) {
 	if err := p.repriceLocked(); err != nil {
 		return p.round, false, err
 	}
-	p.logger.Info("round advanced", "round", p.round, "open_tasks", len(p.eng.Rewards()))
+	// Right after the reprice every snapshot task is open, but a
+	// mechanism may price fewer: an auction that clears no winner prices
+	// none.
+	p.logger.Info("round advanced", "round", p.round,
+		"open_tasks", len(p.eng.Open()), "priced", len(p.eng.Rewards()))
 	return p.round, false, nil
 }
 
@@ -290,11 +294,11 @@ func (p *Platform) roundInfoLocked(tasks []wire.TaskInfo) wire.RoundInfo {
 	info := wire.RoundInfo{Round: p.round, Tasks: tasks[:0], Done: p.done}
 	// The engine's snapshot is from reprice time; tasks filled since then
 	// are no longer open and drop out of the published round.
-	for _, st := range p.eng.Open() {
+	for i, st := range p.eng.Open() {
 		if !st.OpenAt(p.round) {
 			continue
 		}
-		reward, ok := p.eng.RewardFor(st.ID)
+		reward, ok := p.eng.RewardAt(i)
 		if !ok {
 			continue
 		}

@@ -2,12 +2,14 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 
 	"paydemand/internal/demand"
@@ -547,5 +549,65 @@ func TestMethodNotAllowed(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET submit = %d", resp.StatusCode)
+	}
+}
+
+// recordingHandler is a slog.Handler that keeps every record it handles.
+type recordingHandler struct{ records *[]slog.Record }
+
+func (h recordingHandler) Enabled(context.Context, slog.Level) bool { return true }
+func (h recordingHandler) Handle(_ context.Context, r slog.Record) error {
+	*h.records = append(*h.records, r)
+	return nil
+}
+func (h recordingHandler) WithAttrs([]slog.Attr) slog.Handler { return h }
+func (h recordingHandler) WithGroup(string) slog.Handler      { return h }
+
+// TestAdvanceLogCountsOpenTasks pins the "round advanced" log line: with
+// an auction that clears no winner (no worker has bid) nothing is
+// priced, yet both tasks are open, as /v1/status reports, so the line
+// says open_tasks=2 priced=0.
+func TestAdvanceLogCountsOpenTasks(t *testing.T) {
+	var records []slog.Record
+	p, err := New(Config{
+		Tasks: []task.Task{
+			{ID: 1, Location: geo.Pt(100, 100), Deadline: 3, Required: 2},
+			{ID: 2, Location: geo.Pt(900, 900), Deadline: 3, Required: 2},
+		},
+		Mechanism:      incentive.NewAuction(),
+		Area:           geo.Square(1000),
+		NeighborRadius: 200,
+		Budget:         10,
+		CostPerMeter:   0.01,
+		Logger:         slog.New(recordingHandler{&records}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if round, done, err := p.Advance(); err != nil || done || round != 2 {
+		t.Fatalf("Advance = %d, %v, %v; want round 2, not done", round, done, err)
+	}
+	srv := httptest.NewServer(p)
+	defer srv.Close()
+	var status wire.StatusResponse
+	doJSON(t, srv, http.MethodGet, wire.PathStatus, nil, &status)
+	if status.OpenTasks != 2 {
+		t.Fatalf("status open_tasks = %d, want 2", status.OpenTasks)
+	}
+
+	var attrs map[string]int64
+	for _, r := range records {
+		if r.Message != "round advanced" {
+			continue
+		}
+		attrs = map[string]int64{}
+		r.Attrs(func(a slog.Attr) bool {
+			attrs[a.Key] = a.Value.Int64()
+			return true
+		})
+	}
+	want := map[string]int64{"round": 2, "open_tasks": int64(status.OpenTasks), "priced": 0}
+	if !reflect.DeepEqual(attrs, want) {
+		t.Errorf("round advanced attrs = %v, want %v", attrs, want)
 	}
 }

@@ -1,29 +1,32 @@
 package task
 
 import (
+	"cmp"
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"paydemand/internal/geo"
 )
 
 // countModel is the brute-force reference for one task's per-round
-// counts: a map from round to measurements, fed by the same acceptance
-// rules as State.Record.
+// counts and contributors: maps from round to measurements and from user
+// to the round of its measurement, fed by the same acceptance rules as
+// State.Record.
 type countModel struct {
 	task    Task
 	atRound map[int]int
-	users   map[int]bool
+	users   map[int]int
 	total   int
 }
 
 func (m *countModel) record(user, round int) bool {
-	if round < 1 || m.total >= m.task.Required || round > m.task.Deadline || m.users[user] {
+	if _, dup := m.users[user]; dup || round < 1 || m.total >= m.task.Required || round > m.task.Deadline {
 		return false
 	}
-	m.users[user] = true
+	m.users[user] = round
 	m.atRound[round]++
 	m.total++
 	return true
@@ -37,6 +40,43 @@ func (m *countModel) by(round int) int {
 		}
 	}
 	return n
+}
+
+// contributions lists the model's contributors as Snapshot does: by
+// round, then user.
+func (m *countModel) contributions() []ContributionRecord {
+	var out []ContributionRecord
+	for user, round := range m.users {
+		out = append(out, ContributionRecord{User: user, Round: round})
+	}
+	slices.SortFunc(out, func(a, b ContributionRecord) int {
+		return cmp.Or(cmp.Compare(a.Round, b.Round), cmp.Compare(a.User, b.User))
+	})
+	return out
+}
+
+// fuzzUser maps an op byte to one of 16 user ids, 16 apart, so that four
+// users share each bit of State's contributor mask that they use.
+func fuzzUser(op byte) int { return 16 * int(op&0x0f) }
+
+// checkContributors holds st's contributor queries — Contributed for
+// every fuzzed user id, Contributors and Snapshot's Contributions — to
+// the model.
+func checkContributors(t *testing.T, st *State, m *countModel) {
+	t.Helper()
+	for k := byte(0); k < 16; k++ {
+		user := fuzzUser(k)
+		_, want := m.users[user]
+		if got := st.Contributed(user); got != want {
+			t.Fatalf("task %d Contributed(%d) = %v, want %v", st.ID, user, got, want)
+		}
+	}
+	if got, want := st.Contributors(), len(m.users); got != want {
+		t.Fatalf("task %d Contributors() = %d, want %d", st.ID, got, want)
+	}
+	if got, want := st.Snapshot().Contributions, m.contributions(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("task %d Snapshot().Contributions = %v, want %v", st.ID, got, want)
+	}
 }
 
 // decodeRound maps two fuzz bytes to a round: small rounds around 1
@@ -58,7 +98,8 @@ func decodeRound(b1, b2 byte, deadline int) int {
 // rounds, rejected records, deadlines up to math.MaxInt — through a
 // two-task board and holds every per-round query to a map model:
 // ReceivedAt, ReceivedBy, Board.TotalReceivedAt, CoverageBy,
-// OverallCompletenessBy and OverallCompleteness. The board must survive
+// OverallCompletenessBy and OverallCompleteness, and after every
+// operation the contributor queries (checkContributors). The board must survive
 // a Snapshot → RestoreBoard round trip exactly, and restoring a board
 // with contributions at huge rounds must allocate in proportion to the
 // contributions, not to the round numbers.
@@ -81,16 +122,19 @@ func FuzzTaskRoundCounts(f *testing.F) {
 		}
 		models := make([]*countModel, len(tasks))
 		for i, tk := range tasks {
-			models[i] = &countModel{task: tk, atRound: map[int]int{}, users: map[int]bool{}}
+			models[i] = &countModel{task: tk, atRound: map[int]int{}, users: map[int]int{}}
 		}
 		queries := []int{math.MinInt, -1, 0, 1, 2, tasks[0].Deadline, tasks[1].Deadline, math.MaxInt}
 		for ; len(ops) >= 3; ops = ops[3:] {
 			ti := int(ops[0]>>7) % len(tasks)
-			user := int(ops[0] & 0x0f)
+			user := fuzzUser(ops[0])
 			round := decodeRound(ops[1], ops[2], tasks[ti].Deadline)
 			err := b.Get(tasks[ti].ID).Record(user, round, 1)
 			if ok := models[ti].record(user, round); ok != (err == nil) {
 				t.Fatalf("task %d Record(%d, %d): err %v, model accepts %v", tasks[ti].ID, user, round, err, ok)
+			}
+			for i, m := range models {
+				checkContributors(t, b.Get(tasks[i].ID), m)
 			}
 			queries = append(queries, round-1, round, round+1)
 		}

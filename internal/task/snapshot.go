@@ -28,8 +28,8 @@ type ContributionRecord struct {
 // output.
 func (s *State) Snapshot() Snapshot {
 	snap := Snapshot{Task: s.Task, RewardPaid: s.rewardPaid}
-	for user, round := range s.contributors {
-		snap.Contributions = append(snap.Contributions, ContributionRecord{User: user, Round: round})
+	for _, c := range s.contributors {
+		snap.Contributions = append(snap.Contributions, ContributionRecord{User: c.user, Round: c.round})
 	}
 	sort.Slice(snap.Contributions, func(i, j int) bool {
 		if snap.Contributions[i].Round != snap.Contributions[j].Round {
