@@ -1,14 +1,17 @@
 // Command loadgen drives a platform with N simulated workers in a closed
-// loop — each worker polls the round (with the known-round short
-// circuit), requests a plan, submits measurements from the plan's last
-// task, where it then stands, and immediately polls again — while a
-// coordinator advances the round as soon as every worker has acted. It
-// reports round throughput and per-endpoint latency percentiles, the
-// harness behind BENCH_wire.json's JSON-vs-TLV serving comparison.
+// loop — each is a client.Worker on POST /v1/plan, so it polls the round
+// (with the known-round short circuit), requests a plan, submits
+// measurements from the plan's last task, where it then stands, and
+// immediately polls again — while a coordinator advances the round as
+// soon as every worker has acted. It reports round throughput and
+// per-endpoint latency percentiles, counted and timed by its HTTP
+// transport: the harness behind BENCH_wire.json's JSON-vs-TLV serving
+// comparison.
 //
 // With no -platform it self-hosts one on a loopback listener: a long
 // campaign (huge per-task demand and deadline) so the round loop runs at
-// full speed for the whole -duration.
+// full speed for the whole -duration. With -platform the report's task
+// count is the platform's open tasks when the run starts.
 //
 // Example:
 //
@@ -18,7 +21,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -60,7 +62,6 @@ type report struct {
 	Rounds       int64              `json:"rounds"`
 	RoundsPerSec float64            `json:"rounds_per_sec"`
 	Polls        int64              `json:"polls"`
-	Unchanged    int64              `json:"unchanged_polls"`
 	Plans        int64              `json:"plans"`
 	Submits      int64              `json:"submits"`
 	Conflicts    int64              `json:"conflicts"`
@@ -77,7 +78,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		codec       = fs.String("codec", "json", "wire codec: json | tlv")
 		duration    = fs.Duration("duration", 10*time.Second, "run length")
 		minRounds   = fs.Int64("min-rounds", 1, "keep running past -duration until this many rounds completed")
-		poll        = fs.Duration("poll", time.Millisecond, "pause between unchanged polls")
+		poll        = fs.Duration("poll", time.Millisecond, "pause between unchanged polls and between retries")
 		advanceMax  = fs.Duration("advance-after", 250*time.Millisecond, "advance even if not all workers acted after this long")
 		nTasks      = fs.Int("tasks", 40, "self-host: number of tasks")
 		area        = fs.Float64("area", 2000, "self-host: square area side in meters")
@@ -107,75 +108,59 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		base = url
 	}
 
-	cl := client.New(base, nil,
-		client.WithCodec(codecOpt),
-		client.WithMaxIdleConnsPerHost(*workers))
+	transport := &http.Transport{MaxIdleConnsPerHost: *workers, IdleConnTimeout: 90 * time.Second}
+	defer transport.CloseIdleConnections()
+	m := &meter{
+		next: transport,
+		latency: map[string]*hist{
+			wire.PathRound:  new(hist),
+			wire.PathPlan:   new(hist),
+			wire.PathSubmit: new(hist),
+		},
+	}
+	cl := client.New(base, &http.Client{Timeout: 10 * time.Second, Transport: m}, client.WithCodec(codecOpt))
 
-	var (
-		polls, unchanged, plans, submits int64
-		conflicts, protoErrors, rounds   int64
-		acted                            int64
-		pollH, planH, submitH            hist
-	)
+	tasks := *nTasks
+	if *platformURL != "" {
+		status, err := cl.Status(ctx)
+		if err != nil {
+			return err
+		}
+		tasks = status.OpenTasks
+	}
 
+	var rounds, acted atomic.Int64
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	// Worker fleet: poll → plan → submit → signal, forever.
+	// Worker fleet: one client.Worker per goroutine, stepping until the run
+	// ends. A step that returns without error acted in a round.
+	sensor := func(taskID int64, _ geo.Point) float64 { return 50 + float64(taskID%16) }
 	var wg sync.WaitGroup
 	for i := 0; i < *workers; i++ {
-		start := geo.Pt(rng.Uniform(0, *area), rng.Uniform(0, *area))
+		cfg := client.WorkerConfig{
+			Start:         geo.Pt(rng.Uniform(0, *area), rng.Uniform(0, *area)),
+			PlatformPlans: true,
+			Sensor:        sensor,
+			PollInterval:  *poll,
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			id, err := cl.Register(runCtx, start)
+			w, err := client.NewWorker(runCtx, cl, cfg)
 			if err != nil {
-				if runCtx.Err() == nil {
-					atomic.AddInt64(&protoErrors, 1)
-				}
+				m.fail(runCtx)
 				return
 			}
-			var info wire.RoundInfo
-			lastSeen := 0
-			loc := start
-			taskLoc := map[task.ID]geo.Point{}
 			for runCtx.Err() == nil {
-				t0 := time.Now()
-				err := cl.RoundInto(runCtx, lastSeen, &info)
-				if err != nil {
-					if runCtx.Err() == nil {
-						atomic.AddInt64(&protoErrors, 1)
-					}
-					select {
-					case <-runCtx.Done():
-						return
-					case <-time.After(*poll):
-					}
-					continue
-				}
-				pollH.observe(time.Since(t0).Microseconds())
-				atomic.AddInt64(&polls, 1)
-				if info.Done {
+				done, err := w.Step(runCtx)
+				switch {
+				case err != nil:
+					m.fail(runCtx)
+				case done:
 					return
-				}
-				if info.Unchanged || info.Round <= lastSeen {
-					atomic.AddInt64(&unchanged, 1)
-					select {
-					case <-runCtx.Done():
-						return
-					case <-time.After(*poll):
-					}
-					continue
-				}
-				lastSeen = info.Round
-				for _, tk := range info.Tasks {
-					taskLoc[tk.ID] = tk.Location
-				}
-				var ok bool
-				ok, loc = workerAct(runCtx, cl, id, loc, taskLoc, &planH, &submitH,
-					&plans, &submits, &conflicts, &protoErrors)
-				if ok {
-					atomic.AddInt64(&acted, 1)
+				default:
+					acted.Add(1)
 				}
 			}
 		}()
@@ -199,23 +184,23 @@ coordinate:
 			expired = true
 		case <-tick.C:
 		}
-		allActed := atomic.LoadInt64(&acted) >= int64(*workers)
-		if expired && atomic.LoadInt64(&rounds) >= *minRounds {
+		allActed := acted.Load() >= int64(*workers)
+		if expired && rounds.Load() >= *minRounds {
 			break
 		}
 		if !allActed && time.Since(lastAdvance) < *advanceMax {
 			continue
 		}
-		atomic.StoreInt64(&acted, 0)
+		acted.Store(0)
 		adv, err := cl.Advance(runCtx)
 		if err != nil {
 			if runCtx.Err() != nil {
 				break
 			}
-			atomic.AddInt64(&protoErrors, 1)
+			m.fail(runCtx)
 			continue
 		}
-		atomic.AddInt64(&rounds, 1)
+		rounds.Add(1)
 		lastAdvance = time.Now()
 		if adv.Done {
 			break
@@ -228,23 +213,22 @@ coordinate:
 	rep := report{
 		Codec:       *codec,
 		Workers:     *workers,
-		Tasks:       *nTasks,
+		Tasks:       tasks,
 		DurationSec: elapsed.Seconds(),
-		Rounds:      rounds,
-		Polls:       polls,
-		Unchanged:   unchanged,
-		Plans:       plans,
-		Submits:     submits,
-		Conflicts:   conflicts,
-		Errors:      protoErrors,
+		Rounds:      rounds.Load(),
+		Polls:       m.latency[wire.PathRound].count(),
+		Plans:       m.latency[wire.PathPlan].count(),
+		Submits:     m.latency[wire.PathSubmit].count(),
+		Conflicts:   m.conflicts.Load(),
+		Errors:      m.errors.Load(),
 		Latency: map[string]summary{
-			"poll":   pollH.summarize(),
-			"plan":   planH.summarize(),
-			"submit": submitH.summarize(),
+			"poll":   m.latency[wire.PathRound].summarize(),
+			"plan":   m.latency[wire.PathPlan].summarize(),
+			"submit": m.latency[wire.PathSubmit].summarize(),
 		},
 	}
 	if elapsed > 0 {
-		rep.RoundsPerSec = float64(rounds) / elapsed.Seconds()
+		rep.RoundsPerSec = float64(rep.Rounds) / elapsed.Seconds()
 	}
 
 	fmt.Fprintf(out, "codec=%s workers=%d rounds=%d (%.1f rounds/sec) polls=%d plans=%d submits=%d conflicts=%d errors=%d\n",
@@ -264,70 +248,66 @@ coordinate:
 			return err
 		}
 	}
-	if protoErrors > 0 {
-		return fmt.Errorf("%d protocol errors during run", protoErrors)
+	if rep.Errors > 0 {
+		return fmt.Errorf("%d protocol errors during run", rep.Errors)
 	}
 	return nil
 }
 
-// workerAct plans from loc and submits for the current round, reporting
-// whether the worker counts as having acted (plan/submit attempted, even
-// if the submit lost a round-advance race) and where it stands after. A
-// worker walks its plan: it submits from the plan's last task, looked up
-// in taskLoc (the locations of the tasks it has polled), and stands there
-// once the submit is accepted. A worker that never moved would run out of
-// reachable tasks it has not yet measured.
-func workerAct(ctx context.Context, cl *client.Client, id int, loc geo.Point, taskLoc map[task.ID]geo.Point,
-	planH, submitH *hist, plans, submits, conflicts, protoErrors *int64) (bool, geo.Point) {
-	t0 := time.Now()
-	plan, err := cl.Plan(ctx, wire.PlanRequest{
-		UserID:       id,
-		Location:     loc,
-		Speed:        2,
-		TimeBudget:   600,
-		CostPerMeter: 0.002,
-	})
-	if err != nil {
-		if ctx.Err() == nil {
-			atomic.AddInt64(protoErrors, 1)
-		}
-		return false, loc
-	}
-	planH.observe(time.Since(t0).Microseconds())
-	atomic.AddInt64(plans, 1)
-	if len(plan.Order) == 0 {
-		return true, loc
-	}
-	// The plan's tasks are open in its round, so they were open in every
-	// earlier round too, the polled one included.
-	end, ok := taskLoc[plan.Order[len(plan.Order)-1]]
-	if !ok {
-		atomic.AddInt64(protoErrors, 1)
-		return false, loc
-	}
+// meter is the fleet's transport: it counts and times the round trips
+// of every worker and the coordinator. Shutdown cancels the run context,
+// and round trips it cuts short are not failures.
+type meter struct {
+	next http.RoundTripper
+	// latency holds one histogram per timed path (poll, plan, submit),
+	// each sample from sending the request until its body is closed. The
+	// client closes a body after decoding it, so decoding is inside the
+	// sample. Only 2xx responses are timed, so each histogram's count is
+	// the path's successful calls. Read-only after construction.
+	latency map[string]*hist
+	// conflicts counts 409 responses to a submit: the coordinator advanced
+	// while the worker walked, an expected race.
+	conflicts atomic.Int64
+	// errors counts every other failed round trip or non-2xx response,
+	// retried attempts included, plus every error a caller saw.
+	errors atomic.Int64
+}
 
-	req := wire.SubmitRequest{UserID: id, Round: plan.Round, Location: end}
-	for _, taskID := range plan.Order {
-		req.Measurements = append(req.Measurements,
-			wire.Measurement{TaskID: taskID, Value: 50 + float64(taskID%16)})
-	}
-	t0 = time.Now()
-	if _, err := cl.Submit(ctx, req); err != nil {
-		var apiErr *client.APIError
-		if errors.As(err, &apiErr) && apiErr.StatusCode == http.StatusConflict {
-			// The coordinator advanced mid-walk; an expected race, not a
-			// protocol failure. The platform did not record the walk.
-			atomic.AddInt64(conflicts, 1)
-			return true, loc
+func (m *meter) RoundTrip(req *http.Request) (*http.Response, error) {
+	t0 := time.Now()
+	resp, err := m.next.RoundTrip(req)
+	switch {
+	case err != nil:
+		m.fail(req.Context())
+	case resp.StatusCode/100 == 2:
+		if h := m.latency[req.URL.Path]; h != nil {
+			resp.Body = &timedBody{ReadCloser: resp.Body, h: h, t0: t0}
 		}
-		if ctx.Err() == nil {
-			atomic.AddInt64(protoErrors, 1)
-		}
-		return false, loc
+	case resp.StatusCode == http.StatusConflict && req.URL.Path == wire.PathSubmit:
+		m.conflicts.Add(1)
+	default:
+		m.errors.Add(1)
 	}
-	submitH.observe(time.Since(t0).Microseconds())
-	atomic.AddInt64(submits, 1)
-	return true, end
+	return resp, err
+}
+
+// fail counts an error unless ctx has ended.
+func (m *meter) fail(ctx context.Context) {
+	if ctx.Err() == nil {
+		m.errors.Add(1)
+	}
+}
+
+// timedBody records its round trip's latency when it is closed.
+type timedBody struct {
+	io.ReadCloser
+	h  *hist
+	t0 time.Time
+}
+
+func (b *timedBody) Close() error {
+	b.h.observe(time.Since(b.t0).Microseconds())
+	return b.ReadCloser.Close()
 }
 
 // selfHost serves a fresh platform on a loopback listener. Demand and

@@ -4,10 +4,19 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
+	"log/slog"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
+
+	"paydemand/internal/demand"
+	"paydemand/internal/geo"
+	"paydemand/internal/incentive"
+	"paydemand/internal/server"
+	"paydemand/internal/task"
 )
 
 // TestLoadgenSmoke self-hosts a platform and runs a short closed loop in
@@ -62,6 +71,74 @@ func TestLoadgenSmoke(t *testing.T) {
 				t.Errorf("report codec %q", rep.Codec)
 			}
 		})
+	}
+}
+
+// TestLoadgenRemotePlatform drives a platform loadgen did not start: the
+// run must advance it cleanly, and the report's task count must be the
+// platform's open tasks, not the unused self-host -tasks default.
+func TestLoadgenRemotePlatform(t *testing.T) {
+	const horizon = 1 << 20
+	tasks := make([]task.Task, 25)
+	for i := range tasks {
+		tasks[i] = task.Task{
+			ID:       task.ID(i + 1),
+			Location: geo.Pt(float64(100*(i%5)), float64(100*(i/5))),
+			Deadline: horizon,
+			Required: horizon,
+		}
+	}
+	mech, err := incentive.NewPaperOnDemand(incentive.RewardScheme{R0: 2, Lambda: 0.5, Levels: demand.LevelMapper{N: 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := server.New(server.Config{
+		Tasks:          tasks,
+		Mechanism:      mech,
+		Area:           geo.Square(1000),
+		NeighborRadius: 250,
+		MaxRounds:      horizon,
+		Logger:         slog.New(slog.NewTextHandler(io.Discard, nil)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(p)
+	defer srv.Close()
+	open := len(p.Round().Tasks)
+
+	outPath := filepath.Join(t.TempDir(), "report.json")
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	var buf bytes.Buffer
+	err = run(ctx, []string{
+		"-platform", srv.URL,
+		"-workers", "4",
+		"-area", "1000",
+		"-duration", "1ms",
+		"-min-rounds", "5",
+		"-advance-after", "50ms",
+		"-out", outPath,
+	}, &buf)
+	if err != nil {
+		t.Fatalf("run: %v\n%s", err, buf.String())
+	}
+	data, err := os.ReadFile(outPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep report
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatalf("report not JSON: %v\n%s", err, data)
+	}
+	if rep.Errors != 0 {
+		t.Errorf("protocol errors = %d", rep.Errors)
+	}
+	if rep.Rounds < 5 {
+		t.Errorf("rounds = %d, want >= 5", rep.Rounds)
+	}
+	if rep.Tasks != open {
+		t.Errorf("report tasks = %d, want the platform's %d open tasks", rep.Tasks, open)
 	}
 }
 

@@ -1,6 +1,8 @@
 // Package client implements the worker side of the platform HTTP protocol:
 // a thin typed Client over the wire endpoints and a Worker that runs the
-// full WST loop (fetch round, select tasks locally, sense, upload).
+// full WST loop (fetch round, select tasks, sense, upload). A Worker
+// selects its tasks from one of two plan sources: it solves the round's
+// selection problem locally, or it asks the platform's POST /v1/plan.
 //
 // The hot endpoints (/v1/round, /v1/plan, /v1/submit) speak either JSON
 // (the default and the debugging surface) or the compact TLV codec
@@ -138,18 +140,11 @@ func (c *Client) Round(ctx context.Context) (wire.RoundInfo, error) {
 	return resp, err
 }
 
-// RoundKnown fetches the current round, telling the platform the round
-// the caller already holds prices for. If that round is still current the
-// response has Unchanged set and no task list (the known_round
-// short-circuit); pass 0 to always fetch the full round.
-func (c *Client) RoundKnown(ctx context.Context, known int) (wire.RoundInfo, error) {
-	var resp wire.RoundInfo
-	err := c.RoundInto(ctx, known, &resp)
-	return resp, err
-}
-
-// RoundInto is RoundKnown decoding into a caller-owned message, reusing
-// its Tasks capacity across polls — the allocation-free way to poll.
+// RoundInto fetches the current round into a caller-owned message,
+// reusing its Tasks capacity across polls — the allocation-free way to
+// poll. known is the round the caller already holds prices for: if that
+// round is still current the response has Unchanged set and no task list
+// (the known_round short-circuit); pass 0 to always fetch the full round.
 // Every other field is reset first: the JSON decoder leaves fields the
 // response omits (an unset Unchanged, an absent task list) untouched.
 func (c *Client) RoundInto(ctx context.Context, known int, out *wire.RoundInfo) error {

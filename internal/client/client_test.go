@@ -368,7 +368,6 @@ func TestWorkerRetriesTransientFailures(t *testing.T) {
 	w, err := NewWorker(ctx, c, WorkerConfig{
 		Start:        geo.Pt(250, 250),
 		PollInterval: time.Millisecond,
-		RetryDelay:   time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -401,8 +400,6 @@ func TestWorkerGivesUpAfterMaxRetries(t *testing.T) {
 	w, err := NewWorker(ctx, c, WorkerConfig{
 		Start:        geo.Pt(250, 250),
 		PollInterval: time.Millisecond,
-		RetryDelay:   time.Millisecond,
-		MaxRetries:   2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -412,6 +409,52 @@ func TestWorkerGivesUpAfterMaxRetries(t *testing.T) {
 	proxy.mu.Unlock()
 	if _, err := w.Step(ctx); err == nil {
 		t.Error("persistent failures did not surface")
+	}
+}
+
+// TestWorkerPlatformPlanLaterRound advances the platform between a
+// worker's poll and its /v1/plan call: the worker submits for the plan's
+// round, finds the planned tasks in the round it polled, and treats the
+// later round as its turn instead of acting in it twice.
+func TestWorkerPlatformPlanLaterRound(t *testing.T) {
+	platform, _ := startPlatform(t, defaultTasks())
+	var once sync.Once
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == wire.PathPlan {
+			once.Do(func() {
+				if _, _, err := platform.Advance(); err != nil {
+					t.Error(err)
+				}
+			})
+		}
+		platform.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+
+	c := New(srv.URL, srv.Client())
+	ctx := context.Background()
+	w, err := NewWorker(ctx, c, WorkerConfig{Start: geo.Pt(250, 250), PlatformPlans: true, PollInterval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Step(ctx); err != nil {
+		t.Fatal(err)
+	}
+	received := platform.Board().TotalReceived()
+	if received == 0 || w.Profit() <= 0 {
+		t.Fatalf("plan for round 2 was not submitted: %d measurements, profit %v", received, w.Profit())
+	}
+	if !w.Location().Equal(geo.Pt(200, 200)) && !w.Location().Equal(geo.Pt(400, 300)) {
+		t.Errorf("worker stands at %v, want the last planned task", w.Location())
+	}
+
+	short, cancel := context.WithTimeout(ctx, 30*time.Millisecond)
+	defer cancel()
+	if _, err := w.Step(short); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("second step in round 2: %v, want to wait for round 3", err)
+	}
+	if got := platform.Board().TotalReceived(); got != received {
+		t.Errorf("worker acted twice in round 2: %d -> %d measurements", received, got)
 	}
 }
 
@@ -511,8 +554,8 @@ func TestClientRoundKnownShortCircuit(t *testing.T) {
 		if full.Unchanged || len(full.Tasks) == 0 {
 			t.Fatalf("codec %d: full fetch: %+v", codec, full)
 		}
-		hit, err := c.RoundKnown(ctx, full.Round)
-		if err != nil {
+		var hit wire.RoundInfo
+		if err := c.RoundInto(ctx, full.Round, &hit); err != nil {
 			t.Fatal(err)
 		}
 		if !hit.Unchanged || len(hit.Tasks) != 0 || hit.Round != full.Round {

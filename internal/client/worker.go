@@ -5,18 +5,26 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"time"
 
 	"paydemand/internal/geo"
 	"paydemand/internal/selection"
+	"paydemand/internal/task"
 	"paydemand/internal/wire"
 )
+
+// maxRetries bounds the consecutive transient-failure retries per request
+// (network errors and 5xx responses), spaced PollInterval apart. 4xx
+// responses are never retried.
+const maxRetries = 3
 
 // Sensor produces the measurement value a worker uploads when it performs
 // a task (for example, a simulated dBA reading at the task's location).
 type Sensor func(taskID int64, loc geo.Point) float64
 
-// WorkerConfig parameterizes a Worker.
+// WorkerConfig parameterizes a Worker. Its plans come from one of two
+// sources: local solving with Algorithm, or POST /v1/plan.
 type WorkerConfig struct {
 	// Start is the worker's initial location.
 	Start geo.Point
@@ -27,20 +35,20 @@ type WorkerConfig struct {
 	TimeBudget float64
 	// CostPerMeter is the movement cost; zero means the paper's 0.002.
 	CostPerMeter float64
-	// Algorithm solves the per-round selection problem; nil means the
-	// size-adaptive Auto solver.
+	// Algorithm solves the per-round selection problem locally; nil means
+	// the size-adaptive Auto solver. Unused with PlatformPlans.
 	Algorithm selection.Algorithm
+	// PlatformPlans asks POST /v1/plan for each round's plan instead. The
+	// platform leaves out the tasks this worker contributed to, and may
+	// solve against a round later than the polled one; the worker
+	// submits for the plan's round.
+	PlatformPlans bool
 	// Sensor produces uploaded values; nil uploads zeros.
 	Sensor Sensor
 	// PollInterval is how often the worker re-fetches the round while
-	// waiting for it to advance; zero means 50 ms.
+	// waiting for it to advance, and the pause between retries; zero
+	// means 50 ms.
 	PollInterval time.Duration
-	// MaxRetries bounds the consecutive transient-failure retries per
-	// request (network errors and 5xx responses); zero means 3. 4xx
-	// responses are never retried.
-	MaxRetries int
-	// RetryDelay is the pause between retries; zero means PollInterval.
-	RetryDelay time.Duration
 }
 
 // Worker runs the distributed WST loop against a platform: fetch the
@@ -53,8 +61,12 @@ type Worker struct {
 	id       int
 	loc      geo.Point
 	profit   float64
-	done     map[int64]bool
 	lastSeen int
+	// info is the last polled round, reused across polls.
+	info wire.RoundInfo
+	// done holds the tasks this worker was paid for; only local solving
+	// reads it.
+	done map[task.ID]bool
 }
 
 // NewWorker registers a new worker with the platform.
@@ -74,12 +86,6 @@ func NewWorker(ctx context.Context, c *Client, cfg WorkerConfig) (*Worker, error
 	if cfg.PollInterval == 0 {
 		cfg.PollInterval = 50 * time.Millisecond
 	}
-	if cfg.MaxRetries == 0 {
-		cfg.MaxRetries = 3
-	}
-	if cfg.RetryDelay == 0 {
-		cfg.RetryDelay = cfg.PollInterval
-	}
 	id, err := c.Register(ctx, cfg.Start)
 	if err != nil {
 		return nil, fmt.Errorf("worker: register: %w", err)
@@ -89,7 +95,7 @@ func NewWorker(ctx context.Context, c *Client, cfg WorkerConfig) (*Worker, error
 		client: c,
 		id:     id,
 		loc:    cfg.Start,
-		done:   make(map[int64]bool),
+		done:   make(map[task.ID]bool),
 	}, nil
 }
 
@@ -105,45 +111,43 @@ func (w *Worker) Profit() float64 { return w.profit }
 // Step performs at most one round: it waits for a round it has not acted
 // in, selects and uploads, and returns done=true once the campaign ends.
 func (w *Worker) Step(ctx context.Context) (done bool, err error) {
-	info, err := w.awaitNewRound(ctx)
-	if err != nil {
+	if err := w.awaitNewRound(ctx); err != nil {
 		return false, err
 	}
-	if info.Done {
+	if w.info.Done {
 		return true, nil
 	}
-	w.lastSeen = info.Round
+	w.lastSeen = w.info.Round
 
-	plan, err := w.plan(info)
+	plan, err := w.plan(ctx)
 	if err != nil {
+		// The campaign ended after the poll; the next one reports it.
+		if isConflict(err) {
+			return false, nil
+		}
 		return false, err
 	}
-	if plan.Empty() {
+	// A plan solved against a later round is the worker's turn there.
+	w.lastSeen = plan.Round
+	if len(plan.Order) == 0 {
 		return false, nil
 	}
 
-	req := wire.SubmitRequest{
-		UserID: w.id,
-		Round:  info.Round,
-	}
+	// Every planned task is in the polled round, even for a plan solved
+	// against a later round: tasks only ever close. The worker ends its
+	// walk at the last one.
+	req := wire.SubmitRequest{UserID: w.id, Round: plan.Round}
 	for _, id := range plan.Order {
-		value := 0.0
-		loc := w.loc
-		for _, t := range info.Tasks {
-			if t.ID == id {
-				loc = t.Location
-				break
-			}
+		i := slices.IndexFunc(w.info.Tasks, func(t wire.TaskInfo) bool { return t.ID == id })
+		if i < 0 {
+			return false, fmt.Errorf("worker %d: planned task %d is not in round %d", w.id, id, w.info.Round)
 		}
+		loc, value := w.info.Tasks[i].Location, 0.0
 		if w.cfg.Sensor != nil {
 			value = w.cfg.Sensor(int64(id), loc)
 		}
 		req.Measurements = append(req.Measurements, wire.Measurement{TaskID: id, Value: value})
-	}
-	if end, ok := plan.Path.End(); ok {
-		req.Location = end
-	} else {
-		req.Location = w.loc
+		req.Location = loc
 	}
 
 	var resp wire.SubmitResponse
@@ -160,8 +164,7 @@ func (w *Worker) Step(ctx context.Context) (done bool, err error) {
 		// first attempt was accepted and only its response lost, the
 		// replay's zero is all the worker sees, so its profit and done
 		// books miss the original payment.
-		var apiErr *APIError
-		if errors.As(err, &apiErr) && apiErr.StatusCode == http.StatusConflict {
+		if isConflict(err) {
 			return false, nil
 		}
 		return false, fmt.Errorf("worker %d: submit: %w", w.id, err)
@@ -172,9 +175,11 @@ func (w *Worker) Step(ctx context.Context) (done bool, err error) {
 	// but the travel was still spent.
 	w.loc = req.Location
 	w.profit += resp.TotalPaid - plan.Cost
-	for _, res := range resp.Results {
-		if res.Accepted {
-			w.done[int64(res.TaskID)] = true
+	if !w.cfg.PlatformPlans {
+		for _, res := range resp.Results {
+			if res.Accepted {
+				w.done[res.TaskID] = true
+			}
 		}
 	}
 	return false, nil
@@ -198,6 +203,13 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 }
 
+// isConflict reports a 409 from the platform: the round advanced or the
+// campaign ended while the worker planned or walked.
+func isConflict(err error) bool {
+	var apiErr *APIError
+	return errors.As(err, &apiErr) && apiErr.StatusCode == http.StatusConflict
+}
+
 // retriable reports whether an error is worth retrying: anything except a
 // definitive 4xx platform response (context cancellation is handled by
 // the retry loop itself).
@@ -209,16 +221,15 @@ func retriable(err error) bool {
 	return true
 }
 
-// withRetry runs fn with the configured bounded retries on transient
-// failures.
+// withRetry runs fn with bounded retries on transient failures.
 func (w *Worker) withRetry(ctx context.Context, fn func() error) error {
 	var err error
-	for attempt := 0; attempt <= w.cfg.MaxRetries; attempt++ {
+	for attempt := 0; attempt <= maxRetries; attempt++ {
 		if attempt > 0 {
 			select {
 			case <-ctx.Done():
 				return ctx.Err()
-			case <-time.After(w.cfg.RetryDelay):
+			case <-time.After(w.cfg.PollInterval):
 			}
 		}
 		if err = fn(); err == nil {
@@ -228,45 +239,55 @@ func (w *Worker) withRetry(ctx context.Context, fn func() error) error {
 			return err
 		}
 	}
-	return fmt.Errorf("worker %d: giving up after %d retries: %w", w.id, w.cfg.MaxRetries, err)
+	return fmt.Errorf("worker %d: giving up after %d retries: %w", w.id, maxRetries, err)
 }
 
-// awaitNewRound polls until the platform publishes a round the worker has
-// not acted in, or the campaign ends. Steady-state polls send the last
-// seen round so the platform can answer with a tiny Unchanged response
-// instead of re-serialising the task list. Transient fetch failures are
-// retried.
-func (w *Worker) awaitNewRound(ctx context.Context) (wire.RoundInfo, error) {
+// awaitNewRound polls into w.info until the platform publishes a round
+// the worker has not acted in, or the campaign ends. Steady-state polls
+// send the last seen round so the platform can answer with a tiny
+// Unchanged response instead of re-serialising the task list. Transient
+// fetch failures are retried.
+func (w *Worker) awaitNewRound(ctx context.Context) error {
 	for {
-		var info wire.RoundInfo
 		err := w.withRetry(ctx, func() error {
-			var rerr error
-			info, rerr = w.client.RoundKnown(ctx, w.lastSeen)
-			return rerr
+			return w.client.RoundInto(ctx, w.lastSeen, &w.info)
 		})
 		if err != nil {
-			return wire.RoundInfo{}, fmt.Errorf("worker %d: round: %w", w.id, err)
+			return fmt.Errorf("worker %d: round: %w", w.id, err)
 		}
-		if !info.Unchanged && (info.Done || info.Round > w.lastSeen) {
-			return info, nil
+		if !w.info.Unchanged && (w.info.Done || w.info.Round > w.lastSeen) {
+			return nil
 		}
 		select {
 		case <-ctx.Done():
-			return wire.RoundInfo{}, ctx.Err()
+			return ctx.Err()
 		case <-time.After(w.cfg.PollInterval):
 		}
 	}
 }
 
-// plan solves the worker's selection problem for the published round.
-func (w *Worker) plan(info wire.RoundInfo) (selection.Plan, error) {
+// plan returns the worker's plan for the polled round from the
+// configured source. Only Round, Order and Cost are filled for a local
+// solve.
+func (w *Worker) plan(ctx context.Context) (plan wire.PlanResponse, err error) {
+	if w.cfg.PlatformPlans {
+		req := wire.PlanRequest{UserID: w.id, Location: w.loc,
+			Speed: w.cfg.Speed, TimeBudget: w.cfg.TimeBudget, CostPerMeter: w.cfg.CostPerMeter}
+		if err := w.withRetry(ctx, func() (err error) {
+			plan, err = w.client.Plan(ctx, req)
+			return err
+		}); err != nil {
+			return plan, fmt.Errorf("worker %d: plan: %w", w.id, err)
+		}
+		return plan, nil
+	}
 	problem := selection.Problem{
 		Start:        w.loc,
 		MaxDistance:  w.cfg.Speed * w.cfg.TimeBudget,
 		CostPerMeter: w.cfg.CostPerMeter,
 	}
-	for _, t := range info.Tasks {
-		if w.done[int64(t.ID)] {
+	for _, t := range w.info.Tasks {
+		if w.done[t.ID] {
 			continue
 		}
 		problem.Candidates = append(problem.Candidates, selection.Candidate{
@@ -275,9 +296,9 @@ func (w *Worker) plan(info wire.RoundInfo) (selection.Plan, error) {
 			Reward:   t.Reward,
 		})
 	}
-	plan, err := w.cfg.Algorithm.Select(problem)
+	solved, err := w.cfg.Algorithm.Select(problem)
 	if err != nil {
-		return selection.Plan{}, fmt.Errorf("worker %d: select: %w", w.id, err)
+		return plan, fmt.Errorf("worker %d: select: %w", w.id, err)
 	}
-	return plan, nil
+	return wire.PlanResponse{Round: w.info.Round, Order: solved.Order, Cost: solved.Cost}, nil
 }
