@@ -17,7 +17,7 @@ test:
 	go test ./...
 
 race:
-	go test -race ./internal/experiments/ ./internal/sim/ ./internal/selection/ ./internal/server/ ./internal/engine/ ./internal/geo/ ./internal/sat/ ./internal/client/ ./internal/incentive/ ./internal/mobility/ ./cmd/loadgen/ ./cmd/worker/
+	go test -race ./internal/experiments/ ./internal/sim/ ./internal/selection/ ./internal/server/ ./internal/engine/ ./internal/geo/ ./internal/sat/ ./internal/client/ ./internal/incentive/ ./internal/mobility/ ./cmd/loadgen/ ./cmd/worker/ ./cmd/platform/
 
 # Aggregate coverage across every package, with a function summary.
 cover:

@@ -117,30 +117,14 @@ func run(args []string, out io.Writer) error {
 	}
 
 	results, err := experiments.RunTrials(*trials, *parallel, func(i int) (metrics.TrialResult, error) {
-		var obs sim.Observer
-		var traceFile *os.File
-		if *tracePath != "" && i == 0 {
-			var err error
-			traceFile, err = os.Create(*tracePath)
-			if err != nil {
-				return metrics.TrialResult{}, err
-			}
-			obs = sim.NewTraceObserver(traceFile)
-		}
 		s, err := sim.New(cfg, *seed+int64(i))
 		if err != nil {
 			return metrics.TrialResult{}, err
 		}
-		res, err := s.Run(obs)
-		if traceFile != nil {
-			if cerr := traceFile.Close(); cerr != nil && err == nil {
-				err = cerr
-			}
+		if *tracePath != "" && i == 0 {
+			return runTraced(s, *tracePath)
 		}
-		if err != nil {
-			return metrics.TrialResult{}, err
-		}
-		return res, nil
+		return s.Run(nil)
 	})
 	if err != nil {
 		return err
@@ -182,6 +166,28 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// runTraced runs s with its JSONL event trace written to path. The
+// simulation carries on past a failing trace sink, so the trace's write
+// error, and then the file's close error, fail the trial here.
+func runTraced(s *sim.Simulation, path string) (metrics.TrialResult, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return metrics.TrialResult{}, err
+	}
+	obs := sim.NewTraceObserver(f)
+	res, err := s.Run(obs)
+	if err == nil {
+		err = obs.Err()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return metrics.TrialResult{}, err
+	}
+	return res, nil
 }
 
 // runComparison averages the three incentive mechanisms plus the SAT

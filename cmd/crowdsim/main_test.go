@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -105,6 +106,18 @@ func TestRunTraceFile(t *testing.T) {
 	}
 	if !strings.Contains(string(data), `"kind":"round_start"`) {
 		t.Errorf("trace content wrong: %.100s", data)
+	}
+}
+
+// TestRunTraceWriteError pins that a trace the file system refuses fails
+// the run: /dev/full accepts the open and refuses every write.
+func TestRunTraceWriteError(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full:", err)
+	}
+	args := []string{"-trials", "1", "-users", "30", "-tasks", "6", "-required", "3", "-trace", "/dev/full"}
+	if err := run(args, io.Discard); err == nil {
+		t.Fatal("run with -trace /dev/full succeeded")
 	}
 }
 

@@ -83,9 +83,6 @@ func (u *User) MaxTravelDistance() float64 { return u.Speed * u.TimeBudget }
 // TravelTime returns the time in seconds to walk dist meters.
 func (u *User) TravelTime(dist float64) float64 { return dist / u.Speed }
 
-// TravelCost returns the movement cost in dollars to walk dist meters.
-func (u *User) TravelCost(dist float64) float64 { return dist * u.CostPerMeter }
-
 // Profit returns the user's accumulated profit over the simulation.
 func (u *User) Profit() float64 { return u.profit }
 
@@ -114,14 +111,9 @@ func (u *User) DoneCount() int { return len(u.done) }
 // MoveTo relocates the user (end-of-round position update).
 func (u *User) MoveTo(p geo.Point) { u.Location = p }
 
-// Locations extracts the current locations of a user slice, in order. The
-// incentive mechanism indexes these to count neighboring users per task.
-func Locations(users []*User) []geo.Point {
-	return LocationsInto(make([]geo.Point, 0, len(users)), users)
-}
-
-// LocationsInto is Locations into a caller-provided buffer: it appends the
-// locations to buf[:0] and returns the (possibly re-grown) slice. The
+// LocationsInto extracts the current locations of a user slice, in
+// order, for the engine to count neighboring users per task: it appends
+// the locations to buf[:0] and returns the (possibly re-grown) slice. The
 // simulation calls it every round, so reusing one buffer keeps the round
 // loop allocation-free.
 func LocationsInto(buf []geo.Point, users []*User) []geo.Point {

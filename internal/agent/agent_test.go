@@ -49,9 +49,6 @@ func TestTravelMath(t *testing.T) {
 	if got := u.TravelTime(100); got != 50 {
 		t.Errorf("TravelTime(100) = %v, want 50", got)
 	}
-	if got := u.TravelCost(1000); got != 2 {
-		t.Errorf("TravelCost(1000) = %v, want 2", got)
-	}
 }
 
 func TestProfitAccumulation(t *testing.T) {
@@ -97,8 +94,8 @@ func TestMoveTo(t *testing.T) {
 
 func TestLocations(t *testing.T) {
 	users := []*User{New(1, geo.Pt(1, 1)), New(2, geo.Pt(2, 2))}
-	locs := Locations(users)
+	locs := LocationsInto([]geo.Point{geo.Pt(9, 9), geo.Pt(9, 9), geo.Pt(9, 9)}, users)
 	if len(locs) != 2 || !locs[0].Equal(geo.Pt(1, 1)) || !locs[1].Equal(geo.Pt(2, 2)) {
-		t.Errorf("Locations = %v", locs)
+		t.Errorf("LocationsInto = %v", locs)
 	}
 }

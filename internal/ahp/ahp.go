@@ -86,9 +86,6 @@ func PaperExampleMatrix() *PairwiseMatrix {
 	return pm
 }
 
-// At returns the judgment a[i][j].
-func (p *PairwiseMatrix) At(i, j int) float64 { return p.a[i][j] }
-
 // Rows returns a copy of the judgments (Table I of the paper).
 func (p *PairwiseMatrix) Rows() [3][3]float64 { return p.a }
 

@@ -16,8 +16,8 @@ func TestNewPairwiseMatrixValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pm.At(0, 1) != 2 || pm.At(2, 0) != 0.25 {
-		t.Errorf("At(0,1), At(2,0) = %v, %v, want 2, 0.25", pm.At(0, 1), pm.At(2, 0))
+	if a := pm.Rows(); a[0][1] != 2 || a[2][0] != 0.25 {
+		t.Errorf("a[0][1], a[2][0] = %v, %v, want 2, 0.25", a[0][1], a[2][0])
 	}
 }
 
@@ -56,11 +56,11 @@ func TestNewPairwiseMatrixRejections(t *testing.T) {
 
 // TestPaperTableI verifies the judgments quoted in the paper's Table I.
 func TestPaperTableI(t *testing.T) {
-	pm := PaperExampleMatrix()
-	if pm.At(0, 1) != 3 || pm.At(0, 2) != 5 || pm.At(1, 2) != 2 {
+	a := PaperExampleMatrix().Rows()
+	if a[0][1] != 3 || a[0][2] != 5 || a[1][2] != 2 {
 		t.Error("Table I judgments wrong")
 	}
-	if pm.At(1, 0) != 1.0/3 || pm.At(2, 0) != 1.0/5 || pm.At(2, 1) != 0.5 {
+	if a[1][0] != 1.0/3 || a[2][0] != 1.0/5 || a[2][1] != 0.5 {
 		t.Error("Table I reciprocals wrong")
 	}
 }
@@ -69,7 +69,7 @@ func TestRowsReturnsCopy(t *testing.T) {
 	pm := PaperExampleMatrix()
 	rows := pm.Rows()
 	rows[0][1] = 99
-	if pm.At(0, 1) != 3 {
+	if pm.Rows()[0][1] != 3 {
 		t.Error("Rows() aliased internal state")
 	}
 }

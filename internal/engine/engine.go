@@ -92,8 +92,10 @@ type Engine struct {
 	states []*task.State
 
 	// Published round state, valid from a Reprice until the next
-	// BeginRound/Clear. open is the snapshot in board order; openLocs and
-	// openPos hold each snapshot entry's location and board position.
+	// BeginRound/Clear. commits counts the measurements CommitPaid has
+	// recorded since BeginRound. open is the snapshot in board order;
+	// openLocs and openPos hold each snapshot entry's location and board
+	// position.
 	// rewards is the mechanism's reward map and prices its copy by
 	// snapshot position: prices is empty while rewards is nil, and one
 	// entry per open task while it is published. The hot readers
@@ -101,6 +103,7 @@ type Engine struct {
 	// stays for the callers that take it by ID (Rewards, RewardFor,
 	// Commit).
 	round    int
+	commits  int
 	open     []*task.State
 	openLocs []geo.Point
 	openPos  []int
@@ -203,15 +206,16 @@ func (e *Engine) SetBoard(b *task.Board) {
 func (e *Engine) SetMechanism(m incentive.Mechanism) { e.cfg.Mechanism = m }
 
 // BeginRound starts round k: it unpublishes the previous round's
-// rewards, snapshots the tasks open at k
-// in board order, with their locations and board positions, and indexes
-// the snapshot's locations for ProblemInto's reach queries. The returned
-// slice is engine-owned scratch, valid until the next BeginRound; it is
-// the same slice Open returns.
+// rewards, restarts the round's commit count, snapshots the tasks open
+// at k in board order, with their locations and board positions, and
+// indexes the snapshot's locations for ProblemInto's reach queries. The
+// returned slice is engine-owned scratch, valid until the next
+// BeginRound; it is the same slice Open returns.
 //
 //paylint:aliases open
 func (e *Engine) BeginRound(round int) []*task.State {
 	e.round = round
+	e.commits = 0
 	e.unpublish()
 	e.open = e.open[:0]
 	e.openLocs = e.openLocs[:0]
@@ -559,9 +563,6 @@ func (e *Engine) buildBids(userLocs []geo.Point, views []incentive.TaskView) []i
 	return e.bidBuf
 }
 
-// Round returns the round number of the current snapshot.
-func (e *Engine) Round() int { return e.round }
-
 // Open returns the current round's open-task snapshot in board order.
 // The slice is engine-owned scratch, valid until the next BeginRound.
 //
@@ -616,6 +617,7 @@ func (e *Engine) CommitPaid(user int, id task.ID, paid float64) (completed bool,
 	if err := st.Record(user, e.round, paid); err != nil {
 		return false, err
 	}
+	e.commits++
 	return st.Complete(), nil
 }
 
@@ -634,21 +636,20 @@ func (e *Engine) CommitPlan(user int, ids []task.ID) (n int, err error) {
 	return len(ids), nil
 }
 
-// StartRoundStats fills the snapshot-derived fields of a round record:
-// the round number, the open-task count, and the mean published reward.
-func (e *Engine) StartRoundStats(rs *metrics.RoundStats) {
-	rs.Round = e.round
-	rs.OpenTasks = len(e.open)
-	rs.MeanPublishedReward = e.mean
-}
-
-// FinishRoundStats fills the board-derived fields of a round record after
-// all commits: measurement counts, coverage, completeness, reward paid.
+// FinishRoundStats fills the board-derived fields of a round record:
+// measurement counts, coverage, completeness, reward paid. It runs after
+// the round's commits and before the next BeginRound, where the
+// simulator's, the SAT driver's and the benchmark mirror's rounds call
+// it; the HTTP platform never reads round stats. Every measurement on
+// the board was then made in this round or an earlier one, so the
+// board's live coverage and completeness are exactly their values as of
+// this round (the per-round series of Figs. 6(b) and 7(b)), and the
+// round's new measurements are the commits since BeginRound.
 func (e *Engine) FinishRoundStats(rs *metrics.RoundStats) {
-	rs.NewMeasurements = e.board.TotalReceivedAt(e.round)
+	rs.NewMeasurements = e.commits
 	rs.TotalMeasurements = e.board.TotalReceived()
-	rs.Coverage = e.board.CoverageBy(e.round)
-	rs.Completeness = e.board.OverallCompletenessBy(e.round)
+	rs.Coverage = e.board.Coverage()
+	rs.Completeness = e.board.OverallCompleteness()
 	rs.RewardPaid = e.board.TotalRewardPaid()
 }
 

@@ -95,12 +95,6 @@ func TestRoundPipeline(t *testing.T) {
 		t.Fatalf("problem candidates = %+v, want board tasks 1-3 at their rewards", p.Candidates)
 	}
 
-	var rs metrics.RoundStats
-	e.StartRoundStats(&rs)
-	if rs.Round != 1 || rs.OpenTasks != 3 || rs.MeanPublishedReward != 20 {
-		t.Errorf("start stats = %+v", rs)
-	}
-
 	// Task 1 needs one measurement: the commit pays the published reward
 	// and completes the task on the board, leaving the others open.
 	reward, completed, err := e.Commit(7, 1)
@@ -127,6 +121,7 @@ func TestRoundPipeline(t *testing.T) {
 		t.Error("commit to unknown task accepted")
 	}
 
+	var rs metrics.RoundStats
 	e.FinishRoundStats(&rs)
 	if rs.NewMeasurements != 1 || rs.RewardPaid != 10 {
 		t.Errorf("finish stats = %+v", rs)
@@ -151,6 +146,53 @@ func TestRoundPipeline(t *testing.T) {
 	}
 	if tr.Coverage != 1.0/3 {
 		t.Errorf("coverage = %v", tr.Coverage)
+	}
+}
+
+// TestRoundStatsCountAcceptedCommits pins FinishRoundStats'
+// NewMeasurements to the commits the board accepted since BeginRound:
+// a repeat by the same user and a commit to a completed task are not
+// counted, and the next BeginRound starts the count afresh, while the
+// board-wide totals keep growing.
+func TestRoundStatsCountAcceptedCommits(t *testing.T) {
+	board := testBoard(t)
+	e := testEngine(t, Config{Board: board})
+	e.BeginRound(1)
+	for _, c := range []struct {
+		user int
+		id   task.ID
+		ok   bool
+	}{
+		{7, 2, true},
+		{7, 2, false}, // already contributed
+		{7, 1, true},  // completes task 1
+		{8, 1, false}, // task 1 complete
+		{8, 2, true},  // completes task 2
+	} {
+		if _, err := e.CommitPaid(c.user, c.id, 1); (err == nil) != c.ok {
+			t.Fatalf("CommitPaid(%d, %d) err = %v, want accepted %v", c.user, c.id, err, c.ok)
+		}
+	}
+	var rs metrics.RoundStats
+	e.FinishRoundStats(&rs)
+	if rs.NewMeasurements != 3 || rs.TotalMeasurements != 3 {
+		t.Errorf("round 1 stats = %+v, want 3 new of 3 total", rs)
+	}
+	if rs.Coverage != 2.0/3 || rs.Completeness != 2.0/3 {
+		t.Errorf("round 1 coverage %v completeness %v, want 2/3 each", rs.Coverage, rs.Completeness)
+	}
+
+	e.BeginRound(2)
+	e.FinishRoundStats(&rs)
+	if rs.NewMeasurements != 0 || rs.TotalMeasurements != 3 {
+		t.Errorf("round 2 before commits = %+v, want 0 new of 3 total", rs)
+	}
+	if _, err := e.CommitPaid(7, 3, 1); err != nil {
+		t.Fatal(err)
+	}
+	e.FinishRoundStats(&rs)
+	if rs.NewMeasurements != 1 || rs.TotalMeasurements != 4 || rs.Coverage != 1 {
+		t.Errorf("round 2 stats = %+v, want 1 new of 4 total, coverage 1", rs)
 	}
 }
 

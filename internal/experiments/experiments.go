@@ -7,7 +7,6 @@ package experiments
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"paydemand/internal/sim"
 	"paydemand/internal/stats"
@@ -140,18 +139,6 @@ var registry = func() map[string]Runner {
 	}
 	return r
 }()
-
-// PaperIDs returns the IDs of the paper's own tables and figures, sorted,
-// excluding the ablation and extension studies.
-func PaperIDs() []string {
-	var out []string
-	for _, id := range IDs() {
-		if !strings.HasPrefix(id, "ablation-") && !strings.HasPrefix(id, "ext-") {
-			out = append(out, id)
-		}
-	}
-	return out
-}
 
 // IDs returns the registered figure IDs, sorted.
 func IDs() []string {

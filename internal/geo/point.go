@@ -24,28 +24,11 @@ func Pt(x, y float64) Point { return Point{X: x, Y: y} }
 // Add returns the vector sum p + q.
 func (p Point) Add(q Point) Point { return Point{X: p.X + q.X, Y: p.Y + q.Y} }
 
-// Sub returns the vector difference p - q.
-func (p Point) Sub(q Point) Point { return Point{X: p.X - q.X, Y: p.Y - q.Y} }
-
 // Scale returns p scaled by s.
 func (p Point) Scale(s float64) Point { return Point{X: p.X * s, Y: p.Y * s} }
 
-// Dot returns the dot product of p and q viewed as vectors.
-func (p Point) Dot(q Point) float64 { return p.X*q.X + p.Y*q.Y }
-
-// Norm returns the Euclidean length of p viewed as a vector.
-func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
-
 // Dist returns the Euclidean distance between p and q.
 func (p Point) Dist(q Point) float64 { return math.Hypot(p.X-q.X, p.Y-q.Y) }
-
-// DistSq returns the squared Euclidean distance between p and q. It avoids
-// the square root and is the right primitive for comparisons.
-func (p Point) DistSq(q Point) float64 {
-	dx := p.X - q.X
-	dy := p.Y - q.Y
-	return dx*dx + dy*dy
-}
 
 // Lerp returns the point a fraction t of the way from p to q. t is not
 // clamped; t=0 yields p and t=1 yields q.
@@ -55,12 +38,6 @@ func (p Point) Lerp(q Point, t float64) Point {
 
 // Equal reports whether p and q are exactly equal.
 func (p Point) Equal(q Point) bool { return p.X == q.X && p.Y == q.Y }
-
-// AlmostEqual reports whether p and q are within eps of each other in both
-// coordinates.
-func (p Point) AlmostEqual(q Point, eps float64) bool {
-	return math.Abs(p.X-q.X) <= eps && math.Abs(p.Y-q.Y) <= eps
-}
 
 // IsFinite reports whether both coordinates are finite (not NaN or Inf).
 func (p Point) IsFinite() bool {

@@ -9,18 +9,6 @@ type Rect struct {
 	Max Point `json:"max"`
 }
 
-// NewRect returns the rectangle spanning the two corner points in any order.
-func NewRect(a, b Point) Rect {
-	r := Rect{Min: a, Max: b}
-	if r.Min.X > r.Max.X {
-		r.Min.X, r.Max.X = r.Max.X, r.Min.X
-	}
-	if r.Min.Y > r.Max.Y {
-		r.Min.Y, r.Max.Y = r.Max.Y, r.Min.Y
-	}
-	return r
-}
-
 // Square returns the axis-aligned square with lower-left corner at the
 // origin and the given side length. The paper's evaluation area is
 // Square(3000).
@@ -95,10 +83,6 @@ func (r Rect) Valid() bool {
 	return r.Min.IsFinite() && r.Max.IsFinite() &&
 		r.Min.X <= r.Max.X && r.Min.Y <= r.Max.Y
 }
-
-// Diagonal returns the length of r's diagonal, the maximum distance between
-// any two points inside r.
-func (r Rect) Diagonal() float64 { return r.Min.Dist(r.Max) }
 
 // String implements fmt.Stringer.
 func (r Rect) String() string { return fmt.Sprintf("[%v - %v]", r.Min, r.Max) }

@@ -5,16 +5,6 @@ import (
 	"testing/quick"
 )
 
-func TestNewRectNormalizesCorners(t *testing.T) {
-	r := NewRect(Pt(5, 1), Pt(2, 7))
-	if !r.Min.Equal(Pt(2, 1)) || !r.Max.Equal(Pt(5, 7)) {
-		t.Errorf("NewRect = %v", r)
-	}
-	if !r.Valid() {
-		t.Error("normalized rect not valid")
-	}
-}
-
 func TestSquare(t *testing.T) {
 	r := Square(3000)
 	if r.Width() != 3000 || r.Height() != 3000 {
@@ -58,13 +48,6 @@ func TestRectClampIdempotentOnInterior(t *testing.T) {
 	p := Pt(3, 4)
 	if got := r.Clamp(p); !got.Equal(p) {
 		t.Errorf("Clamp interior = %v, want %v", got, p)
-	}
-}
-
-func TestRectDiagonal(t *testing.T) {
-	r := NewRect(Pt(0, 0), Pt(3, 4))
-	if got := r.Diagonal(); got != 5 {
-		t.Errorf("Diagonal = %v, want 5", got)
 	}
 }
 

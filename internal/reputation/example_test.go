@@ -24,10 +24,10 @@ func Example() {
 	fmt.Printf("sensor 1 score: %.2f\n", tracker.Score(1))
 	fmt.Printf("sensor 2 score: %.2f\n", tracker.Score(2))
 
-	est, err := tracker.WeightedMeanFor([]reputation.Contribution{
-		{User: 1, Value: 58},
-		{User: 2, Value: 95},
-	})
+	est, err := reputation.WeightedMean(
+		[]float64{58, 95},
+		[]float64{tracker.Score(1), tracker.Score(2)},
+	)
 	if err != nil {
 		panic(err)
 	}

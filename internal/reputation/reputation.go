@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Defaults for NewTracker.
@@ -107,16 +106,6 @@ func (t *Tracker) ObserveTask(contribs []Contribution, consensus, tolerance floa
 	}
 }
 
-// Users returns the IDs with recorded scores, sorted.
-func (t *Tracker) Users() []int {
-	out := make([]int, 0, len(t.scores))
-	for u := range t.scores {
-		out = append(out, u)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // ErrNoWeight is returned by WeightedMean when every weight is zero.
 var ErrNoWeight = errors.New("reputation: all weights are zero")
 
@@ -139,16 +128,4 @@ func WeightedMean(values, weights []float64) (float64, error) {
 		return 0, ErrNoWeight
 	}
 	return num / den, nil
-}
-
-// WeightedMeanFor weighs each contribution by its contributor's current
-// score.
-func (t *Tracker) WeightedMeanFor(contribs []Contribution) (float64, error) {
-	values := make([]float64, len(contribs))
-	weights := make([]float64, len(contribs))
-	for i, c := range contribs {
-		values[i] = c.Value
-		weights[i] = t.Score(c.User)
-	}
-	return WeightedMean(values, weights)
 }

@@ -106,16 +106,6 @@ func TestHonestAndFaultySensorsDiverge(t *testing.T) {
 	}
 }
 
-func TestUsers(t *testing.T) {
-	tr := mustTracker(t)
-	tr.Observe(5, 1, 1, 1)
-	tr.Observe(2, 1, 1, 1)
-	got := tr.Users()
-	if len(got) != 2 || got[0] != 2 || got[1] != 5 {
-		t.Errorf("Users = %v", got)
-	}
-}
-
 func TestWeightedMean(t *testing.T) {
 	got, err := WeightedMean([]float64{10, 20}, []float64{3, 1})
 	if err != nil {
@@ -132,25 +122,5 @@ func TestWeightedMean(t *testing.T) {
 	}
 	if _, err := WeightedMean([]float64{1, 2}, []float64{0, 0}); !errors.Is(err, ErrNoWeight) {
 		t.Error("zero weights accepted")
-	}
-}
-
-func TestWeightedMeanFor(t *testing.T) {
-	tr := mustTracker(t)
-	// Build one trusted and one distrusted sensor.
-	for i := 0; i < 30; i++ {
-		tr.Observe(1, 10, 10, 1) // always agrees
-		tr.Observe(2, 90, 10, 1) // always off
-	}
-	got, err := tr.WeightedMeanFor([]Contribution{
-		{User: 1, Value: 50},
-		{User: 2, Value: 100},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The trusted sensor dominates: estimate well below the midpoint 75.
-	if got >= 60 {
-		t.Errorf("weighted estimate %v dominated by distrusted sensor", got)
 	}
 }

@@ -66,9 +66,8 @@ func (p *Platform) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	p.mu.Lock()
-	p.nextID++
-	id := p.nextID
-	p.workers[id] = req.Location
+	p.workers = append(p.workers, req.Location)
+	id := len(p.workers)
 	p.mu.Unlock()
 	p.logger.Info("worker registered", "user_id", id)
 	p.writeJSON(w, http.StatusOK, wire.RegisterResponse{UserID: id})
@@ -148,7 +147,7 @@ func (p *Platform) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // returns a non-zero HTTP status and its error message instead. Callers
 // hold p.mu.
 func (p *Platform) submitLocked(req *wire.SubmitRequest) (resp wire.SubmitResponse, round, status int, msg string) {
-	if _, known := p.workers[req.UserID]; !known {
+	if !p.knownLocked(req.UserID) {
 		return resp, 0, http.StatusNotFound, fmt.Sprintf("unknown worker %d", req.UserID)
 	}
 	if p.done {
@@ -158,7 +157,7 @@ func (p *Platform) submitLocked(req *wire.SubmitRequest) (resp wire.SubmitRespon
 		return resp, 0, http.StatusConflict, fmt.Sprintf("stale round %d, current is %d", req.Round, p.round)
 	}
 	if req.Location.IsFinite() {
-		p.workers[req.UserID] = req.Location
+		p.workers[req.UserID-1] = req.Location
 	}
 
 	board := p.eng.Board()
@@ -248,7 +247,7 @@ func (p *Platform) handlePlan(w http.ResponseWriter, r *http.Request) {
 	}
 
 	p.mu.Lock()
-	if _, known := p.workers[req.UserID]; !known {
+	if !p.knownLocked(req.UserID) {
 		p.mu.Unlock()
 		p.writeError(w, http.StatusNotFound, "unknown worker %d", req.UserID)
 		return
@@ -258,7 +257,7 @@ func (p *Platform) handlePlan(w http.ResponseWriter, r *http.Request) {
 		p.writeError(w, http.StatusConflict, "campaign is done")
 		return
 	}
-	p.workers[req.UserID] = req.Location
+	p.workers[req.UserID-1] = req.Location
 	round := p.round
 	// The candidate buffer is per-request (nil, so ProblemInto allocates):
 	// the problem escapes the lock and must not share engine scratch.
@@ -353,7 +352,7 @@ func (p *Platform) handleReputation(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	p.mu.Lock()
-	_, known := p.workers[id]
+	known := p.knownLocked(id)
 	score := p.cfg.Reputation.Score(id)
 	obs := p.cfg.Reputation.Observations(id)
 	p.mu.Unlock()

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"slices"
 	"sync"
 
 	"paydemand/internal/aggregate"
@@ -103,17 +102,15 @@ type Platform struct {
 	// mutation.
 	eng *engine.Engine
 
-	mu      sync.Mutex
-	round   int
-	done    bool
-	workers map[int]geo.Point // worker id -> last known location
-	nextID  int
-	// locBuf is the grow-only worker-location scratch fed to the engine's
-	// reprice, assembled in ascending worker-ID order so the bid a
-	// mechanism sees for worker index i is a deterministic function of
-	// the registered fleet. idBuf is the matching grow-only ID scratch.
-	locBuf []geo.Point
-	idBuf  []int
+	mu    sync.Mutex
+	round int
+	done  bool
+	// workers holds each registered worker's last known location, worker
+	// id at index id-1: ids are handed out 1, 2, ... and never freed. It
+	// is the engine's reprice input as it stands, so the bid a mechanism
+	// sees for worker index i is a deterministic function of the
+	// registered fleet.
+	workers []geo.Point
 	// repriceErr is the error of the last failed reprice, cleared on
 	// success. While set, the engine publishes no rewards (it unpublishes
 	// on error) and GET /v1/round reports the failure instead of silently
@@ -179,7 +176,6 @@ func New(cfg Config) (*Platform, error) {
 		planners: selection.NewSolverPool(planner),
 		eng:      eng,
 		round:    1,
-		workers:  make(map[int]geo.Point),
 		contribs: make(map[task.ID][]reputation.Contribution),
 	}
 	p.mux = http.NewServeMux()
@@ -224,19 +220,13 @@ func (p *Platform) repriceLocked() error {
 		p.repriceErr = nil
 		return nil
 	}
-	ids := p.idBuf[:0]
-	for id := range p.workers {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	p.idBuf = ids
-	p.locBuf = p.locBuf[:0]
-	for _, id := range ids {
-		p.locBuf = append(p.locBuf, p.workers[id])
-	}
-	p.repriceErr = p.eng.Reprice(p.locBuf)
+	p.repriceErr = p.eng.Reprice(p.workers)
 	return p.repriceErr
 }
+
+// knownLocked reports whether id is a registered worker. Callers hold
+// p.mu.
+func (p *Platform) knownLocked(id int) bool { return id >= 1 && id <= len(p.workers) }
 
 // Reprice recomputes the current round's rewards over the currently
 // registered workers. The constructor and Advance reprice automatically;

@@ -22,9 +22,11 @@ type Snapshot struct {
 	Round int `json:"round"`
 	// Done reports a finished campaign.
 	Done bool `json:"done"`
-	// NextWorkerID continues worker ID assignment.
+	// NextWorkerID is the last worker ID handed out; the next register
+	// gets NextWorkerID+1.
 	NextWorkerID int `json:"next_worker_id"`
-	// Workers maps worker IDs to their last known locations.
+	// Workers maps worker IDs, exactly 1..NextWorkerID, to their last
+	// known locations.
 	Workers map[int]geo.Point `json:"workers"`
 	// Board is the task progress.
 	Board task.BoardSnapshot `json:"board"`
@@ -43,17 +45,16 @@ func (p *Platform) Snapshot() Snapshot {
 		Version:       snapshotVersion,
 		Round:         p.round,
 		Done:          p.done,
-		NextWorkerID:  p.nextID,
+		NextWorkerID:  len(p.workers),
 		Workers:       make(map[int]geo.Point, len(p.workers)),
 		Board:         p.eng.Board().Snapshot(),
 		Contributions: make(map[task.ID][]reputation.Contribution, len(p.contribs)),
 	}
-	// Map-to-map copies are order-independent, and encoding/json sorts map
-	// keys when the snapshot is serialized.
-	//paylint:sorted map-to-map copy; destination is a map, so insertion order is immaterial
-	for id, loc := range p.workers {
-		snap.Workers[id] = loc
+	for i, loc := range p.workers {
+		snap.Workers[i+1] = loc
 	}
+	// A map-to-map copy is order-independent, and encoding/json sorts map
+	// keys when the snapshot is serialized.
 	//paylint:sorted map-to-map copy; destination is a map, so insertion order is immaterial
 	for id, cs := range p.contribs {
 		snap.Contributions[id] = append([]reputation.Contribution(nil), cs...)
@@ -64,8 +65,8 @@ func (p *Platform) Snapshot() Snapshot {
 // Restore replaces the platform's campaign state with the snapshot and
 // reprices the current round. The platform must have been constructed
 // with the same task set: every snapshot task must match the configured
-// task field for field, and no contribution may be dated after the
-// snapshot's round.
+// task field for field, no contribution may be dated after the
+// snapshot's round, and the worker IDs must be exactly 1..NextWorkerID.
 func (p *Platform) Restore(snap Snapshot) error {
 	if snap.Version != snapshotVersion {
 		return fmt.Errorf("server: snapshot version %d, want %d", snap.Version, snapshotVersion)
@@ -80,6 +81,17 @@ func (p *Platform) Restore(snap Snapshot) error {
 					ts.Task.ID, c.Round, snap.Round)
 			}
 		}
+	}
+	if len(snap.Workers) != snap.NextWorkerID {
+		return fmt.Errorf("server: snapshot has %d workers, want ids 1..%d", len(snap.Workers), snap.NextWorkerID)
+	}
+	workers := make([]geo.Point, len(snap.Workers))
+	for i := range workers {
+		loc, ok := snap.Workers[i+1]
+		if !ok {
+			return fmt.Errorf("server: snapshot lacks worker %d of 1..%d", i+1, snap.NextWorkerID)
+		}
+		workers[i] = loc
 	}
 	board, err := task.RestoreBoard(snap.Board)
 	if err != nil {
@@ -103,12 +115,7 @@ func (p *Platform) Restore(snap Snapshot) error {
 	p.eng.SetBoard(board)
 	p.round = snap.Round
 	p.done = snap.Done
-	p.nextID = snap.NextWorkerID
-	p.workers = make(map[int]geo.Point, len(snap.Workers))
-	//paylint:sorted map-to-map copy; destination is a map, so insertion order is immaterial
-	for id, loc := range snap.Workers {
-		p.workers[id] = loc
-	}
+	p.workers = workers
 	p.contribs = make(map[task.ID][]reputation.Contribution, len(snap.Contributions))
 	//paylint:sorted map-to-map copy; destination is a map, so insertion order is immaterial
 	for id, cs := range snap.Contributions {

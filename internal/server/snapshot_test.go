@@ -158,6 +158,46 @@ func TestRestoreRejectsRewrittenTasks(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsWorkerIDGaps: worker IDs are handed out 1, 2, ...
+// and never freed, so a snapshot's registry must hold exactly the IDs
+// 1..next_worker_id. Otherwise the next register would hand out an ID
+// already in use, or a registered worker would have none.
+func TestRestoreRejectsWorkerIDGaps(t *testing.T) {
+	base := testPlatform(t)
+	runSomeCampaign(t, base)
+	cases := []struct {
+		name   string
+		mutate func(snap *Snapshot)
+	}{
+		{"next id behind", func(snap *Snapshot) { snap.NextWorkerID = 0 }},
+		{"next id ahead", func(snap *Snapshot) { snap.NextWorkerID = 3 }},
+		{"negative next id", func(snap *Snapshot) { snap.NextWorkerID = -1 }},
+		{"missing worker", func(snap *Snapshot) { delete(snap.Workers, 1) }},
+		{"id past next", func(snap *Snapshot) { snap.Workers[3] = geo.Pt(5, 5) }},
+		{"id zero", func(snap *Snapshot) {
+			delete(snap.Workers, 2)
+			snap.Workers[0] = geo.Pt(5, 5)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			snap := base.Snapshot()
+			if snap.NextWorkerID != 2 || len(snap.Workers) != 2 {
+				t.Fatalf("base snapshot registry %v, next id %d; want workers 1..2", snap.Workers, snap.NextWorkerID)
+			}
+			tc.mutate(&snap)
+			p := testPlatform(t)
+			before := p.Snapshot()
+			if err := p.Restore(snap); err == nil {
+				t.Fatal("snapshot with a broken worker registry restored")
+			}
+			if after := p.Snapshot(); !reflect.DeepEqual(after, before) {
+				t.Errorf("rejected restore changed the platform:\n got %+v\nwant %+v", after, before)
+			}
+		})
+	}
+}
+
 func TestReadSnapshotGarbage(t *testing.T) {
 	if _, err := ReadSnapshot(strings.NewReader("{broken")); err == nil {
 		t.Error("garbage snapshot parsed")

@@ -214,12 +214,6 @@ func (s *Simulation) Board() *task.Board { return s.board }
 // Users exposes the user population (read-only use expected).
 func (s *Simulation) Users() []*agent.User { return s.users }
 
-// Mechanism exposes the incentive mechanism under test.
-func (s *Simulation) Mechanism() incentive.Mechanism { return s.mech }
-
-// Scenario exposes the generated scenario.
-func (s *Simulation) Scenario() workload.Scenario { return s.scenario }
-
 // rounds resolves the configured horizon.
 func (s *Simulation) rounds() int {
 	if s.cfg.Rounds > 0 {

@@ -2,9 +2,7 @@ package sim
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
-	"log/slog"
 
 	"paydemand/internal/metrics"
 	"paydemand/internal/selection"
@@ -79,60 +77,4 @@ func (t *TraceObserver) UserPlanned(round, userID int, p selection.Problem, plan
 // RoundEnd implements Observer.
 func (t *TraceObserver) RoundEnd(round int, stats metrics.RoundStats) {
 	t.emit(TraceEvent{Kind: "round_end", Round: round, Stats: &stats})
-}
-
-// LogObserver narrates round progress through a slog.Logger, for humans
-// watching a long simulation.
-type LogObserver struct {
-	BaseObserver
-	logger *slog.Logger
-}
-
-var _ Observer = (*LogObserver)(nil)
-
-// NewLogObserver logs round summaries to logger (nil means slog.Default).
-func NewLogObserver(logger *slog.Logger) *LogObserver {
-	if logger == nil {
-		logger = slog.Default()
-	}
-	return &LogObserver{logger: logger}
-}
-
-// RoundEnd implements Observer.
-func (l *LogObserver) RoundEnd(round int, stats metrics.RoundStats) {
-	l.logger.Info("round complete",
-		"round", round,
-		"open_tasks", stats.OpenTasks,
-		"active_users", stats.ActiveUsers,
-		"new_measurements", stats.NewMeasurements,
-		"coverage", fmt.Sprintf("%.1f%%", stats.Coverage*100),
-		"completeness", fmt.Sprintf("%.1f%%", stats.Completeness*100),
-		"reward_paid", fmt.Sprintf("%.2f", stats.RewardPaid),
-	)
-}
-
-// MultiObserver fans events out to several observers in order.
-type MultiObserver []Observer
-
-var _ Observer = MultiObserver{}
-
-// RoundStart implements Observer.
-func (m MultiObserver) RoundStart(round int, rewards map[task.ID]float64) {
-	for _, o := range m {
-		o.RoundStart(round, rewards)
-	}
-}
-
-// UserPlanned implements Observer.
-func (m MultiObserver) UserPlanned(round, userID int, p selection.Problem, plan selection.Plan) {
-	for _, o := range m {
-		o.UserPlanned(round, userID, p, plan)
-	}
-}
-
-// RoundEnd implements Observer.
-func (m MultiObserver) RoundEnd(round int, stats metrics.RoundStats) {
-	for _, o := range m {
-		o.RoundEnd(round, stats)
-	}
 }

@@ -4,11 +4,8 @@ import (
 	"bufio"
 	"encoding/json"
 	"errors"
-	"log/slog"
 	"strings"
 	"testing"
-
-	"paydemand/internal/metrics"
 )
 
 func TestTraceObserverEmitsValidJSONL(t *testing.T) {
@@ -75,51 +72,6 @@ func TestTraceObserverSkipEmptyPlans(t *testing.T) {
 		if ev.Kind == "user_planned" && (ev.Plan == nil || ev.Plan.Empty()) {
 			t.Fatal("empty plan event not skipped")
 		}
-	}
-}
-
-func TestLogObserver(t *testing.T) {
-	s, err := New(smallConfig(), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	logger := slog.New(slog.NewTextHandler(&sb, nil))
-	res, err := s.Run(NewLogObserver(logger))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if got := strings.Count(out, "round complete"); got != res.RoundsRun {
-		t.Errorf("%d log lines for %d rounds", got, res.RoundsRun)
-	}
-	if !strings.Contains(out, "coverage=") {
-		t.Errorf("log missing coverage: %s", out)
-	}
-}
-
-func TestLogObserverNilLogger(t *testing.T) {
-	// Must not panic; uses the default logger.
-	o := NewLogObserver(nil)
-	o.RoundEnd(1, metrics.RoundStats{Round: 1})
-}
-
-func TestMultiObserver(t *testing.T) {
-	s, err := New(smallConfig(), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := &recordingObserver{}
-	b := &recordingObserver{}
-	res, err := s.Run(MultiObserver{a, b})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.roundEnds) != res.RoundsRun || len(b.roundEnds) != res.RoundsRun {
-		t.Errorf("fan-out wrong: %d / %d for %d rounds", len(a.roundEnds), len(b.roundEnds), res.RoundsRun)
-	}
-	if len(a.roundStarts) == 0 || a.plans == 0 || b.plans != a.plans {
-		t.Error("fan-out missed events")
 	}
 }
 

@@ -48,9 +48,6 @@ func SampleVariance(xs []float64) float64 {
 	return s / float64(len(xs)-1)
 }
 
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
 // interpolation between order statistics (the common "type 7" estimator).
 // It returns 0 for an empty slice and clamps q into [0, 1].
@@ -196,6 +193,3 @@ func (r *Running) Variance() float64 {
 	}
 	return r.m2 / float64(r.n)
 }
-
-// StdDev returns the running population standard deviation.
-func (r *Running) StdDev() float64 { return math.Sqrt(r.Variance()) }

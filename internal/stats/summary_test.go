@@ -64,12 +64,6 @@ func TestVarianceNonNegativeProperty(t *testing.T) {
 	}
 }
 
-func TestStdDev(t *testing.T) {
-	if got := StdDev([]float64{0, 0, 4, 4}); got != 2 {
-		t.Errorf("StdDev = %v, want 2", got)
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	xs := []float64{4, 1, 3, 2} // unsorted on purpose
 	tests := []struct {
@@ -215,9 +209,6 @@ func TestRunningMatchesBatch(t *testing.T) {
 	}
 	if math.Abs(r.Variance()-Variance(xs)) > 1e-9 {
 		t.Errorf("running variance %v != batch %v", r.Variance(), Variance(xs))
-	}
-	if math.Abs(r.StdDev()-StdDev(xs)) > 1e-9 {
-		t.Errorf("running stddev %v != batch %v", r.StdDev(), StdDev(xs))
 	}
 }
 

@@ -1,9 +1,6 @@
 package task
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Board holds the state of every task in one simulation and provides the
 // per-round views the platform needs: the open task set, aggregate progress
@@ -84,16 +81,6 @@ func (b *Board) TotalReceived() int {
 	return total
 }
 
-// TotalReceivedAt returns the measurements received during round k across
-// all tasks (Fig. 8(b)'s per-round series).
-func (b *Board) TotalReceivedAt(round int) int {
-	total := 0
-	for _, s := range b.states {
-		total += s.ReceivedAt(round)
-	}
-	return total
-}
-
 // TotalRewardPaid returns the total rewards paid across all tasks.
 func (b *Board) TotalRewardPaid() float64 {
 	total := 0.0
@@ -118,55 +105,21 @@ func (b *Board) Coverage() float64 {
 	return float64(covered) / float64(len(b.states))
 }
 
-// CoverageBy returns the coverage counting only measurements received in
-// rounds 1..k, for the per-round coverage series of Fig. 6(b).
-func (b *Board) CoverageBy(round int) float64 {
-	if len(b.states) == 0 {
-		return 1
-	}
-	covered := 0
-	for _, s := range b.states {
-		if s.ReceivedBy(round) > 0 {
-			covered++
-		}
-	}
-	return float64(covered) / float64(len(b.states))
-}
-
 // OverallCompleteness returns the mean over tasks of the completing
 // progress capped at 1, counting only measurements received by each task's
 // deadline (Section VI-C: "how good of task completeness before their
 // deadlines"). Boards with no tasks have completeness 1.
+//
+// Every received measurement counts: Record refuses any round past the
+// task's deadline, restored contributions included, so a task never
+// holds a measurement made after it.
 func (b *Board) OverallCompleteness() float64 {
 	if len(b.states) == 0 {
 		return 1
 	}
 	sum := 0.0
 	for _, s := range b.states {
-		p := float64(s.ReceivedBy(s.Deadline)) / float64(s.Required)
-		if p > 1 {
-			p = 1
-		}
-		sum += p
-	}
-	return sum / float64(len(b.states))
-}
-
-// OverallCompletenessBy returns OverallCompleteness counting only
-// measurements in rounds 1..k and only deadlines up to k, with tasks whose
-// deadline is after k measured by their progress so far. This gives the
-// per-round series of Fig. 7(b).
-func (b *Board) OverallCompletenessBy(round int) float64 {
-	if len(b.states) == 0 {
-		return 1
-	}
-	sum := 0.0
-	for _, s := range b.states {
-		cutoff := s.Deadline
-		if round < cutoff {
-			cutoff = round
-		}
-		p := float64(s.ReceivedBy(cutoff)) / float64(s.Required)
+		p := float64(s.received) / float64(s.Required)
 		if p > 1 {
 			p = 1
 		}
@@ -208,16 +161,6 @@ func (b *Board) AverageRewardPerMeasurement() float64 {
 		return 0
 	}
 	return b.TotalRewardPaid() / float64(n)
-}
-
-// IDs returns the sorted task IDs.
-func (b *Board) IDs() []ID {
-	ids := make([]ID, 0, len(b.byID))
-	for id := range b.byID {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }
 
 // MaxDeadline returns the largest deadline on the board, or 0 if empty.

@@ -47,10 +47,6 @@ func TestBoardAccessors(t *testing.T) {
 	if b.Get(99) != nil {
 		t.Error("Get(99) non-nil")
 	}
-	ids := b.IDs()
-	if len(ids) != 3 || ids[0] != 1 || ids[2] != 3 {
-		t.Errorf("IDs = %v", ids)
-	}
 	if b.MaxDeadline() != 10 {
 		t.Errorf("MaxDeadline = %d", b.MaxDeadline())
 	}
@@ -95,12 +91,6 @@ func TestBoardCoverage(t *testing.T) {
 	if b.Coverage() != 1 {
 		t.Errorf("Coverage = %v, want 1", b.Coverage())
 	}
-	if got := b.CoverageBy(1); math.Abs(got-1.0/3) > 1e-12 {
-		t.Errorf("CoverageBy(1) = %v, want 1/3", got)
-	}
-	if got := b.CoverageBy(2); got != 1 {
-		t.Errorf("CoverageBy(2) = %v, want 1", got)
-	}
 }
 
 func TestBoardCompleteness(t *testing.T) {
@@ -119,24 +109,6 @@ func TestBoardCompleteness(t *testing.T) {
 	}
 }
 
-func TestBoardOverallCompletenessBy(t *testing.T) {
-	b := testBoard(t)
-	_ = b.Get(3).Record(1, 2, 0.5) // complete at round 2
-	_ = b.Get(1).Record(1, 4, 0.5) // half at round 4
-	// At round 1: nothing received yet.
-	if got := b.OverallCompletenessBy(1); got != 0 {
-		t.Errorf("OverallCompletenessBy(1) = %v", got)
-	}
-	// At round 2: task 3 complete, others zero.
-	if got := b.OverallCompletenessBy(2); math.Abs(got-1.0/3) > 1e-12 {
-		t.Errorf("OverallCompletenessBy(2) = %v, want 1/3", got)
-	}
-	// At round 10: task3=1, task1=0.5, task2=0.
-	if got := b.OverallCompletenessBy(10); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("OverallCompletenessBy(10) = %v, want 0.5", got)
-	}
-}
-
 func TestBoardMeasurementAccounting(t *testing.T) {
 	b := testBoard(t)
 	_ = b.Get(1).Record(1, 1, 0.5)
@@ -144,9 +116,6 @@ func TestBoardMeasurementAccounting(t *testing.T) {
 	_ = b.Get(2).Record(1, 2, 1.0)
 	if b.TotalReceived() != 3 {
 		t.Errorf("TotalReceived = %d", b.TotalReceived())
-	}
-	if b.TotalReceivedAt(1) != 2 || b.TotalReceivedAt(2) != 1 {
-		t.Errorf("TotalReceivedAt: %d, %d", b.TotalReceivedAt(1), b.TotalReceivedAt(2))
 	}
 	if b.TotalRewardPaid() != 3.0 {
 		t.Errorf("TotalRewardPaid = %v", b.TotalRewardPaid())

@@ -96,13 +96,12 @@ func decodeRound(b1, b2 byte, deadline int) int {
 
 // FuzzTaskRoundCounts drives random Record sequences — out-of-order
 // rounds, rejected records, deadlines up to math.MaxInt — through a
-// two-task board and holds every per-round query to a map model:
-// ReceivedAt, ReceivedBy, Board.TotalReceivedAt, CoverageBy,
-// OverallCompletenessBy and OverallCompleteness, and after every
-// operation the contributor queries (checkContributors). The board must survive
-// a Snapshot → RestoreBoard round trip exactly, and restoring a board
-// with contributions at huge rounds must allocate in proportion to the
-// contributions, not to the round numbers.
+// two-task board and, after every operation, holds the contributor
+// queries (checkContributors) to a map model and Coverage and
+// OverallCompleteness to the model's counts by each task's deadline.
+// The board must survive a Snapshot → RestoreBoard round trip exactly,
+// and restoring a board with contributions at huge rounds must allocate
+// in proportion to the contributions, not to the round numbers.
 func FuzzTaskRoundCounts(f *testing.F) {
 	f.Add(10, uint8(0x23), []byte{0, 0, 3, 1, 0, 1, 2, 0x80, 4, 0x81, 0x80, 0, 3, 0, 3, 4, 0xc0, 0})
 	f.Add(5, uint8(0x77), []byte{0, 0, 7, 0x81, 0, 1, 2, 0x80, 0, 3, 0xc0, 0, 4, 0, 0, 5, 0, 2})
@@ -124,7 +123,24 @@ func FuzzTaskRoundCounts(f *testing.F) {
 		for i, tk := range tasks {
 			models[i] = &countModel{task: tk, atRound: map[int]int{}, users: map[int]int{}}
 		}
-		queries := []int{math.MinInt, -1, 0, 1, 2, tasks[0].Deadline, tasks[1].Deadline, math.MaxInt}
+		check := func(b *Board) {
+			t.Helper()
+			covered := 0
+			sum := 0.0
+			for _, m := range models {
+				n := m.by(m.task.Deadline)
+				if n > 0 {
+					covered++
+				}
+				sum += math.Min(1, float64(n)/float64(m.task.Required))
+			}
+			if got, want := b.Coverage(), float64(covered)/float64(len(tasks)); got != want {
+				t.Fatalf("Coverage = %v, want %v", got, want)
+			}
+			if got, want := b.OverallCompleteness(), sum/float64(len(tasks)); got != want {
+				t.Fatalf("OverallCompleteness = %v, want %v", got, want)
+			}
+		}
 		for ; len(ops) >= 3; ops = ops[3:] {
 			ti := int(ops[0]>>7) % len(tasks)
 			user := fuzzUser(ops[0])
@@ -136,48 +152,8 @@ func FuzzTaskRoundCounts(f *testing.F) {
 			for i, m := range models {
 				checkContributors(t, b.Get(tasks[i].ID), m)
 			}
-			queries = append(queries, round-1, round, round+1)
+			check(b)
 		}
-
-		check := func(b *Board) {
-			t.Helper()
-			for _, k := range queries {
-				total := 0
-				covered := 0
-				sumBy := 0.0
-				for i, m := range models {
-					st := b.Get(tasks[i].ID)
-					if got, want := st.ReceivedAt(k), m.atRound[k]; got != want {
-						t.Fatalf("task %d ReceivedAt(%d) = %d, want %d", tasks[i].ID, k, got, want)
-					}
-					if got, want := st.ReceivedBy(k), m.by(k); got != want {
-						t.Fatalf("task %d ReceivedBy(%d) = %d, want %d", tasks[i].ID, k, got, want)
-					}
-					total += m.atRound[k]
-					if m.by(k) > 0 {
-						covered++
-					}
-					sumBy += math.Min(1, float64(m.by(min(k, m.task.Deadline)))/float64(m.task.Required))
-				}
-				if got := b.TotalReceivedAt(k); got != total {
-					t.Fatalf("TotalReceivedAt(%d) = %d, want %d", k, got, total)
-				}
-				if got, want := b.CoverageBy(k), float64(covered)/float64(len(tasks)); got != want {
-					t.Fatalf("CoverageBy(%d) = %v, want %v", k, got, want)
-				}
-				if got, want := b.OverallCompletenessBy(k), sumBy/float64(len(tasks)); got != want {
-					t.Fatalf("OverallCompletenessBy(%d) = %v, want %v", k, got, want)
-				}
-			}
-			sum := 0.0
-			for _, m := range models {
-				sum += math.Min(1, float64(m.by(m.task.Deadline))/float64(m.task.Required))
-			}
-			if got, want := b.OverallCompleteness(), sum/float64(len(tasks)); got != want {
-				t.Fatalf("OverallCompleteness = %v, want %v", got, want)
-			}
-		}
-		check(b)
 
 		snap := b.Snapshot()
 		huge := false

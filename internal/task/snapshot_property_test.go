@@ -58,21 +58,12 @@ func TestSnapshotRoundTripProperty(t *testing.T) {
 			restored.StrictCompleteness() != b.StrictCompleteness() {
 			t.Fatalf("trial %d: aggregate metrics differ", trial)
 		}
-		for k := 1; k <= 10; k++ {
-			if restored.TotalReceivedAt(k) != b.TotalReceivedAt(k) {
-				t.Fatalf("trial %d: round %d counts differ", trial, k)
-			}
-			if restored.CoverageBy(k) != b.CoverageBy(k) {
-				t.Fatalf("trial %d: CoverageBy(%d) differs", trial, k)
-			}
-		}
-		for _, id := range b.IDs() {
-			orig, rest := b.Get(id), restored.Get(id)
+		for _, orig := range b.States() {
+			rest := restored.Get(orig.ID)
 			if orig.Received() != rest.Received() ||
 				orig.CompletedRound() != rest.CompletedRound() ||
-				orig.FirstRound() != rest.FirstRound() ||
 				orig.Contributors() != rest.Contributors() {
-				t.Fatalf("trial %d task %d: per-task state differs", trial, id)
+				t.Fatalf("trial %d task %d: per-task state differs", trial, orig.ID)
 			}
 		}
 	}

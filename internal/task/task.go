@@ -9,7 +9,6 @@
 package task
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -64,25 +63,18 @@ type State struct {
 
 	received int
 	// contributors holds one entry per contributing user, in ascending
-	// user order, found by binary search like perRound's entries: a task
-	// may require many measurements. userBits has bit user&63 set for
-	// each of them, so a clear bit settles Contributed without the
-	// search: problem assembly asks it for every task within a user's
-	// reach, and mostly of tasks the user has not measured.
+	// user order, found by binary search: a task may require many
+	// measurements. userBits has bit user&63 set for each of them, so a
+	// clear bit settles Contributed without the search: problem assembly
+	// asks it for every task within a user's reach, and mostly of tasks
+	// the user has not measured.
 	contributors []contribution
 	userBits     uint64
-	// perRound holds one entry per round with a recorded measurement, in
-	// ascending round order. It is never indexed by round number: a
-	// restored snapshot may carry a contribution at any round up to a
-	// deadline as large as Validate allows.
-	perRound []roundCount
 	// rewardPaid is the total reward paid out for this task so far.
 	rewardPaid float64
 	// completedRound is the round at which the task reached Required
 	// measurements, or 0 if not yet complete.
 	completedRound int
-	// firstRound is the round of the first received measurement, or 0.
-	firstRound int
 }
 
 // NewState returns fresh mutable state for the task.
@@ -98,31 +90,11 @@ type contribution struct {
 	user, round int
 }
 
-// roundCount is the number of measurements recorded during one round.
-type roundCount struct {
-	round, n int
-}
-
 // Received returns the number of measurements received so far (pi_i).
 func (s *State) Received() int { return s.received }
 
-// Progress returns the completing progress pi_i / phi_i in [0, 1].
-func (s *State) Progress() float64 {
-	p := float64(s.received) / float64(s.Required)
-	if p > 1 {
-		p = 1
-	}
-	return p
-}
-
 // Complete reports whether the task has all required measurements.
 func (s *State) Complete() bool { return s.received >= s.Required }
-
-// ExpiredAt reports whether the task's deadline has passed at round k
-// without completion.
-func (s *State) ExpiredAt(round int) bool {
-	return !s.Complete() && round > s.Deadline
-}
 
 // OpenAt reports whether the task accepts measurements at round k: it is
 // not complete and its deadline has not passed. Open tasks are the ones the
@@ -186,59 +158,11 @@ func (s *State) Record(user, round int, reward float64) error {
 	s.contributors = slices.Insert(s.contributors, i, contribution{user: user, round: round})
 	s.userBits |= userBit(user)
 	s.received++
-	s.countAt(round)
 	s.rewardPaid += reward
-	if s.firstRound == 0 {
-		s.firstRound = round
-	}
 	if s.received >= s.Required {
 		s.completedRound = round
 	}
 	return nil
-}
-
-// countAt adds one measurement to round's entry of perRound, inserting
-// the entry in round order when it is new.
-func (s *State) countAt(round int) {
-	i, found := s.findRound(round)
-	if found {
-		s.perRound[i].n++
-		return
-	}
-	s.perRound = slices.Insert(s.perRound, i, roundCount{round: round, n: 1})
-}
-
-// findRound returns the position of round's entry in perRound, or where
-// it would be inserted, and whether it is present.
-func (s *State) findRound(round int) (int, bool) {
-	return slices.BinarySearchFunc(s.perRound, round, func(rc roundCount, k int) int {
-		return cmp.Compare(rc.round, k)
-	})
-}
-
-// ReceivedAt returns the number of measurements recorded during round k.
-func (s *State) ReceivedAt(round int) int {
-	if i, found := s.findRound(round); found {
-		return s.perRound[i].n
-	}
-	return 0
-}
-
-// ReceivedBy returns the cumulative number of measurements recorded in
-// rounds 1..k. At or past the last round with a measurement — every
-// per-round stats call of a campaign — that is all of them.
-func (s *State) ReceivedBy(round int) int {
-	if last := len(s.perRound) - 1; last < 0 || round >= s.perRound[last].round {
-		return s.received
-	}
-	total := 0
-	for _, rc := range s.perRound {
-		if rc.round > round {
-			break
-		}
-		total += rc.n
-	}
-	return total
 }
 
 // RewardPaid returns the total reward paid for this task's measurements.
@@ -246,9 +170,6 @@ func (s *State) RewardPaid() float64 { return s.rewardPaid }
 
 // CompletedRound returns the round at which the task completed, or 0.
 func (s *State) CompletedRound() int { return s.completedRound }
-
-// FirstRound returns the round of the first measurement, or 0 if none.
-func (s *State) FirstRound() int { return s.firstRound }
 
 // Covered reports whether the task has received at least one measurement,
 // the paper's coverage criterion.

@@ -62,11 +62,8 @@ func TestRecordLifecycle(t *testing.T) {
 	if err := s.Record(1, 1, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	if !s.Covered() || s.Received() != 1 || s.FirstRound() != 1 {
-		t.Errorf("after first record: received=%d first=%d", s.Received(), s.FirstRound())
-	}
-	if got := s.Progress(); math.Abs(got-1.0/3) > 1e-12 {
-		t.Errorf("Progress = %v, want 1/3", got)
+	if !s.Covered() || s.Received() != 1 {
+		t.Errorf("after first record: received=%d", s.Received())
 	}
 	if err := s.Record(2, 2, 0.5); err != nil {
 		t.Fatal(err)
@@ -130,49 +127,15 @@ func TestOpenExpired(t *testing.T) {
 	if s.OpenAt(11) || s.OpenAt(0) {
 		t.Error("task open outside deadline/round range")
 	}
-	if s.ExpiredAt(10) {
-		t.Error("expired at its deadline round")
-	}
-	if !s.ExpiredAt(11) {
-		t.Error("not expired past deadline")
-	}
-	// Completed tasks never expire.
+	// Completed tasks close before their deadline.
 	spec := validTask()
 	spec.Required = 1
 	done := mustState(t, spec)
 	if err := done.Record(1, 1, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	if done.ExpiredAt(99) {
-		t.Error("completed task reported expired")
-	}
 	if done.OpenAt(5) {
 		t.Error("completed task reported open")
-	}
-}
-
-func TestReceivedAtBy(t *testing.T) {
-	s := mustState(t, Task{ID: 1, Location: geo.Pt(0, 0), Deadline: 10, Required: 10})
-	_ = s.Record(1, 1, 0)
-	_ = s.Record(2, 1, 0)
-	_ = s.Record(3, 4, 0)
-	if s.ReceivedAt(1) != 2 || s.ReceivedAt(2) != 0 || s.ReceivedAt(4) != 1 {
-		t.Errorf("ReceivedAt: %d %d %d", s.ReceivedAt(1), s.ReceivedAt(2), s.ReceivedAt(4))
-	}
-	if s.ReceivedBy(1) != 2 || s.ReceivedBy(3) != 2 || s.ReceivedBy(4) != 3 {
-		t.Errorf("ReceivedBy: %d %d %d", s.ReceivedBy(1), s.ReceivedBy(3), s.ReceivedBy(4))
-	}
-}
-
-func TestProgressCapped(t *testing.T) {
-	s := mustState(t, validTask())
-	for u := 1; u <= 3; u++ {
-		if err := s.Record(u, 1, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if s.Progress() != 1 {
-		t.Errorf("Progress = %v", s.Progress())
 	}
 }
 
