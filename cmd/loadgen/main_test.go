@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 	"time"
 
@@ -20,55 +21,90 @@ import (
 )
 
 // TestLoadgenSmoke self-hosts a platform and runs a short closed loop in
-// each codec: 20 rounds must complete with zero protocol errors and real
-// plan/submit traffic, and the JSON report must parse. This is the `make
-// loadgen-smoke` CI gate. The tasks are spread thin (200 in a 10 km
-// square, against a 1.2 km walk per round), so workers keep finding
-// tasks only by walking their plans: at least half the plans must end in
-// a submit. Workers that stayed where they registered submitted on about
-// a quarter of them.
+// each codec on two boards. Every run must complete its rounds with zero
+// protocol errors, a parseable JSON report and accepted submits in every
+// quarter of its rounds, the last included.
+//
+// The thin board spreads 200 tasks over a 10 km square, against a 1.2 km
+// walk per round, so workers keep finding tasks only by walking their
+// plans: at least half the plans must end in a submit. Workers that
+// stayed where they registered submitted on about a quarter of them.
+//
+// The small board is `make loadgen-smoke`'s: 25 workers and 10 tasks in
+// a 2 km square. A worker contributes to each task once, so the fleet
+// runs out of work within about six rounds, and the run must start fresh
+// campaigns to keep submitting; without them it made 114 submits in
+// about 7,500 plans over 300 rounds. Each campaign ends in rounds where
+// few workers still find a task, so about 36% of its plans are empty,
+// and more under the race detector's slowdown: it has no share bound.
 func TestLoadgenSmoke(t *testing.T) {
+	boards := []struct {
+		name        string
+		args        []string
+		rounds      int64
+		campaigns   int     // at least
+		submitShare float64 // of the plans, at least
+	}{
+		{"thin", []string{"-workers", "8", "-tasks", "200", "-area", "10000"}, 20, 1, 0.5},
+		{"small", []string{"-workers", "25", "-tasks", "10"}, 40, 2, 0},
+	}
 	for _, codec := range []string{"json", "tlv"} {
 		t.Run("codec="+codec, func(t *testing.T) {
-			outPath := filepath.Join(t.TempDir(), "report.json")
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
-			var buf bytes.Buffer
-			err := run(ctx, []string{
-				"-workers", "8",
-				"-tasks", "200",
-				"-area", "10000",
-				"-codec", codec,
-				"-duration", "1ms",
-				"-min-rounds", "20",
-				"-advance-after", "50ms",
-				"-out", outPath,
-			}, &buf)
-			if err != nil {
-				t.Fatalf("run: %v\n%s", err, buf.String())
-			}
-			data, err := os.ReadFile(outPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var rep report
-			if err := json.Unmarshal(data, &rep); err != nil {
-				t.Fatalf("report not JSON: %v\n%s", err, data)
-			}
-			if rep.Rounds < 20 {
-				t.Errorf("rounds = %d, want >= 20", rep.Rounds)
-			}
-			if rep.Errors != 0 {
-				t.Errorf("protocol errors = %d", rep.Errors)
-			}
-			if rep.Plans == 0 || 2*rep.Submits < rep.Plans {
-				t.Errorf("workers ran out of tasks: %d submits for %d plans, want at least half", rep.Submits, rep.Plans)
-			}
-			if rep.Latency["poll"].Count == 0 {
-				t.Error("empty poll histogram")
-			}
-			if rep.Codec != codec {
-				t.Errorf("report codec %q", rep.Codec)
+			for _, board := range boards {
+				t.Run(board.name, func(t *testing.T) {
+					outPath := filepath.Join(t.TempDir(), "report.json")
+					ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+					defer cancel()
+					var buf bytes.Buffer
+					err := run(ctx, append([]string{
+						"-codec", codec,
+						"-duration", "1ms",
+						"-min-rounds", strconv.FormatInt(board.rounds, 10),
+						"-advance-after", "50ms",
+						"-out", outPath,
+					}, board.args...), &buf)
+					if err != nil {
+						t.Fatalf("run: %v\n%s", err, buf.String())
+					}
+					data, err := os.ReadFile(outPath)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var rep report
+					if err := json.Unmarshal(data, &rep); err != nil {
+						t.Fatalf("report not JSON: %v\n%s", err, data)
+					}
+					if rep.Rounds < board.rounds {
+						t.Errorf("rounds = %d, want >= %d", rep.Rounds, board.rounds)
+					}
+					if rep.Errors != 0 {
+						t.Errorf("protocol errors = %d", rep.Errors)
+					}
+					if rep.Campaigns < board.campaigns {
+						t.Errorf("campaigns = %d, want >= %d", rep.Campaigns, board.campaigns)
+					}
+					for q, n := range rep.SubmitsByQuarter {
+						if n == 0 {
+							t.Errorf("no submits in quarter %d of the rounds: %v", q+1, rep.SubmitsByQuarter)
+						}
+					}
+					if rep.Plans == 0 || float64(rep.Submits) < board.submitShare*float64(rep.Plans) {
+						t.Errorf("workers ran out of tasks: %d submits for %d plans, want at least %v of them", rep.Submits, rep.Plans, board.submitShare)
+					}
+					if want := float64(rep.Plans-rep.Submits-rep.Conflicts) / float64(rep.Plans); rep.EmptyPlanShare != want {
+						t.Errorf("empty_plan_share = %v, want %v", rep.EmptyPlanShare, want)
+					}
+					// Every accepted submit carries at least one measurement.
+					if rep.Measurements < rep.Submits || rep.MeasurementsPerSec <= 0 {
+						t.Errorf("measurements = %d (%v/s) for %d submits", rep.Measurements, rep.MeasurementsPerSec, rep.Submits)
+					}
+					if rep.Latency["poll"].Count == 0 {
+						t.Error("empty poll histogram")
+					}
+					if rep.Codec != codec {
+						t.Errorf("report codec %q", rep.Codec)
+					}
+				})
 			}
 		})
 	}
@@ -139,6 +175,13 @@ func TestLoadgenRemotePlatform(t *testing.T) {
 	}
 	if rep.Tasks != open {
 		t.Errorf("report tasks = %d, want the platform's %d open tasks", rep.Tasks, open)
+	}
+	// A given platform is never swapped for a fresh one.
+	if rep.Campaigns != 1 {
+		t.Errorf("campaigns = %d, want 1", rep.Campaigns)
+	}
+	if got := p.Board().TotalReceived(); rep.Measurements != int64(got) {
+		t.Errorf("report measurements = %d, platform accepted %d", rep.Measurements, got)
 	}
 }
 

@@ -458,18 +458,19 @@ func (e *Engine) recount(userLocs []geo.Point) error {
 // path forced in turn, three runs each, measured:
 //
 //	moved  city update   city recount  paper update  paper recount
-//	0%     20-22 µs      -             0.5-0.6 µs    -
-//	1%     43-52 µs      1.5-1.6 ms    0.7-0.8 µs    4.0-5.4 µs
-//	6%     0.25-0.32 ms  1.7 ms        1.1-1.3 µs    4.1-4.2 µs
-//	10%    0.43-0.50 ms  1.7 ms        1.6-1.7 µs    3.1-3.8 µs
-//	15%    0.59-0.66 ms  1.5-1.6 ms    1.8-2.3 µs    3.4-4.6 µs
-//	25%    1.07-1.16 ms  1.5-1.7 ms    3.1-3.4 µs    3.3-4.3 µs
-//	40%    1.75-2.05 ms  1.4-1.6 ms    4.1-4.8 µs    3.9-5.3 µs
-//	50%    2.19-2.40 ms  1.5-1.7 ms    4.5-5.9 µs    4.1-4.6 µs
-//	100%   4.4-4.7 ms    1.6-1.7 ms    9.9-12.7 µs   3.8-4.6 µs
+//	0%     18-24 µs      -             0.5-0.6 µs    -
+//	1%     48-56 µs      0.71-0.91 ms  0.7-0.8 µs    3.8-4.6 µs
+//	6%     0.17-0.19 ms  0.80-0.94 ms  1.1-1.3 µs    3.8-4.4 µs
+//	10%    0.28-0.34 ms  0.80-0.97 ms  1.5-1.7 µs    3.7-4.6 µs
+//	15%    0.42-0.45 ms  0.81-0.91 ms  1.9-2.6 µs    3.9-4.9 µs
+//	25%    0.63-0.85 ms  0.88-1.11 ms  2.8-4.1 µs    4.4-5.3 µs
+//	40%    1.03-1.28 ms  0.86-1.10 ms  5.3-5.7 µs    4.4-5.9 µs
+//	50%    1.33-1.44 ms  0.86-0.89 ms  5.9-6.6 µs    4.4-5.5 µs
+//	100%   2.5-3.1 ms    0.86-0.95 ms  11.6-12.1 µs  4.9-6.3 µs
 //
 // City size is 2000 users and 1000 open tasks, paper size 100 users and
-// 20 tasks. At both sizes the costs cross near a third of the users.
+// 20 tasks. The costs cross near a third of the users: at about 30% at
+// city size and 40% at paper size.
 const movedShare = 0.35
 
 // shiftMoved brings the neighbor counts up to date for userLocs by

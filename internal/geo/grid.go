@@ -3,6 +3,7 @@ package geo
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // GridIndex is a uniform-grid spatial index over points in a bounded area.
@@ -196,21 +197,35 @@ func (g *GridIndex) CountWithin(center Point, r float64) int {
 		pts, _ := g.Run(row, c0, c1)
 		for _, p := range pts {
 			dx, dy := p.X-center.X, p.Y-center.Y
-			if within(dx, dy, dx*dx+dy*dy, r, lo, hi) {
-				count++
-			}
+			count += b2i(within(dx, dy, float64(dx*dx)+float64(dy*dy), r, lo, hi))
 		}
 	}
 	return count
 }
 
 // within is the pair predicate of every radius query: whether a point at
-// offset (dx, dy) from the query's center, d2 = dx*dx+dy*dy, lies
-// strictly within r, given the query's band (see band). CountWithin and
-// WithinInto both decide each pair with it, so they agree bit for bit.
-// It takes d2 from the caller because computing it here would put the
-// function past the inlining budget (math.Hypot alone takes most of it),
-// and a call per point would cost a query about three times its scan;
+// offset (dx, dy) from the query's center, d2 =
+// float64(dx*dx)+float64(dy*dy), lies strictly within r, given the
+// query's band (see band). CountWithin and WithinInto both decide each
+// pair with it, so they agree bit for bit. The conversions in d2 round
+// each square, so no architecture fuses the sum into a multiply-add.
+//
+// About half the pairs a query scans lie inside the disk, so a branch on
+// the answer would be mispredicted on every other pair. The answer is
+// data instead: the two comparisons become flags, and the one branch is
+// on whether they are equal. For lo <= hi at most one of d2 < lo and
+// d2 > hi holds; they are equal, both false, exactly when d2 lies in
+// [lo, hi] or is NaN, which a sane query's pairs almost never do (the
+// band is about 2e-9 of r² wide), so the branch is predicted. Outside
+// that the answer is the flag d2 < lo. So every pair is decided as by
+// the branchy d2 < lo || !(d2 > hi) && math.Hypot(dx, dy) < r: below lo
+// in, above hi out, and in the band or NaN the exact test. Outside the
+// sane range the band is [-1, +Inf], and every pair takes the exact test.
+//
+// It takes d2 from the caller, and keeps the exact test out of line in
+// withinExact, because either inside it would put the function past the
+// inlining budget (math.Hypot alone takes most of it), and a call per
+// point would cost a query about three times its scan;
 // `go build -gcflags=-m ./internal/geo` must report "can inline within".
 //
 // It is symmetric in the pair: swapping the two points negates dx and dy
@@ -219,28 +234,55 @@ func (g *GridIndex) CountWithin(center Point, r float64) int {
 // whether it is finite. So for two finite points a query around either
 // one decides the pair alike.
 func within(dx, dy, d2, r, lo, hi float64) bool {
-	return d2 < lo || !(d2 > hi) && math.Hypot(dx, dy) < r
+	if (d2 < lo) == (d2 > hi) {
+		return withinExact(dx, dy, r)
+	}
+	return d2 < lo
+}
+
+// withinExact is the paper's strict neighbor test, Dist < r, for the
+// pairs within's band cannot decide: a few in a billion in a sane query,
+// every pair outside the sane range.
+//
+//go:noinline
+func withinExact(dx, dy, r float64) bool { return math.Hypot(dx, dy) < r }
+
+// b2i is 1 for true and 0 for false. The compiler turns it into a flag
+// move (SETcc on amd64, CSET on arm64), not a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // WithinInto returns the indices (into the original point slice) of all
 // points strictly within radius r of center, in unspecified order,
-// appending into dst (reset to dst[:0] first) and following the repo's grow-only `...Into` convention: callers on hot
-// paths pass the previous query's slice back in and reach zero
-// steady-state allocations once the buffer has grown to the largest
-// result set. It decides every pair as CountWithin does, so a caller that
-// keeps counts up to date from its results agrees with a recount.
+// appending into dst (reset to dst[:0] first) and following the repo's
+// grow-only `...Into` convention: callers on hot paths pass the previous
+// query's slice back in and reach zero steady-state allocations once the
+// buffer has grown to the largest result set plus one cell run. It
+// decides every pair as CountWithin does, so a caller that keeps counts
+// up to date from its results agrees with a recount.
+//
+// The capacity is grown once per cell run, so every scanned index can be
+// stored; the cursor then moves on by within's 0 or 1, and the next
+// index overwrites a rejected one. The result is in scan order.
 func (g *GridIndex) WithinInto(dst []int, center Point, r float64) []int {
 	dst = dst[:0]
 	lo, hi := band(center, r)
 	c0, c1, r0, r1 := g.span(center, r)
 	for row := r0; row <= r1; row++ {
 		pts, idx := g.Run(row, c0, c1)
+		n := len(dst)
+		dst = slices.Grow(dst, len(pts))[:n+len(pts)]
+		idx = idx[:len(pts)]
 		for k, p := range pts {
 			dx, dy := p.X-center.X, p.Y-center.Y
-			if within(dx, dy, dx*dx+dy*dy, r, lo, hi) {
-				dst = append(dst, idx[k])
-			}
+			dst[n] = idx[k]
+			n += b2i(within(dx, dy, float64(dx*dx)+float64(dy*dy), r, lo, hi))
 		}
+		dst = dst[:n]
 	}
 	return dst
 }

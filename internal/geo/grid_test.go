@@ -203,6 +203,69 @@ func TestGridIndexWithinIntoMatchesWithin(t *testing.T) {
 	}
 }
 
+// withinIntoBranchy is WithinInto as it was before its pair test became
+// branch-free: it appends the index of each point the historical
+// predicate d2 < lo || !(d2 > hi) && Hypot(dx, dy) < r accepts, in scan
+// order.
+func withinIntoBranchy(g *GridIndex, dst []int, center Point, r float64) []int {
+	dst = dst[:0]
+	lo, hi := band(center, r)
+	c0, c1, r0, r1 := g.span(center, r)
+	for row := r0; row <= r1; row++ {
+		pts, idx := g.Run(row, c0, c1)
+		for k, p := range pts {
+			dx, dy := p.X-center.X, p.Y-center.Y
+			if d2 := float64(dx*dx) + float64(dy*dy); d2 < lo || !(d2 > hi) && math.Hypot(dx, dy) < r {
+				dst = append(dst, idx[k])
+			}
+		}
+	}
+	return dst
+}
+
+// TestGridIndexWithinIntoMatchesBranchy pins the branch-free WithinInto
+// to the branchy loop it replaced, order included (no sort), on grids
+// holding NaN and infinite points and for radii at the band's edges and
+// outside the sane range. Each query runs into a nil dst, an empty one
+// with no capacity, one whose capacity is smaller than one cell run, and
+// a reused buffer holding stale indices.
+func TestGridIndexWithinIntoMatchesBranchy(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	inf, nan := math.Inf(1), math.NaN()
+	bounds := Square(2000)
+	pts := randomPoints(rng, 600, bounds)
+	pts = append(pts, Pt(nan, 5), Pt(5, nan), Pt(inf, 5), Pt(5, -inf), Pt(inf, inf), Pt(-inf, nan), Pt(2500, -300))
+	g, err := NewGridIndex(bounds, 250, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reused := make([]int, 0, 4)
+	for q := 0; q < 200; q++ {
+		center := Pt(rng.Float64()*2400-200, rng.Float64()*2400-200)
+		if q%20 == 19 {
+			center = pts[rng.Intn(len(pts))] // possibly non-finite
+		}
+		edge := pts[rng.Intn(600)].Dist(center)
+		for _, r := range []float64{rng.Float64() * 900, edge, math.Nextafter(edge, -inf), math.Nextafter(edge, inf), 0, 1e-300, 1e300, inf, nan} {
+			want := withinIntoBranchy(g, nil, center, r)
+			reused = g.WithinInto(reused, center, r)
+			for name, got := range map[string][]int{
+				"nil":    g.WithinInto(nil, center, r),
+				"cap 0":  g.WithinInto(make([]int, 0), center, r),
+				"cap 1":  g.WithinInto(make([]int, 1), center, r),
+				"reused": reused,
+			} {
+				if !slices.Equal(got, want) {
+					t.Fatalf("WithinInto(%v, %v) into %s = %v, branchy loop %v", center, r, name, got, want)
+				}
+			}
+			if n := g.CountWithin(center, r); n != len(want) {
+				t.Fatalf("CountWithin(%v, %v) = %d, branchy loop finds %d", center, r, n, len(want))
+			}
+		}
+	}
+}
+
 func TestGridIndexWithinIntoReusesCapacity(t *testing.T) {
 	pts := []Point{Pt(1, 1), Pt(2, 2), Pt(3, 3)}
 	g, err := NewGridIndex(Square(100), 10, pts)
