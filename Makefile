@@ -6,7 +6,7 @@
 STATICCHECK_VERSION := 2025.1.1
 GOVULNCHECK_VERSION := v1.1.4
 
-.PHONY: all build test race cover lint fmt-check vet paylint lint-fixtures staticcheck govulncheck fuzz-smoke bench-check bench-smoke bench-wire bench-pairs loadgen-smoke paper-check ci
+.PHONY: all build test race cover lint fmt-check vet paylint lint-fixtures staticcheck govulncheck fuzz-smoke bench-check bench-smoke bench-wire bench-pairs loadgen-smoke examples-smoke paper-check ci
 
 all: build test
 
@@ -81,6 +81,12 @@ loadgen-smoke:
 	go run ./cmd/loadgen -workers 25 -tasks 10 -codec json -duration 2s -min-rounds 3 -advance-after 100ms
 	go run ./cmd/loadgen -workers 25 -tasks 10 -codec tlv -duration 2s -min-rounds 3 -advance-after 100ms
 
+# Runs every program under examples/ (each takes about a second) and
+# fails on the first non-zero exit; `go build` only checks that they
+# compile.
+examples-smoke:
+	@set -e; for d in examples/*/; do echo "go run ./$$d"; go run ./$$d >/dev/null; done
+
 # The benchmark module's own tests (bench/ is a separate module, so
 # `go test ./...` skips it): the mirror-vs-sim.Run equivalence, the
 # --seed 1 goldens, and BENCHMARK.json consistency.
@@ -122,4 +128,4 @@ paper-check:
 	cmp paper-check.out cmd/experiments/testdata/all-trials100-seed1.txt
 	rm -f paper-check.out
 
-ci: lint build test race bench-check fuzz-smoke bench-smoke loadgen-smoke paper-check
+ci: lint build test race bench-check fuzz-smoke bench-smoke loadgen-smoke examples-smoke paper-check

@@ -10,10 +10,12 @@ import (
 )
 
 // goldenTable is one population-sweep table of the committed paper
-// golden: the x values and one series per column.
+// golden: the x values and one series per column, and each printed row
+// as its fields in column order.
 type goldenTable struct {
 	x      []float64
 	series map[string][]float64
+	rows   [][]string
 }
 
 // readGoldenTables parses every "== id: title ==" section's table out of
@@ -64,6 +66,7 @@ func readGoldenTables(t *testing.T, path string) map[string]goldenTable {
 			tab = goldenTable{series: make(map[string][]float64)}
 		}
 		tab.x = append(tab.x, vals[0])
+		tab.rows = append(tab.rows, fields)
 		names := cols[len(cols)-(len(vals)-1):]
 		for i, name := range names {
 			tab.series[name] = append(tab.series[name], vals[i+1])
@@ -214,4 +217,88 @@ func TestPaperClaimsHoldInGolden(t *testing.T) {
 			t.Errorf("fig9b: on-demand reward %v at %v users does not fall from %v", od[i], x, od[i-1])
 		}
 	}
+}
+
+// TestExperimentsTablesMatchGolden checks the hand-copied tables of
+// EXPERIMENTS.md against the committed 100-trial golden: every row's
+// user count must be a golden row, and every cell must equal the golden
+// value rounded to the decimals the cell prints (after dropping "**"
+// emphasis and "%" signs). The columns follow the golden's order.
+func TestExperimentsTablesMatchGolden(t *testing.T) {
+	tables := readGoldenTables(t, filepath.Join("testdata", "all-trials100-seed1.txt"))
+	doc, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sections := map[string]string{
+		"## Fig. 5(a) ":              "fig5a",
+		"## Fig. 6(a) ":              "fig6a",
+		"## Fig. 7(a) ":              "fig7a",
+		"## Fig. 9(b) ":              "fig9b",
+		"## Extension: WST vs SAT (": "ext-sat-vs-wst",
+	}
+	checked := make(map[string]int)
+	var id string
+	for _, line := range strings.Split(string(doc), "\n") {
+		if strings.HasPrefix(line, "## ") {
+			id = ""
+			for prefix, golden := range sections {
+				if strings.HasPrefix(line, prefix) {
+					id = golden
+				}
+			}
+			continue
+		}
+		if id == "" || !strings.HasPrefix(line, "|") {
+			continue
+		}
+		cells := strings.Split(strings.Trim(line, "|"), "|")
+		for i, c := range cells {
+			c = strings.ReplaceAll(c, "**", "")
+			cells[i] = strings.TrimSpace(strings.ReplaceAll(c, "%", ""))
+		}
+		users, err := strconv.ParseFloat(cells[0], 64)
+		if err != nil {
+			continue // the header or the separator row
+		}
+		row := goldenRow(tables[id], users)
+		if row == nil {
+			t.Errorf("EXPERIMENTS.md %s: no golden row for %v users", id, users)
+			continue
+		}
+		if len(cells) > len(row) {
+			t.Errorf("EXPERIMENTS.md %s at %v users: %d cells, the golden has %d", id, users, len(cells), len(row))
+			continue
+		}
+		for i, cell := range cells[1:] {
+			decimals := 0
+			if _, frac, ok := strings.Cut(cell, "."); ok {
+				decimals = len(frac)
+			}
+			v, err := strconv.ParseFloat(row[i+1], 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := strconv.FormatFloat(v, 'f', decimals, 64); cell != want {
+				t.Errorf("EXPERIMENTS.md %s at %v users, column %d: %s, the golden %s rounds to %s",
+					id, users, i+1, cell, row[i+1], want)
+			}
+		}
+		checked[id]++
+	}
+	for _, golden := range sections {
+		if checked[golden] == 0 {
+			t.Errorf("EXPERIMENTS.md: no %s row checked", golden)
+		}
+	}
+}
+
+// goldenRow returns the fields of tab's row at x, or nil.
+func goldenRow(tab goldenTable, x float64) []string {
+	for i, v := range tab.x {
+		if v == x {
+			return tab.rows[i]
+		}
+	}
+	return nil
 }

@@ -6,7 +6,6 @@ import (
 
 	"paydemand/internal/aggregate"
 	"paydemand/internal/client"
-	"paydemand/internal/reputation"
 	"paydemand/internal/server"
 	"paydemand/internal/wire"
 )
@@ -35,18 +34,9 @@ type (
 	Measurement = wire.Measurement
 	// StatusResponse is the platform's metric snapshot.
 	StatusResponse = wire.StatusResponse
-	// AggregationConfig selects how the platform reduces a task's
-	// measurements into one estimate.
-	AggregationConfig = aggregate.Config
 	// AggregateEstimate is an aggregated task value with its confidence
 	// interval.
 	AggregateEstimate = aggregate.Estimate
-	// AggregationMethod selects an estimator.
-	AggregationMethod = aggregate.Method
-	// ReputationTracker maintains per-worker sensing-quality scores.
-	ReputationTracker = reputation.Tracker
-	// ReputationContribution pairs a contributor with its reading.
-	ReputationContribution = reputation.Contribution
 	// ClientOption configures a Client (codec, transport tuning).
 	ClientOption = client.Option
 	// ClientCodec selects the wire encoding of the hot endpoints.
@@ -64,23 +54,11 @@ const (
 // ClientWithCodec selects the wire codec for the hot endpoints.
 func ClientWithCodec(c ClientCodec) ClientOption { return client.WithCodec(c) }
 
-// NewReputationTracker builds a tracker; zero arguments select the
-// defaults (alpha 0.2, initial score 0.5).
-func NewReputationTracker(alpha, initial float64) (*ReputationTracker, error) {
-	return reputation.NewTracker(alpha, initial)
-}
-
-// Aggregation estimators.
-const (
-	AggregateMean        = aggregate.Mean
-	AggregateMedian      = aggregate.Median
-	AggregateTrimmedMean = aggregate.TrimmedMean
-	AggregateRobustMean  = aggregate.RobustMean
-)
-
-// AggregateValues reduces measurements with the configured estimator.
-func AggregateValues(cfg AggregationConfig, values []float64) (AggregateEstimate, error) {
-	return aggregate.Aggregate(cfg, values)
+// AggregateValues reduces measurements with the platform's estimator: it
+// rejects readings more than three scaled median absolute deviations from
+// the median and averages the rest.
+func AggregateValues(values []float64) (AggregateEstimate, error) {
+	return aggregate.Robust(values)
 }
 
 // NewPlatform builds the platform HTTP service.

@@ -13,18 +13,14 @@ import (
 )
 
 // TestPublicDistributedAPI drives a full distributed campaign through the
-// public facade only: platform, client, worker, estimates, reputation,
-// and snapshot round trip.
+// public facade only: platform, client, worker, estimates and snapshot
+// round trip.
 func TestPublicDistributedAPI(t *testing.T) {
 	scheme, err := paydemand.NewRewardScheme(300, 4, 0.5, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mech, err := paydemand.NewOnDemandMechanism(scheme)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tracker, err := paydemand.NewReputationTracker(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +32,6 @@ func TestPublicDistributedAPI(t *testing.T) {
 		Mechanism:      mech,
 		Area:           paydemand.Square(3000),
 		NeighborRadius: 500,
-		Reputation:     tracker,
 		Logger:         slog.New(slog.NewTextHandler(io.Discard, nil)),
 	})
 	if err != nil {
@@ -76,13 +71,6 @@ func TestPublicDistributedAPI(t *testing.T) {
 	}
 	if est.Value != 40 {
 		t.Errorf("estimate = %v, want 40 (x/10 at x=400)", est.Value)
-	}
-	rep, err := c.Reputation(ctx, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Observations == 0 {
-		t.Error("reputation never observed")
 	}
 
 	// Snapshot through the facade.

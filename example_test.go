@@ -121,7 +121,6 @@ func ExampleNewOnDemandMechanism() {
 // estimating a task's value.
 func ExampleAggregateValues() {
 	est, err := paydemand.AggregateValues(
-		paydemand.AggregationConfig{Method: paydemand.AggregateRobustMean},
 		[]float64{61.0, 60.5, 61.5, 59.9, 250.0}, // one broken microphone
 	)
 	if err != nil {

@@ -3,8 +3,9 @@
 // repeated dBA readings, and crowd workers with smartphones collect them
 // under the demand-based dynamic incentive. The example runs the campaign
 // in-process (platform + workers over the wire protocol on a local
-// listener), aggregates each cell's readings with a trimmed mean, and
-// renders the resulting noise map as ASCII art next to the ground truth.
+// listener), aggregates each cell's readings with the platform's robust
+// mean, renders the resulting noise map as ASCII art next to the ground
+// truth, and reports the map's mean absolute error.
 package main
 
 import (
@@ -65,19 +66,12 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	tracker, err := paydemand.NewReputationTracker(0.4, 0)
-	if err != nil {
-		return err
-	}
 	platform, err := paydemand.NewPlatform(paydemand.PlatformConfig{
-		Tasks:               tasks,
-		Mechanism:           mech,
-		Area:                paydemand.Square(areaSide),
-		NeighborRadius:      500,
-		Aggregation:         paydemand.AggregationConfig{Method: paydemand.AggregateRobustMean},
-		Reputation:          tracker,
-		ReputationTolerance: 4,
-		Logger:              slog.New(slog.NewTextHandler(io.Discard, nil)),
+		Tasks:          tasks,
+		Mechanism:      mech,
+		Area:           paydemand.Square(areaSide),
+		NeighborRadius: 500,
+		Logger:         slog.New(slog.NewTextHandler(io.Discard, nil)),
 	})
 	if err != nil {
 		return err
@@ -87,8 +81,7 @@ func run() error {
 
 	// Crowd workers with noisy microphones: each reading is the true field
 	// plus sensor error. Every fifth worker carries a broken microphone
-	// reading ~40 dBA too high; robust aggregation plus reputation
-	// tracking must absorb them.
+	// reading ~40 dBA too high; robust aggregation must absorb them.
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	c := paydemand.NewClient(srv.URL, srv.Client())
@@ -111,7 +104,6 @@ func run() error {
 	const nWorkers = 30
 	var wg sync.WaitGroup
 	errCh := make(chan error, nWorkers)
-	brokenIDs := map[int]bool{}
 	for i := 0; i < nWorkers; i++ {
 		broken := i%5 == 4
 		w, err := paydemand.NewWorker(ctx, c, paydemand.WorkerConfig{
@@ -124,9 +116,6 @@ func run() error {
 		})
 		if err != nil {
 			return err
-		}
-		if broken {
-			brokenIDs[w.ID()] = true
 		}
 		wg.Add(1)
 		go func() {
@@ -177,27 +166,19 @@ func run() error {
 		return trueNoise(tasks[int(id)-1].Location), true
 	})
 
-	// Reputation separates the broken microphones from the honest ones.
-	var okSum, okN, brokenSum, brokenN float64
-	for id := 1; id <= nWorkers; id++ {
-		rep, err := c.Reputation(context.Background(), id)
+	// The map error shows whether the broken microphones were absorbed.
+	var errSum float64
+	var cells int
+	for _, tk := range tasks {
+		est, err := platform.Estimate(tk.ID)
 		if err != nil {
-			return err
-		}
-		if rep.Observations == 0 {
 			continue
 		}
-		if brokenIDs[id] {
-			brokenSum += rep.Score
-			brokenN++
-		} else {
-			okSum += rep.Score
-			okN++
-		}
+		errSum += math.Abs(est.Value - trueNoise(tk.Location))
+		cells++
 	}
-	if okN > 0 && brokenN > 0 {
-		fmt.Printf("\nReputation after the campaign: honest sensors %.2f, broken sensors %.2f\n",
-			okSum/okN, brokenSum/brokenN)
+	if cells > 0 {
+		fmt.Printf("\nMean absolute error over %d mapped cells: %.2f dBA\n", cells, errSum/float64(cells))
 	}
 	return nil
 }

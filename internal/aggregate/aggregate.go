@@ -2,99 +2,23 @@
 // paper's Section III-A: after collecting multiple independent
 // measurements for a task, the platform aggregates them into a single
 // estimate. Since crowd sensors are heterogeneous and occasionally faulty,
-// the package provides robust estimators (median, trimmed mean,
-// MAD-based outlier rejection) alongside the plain mean, plus a
-// confidence interval for reporting.
+// the estimate is a robust mean (MAD-based outlier rejection, then the
+// mean of the survivors), reported with a confidence interval.
 package aggregate
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"paydemand/internal/stats"
 )
 
-// ErrNoData is returned when an estimator receives no measurements.
+// ErrNoData is returned when Robust receives no measurements.
 var ErrNoData = errors.New("aggregate: no measurements")
 
-// Method selects an aggregation estimator.
-type Method int
-
-// Supported estimators.
-const (
-	// Mean is the arithmetic mean, optimal for honest Gaussian sensors.
-	Mean Method = iota + 1
-	// Median is the 50th percentile, robust to up to half the readings
-	// being corrupted.
-	Median
-	// TrimmedMean discards a fraction of the smallest and largest
-	// readings before averaging.
-	TrimmedMean
-	// RobustMean rejects readings more than k median absolute deviations
-	// from the median, then averages the survivors.
-	RobustMean
-)
-
-// String implements fmt.Stringer.
-func (m Method) String() string {
-	switch m {
-	case Mean:
-		return "mean"
-	case Median:
-		return "median"
-	case TrimmedMean:
-		return "trimmed-mean"
-	case RobustMean:
-		return "robust-mean"
-	default:
-		return fmt.Sprintf("Method(%d)", int(m))
-	}
-}
-
-// Config parameterizes an Estimator.
-type Config struct {
-	// Method selects the estimator; zero means RobustMean.
-	Method Method `json:"method"`
-	// TrimFraction is the fraction trimmed from EACH tail by TrimmedMean;
-	// zero means 0.2. Must be < 0.5.
-	TrimFraction float64 `json:"trim_fraction"`
-	// MADThreshold is RobustMean's rejection threshold in scaled MAD
-	// units; zero means 3.
-	MADThreshold float64 `json:"mad_threshold"`
-}
-
-// withDefaults fills zero values.
-func (c Config) withDefaults() Config {
-	if c.Method == 0 {
-		c.Method = RobustMean
-	}
-	if c.TrimFraction == 0 {
-		c.TrimFraction = 0.2
-	}
-	if c.MADThreshold == 0 {
-		c.MADThreshold = 3
-	}
-	return c
-}
-
-// Validate checks the configuration.
-func (c Config) Validate() error {
-	c = c.withDefaults()
-	switch c.Method {
-	case Mean, Median, TrimmedMean, RobustMean:
-	default:
-		return fmt.Errorf("aggregate: unknown method %v", c.Method)
-	}
-	if c.TrimFraction < 0 || c.TrimFraction >= 0.5 {
-		return fmt.Errorf("aggregate: trim fraction %v, want [0, 0.5)", c.TrimFraction)
-	}
-	if c.MADThreshold <= 0 {
-		return fmt.Errorf("aggregate: MAD threshold %v, want > 0", c.MADThreshold)
-	}
-	return nil
-}
+// madThreshold is the rejection threshold in scaled MAD units.
+const madThreshold = 3
 
 // Estimate is an aggregated task value.
 type Estimate struct {
@@ -102,8 +26,7 @@ type Estimate struct {
 	Value float64 `json:"value"`
 	// N is the number of measurements used (after rejection).
 	N int `json:"n"`
-	// Rejected is the number of measurements discarded as outliers or by
-	// trimming.
+	// Rejected is the number of measurements discarded as outliers.
 	Rejected int `json:"rejected"`
 	// StdDev is the sample standard deviation of the used measurements.
 	StdDev float64 `json:"std_dev"`
@@ -112,12 +35,9 @@ type Estimate struct {
 	MarginOfError float64 `json:"margin_of_error"`
 }
 
-// Aggregate reduces the measurements with the configured estimator.
-func Aggregate(cfg Config, values []float64) (Estimate, error) {
-	if err := cfg.Validate(); err != nil {
-		return Estimate{}, err
-	}
-	cfg = cfg.withDefaults()
+// Robust rejects the measurements more than three scaled median absolute
+// deviations from the median and averages the survivors.
+func Robust(values []float64) (Estimate, error) {
 	if len(values) == 0 {
 		return Estimate{}, ErrNoData
 	}
@@ -126,26 +46,9 @@ func Aggregate(cfg Config, values []float64) (Estimate, error) {
 			return Estimate{}, fmt.Errorf("aggregate: measurement %d is %v", i, v)
 		}
 	}
-
-	var kept []float64
-	var value float64
-	switch cfg.Method {
-	case Mean:
-		kept = append([]float64(nil), values...)
-		value = stats.Mean(kept)
-	case Median:
-		kept = append([]float64(nil), values...)
-		value = stats.Median(kept)
-	case TrimmedMean:
-		kept = trim(values, cfg.TrimFraction)
-		value = stats.Mean(kept)
-	case RobustMean:
-		kept = rejectByMAD(values, cfg.MADThreshold)
-		value = stats.Mean(kept)
-	}
-
+	kept := rejectByMAD(values)
 	est := Estimate{
-		Value:    value,
+		Value:    stats.Mean(kept),
 		N:        len(kept),
 		Rejected: len(values) - len(kept),
 		StdDev:   math.Sqrt(stats.SampleVariance(kept)),
@@ -156,23 +59,11 @@ func Aggregate(cfg Config, values []float64) (Estimate, error) {
 	return est, nil
 }
 
-// trim drops the fraction of smallest and largest readings. At least one
-// reading always survives.
-func trim(values []float64, fraction float64) []float64 {
-	sorted := append([]float64(nil), values...)
-	sort.Float64s(sorted)
-	k := int(float64(len(sorted)) * fraction)
-	if 2*k >= len(sorted) {
-		k = (len(sorted) - 1) / 2
-	}
-	return sorted[k : len(sorted)-k]
-}
-
-// rejectByMAD keeps readings within threshold scaled-MADs of the median.
+// rejectByMAD keeps readings within madThreshold scaled-MADs of the median.
 // The scale factor 1.4826 makes the MAD a consistent estimator of the
 // standard deviation under normality. If the MAD is zero (over half the
 // readings identical) only exact matches of the median are kept.
-func rejectByMAD(values []float64, threshold float64) []float64 {
+func rejectByMAD(values []float64) []float64 {
 	med := stats.Median(values)
 	devs := make([]float64, len(values))
 	for i, v := range values {
@@ -187,12 +78,12 @@ func rejectByMAD(values []float64, threshold float64) []float64 {
 			}
 			continue
 		}
-		if math.Abs(v-med) <= threshold*mad {
+		if math.Abs(v-med) <= madThreshold*mad {
 			kept = append(kept, v)
 		}
 	}
 	if len(kept) == 0 {
-		// Degenerate threshold; fall back to the median alone.
+		// Never averages an empty set: fall back to the median alone.
 		kept = []float64{med}
 	}
 	return kept

@@ -9,57 +9,11 @@ import (
 	"paydemand/internal/stats"
 )
 
-func TestAggregateMean(t *testing.T) {
-	est, err := Aggregate(Config{Method: Mean}, []float64{1, 2, 3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est.Value != 2.5 || est.N != 4 || est.Rejected != 0 {
-		t.Errorf("mean estimate = %+v", est)
-	}
-}
-
-func TestAggregateMedian(t *testing.T) {
-	est, err := Aggregate(Config{Method: Median}, []float64{1, 2, 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est.Value != 2 {
-		t.Errorf("median = %v", est.Value)
-	}
-}
-
-func TestAggregateTrimmedMean(t *testing.T) {
-	// 20% off each tail of 10 values drops the 2 smallest and 2 largest.
-	values := []float64{-100, 1, 2, 3, 4, 5, 6, 7, 8, 1000}
-	est, err := Aggregate(Config{Method: TrimmedMean}, values)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := (2.0 + 3 + 4 + 5 + 6 + 7) / 6
-	if math.Abs(est.Value-want) > 1e-12 {
-		t.Errorf("trimmed mean = %v, want %v", est.Value, want)
-	}
-	if est.Rejected != 4 {
-		t.Errorf("rejected = %d, want 4", est.Rejected)
-	}
-}
-
-func TestAggregateTrimmedMeanTinyInput(t *testing.T) {
-	est, err := Aggregate(Config{Method: TrimmedMean, TrimFraction: 0.49}, []float64{5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est.Value != 5 || est.N != 1 {
-		t.Errorf("single-value trimmed mean = %+v", est)
-	}
-}
-
 func TestAggregateRobustMeanRejectsOutliers(t *testing.T) {
-	// A tight cluster plus one wild outlier: robust mean ignores it,
-	// plain mean does not.
+	// A tight cluster plus one wild outlier: the robust mean ignores it,
+	// the plain mean does not.
 	values := []float64{50, 51, 49, 50.5, 49.5, 500}
-	robust, err := Aggregate(Config{Method: RobustMean}, values)
+	robust, err := Robust(values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,12 +23,8 @@ func TestAggregateRobustMeanRejectsOutliers(t *testing.T) {
 	if math.Abs(robust.Value-50) > 1 {
 		t.Errorf("robust value = %v, want ~50", robust.Value)
 	}
-	plain, err := Aggregate(Config{Method: Mean}, values)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Value < 100 {
-		t.Errorf("plain mean unexpectedly robust: %v", plain.Value)
+	if plain := stats.Mean(values); plain < 100 {
+		t.Errorf("plain mean unexpectedly robust: %v", plain)
 	}
 }
 
@@ -82,7 +32,7 @@ func TestAggregateRobustMeanZeroMAD(t *testing.T) {
 	// More than half the readings identical: MAD = 0, only exact median
 	// matches survive.
 	values := []float64{7, 7, 7, 7, 9}
-	est, err := Aggregate(Config{Method: RobustMean}, values)
+	est, err := Robust(values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,46 +42,28 @@ func TestAggregateRobustMeanZeroMAD(t *testing.T) {
 }
 
 func TestAggregateErrors(t *testing.T) {
-	if _, err := Aggregate(Config{}, nil); !errors.Is(err, ErrNoData) {
+	if _, err := Robust(nil); !errors.Is(err, ErrNoData) {
 		t.Errorf("empty err = %v", err)
 	}
-	if _, err := Aggregate(Config{}, []float64{1, math.NaN()}); err == nil {
+	if _, err := Robust([]float64{1, math.NaN()}); err == nil {
 		t.Error("NaN accepted")
 	}
-	if _, err := Aggregate(Config{}, []float64{math.Inf(1)}); err == nil {
+	if _, err := Robust([]float64{math.Inf(1)}); err == nil {
 		t.Error("Inf accepted")
-	}
-	if _, err := Aggregate(Config{Method: Method(42)}, []float64{1}); err == nil {
-		t.Error("unknown method accepted")
-	}
-	if _, err := Aggregate(Config{TrimFraction: 0.6}, []float64{1}); err == nil {
-		t.Error("trim fraction >= 0.5 accepted")
-	}
-	if _, err := Aggregate(Config{MADThreshold: -1}, []float64{1}); err == nil {
-		t.Error("negative MAD threshold accepted")
-	}
-}
-
-func TestAggregateDefaultsToRobust(t *testing.T) {
-	est, err := Aggregate(Config{}, []float64{10, 10, 10, 10, 1e6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est.Value != 10 {
-		t.Errorf("default method value = %v, want 10 (robust)", est.Value)
 	}
 }
 
 func TestMarginOfError(t *testing.T) {
-	est, err := Aggregate(Config{Method: Mean}, []float64{10, 12})
+	est, err := Robust([]float64{10, 12})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// stddev of {10,12} = sqrt(2), MoE = 1.96*sqrt(2)/sqrt(2) = 1.96.
-	if math.Abs(est.MarginOfError-1.96) > 1e-9 {
-		t.Errorf("MoE = %v", est.MarginOfError)
+	// Both readings survive; stddev of {10,12} = sqrt(2), MoE =
+	// 1.96*sqrt(2)/sqrt(2) = 1.96.
+	if est.N != 2 || math.Abs(est.MarginOfError-1.96) > 1e-9 {
+		t.Errorf("estimate = %+v, want N 2 and MoE 1.96", est)
 	}
-	single, err := Aggregate(Config{Method: Mean}, []float64{10})
+	single, err := Robust([]float64{10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,10 +72,9 @@ func TestMarginOfError(t *testing.T) {
 	}
 }
 
-// TestEstimateWithinRangeProperty: every estimator's value lies within
-// [min, max] of the input.
+// TestEstimateWithinRangeProperty: the estimate lies within [min, max] of
+// the input, and every reading is either used or rejected.
 func TestEstimateWithinRangeProperty(t *testing.T) {
-	methods := []Method{Mean, Median, TrimmedMean, RobustMean}
 	rng := stats.NewRNG(17)
 	for trial := 0; trial < 200; trial++ {
 		n := rng.IntBetween(1, 30)
@@ -154,17 +85,15 @@ func TestEstimateWithinRangeProperty(t *testing.T) {
 			lo = math.Min(lo, values[i])
 			hi = math.Max(hi, values[i])
 		}
-		for _, m := range methods {
-			est, err := Aggregate(Config{Method: m}, values)
-			if err != nil {
-				t.Fatalf("%v: %v", m, err)
-			}
-			if est.Value < lo-1e-9 || est.Value > hi+1e-9 {
-				t.Fatalf("%v: estimate %v outside data range [%v, %v]", m, est.Value, lo, hi)
-			}
-			if est.N+est.Rejected != n {
-				t.Fatalf("%v: N %d + rejected %d != %d", m, est.N, est.Rejected, n)
-			}
+		est, err := Robust(values)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if est.Value < lo-1e-9 || est.Value > hi+1e-9 {
+			t.Fatalf("estimate %v outside data range [%v, %v]", est.Value, lo, hi)
+		}
+		if est.N+est.Rejected != n {
+			t.Fatalf("N %d + rejected %d != %d", est.N, est.Rejected, n)
 		}
 	}
 }
@@ -183,7 +112,7 @@ func TestRobustBreakdownProperty(t *testing.T) {
 		for i := 0; i < corrupt; i++ {
 			values = append(values, 100000+rng.Uniform(0, 1000))
 		}
-		est, err := Aggregate(Config{Method: RobustMean}, values)
+		est, err := Robust(values)
 		if err != nil {
 			return false
 		}
@@ -191,16 +120,5 @@ func TestRobustBreakdownProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestMethodString(t *testing.T) {
-	for m, want := range map[Method]string{
-		Mean: "mean", Median: "median", TrimmedMean: "trimmed-mean",
-		RobustMean: "robust-mean", Method(9): "Method(9)",
-	} {
-		if got := m.String(); got != want {
-			t.Errorf("String = %q, want %q", got, want)
-		}
 	}
 }

@@ -195,14 +195,6 @@ func (c *Client) Estimate(ctx context.Context, id task.ID) (wire.EstimateRespons
 	return resp, err
 }
 
-// Reputation fetches a worker's sensing-quality score. The platform must
-// have reputation tracking enabled.
-func (c *Client) Reputation(ctx context.Context, userID int) (wire.ReputationResponse, error) {
-	var resp wire.ReputationResponse
-	err := c.get(ctx, fmt.Sprintf("%s?user=%d", wire.PathReputation, userID), &resp)
-	return resp, err
-}
-
 // APIError is a non-2xx platform response.
 type APIError struct {
 	// StatusCode is the HTTP status.

@@ -143,15 +143,6 @@ func TestClientEstimate(t *testing.T) {
 	}
 }
 
-func TestClientReputationDisabled(t *testing.T) {
-	_, srv := startPlatform(t, defaultTasks())
-	c := New(srv.URL, srv.Client())
-	var apiErr *APIError
-	if _, err := c.Reputation(context.Background(), 1); !errors.As(err, &apiErr) {
-		t.Errorf("reputation on disabled platform err = %v", err)
-	}
-}
-
 func TestClientDecodeFailure(t *testing.T) {
 	// A server speaking garbage must produce a decode error, not a panic.
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -66,14 +67,21 @@ func FuzzJSONHandlers(f *testing.F) {
 
 // FuzzTLVHandlers feeds arbitrary TLV bodies, with the TLV Content-Type
 // and Accept headers, to /v1/plan and /v1/submit of a fresh platform with
-// one registered worker, and asserts that no handler panics or answers
-// 5xx, and that a rejected body leaves the platform's /v1/status response
-// byte for byte unchanged. The TLV codec carries what JSON cannot:
-// infinities and NaN in every float field.
+// one registered worker, and asserts that:
+//
+//   - no handler panics and none answers 5xx;
+//   - a rejected body leaves the platform's /v1/status response byte for
+//     byte unchanged;
+//   - whatever the answer, the state left behind still serves: the
+//     snapshot encodes and no task's /v1/estimate answers 5xx.
+//
+// The TLV codec carries what JSON cannot: infinities and NaN in every
+// float field.
 //
 // The first input selects the endpoint, the second is the raw body. The
-// seeds are one well-formed body per endpoint plus a plan with an
-// infinite speed and a zero time budget, whose travel budget is NaN.
+// seeds are one well-formed body per endpoint, a plan with an infinite
+// speed and a zero time budget, whose travel budget is NaN, and submits
+// of a NaN and an infinite value.
 func FuzzTLVHandlers(f *testing.F) {
 	plan := wire.PlanRequest{UserID: 1, Location: geo.Pt(100, 100), Speed: 1.4, TimeBudget: 600, CostPerMeter: 0.002}
 	f.Add(uint8(0), binary.AppendPlanRequest(nil, &plan))
@@ -85,6 +93,13 @@ func FuzzTLVHandlers(f *testing.F) {
 	}))
 	plan.Speed, plan.TimeBudget = math.Inf(1), 0
 	f.Add(uint8(0), binary.AppendPlanRequest(nil, &plan))
+	for _, v := range []float64{math.NaN(), math.Inf(1)} {
+		f.Add(uint8(1), binary.AppendSubmitRequest(nil, &wire.SubmitRequest{
+			UserID:       1,
+			Round:        1,
+			Measurements: []wire.Measurement{{TaskID: 1, Value: v}},
+		}))
+	}
 
 	paths := []string{wire.PathPlan, wire.PathSubmit}
 	f.Fuzz(func(t *testing.T, which uint8, body []byte) {
@@ -96,6 +111,15 @@ func FuzzTLVHandlers(f *testing.F) {
 		}
 		if code/100 != 2 {
 			requireStatus(t, p, before, path, body, code)
+		}
+		if err := p.WriteSnapshot(io.Discard); err != nil {
+			t.Fatalf("%s body %q (%d) left a state that does not snapshot: %v", path, body, code, err)
+		}
+		for _, st := range p.Board().States() {
+			url := fmt.Sprintf("%s?task=%d", wire.PathEstimate, st.ID)
+			if code, resp := serveFuzz(p, http.MethodGet, url, jsonType, nil); code >= 500 {
+				t.Fatalf("%s body %q left task %d's estimate failing: %d %s", path, body, st.ID, code, resp)
+			}
 		}
 	})
 }

@@ -12,7 +12,6 @@ import (
 
 	"paydemand/internal/aggregate"
 	"paydemand/internal/engine"
-	"paydemand/internal/reputation"
 	"paydemand/internal/task"
 	"paydemand/internal/wire"
 	"paydemand/internal/wire/binary"
@@ -127,6 +126,14 @@ func (p *Platform) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		p.writeError(w, http.StatusBadRequest, "bad submit body: %v", err)
 		return
 	}
+	// Only TLV can carry these; a stored NaN or infinity would fail every
+	// later estimate of the task and every snapshot.
+	for _, m := range req.Measurements {
+		if math.IsNaN(m.Value) || math.IsInf(m.Value, 0) {
+			p.writeError(w, http.StatusBadRequest, "task %d value %v, want finite", m.TaskID, m.Value)
+			return
+		}
+	}
 	// Only the board and worker bookkeeping runs under the mutex; the log
 	// line and the response encode and write happen after it is released.
 	p.mu.Lock()
@@ -176,7 +183,7 @@ func (p *Platform) submitLocked(req *wire.SubmitRequest) (resp wire.SubmitRespon
 				res.Reason = "budget exhausted"
 				break
 			}
-			completed, err := p.eng.CommitPaid(req.UserID, m.TaskID, reward)
+			_, err := p.eng.CommitPaid(req.UserID, m.TaskID, reward)
 			if err != nil {
 				res.Reason = recordReason(err)
 				break
@@ -184,13 +191,10 @@ func (p *Platform) submitLocked(req *wire.SubmitRequest) (resp wire.SubmitRespon
 			res.Accepted = true
 			res.Reward = reward
 			resp.TotalPaid += reward
-			p.contribs[m.TaskID] = append(p.contribs[m.TaskID], reputation.Contribution{
+			p.contribs[m.TaskID] = append(p.contribs[m.TaskID], Contribution{
 				User:  req.UserID,
 				Value: m.Value,
 			})
-			if p.cfg.Reputation != nil && completed {
-				p.scoreContributorsLocked(m.TaskID)
-			}
 		}
 		resp.Results = append(resp.Results, res)
 	}
@@ -328,45 +332,6 @@ func (p *Platform) handleStatus(w http.ResponseWriter, r *http.Request) {
 	p.writeJSON(w, http.StatusOK, resp)
 }
 
-// scoreContributorsLocked updates the reputation of every contributor of
-// a completed task against the aggregated consensus. Callers hold p.mu.
-func (p *Platform) scoreContributorsLocked(id task.ID) {
-	est, err := aggregate.Aggregate(p.cfg.Aggregation, p.valuesLocked(id))
-	if err != nil {
-		p.logger.Error("reputation aggregate", "task", id, "err", err)
-		return
-	}
-	p.cfg.Reputation.ObserveTask(p.contribs[id], est.Value, p.cfg.ReputationTolerance)
-}
-
-// handleReputation returns the reputation score for ?user=ID.
-func (p *Platform) handleReputation(w http.ResponseWriter, r *http.Request) {
-	if p.cfg.Reputation == nil {
-		p.writeError(w, http.StatusNotFound, "reputation tracking disabled")
-		return
-	}
-	raw := r.URL.Query().Get("user")
-	id, err := strconv.Atoi(raw)
-	if err != nil {
-		p.writeError(w, http.StatusBadRequest, "bad user id %q", raw)
-		return
-	}
-	p.mu.Lock()
-	known := p.knownLocked(id)
-	score := p.cfg.Reputation.Score(id)
-	obs := p.cfg.Reputation.Observations(id)
-	p.mu.Unlock()
-	if !known {
-		p.writeError(w, http.StatusNotFound, "unknown worker %d", id)
-		return
-	}
-	p.writeJSON(w, http.StatusOK, wire.ReputationResponse{
-		UserID:       id,
-		Score:        score,
-		Observations: obs,
-	})
-}
-
 // handleEstimate returns the aggregated estimate for ?task=ID.
 func (p *Platform) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	raw := r.URL.Query().Get("task")
@@ -388,7 +353,7 @@ func (p *Platform) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		p.writeError(w, http.StatusNotFound, "unknown task %d", id)
 		return
 	}
-	est, err := aggregate.Aggregate(p.cfg.Aggregation, values)
+	est, err := aggregate.Robust(values)
 	if err != nil {
 		if errors.Is(err, aggregate.ErrNoData) {
 			p.writeError(w, http.StatusNotFound, "task %d has no measurements", id)

@@ -2,12 +2,15 @@ package server
 
 import (
 	"bytes"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
 	"paydemand/internal/stats"
 	"paydemand/internal/wire"
+	"paydemand/internal/wire/binary"
 )
 
 // TestMalformedBodiesNeverCrash feeds semi-random JSON-ish garbage to the
@@ -75,6 +78,45 @@ func TestSubmitExtremeValues(t *testing.T) {
 	// Huge-but-finite values are data, not protocol errors.
 	if p.Board().Get(1).Received() != 1 {
 		t.Error("finite extreme value rejected")
+	}
+}
+
+// TestSubmitNonFiniteTLV checks that a TLV submit carrying NaN or an
+// infinity, which JSON cannot express, is rejected whole: nothing is
+// recorded or paid, and the task's estimate and the snapshot keep
+// working.
+func TestSubmitNonFiniteTLV(t *testing.T) {
+	p := testPlatform(t)
+	srv := httptest.NewServer(p)
+	defer srv.Close()
+
+	var reg wire.RegisterResponse
+	doJSON(t, srv, http.MethodPost, wire.PathRegister, wire.RegisterRequest{}, &reg)
+	submit := func(v float64) int {
+		code, _, _ := doTLV(t, srv, http.MethodPost, wire.PathSubmit, binary.AppendSubmitRequest(nil, &wire.SubmitRequest{
+			UserID:       reg.UserID,
+			Round:        1,
+			Measurements: []wire.Measurement{{TaskID: 1, Value: v}},
+		}))
+		return code
+	}
+	_, before, _ := doTLV(t, srv, http.MethodGet, wire.PathStatus, nil)
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if code := submit(v); code != http.StatusBadRequest {
+			t.Errorf("submit value %v -> %d, want 400", v, code)
+		}
+	}
+	if _, after, _ := doTLV(t, srv, http.MethodGet, wire.PathStatus, nil); !bytes.Equal(after, before) {
+		t.Errorf("rejected submits changed status:\n before %s\n after  %s", before, after)
+	}
+	if code := submit(61.5); code != http.StatusOK {
+		t.Fatalf("finite submit -> %d", code)
+	}
+	if code := doJSON(t, srv, http.MethodGet, wire.PathEstimate+"?task=1", nil, nil); code != http.StatusOK {
+		t.Errorf("estimate after the rejected submits -> %d, want 200", code)
+	}
+	if err := p.WriteSnapshot(io.Discard); err != nil {
+		t.Errorf("WriteSnapshot: %v", err)
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 	"paydemand/internal/engine"
 	"paydemand/internal/geo"
 	"paydemand/internal/incentive"
-	"paydemand/internal/reputation"
 	"paydemand/internal/selection"
 	"paydemand/internal/stats"
 	"paydemand/internal/task"
@@ -41,17 +40,6 @@ type Config struct {
 	// scheme never needs this (Eq. 8 bounds its worst case), but
 	// unconstrained mechanisms such as the raw steered rewards do.
 	HardBudget float64
-	// Aggregation selects how /v1/estimate reduces a task's measurements;
-	// the zero value means robust (MAD outlier-rejecting) mean.
-	Aggregation aggregate.Config
-	// Reputation, when non-nil, tracks each worker's sensing quality: on
-	// every task completion, contributors' readings are compared with the
-	// aggregated consensus and their scores updated. Served at
-	// GET /v1/reputation.
-	Reputation *reputation.Tracker
-	// ReputationTolerance is the deviation scale used when scoring
-	// agreement (see reputation.Agreement); zero means 5.
-	ReputationTolerance float64
 	// Planner constructs the task selection solver behind POST /v1/plan;
 	// nil means selection.Auto with default thresholds. The factory must
 	// return a fresh instance per call: solvers keep scratch between calls
@@ -117,8 +105,14 @@ type Platform struct {
 	// serving an empty round.
 	repriceErr error
 	// contribs stores who uploaded what per task, for aggregation (e.g.
-	// building a noise map) and reputation scoring.
-	contribs map[task.ID][]reputation.Contribution
+	// building a noise map).
+	contribs map[task.ID][]Contribution
+}
+
+// Contribution pairs a contributor with its uploaded reading.
+type Contribution struct {
+	User  int     `json:"user"`
+	Value float64 `json:"value"`
 }
 
 // New validates the configuration and builds the platform, publishing
@@ -133,9 +127,6 @@ func New(cfg Config) (*Platform, error) {
 	if cfg.NeighborRadius <= 0 {
 		return nil, fmt.Errorf("server: neighbor radius %v, want > 0", cfg.NeighborRadius)
 	}
-	if err := cfg.Aggregation.Validate(); err != nil {
-		return nil, err
-	}
 	board, err := task.NewBoard(cfg.Tasks)
 	if err != nil {
 		return nil, err
@@ -143,12 +134,6 @@ func New(cfg Config) (*Platform, error) {
 	logger := cfg.Logger
 	if logger == nil {
 		logger = slog.Default()
-	}
-	if cfg.ReputationTolerance == 0 {
-		cfg.ReputationTolerance = 5
-	}
-	if cfg.ReputationTolerance < 0 {
-		return nil, fmt.Errorf("server: reputation tolerance %v, want > 0", cfg.ReputationTolerance)
 	}
 	planner := cfg.Planner
 	if planner == nil {
@@ -176,7 +161,7 @@ func New(cfg Config) (*Platform, error) {
 		planners: selection.NewSolverPool(planner),
 		eng:      eng,
 		round:    1,
-		contribs: make(map[task.ID][]reputation.Contribution),
+		contribs: make(map[task.ID][]Contribution),
 	}
 	p.mux = http.NewServeMux()
 	p.mux.HandleFunc("POST "+wire.PathRegister, p.handleRegister)
@@ -186,7 +171,6 @@ func New(cfg Config) (*Platform, error) {
 	p.mux.HandleFunc("GET "+wire.PathStatus, p.handleStatus)
 	p.mux.HandleFunc("GET "+wire.PathHealth, p.handleHealth)
 	p.mux.HandleFunc("GET "+wire.PathEstimate, p.handleEstimate)
-	p.mux.HandleFunc("GET "+wire.PathReputation, p.handleReputation)
 	p.mux.HandleFunc("POST "+wire.PathPlan, p.handlePlan)
 
 	p.mu.Lock()
@@ -327,9 +311,8 @@ func (p *Platform) valuesLocked(id task.ID) []float64 {
 	return out
 }
 
-// Estimate aggregates a task's uploaded values with the configured
-// estimator. It returns aggregate.ErrNoData if the task has no
-// measurements yet.
+// Estimate aggregates a task's uploaded values with the robust mean. It
+// returns aggregate.ErrNoData if the task has no measurements yet.
 func (p *Platform) Estimate(id task.ID) (aggregate.Estimate, error) {
-	return aggregate.Aggregate(p.cfg.Aggregation, p.Values(id))
+	return aggregate.Robust(p.Values(id))
 }

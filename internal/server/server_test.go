@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -15,7 +14,6 @@ import (
 	"paydemand/internal/demand"
 	"paydemand/internal/geo"
 	"paydemand/internal/incentive"
-	"paydemand/internal/reputation"
 	"paydemand/internal/task"
 	"paydemand/internal/wire"
 )
@@ -353,81 +351,6 @@ func TestRewardsChangeWithDemand(t *testing.T) {
 	}
 	if p.Values(1)[0] != 42 {
 		t.Errorf("stored value = %v", p.Values(1))
-	}
-}
-
-func TestReputationScoring(t *testing.T) {
-	scheme, err := incentive.SchemeFromBudget(100, 3, 0.5, demand.LevelMapper{N: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mech, err := incentive.NewPaperOnDemand(scheme)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tracker, err := reputation.NewTracker(0.5, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := New(Config{
-		Tasks: []task.Task{
-			{ID: 1, Location: geo.Pt(100, 100), Deadline: 5, Required: 3},
-		},
-		Mechanism:           mech,
-		Area:                geo.Square(1000),
-		NeighborRadius:      200,
-		Reputation:          tracker,
-		ReputationTolerance: 2,
-		Logger:              slog.New(slog.NewTextHandler(io.Discard, nil)),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(p)
-	defer srv.Close()
-
-	// Two honest sensors near 60 dBA and one wildly off.
-	values := []float64{60, 60.5, 200}
-	ids := make([]int, 3)
-	for i, v := range values {
-		var reg wire.RegisterResponse
-		doJSON(t, srv, http.MethodPost, wire.PathRegister, wire.RegisterRequest{Location: geo.Pt(0, 0)}, &reg)
-		ids[i] = reg.UserID
-		doJSON(t, srv, http.MethodPost, wire.PathSubmit, wire.SubmitRequest{
-			UserID:       reg.UserID,
-			Round:        1,
-			Measurements: []wire.Measurement{{TaskID: 1, Value: v}},
-			Location:     geo.Pt(0, 0),
-		}, nil)
-	}
-
-	// The task completed on the third upload, so scores exist now.
-	var honest, faulty wire.ReputationResponse
-	if code := doJSON(t, srv, http.MethodGet, fmt.Sprintf("%s?user=%d", wire.PathReputation, ids[0]), nil, &honest); code != 200 {
-		t.Fatalf("reputation = %d", code)
-	}
-	doJSON(t, srv, http.MethodGet, fmt.Sprintf("%s?user=%d", wire.PathReputation, ids[2]), nil, &faulty)
-	if honest.Observations != 1 || faulty.Observations != 1 {
-		t.Fatalf("observations: %+v %+v", honest, faulty)
-	}
-	if honest.Score <= faulty.Score {
-		t.Errorf("honest score %v <= faulty %v", honest.Score, faulty.Score)
-	}
-
-	// Error paths.
-	if code := doJSON(t, srv, http.MethodGet, wire.PathReputation+"?user=abc", nil, nil); code != http.StatusBadRequest {
-		t.Errorf("bad user id = %d", code)
-	}
-	if code := doJSON(t, srv, http.MethodGet, wire.PathReputation+"?user=99", nil, nil); code != http.StatusNotFound {
-		t.Errorf("unknown user = %d", code)
-	}
-}
-
-func TestReputationDisabled(t *testing.T) {
-	srv := httptest.NewServer(testPlatform(t))
-	defer srv.Close()
-	if code := doJSON(t, srv, http.MethodGet, wire.PathReputation+"?user=1", nil, nil); code != http.StatusNotFound {
-		t.Errorf("disabled reputation = %d", code)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"paydemand/internal/geo"
-	"paydemand/internal/reputation"
 	"paydemand/internal/task"
 )
 
@@ -31,7 +30,7 @@ type Snapshot struct {
 	// Board is the task progress.
 	Board task.BoardSnapshot `json:"board"`
 	// Contributions are the uploaded readings per task.
-	Contributions map[task.ID][]reputation.Contribution `json:"contributions,omitempty"`
+	Contributions map[task.ID][]Contribution `json:"contributions,omitempty"`
 }
 
 // snapshotVersion is the current format.
@@ -48,7 +47,7 @@ func (p *Platform) Snapshot() Snapshot {
 		NextWorkerID:  len(p.workers),
 		Workers:       make(map[int]geo.Point, len(p.workers)),
 		Board:         p.eng.Board().Snapshot(),
-		Contributions: make(map[task.ID][]reputation.Contribution, len(p.contribs)),
+		Contributions: make(map[task.ID][]Contribution, len(p.contribs)),
 	}
 	for i, loc := range p.workers {
 		snap.Workers[i+1] = loc
@@ -57,7 +56,7 @@ func (p *Platform) Snapshot() Snapshot {
 	// keys when the snapshot is serialized.
 	//paylint:sorted map-to-map copy; destination is a map, so insertion order is immaterial
 	for id, cs := range p.contribs {
-		snap.Contributions[id] = append([]reputation.Contribution(nil), cs...)
+		snap.Contributions[id] = append([]Contribution(nil), cs...)
 	}
 	return snap
 }
@@ -116,10 +115,10 @@ func (p *Platform) Restore(snap Snapshot) error {
 	p.round = snap.Round
 	p.done = snap.Done
 	p.workers = workers
-	p.contribs = make(map[task.ID][]reputation.Contribution, len(snap.Contributions))
+	p.contribs = make(map[task.ID][]Contribution, len(snap.Contributions))
 	//paylint:sorted map-to-map copy; destination is a map, so insertion order is immaterial
 	for id, cs := range snap.Contributions {
-		p.contribs[id] = append([]reputation.Contribution(nil), cs...)
+		p.contribs[id] = append([]Contribution(nil), cs...)
 	}
 	if p.done {
 		// SetBoard already cleared the published round state.

@@ -11,15 +11,14 @@ import (
 
 // API paths served by the platform.
 const (
-	PathRegister   = "/v1/register"
-	PathRound      = "/v1/round"
-	PathSubmit     = "/v1/submit"
-	PathAdvance    = "/v1/advance"
-	PathStatus     = "/v1/status"
-	PathHealth     = "/v1/healthz"
-	PathEstimate   = "/v1/estimate"
-	PathReputation = "/v1/reputation"
-	PathPlan       = "/v1/plan"
+	PathRegister = "/v1/register"
+	PathRound    = "/v1/round"
+	PathSubmit   = "/v1/submit"
+	PathAdvance  = "/v1/advance"
+	PathStatus   = "/v1/status"
+	PathHealth   = "/v1/healthz"
+	PathEstimate = "/v1/estimate"
+	PathPlan     = "/v1/plan"
 )
 
 // PlanRequest asks the platform to solve a worker's task selection problem
@@ -171,16 +170,6 @@ type EstimateResponse struct {
 	StdDev float64 `json:"std_dev"`
 	// MarginOfError is the ~95% confidence half-width.
 	MarginOfError float64 `json:"margin_of_error"`
-}
-
-// ReputationResponse is one worker's sensing-quality score
-// (GET /v1/reputation?user=ID).
-type ReputationResponse struct {
-	UserID int `json:"user_id"`
-	// Score is the reputation in [0, 1].
-	Score float64 `json:"score"`
-	// Observations is how many aggregations have contributed to the score.
-	Observations int `json:"observations"`
 }
 
 // Error is the JSON error body returned with non-2xx statuses.
