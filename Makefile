@@ -118,14 +118,17 @@ bench-pairs:
 	go run ./scripts/benchpairs -base $(BASE) -workload $(WORKLOAD) -seconds $(SECONDS) -pairs $(PAIRS)
 
 # Regenerates every figure and table at the paper's 100 trials, seed 1, and
-# compares the output byte for byte with the committed golden (about 30 s
-# on two CPUs). TestRunAllGolden holds the 2-trial output the same way on
-# every `go test`. Both are amd64 goldens, like the seeded regression
-# constants: Go allows fused multiply-add on other architectures, which
-# may move a last digit there.
+# compares the output byte for byte with the committed golden (about 20 s
+# on two CPUs). On a difference it prints the start of a unified diff
+# (golden first), keeps paper-check.out and fails. TestRunAllGolden holds
+# the 2-trial output the same way on every `go test`. Both are amd64
+# goldens, like the seeded regression constants: Go allows fused
+# multiply-add on other architectures, which may move a last digit there.
 paper-check:
 	go run ./cmd/experiments -all -trials 100 -seed 1 > paper-check.out
-	cmp paper-check.out cmd/experiments/testdata/all-trials100-seed1.txt
+	@cmp -s paper-check.out cmd/experiments/testdata/all-trials100-seed1.txt || { \
+		diff -u cmd/experiments/testdata/all-trials100-seed1.txt paper-check.out | head -n 40; \
+		echo "paper-check: output differs from the golden; kept paper-check.out"; exit 1; }
 	rm -f paper-check.out
 
 ci: lint build test race bench-check fuzz-smoke bench-smoke loadgen-smoke examples-smoke paper-check

@@ -2,8 +2,11 @@ package main
 
 import (
 	"bufio"
+	"fmt"
+	"math/big"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -220,10 +223,12 @@ func TestPaperClaimsHoldInGolden(t *testing.T) {
 }
 
 // TestExperimentsTablesMatchGolden checks the hand-copied tables of
-// EXPERIMENTS.md against the committed 100-trial golden: every row's
-// user count must be a golden row, and every cell must equal the golden
-// value rounded to the decimals the cell prints (after dropping "**"
-// emphasis and "%" signs). The columns follow the golden's order.
+// EXPERIMENTS.md against the committed 100-trial golden. A row's first
+// cell is a golden row's x value, or a range "a-b" of them (Fig. 8(b)'s
+// "5-15" rounds). Every other cell, after dropping "**" emphasis, "%"
+// signs and "/round", must print the golden value rounded to the cell's
+// decimals; over a range it prints the minimum and maximum as "lo-hi", or
+// one value that is both. The columns follow the golden's order.
 func TestExperimentsTablesMatchGolden(t *testing.T) {
 	tables := readGoldenTables(t, filepath.Join("testdata", "all-trials100-seed1.txt"))
 	doc, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
@@ -234,6 +239,7 @@ func TestExperimentsTablesMatchGolden(t *testing.T) {
 		"## Fig. 5(a) ":              "fig5a",
 		"## Fig. 6(a) ":              "fig6a",
 		"## Fig. 7(a) ":              "fig7a",
+		"## Fig. 8(b) ":              "fig8b",
 		"## Fig. 9(b) ":              "fig9b",
 		"## Extension: WST vs SAT (": "ext-sat-vs-wst",
 	}
@@ -254,35 +260,50 @@ func TestExperimentsTablesMatchGolden(t *testing.T) {
 		}
 		cells := strings.Split(strings.Trim(line, "|"), "|")
 		for i, c := range cells {
-			c = strings.ReplaceAll(c, "**", "")
-			cells[i] = strings.TrimSpace(strings.ReplaceAll(c, "%", ""))
+			c = strings.NewReplacer("**", "", "%", "", "/round", "").Replace(c)
+			cells[i] = strings.TrimSpace(c)
 		}
-		users, err := strconv.ParseFloat(cells[0], 64)
-		if err != nil {
+		first, last, isRange := strings.Cut(cells[0], "-")
+		if !isRange {
+			last = first
+		}
+		x0, err0 := strconv.ParseFloat(first, 64)
+		x1, err1 := strconv.ParseFloat(last, 64)
+		if err0 != nil || err1 != nil {
 			continue // the header or the separator row
 		}
-		row := goldenRow(tables[id], users)
-		if row == nil {
-			t.Errorf("EXPERIMENTS.md %s: no golden row for %v users", id, users)
+		tab := tables[id]
+		var rows [][]string
+		for i, x := range tab.x {
+			if x >= x0 && x <= x1 {
+				rows = append(rows, tab.rows[i])
+			}
+		}
+		if rows == nil {
+			t.Errorf("EXPERIMENTS.md %s: no golden row for %s", id, cells[0])
 			continue
 		}
-		if len(cells) > len(row) {
-			t.Errorf("EXPERIMENTS.md %s at %v users: %d cells, the golden has %d", id, users, len(cells), len(row))
+		if len(cells) > len(rows[0]) {
+			t.Errorf("EXPERIMENTS.md %s at %s: %d cells, the golden has %d", id, cells[0], len(cells), len(rows[0]))
 			continue
 		}
-		for i, cell := range cells[1:] {
-			decimals := 0
-			if _, frac, ok := strings.Cut(cell, "."); ok {
-				decimals = len(frac)
+		for col, cell := range cells[1:] {
+			lo, hi := rows[0][col+1], rows[0][col+1]
+			for _, row := range rows[1:] {
+				if goldenValue(t, row[col+1]) < goldenValue(t, lo) {
+					lo = row[col+1]
+				}
+				if goldenValue(t, row[col+1]) > goldenValue(t, hi) {
+					hi = row[col+1]
+				}
 			}
-			v, err := strconv.ParseFloat(row[i+1], 64)
-			if err != nil {
-				t.Fatal(err)
+			min, max, isRange := strings.Cut(cell, "-")
+			if !isRange {
+				max = min
 			}
-			if want := strconv.FormatFloat(v, 'f', decimals, 64); cell != want {
-				t.Errorf("EXPERIMENTS.md %s at %v users, column %d: %s, the golden %s rounds to %s",
-					id, users, i+1, cell, row[i+1], want)
-			}
+			where := fmt.Sprintf("EXPERIMENTS.md %s at %s, column %d", id, cells[0], col+1)
+			checkRounded(t, where, min, lo)
+			checkRounded(t, where, max, hi)
 		}
 		checked[id]++
 	}
@@ -293,12 +314,83 @@ func TestExperimentsTablesMatchGolden(t *testing.T) {
 	}
 }
 
-// goldenRow returns the fields of tab's row at x, or nil.
-func goldenRow(tab goldenTable, x float64) []string {
-	for i, v := range tab.x {
-		if v == x {
-			return tab.rows[i]
+// TestExperimentsAblationsMatchGolden checks the golden-derived numbers in
+// EXPERIMENTS.md's Ablations bullets. Each pattern must match the
+// section's prose (line breaks read as spaces), and each number it
+// captures must print the named golden cell rounded to its decimals.
+func TestExperimentsAblationsMatchGolden(t *testing.T) {
+	tables := readGoldenTables(t, filepath.Join("testdata", "all-trials100-seed1.txt"))
+	doc, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, _ := strings.Cut(string(doc), "\n## Ablations")
+	section, _, _ = strings.Cut(section, "\n## ")
+	prose := strings.Join(strings.Fields(section), " ")
+	const num = `([0-9.]+) %`
+	for _, c := range []struct {
+		pattern string
+		id      string
+		users   float64
+		cols    []string
+	}{
+		{"AHP " + num + " vs equal weights " + num + ", deadline-only " + num + ", progress-only " + num + ", neighbors-only " + num,
+			"ablation-weights", 100, []string{"ahp", "equal", "deadline-only", "progress-only", "neighbors-only"}},
+		{"reaches " + num + " at 40 users vs " + num + " for N=5",
+			"ablation-levels", 40, []string{"N=1", "N=5"}},
+		{"climbs " + num + " → " + num + " → " + num + " → " + num + " for 150/300/600/1200 s",
+			"ablation-budget", 100, []string{"150s", "300s", "600s", "1200s"}},
+		{"completeness \\(" + num + " → " + num + " at 30 % churn, 100 users\\)",
+			"ablation-churn", 100, []string{"churn=0%", "churn=30%"}},
+		{"stationary " + num + " vs random-waypoint " + num + " at 100 users",
+			"ablation-mobility", 100, []string{"stationary", "random-waypoint"}},
+	} {
+		m := regexp.MustCompile(c.pattern).FindStringSubmatch(prose)
+		if m == nil {
+			t.Errorf("EXPERIMENTS.md Ablations: no %q", c.pattern)
+			continue
+		}
+		tab := tables[c.id]
+		for i, col := range c.cols {
+			row := -1
+			for j, x := range tab.x {
+				if x == c.users {
+					row = j
+				}
+			}
+			if row < 0 || len(tab.series[col]) <= row {
+				t.Fatalf("%s: no golden %s column at %v users", c.id, col, c.users)
+			}
+			where := fmt.Sprintf("EXPERIMENTS.md Ablations, %s %s at %v users", c.id, col, c.users)
+			checkRounded(t, where, m[i+1], strconv.FormatFloat(tab.series[col][row], 'f', -1, 64))
 		}
 	}
-	return nil
+}
+
+// checkRounded fails unless cell prints the golden value rounded, half
+// away from zero, to the cell's number of decimals. The golden is read as
+// the exact decimal it prints, so "258.1500" rounds to "258.2".
+func checkRounded(t *testing.T, where, cell, golden string) {
+	t.Helper()
+	decimals := 0
+	if _, frac, ok := strings.Cut(cell, "."); ok {
+		decimals = len(frac)
+	}
+	v, ok := new(big.Rat).SetString(golden)
+	if !ok {
+		t.Fatalf("%s: golden %q is not a number", where, golden)
+	}
+	if want := v.FloatString(decimals); cell != want {
+		t.Errorf("%s: %s, the golden %s rounds to %s", where, cell, golden, want)
+	}
+}
+
+// goldenValue parses one printed golden cell.
+func goldenValue(t *testing.T, s string) float64 {
+	t.Helper()
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
 }

@@ -39,7 +39,7 @@ func run(args []string, out io.Writer) error {
 		csvDir    = fs.String("csv", "", "directory to also write <figure>.csv files into")
 		list      = fs.Bool("list", false, "list the available figure IDs and exit")
 		parallel  = fs.Int("parallel", 0, "trial worker goroutines (0 = one per CPU, 1 = sequential); output is identical at any setting")
-		progress  = fs.Bool("progress", false, "report completed/total trials on stderr while a figure runs")
+		progress  = fs.Bool("progress", false, "report completed/total trials of each figure family on stderr while it runs")
 		beamWidth = fs.Int("beam-width", 0, "beam search width for auto's mid band (0 = solver default)")
 		beamImpr  = fs.Int("beam-improve", 0, "beam 2-opt/or-opt polish rounds (0 = solver default)")
 	)
@@ -82,19 +82,22 @@ func run(args []string, out io.Writer) error {
 	// it without touching the figures.
 	opts.Base.BeamWidth = *beamWidth
 	opts.Base.BeamImprove = *beamImpr
-	for _, id := range ids {
-		if *progress {
-			opts.Progress = func(done, total int) {
-				fmt.Fprintf(os.Stderr, "\r%s: %d/%d trials", id, done, total)
-				if done == total {
-					fmt.Fprintln(os.Stderr)
-				}
+	var started func(family []string)
+	if *progress {
+		var label string
+		started = func(family []string) { label = strings.Join(family, ",") }
+		opts.Progress = func(done, total int) {
+			fmt.Fprintf(os.Stderr, "\r%s: %d/%d trials", label, done, total)
+			if done == total {
+				fmt.Fprintln(os.Stderr)
 			}
 		}
-		f, err := experiments.Run(id, opts)
-		if err != nil {
-			return err
-		}
+	}
+	figs, err := experiments.RunIDs(ids, opts, started)
+	if err != nil {
+		return err
+	}
+	for _, f := range figs {
 		if err := experiments.RenderTable(out, f); err != nil {
 			return err
 		}

@@ -601,25 +601,24 @@ func (e *Engine) MeanPublishedReward() float64 { return e.mean }
 // sets ProblemInto builds without RequirePriced). Double-fill protection
 // is the board's: committing to a completed, expired, or
 // already-contributed task fails without mutating anything.
-func (e *Engine) Commit(user int, id task.ID) (reward float64, completed bool, err error) {
+func (e *Engine) Commit(user int, id task.ID) (reward float64, err error) {
 	reward = e.rewards[id]
-	completed, err = e.CommitPaid(user, id, reward)
-	return reward, completed, err
+	return reward, e.CommitPaid(user, id, reward)
 }
 
 // CommitPaid is Commit at an explicit payment, for drivers whose prices
 // are not the published rewards (the SAT reverse auction pays winning
 // bids first-price).
-func (e *Engine) CommitPaid(user int, id task.ID, paid float64) (completed bool, err error) {
+func (e *Engine) CommitPaid(user int, id task.ID, paid float64) error {
 	st := e.board.Get(id)
 	if st == nil {
-		return false, fmt.Errorf("engine: commit to unknown task %d", id)
+		return fmt.Errorf("engine: commit to unknown task %d", id)
 	}
 	if err := st.Record(user, e.round, paid); err != nil {
-		return false, err
+		return err
 	}
 	e.commits++
-	return st.Complete(), nil
+	return nil
 }
 
 // CommitPlan commits one user's planned route in order at this round's
@@ -630,7 +629,7 @@ func (e *Engine) CommitPaid(user int, id task.ID, paid float64) (completed bool,
 // round-loop mirror (bench/mirror.go) times it as the commit layer.
 func (e *Engine) CommitPlan(user int, ids []task.ID) (n int, err error) {
 	for i, id := range ids {
-		if _, _, err := e.Commit(user, id); err != nil {
+		if _, err := e.Commit(user, id); err != nil {
 			return i, err
 		}
 	}

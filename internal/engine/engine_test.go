@@ -97,11 +97,11 @@ func TestRoundPipeline(t *testing.T) {
 
 	// Task 1 needs one measurement: the commit pays the published reward
 	// and completes the task on the board, leaving the others open.
-	reward, completed, err := e.Commit(7, 1)
+	reward, err := e.Commit(7, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reward != 10 || !completed {
+	if completed := e.Board().Get(1).Complete(); reward != 10 || !completed {
 		t.Errorf("commit = reward %v, completed %v", reward, completed)
 	}
 	for _, st := range board.States() {
@@ -111,13 +111,13 @@ func TestRoundPipeline(t *testing.T) {
 	}
 	// Double-fill protection: the same user again, then any user on the
 	// now-complete task.
-	if _, _, err := e.Commit(7, 1); err == nil {
+	if _, err := e.Commit(7, 1); err == nil {
 		t.Error("repeat commit accepted")
 	}
-	if _, _, err := e.Commit(8, 1); err == nil {
+	if _, err := e.Commit(8, 1); err == nil {
 		t.Error("commit to complete task accepted")
 	}
-	if _, _, err := e.Commit(7, 99); err == nil {
+	if _, err := e.Commit(7, 99); err == nil {
 		t.Error("commit to unknown task accepted")
 	}
 
@@ -169,7 +169,7 @@ func TestRoundStatsCountAcceptedCommits(t *testing.T) {
 		{8, 1, false}, // task 1 complete
 		{8, 2, true},  // completes task 2
 	} {
-		if _, err := e.CommitPaid(c.user, c.id, 1); (err == nil) != c.ok {
+		if err := e.CommitPaid(c.user, c.id, 1); (err == nil) != c.ok {
 			t.Fatalf("CommitPaid(%d, %d) err = %v, want accepted %v", c.user, c.id, err, c.ok)
 		}
 	}
@@ -187,7 +187,7 @@ func TestRoundStatsCountAcceptedCommits(t *testing.T) {
 	if rs.NewMeasurements != 0 || rs.TotalMeasurements != 3 {
 		t.Errorf("round 2 before commits = %+v, want 0 new of 3 total", rs)
 	}
-	if _, err := e.CommitPaid(7, 3, 1); err != nil {
+	if err := e.CommitPaid(7, 3, 1); err != nil {
 		t.Fatal(err)
 	}
 	e.FinishRoundStats(&rs)
@@ -242,16 +242,15 @@ func TestCommitPlan(t *testing.T) {
 				t.Fatal(err)
 			}
 			// filled collects the tasks this round's commits completed,
-			// in commit order: the prior commits report it directly, the
-			// plan's through the board state of its committed prefix.
+			// in commit order, read from the board: after each prior
+			// commit, then over the plan's committed prefix.
 			var filled []task.ID
 			for u, ids := range tt.prior {
 				for _, id := range ids {
-					_, completed, err := e.Commit(u, id)
-					if err != nil {
+					if _, err := e.Commit(u, id); err != nil {
 						t.Fatal(err)
 					}
-					if completed {
+					if e.Board().Get(id).Complete() {
 						filled = append(filled, id)
 					}
 				}
@@ -353,7 +352,7 @@ func TestProblemIntoFiltering(t *testing.T) {
 		}
 
 		// A task the actor contributed to drops out.
-		if _, _, err := e.Commit(1, tc.wantIDs[0]); err != nil {
+		if _, err := e.Commit(1, tc.wantIDs[0]); err != nil {
 			t.Fatal(err)
 		}
 		p, _ = e.ProblemInto(spec, Worker(1), nil)

@@ -120,7 +120,7 @@ func TestNeighborViewsIncrementalMatchesRecount(t *testing.T) {
 			}
 			if open := o.e.Open(); len(open) > 0 && rng.Intn(2) == 0 {
 				// A repeat contributor's commit fails harmlessly.
-				_, _, _ = o.e.Commit(rng.Intn(1000), open[rng.Intn(len(open))].ID)
+				_, _ = o.e.Commit(rng.Intn(1000), open[rng.Intn(len(open))].ID)
 			}
 			if step%40 == 39 {
 				round++
@@ -333,7 +333,7 @@ func FuzzNeighborCounts(f *testing.F) {
 			case 6:
 				if open := o.e.Open(); len(open) > 0 {
 					// The commit may fail (a repeat contributor): fine.
-					_, _, _ = o.e.Commit(rng.Intn(8), open[rng.Intn(len(open))].ID)
+					_, _ = o.e.Commit(rng.Intn(8), open[rng.Intn(len(open))].ID)
 				}
 			case 7:
 				round++

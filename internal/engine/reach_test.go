@@ -102,7 +102,7 @@ func TestReachBoundedProblemsSolveIdentically(t *testing.T) {
 		// The actor already measured a few tasks.
 		who := Worker(7)
 		for _, tk := range tasks[:3] {
-			if _, _, err := e.Commit(int(who), tk.ID); err != nil {
+			if _, err := e.Commit(int(who), tk.ID); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -198,10 +198,10 @@ func TestProblemIntoGridMatchesLinearScan(t *testing.T) {
 		// Other users close some tasks mid-round; the actor measured some.
 		who := Worker(7)
 		for i := 2; i < len(tasks); i += 5 {
-			if _, _, err := e.Commit(100+i, tasks[i].ID); err != nil {
+			if _, err := e.Commit(100+i, tasks[i].ID); err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := e.Commit(int(who), tasks[i+1].ID); err != nil {
+			if _, err := e.Commit(int(who), tasks[i+1].ID); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"paydemand/internal/metrics"
 	"paydemand/internal/sim"
 )
 
@@ -13,16 +12,26 @@ import (
 
 // onDemandSweep returns a variants function with one on-demand copy of
 // opts.Base per value; set adjusts the copy to its value and names it.
-func onDemandSweep[T any](values []T, set func(*sim.Config, T) string) func(Options) []namedConfig {
-	return func(opts Options) []namedConfig {
-		out := make([]namedConfig, len(values))
+func onDemandSweep[T any](values []T, set func(*sim.Config, T) string) func(Options) []variant {
+	return func(opts Options) []variant {
+		out := make([]variant, len(values))
 		for i, v := range values {
 			cfg := opts.Base
 			cfg.Mechanism = sim.MechanismOnDemand
-			out[i] = namedConfig{set(&cfg, v), cfg}
+			out[i] = simVariant(set(&cfg, v), cfg)
 		}
 		return out
 	}
+}
+
+// ablation is a one-view sweep of overall completeness. Every ablation
+// shares seed offset 5000, which keeps its populations apart from the
+// paper figures'.
+func ablation(id, title, notes string, variants func(Options) []variant) sweep {
+	return sweep{seedBase: 5000, variants: variants, views: []view{{
+		id: id, title: title, notes: notes,
+		yLabel: "overall completeness (%)", picks: []pick{{"", overallCompleteness}},
+	}}}
 }
 
 // weightVariant names one demand-weighting mechanism of ablation-weights.
@@ -31,19 +40,12 @@ type weightVariant struct {
 	mech sim.MechanismKind
 }
 
-func overallCompleteness(s metrics.Summary) float64 { return s.OverallCompleteness * 100 }
-
-// ablationFigures share seed offset 5000, which keeps their populations
-// apart from the paper figures'.
-var ablationFigures = []userFigure{
-	{
-		// The AHP-derived demand weights against equal weights and the
-		// three single-factor demands.
-		id:     "ablation-weights",
-		title:  "Demand weighting ablation: overall completeness",
-		notes:  "ahp = the paper's Table I weights; others replace the weight vector only.",
-		yLabel: "overall completeness (%)", seedBase: 5000, pick: overallCompleteness,
-		variants: onDemandSweep([]weightVariant{
+var ablationSweeps = []sweep{
+	// The AHP-derived demand weights against equal weights and the three
+	// single-factor demands.
+	ablation("ablation-weights", "Demand weighting ablation: overall completeness",
+		"ahp = the paper's Table I weights; others replace the weight vector only.",
+		onDemandSweep([]weightVariant{
 			{"ahp", sim.MechanismOnDemand},
 			{"equal", sim.MechanismEqualWeights},
 			{"deadline-only", sim.MechanismDeadlineOnly},
@@ -52,70 +54,49 @@ var ablationFigures = []userFigure{
 		}, func(cfg *sim.Config, v weightVariant) string {
 			cfg.Mechanism = v.mech
 			return v.name
-		}),
-	},
-	{
-		// The demand-level count N of Table III, rescaling lambda to keep
-		// the Eq. 9 budget constraint satisfiable.
-		id:     "ablation-levels",
-		title:  "Demand-level granularity ablation: overall completeness",
-		notes:  "lambda rescaled as 2/N so r0 from Eq. 9 stays positive at B = 1000.",
-		yLabel: "overall completeness (%)", seedBase: 5000, pick: overallCompleteness,
-		variants: onDemandSweep([]int{1, 2, 5, 10, 20}, func(cfg *sim.Config, n int) string {
+		})),
+	// The demand-level count N of Table III, rescaling lambda to keep the
+	// Eq. 9 budget constraint satisfiable.
+	ablation("ablation-levels", "Demand-level granularity ablation: overall completeness",
+		"lambda rescaled as 2/N so r0 from Eq. 9 stays positive at B = 1000.",
+		onDemandSweep([]int{1, 2, 5, 10, 20}, func(cfg *sim.Config, n int) string {
 			cfg.DemandLevels = n
 			cfg.RewardLambda = 2.0 / float64(n)
 			return fmt.Sprintf("N=%d", n)
-		}),
-	},
-	{
-		// The per-round user time budget the paper never states (DESIGN.md
-		// assumption 2).
-		id:     "ablation-budget",
-		title:  "Per-round time budget sensitivity: overall completeness",
-		notes:  "600 s is this implementation's default (DESIGN.md section 4).",
-		yLabel: "overall completeness (%)", seedBase: 5000, pick: overallCompleteness,
-		variants: onDemandSweep([]float64{150, 300, 600, 1200}, func(cfg *sim.Config, budget float64) string {
+		})),
+	// The per-round user time budget the paper never states (DESIGN.md
+	// assumption 2).
+	ablation("ablation-budget", "Per-round time budget sensitivity: overall completeness",
+		"600 s is this implementation's default (DESIGN.md section 4).",
+		onDemandSweep([]float64{150, 300, 600, 1200}, func(cfg *sim.Config, budget float64) string {
 			cfg.UserTimeBudget = budget
 			return fmt.Sprintf("%.0fs", budget)
-		}),
-	},
-	{
-		// Lifts the paper's negligible-sensing-time assumption: each
-		// measurement consumes the given on-site seconds out of the user's
-		// round budget.
-		id:     "ablation-sensing",
-		title:  "Sensing-time sensitivity: overall completeness",
-		notes:  "0 s is the paper's assumption (Section III-C: sensing time negligible next to travel).",
-		yLabel: "overall completeness (%)", seedBase: 5000, pick: overallCompleteness,
-		variants: onDemandSweep([]float64{0, 30, 60, 120}, func(cfg *sim.Config, sensing float64) string {
+		})),
+	// Lifts the paper's negligible-sensing-time assumption: each
+	// measurement consumes the given on-site seconds out of the user's
+	// round budget.
+	ablation("ablation-sensing", "Sensing-time sensitivity: overall completeness",
+		"0 s is the paper's assumption (Section III-C: sensing time negligible next to travel).",
+		onDemandSweep([]float64{0, 30, 60, 120}, func(cfg *sim.Config, sensing float64) string {
 			cfg.SensingTime = sensing
 			return fmt.Sprintf("%.0fs/meas", sensing)
-		}),
-	},
-	{
-		// The between-round user movement models, an extension beyond the
-		// paper's stationary population.
-		id:     "ablation-mobility",
-		title:  "Mobility model ablation: overall completeness",
-		notes:  "Mobile users redistribute between rounds with their idle time, changing each task's neighboring-user counts.",
-		yLabel: "overall completeness (%)", seedBase: 5000, pick: overallCompleteness,
-		variants: onDemandSweep([]sim.MobilityKind{
+		})),
+	// The between-round user movement models, an extension beyond the
+	// paper's stationary population.
+	ablation("ablation-mobility", "Mobility model ablation: overall completeness",
+		"Mobile users redistribute between rounds with their idle time, changing each task's neighboring-user counts.",
+		onDemandSweep([]sim.MobilityKind{
 			sim.MobilityStationary, sim.MobilityRandomWaypoint, sim.MobilityLevyWalk,
 		}, func(cfg *sim.Config, mob sim.MobilityKind) string {
 			cfg.Mobility = mob
 			return mob.String()
-		}),
-	},
-	{
-		// Robustness to population churn, an extension beyond the paper's
-		// fixed population.
-		id:     "ablation-churn",
-		title:  "Population churn robustness: overall completeness",
-		notes:  "Each round the given fraction of users departs and is replaced by fresh users with no contribution history.",
-		yLabel: "overall completeness (%)", seedBase: 5000, pick: overallCompleteness,
-		variants: onDemandSweep([]float64{0, 0.1, 0.3, 0.5}, func(cfg *sim.Config, churn float64) string {
+		})),
+	// Robustness to population churn, an extension beyond the paper's
+	// fixed population.
+	ablation("ablation-churn", "Population churn robustness: overall completeness",
+		"Each round the given fraction of users departs and is replaced by fresh users with no contribution history.",
+		onDemandSweep([]float64{0, 0.1, 0.3, 0.5}, func(cfg *sim.Config, churn float64) string {
 			cfg.ChurnRate = churn
 			return fmt.Sprintf("churn=%.0f%%", churn*100)
-		}),
-	},
+		})),
 }

@@ -2,10 +2,15 @@
 // evaluation (Section VI). Each figure sweeps the same parameter the
 // paper sweeps, averages over repeated trials, and returns the plotted
 // series; renderers emit ASCII tables, simple ASCII plots and CSV.
+//
+// Figures that plot the same simulations form one family, whose runner
+// plays them once and returns all of its figures: Figs. 6(a)-9(b), Figs.
+// 6(b)-8(b) with the reward trajectory, and Figs. 5(a)-(b).
 package experiments
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"paydemand/internal/sim"
@@ -43,8 +48,9 @@ type Options struct {
 	// order regardless of completion order.
 	Parallelism int
 	// Progress, when non-nil, is called after every finished trial with
-	// the number of completed trials and the sweep's total. Calls are
-	// serialized but may come from worker goroutines; keep it cheap.
+	// the number of completed trials and the total of the figure family
+	// running; each family counts from 1 again. Calls are serialized but
+	// may come from worker goroutines; keep it cheap.
 	Progress func(done, total int)
 }
 
@@ -115,51 +121,83 @@ type Figure struct {
 	Notes string `json:"notes,omitempty"`
 }
 
-// Runner produces a Figure.
-type Runner func(Options) (Figure, error)
+// family is a set of figures computed from one set of simulations: run
+// plays them once and returns one figure per ID, in ids order.
+type family struct {
+	ids []string
+	run func(Options) ([]Figure, error)
+}
 
-// registry maps figure IDs to runners: the tables, Fig. 5 and two
-// extensions have runners of their own; every other figure is a row of
-// the population-sweep or round-series tables.
-var registry = func() map[string]Runner {
-	r := map[string]Runner{
-		"table1":           TableI,
-		"table2":           TableII,
-		"table3":           TableIII,
-		"fig5a":            Fig5a,
-		"fig5b":            Fig5b,
-		"ext-sat-vs-wst":   ExtSATvsWST,
-		"ext-truthfulness": ExtTruthfulness,
+// registry lists every family: the population sweeps (Figs. 6(a)-9(b),
+// WST vs SAT, each ablation), the round series (Figs. 6(b)-8(b) and the
+// reward trajectory), Fig. 5's two views of one run, and the tables and
+// the truthfulness audit on their own.
+var registry = func() []family {
+	r := []family{
+		{[]string{"table1"}, tableI},
+		{[]string{"table2"}, tableII},
+		{[]string{"table3"}, tableIII},
+		{[]string{"fig5a", "fig5b"}, fig5},
+		{[]string{"fig6b", "fig7b", "fig8b", "ext-reward-trajectory"}, roundSeries},
+		{[]string{"ext-truthfulness"}, extTruthfulness},
 	}
-	for _, f := range append(paperUserFigures, ablationFigures...) {
-		r[f.id] = f.run
-	}
-	for _, f := range roundFigures {
-		r[f.id] = f.run
+	for _, s := range append([]sweep{paperSweep, satVsWST}, ablationSweeps...) {
+		f := family{run: s.run}
+		for _, v := range s.views {
+			f.ids = append(f.ids, v.id)
+		}
+		r = append(r, f)
 	}
 	return r
 }()
 
 // IDs returns the registered figure IDs, sorted.
 func IDs() []string {
-	ids := make([]string, 0, len(registry))
-	for id := range registry {
-		ids = append(ids, id)
+	var ids []string
+	for _, f := range registry {
+		ids = append(ids, f.ids...)
 	}
 	sort.Strings(ids)
 	return ids
 }
 
-// Run executes the runner registered for id.
+// Run regenerates the figure registered as id.
 func Run(id string, opts Options) (Figure, error) {
-	r, ok := registry[id]
-	if !ok {
-		return Figure{}, fmt.Errorf("experiments: unknown figure %q (known: %v)", id, IDs())
-	}
-	if err := opts.Validate(); err != nil {
+	figs, err := RunIDs([]string{id}, opts, nil)
+	if err != nil {
 		return Figure{}, err
 	}
-	return r(opts)
+	return figs[0], nil
+}
+
+// RunIDs regenerates the figures registered as ids and returns them in
+// ids order. Each family runs once, when the first of its IDs comes up,
+// so figures that plot the same simulations share them; started, when
+// non-nil, gets the family's IDs just before it runs, for labeling
+// Options.Progress reports.
+func RunIDs(ids []string, opts Options, started func(family []string)) ([]Figure, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
+	ran := make([][]Figure, len(registry))
+	out := make([]Figure, len(ids))
+	for i, id := range ids {
+		fam := slices.IndexFunc(registry, func(f family) bool { return slices.Contains(f.ids, id) })
+		if fam < 0 {
+			return nil, fmt.Errorf("experiments: unknown figure %q (known: %v)", id, IDs())
+		}
+		if ran[fam] == nil {
+			if started != nil {
+				started(registry[fam].ids)
+			}
+			var err error
+			if ran[fam], err = registry[fam].run(opts); err != nil {
+				return nil, err
+			}
+		}
+		out[i] = ran[fam][slices.Index(registry[fam].ids, id)]
+	}
+	return out, nil
 }
 
 // trialSeed derives the seed of one trial within one configuration so that

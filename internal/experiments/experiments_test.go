@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -31,6 +32,52 @@ func TestIDsComplete(t *testing.T) {
 	// The full registry adds the ablations and extensions.
 	if len(all) != len(wantPaper)+9 {
 		t.Errorf("IDs = %v", all)
+	}
+}
+
+// TestRunIDsRunsEachFamilyOnce runs the paper sweep's five figures in one
+// call: their simulations run once, 3 mechanisms x |UserSweep| x Trials
+// trials in all, not once per figure.
+func TestRunIDsRunsEachFamilyOnce(t *testing.T) {
+	opts := tinyOpts()
+	trials := 0
+	opts.Progress = func(int, int) { trials++ } // calls are serialized
+	var started [][]string
+	ids := []string{"fig6a", "fig7a", "fig8a", "fig9a", "fig9b"}
+	figs, err := RunIDs(ids, opts, func(family []string) { started = append(started, family) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 3 * len(opts.UserSweep) * opts.Trials; trials != want {
+		t.Errorf("%d trials ran, want %d", trials, want)
+	}
+	if len(started) != 1 || !slices.Equal(started[0], ids) {
+		t.Errorf("families started = %v, want one of %v", started, ids)
+	}
+	for i, f := range figs {
+		if f.ID != ids[i] {
+			t.Errorf("figure %d is %s, want %s", i, f.ID, ids[i])
+		}
+	}
+}
+
+// TestRunMatchesRunIDs checks that every figure Run regenerates on its
+// own equals the one a run of every ID hands back for it.
+func TestRunMatchesRunIDs(t *testing.T) {
+	opts := tinyOpts()
+	ids := IDs()
+	figs, err := RunIDs(ids, opts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range ids {
+		f, err := Run(id, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if f.ID != id || !reflect.DeepEqual(f, figs[i]) {
+			t.Errorf("Run(%q) = %+v\nRunIDs gave %+v", id, f, figs[i])
+		}
 	}
 }
 

@@ -1,79 +1,44 @@
 package experiments
 
 import (
-	"fmt"
-
 	"paydemand/internal/metrics"
 	"paydemand/internal/sat"
 	"paydemand/internal/sim"
 )
 
-// ExtSATvsWST compares the paper's WST mode under the on-demand incentive
+// satVsWST compares the paper's WST mode under the on-demand incentive
 // against a Server-Assigned-Tasks reverse auction (the mode the paper
 // argues against in Sections I-II) on overall completeness and platform
-// cost per measurement.
-func ExtSATvsWST(opts Options) (Figure, error) {
-	opts = opts.withDefaults()
-
-	// One engine job covers the paired WST and SAT runs of a trial, so the
-	// two modes share the fan-out and keep their historical seeds.
-	type pairedResult struct {
-		wst, sat metrics.TrialResult
-	}
-	results, err := runTrials(opts, len(opts.UserSweep), func(ui, trial int) (pairedResult, error) {
-		users := opts.UserSweep[ui]
-		wstCfg := opts.Base
-		wstCfg.Mechanism = sim.MechanismOnDemand
-		wstCfg.Workload.NumUsers = users
-		wstRes, err := sim.Run(wstCfg, trialSeed(opts.Seed, 7000+ui, trial))
-		if err != nil {
-			return pairedResult{}, fmt.Errorf("wst users=%d trial=%d: %w", users, trial, err)
+// cost per measurement. Seed offset 7000 gives WST trials 7000+ui and
+// SAT trials 7100+ui.
+var satVsWST = sweep{
+	seedBase: 7000,
+	variants: func(opts Options) []variant {
+		wst := opts.Base
+		wst.Mechanism = sim.MechanismOnDemand
+		return []variant{
+			simVariant("wst-on-demand", wst),
+			{"sat-auction", func(users int, seed int64) (metrics.TrialResult, error) {
+				cfg := sat.Config{Workload: opts.Base.Workload}
+				cfg.Workload.NumUsers = users
+				return sat.Run(cfg, seed)
+			}},
 		}
-		satCfg := sat.Config{Workload: opts.Base.Workload}
-		satCfg.Workload.NumUsers = users
-		satRes, err := sat.Run(satCfg, trialSeed(opts.Seed, 7100+ui, trial))
-		if err != nil {
-			return pairedResult{}, fmt.Errorf("sat users=%d trial=%d: %w", users, trial, err)
-		}
-		return pairedResult{wst: wstRes, sat: satRes}, nil
-	})
-	if err != nil {
-		return Figure{}, err
-	}
-
-	// Completeness of both modes, then their platform cost.
-	series := []Series{
-		{Name: "wst-on-demand"}, {Name: "sat-auction"},
-		{Name: "wst-on-demand ($/meas)"}, {Name: "sat-auction ($/meas)"},
-	}
-	for ui, users := range opts.UserSweep {
-		var wstAgg, satAgg metrics.Aggregator
-		for _, pr := range results[ui] {
-			wstAgg.Add(pr.wst)
-			satAgg.Add(pr.sat)
-		}
-		w, s := wstAgg.Summary(), satAgg.Summary()
-		ys := []float64{
-			w.OverallCompleteness * 100, s.OverallCompleteness * 100,
-			w.AvgRewardPerMeasurement, s.AvgRewardPerMeasurement,
-		}
-		for i, y := range ys {
-			series[i].X = append(series[i].X, float64(users))
-			series[i].Y = append(series[i].Y, y)
-		}
-	}
-
-	return Figure{
-		ID:     "ext-sat-vs-wst",
-		Title:  "WST on-demand vs SAT reverse auction",
-		XLabel: "number of users",
-		YLabel: "overall completeness (%) / $ per measurement",
-		Series: series,
-		Notes: "Extension beyond the paper: the SAT baseline assigns tasks centrally by " +
+	},
+	views: []view{{
+		id:     "ext-sat-vs-wst",
+		title:  "WST on-demand vs SAT reverse auction",
+		yLabel: "overall completeness (%) / $ per measurement",
+		// Completeness of both modes, then their platform cost.
+		picks: []pick{
+			{"", overallCompleteness},
+			{" ($/meas)", rewardPerMeasurement},
+		},
+		notes: "Extension beyond the paper: the SAT baseline assigns tasks centrally by " +
 			"first-price reverse auction with a 20% bidder margin. Central assignment edges " +
 			"out WST on completeness because the server exploits global knowledge of every " +
 			"user's location; the paper's argument for WST is exactly that this knowledge " +
 			"(and the bidding round-trips) should not be required. On-demand WST closes most " +
 			"of the gap without it.",
-	}, nil
+	}},
 }

@@ -26,151 +26,134 @@ func baseConfig(opts Options, mech sim.MechanismKind, users, rounds int) sim.Con
 	return cfg
 }
 
-// namedConfig is one plotted variant of a population sweep.
-type namedConfig struct {
+// variant is one plotted configuration of a population sweep: run plays
+// one trial of it at a population and seed.
+type variant struct {
 	name string
-	cfg  sim.Config
+	run  func(users int, seed int64) (metrics.TrialResult, error)
+}
+
+// simVariant runs cfg through the simulator at each population.
+func simVariant(name string, cfg sim.Config) variant {
+	return variant{name, func(users int, seed int64) (metrics.TrialResult, error) {
+		cfg := cfg
+		cfg.Workload.NumUsers = users
+		return sim.Run(cfg, seed)
+	}}
 }
 
 // comparedVariants are the three compared mechanisms over opts.Base, each
 // run until its largest task deadline (Rounds forced to 0).
-func comparedVariants(opts Options) []namedConfig {
-	out := make([]namedConfig, len(comparedMechanisms))
+func comparedVariants(opts Options) []variant {
+	out := make([]variant, len(comparedMechanisms))
 	for i, mech := range comparedMechanisms {
-		out[i] = namedConfig{mech.String(), baseConfig(opts, mech, 0, 0)}
+		out[i] = simVariant(mech.String(), baseConfig(opts, mech, 0, 0))
 	}
 	return out
 }
 
-// userFigure is a figure that plots one final metric against the number
-// of users, one series per configuration variant.
-type userFigure struct {
-	id, title, yLabel, notes string
-	// seedBase offsets the configuration index of every trial seed, so
-	// figure families that share a sweep draw distinct populations.
-	seedBase int
-	variants func(Options) []namedConfig
-	pick     func(metrics.Summary) float64
+// pick is one series per variant in a view: the variant's name plus
+// suffix, reading value from each population's summary.
+type pick struct {
+	suffix string
+	value  func(metrics.Summary) float64
 }
 
-// run sweeps the (variant, user-count) grid. Trials fan out across the
-// worker pool and are aggregated back in trial order, so the output
-// matches a sequential run exactly.
-func (f userFigure) run(opts Options) (Figure, error) {
+// view is one figure drawn from a population sweep's summaries.
+type view struct {
+	id, title, yLabel, notes string
+	picks                    []pick
+}
+
+// sweep is a population sweep: every variant at every user count of
+// Options.UserSweep, played once and read through each of its views.
+type sweep struct {
+	// seedBase offsets the configuration index of every trial seed, so
+	// sweeps draw distinct populations.
+	seedBase int
+	variants func(Options) []variant
+	views    []view
+}
+
+// run plays the (variant, user-count) grid and returns one figure per
+// view. Trials fan out across the worker pool and are aggregated back in
+// trial order, so the output matches a sequential run exactly.
+func (s sweep) run(opts Options) ([]Figure, error) {
 	opts = opts.withDefaults()
-	variants := f.variants(opts)
+	variants := s.variants(opts)
 	nu := len(opts.UserSweep)
 	results, err := runTrials(opts, len(variants)*nu, func(c, trial int) (metrics.TrialResult, error) {
 		vi, ui := c/nu, c%nu
 		v, users := variants[vi], opts.UserSweep[ui]
-		cfg := v.cfg
-		cfg.Workload.NumUsers = users
-		res, err := sim.Run(cfg, trialSeed(opts.Seed, f.seedBase+vi*100+ui, trial))
+		res, err := v.run(users, trialSeed(opts.Seed, s.seedBase+vi*100+ui, trial))
 		if err != nil {
 			return metrics.TrialResult{}, fmt.Errorf("%s users=%d trial=%d: %w", v.name, users, trial, err)
 		}
 		return res, nil
 	})
 	if err != nil {
-		return Figure{}, err
+		return nil, err
 	}
-	series := make([]Series, len(variants))
-	for vi, v := range variants {
-		s := Series{Name: v.name}
-		for ui, users := range opts.UserSweep {
-			var agg metrics.Aggregator
-			for _, res := range results[vi*nu+ui] {
-				agg.Add(res)
-			}
-			s.X = append(s.X, float64(users))
-			s.Y = append(s.Y, f.pick(agg.Summary()))
+	summaries := make([]metrics.Summary, len(results))
+	for c, trials := range results {
+		var agg metrics.Aggregator
+		for _, res := range trials {
+			agg.Add(res)
 		}
-		series[vi] = s
+		summaries[c] = agg.Summary()
 	}
-	return Figure{
-		ID:     f.id,
-		Title:  f.title,
-		XLabel: "number of users",
-		YLabel: f.yLabel,
-		Series: series,
-		Notes:  f.notes,
-	}, nil
+	figs := make([]Figure, len(s.views))
+	for i, vw := range s.views {
+		f := Figure{ID: vw.id, Title: vw.title, XLabel: "number of users", YLabel: vw.yLabel, Notes: vw.notes}
+		for _, p := range vw.picks {
+			for vi, v := range variants {
+				ser := Series{Name: v.name + p.suffix}
+				for ui, users := range opts.UserSweep {
+					ser.X = append(ser.X, float64(users))
+					ser.Y = append(ser.Y, p.value(summaries[vi*nu+ui]))
+				}
+				f.Series = append(f.Series, ser)
+			}
+		}
+		figs[i] = f
+	}
+	return figs, nil
 }
 
-// roundFigure is a figure that plots one per-round metric of the three
-// compared mechanisms at the series population, scaled by scale. Its
-// title gets the population appended.
-type roundFigure struct {
+func overallCompleteness(s metrics.Summary) float64  { return s.OverallCompleteness * 100 }
+func rewardPerMeasurement(s metrics.Summary) float64 { return s.AvgRewardPerMeasurement }
+
+// paperSweep is the population sweep of the three compared mechanisms
+// behind Figs. 6(a)-9(b): five metrics of the same runs.
+var paperSweep = sweep{
+	variants: comparedVariants,
+	views: []view{
+		{id: "fig6a", title: "Coverage vs number of users", yLabel: "coverage (%)",
+			picks: []pick{{"", func(s metrics.Summary) float64 { return s.Coverage * 100 }}}},
+		{id: "fig7a", title: "Overall completeness vs number of users", yLabel: "overall completeness (%)",
+			picks: []pick{{"", overallCompleteness}}},
+		{id: "fig8a", title: "Average measurements per task vs number of users", yLabel: "average # of measurements",
+			picks: []pick{{"", func(s metrics.Summary) float64 { return s.AvgMeasurements }}}},
+		{id: "fig9a", title: "Variance of measurements vs number of users", yLabel: "variance of measurements",
+			picks: []pick{{"", func(s metrics.Summary) float64 { return s.VarianceMeasurements }}}},
+		{id: "fig9b", title: "Average reward per measurement vs number of users", yLabel: "average reward per measurement ($)",
+			picks: []pick{{"", rewardPerMeasurement}}},
+	},
+}
+
+// roundView is one figure of the round series: one per-round metric of
+// the three compared mechanisms, scaled by scale. Its title gets the
+// population appended.
+type roundView struct {
 	id, title, yLabel, notes string
 	metric                   metrics.RoundMetric
 	scale                    float64
 }
 
-// run averages the per-round series of every compared mechanism over
-// the trials.
-func (f roundFigure) run(opts Options) (Figure, error) {
-	opts = opts.withDefaults()
-	results, err := runTrials(opts, len(comparedMechanisms), func(mi, trial int) (metrics.TrialResult, error) {
-		mech := comparedMechanisms[mi]
-		cfg := baseConfig(opts, mech, opts.SeriesUsers, opts.Rounds)
-		res, err := sim.Run(cfg, trialSeed(opts.Seed, 1000+mi, trial))
-		if err != nil {
-			return metrics.TrialResult{}, fmt.Errorf("%s trial=%d: %w", mech, trial, err)
-		}
-		return res, nil
-	})
-	if err != nil {
-		return Figure{}, err
-	}
-	series := make([]Series, len(comparedMechanisms))
-	for mi, mech := range comparedMechanisms {
-		var agg metrics.Aggregator
-		for _, res := range results[mi] {
-			agg.Add(res)
-		}
-		rs := agg.Series(f.metric, opts.Rounds)
-		s := Series{Name: mech.String()}
-		for i, k := range rs.Rounds {
-			s.X = append(s.X, float64(k))
-			s.Y = append(s.Y, rs.Values[i]*f.scale)
-		}
-		series[mi] = s
-	}
-	return Figure{
-		ID:     f.id,
-		Title:  fmt.Sprintf("%s (%d users)", f.title, opts.SeriesUsers),
-		XLabel: "round",
-		YLabel: f.yLabel,
-		Series: series,
-		Notes:  f.notes,
-	}, nil
-}
-
-// paperUserFigures are Figs. 6(a)-9(b)'s population sweeps of the three
-// compared mechanisms; the ablations of DESIGN.md section 7 follow in
-// ablationFigures.
-var paperUserFigures = []userFigure{
-	{id: "fig6a", title: "Coverage vs number of users", yLabel: "coverage (%)",
-		variants: comparedVariants,
-		pick:     func(s metrics.Summary) float64 { return s.Coverage * 100 }},
-	{id: "fig7a", title: "Overall completeness vs number of users", yLabel: "overall completeness (%)",
-		variants: comparedVariants,
-		pick:     overallCompleteness},
-	{id: "fig8a", title: "Average measurements per task vs number of users", yLabel: "average # of measurements",
-		variants: comparedVariants,
-		pick:     func(s metrics.Summary) float64 { return s.AvgMeasurements }},
-	{id: "fig9a", title: "Variance of measurements vs number of users", yLabel: "variance of measurements",
-		variants: comparedVariants,
-		pick:     func(s metrics.Summary) float64 { return s.VarianceMeasurements }},
-	{id: "fig9b", title: "Average reward per measurement vs number of users", yLabel: "average reward per measurement ($)",
-		variants: comparedVariants,
-		pick:     func(s metrics.Summary) float64 { return s.AvgRewardPerMeasurement }},
-}
-
-// roundFigures are Figs. 6(b)-8(b) and the reward trajectory: the same
+// roundViews are Figs. 6(b)-8(b) and the reward trajectory: the same
 // runs of the three compared mechanisms, read through different round
 // metrics.
-var roundFigures = []roundFigure{
+var roundViews = []roundView{
 	{id: "fig6b", title: "Coverage vs sensing round", yLabel: "coverage (%)",
 		metric: metrics.MetricCoverage, scale: 100},
 	{id: "fig7b", title: "Overall completeness vs sensing round", yLabel: "overall completeness (%)",
@@ -187,6 +170,53 @@ var roundFigures = []roundFigure{
 		notes: "Extension view: the same runs as Fig. 6(b)-8(b), showing the price signal " +
 			"itself. Rounds after a mechanism's task set empties publish no rewards and " +
 			"report zero."},
+}
+
+// roundSeries runs the three compared mechanisms at the series
+// population and returns one figure per round view, each averaging its
+// metric's per-round series over the trials.
+func roundSeries(opts Options) ([]Figure, error) {
+	opts = opts.withDefaults()
+	results, err := runTrials(opts, len(comparedMechanisms), func(mi, trial int) (metrics.TrialResult, error) {
+		mech := comparedMechanisms[mi]
+		cfg := baseConfig(opts, mech, opts.SeriesUsers, opts.Rounds)
+		res, err := sim.Run(cfg, trialSeed(opts.Seed, 1000+mi, trial))
+		if err != nil {
+			return metrics.TrialResult{}, fmt.Errorf("%s trial=%d: %w", mech, trial, err)
+		}
+		return res, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	aggs := make([]metrics.Aggregator, len(comparedMechanisms))
+	for mi := range aggs {
+		for _, res := range results[mi] {
+			aggs[mi].Add(res)
+		}
+	}
+	figs := make([]Figure, len(roundViews))
+	for i, v := range roundViews {
+		f := Figure{
+			ID:     v.id,
+			Title:  fmt.Sprintf("%s (%d users)", v.title, opts.SeriesUsers),
+			XLabel: "round",
+			YLabel: v.yLabel,
+			Series: make([]Series, len(comparedMechanisms)),
+			Notes:  v.notes,
+		}
+		for mi, mech := range comparedMechanisms {
+			rs := aggs[mi].Series(v.metric, opts.Rounds)
+			s := Series{Name: mech.String()}
+			for j, k := range rs.Rounds {
+				s.X = append(s.X, float64(k))
+				s.Y = append(s.Y, rs.Values[j]*v.scale)
+			}
+			f.Series[mi] = s
+		}
+		figs[i] = f
+	}
+	return figs, nil
 }
 
 // profitAtRound2 is the observer for Fig. 5: it records, at sensing round
@@ -213,11 +243,13 @@ func (o *profitAtRound2) UserPlanned(round, _ int, p selection.Problem, plan sel
 	o.greedyProfits = append(o.greedyProfits, gr.Profit)
 }
 
-// runFig5 runs the DP-driven simulation and collects paired per-user
-// profits at round 2 for every sweep point. Each trial returns its
-// observer so the per-user profit streams can be merged in trial order
-// after the parallel fan-out.
-func runFig5(opts Options) (dpMean, grMean []float64, diffs []float64, err error) {
+// fig5 reproduces Fig. 5 from one DP-driven run per sweep point, with
+// paired per-user profits collected at round 2: Fig. 5(a), the average
+// profit per user of the optimal DP against greedy, and Fig. 5(b), the
+// distribution (boxplot) of the per-user profit difference on identical
+// problem instances. Each trial returns its observer so the per-user
+// profit streams merge in trial order after the parallel fan-out.
+func fig5(opts Options) ([]Figure, error) {
 	opts = opts.withDefaults()
 	results, err := runTrials(opts, len(opts.UserSweep), func(ui, trial int) (*profitAtRound2, error) {
 		cfg := baseConfig(opts, sim.MechanismOnDemand, opts.UserSweep[ui], 2)
@@ -236,11 +268,11 @@ func runFig5(opts Options) (dpMean, grMean []float64, diffs []float64, err error
 		return obs, nil
 	})
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	dpMean = make([]float64, len(opts.UserSweep))
-	grMean = make([]float64, len(opts.UserSweep))
-	for ui := range opts.UserSweep {
+	dp, gr := Series{Name: "dp"}, Series{Name: "greedy"}
+	var diffs []float64
+	for ui, users := range opts.UserSweep {
 		var dpAgg, grAgg stats.Running
 		for _, obs := range results[ui] {
 			for i := range obs.dpProfits {
@@ -251,47 +283,19 @@ func runFig5(opts Options) (dpMean, grMean []float64, diffs []float64, err error
 				}
 			}
 		}
-		dpMean[ui] = dpAgg.Mean()
-		grMean[ui] = grAgg.Mean()
+		dp.X = append(dp.X, float64(users))
+		dp.Y = append(dp.Y, dpAgg.Mean())
+		gr.X = append(gr.X, float64(users))
+		gr.Y = append(gr.Y, grAgg.Mean())
 	}
-	return dpMean, grMean, diffs, nil
-}
-
-// Fig5a reproduces Fig. 5(a): average profit per user at sensing round 2,
-// optimal DP vs greedy, against the number of users.
-func Fig5a(opts Options) (Figure, error) {
-	opts = opts.withDefaults()
-	dpMean, grMean, _, err := runFig5(opts)
-	if err != nil {
-		return Figure{}, err
-	}
-	xs := make([]float64, len(opts.UserSweep))
-	for i, u := range opts.UserSweep {
-		xs[i] = float64(u)
-	}
-	return Figure{
+	return []Figure{{
 		ID:     "fig5a",
 		Title:  "Average profit per user at round 2: DP vs greedy",
 		XLabel: "number of users",
 		YLabel: "average profit per user ($)",
-		Series: []Series{
-			{Name: "dp", X: xs, Y: dpMean},
-			{Name: "greedy", X: xs, Y: grMean},
-		},
-		Notes: "Profits are on this implementation's budget-derived reward scale; the paper's absolute values differ but dp >= greedy must hold pointwise.",
-	}, nil
-}
-
-// Fig5b reproduces Fig. 5(b): the distribution (boxplot) of the per-user
-// profit difference between the DP and greedy selections on identical
-// problem instances at round 2.
-func Fig5b(opts Options) (Figure, error) {
-	opts = opts.withDefaults()
-	_, _, diffs, err := runFig5(opts)
-	if err != nil {
-		return Figure{}, err
-	}
-	return Figure{
+		Series: []Series{dp, gr},
+		Notes:  "Profits are on this implementation's budget-derived reward scale; the paper's absolute values differ but dp >= greedy must hold pointwise.",
+	}, {
 		ID:        "fig5b",
 		Title:     "Per-user profit difference (dp - greedy) at round 2",
 		XLabel:    "all users, all trials",
@@ -299,5 +303,5 @@ func Fig5b(opts Options) (Figure, error) {
 		Boxplots:  []stats.Boxplot{stats.NewBoxplot(diffs)},
 		BoxLabels: []string{"dp - greedy"},
 		Notes:     "Differences are collected on identical per-user problem instances; zero differences (both algorithms equal) are omitted as in the paper's positive-difference boxplot.",
-	}, nil
+	}}, nil
 }

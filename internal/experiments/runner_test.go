@@ -43,8 +43,8 @@ func figureJSON(t *testing.T, id string, opts Options) []byte {
 // TestParallelMatchesSequential is the engine's core guarantee: the same
 // Options produce byte-identical Figure JSON at every parallelism level,
 // across every refactored loop shape (user sweep, round sweep, the
-// observer-based Fig. 5 collection, ablations, and the paired SAT/WST
-// extension).
+// observer-based Fig. 5 collection, ablations, and the two-variant
+// SAT/WST sweep).
 func TestParallelMatchesSequential(t *testing.T) {
 	for _, id := range []string{"fig6a", "fig6b", "fig5a", "fig5b", "ablation-weights", "ext-sat-vs-wst"} {
 		t.Run(id, func(t *testing.T) {
@@ -207,10 +207,11 @@ func TestOptionsValidate(t *testing.T) {
 func TestRunnerRejectsNegativeTrials(t *testing.T) {
 	o := tinyOpts()
 	o.Trials = -3
-	for _, id := range []string{"fig6a", "ablation-weights"} {
-		if _, err := registry[id](o); err == nil {
-			t.Errorf("%s accepted Trials = -3", id)
-		}
+	if _, err := paperSweep.run(o); err == nil {
+		t.Error("the paper sweep accepted Trials = -3")
+	}
+	if _, err := ablationSweeps[0].run(o); err == nil {
+		t.Error("ablation-weights accepted Trials = -3")
 	}
 }
 

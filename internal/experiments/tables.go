@@ -5,16 +5,16 @@ import (
 	"paydemand/internal/demand"
 )
 
-// TableI reproduces the paper's Table I: the example pairwise comparison
+// tableI reproduces the paper's Table I: the example pairwise comparison
 // matrix over the three demand criteria. The "series" are the matrix rows.
-func TableI(Options) (Figure, error) {
-	return matrixFigure("table1",
-		"Pairwise comparison matrix A over the demand criteria", ahp.PaperExampleMatrix().Rows()), nil
+func tableI(Options) ([]Figure, error) {
+	return []Figure{matrixFigure("table1",
+		"Pairwise comparison matrix A over the demand criteria", ahp.PaperExampleMatrix().Rows())}, nil
 }
 
-// TableII reproduces Table II: the column-normalized matrix and, as an
+// tableII reproduces Table II: the column-normalized matrix and, as an
 // extra series, the derived weight vector W = (0.648, 0.230, 0.122).
-func TableII(Options) (Figure, error) {
+func tableII(Options) ([]Figure, error) {
 	pm := ahp.PaperExampleMatrix()
 	f := matrixFigure("table2",
 		"Column-normalized comparison matrix and derived weights", pm.Normalized())
@@ -26,11 +26,11 @@ func TableII(Options) (Figure, error) {
 	})
 	cons, err := pm.Consistency()
 	if err != nil {
-		return Figure{}, err
+		return nil, err
 	}
 	f.Notes = "Paper: W = (0.648, 0.230, 0.122). Consistency ratio computed additionally: " +
 		formatNum(cons.Ratio)
-	return f, nil
+	return []Figure{f}, nil
 }
 
 // matrixFigure renders a 3×3 matrix as one series per row.
@@ -48,8 +48,8 @@ func matrixFigure(id, title string, m [3][3]float64) Figure {
 	return f
 }
 
-// TableIII reproduces Table III: the demand-level intervals for N = 5.
-func TableIII(Options) (Figure, error) {
+// tableIII reproduces Table III: the demand-level intervals for N = 5.
+func tableIII(Options) ([]Figure, error) {
 	m := demand.LevelMapper{N: demand.DefaultLevels}
 	f := Figure{
 		ID:     "table3",
@@ -68,5 +68,5 @@ func TableIII(Options) (Figure, error) {
 		{Name: "lower bound", X: levels, Y: lows},
 		{Name: "upper bound", X: levels, Y: highs},
 	}
-	return f, nil
+	return []Figure{f}, nil
 }

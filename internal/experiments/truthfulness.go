@@ -13,14 +13,14 @@ const (
 	truthBudget  = 60.0
 )
 
-// ExtTruthfulness audits the reverse auction's incentive compatibility
+// extTruthfulness audits the reverse auction's incentive compatibility
 // empirically, without simulating a campaign: for every misreport factor
 // f, every worker in a seeded population deviates alone — bidding f times
 // its true cost while everyone else stays truthful — and the figure
 // records the best utility gain any deviator achieves (zero or negative
 // for a truthful mechanism) next to the truthful clearing's
 // payout-to-budget ratio (never above 1 for a budget-feasible one).
-func ExtTruthfulness(opts Options) (Figure, error) {
+func extTruthfulness(opts Options) ([]Figure, error) {
 	opts = opts.withDefaults()
 	factors := []float64{0.25, 0.5, 0.75, 1.25, 1.5, 2}
 
@@ -61,7 +61,7 @@ func ExtTruthfulness(opts Options) (Figure, error) {
 		return res, nil
 	})
 	if err != nil {
-		return Figure{}, err
+		return nil, err
 	}
 
 	gain := Series{Name: "best utility gain from misreporting ($)"}
@@ -79,7 +79,7 @@ func ExtTruthfulness(opts Options) (Figure, error) {
 		payout.Y = append(payout.Y, payoutSum/n)
 	}
 
-	return Figure{
+	return []Figure{{
 		ID:     "ext-truthfulness",
 		Title:  "Reverse auction truthfulness audit",
 		XLabel: "misreport factor (bid = factor x true cost)",
@@ -89,7 +89,7 @@ func ExtTruthfulness(opts Options) (Figure, error) {
 			"truthful field and keeps the best utility gain found. A gain series pinned at " +
 			"zero is the empirical signature of dominant-strategy truthfulness; the payout " +
 			"series never exceeding 1 is budget feasibility.",
-	}, nil
+	}}, nil
 }
 
 // auctionUtilities computes every worker's utility (payment minus true

@@ -107,7 +107,7 @@ func TestCollectBidsMatchesScan(t *testing.T) {
 				if d > maxTravel || st.Contributed(u.ID) {
 					continue
 				}
-				want = append(want, Bid{User: u.ID, Task: st.ID, Amount: d*u.CostPerMeter*(1+s.cfg.Margin) + s.cfg.MinBid})
+				want = append(want, Bid{User: u.ID, Task: st.ID, Amount: d*u.CostPerMeter*(1+DefaultMargin) + DefaultMinBid})
 			}
 		}
 		got := roundBids(s, k)

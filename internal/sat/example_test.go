@@ -12,7 +12,6 @@ import (
 func Example() {
 	res, err := sat.Run(sat.Config{
 		Workload: workload.Config{NumTasks: 6, NumUsers: 25, Required: 3},
-		Margin:   0.2,
 	}, 7)
 	if err != nil {
 		panic(err)

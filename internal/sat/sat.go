@@ -57,10 +57,6 @@ type Config struct {
 	CostPerMeter   float64 `json:"cost_per_meter"`
 	// Budget is the platform's total payment budget.
 	Budget float64 `json:"budget"`
-	// Margin is the relative markup users put on their true costs.
-	Margin float64 `json:"margin"`
-	// MinBid floors every bid; zero means DefaultMinBid.
-	MinBid float64 `json:"min_bid"`
 }
 
 // withDefaults fills zero values.
@@ -76,12 +72,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Budget == 0 {
 		c.Budget = DefaultBudget
-	}
-	if c.Margin == 0 {
-		c.Margin = DefaultMargin
-	}
-	if c.MinBid == 0 {
-		c.MinBid = DefaultMinBid
 	}
 	return c
 }
@@ -109,12 +99,6 @@ func (c Config) Validate() error {
 	}
 	if !(c.Budget > 0) || math.IsInf(c.Budget, 1) {
 		return fmt.Errorf("sat: budget %v, want finite > 0", c.Budget)
-	}
-	if !(c.Margin >= 0) || math.IsInf(c.Margin, 1) {
-		return fmt.Errorf("sat: margin %v, want finite >= 0", c.Margin)
-	}
-	if !(c.MinBid >= 0) || math.IsInf(c.MinBid, 1) {
-		return fmt.Errorf("sat: min bid %v, want finite >= 0", c.MinBid)
 	}
 	return nil
 }
@@ -279,7 +263,7 @@ func (s *Simulation) runRound(k int) (metrics.RoundStats, error) {
 		if b.Amount > s.remainingBudget {
 			continue
 		}
-		if _, err := s.eng.CommitPaid(b.User, b.Task, b.Amount); err != nil {
+		if err := s.eng.CommitPaid(b.User, b.Task, b.Amount); err != nil {
 			return rs, err
 		}
 		s.remainingBudget -= b.Amount
@@ -319,7 +303,7 @@ func (s *Simulation) collectBids() []Bid {
 		}, u, s.candBuf)
 		for _, c := range p.Candidates {
 			d := u.Location.Dist(c.Location)
-			amount := d*u.CostPerMeter*(1+s.cfg.Margin) + s.cfg.MinBid
+			amount := d*u.CostPerMeter*(1+DefaultMargin) + DefaultMinBid
 			bids = append(bids, Bid{User: u.ID, Task: c.ID, Amount: amount})
 		}
 	}

@@ -98,8 +98,6 @@ func TestValidateRejections(t *testing.T) {
 	}{
 		{"negative rounds", func(c *Config) { c.Rounds = -1 }},
 		{"negative budget", func(c *Config) { c.Budget = -10 }},
-		{"negative margin", func(c *Config) { c.Margin = -0.5 }},
-		{"negative min bid", func(c *Config) { c.MinBid = -1 }},
 		{"negative speed", func(c *Config) { c.UserSpeed = -2 }},
 		{"bad workload", func(c *Config) { c.Workload.NumTasks = -1 }},
 		{"NaN speed", func(c *Config) { c.UserSpeed = math.NaN() }},
@@ -111,10 +109,6 @@ func TestValidateRejections(t *testing.T) {
 		{"infinite cost per meter", func(c *Config) { c.CostPerMeter = math.Inf(1) }},
 		{"NaN budget", func(c *Config) { c.Budget = math.NaN() }},
 		{"infinite budget", func(c *Config) { c.Budget = math.Inf(1) }},
-		{"NaN margin", func(c *Config) { c.Margin = math.NaN() }},
-		{"infinite margin", func(c *Config) { c.Margin = math.Inf(1) }},
-		{"NaN min bid", func(c *Config) { c.MinBid = math.NaN() }},
-		{"infinite min bid", func(c *Config) { c.MinBid = math.Inf(1) }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -131,11 +125,9 @@ func TestValidateRejections(t *testing.T) {
 }
 
 func TestPaymentsCoverCosts(t *testing.T) {
-	// First-price payments with a positive margin mean the platform pays
+	// First-price payments with DefaultMargin mean the platform pays
 	// cost*(1+margin)+minBid per award; total profit equals total margin.
-	cfg := smallConfig()
-	cfg.Margin = 0.5
-	res, err := Run(cfg, 9)
+	res, err := Run(smallConfig(), 9)
 	if err != nil {
 		t.Fatal(err)
 	}

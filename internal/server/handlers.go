@@ -183,8 +183,7 @@ func (p *Platform) submitLocked(req *wire.SubmitRequest) (resp wire.SubmitRespon
 				res.Reason = "budget exhausted"
 				break
 			}
-			_, err := p.eng.CommitPaid(req.UserID, m.TaskID, reward)
-			if err != nil {
+			if err := p.eng.CommitPaid(req.UserID, m.TaskID, reward); err != nil {
 				res.Reason = recordReason(err)
 				break
 			}
