@@ -73,6 +73,7 @@ fuzz-smoke:
 	go test -run FuzzRoundInfoJSON -fuzz FuzzRoundInfoJSON -fuzztime 15s ./internal/wire/
 	go test -run FuzzNeighborCounts -fuzz FuzzNeighborCounts -fuzztime 15s ./internal/engine/
 	go test -run FuzzTaskRoundCounts -fuzz FuzzTaskRoundCounts -fuzztime 15s ./internal/task/
+	go test -run FuzzRNGMatchesMathRand -fuzz FuzzRNGMatchesMathRand -fuzztime 15s ./internal/stats/
 
 # A short closed-loop run against a self-hosted platform in each codec:
 # at least one round must complete with zero protocol errors (the
@@ -96,7 +97,7 @@ bench-check:
 # Runs every benchmark once, including BenchmarkBeam (the dispatch-tuning
 # grid recorded in BENCH_beam.json) and the root package's paper benchmarks.
 bench-smoke:
-	go test -run xxx -bench . -benchtime 1x -benchmem . ./internal/selection/ ./internal/sim/ ./internal/experiments/ ./internal/engine/ ./internal/geo/ ./internal/sat/ ./internal/wire/binary/
+	go test -run xxx -bench . -benchtime 1x -benchmem . ./internal/selection/ ./internal/sim/ ./internal/experiments/ ./internal/engine/ ./internal/geo/ ./internal/sat/ ./internal/wire/binary/ ./internal/stats/
 
 # The wire-codec grid at recording fidelity; the numbers at the repo root
 # (BENCH_wire.json) came from this command plus a pair of loadgen runs.

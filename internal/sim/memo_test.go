@@ -129,3 +129,40 @@ func TestEmptyProblemMemoMatchesEngine(t *testing.T) {
 		})
 	}
 }
+
+// TestChurnedUserIsNewObject holds churn to a fresh allocation per
+// churned-in user: the initial users share one slab, and a newcomer
+// written into its predecessor's slab entry would pass the empty-problem
+// memo's pointer test for that slot and inherit the predecessor's memo.
+func TestChurnedUserIsNewObject(t *testing.T) {
+	cfg := smallConfig()
+	cfg.ChurnRate = 0.3
+	s, err := New(cfg, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	initial := slices.Clone(s.Users())
+	ids := make([]int, len(initial))
+	for i, u := range initial {
+		ids[i] = u.ID
+	}
+	if _, err := s.Run(nil); err != nil {
+		t.Fatal(err)
+	}
+	churned := 0
+	for i, u := range s.Users() {
+		if u.ID == ids[i] {
+			continue
+		}
+		churned++
+		if slices.Contains(initial, u) {
+			t.Fatalf("slot %d: churned-in user %d reuses an initial user's object", i, u.ID)
+		}
+		if initial[i].ID != ids[i] {
+			t.Fatalf("slot %d: departed user %d was overwritten by %d", i, ids[i], initial[i].ID)
+		}
+	}
+	if churned == 0 {
+		t.Fatal("no user churned")
+	}
+}

@@ -60,10 +60,13 @@ func BenchmarkRunRound(b *testing.B) {
 
 // BenchmarkNew times a trial's setup, sim.New: scenario generation,
 // board, mechanism, engine and users, with the trial's RNG streams split
-// off the seed. At paper size (100 users, 20 tasks) seeding those streams
-// used to dominate, so a stream the configuration never draws from
-// should cost no seeding; city size (2000 users, 1000 tasks, phi = 10,
-// 25 s budget) is the other end of the bench workloads.
+// off the seed. At paper size (100 users, 20 tasks) about half of it is
+// seeding the three streams it draws from (New's and NewFromScenario's
+// roots and the scenario stream; see stats.BenchmarkNewRNG), and a
+// stream the configuration never draws from costs no seeding. City size
+// (2000 users, 1000 tasks, phi = 10, 25 s budget) is the other end of
+// the bench workloads; there the board's states and the initial users
+// are one allocation each, not one per task and per user.
 func BenchmarkNew(b *testing.B) {
 	sizes := []struct {
 		name string

@@ -182,10 +182,14 @@ func NewFromScenario(cfg Config, sc workload.Scenario, seed int64) (*Simulation,
 		mobRNG:   mobRNG,
 		mob:      mob,
 	}
+	// The initial users live in one slab; churned-in users get their own
+	// allocation (see runRound's churn step).
+	slab := make([]agent.User, len(sc.UserLocations))
 	s.users = make([]*agent.User, len(sc.UserLocations))
 	s.emptyMemo = make([]emptyProblem, len(sc.UserLocations))
 	for i, loc := range sc.UserLocations {
-		u := s.newUser(loc, jitterRNG)
+		u := &slab[i]
+		s.newUser(u, loc, jitterRNG)
 		if err := u.Validate(); err != nil {
 			return nil, err
 		}
@@ -194,18 +198,20 @@ func NewFromScenario(cfg Config, sc workload.Scenario, seed int64) (*Simulation,
 	return s, nil
 }
 
-// newUser creates a user with the configured parameters, drawing the
-// jittered time budget from rng.
-func (s *Simulation) newUser(loc geo.Point, rng *stats.RNG) *agent.User {
+// newUser fills u as a new user with the configured parameters, drawing
+// the jittered time budget from rng.
+func (s *Simulation) newUser(u *agent.User, loc geo.Point, rng *stats.RNG) {
 	s.nextUser++
-	u := agent.New(s.nextUser, loc)
-	u.Speed = s.cfg.UserSpeed
-	u.TimeBudget = s.cfg.UserTimeBudget
+	*u = agent.User{
+		ID:           s.nextUser,
+		Location:     loc,
+		Speed:        s.cfg.UserSpeed,
+		TimeBudget:   s.cfg.UserTimeBudget,
+		CostPerMeter: s.cfg.CostPerMeter,
+	}
 	if j := s.cfg.TimeBudgetJitter; j > 0 {
 		u.TimeBudget = s.cfg.UserTimeBudget * rng.Uniform(1-j, 1+j)
 	}
-	u.CostPerMeter = s.cfg.CostPerMeter
-	return u
 }
 
 // Board exposes the task board (read-only use expected).
@@ -325,10 +331,14 @@ func (s *Simulation) runRound(k int, obs Observer) (metrics.RoundStats, error) {
 				continue
 			}
 			s.departedProfits = append(s.departedProfits, u.Profit())
-			s.users[i] = s.newUser(geo.Pt(
+			// A new object, never the departed user's slot: the empty-
+			// problem memo tells users apart by pointer.
+			nu := new(agent.User)
+			s.newUser(nu, geo.Pt(
 				s.churnRNG.Uniform(area.Min.X, area.Max.X),
 				s.churnRNG.Uniform(area.Min.Y, area.Max.Y),
 			), s.churnRNG)
+			s.users[i] = nu
 		}
 	}
 

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -89,6 +90,52 @@ func TestIntBetweenDegenerate(t *testing.T) {
 	}
 }
 
+// TestIntBetweenWideRanges draws ranges of more than math.MaxInt values,
+// which used to panic in Intn: the draw is the first Uint64, as an int,
+// that lies in the range.
+func TestIntBetweenWideRanges(t *testing.T) {
+	for _, r := range []struct{ lo, hi int }{
+		{math.MinInt, math.MaxInt},
+		{0, math.MaxInt},
+		{-1, math.MaxInt - 1},
+		{math.MinInt, 0},
+	} {
+		g, ref := NewRNG(3), rand.New(rand.NewSource(3))
+		for i := 0; i < 100; i++ {
+			want := int(ref.Uint64())
+			for want < r.lo || want > r.hi {
+				want = int(ref.Uint64())
+			}
+			if got := g.IntBetween(r.lo, r.hi); got != want {
+				t.Fatalf("IntBetween(%d, %d) draw %d = %d, want %d", r.lo, r.hi, i, got, want)
+			}
+		}
+	}
+}
+
+// TestIntBetweenFittingRangesUnchanged holds every range whose size
+// fits in an int to its historical draw, lo + Intn(hi-lo+1), so seeded
+// streams do not move.
+func TestIntBetweenFittingRangesUnchanged(t *testing.T) {
+	for _, r := range []struct{ lo, hi int }{
+		{5, 15},
+		{-5, 5},
+		{7, 7},
+		{0, math.MaxInt - 1},
+		{math.MinInt, math.MinInt + 10},
+		{math.MinInt / 2, math.MaxInt/2 - 1},
+		{math.MaxInt - 3, math.MaxInt},
+	} {
+		g, ref := NewRNG(9), rand.New(rand.NewSource(9))
+		for i := 0; i < 100; i++ {
+			want := r.lo + ref.Intn(r.hi-r.lo+1)
+			if got := g.IntBetween(r.lo, r.hi); got != want {
+				t.Fatalf("IntBetween(%d, %d) draw %d = %d, want %d", r.lo, r.hi, i, got, want)
+			}
+		}
+	}
+}
+
 func TestIntBetweenPanicsOnInvertedRange(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -169,7 +216,13 @@ func TestShuffle(t *testing.T) {
 // is first drawn before or after its parent's next Split, and a sibling
 // that is never drawn leaves every other stream unchanged.
 func TestLazySeedingMatchesEagerStreams(t *testing.T) {
-	for _, seed := range []int64{0, 1, -1, 7, 42, 1 << 40, -(1 << 62), 9223372036854775807} {
+	seeds := []int64{0, 1, -1, 7, 42, 1 << 40, -(1 << 62), 9223372036854775807,
+		// Seeding edge cases: multiples of p = 2³¹−1 (which seed as 0
+		// does), math.MinInt64 and other negative remainders, and the
+		// value that stands in for 0.
+		seedMod, -seedMod, 2 * seedMod, -5 * seedMod, seedMod * (math.MaxInt64 / seedMod),
+		seedMod - 1, -seedMod + 1, math.MinInt64, -12345, -seedMod - 7, zeroSeed}
+	for _, seed := range seeds {
 		parent, ref := NewRNG(seed), rand.New(rand.NewSource(seed))
 		early := parent.Split()
 		earlyRef := rand.New(rand.NewSource(ref.Int63()))

@@ -13,18 +13,21 @@ type Board struct {
 }
 
 // NewBoard creates a board from task specifications. Task IDs must be
-// unique; specifications are validated.
+// unique; specifications are validated. The states live in one slab
+// that the board's pointers index into.
 func NewBoard(tasks []Task) (*Board, error) {
-	b := &Board{byID: make(map[ID]*State, len(tasks))}
-	for _, t := range tasks {
+	slab := make([]State, len(tasks))
+	b := &Board{states: make([]*State, len(tasks)), byID: make(map[ID]*State, len(tasks))}
+	for i, t := range tasks {
 		if _, dup := b.byID[t.ID]; dup {
 			return nil, fmt.Errorf("task: duplicate task id %d", t.ID)
 		}
-		s, err := NewState(t)
-		if err != nil {
+		if err := t.Validate(); err != nil {
 			return nil, err
 		}
-		b.states = append(b.states, s)
+		s := &slab[i]
+		s.Task = t
+		b.states[i] = s
 		b.byID[t.ID] = s
 	}
 	return b, nil

@@ -36,6 +36,57 @@ func TestNewBoardInvalidTask(t *testing.T) {
 	}
 }
 
+// TestNewBoardRejectsLikeNewState holds NewBoard's errors to what it
+// reported before its states moved into one slab: the first duplicate id,
+// or the first invalid task's own Validate error, wherever in the list
+// they come.
+func TestNewBoardRejectsLikeNewState(t *testing.T) {
+	valid := func(id ID) Task { return Task{ID: id, Location: geo.Pt(0, 0), Deadline: 5, Required: 2} }
+	invalid := Task{ID: 3, Location: geo.Pt(0, 0), Deadline: 5}
+	for _, tc := range []struct {
+		name  string
+		tasks []Task
+		want  string
+	}{
+		{"duplicate last", []Task{valid(1), valid(2), valid(1)}, "task: duplicate task id 1"},
+		{"invalid middle", []Task{valid(1), invalid, valid(2)}, invalid.Validate().Error()},
+		{"duplicate before invalid", []Task{valid(3), invalid}, "task: duplicate task id 3"},
+	} {
+		b, err := NewBoard(tc.tasks)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s: NewBoard = %v, %v; want error %q", tc.name, b, err, tc.want)
+		}
+	}
+}
+
+// TestBoardGetAndStatesShareState holds the slab's pointers: Get(id) and
+// States()[i] are the same State, so a Record through either shows
+// through the other.
+func TestBoardGetAndStatesShareState(t *testing.T) {
+	b := testBoard(t)
+	states := b.States()
+	for i, s := range states {
+		if b.Get(s.ID) != s {
+			t.Fatalf("States()[%d] (task %d) is not Get(%d)", i, s.ID, s.ID)
+		}
+	}
+	if err := b.Get(2).Record(7, 1, 1.5); err != nil {
+		t.Fatal(err)
+	}
+	if s := states[1]; s.Received() != 1 || !s.Contributed(7) || s.RewardPaid() != 1.5 {
+		t.Errorf("Record through Get(2) not seen through States()[1]: received %d, paid %v", s.Received(), s.RewardPaid())
+	}
+	if err := states[0].Record(8, 2, 2); err != nil {
+		t.Fatal(err)
+	}
+	if s := b.Get(1); s.Received() != 1 || !s.Contributed(8) {
+		t.Errorf("Record through States()[0] not seen through Get(1): received %d", s.Received())
+	}
+	if b.Get(3).Received() != 0 || b.Get(2).Contributed(8) {
+		t.Error("a Record leaked into a neighbouring slab entry")
+	}
+}
+
 func TestBoardAccessors(t *testing.T) {
 	b := testBoard(t)
 	if b.Len() != 3 {
