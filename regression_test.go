@@ -13,18 +13,25 @@ import (
 // update the table deliberately when the change is intended.
 func TestCampaignRegression(t *testing.T) {
 	tests := []struct {
-		mechanism    paydemand.MechanismKind
+		name         string
+		cfg          paydemand.Config
 		measurements int
 		coverage     float64
 		rewardPaid   float64
 	}{
-		{paydemand.MechanismOnDemand, 397, 1.0, 471.0},
-		{paydemand.MechanismFixed, 343, 1.0, 544.0},
-		{paydemand.MechanismSteered, 320, 1.0, 746.6185118863771},
+		{"on-demand", paydemand.Config{Mechanism: paydemand.MechanismOnDemand}, 397, 1.0, 471.0},
+		{"fixed", paydemand.Config{Mechanism: paydemand.MechanismFixed}, 343, 1.0, 544.0},
+		{"steered", paydemand.Config{Mechanism: paydemand.MechanismSteered}, 320, 1.0, 746.6185118863771},
+		// At the default cost every user wins every round and the
+		// auction pays B/k = 10; at 0.02 per meter the bids bind, so
+		// the reward paid pins each round's bid values.
+		{"auction", paydemand.Config{Mechanism: paydemand.MechanismAuction}, 400, 1.0, 4000.0},
+		{"auction-costly-bids", paydemand.Config{Mechanism: paydemand.MechanismAuction, CostPerMeter: 0.02}, 397, 1.0, 4915.334511106857},
+		{"incentme", paydemand.Config{Mechanism: paydemand.MechanismIncentMe}, 400, 1.0, 772.5},
 	}
 	for _, tt := range tests {
-		t.Run(tt.mechanism.String(), func(t *testing.T) {
-			res, err := paydemand.Run(paydemand.Config{Mechanism: tt.mechanism}, 12345)
+		t.Run(tt.name, func(t *testing.T) {
+			res, err := paydemand.Run(tt.cfg, 12345)
 			if err != nil {
 				t.Fatal(err)
 			}
