@@ -64,16 +64,19 @@ lint-tools:
 	go install honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION)
 	go install golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION)
 
+# -fuzzminimizetime bounds the time spent minimising each new interesting
+# input; at its 60 s default one minimisation can stall execution for the
+# rest of a 15 s budget.
 fuzz-smoke:
-	go test -run FuzzSolverEquivalence -fuzz FuzzSolverEquivalence -fuzztime 30s ./internal/selection/
-	go test -run FuzzBinaryRoundTrip -fuzz FuzzBinaryRoundTrip -fuzztime 15s ./internal/wire/binary/
-	go test -run FuzzBinaryDecodeHardened -fuzz FuzzBinaryDecodeHardened -fuzztime 15s ./internal/wire/binary/
-	go test -run FuzzJSONHandlers -fuzz FuzzJSONHandlers -fuzztime 15s ./internal/server/
-	go test -run FuzzTLVHandlers -fuzz FuzzTLVHandlers -fuzztime 15s ./internal/server/
-	go test -run FuzzRoundInfoJSON -fuzz FuzzRoundInfoJSON -fuzztime 15s ./internal/wire/
-	go test -run FuzzNeighborCounts -fuzz FuzzNeighborCounts -fuzztime 15s ./internal/engine/
-	go test -run FuzzTaskRoundCounts -fuzz FuzzTaskRoundCounts -fuzztime 15s ./internal/task/
-	go test -run FuzzRNGMatchesMathRand -fuzz FuzzRNGMatchesMathRand -fuzztime 15s ./internal/stats/
+	go test -run FuzzSolverEquivalence -fuzz FuzzSolverEquivalence -fuzztime 30s -fuzzminimizetime 1s ./internal/selection/
+	go test -run FuzzBinaryRoundTrip -fuzz FuzzBinaryRoundTrip -fuzztime 15s -fuzzminimizetime 1s ./internal/wire/binary/
+	go test -run FuzzBinaryDecodeHardened -fuzz FuzzBinaryDecodeHardened -fuzztime 15s -fuzzminimizetime 1s ./internal/wire/binary/
+	go test -run FuzzJSONHandlers -fuzz FuzzJSONHandlers -fuzztime 15s -fuzzminimizetime 1s ./internal/server/
+	go test -run FuzzTLVHandlers -fuzz FuzzTLVHandlers -fuzztime 15s -fuzzminimizetime 1s ./internal/server/
+	go test -run FuzzRoundInfoJSON -fuzz FuzzRoundInfoJSON -fuzztime 15s -fuzzminimizetime 1s ./internal/wire/
+	go test -run FuzzNeighborCounts -fuzz FuzzNeighborCounts -fuzztime 15s -fuzzminimizetime 1s ./internal/engine/
+	go test -run FuzzTaskRoundCounts -fuzz FuzzTaskRoundCounts -fuzztime 15s -fuzzminimizetime 1s ./internal/task/
+	go test -run FuzzRNGMatchesMathRand -fuzz FuzzRNGMatchesMathRand -fuzztime 15s -fuzzminimizetime 1s ./internal/stats/
 
 # A short closed-loop run against a self-hosted platform in each codec:
 # at least one round must complete with zero protocol errors (the

@@ -71,23 +71,19 @@ type (
 
 // Incentive mechanisms (Sections IV and VI).
 type (
-	// Mechanism prices sensing tasks round by round. Callers assemble a
-	// RoundInput carrying the capabilities the mechanism declares via
-	// Requires() and receive a task-ID-to-reward map back.
+	// Mechanism prices sensing tasks round by round. Callers fill a
+	// RoundInput and receive a task-ID-to-reward map back; a mechanism
+	// rejects a missing input it uses with an error naming it.
 	Mechanism = incentive.Mechanism
 	// RoundInput is the per-round bundle of observations handed to a
-	// mechanism: the task views plus whichever optional capability
-	// fields (bids, budget, mobility forecast, seeded stream) the
-	// mechanism requires.
+	// mechanism: the task views plus the user locations, budget, bid
+	// cost, mobility forecast and seeded stream.
 	RoundInput = incentive.RoundInput
 	// TaskView is the platform's per-task observation handed to a
 	// mechanism.
 	TaskView = incentive.TaskView
 	// Bid is one worker's claimed cost for sensing this round.
 	Bid = incentive.Bid
-	// Capabilities is the bitmask of optional RoundInput fields a
-	// mechanism declares it needs.
-	Capabilities = incentive.Capabilities
 	// ForecastProvider predicts future neighbor counts for
 	// mobility-aware mechanisms; implement it to plug in a custom
 	// mobility model.
@@ -110,18 +106,6 @@ type (
 	IncentMeMechanism = incentive.IncentMe
 )
 
-// Capability flags a Mechanism can declare via Requires().
-const (
-	// CapBids asks for per-worker claimed costs in RoundInput.Bids.
-	CapBids = incentive.CapBids
-	// CapBudget asks for the campaign budget in RoundInput.Budget.
-	CapBudget = incentive.CapBudget
-	// CapMobility asks for a neighbor forecast in RoundInput.Mobility.
-	CapMobility = incentive.CapMobility
-	// CapRNG asks for a seeded stream in RoundInput.RNG.
-	CapRNG = incentive.CapRNG
-)
-
 // NewMechanismRNG builds the seeded stream randomized mechanisms consume
 // through RoundInput.RNG.
 func NewMechanismRNG(seed int64) *MechanismRNG { return stats.NewRNG(seed) }
@@ -140,14 +124,14 @@ func NewOnDemandMechanism(scheme RewardScheme) (*OnDemandMechanism, error) {
 
 // NewFixedMechanism builds the fixed baseline. Its one-time random level
 // draws come from the RoundInput.RNG stream the caller supplies each
-// round (see NewMechanismRNG); the mechanism declares that need via
-// Requires().
+// round (see NewMechanismRNG); a nil stream is an error.
 func NewFixedMechanism(scheme RewardScheme) (*FixedMechanism, error) {
 	return incentive.NewFixed(scheme)
 }
 
 // NewAuctionMechanism builds the budget-feasible truthful reverse
-// auction; it requires worker bids and a budget in its RoundInput.
+// auction; it bids for the RoundInput's users at its BidCostPerMeter and
+// clears against its Budget, both of which must be positive.
 func NewAuctionMechanism() *AuctionMechanism { return incentive.NewAuction() }
 
 // NewIncentMeMechanism builds the expected-coverage mechanism; it

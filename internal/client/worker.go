@@ -8,6 +8,7 @@ import (
 	"slices"
 	"time"
 
+	"paydemand/internal/agent"
 	"paydemand/internal/geo"
 	"paydemand/internal/selection"
 	"paydemand/internal/task"
@@ -28,12 +29,13 @@ type Sensor func(taskID int64, loc geo.Point) float64
 type WorkerConfig struct {
 	// Start is the worker's initial location.
 	Start geo.Point
-	// Speed is the travel speed in m/s; zero means the paper's 2.
+	// Speed is the travel speed in m/s; zero means agent.DefaultSpeed.
 	Speed float64
-	// TimeBudget is the per-round time budget in seconds; zero means the
-	// paper's 600.
+	// TimeBudget is the per-round time budget in seconds; zero means
+	// agent.DefaultTimeBudget.
 	TimeBudget float64
-	// CostPerMeter is the movement cost; zero means the paper's 0.002.
+	// CostPerMeter is the movement cost; zero means
+	// agent.DefaultCostPerMeter.
 	CostPerMeter float64
 	// Algorithm solves the per-round selection problem locally; nil means
 	// the size-adaptive Auto solver. Unused with PlatformPlans.
@@ -72,13 +74,13 @@ type Worker struct {
 // NewWorker registers a new worker with the platform.
 func NewWorker(ctx context.Context, c *Client, cfg WorkerConfig) (*Worker, error) {
 	if cfg.Speed == 0 {
-		cfg.Speed = 2
+		cfg.Speed = agent.DefaultSpeed
 	}
 	if cfg.TimeBudget == 0 {
-		cfg.TimeBudget = 600
+		cfg.TimeBudget = agent.DefaultTimeBudget
 	}
 	if cfg.CostPerMeter == 0 {
-		cfg.CostPerMeter = 0.002
+		cfg.CostPerMeter = agent.DefaultCostPerMeter
 	}
 	if cfg.Algorithm == nil {
 		cfg.Algorithm = &selection.Auto{}

@@ -13,11 +13,11 @@ import (
 )
 
 // TestRepriceSteadyStateAllocsAllMechanisms extends the zero-allocation
-// contract from the stub to every real mechanism: with the reward map now
-// engine-owned scratch and every capability input (bids, budget,
-// forecast, rng) assembled into recycled buffers, a steady-state
-// BeginRound+Reprice allocates nothing regardless of which mechanism is
-// pricing. The steady state cycles through user moves below and above
+// contract from the stub to every real mechanism: with the reward map
+// engine-owned scratch, every input handed over in the recycled
+// RoundInput and the auction's bids built into its own scratch, a
+// steady-state BeginRound+Reprice allocates nothing regardless of which
+// mechanism is pricing. The steady state cycles through user moves below and above
 // movedShare, so both the user-by-user count update and the full
 // recount are held to it.
 func TestRepriceSteadyStateAllocsAllMechanisms(t *testing.T) {

@@ -15,14 +15,13 @@
 //     centralized reverse auction instead of published prices.
 //
 // All per-round storage — the open-task snapshot and its locations, the
-// neighbor grid, the mechanism's task views, the assembled mechanism input
-// (bids, budget, forecast), and the published rewards — is grow-only
-// scratch recycled across rounds, so a steady-state Reprice allocates
-// nothing at all: mechanisms write into an engine-owned map through
-// RewardsInto, and the engine republishes that map each round together
-// with a copy by snapshot position, which is what problem assembly
-// reads. Because
-// of the scratch, an Engine is NOT safe for concurrent mutation: drivers
+// neighbor grid, the mechanism's task views and round input, and the
+// published rewards — is grow-only scratch recycled across rounds, so a
+// steady-state Reprice allocates nothing at all: mechanisms write into
+// an engine-owned map through RewardsInto, and the engine republishes
+// that map each round together with a copy by snapshot position, which
+// is what problem assembly reads. Because of the scratch, an Engine is
+// NOT safe for concurrent mutation: drivers
 // serialize BeginRound/Reprice/Commit calls (the simulator is
 // single-threaded; the HTTP platform holds its mutex). Read-only
 // accessors, ProblemInto included, are safe to call concurrently between
@@ -61,23 +60,21 @@ type Config struct {
 	// historical behavior of offering unpriced open tasks at reward 0.
 	RequirePriced bool
 
-	// The remaining fields back the mechanism capabilities (see
-	// incentive.Capabilities). Each is required exactly when the
-	// mechanism's Requires() mask declares the matching capability; New
-	// and Reprice reject configurations that cannot supply a declared
-	// capability.
+	// The remaining fields are handed to the mechanism unchanged in every
+	// round's incentive.RoundInput. A mechanism that uses one rejects a
+	// missing one at reprice: the fixed mechanism needs RNG, the auction
+	// a positive Budget and BidCostPerMeter, IncentMe a Forecast.
 
-	// RNG is the mechanism's seeded stream (incentive.CapRNG).
+	// RNG is the mechanism's seeded stream.
 	RNG *stats.RNG
-	// Budget is the campaign budget handed to budget-aware mechanisms
-	// (incentive.CapBudget).
+	// Budget is the campaign budget handed to budget-aware mechanisms.
 	Budget float64
 	// BidCostPerMeter converts a worker's travel estimate — the distance
 	// from its location to the nearest open task — into the claimed cost
-	// of its bid (incentive.CapBids).
+	// of its bid.
 	BidCostPerMeter float64
 	// Forecast predicts future neighbor counts for mobility-aware
-	// mechanisms (incentive.CapMobility).
+	// mechanisms.
 	Forecast incentive.ForecastProvider
 }
 
@@ -135,22 +132,18 @@ type Engine struct {
 	grid      geo.GridIndex
 	viewBuf   []incentive.TaskView
 	in        incentive.RoundInput
-	bidBuf    []incentive.Bid
 	rewardBuf map[task.ID]float64
 }
 
 // New validates the configuration and builds an engine. Area and
 // NeighborRadius are validated lazily by the first Reprice (mirroring the
 // historical per-round grid construction), so drivers that never reprice
-// need not provide them.
+// need not provide them; the mechanism checks its own inputs there too.
 func New(cfg Config) (*Engine, error) {
 	if cfg.Board == nil {
 		return nil, errors.New("engine: nil board")
 	}
 	e := &Engine{cfg: cfg}
-	if err := e.checkCapabilities(); err != nil {
-		return nil, err
-	}
 	e.bindBoard(cfg.Board)
 	return e, nil
 }
@@ -161,33 +154,6 @@ func (e *Engine) bindBoard(b *task.Board) {
 	e.board = b
 	e.states = b.States()
 	e.nbOK = false
-}
-
-// checkCapabilities verifies that the configuration can supply every
-// capability the mechanism declares, so a missing input fails at
-// construction (and again at reprice, covering SetMechanism swaps) rather
-// than as a nil dereference mid-campaign.
-func (e *Engine) checkCapabilities() error {
-	m := e.cfg.Mechanism
-	if m == nil {
-		return nil
-	}
-	req := m.Requires()
-	if req.Has(incentive.CapBids) && !(e.cfg.BidCostPerMeter > 0) {
-		return fmt.Errorf("engine: mechanism %s requires worker bids but Config.BidCostPerMeter is %v, want > 0",
-			m.Name(), e.cfg.BidCostPerMeter)
-	}
-	if req.Has(incentive.CapBudget) && !(e.cfg.Budget > 0) {
-		return fmt.Errorf("engine: mechanism %s requires a budget but Config.Budget is %v, want > 0",
-			m.Name(), e.cfg.Budget)
-	}
-	if req.Has(incentive.CapMobility) && e.cfg.Forecast == nil {
-		return fmt.Errorf("engine: mechanism %s requires a mobility forecast but Config.Forecast is nil", m.Name())
-	}
-	if req.Has(incentive.CapRNG) && e.cfg.RNG == nil {
-		return fmt.Errorf("engine: mechanism %s requires a seeded stream but Config.RNG is nil", m.Name())
-	}
-	return nil
 }
 
 // Board exposes the task board the engine runs over.
@@ -280,8 +246,8 @@ func (e *Engine) Reprice(userLocs []geo.Point) error {
 // reprice publishes neither. views must hold
 // one entry per open-snapshot task, in board order — the slice
 // NeighborViews returned. userLocs is the round's full user-location
-// slice in user order; it feeds bid construction for mechanisms that
-// declare the bids capability and may be nil otherwise. It stays exported
+// slice in user order, handed to the mechanism as RoundInput.Users (the
+// auction builds its bids from it). It stays exported
 // beside Reprice so the benchmark's round-loop mirror (bench/mirror.go)
 // can time neighbor counting and pricing as separate layers; calling
 // NeighborViews then RepriceViews is exactly Reprice.
@@ -292,28 +258,21 @@ func (e *Engine) RepriceViews(views []incentive.TaskView, userLocs []geo.Point) 
 	if e.cfg.Mechanism == nil {
 		return errors.New("engine: reprice without a mechanism")
 	}
-	if err := e.checkCapabilities(); err != nil {
-		return err
-	}
 	if len(views) != len(e.open) {
 		return fmt.Errorf("engine: %d views for %d open tasks", len(views), len(e.open))
 	}
-	// Assemble exactly the inputs the mechanism declares. The RoundInput
-	// and the reward map are engine-owned scratch recycled every round;
-	// mechanisms consume them synchronously inside RewardsInto.
-	req := e.cfg.Mechanism.Requires()
-	e.in = incentive.RoundInput{Round: e.round, Views: views}
-	if req.Has(incentive.CapBids) {
-		e.in.Bids = e.buildBids(userLocs, views)
-	}
-	if req.Has(incentive.CapBudget) {
-		e.in.Budget = e.cfg.Budget
-	}
-	if req.Has(incentive.CapMobility) {
-		e.in.Mobility = e.cfg.Forecast
-	}
-	if req.Has(incentive.CapRNG) {
-		e.in.RNG = e.cfg.RNG
+	// Every mechanism gets every input; each checks the ones it uses. The
+	// RoundInput and the reward map are engine-owned scratch recycled
+	// every round; mechanisms consume them synchronously inside
+	// RewardsInto.
+	e.in = incentive.RoundInput{
+		Round:           e.round,
+		Views:           views,
+		Users:           userLocs,
+		Budget:          e.cfg.Budget,
+		BidCostPerMeter: e.cfg.BidCostPerMeter,
+		Mobility:        e.cfg.Forecast,
+		RNG:             e.cfg.RNG,
 	}
 	if e.rewardBuf == nil {
 		e.rewardBuf = make(map[task.ID]float64, len(views))
@@ -539,29 +498,6 @@ func (e *Engine) shift(u geo.Point, delta int) {
 	for _, i := range e.near {
 		e.nbCount[e.openPos[i]] += delta
 	}
-}
-
-// buildBids derives one claimed-cost bid per user for mechanisms that
-// declare the bids capability: worker i (the index into userLocs) claims
-// BidCostPerMeter times the distance from its location to the nearest
-// open task — the cheapest travel that could yield it a measurement. The
-// returned slice is engine-owned scratch, in user order, valid until the
-// next Reprice.
-func (e *Engine) buildBids(userLocs []geo.Point, views []incentive.TaskView) []incentive.Bid {
-	e.bidBuf = e.bidBuf[:0]
-	for i, loc := range userLocs {
-		best := math.Inf(1)
-		for _, v := range views {
-			if d := loc.Dist(v.Location); d < best {
-				best = d
-			}
-		}
-		if len(views) == 0 {
-			best = 0
-		}
-		e.bidBuf = append(e.bidBuf, incentive.Bid{Worker: i, Cost: e.cfg.BidCostPerMeter * best})
-	}
-	return e.bidBuf
 }
 
 // Open returns the current round's open-task snapshot in board order.

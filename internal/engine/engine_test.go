@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"paydemand/internal/demand"
 	"paydemand/internal/geo"
 	"paydemand/internal/incentive"
 	"paydemand/internal/metrics"
@@ -23,8 +24,6 @@ type stubMechanism struct {
 }
 
 func (stubMechanism) Name() string { return "stub" }
-
-func (stubMechanism) Requires() incentive.Capabilities { return 0 }
 
 func (m stubMechanism) RewardsInto(in *incentive.RoundInput, out map[task.ID]float64) error {
 	if m.err != nil {
@@ -419,6 +418,59 @@ func TestRepriceErrors(t *testing.T) {
 			t.Fatalf("empty-round reprice consulted the mechanism: %v", err)
 		}
 	})
+}
+
+// TestRepriceRejectsMissingMechanismInputs: every mechanism receives every
+// Config input and rejects a missing one it uses, so the reprice fails
+// with an error naming the input and unpublishes the prices a working
+// mechanism had published for the same round.
+func TestRepriceRejectsMissingMechanismInputs(t *testing.T) {
+	scheme, err := incentive.SchemeFromBudget(1000, 4, 0.5, demand.LevelMapper{N: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixed, err := incentive.NewFixed(scheme)
+	if err != nil {
+		t.Fatal(err)
+	}
+	incentme, err := incentive.NewIncentMe(scheme)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		mech incentive.Mechanism
+		cfg  Config
+		want string
+	}{
+		{"auction without budget", incentive.NewAuction(), Config{BidCostPerMeter: 0.002}, "budget"},
+		{"auction without bid cost", incentive.NewAuction(), Config{Budget: 1000}, "BidCostPerMeter"},
+		{"auction with NaN bid cost", incentive.NewAuction(), Config{Budget: 1000, BidCostPerMeter: math.NaN()}, "BidCostPerMeter"},
+		{"fixed without rng", fixed, Config{}, "RNG"},
+		{"incentme without forecast", incentme, Config{}, "Mobility"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.Board = testBoard(t)
+			cfg.Mechanism = stubMechanism{rewards: map[task.ID]float64{1: 10, 2: 20, 3: 30}}
+			cfg.Area = geo.Square(1000)
+			cfg.NeighborRadius = 100
+			e := testEngine(t, cfg)
+			users := []geo.Point{geo.Pt(200, 200), geo.Pt(600, 600)}
+			e.BeginRound(1)
+			if err := e.Reprice(users); err != nil || len(e.Rewards()) != 3 {
+				t.Fatalf("stub reprice: %v, rewards %v", err, e.Rewards())
+			}
+			e.SetMechanism(tc.mech)
+			err := e.Reprice(users)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want one naming %s", err, tc.want)
+			}
+			if _, priced := e.RewardAt(0); e.Rewards() != nil || priced || e.MeanPublishedReward() != 0 {
+				t.Error("prices left published after the failed reprice")
+			}
+		})
+	}
 }
 
 // TestRepriceRejectsNonFiniteTaskLocation pins Reprice's location check,

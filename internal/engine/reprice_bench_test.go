@@ -60,7 +60,7 @@ func newBenchWorld(b testing.TB, users, tasks int) benchWorld {
 }
 
 // benchEngine builds a long-lived engine priced by the named mechanism,
-// with whatever capability inputs it declares wired into the config.
+// with the inputs it uses wired into the config.
 func benchEngine(b testing.TB, w benchWorld, kind string) *Engine {
 	b.Helper()
 	cfg := Config{Board: w.board, Area: w.area, NeighborRadius: 500}
@@ -101,7 +101,7 @@ func benchEngine(b testing.TB, w benchWorld, kind string) *Engine {
 // per round.
 //
 //   - engine/<mechanism>: BeginRound + Reprice on one long-lived Engine,
-//     priced by the named mechanism with its capability inputs wired in.
+//     priced by the named mechanism with the inputs it uses wired in.
 //     Steady state allocates nothing (the grid, views, bids and rewards
 //     are grow-only scratch; see TestRepriceSteadyStateAllocs).
 //   - rebuild: what the HTTP platform did before the engine existed —

@@ -31,23 +31,24 @@ import (
 // every open task: the auction prices labor, not demand, so all tasks
 // offer the market-clearing rate. A round whose budget cannot afford even
 // the cheapest bid publishes no rewards at all.
+//
+// RewardsInto builds the round's bids itself (see buildBids), so the cost
+// of bidding falls on the auction alone.
 type Auction struct {
-	// order is grow-only scratch holding the sorted bids.
+	// order is grow-only scratch holding the round's bids, sorted by
+	// clearing.
 	order []Bid
 }
 
 var _ Mechanism = (*Auction)(nil)
 
-// NewAuction constructs the mechanism. The budget and the bids arrive per
-// round through RoundInput (the bids and budget capabilities).
+// NewAuction constructs the mechanism. The budget, the bid cost and the
+// user locations the bids derive from arrive per round through
+// RoundInput.
 func NewAuction() *Auction { return &Auction{} }
 
 // Name implements Mechanism.
 func (m *Auction) Name() string { return "auction" }
-
-// Requires implements Mechanism: clearing needs the worker bids and the
-// campaign budget.
-func (m *Auction) Requires() Capabilities { return CapBids | CapBudget }
 
 // AuctionOutcome describes one clearing: the bids in ascending (Cost,
 // Worker) order, the number of winners (a prefix of Order), and the
@@ -80,19 +81,24 @@ func compareBids(a, b Bid) int {
 	return 0
 }
 
-// Clear runs the clearing rule over one round's bids. It validates, sorts
-// into the mechanism's scratch (bids itself is left untouched), and
-// returns the outcome; steady-state calls allocate nothing.
+// Clear runs the clearing rule over one round's bids. It copies them into
+// the mechanism's scratch (bids itself is left untouched), validates,
+// sorts, and returns the outcome; steady-state calls allocate nothing.
 func (m *Auction) Clear(bids []Bid, budget float64) (AuctionOutcome, error) {
+	m.order = append(m.order[:0], bids...)
+	return m.clearOrder(budget)
+}
+
+// clearOrder is Clear over the bids already in m.order.
+func (m *Auction) clearOrder(budget float64) (AuctionOutcome, error) {
 	if budget <= 0 || math.IsNaN(budget) || math.IsInf(budget, 0) {
 		return AuctionOutcome{}, fmt.Errorf("incentive: auction: budget %v, want finite > 0", budget)
 	}
-	for _, b := range bids {
+	for _, b := range m.order {
 		if b.Cost < 0 || math.IsNaN(b.Cost) || math.IsInf(b.Cost, 0) {
 			return AuctionOutcome{}, fmt.Errorf("incentive: auction: worker %d bid %v, want finite >= 0", b.Worker, b.Cost)
 		}
 	}
-	m.order = append(m.order[:0], bids...)
 	slices.SortFunc(m.order, compareBids)
 	k, pay := clearSorted(m.order, budget)
 	return AuctionOutcome{Order: m.order, Winners: k, Pay: pay}, nil
@@ -117,11 +123,36 @@ func clearSorted(sorted []Bid, budget float64) (k int, pay float64) {
 	return k, pay
 }
 
-// RewardsInto implements Mechanism: it clears the round's auction and
-// prices every open task at the uniform winner payment. When the budget
-// affords no worker, no task is priced.
+// buildBids derives one claimed-cost bid per user of in into m.order:
+// worker i (the index into in.Users) claims in.BidCostPerMeter times the
+// distance from its location to the nearest view — the cheapest travel
+// that could yield it a measurement. The bids are in user order.
+func (m *Auction) buildBids(in *RoundInput) {
+	m.order = m.order[:0]
+	for i, loc := range in.Users {
+		best := math.Inf(1)
+		for _, v := range in.Views {
+			if d := loc.Dist(v.Location); d < best {
+				best = d
+			}
+		}
+		if len(in.Views) == 0 {
+			best = 0
+		}
+		m.order = append(m.order, Bid{Worker: i, Cost: in.BidCostPerMeter * best})
+	}
+}
+
+// RewardsInto implements Mechanism: it builds the round's bids, clears
+// the auction and prices every open task at the uniform winner payment.
+// When the budget affords no worker, no task is priced. A bid cost or a
+// budget that is not positive is an error.
 func (m *Auction) RewardsInto(in *RoundInput, out map[task.ID]float64) error {
-	oc, err := m.Clear(in.Bids, in.Budget)
+	if !(in.BidCostPerMeter > 0) {
+		return fmt.Errorf("incentive: auction: RoundInput.BidCostPerMeter is %v, want > 0", in.BidCostPerMeter)
+	}
+	m.buildBids(in)
+	oc, err := m.clearOrder(in.Budget)
 	if err != nil {
 		return err
 	}

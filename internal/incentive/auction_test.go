@@ -2,8 +2,10 @@ package incentive
 
 import (
 	"math"
+	"slices"
 	"testing"
 
+	"paydemand/internal/geo"
 	"paydemand/internal/stats"
 	"paydemand/internal/task"
 )
@@ -12,12 +14,6 @@ func TestAuctionBasics(t *testing.T) {
 	m := NewAuction()
 	if m.Name() != "auction" {
 		t.Errorf("Name = %q", m.Name())
-	}
-	if m.Requires() != CapBids|CapBudget {
-		t.Errorf("Requires = %v", m.Requires())
-	}
-	if got := m.Requires().String(); got != "bids+budget" {
-		t.Errorf("Requires().String() = %q", got)
 	}
 }
 
@@ -177,15 +173,17 @@ func TestAuctionTruthfulness(t *testing.T) {
 func TestAuctionRewardsInto(t *testing.T) {
 	m := NewAuction()
 	views := []TaskView{
-		{ID: 4, Deadline: 10, Required: 5},
-		{ID: 9, Deadline: 10, Required: 5},
+		{ID: 4, Location: geo.Pt(0, 0), Deadline: 10, Required: 5},
+		{ID: 9, Location: geo.Pt(100, 0), Deadline: 10, Required: 5},
 	}
 	out := map[task.ID]float64{}
+	// Each user bids 0.1 per meter to its nearest view: 1 and 2.
 	in := &RoundInput{
-		Round:  1,
-		Views:  views,
-		Bids:   []Bid{{Worker: 0, Cost: 1}, {Worker: 1, Cost: 2}},
-		Budget: 10,
+		Round:           1,
+		Views:           views,
+		Users:           []geo.Point{geo.Pt(90, 0), geo.Pt(0, 20)},
+		Budget:          10,
+		BidCostPerMeter: 0.1,
 	}
 	if err := m.RewardsInto(in, out); err != nil {
 		t.Fatal(err)
@@ -209,6 +207,32 @@ func TestAuctionRewardsInto(t *testing.T) {
 	in.Budget = math.NaN()
 	if err := m.RewardsInto(in, out); err == nil {
 		t.Error("NaN budget accepted")
+	}
+}
+
+// TestAuctionBidsFromNearestView pins the bid each user submits: the bid
+// cost times the distance to the nearest view, in user order, and zero
+// distance when no view exists.
+func TestAuctionBidsFromNearestView(t *testing.T) {
+	m := NewAuction()
+	in := &RoundInput{
+		Views: []TaskView{
+			{ID: 1, Location: geo.Pt(0, 0)},
+			{ID: 2, Location: geo.Pt(300, 400)},
+		},
+		Users:           []geo.Point{geo.Pt(300, 0), geo.Pt(300, 390), geo.Pt(0, 0)},
+		BidCostPerMeter: 0.5,
+	}
+	want := []Bid{{Worker: 0, Cost: 150}, {Worker: 1, Cost: 5}, {Worker: 2, Cost: 0}}
+	if m.buildBids(in); !slices.Equal(m.order, want) {
+		t.Errorf("bids = %v, want %v", m.order, want)
+	}
+	in.Views = nil
+	m.buildBids(in)
+	for _, b := range m.order {
+		if b.Cost != 0 {
+			t.Errorf("bid with no views = %v, want cost 0", b)
+		}
 	}
 }
 

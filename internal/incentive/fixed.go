@@ -17,8 +17,8 @@ type Fixed struct {
 var _ Mechanism = (*Fixed)(nil)
 
 // NewFixed constructs the mechanism. The one-time random level draw per
-// task comes from the RoundInput's RNG (the CapRNG capability), so the
-// same seeded stream prices identically wherever the mechanism runs.
+// task comes from the RoundInput's RNG, so the same seeded stream prices
+// identically wherever the mechanism runs.
 func NewFixed(scheme RewardScheme) (*Fixed, error) {
 	if err := scheme.Validate(); err != nil {
 		return nil, err
@@ -32,16 +32,13 @@ func NewFixed(scheme RewardScheme) (*Fixed, error) {
 // Name implements Mechanism.
 func (m *Fixed) Name() string { return "fixed" }
 
-// Requires implements Mechanism: the level draws need the seeded stream.
-func (m *Fixed) Requires() Capabilities { return CapRNG }
-
 // RewardsInto implements Mechanism. The first time a task is seen it draws
 // a uniform level in [1, N] from in.RNG; afterwards the memoized level is
 // reused, so the reward is constant across rounds. Draws happen in view
 // order — the stream consumption is part of the byte-identity contract.
 func (m *Fixed) RewardsInto(in *RoundInput, out map[task.ID]float64) error {
 	if in.RNG == nil {
-		return errors.New("incentive: fixed: RoundInput.RNG is nil (mechanism requires the rng capability)")
+		return errors.New("incentive: fixed: RoundInput.RNG is nil, want the seeded stream for the level draws")
 	}
 	for _, v := range in.Views {
 		lvl, ok := m.levels[v.ID]

@@ -33,7 +33,7 @@ var _ Mechanism = (*IncentMe)(nil)
 
 // NewIncentMe constructs the mechanism. scheme supplies the
 // level-to-reward rule; the mobility forecast arrives per round through
-// RoundInput (the mobility capability).
+// RoundInput.
 func NewIncentMe(scheme RewardScheme) (*IncentMe, error) {
 	if err := scheme.Validate(); err != nil {
 		return nil, err
@@ -44,16 +44,10 @@ func NewIncentMe(scheme RewardScheme) (*IncentMe, error) {
 // Name implements Mechanism.
 func (m *IncentMe) Name() string { return "incentme" }
 
-// Requires implements Mechanism: pricing needs the mobility forecast.
-func (m *IncentMe) Requires() Capabilities { return CapMobility }
-
-// Scheme returns the mechanism's reward scheme.
-func (m *IncentMe) Scheme() RewardScheme { return m.scheme }
-
 // RewardsInto implements Mechanism.
 func (m *IncentMe) RewardsInto(in *RoundInput, out map[task.ID]float64) error {
 	if in.Mobility == nil {
-		return errors.New("incentive: incentme: RoundInput.Mobility is nil (mechanism requires the mobility capability)")
+		return errors.New("incentive: incentme: RoundInput.Mobility is nil, want a mobility forecast")
 	}
 	m.scarcity = m.scarcity[:0]
 	maxScarcity := 0.0

@@ -2,6 +2,7 @@ package incentive
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"paydemand/internal/task"
@@ -32,12 +33,6 @@ func TestIncentMeBasics(t *testing.T) {
 	if m.Name() != "incentme" {
 		t.Errorf("Name = %q", m.Name())
 	}
-	if m.Requires() != CapMobility {
-		t.Errorf("Requires = %v", m.Requires())
-	}
-	if m.Scheme() != paperScheme(t) {
-		t.Error("Scheme accessor wrong")
-	}
 	if _, err := NewIncentMe(RewardScheme{}); err == nil {
 		t.Error("invalid scheme accepted")
 	}
@@ -48,8 +43,8 @@ func TestIncentMeRequiresForecast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := price(m, &RoundInput{Round: 1, Views: testViews()}); err == nil {
-		t.Error("nil forecast accepted")
+	if _, err := price(m, &RoundInput{Round: 1, Views: testViews()}); err == nil || !strings.Contains(err.Error(), "Mobility") {
+		t.Errorf("nil forecast: err = %v, want one naming Mobility", err)
 	}
 }
 

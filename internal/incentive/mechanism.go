@@ -8,15 +8,14 @@
 //
 // A Mechanism is consulted by the platform once per sensing round, before
 // task publication, and returns the per-measurement reward of every open
-// task for that round. Mechanisms declare the inputs they need through a
-// Capabilities bitmask; the round engine assembles exactly the requested
-// inputs into a RoundInput, so a mechanism that only needs task views
-// never pays for bid construction or mobility forecasting.
+// task for that round. Every mechanism receives the same RoundInput — the
+// task views plus the round's user locations, budget, bid cost, mobility
+// forecast and seeded stream — and rejects a missing input it uses with
+// an error that names it. What a mechanism derives from its inputs (the
+// auction's bids) it derives itself, so only that mechanism pays for it.
 package incentive
 
 import (
-	"strings"
-
 	"paydemand/internal/geo"
 	"paydemand/internal/stats"
 	"paydemand/internal/task"
@@ -52,57 +51,6 @@ func (v TaskView) Progress() float64 {
 	return p
 }
 
-// Capabilities is a bitmask of optional RoundInput fields a mechanism
-// consumes. The round engine populates exactly the declared fields, and
-// configuration validation rejects setups that cannot supply a declared
-// capability, so a missing input is a construction-time error rather than
-// a mid-campaign nil dereference.
-type Capabilities uint32
-
-const (
-	// CapBids requests per-worker claimed costs (RoundInput.Bids).
-	CapBids Capabilities = 1 << iota
-	// CapBudget requests the campaign budget (RoundInput.Budget).
-	CapBudget
-	// CapMobility requests a mobility forecast (RoundInput.Mobility).
-	CapMobility
-	// CapRNG requests the shared seeded stream (RoundInput.RNG).
-	CapRNG
-)
-
-// capabilityNames lists the bits in declaration order for String.
-var capabilityNames = []struct {
-	bit  Capabilities
-	name string
-}{
-	{CapBids, "bids"},
-	{CapBudget, "budget"},
-	{CapMobility, "mobility"},
-	{CapRNG, "rng"},
-}
-
-// Has reports whether every bit of want is set.
-func (c Capabilities) Has(want Capabilities) bool { return c&want == want }
-
-// String renders the set bits as a +-joined list ("bids+budget"), or
-// "none" for the empty mask.
-func (c Capabilities) String() string {
-	if c == 0 {
-		return "none"
-	}
-	var b strings.Builder
-	for _, n := range capabilityNames {
-		if !c.Has(n.bit) {
-			continue
-		}
-		if b.Len() > 0 {
-			b.WriteByte('+')
-		}
-		b.WriteString(n.name)
-	}
-	return b.String()
-}
-
 // Bid is one worker's claimed cost for participating in the round. Worker
 // is the worker's index into the round's user-location slice (a stable,
 // deterministic identifier within the round); Cost is the claimed cost in
@@ -128,25 +76,28 @@ type ForecastProvider interface {
 }
 
 // RoundInput carries everything a mechanism may consume for one round.
-// Round and Views are always populated; the capability fields are set only
-// when the mechanism's Requires() mask asks for them, and are zero/nil
-// otherwise. The struct and its slices are caller-owned scratch reused
-// between rounds; mechanisms must not retain them after the call returns.
+// The engine fills every field each round; a mechanism reads the ones it
+// uses and rejects a missing one (a nil forecast or stream, a budget or
+// bid cost that is not positive) with an error naming it. The struct and
+// its slices are caller-owned scratch reused between rounds; mechanisms
+// must not retain them after the call returns.
 type RoundInput struct {
 	// Round is the current sensing round k (1-based).
 	Round int
 	// Views holds one entry per open task, in board order.
 	Views []TaskView
-	// Bids holds per-worker claimed costs, one per user, in user order
-	// (CapBids).
-	Bids []Bid
-	// Budget is the campaign budget B (CapBudget).
+	// Users holds the round's user locations in user order; a Bid's
+	// Worker indexes it.
+	Users []geo.Point
+	// Budget is the campaign budget B.
 	Budget float64
-	// Mobility forecasts future neighbor counts (CapMobility).
+	// BidCostPerMeter converts a user's travel estimate into the claimed
+	// cost of its bid.
+	BidCostPerMeter float64
+	// Mobility forecasts future neighbor counts.
 	Mobility ForecastProvider
-	// RNG is the mechanism's seeded stream (CapRNG). Draws consume the
-	// stream, so the call order over views is part of the byte-identity
-	// contract.
+	// RNG is the mechanism's seeded stream. Draws consume the stream, so
+	// the call order over views is part of the byte-identity contract.
 	RNG *stats.RNG
 }
 
@@ -163,9 +114,6 @@ type Mechanism interface {
 	// Name returns a short identifier used in experiment output
 	// ("on-demand", "fixed", "steered", "auction", "incentme").
 	Name() string
-	// Requires declares which optional RoundInput fields the mechanism
-	// consumes. The engine populates exactly these.
-	Requires() Capabilities
 	// RewardsInto writes the per-measurement reward of each task for the
 	// round described by in into out, which the caller has cleared; it
 	// must not delete foreign keys or retain out. A steady-state call

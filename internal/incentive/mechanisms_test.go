@@ -102,7 +102,7 @@ func TestOnDemandDemandLevels(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id, lvl := range levels {
-		if got, want := rewards[id], m.Scheme().Reward(lvl); got != want {
+		if got, want := rewards[id], m.scheme.Reward(lvl); got != want {
 			t.Errorf("task %d reward %v != Reward(level %d) = %v", id, got, lvl, want)
 		}
 	}
@@ -293,7 +293,7 @@ func TestPresets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := eq.DemandConfig().Weights
+	w := eq.demandCfg.Weights
 	if math.Abs(w[0]-w[1]) > 1e-12 || math.Abs(w[1]-w[2]) > 1e-12 {
 		t.Errorf("equal weights preset = %v", w)
 	}
@@ -303,7 +303,7 @@ func TestPresets(t *testing.T) {
 			t.Fatalf("%v: %v", f, err)
 		}
 		sum := 0.0
-		for _, x := range m.DemandConfig().Weights {
+		for _, x := range m.demandCfg.Weights {
 			sum += x
 		}
 		if math.Abs(sum-1) > 1e-12 {
@@ -331,7 +331,7 @@ func TestPaperOnDemandUsesAHPWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := m.DemandConfig().Weights
+	w := m.demandCfg.Weights
 	want := [3]float64{0.648, 0.230, 0.122}
 	for i := range want {
 		if math.Abs(w[i]-want[i]) > 0.001 {

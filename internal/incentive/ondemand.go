@@ -38,15 +38,6 @@ func NewOnDemand(demandCfg demand.Config, scheme RewardScheme) (*OnDemand, error
 // Name implements Mechanism.
 func (m *OnDemand) Name() string { return "on-demand" }
 
-// Requires implements Mechanism: the demand factors need only the views.
-func (m *OnDemand) Requires() Capabilities { return 0 }
-
-// Scheme returns the mechanism's reward scheme.
-func (m *OnDemand) Scheme() RewardScheme { return m.scheme }
-
-// DemandConfig returns the mechanism's demand-indicator configuration.
-func (m *OnDemand) DemandConfig() demand.Config { return m.demandCfg }
-
 // RewardsInto implements Mechanism. It evaluates Eqs. 2-7 for every view,
 // reusing the mechanism's scratch so steady-state calls allocate nothing.
 func (m *OnDemand) RewardsInto(in *RoundInput, out map[task.ID]float64) error {

@@ -99,9 +99,6 @@ func (m *Steered) RewardAt(x int) float64 {
 	return m.Rc + m.Mu*(m.Quality(x+1)-m.Quality(x))
 }
 
-// Requires implements Mechanism: Eq. 13 needs only the views.
-func (m *Steered) Requires() Capabilities { return 0 }
-
 // RewardsInto implements Mechanism.
 func (m *Steered) RewardsInto(in *RoundInput, out map[task.ID]float64) error {
 	if err := m.Validate(); err != nil {

@@ -36,8 +36,8 @@ func baseDiffusion(m Model) float64 {
 
 // Forecast predicts a task's future neighbor count under a mobility model:
 // a closed-form mean-field mixture between the current observation and the
-// uniform-equilibrium count, used by mobility-aware mechanisms (the
-// incentive package's mobility capability).
+// uniform-equilibrium count, used by mobility-aware mechanisms (through
+// incentive.RoundInput.Mobility).
 //
 // Each round, a fraction u of the neighborhood is assumed to diffuse and
 // be replaced by population drawn uniformly from the area, so after h

@@ -5,8 +5,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
+	"paydemand/internal/demand"
 	"paydemand/internal/geo"
 	"paydemand/internal/incentive"
 	"paydemand/internal/task"
@@ -21,8 +23,6 @@ type failAfterMechanism struct {
 }
 
 func (m failAfterMechanism) Name() string { return m.inner.Name() }
-
-func (m failAfterMechanism) Requires() incentive.Capabilities { return m.inner.Requires() }
 
 func (m failAfterMechanism) RewardsInto(in *incentive.RoundInput, out map[task.ID]float64) error {
 	if in.Round >= m.failFrom {
@@ -107,5 +107,46 @@ func TestAdvanceRepriceFailure(t *testing.T) {
 	}
 	if round.Round != 2 || len(round.Tasks) == 0 {
 		t.Fatalf("recovered round = %+v", round)
+	}
+}
+
+// TestNewRejectsMissingMechanismInputs: a mechanism rejects a missing
+// input it uses at its first reprice, so New fails with an error naming
+// the input instead of serving round 1.
+func TestNewRejectsMissingMechanismInputs(t *testing.T) {
+	scheme, err := incentive.SchemeFromBudget(100, 4, 0.5, demand.LevelMapper{N: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixed, err := incentive.NewFixed(scheme)
+	if err != nil {
+		t.Fatal(err)
+	}
+	incentme, err := incentive.NewIncentMe(scheme)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"auction without budget", Config{Mechanism: incentive.NewAuction(), CostPerMeter: 0.01}, "budget"},
+		{"auction without bid cost", Config{Mechanism: incentive.NewAuction(), Budget: 10}, "BidCostPerMeter"},
+		{"fixed without rng", Config{Mechanism: fixed}, "RNG"},
+		{"incentme without forecast", Config{Mechanism: incentme}, "Mobility"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.Tasks = []task.Task{
+				{ID: 1, Location: geo.Pt(100, 100), Deadline: 3, Required: 2},
+				{ID: 2, Location: geo.Pt(900, 900), Deadline: 3, Required: 2},
+			}
+			cfg.Area = geo.Square(1000)
+			cfg.NeighborRadius = 200
+			if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("New: err = %v, want one naming %s", err, tc.want)
+			}
+		})
 	}
 }

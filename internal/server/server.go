@@ -49,24 +49,23 @@ type Config struct {
 	// Logger receives operational logs; nil means slog.Default().
 	Logger *slog.Logger
 
-	// The remaining fields back the mechanism capabilities (see
-	// incentive.Capabilities and engine.Config); each is required exactly
-	// when Mechanism's Requires() mask declares the matching capability,
-	// which New verifies. Worker bids are derived from registered worker
-	// locations in ascending worker-ID order, so pricing is a
-	// deterministic function of the registered fleet.
+	// The remaining fields reach Mechanism unchanged every round (see
+	// engine.Config). A mechanism that uses one rejects a missing one, so
+	// New fails through its round-1 reprice when round 1 has open tasks.
+	// The auction derives its bids from the registered worker locations
+	// in ascending worker-ID order, so pricing is a deterministic
+	// function of the registered fleet.
 
-	// RNG is the mechanism's seeded stream (incentive.CapRNG).
+	// RNG is the mechanism's seeded stream.
 	RNG *stats.RNG
-	// Budget is the campaign budget handed to budget-aware mechanisms
-	// (incentive.CapBudget). Distinct from HardBudget, the wire-level
-	// payment cap.
+	// Budget is the campaign budget handed to budget-aware mechanisms.
+	// Distinct from HardBudget, the wire-level payment cap.
 	Budget float64
 	// CostPerMeter converts a worker's travel estimate into its claimed
-	// bid cost (incentive.CapBids).
+	// bid cost.
 	CostPerMeter float64
 	// Forecast predicts future neighbor counts for mobility-aware
-	// mechanisms (incentive.CapMobility).
+	// mechanisms.
 	Forecast incentive.ForecastProvider
 }
 

@@ -11,6 +11,7 @@ import (
 	"slices"
 	"strings"
 
+	"paydemand/internal/agent"
 	"paydemand/internal/demand"
 	"paydemand/internal/geo"
 	"paydemand/internal/incentive"
@@ -174,15 +175,16 @@ func (k AlgorithmKind) String() string {
 	}
 }
 
-// Paper defaults for the simulation (Section VI).
+// Paper defaults for the simulation (Section VI). The user defaults are
+// the agent package's.
 const (
 	DefaultNeighborRadius = 500.0
 	DefaultBudget         = 1000.0
 	DefaultRewardLambda   = 0.5
 	DefaultDemandLevels   = 5
-	DefaultUserSpeed      = 2.0
-	DefaultUserTimeBudget = 600.0
-	DefaultCostPerMeter   = 0.002
+	DefaultUserSpeed      = agent.DefaultSpeed
+	DefaultUserTimeBudget = agent.DefaultTimeBudget
+	DefaultCostPerMeter   = agent.DefaultCostPerMeter
 )
 
 // Config parameterizes one simulation. Zero values mean the paper's
@@ -457,10 +459,9 @@ func (c Config) buildMechanism(totalRequired int) (incentive.Mechanism, error) {
 }
 
 // NewMechanism builds the incentive mechanism of the given kind over a
-// reward scheme. Capability inputs — the fixed mechanism's RNG, the
-// auction's bids and budget, the forecast — are not baked in here: they
-// reach the mechanism per round through the engine's RoundInput
-// assembly.
+// reward scheme. Per-round inputs — the fixed mechanism's RNG, the
+// auction's budget and bid cost, the forecast — are not baked in here:
+// they reach the mechanism each round through the engine's RoundInput.
 func NewMechanism(kind MechanismKind, scheme incentive.RewardScheme) (incentive.Mechanism, error) {
 	switch kind {
 	case MechanismOnDemand:

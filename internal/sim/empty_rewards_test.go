@@ -14,8 +14,6 @@ type emptyRewardMechanism struct{}
 
 func (emptyRewardMechanism) Name() string { return "empty-stub" }
 
-func (emptyRewardMechanism) Requires() incentive.Capabilities { return 0 }
-
 func (emptyRewardMechanism) RewardsInto(*incentive.RoundInput, map[task.ID]float64) error {
 	return nil
 }

@@ -141,20 +141,20 @@ func NewFromScenario(cfg Config, sc workload.Scenario, seed int64) (*Simulation,
 	if err != nil {
 		return nil, err
 	}
-	// The forecast backing the mobility capability shares the simulation's
-	// mobility model, so forecast-driven pricing sees the same movement
-	// assumptions that actually move the users.
+	// The forecast handed to mobility-aware mechanisms shares the
+	// simulation's mobility model, so forecast-driven pricing sees the
+	// same movement assumptions that actually move the users.
 	fc, err := mobility.NewForecast(mob, cfg.MobilityUncertainty, sc.Area, cfg.NeighborRadius, len(sc.UserLocations))
 	if err != nil {
 		return nil, err
 	}
 	// Historical simulator behavior: unpriced open tasks stay in candidate
 	// sets at reward 0 (the candidate count feeds Auto's algorithm
-	// dispatch, so dropping them would change results). The capability
-	// fields are always supplied — the engine hands each mechanism only
-	// what its Requires() mask declares, so unused inputs cost nothing and
-	// consume no randomness. mechRNG keeps its historical split position,
-	// so the fixed mechanism's level draws are unchanged.
+	// dispatch, so dropping them would change results). Every mechanism
+	// input is supplied; a mechanism that does not use one ignores it, so
+	// it costs nothing and consumes no randomness. mechRNG keeps its
+	// historical split position, so the fixed mechanism's level draws are
+	// unchanged.
 	eng, err := engine.New(engine.Config{
 		Board:           board,
 		Mechanism:       mech,

@@ -90,9 +90,6 @@ func TestPublicIncentiveAPI(t *testing.T) {
 	if fixed.Name() != "fixed" {
 		t.Error("fixed name wrong")
 	}
-	if !fixed.Requires().Has(paydemand.CapRNG) {
-		t.Error("fixed does not declare the rng capability")
-	}
 	fr := make(map[paydemand.TaskID]float64)
 	if err := fixed.RewardsInto(&paydemand.RoundInput{
 		Round: 1,
@@ -105,20 +102,19 @@ func TestPublicIncentiveAPI(t *testing.T) {
 		t.Fatalf("fixed rewards = %v", fr)
 	}
 	auction := paydemand.NewAuctionMechanism()
-	if auction.Requires() != paydemand.CapBids|paydemand.CapBudget {
-		t.Errorf("auction capabilities = %v", auction.Requires())
-	}
 	ar := make(map[paydemand.TaskID]float64)
 	if err := auction.RewardsInto(&paydemand.RoundInput{
-		Round:  1,
-		Views:  []paydemand.TaskView{{ID: 1, Deadline: 10, Required: 20}},
-		Bids:   []paydemand.Bid{{Worker: 0, Cost: 2}, {Worker: 1, Cost: 9}},
-		Budget: 10,
+		Round:           1,
+		Views:           []paydemand.TaskView{{ID: 1, Location: paydemand.Pt(0, 0), Deadline: 10, Required: 20}},
+		Users:           []paydemand.Point{paydemand.Pt(20, 0), paydemand.Pt(0, 90)},
+		Budget:          10,
+		BidCostPerMeter: 0.1,
 	}, ar); err != nil {
 		t.Fatal(err)
 	}
-	// Budget 10 affords only the cheap bid (the 9-bid exceeds 10/2), and
-	// the winner's critical payment is capped by the losing bid.
+	// The users bid 2 and 9. Budget 10 affords only the cheap bid (the
+	// 9-bid exceeds 10/2), and the winner's critical payment is capped by
+	// the losing bid.
 	if ar[1] != 9 {
 		t.Errorf("auction reward = %v, want 9", ar[1])
 	}
@@ -126,8 +122,11 @@ func TestPublicIncentiveAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !incentme.Requires().Has(paydemand.CapMobility) {
-		t.Error("incentme does not declare the mobility capability")
+	if err := incentme.RewardsInto(&paydemand.RoundInput{
+		Round: 1,
+		Views: []paydemand.TaskView{{ID: 1, Deadline: 10, Required: 20}},
+	}, make(map[paydemand.TaskID]float64)); err == nil {
+		t.Error("incentme priced without a mobility forecast")
 	}
 	steered := paydemand.NewSteeredMechanism()
 	if got := steered.RewardAt(0); math.Abs(got-25) > 1e-9 {
