@@ -15,13 +15,17 @@
 //     centralized reverse auction instead of published prices.
 //
 // All per-round storage — the open-task snapshot and its locations, the
-// neighbor grid, the mechanism's task views and round input, and the
-// published rewards — is grow-only scratch recycled across rounds, so a
-// steady-state Reprice allocates nothing at all: mechanisms write into
-// an engine-owned map through RewardsInto, and the engine republishes
-// that map each round together with a copy by snapshot position, which
-// is what problem assembly reads. Because of the scratch, an Engine is
-// NOT safe for concurrent mutation: drivers
+// reach and neighbor grids, the neighbor counts, the mechanism's task
+// views and round input, and the published rewards — is grow-only
+// scratch recycled across rounds, so a steady-state Reprice allocates
+// nothing at all: mechanisms write into an engine-owned map through
+// RewardsInto, and the engine republishes that map each round together
+// with a copy by snapshot position, which is what problem assembly
+// reads. The scratch is recycled across campaigns too when a driver
+// Resets one engine for the next campaign instead of building a new one,
+// as the simulator does for every trial, so a recycled engine regrows
+// none of it. Because of the scratch, an Engine is NOT safe for
+// concurrent mutation: drivers
 // serialize BeginRound/Reprice/Commit calls (the simulator is
 // single-threaded; the HTTP platform holds its mutex). Read-only
 // accessors, ProblemInto included, are safe to call concurrently between
@@ -135,25 +139,35 @@ type Engine struct {
 	rewardBuf map[task.ID]float64
 }
 
-// New validates the configuration and builds an engine. Area and
-// NeighborRadius are validated lazily by the first Reprice (mirroring the
-// historical per-round grid construction), so drivers that never reprice
-// need not provide them; the mechanism checks its own inputs there too.
+// New validates the configuration and builds an engine: it is Reset on
+// a zero Engine. Area and NeighborRadius are validated lazily by the
+// first Reprice (mirroring the historical per-round grid construction),
+// so drivers that never reprice need not provide them; the mechanism
+// checks its own inputs there too.
 func New(cfg Config) (*Engine, error) {
-	if cfg.Board == nil {
-		return nil, errors.New("engine: nil board")
+	e := new(Engine)
+	if err := e.Reset(cfg); err != nil {
+		return nil, err
 	}
-	e := &Engine{cfg: cfg}
-	e.bindBoard(cfg.Board)
 	return e, nil
 }
 
-// bindBoard makes b the engine's board. The neighbor counts belong to
-// the old board, so they are dropped.
-func (e *Engine) bindBoard(b *task.Board) {
-	e.board = b
-	e.states = b.States()
-	e.nbOK = false
+// Reset makes e an engine for cfg as New builds it, keeping only the
+// capacity of its scratch: no round state, published rewards, neighbor
+// counts or mechanism input survive from an earlier campaign. A driver
+// that runs many campaigns one after another (the simulator recycles an
+// engine across trials) resets one engine instead of growing a new one's
+// scratch each time. On error e is unchanged.
+func (e *Engine) Reset(cfg Config) error {
+	if cfg.Board == nil {
+		return errors.New("engine: nil board")
+	}
+	e.cfg = cfg
+	e.round, e.commits = 0, 0
+	e.in = incentive.RoundInput{}
+	e.nbLocs, e.nbRound = e.nbLocs[:0], 0
+	e.SetBoard(cfg.Board)
+	return nil
 }
 
 // Board exposes the task board the engine runs over.
@@ -161,8 +175,11 @@ func (e *Engine) Board() *task.Board { return e.board }
 
 // SetBoard replaces the engine's task board (a platform restoring a
 // snapshot) and clears all published round state; callers reprice next.
+// The neighbor counts belong to the old board, so they are dropped.
 func (e *Engine) SetBoard(b *task.Board) {
-	e.bindBoard(b)
+	e.board = b
+	e.states = b.States()
+	e.nbOK = false
 	e.Clear()
 }
 
@@ -437,7 +454,7 @@ const movedShare = 0.35
 // last count, and reports whether it could; when it reports false it has
 // changed nothing and the caller must recount. It can when:
 //   - the last count was over this board and a full open snapshot
-//     (bindBoard drops the counts, and recount keeps them only while
+//     (SetBoard drops the counts, and recount keeps them only while
 //     reachOK stands for BeginRound's snapshot);
 //   - the user count is unchanged, so user i is the same user;
 //   - the round has not gone back: a task open now was open then,

@@ -175,17 +175,17 @@ func (bm *Beam) search(p *Problem, r *reach, dist []float64) (bestLevel, bestSlo
 	// Two levels of state storage (current and next), plus the expansion
 	// log (chParent/chCand) for every level so the winner's route can be
 	// reconstructed without per-state order copies.
-	bm.vis = growUint64s(bm.vis, 2*W*words)
-	bm.end = growInts(bm.end, 2*W)
-	bm.travel = growFloats(bm.travel, 2*W)
-	bm.reward = growFloats(bm.reward, 2*W)
-	bm.chParent = growInt32s(bm.chParent, (m+1)*W)
-	bm.chCand = growInt32s(bm.chCand, (m+1)*W)
-	bm.topParent = growInts(bm.topParent, W)
-	bm.topCand = growInts(bm.topCand, W)
-	bm.topTravel = growFloats(bm.topTravel, W)
-	bm.topReward = growFloats(bm.topReward, W)
-	bm.topProfit = growFloats(bm.topProfit, W)
+	bm.vis = grow(bm.vis, 2*W*words)
+	bm.end = grow(bm.end, 2*W)
+	bm.travel = grow(bm.travel, 2*W)
+	bm.reward = grow(bm.reward, 2*W)
+	bm.chParent = grow(bm.chParent, (m+1)*W)
+	bm.chCand = grow(bm.chCand, (m+1)*W)
+	bm.topParent = grow(bm.topParent, W)
+	bm.topCand = grow(bm.topCand, W)
+	bm.topTravel = grow(bm.topTravel, W)
+	bm.topReward = grow(bm.topReward, W)
+	bm.topProfit = grow(bm.topProfit, W)
 
 	cur, next := 0, 1 // which half of the two-level arrays is current
 	for i := 0; i < words; i++ {
@@ -392,20 +392,4 @@ func orderReward(p *Problem, order []int) float64 {
 		total += p.Candidates[idx].Reward
 	}
 	return total
-}
-
-// growUint64s is growFloats for uint64 slices.
-func growUint64s(buf []uint64, n int) []uint64 {
-	if cap(buf) < n {
-		return make([]uint64, n)
-	}
-	return buf[:n]
-}
-
-// growInt32s is growFloats for int32 slices.
-func growInt32s(buf []int32, n int) []int32 {
-	if cap(buf) < n {
-		return make([]int32, n)
-	}
-	return buf[:n]
 }

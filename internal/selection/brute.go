@@ -36,7 +36,7 @@ func (bf *BruteForce) Select(p Problem) (Plan, error) {
 	}
 	best := Plan{}
 	bf.cur = bf.cur[:0]
-	bf.used = growBools(bf.used, len(idxs))
+	bf.used = grow(bf.used, len(idxs))
 	for k := range bf.used {
 		bf.used[k] = false
 	}

@@ -128,7 +128,7 @@ func (d *DP) run(p *Problem, r *reach) Plan {
 
 	// The pair table is symmetric, so read by destination it puts the
 	// relaxation into one task on one row.
-	d.reward = growFloats(d.reward, m)
+	d.reward = grow(d.reward, m)
 	reward := d.reward
 	for a, i := range idxs {
 		reward[a] = p.Candidates[i].Reward
@@ -141,17 +141,17 @@ func (d *DP) run(p *Problem, r *reach) Plan {
 	// same visit count, so travel distance is recoverable per mask.
 	ovh, budget := p.PerTaskDistance, p.MaxDistance
 	size := 1 << m
-	d.live = growUint64s(d.live, (size+63)/64)
+	d.live = grow(d.live, (size+63)/64)
 	clear(d.live)
-	d.rowAt = growInt32s(d.rowAt, size)
+	d.rowAt = grow(d.rowAt, size)
 	d.dp, d.parent = d.dp[:0], d.parent[:0]
 	for a := 0; a < m; a++ {
 		if v := startDist[a] + ovh; v <= budget {
 			d.dp[d.addRow(1<<a, m)+a] = v
 		}
 	}
-	d.ends = growInts(d.ends, m)
-	d.endDist = growFloats(d.endDist, m)
+	d.ends = grow(d.ends, m)
+	d.endDist = grow(d.endDist, m)
 
 	bestProfit := 0.0 // the empty plan is always feasible with profit 0
 	bestMask := 0
@@ -258,7 +258,7 @@ func (d *DP) run(p *Problem, r *reach) Plan {
 		mask &^= 1 << j
 		j = int(pj)
 	}
-	d.order = growInts(d.order, len(d.orderRev))
+	d.order = grow(d.order, len(d.orderRev))
 	for i, v := range d.orderRev {
 		d.order[len(d.orderRev)-1-i] = v
 	}

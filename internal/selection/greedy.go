@@ -42,7 +42,7 @@ func (g *Greedy) selectOrder(p *Problem) []int {
 // call.
 func (g *Greedy) orderOf(p *Problem, r *reach) []int {
 	idxs := r.idxs
-	g.taken = growBools(g.taken, len(idxs))
+	g.taken = grow(g.taken, len(idxs))
 	taken := g.taken
 	for k := range taken {
 		taken[k] = false

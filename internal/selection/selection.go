@@ -261,7 +261,7 @@ func (r *reach) filter(p *Problem) {
 // pair is computed once and mirrored. The diagonal is zero.
 func pairDists(p *Problem, idxs []int, buf []float64) []float64 {
 	m := len(idxs)
-	buf = growFloats(buf, m*m)
+	buf = grow(buf, m*m)
 	for a := 0; a < m; a++ {
 		buf[a*m+a] = 0
 		for b := a + 1; b < m; b++ {
@@ -273,28 +273,12 @@ func pairDists(p *Problem, idxs []int, buf []float64) []float64 {
 	return buf
 }
 
-// growFloats returns a zero-filled-on-demand float slice of length n,
-// reusing buf's storage when possible. Contents are unspecified; callers
-// must initialize every element they read.
-func growFloats(buf []float64, n int) []float64 {
+// grow returns buf resized to length n, reusing its storage when the
+// capacity allows and allocating a zeroed slice otherwise. Contents are
+// unspecified; callers must initialize every element they read.
+func grow[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	return buf[:n]
-}
-
-// growInts is growFloats for int slices.
-func growInts(buf []int, n int) []int {
-	if cap(buf) < n {
-		return make([]int, n)
-	}
-	return buf[:n]
-}
-
-// growBools is growFloats for bool slices.
-func growBools(buf []bool, n int) []bool {
-	if cap(buf) < n {
-		return make([]bool, n)
+		return make([]T, n)
 	}
 	return buf[:n]
 }

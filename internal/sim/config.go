@@ -412,8 +412,8 @@ func (c Config) Validate() error {
 	if !slices.Contains(algorithmKinds, c.Algorithm) {
 		return fmt.Errorf("sim: unknown algorithm %v (valid kinds: %s)", c.Algorithm, kindList(algorithmKinds))
 	}
-	// Cross-check the mechanism's declared capabilities against the knobs
-	// that supply them, so an unsatisfiable configuration fails here with
+	// Cross-check the inputs the mechanism uses against the knobs that
+	// supply them, so an unsatisfiable configuration fails here with
 	// a mechanism-specific message instead of surfacing mid-construction.
 	switch c.Mechanism {
 	case MechanismAuction:
@@ -492,23 +492,43 @@ func NewMechanism(kind MechanismKind, scheme incentive.RewardScheme) (incentive.
 // NewAlgorithm builds the configured selection algorithm; zero fields
 // mean the defaults, as everywhere in Config.
 func (c Config) NewAlgorithm() (selection.Algorithm, error) {
+	return c.algorithm(nil)
+}
+
+// algorithm is NewAlgorithm reusing prev, a solver an earlier trial left
+// behind, when it is of the configured kind: every exported field is set
+// as NewAlgorithm sets it, and the solvers' unexported scratch carries
+// nothing from one Select to the next, so only its grown capacity
+// survives.
+func (c Config) algorithm(prev selection.Algorithm) (selection.Algorithm, error) {
 	c = c.withDefaults()
 	switch c.Algorithm {
 	case AlgorithmDP:
-		return &selection.DP{MaxTasks: c.DPMaxTasks}, nil
+		d := reuse[selection.DP](prev)
+		d.MaxTasks = c.DPMaxTasks
+		return d, nil
 	case AlgorithmGreedy:
-		return &selection.Greedy{}, nil
+		return reuse[selection.Greedy](prev), nil
 	case AlgorithmAuto:
-		return &selection.Auto{
-			Threshold:   c.DPMaxTasks,
-			BeamWidth:   c.BeamWidth,
-			BeamImprove: c.BeamImprove,
-		}, nil
+		a := reuse[selection.Auto](prev)
+		a.Threshold, a.BeamMaxTasks = c.DPMaxTasks, 0
+		a.BeamWidth, a.BeamImprove = c.BeamWidth, c.BeamImprove
+		return a, nil
 	case AlgorithmTwoOpt:
-		return &selection.TwoOptGreedy{}, nil
+		return reuse[selection.TwoOptGreedy](prev), nil
 	case AlgorithmBeam:
-		return &selection.Beam{Width: c.BeamWidth, Improve: c.BeamImprove}, nil
+		b := reuse[selection.Beam](prev)
+		b.Width, b.Improve = c.BeamWidth, c.BeamImprove
+		return b, nil
 	default:
 		return nil, fmt.Errorf("sim: unknown algorithm %v (valid kinds: %s)", c.Algorithm, kindList(algorithmKinds))
 	}
+}
+
+// reuse returns prev as a *T when it is one, and a new T otherwise.
+func reuse[T any](prev selection.Algorithm) *T {
+	if t, ok := any(prev).(*T); ok {
+		return t
+	}
+	return new(T)
 }

@@ -79,8 +79,8 @@ func TestParallelRoundDeterminism(t *testing.T) {
 			},
 		},
 		{
-			// Bids + budget capability: the auction's bid assembly is a
-			// function of the round-start user slice.
+			// The auction reads the budget and builds its bids from the
+			// round-start user slice.
 			name: "auction",
 			cfg: Config{
 				Workload:  workload.Config{NumUsers: 50, NumTasks: 12, Required: 4},
@@ -89,7 +89,7 @@ func TestParallelRoundDeterminism(t *testing.T) {
 			},
 		},
 		{
-			// Mobility-forecast capability under moving users.
+			// IncentMe reads the mobility forecast under moving users.
 			name: "incentme",
 			cfg: Config{
 				Workload:            workload.Config{NumUsers: 50, NumTasks: 12, Required: 4},

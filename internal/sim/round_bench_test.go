@@ -58,32 +58,57 @@ func BenchmarkRunRound(b *testing.B) {
 	}
 }
 
+// trialSizes are the two ends of the bench workloads: paper size (100
+// users, 20 tasks) and city size (2000 users, 1000 tasks, phi = 10, 25 s
+// budget).
+var trialSizes = []struct {
+	name string
+	cfg  Config
+}{
+	{"paper", Config{}},
+	{"city", Config{
+		Workload:       workload.Config{NumUsers: 2000, NumTasks: 1000, Required: 10},
+		Budget:         25000,
+		UserTimeBudget: 25,
+	}},
+}
+
 // BenchmarkNew times a trial's setup, sim.New: scenario generation,
 // board, mechanism, engine and users, with the trial's RNG streams split
-// off the seed. At paper size (100 users, 20 tasks) about half of it is
-// seeding the three streams it draws from (New's and NewFromScenario's
-// roots and the scenario stream; see stats.BenchmarkNewRNG), and a
-// stream the configuration never draws from costs no seeding. City size
-// (2000 users, 1000 tasks, phi = 10, 25 s budget) is the other end of
-// the bench workloads; there the board's states and the initial users
-// are one allocation each, not one per task and per user.
+// off the seed. At paper size about half of it is seeding the three
+// streams it draws from (New's and NewFromScenario's roots and the
+// scenario stream; see stats.BenchmarkNewRNG), and a stream the
+// configuration never draws from costs no seeding. At city size the
+// board's states and the initial users are one allocation each, not one
+// per task and per user.
 func BenchmarkNew(b *testing.B) {
-	sizes := []struct {
-		name string
-		cfg  Config
-	}{
-		{"paper", Config{}},
-		{"city", Config{
-			Workload:       workload.Config{NumUsers: 2000, NumTasks: 1000, Required: 10},
-			Budget:         25000,
-			UserTimeBudget: 25,
-		}},
-	}
-	for _, sz := range sizes {
+	for _, sz := range trialSizes {
 		b.Run(sz.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := New(sz.cfg, int64(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkTrial times whole warm trials, New then Run, as the
+// experiments and the bench run them one after another: after the first
+// trial, each borrows the engine, solver and round buffers the previous
+// one handed back, so its bytes are what the trial keeps (plans,
+// contribution records, round stats) plus its setup.
+func BenchmarkTrial(b *testing.B) {
+	for _, sz := range trialSizes {
+		b.Run(sz.name, func(b *testing.B) {
+			if _, err := Run(sz.cfg, -1); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Run(sz.cfg, int64(i)); err != nil {
 					b.Fatal(err)
 				}
 			}

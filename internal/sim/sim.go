@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"paydemand/internal/agent"
 	"paydemand/internal/engine"
@@ -56,10 +57,8 @@ type Simulation struct {
 	cfg      Config
 	scenario workload.Scenario
 	board    *task.Board
-	eng      *engine.Engine
 	users    []*agent.User
 	mech     incentive.Mechanism
-	alg      selection.Algorithm
 	orderRNG *stats.RNG
 	resetRNG *stats.RNG
 	churnRNG *stats.RNG
@@ -70,24 +69,44 @@ type Simulation struct {
 	// final profit accounting covers everyone who participated.
 	departedProfits []float64
 	ran             bool
-
-	// Per-round scratch, reused across rounds and users so the steady-state
-	// round loop runs without allocations: the per-user candidate buffer
-	// (see Observer.UserPlanned for the resulting aliasing rules), the
-	// idle-time tracker, and the user-location slice fed to the engine's
-	// reprice. The round-level scratch — open snapshot, neighbor grid, task
-	// views — lives inside the engine.
-	candBuf  []selection.Candidate
-	idleBuf  []float64
-	userLocs []geo.Point
-	// permBuf is the grow-only per-round user-order permutation buffer
-	// (filled by PermInto with the exact draws Perm used to make).
-	permBuf []int
 	// emptyMemo holds, per user slot, the user and spec of that slot's
 	// last selection problem when it was empty (user nil otherwise); see
 	// runUsers. Churn replaces users in place, so its length is fixed.
 	emptyMemo []emptyProblem
+
+	// The engine, the solver and the per-round buffers are borrowed from
+	// scratchPool for the trial and handed back when Run returns; the
+	// pointer is then nil, so a later use fails loudly.
+	*trialScratch
 }
+
+// trialScratch is the storage a trial grows and leaves no trace in: the
+// engine (open snapshot, reach and neighbor grids, task views, reward
+// map, prices, neighbor counts), the selection solver's tables, and the
+// simulation's per-round buffers — the per-user candidate buffer (see
+// Observer.UserPlanned for the resulting aliasing rules), the idle-time
+// tracker, the user-location slice fed to the engine's reprice, and the
+// user-order permutation (filled by PermInto with the exact draws Perm
+// used to make). All of it is grow-only, so the steady-state round loop
+// runs without allocations, and recycled across trials, so a warm trial
+// allocates only what it keeps: plans, contribution records and round
+// stats. Engine.Reset and Config.algorithm clear every bit of it that a
+// result could read, and the round loop writes the buffers before it
+// reads them; TestRecycledScratchIsInvisible holds them to it.
+type trialScratch struct {
+	eng      engine.Engine
+	alg      selection.Algorithm
+	candBuf  []selection.Candidate
+	idleBuf  []float64
+	userLocs []geo.Point
+	permBuf  []int
+}
+
+// scratchPool recycles trialScratch across trials, on any goroutine. It
+// is a sync.Pool rather than a selection.SolverPool so the garbage
+// collector may drop an idle bundle: Auto's DP table alone reaches
+// ~190 MB at m = 20.
+var scratchPool = sync.Pool{New: func() any { return new(trialScratch) }}
 
 // emptyProblem records a user whose selection problem came out empty for
 // the given spec.
@@ -98,7 +117,7 @@ type emptyProblem struct {
 
 // New generates a scenario from cfg.Workload with the given seed and
 // prepares the simulation. The same (cfg, seed) pair always produces the
-// same result.
+// same result, whatever trials ran before it on any goroutine.
 func New(cfg Config, seed int64) (*Simulation, error) {
 	root := stats.NewRNG(seed)
 	scenarioRNG := root.Split()
@@ -111,7 +130,11 @@ func New(cfg Config, seed int64) (*Simulation, error) {
 
 // NewFromScenario prepares a simulation over a caller-supplied scenario.
 // seed drives the remaining randomness (fixed-mechanism level draws, user
-// ordering, optional location resets).
+// ordering, optional location resets). The board, mechanism, users and
+// RNG streams are the trial's own; the engine, the solver and the
+// per-round buffers are borrowed from a pool that Run returns them to,
+// reset but not presized, so they keep the capacity an earlier trial
+// grew.
 func NewFromScenario(cfg Config, sc workload.Scenario, seed int64) (*Simulation, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -133,10 +156,6 @@ func NewFromScenario(cfg Config, sc workload.Scenario, seed int64) (*Simulation,
 	if err != nil {
 		return nil, err
 	}
-	alg, err := cfg.NewAlgorithm()
-	if err != nil {
-		return nil, err
-	}
 	mob, err := cfg.buildMobility(sc.Area)
 	if err != nil {
 		return nil, err
@@ -148,34 +167,11 @@ func NewFromScenario(cfg Config, sc workload.Scenario, seed int64) (*Simulation,
 	if err != nil {
 		return nil, err
 	}
-	// Historical simulator behavior: unpriced open tasks stay in candidate
-	// sets at reward 0 (the candidate count feeds Auto's algorithm
-	// dispatch, so dropping them would change results). Every mechanism
-	// input is supplied; a mechanism that does not use one ignores it, so
-	// it costs nothing and consumes no randomness. mechRNG keeps its
-	// historical split position, so the fixed mechanism's level draws are
-	// unchanged.
-	eng, err := engine.New(engine.Config{
-		Board:           board,
-		Mechanism:       mech,
-		Area:            sc.Area,
-		NeighborRadius:  cfg.NeighborRadius,
-		RequirePriced:   false,
-		RNG:             mechRNG,
-		Budget:          cfg.Budget,
-		BidCostPerMeter: cfg.CostPerMeter,
-		Forecast:        fc,
-	})
-	if err != nil {
-		return nil, err
-	}
 	s := &Simulation{
 		cfg:      cfg,
 		scenario: sc,
 		board:    board,
-		eng:      eng,
 		mech:     mech,
-		alg:      alg,
 		orderRNG: orderRNG,
 		resetRNG: resetRNG,
 		churnRNG: churnRNG,
@@ -194,6 +190,34 @@ func NewFromScenario(cfg Config, sc workload.Scenario, seed int64) (*Simulation,
 			return nil, err
 		}
 		s.users[i] = u
+	}
+	// A Simulation that is never run keeps its bundle; the garbage
+	// collector takes it with the Simulation.
+	//paylint:poolpair the bundle lives in the Simulation until Run hands it back
+	s.trialScratch = scratchPool.Get().(*trialScratch)
+	if s.alg, err = cfg.algorithm(s.alg); err != nil {
+		return nil, err
+	}
+	// Historical simulator behavior: unpriced open tasks stay in candidate
+	// sets at reward 0 (the candidate count feeds Auto's algorithm
+	// dispatch, so dropping them would change results). Every mechanism
+	// input is supplied; a mechanism that does not use one ignores it, so
+	// it costs nothing and consumes no randomness. mechRNG keeps its
+	// historical split position, so the fixed mechanism's level draws are
+	// unchanged.
+	err = s.eng.Reset(engine.Config{
+		Board:           board,
+		Mechanism:       mech,
+		Area:            sc.Area,
+		NeighborRadius:  cfg.NeighborRadius,
+		RequirePriced:   false,
+		RNG:             mechRNG,
+		Budget:          cfg.Budget,
+		BidCostPerMeter: cfg.CostPerMeter,
+		Forecast:        fc,
+	})
+	if err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -229,12 +253,27 @@ func (s *Simulation) rounds() int {
 }
 
 // Run executes the simulation. obs may be nil. Run may be called once per
-// Simulation; it returns an error on reuse.
+// Simulation; it returns an error on reuse. When Run returns, on success
+// or error, the trial's engine, solver and per-round buffers go back to a
+// pool for the next trial on any goroutine, and the Simulation drops
+// them: Board and Users stay readable, but anything that needs the
+// engine fails. The observer's aliasing rules are unchanged (see
+// Observer): what a call may not keep past its return was already
+// recycled by the next round or user, and is now also recycled by later
+// trials.
 func (s *Simulation) Run(obs Observer) (metrics.TrialResult, error) {
 	if s.ran {
 		return metrics.TrialResult{}, fmt.Errorf("sim: Run called twice")
 	}
 	s.ran = true
+	result, err := s.run(obs)
+	scratchPool.Put(s.trialScratch)
+	s.trialScratch = nil
+	return result, err
+}
+
+// run is Run over the borrowed scratch.
+func (s *Simulation) run(obs Observer) (metrics.TrialResult, error) {
 	if obs == nil {
 		obs = BaseObserver{}
 	}
