@@ -100,7 +100,7 @@ bench-check:
 # Runs every benchmark once, including BenchmarkBeam (the dispatch-tuning
 # grid recorded in BENCH_beam.json) and the root package's paper benchmarks.
 bench-smoke:
-	go test -run xxx -bench . -benchtime 1x -benchmem . ./internal/selection/ ./internal/sim/ ./internal/experiments/ ./internal/engine/ ./internal/geo/ ./internal/sat/ ./internal/wire/binary/ ./internal/stats/
+	go test -run xxx -bench . -benchtime 1x -benchmem . ./internal/selection/ ./internal/sim/ ./internal/experiments/ ./internal/engine/ ./internal/geo/ ./internal/sat/ ./internal/wire/binary/ ./internal/stats/ ./internal/task/
 
 # The wire-codec grid at recording fidelity; the numbers at the repo root
 # (BENCH_wire.json) came from this command plus a pair of loadgen runs.

@@ -16,7 +16,8 @@ type OnDemand struct {
 	demandCfg demand.Config
 	scheme    RewardScheme
 
-	// Grow-only scratch for the hot path; reused across rounds.
+	// Grow-only scratch for the hot path; reused across rounds and sized
+	// to the first round's views, the most a simulated trial prices.
 	inputs []demand.Inputs
 	norm   []float64
 }
@@ -41,6 +42,10 @@ func (m *OnDemand) Name() string { return "on-demand" }
 // RewardsInto implements Mechanism. It evaluates Eqs. 2-7 for every view,
 // reusing the mechanism's scratch so steady-state calls allocate nothing.
 func (m *OnDemand) RewardsInto(in *RoundInput, out map[task.ID]float64) error {
+	if m.inputs == nil {
+		m.inputs = make([]demand.Inputs, 0, len(in.Views))
+		m.norm = make([]float64, 0, len(in.Views))
+	}
 	m.inputs = m.inputs[:0]
 	for _, v := range in.Views {
 		m.inputs = append(m.inputs, demand.Inputs{

@@ -7,22 +7,24 @@ import (
 	"testing"
 )
 
-// warmTrialMaxBytes bounds the bytes a warm paper-size Run allocates
-// (seed 5): 45,496 on amd64 with Go 1.24, plus an 8% margin. A cold Run
-// of the same trial allocates 79,792, the difference being the engine,
-// solver and round buffers a warm trial borrows instead.
-const warmTrialMaxBytes = 48 << 10
+// The warm-trial byte pins (seed 5, amd64, Go 1.24), each the measured
+// figure plus 10 to 15%. A warm paper-size Run allocates 24,896
+// bytes: the contribution records (first four entries per task, then
+// the task's whole need), the plans and the TrialResult, each sized
+// once. A cold Run of the same trial allocates 64,616, the difference
+// being the engine, solver, RNG sources and round buffers a warm trial
+// borrows instead. A warm city-size Run allocates 230,432 bytes (cold:
+// 772,096), most of it contribution records and plans.
+const (
+	warmPaperMaxBytes = 28 << 10
+	warmCityMaxBytes  = 248 << 10
+)
 
-// TestWarmTrialAllocBytes pins what a warm trial allocates: its plans,
-// contribution records and round stats, and nothing it could borrow.
-// A Put dropped from Run, or a reset that drops scratch instead of
-// keeping its capacity, fails here. It is the fewest bytes of five runs
-// of one trial, because the pool is per-P and a run that lands on
-// another P misses the bundle. The race detector's pool drops a quarter
-// of its Puts on purpose, so the pin runs without it.
-func TestWarmTrialAllocBytes(t *testing.T) {
-	const seed = 5
-	cfg := Config{}
+// warmRunBytes returns the bytes a cold Run of cfg at seed allocates, and
+// the fewest bytes of five warm Runs of it. The fewest, because the pool
+// is per-P and a run that lands on another P misses the bundle.
+func warmRunBytes(t *testing.T, cfg Config, seed int64) (cold, warm uint64) {
+	t.Helper()
 	runBytes := func() uint64 {
 		s, err := New(cfg, seed)
 		if err != nil {
@@ -37,13 +39,28 @@ func TestWarmTrialAllocBytes(t *testing.T) {
 		return after.TotalAlloc - before.TotalAlloc
 	}
 	emptyPool()
-	cold := runBytes()
-	warm := ^uint64(0)
+	cold = runBytes()
+	warm = ^uint64(0)
 	for range 5 {
 		warm = min(warm, runBytes())
 	}
-	t.Logf("paper trial Run: %d bytes cold, %d warm", cold, warm)
-	if warm > warmTrialMaxBytes {
-		t.Errorf("a warm paper trial's Run allocated %d bytes, want at most %d (cold: %d)", warm, warmTrialMaxBytes, cold)
+	return cold, warm
+}
+
+// TestWarmTrialAllocBytes pins what a warm trial allocates: its plans,
+// contribution records and TrialResult, and nothing it could borrow. A
+// Put dropped from Run, a reset that drops scratch instead of keeping
+// its capacity, or a stream seeded into new storage fails here. The race
+// detector's pool drops a quarter of its Puts on purpose, so the pin
+// runs without it.
+func TestWarmTrialAllocBytes(t *testing.T) {
+	limits := map[string]uint64{"paper": warmPaperMaxBytes, "city": warmCityMaxBytes}
+	for _, sz := range trialSizes {
+		limit := limits[sz.name]
+		cold, warm := warmRunBytes(t, sz.cfg, 5)
+		t.Logf("%s trial Run: %d bytes cold, %d warm", sz.name, cold, warm)
+		if warm > limit {
+			t.Errorf("a warm %s trial's Run allocated %d bytes, want at most %d (cold: %d)", sz.name, warm, limit, cold)
+		}
 	}
 }

@@ -96,9 +96,9 @@ func BenchmarkNew(b *testing.B) {
 
 // BenchmarkTrial times whole warm trials, New then Run, as the
 // experiments and the bench run them one after another: after the first
-// trial, each borrows the engine, solver and round buffers the previous
-// one handed back, so its bytes are what the trial keeps (plans,
-// contribution records, round stats) plus its setup.
+// trial, each borrows the engine, solver, RNG streams and round buffers
+// the previous one handed back, so its bytes are what the trial keeps
+// (plans, contribution records, its TrialResult) plus its setup.
 func BenchmarkTrial(b *testing.B) {
 	for _, sz := range trialSizes {
 		b.Run(sz.name, func(b *testing.B) {

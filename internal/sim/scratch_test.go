@@ -45,61 +45,112 @@ func coldJSON(t *testing.T, cfg Config, seed int64) []byte {
 	return trialJSON(t, cfg, seed)
 }
 
+// recycledCase is a named trial configuration of the recycling oracle.
+type recycledCase struct {
+	name string
+	cfg  Config
+	// without, when set, is cfg with its stream's feature switched off:
+	// the two must differ, or a stale stream could not show.
+	without *Config
+}
+
+// streamCases are trials that draw from the recycled RNG streams the
+// mechanism and solver cases leave alone: mobility, churn and location
+// resets. Every case draws user order, and the fixed mechanism's cases
+// draw its level stream. Their users, at the default time budget, leave
+// tasks open past the first round, so the streams drawn between rounds
+// shape the result.
+func streamCases() []recycledCase {
+	var cases []recycledCase
+	for _, c := range []struct {
+		name string
+		mech MechanismKind
+		alg  AlgorithmKind
+		on   func(*Config)
+	}{
+		{"random-waypoint", MechanismOnDemand, AlgorithmAuto, func(c *Config) { c.Mobility = MobilityRandomWaypoint }},
+		{"churn", MechanismFixed, AlgorithmAuto, func(c *Config) { c.ChurnRate = 0.2 }},
+		{"location-resets", MechanismSteered, AlgorithmGreedy, func(c *Config) { c.ResetLocations = true }},
+	} {
+		without := Config{
+			Workload:  workload.Config{NumUsers: 40, NumTasks: 30, Required: 8},
+			Rounds:    6,
+			Mechanism: c.mech,
+			Algorithm: c.alg,
+		}
+		cfg := without
+		c.on(&cfg)
+		cases = append(cases, recycledCase{name: c.name, cfg: cfg, without: &without})
+	}
+	return cases
+}
+
 // TestRecycledScratchIsInvisible is the oracle for trial scratch
-// recycling: a trial run on a bundle that a city-size trial with churn
-// and random-waypoint mobility has just used must encode byte for byte
-// as the same trial run on a fresh bundle, for every mechanism and
-// solver. The city trial uses the case's mechanism and solver kind, so
-// the recycled solver is the one the case solves with.
+// recycling: a trial run on a bundle that a city-size trial with churn,
+// random-waypoint mobility and location resets has just used must
+// encode byte for byte as the same trial run on a fresh bundle, for
+// every mechanism and solver and for trials that draw from every
+// recycled RNG stream. The city trial uses the case's mechanism and
+// solver kind, so the recycled solver is the one the case solves with,
+// and it draws from every stream the case draws from, so a stream that
+// kept its state across the Reset would draw differently.
 func TestRecycledScratchIsInvisible(t *testing.T) {
 	const seed = 11
-	reused := 0
+	var cases []recycledCase
 	for _, mech := range recycleMechanisms {
 		for _, alg := range recycleAlgorithms {
-			cfg := recycleCase(mech, alg)
-			cold := coldJSON(t, cfg, seed)
+			cases = append(cases, recycledCase{name: fmt.Sprintf("%v/%v", mech, alg), cfg: recycleCase(mech, alg)})
+		}
+	}
+	cases = append(cases, streamCases()...)
+	reused := 0
+	for _, tc := range cases {
+		cold := coldJSON(t, tc.cfg, seed)
+		if tc.without != nil && bytes.Equal(cold, coldJSON(t, *tc.without, seed)) {
+			t.Errorf("%s: the trial does not depend on its stream", tc.name)
+		}
 
-			city := cfg
-			city.Workload = workload.Config{NumUsers: 2000, NumTasks: 1000, Required: 10}
-			city.Budget = 25000
-			city.UserTimeBudget = 25
-			city.Rounds = 5
-			city.ChurnRate = 0.1
-			city.Mobility = MobilityRandomWaypoint
-			// Other solver knobs, so a recycled solver that kept the city
-			// trial's settings would solve the case differently.
-			city.DPMaxTasks, city.BeamWidth, city.BeamImprove = 8, 1, 1
-			// The city trial starts on a fresh bundle too, so the solver
-			// it hands on was built with the city's knobs.
-			emptyPool()
-			d, err := New(city, seed+1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dirty := d.trialScratch
-			if _, err := d.Run(nil); err != nil {
-				t.Fatalf("%v/%v city trial: %v", mech, alg, err)
-			}
+		city := tc.cfg
+		city.Workload = workload.Config{NumUsers: 2000, NumTasks: 1000, Required: 10}
+		city.Budget = 25000
+		city.UserTimeBudget = 25
+		city.Rounds = 5
+		city.ChurnRate = 0.1
+		city.Mobility = MobilityRandomWaypoint
+		city.ResetLocations = true
+		// Other solver knobs, so a recycled solver that kept the city
+		// trial's settings would solve the case differently.
+		city.DPMaxTasks, city.BeamWidth, city.BeamImprove = 8, 1, 1
+		// The city trial starts on a fresh bundle too, so the solver
+		// it hands on was built with the city's knobs.
+		emptyPool()
+		d, err := New(city, seed+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dirty := d.trialScratch
+		if _, err := d.Run(nil); err != nil {
+			t.Fatalf("%s city trial: %v", tc.name, err)
+		}
 
-			w, err := New(cfg, seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if w.trialScratch == dirty {
-				reused++
-			}
-			res, err := w.Run(nil)
-			if err != nil {
-				t.Errorf("%v/%v: recycled trial: %v", mech, alg, err)
-				continue
-			}
-			warm, err := json.Marshal(res)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(cold, warm) {
-				t.Errorf("%v/%v: recycled trial differs from the cold run\ncold: %s\nwarm: %s", mech, alg, cold, warm)
-			}
+		w, err := New(tc.cfg, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w.trialScratch == dirty {
+			reused++
+		}
+		res, err := w.Run(nil)
+		if err != nil {
+			t.Errorf("%s: recycled trial: %v", tc.name, err)
+			continue
+		}
+		warm, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(cold, warm) {
+			t.Errorf("%s: recycled trial differs from the cold run\ncold: %s\nwarm: %s", tc.name, cold, warm)
 		}
 	}
 	// The pool is per-P, and under the race detector Put drops a quarter
@@ -186,10 +237,15 @@ func TestRunReleasesScratch(t *testing.T) {
 	if _, err := s.Run(nil); err == nil {
 		t.Error("second Run succeeded")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("a round after Run did not fail")
-		}
-	}()
-	_, _ = s.runRound(1, BaseObserver{})
+	panics := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s after Run did not fail", what)
+			}
+		}()
+		f()
+	}
+	panics("a round", func() { _, _ = s.runRound(1, BaseObserver{}) })
+	panics("a draw from the order stream", func() { s.orderRNG.Float64() })
 }

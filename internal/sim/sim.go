@@ -59,10 +59,6 @@ type Simulation struct {
 	board    *task.Board
 	users    []*agent.User
 	mech     incentive.Mechanism
-	orderRNG *stats.RNG
-	resetRNG *stats.RNG
-	churnRNG *stats.RNG
-	mobRNG   *stats.RNG
 	mob      mobility.Model
 	nextUser int
 	// departedProfits holds the profits of users that churned out, so the
@@ -74,28 +70,37 @@ type Simulation struct {
 	// runUsers. Churn replaces users in place, so its length is fixed.
 	emptyMemo []emptyProblem
 
-	// The engine, the solver and the per-round buffers are borrowed from
-	// scratchPool for the trial and handed back when Run returns; the
-	// pointer is then nil, so a later use fails loudly.
+	// The engine, the solver, the RNG streams Run draws from and the
+	// per-round buffers are borrowed from scratchPool for the trial and
+	// handed back when Run returns; the pointer is then nil, so a later
+	// use fails loudly.
 	*trialScratch
 }
 
 // trialScratch is the storage a trial grows and leaves no trace in: the
 // engine (open snapshot, reach and neighbor grids, task views, reward
-// map, prices, neighbor counts), the selection solver's tables, and the
-// simulation's per-round buffers — the per-user candidate buffer (see
+// map, prices, neighbor counts), the selection solver's tables, the RNG
+// streams Run draws from (the mechanism's, user order, location resets,
+// churn and mobility; each keeps its 5 KB source), and the simulation's
+// per-round buffers — the per-user candidate buffer (see
 // Observer.UserPlanned for the resulting aliasing rules), the idle-time
 // tracker, the user-location slice fed to the engine's reprice, and the
 // user-order permutation (filled by PermInto with the exact draws Perm
 // used to make). All of it is grow-only, so the steady-state round loop
 // runs without allocations, and recycled across trials, so a warm trial
-// allocates only what it keeps: plans, contribution records and round
-// stats. Engine.Reset and Config.algorithm clear every bit of it that a
-// result could read, and the round loop writes the buffers before it
-// reads them; TestRecycledScratchIsInvisible holds them to it.
+// allocates only what it keeps: plans, contribution records and its
+// TrialResult. Engine.Reset, Config.algorithm and RNG.Reset clear every
+// bit of it that a result could read, and the round loop writes the
+// buffers before it reads them; TestRecycledScratchIsInvisible holds
+// them to it.
 type trialScratch struct {
 	eng      engine.Engine
 	alg      selection.Algorithm
+	mechRNG  stats.RNG
+	orderRNG stats.RNG
+	resetRNG stats.RNG
+	churnRNG stats.RNG
+	mobRNG   stats.RNG
 	candBuf  []selection.Candidate
 	idleBuf  []float64
 	userLocs []geo.Point
@@ -130,23 +135,27 @@ func New(cfg Config, seed int64) (*Simulation, error) {
 
 // NewFromScenario prepares a simulation over a caller-supplied scenario.
 // seed drives the remaining randomness (fixed-mechanism level draws, user
-// ordering, optional location resets). The board, mechanism, users and
-// RNG streams are the trial's own; the engine, the solver and the
-// per-round buffers are borrowed from a pool that Run returns them to,
-// reset but not presized, so they keep the capacity an earlier trial
-// grew.
+// ordering, optional location resets). The board, mechanism and users
+// are the trial's own; the engine, the solver, the RNG streams Run draws
+// from and the per-round buffers are borrowed from a pool that Run
+// returns them to, reset but not presized, so they keep the capacity an
+// earlier trial grew.
 func NewFromScenario(cfg Config, sc workload.Scenario, seed int64) (*Simulation, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
+	// Every stream is seeded with the next draw of root in a fixed
+	// order, as root.Split would seed it. The streams Run draws from
+	// live in the borrowed bundle below; the jitter stream, drawn only
+	// here, is the trial's own.
 	root := stats.NewRNG(seed)
-	mechRNG := root.Split()
-	orderRNG := root.Split()
-	resetRNG := root.Split()
-	churnRNG := root.Split()
+	mechSeed := root.Int63()
+	orderSeed := root.Int63()
+	resetSeed := root.Int63()
+	churnSeed := root.Int63()
 	jitterRNG := root.Split()
-	mobRNG := root.Split()
+	mobSeed := root.Int63()
 
 	board, err := task.NewBoard(sc.Tasks)
 	if err != nil {
@@ -172,10 +181,6 @@ func NewFromScenario(cfg Config, sc workload.Scenario, seed int64) (*Simulation,
 		scenario: sc,
 		board:    board,
 		mech:     mech,
-		orderRNG: orderRNG,
-		resetRNG: resetRNG,
-		churnRNG: churnRNG,
-		mobRNG:   mobRNG,
 		mob:      mob,
 	}
 	// The initial users live in one slab; churned-in users get their own
@@ -195,6 +200,11 @@ func NewFromScenario(cfg Config, sc workload.Scenario, seed int64) (*Simulation,
 	// collector takes it with the Simulation.
 	//paylint:poolpair the bundle lives in the Simulation until Run hands it back
 	s.trialScratch = scratchPool.Get().(*trialScratch)
+	s.mechRNG.Reset(mechSeed)
+	s.orderRNG.Reset(orderSeed)
+	s.resetRNG.Reset(resetSeed)
+	s.churnRNG.Reset(churnSeed)
+	s.mobRNG.Reset(mobSeed)
 	if s.alg, err = cfg.algorithm(s.alg); err != nil {
 		return nil, err
 	}
@@ -202,16 +212,16 @@ func NewFromScenario(cfg Config, sc workload.Scenario, seed int64) (*Simulation,
 	// sets at reward 0 (the candidate count feeds Auto's algorithm
 	// dispatch, so dropping them would change results). Every mechanism
 	// input is supplied; a mechanism that does not use one ignores it, so
-	// it costs nothing and consumes no randomness. mechRNG keeps its
-	// historical split position, so the fixed mechanism's level draws are
-	// unchanged.
+	// it costs nothing and consumes no randomness. The mechanism's stream
+	// keeps its historical seed position, so the fixed mechanism's level
+	// draws are unchanged.
 	err = s.eng.Reset(engine.Config{
 		Board:           board,
 		Mechanism:       mech,
 		Area:            sc.Area,
 		NeighborRadius:  cfg.NeighborRadius,
 		RequirePriced:   false,
-		RNG:             mechRNG,
+		RNG:             &s.mechRNG,
 		Budget:          cfg.Budget,
 		BidCostPerMeter: cfg.CostPerMeter,
 		Forecast:        fc,
@@ -254,13 +264,13 @@ func (s *Simulation) rounds() int {
 
 // Run executes the simulation. obs may be nil. Run may be called once per
 // Simulation; it returns an error on reuse. When Run returns, on success
-// or error, the trial's engine, solver and per-round buffers go back to a
-// pool for the next trial on any goroutine, and the Simulation drops
-// them: Board and Users stay readable, but anything that needs the
-// engine fails. The observer's aliasing rules are unchanged (see
-// Observer): what a call may not keep past its return was already
-// recycled by the next round or user, and is now also recycled by later
-// trials.
+// or error, the trial's engine, solver, RNG streams and per-round buffers
+// go back to a pool for the next trial on any goroutine, and the
+// Simulation drops them: Board and Users stay readable, but anything
+// that needs the engine or a stream fails. The observer's aliasing
+// rules are unchanged (see Observer): what a call may not keep past its
+// return was already recycled by the next round or user, and is now
+// also recycled by later trials.
 func (s *Simulation) Run(obs Observer) (metrics.TrialResult, error) {
 	if s.ran {
 		return metrics.TrialResult{}, fmt.Errorf("sim: Run called twice")
@@ -288,6 +298,11 @@ func (s *Simulation) run(obs Observer) (metrics.TrialResult, error) {
 		Tasks:     s.board.Len(),
 	}
 	horizon := s.rounds()
+	// Rounds and UserProfits are sized once and stay nil when empty: a
+	// trial's JSON is pinned byte for byte, and nil encodes as null.
+	if horizon > 0 {
+		result.Rounds = make([]metrics.RoundStats, 0, horizon)
+	}
 	for k := 1; k <= horizon; k++ {
 		rs, err := s.runRound(k, obs)
 		if err != nil {
@@ -298,7 +313,10 @@ func (s *Simulation) run(obs Observer) (metrics.TrialResult, error) {
 	}
 
 	s.eng.FinishTrial(&result)
-	result.UserProfits = append([]float64(nil), s.departedProfits...)
+	if n := len(s.departedProfits) + len(s.users); n > 0 {
+		result.UserProfits = make([]float64, 0, n)
+	}
+	result.UserProfits = append(result.UserProfits, s.departedProfits...)
 	for _, u := range s.users {
 		result.UserProfits = append(result.UserProfits, u.Profit())
 	}
@@ -350,7 +368,7 @@ func (s *Simulation) runRound(k int, obs Observer) (metrics.RoundStats, error) {
 	}
 
 	for i, u := range s.users {
-		next := s.mob.Step(s.mobRNG, u.ID, u.Location, idle[i], u.Speed)
+		next := s.mob.Step(&s.mobRNG, u.ID, u.Location, idle[i], u.Speed)
 		u.MoveTo(next)
 	}
 
@@ -376,7 +394,7 @@ func (s *Simulation) runRound(k int, obs Observer) (metrics.RoundStats, error) {
 			s.newUser(nu, geo.Pt(
 				s.churnRNG.Uniform(area.Min.X, area.Max.X),
 				s.churnRNG.Uniform(area.Min.Y, area.Max.Y),
-			), s.churnRNG)
+			), &s.churnRNG)
 			s.users[i] = nu
 		}
 	}

@@ -18,10 +18,18 @@ import (
 // 607 words, about 5 µs and a 5 KB allocation on a 2-CPU Xeon, which is
 // more than a short stream of draws costs; a trial splits several
 // streams (mobility, churn, budget jitter, ...) that its configuration
-// may never draw from, and those cost nothing.
+// may never draw from, and those cost nothing. Reset turns an RNG into
+// another seed's stream and keeps the source storage, so a stream that
+// is reset for each trial pays the 5 KB once; the seeding still waits
+// for the first draw.
+//
+// The zero RNG is the stream of seed 0.
 type RNG struct {
 	seed int64
 	r    *rand.Rand // nil until the first draw
+	// idle is the source a Reset took out of use, reseeded by the next
+	// first draw instead of a new allocation.
+	idle *rand.Rand
 }
 
 // NewRNG returns a deterministic generator for the given seed.
@@ -29,12 +37,32 @@ func NewRNG(seed int64) *RNG {
 	return &RNG{seed: seed}
 }
 
+// Reset makes g the stream NewRNG(seed) returns: its next draw is that
+// stream's first. It keeps g's source storage for that draw to seed.
+func (g *RNG) Reset(seed int64) {
+	if g.r != nil {
+		g.idle, g.r = g.r, nil
+	}
+	g.seed = seed
+}
+
 // src returns the generator's source, seeding it on first use.
 func (g *RNG) src() *rand.Rand {
 	if g.r == nil {
-		g.r = rand.New(newSource(g.seed))
+		g.start()
 	}
 	return g.r
+}
+
+// start seeds the source for the first draw, in the storage a Reset
+// kept when there is one.
+func (g *RNG) start() {
+	if g.idle == nil {
+		g.r = rand.New(newSource(g.seed))
+		return
+	}
+	g.r, g.idle = g.idle, nil
+	g.r.Seed(g.seed)
 }
 
 // Split derives an independent child generator from the parent's stream.

@@ -279,3 +279,24 @@ func TestSplitOfUndrawnChildAllocatesNoSource(t *testing.T) {
 		t.Error("Split seeded the child's source before its first draw")
 	}
 }
+
+// TestResetReusesSource pins what Reset keeps: a reset stream's first
+// draw seeds the source it already has and allocates nothing, and a
+// Reset before any draw leaves the stream unseeded.
+func TestResetReusesSource(t *testing.T) {
+	g := NewRNG(1)
+	g.Float64()
+	seed := int64(0)
+	if allocs := testing.AllocsPerRun(100, func() {
+		seed++
+		g.Reset(seed)
+		g.Float64()
+	}); allocs != 0 {
+		t.Errorf("a reset stream's first draw allocated %v times, want 0", allocs)
+	}
+	fresh := NewRNG(5)
+	fresh.Reset(6)
+	if fresh.r != nil || fresh.idle != nil {
+		t.Error("Reset of an undrawn stream seeded a source")
+	}
+}

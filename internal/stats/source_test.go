@@ -74,12 +74,19 @@ func TestSourceMatchesMathRand(t *testing.T) {
 // against rand.New(rand.NewSource(seed)) and requires every draw to
 // match. IntBetween's reference is lo + Intn(hi-lo+1), or for a range
 // of more than math.MaxInt values, the first Uint64 that lands in it.
+// A Reset op turns the stream into another seed's, anywhere in the
+// script, and the reference becomes a new source of that seed: the
+// stream's later draws and Split children must follow it.
 func FuzzRNGMatchesMathRand(f *testing.F) {
 	f.Add(int64(1), []byte{0, 1, 7, 2, 3, 9, 3, 4, 12, 5})
 	f.Add(int64(0), []byte{5, 5, 0, 4, 0, 2, 0x80, 0xff})
 	f.Add(int64(math.MinInt64), []byte{2, 0xff, 0xff, 2, 0x7f, 0x80, 3, 0})
 	f.Add(int64(seedMod), []byte{1, 0xff, 4, 17, 5, 0})
 	f.Add(int64(-zeroSeed), []byte{0, 0, 0, 3, 3, 3})
+	// Reset before any draw, after draws, twice in a row, then Split.
+	f.Add(int64(7), []byte{6, 1, 2, 0, 0, 0, 6, 3, 4})
+	f.Add(int64(9), []byte{3, 0, 0, 4, 30, 0, 6, 0, 0, 1, 9, 9})
+	f.Add(int64(-3), []byte{0, 0, 0, 6, 5, 6, 6, 0xff, 0xff, 5, 0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, seed int64, script []byte) {
 		g, ref := NewRNG(seed), rand.New(rand.NewSource(seed))
 		arg := func(i int) byte {
@@ -90,7 +97,7 @@ func FuzzRNGMatchesMathRand(f *testing.F) {
 		}
 		for i := 0; i < len(script); i += 3 {
 			a, b := arg(i+1), arg(i+2)
-			switch script[i] % 6 {
+			switch script[i] % 7 {
 			case 0:
 				if got, want := g.Float64(), ref.Float64(); got != want {
 					t.Fatalf("op %d Float64 = %v, want %v", i, got, want)
@@ -128,6 +135,10 @@ func FuzzRNGMatchesMathRand(f *testing.F) {
 				if got, want := child.Int63(), childRef.Int63(); got != want {
 					t.Fatalf("op %d Split child's first draw = %d, want %d", i, got, want)
 				}
+			case 6:
+				seed = seed*31 + int64(a)<<8 | int64(b)
+				g.Reset(seed)
+				ref = rand.New(rand.NewSource(seed))
 			}
 		}
 	})

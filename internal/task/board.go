@@ -60,9 +60,15 @@ func (b *Board) OpenAt(round int) []*State {
 }
 
 // AllSettledAt reports whether every task is either complete or expired at
-// round k, i.e. there is nothing left to publish.
+// round k, i.e. there is nothing left to publish. It stops at the first
+// open task and allocates nothing.
 func (b *Board) AllSettledAt(round int) bool {
-	return len(b.OpenAt(round)) == 0
+	for _, s := range b.states {
+		if s.OpenAt(round) {
+			return false
+		}
+	}
+	return true
 }
 
 // TotalRequired returns the sum of required measurements over all tasks

@@ -1,6 +1,7 @@
 package task
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -125,6 +126,48 @@ func TestBoardOpenAt(t *testing.T) {
 	}
 	if b.AllSettledAt(2) {
 		t.Error("AllSettledAt(2) = true with open tasks")
+	}
+}
+
+// TestAllSettledAtMatchesOpenAt holds AllSettledAt to its definition,
+// an empty OpenAt, over every round around the deadlines as tasks
+// complete one by one.
+func TestAllSettledAtMatchesOpenAt(t *testing.T) {
+	b := testBoard(t)
+	check := func(stage string) {
+		t.Helper()
+		for round := -1; round <= 12; round++ {
+			if got, want := b.AllSettledAt(round), len(b.OpenAt(round)) == 0; got != want {
+				t.Errorf("%s: AllSettledAt(%d) = %v, len(OpenAt) == 0 is %v", stage, round, got, want)
+			}
+		}
+	}
+	check("fresh")
+	steps := []struct {
+		id   ID
+		user int
+	}{{3, 1}, {1, 1}, {1, 2}, {2, 1}, {2, 2}, {2, 3}}
+	for _, st := range steps {
+		if err := b.Get(st.id).Record(st.user, 1, 0); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("after task %d user %d", st.id, st.user))
+	}
+	empty, err := NewBoard(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !empty.AllSettledAt(1) {
+		t.Error("an empty board is not settled")
+	}
+}
+
+// TestAllSettledAtAllocs pins that the server's per-round settled check
+// builds no open set.
+func TestAllSettledAtAllocs(t *testing.T) {
+	b := testBoard(t)
+	if got := testing.AllocsPerRun(100, func() { b.AllSettledAt(2) }); got != 0 {
+		t.Errorf("AllSettledAt allocated %v times per call, want 0", got)
 	}
 }
 

@@ -155,6 +155,9 @@ func (s *State) Record(user, round int, reward float64) error {
 	if found {
 		return fmt.Errorf("%w: task %d user %d", ErrAlreadyContributed, s.ID, user)
 	}
+	if len(s.contributors) == cap(s.contributors) {
+		s.growContributors()
+	}
 	s.contributors = slices.Insert(s.contributors, i, contribution{user: user, round: round})
 	s.userBits |= userBit(user)
 	s.received++
@@ -163,6 +166,34 @@ func (s *State) Record(user, round int, reward float64) error {
 		s.completedRound = round
 	}
 	return nil
+}
+
+// Contribution storage grows in two steps, never past Required: the
+// first record allocates firstContributions entries (one 64-byte size
+// class), and the second grows to maxSpareContributions. A task with
+// Required <= maxSpareContributions therefore reallocates at most once.
+// Past that, storage grows by maxSpareContributions at a time, so no
+// task holds more than that many entries it does not yet need. Sizing to
+// Required at the first record would reserve all of φ for every touched
+// task: at city size (1000 tasks, φ = 10) most tasks end a trial with
+// three records or fewer, and that doubles the bytes spent on
+// contributions.
+const (
+	firstContributions    = 4
+	maxSpareContributions = 64
+)
+
+// growContributors makes room for one more contribution record. Record
+// refuses a measurement once a task is complete, so at most Required
+// entries are ever stored.
+func (s *State) growContributors() {
+	n := firstContributions
+	if c := cap(s.contributors); c > 0 {
+		n = (c/maxSpareContributions + 1) * maxSpareContributions
+	}
+	grown := make([]contribution, len(s.contributors), min(n, s.Required))
+	copy(grown, s.contributors)
+	s.contributors = grown
 }
 
 // RewardPaid returns the total reward paid for this task's measurements.

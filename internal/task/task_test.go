@@ -149,3 +149,70 @@ func TestContributors(t *testing.T) {
 		t.Errorf("Contributors = %d", s.Contributors())
 	}
 }
+
+// fillTask records Required measurements on st from users in descending
+// order, so every record inserts at the front of the contributor list.
+func fillTask(tb testing.TB, st *State) {
+	for u := st.Required; u > 0; u-- {
+		if err := st.Record(u, 1, 1); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// TestRecordGrowth pins how contribution storage grows: at most twice
+// for a task of up to 64 measurements, first to four entries and then
+// to its whole need, and never more than 64 entries ahead of need.
+func TestRecordGrowth(t *testing.T) {
+	for _, tc := range []struct {
+		required int
+		allocs   float64
+	}{
+		{1, 1}, {3, 1}, {4, 1}, {5, 2}, {10, 2}, {20, 2}, {64, 2},
+	} {
+		spec := validTask()
+		spec.Required = tc.required
+		const runs = 20
+		states := make([]State, runs+1)
+		next := 0
+		got := testing.AllocsPerRun(runs, func() {
+			st := &states[next]
+			next++
+			st.Task = spec
+			fillTask(t, st)
+		})
+		if got != tc.allocs {
+			t.Errorf("filling a task of phi = %d allocated %v times, want %v", tc.required, got, tc.allocs)
+		}
+		if st := states[0]; cap(st.contributors) != tc.required {
+			t.Errorf("phi = %d: contributor capacity %d after filling, want %d", tc.required, cap(st.contributors), tc.required)
+		}
+	}
+
+	spec := validTask()
+	spec.Required = 1000
+	st := mustState(t, spec)
+	for u := 1; u <= spec.Required; u++ {
+		if err := st.Record(u, 1, 1); err != nil {
+			t.Fatal(err)
+		}
+		if spare := cap(st.contributors) - len(st.contributors); spare > maxSpareContributions {
+			t.Fatalf("phi = 1000 after %d records: %d spare entries, want at most %d", u, spare, maxSpareContributions)
+		}
+	}
+	if cap(st.contributors) != spec.Required {
+		t.Errorf("phi = 1000: capacity %d when complete, want 1000", cap(st.contributors))
+	}
+}
+
+// BenchmarkRecord fills one task of phi = 20, the paper's largest
+// requirement, the way a trial's commits do.
+func BenchmarkRecord(b *testing.B) {
+	spec := validTask()
+	spec.Required = 20
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		st := State{Task: spec}
+		fillTask(b, &st)
+	}
+}
