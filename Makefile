@@ -41,9 +41,9 @@ paylint:
 	go run ./cmd/paylint ./...
 
 # The analyzer suite's own regression tests: every analyzer against its
-# seeded-violation fixtures under internal/analysis/testdata/src, plus
-# the CFG/dataflow unit tests. Fast enough to run on every analyzer
-# change without waiting for the whole-repo gate.
+# seeded-violation fixtures under internal/analysis/testdata/src. Fast
+# enough to run on every analyzer change without waiting for the
+# whole-repo gate.
 lint-fixtures:
 	go test ./internal/analysis/... ./cmd/paylint/
 

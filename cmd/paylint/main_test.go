@@ -82,7 +82,7 @@ func TestRunJSONClean(t *testing.T) {
 func TestWriteJSON(t *testing.T) {
 	findings := []analysis.Finding{
 		{Analyzer: "lockorder", Position: token.Position{Filename: "a.go", Line: 3, Column: 2}, Message: "m1"},
-		{Analyzer: "poolpair", Position: token.Position{Filename: "b.go", Line: 9, Column: 1}, Message: "m2"},
+		{Analyzer: "lockorder", Position: token.Position{Filename: "b.go", Line: 9, Column: 1}, Message: "m2"},
 	}
 	var buf strings.Builder
 	if err := writeJSON(&buf, findings); err != nil {

@@ -27,11 +27,10 @@
 //   - wirebin: the binary codec's TLV tag tables must cover exactly the
 //     json-serialized fields of every codec-covered struct, so a wire
 //     struct cannot grow a field the hand-written codec silently drops.
-//   - poolpair: pooled values (sync.Pool.Get, binary.GetBuffer,
-//     SolverPool.Get) are released on every path and never escape the
-//     acquiring function (flow-sensitive, over the CFG in cfg.go).
-//   - lockorder: mutexes are released on every path and never
-//     double-locked (flow-sensitive).
+//   - lockorder: every Lock is released by the shape of the code,
+//     directly followed by a defer of its unlock or unlocked later in
+//     its block by straight-line code, and no function body locks a
+//     receiver it still holds.
 //   - directive: every //paylint: suppression directive is well-formed,
 //     attached to a node it can actually suppress, and still suppressing
 //     something (stale directives are findings too). It runs last so it
@@ -186,5 +185,5 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 // preceding analyzers consulted.
 func All() []*Analyzer {
 	return []*Analyzer{Mapiter, Detrand, ScratchAlias, WireJSON, WireBin,
-		PoolPair, LockOrder, Directive}
+		LockOrder, Directive}
 }

@@ -21,10 +21,8 @@ import (
 //	//paylint:aliases <field>  — on an exported function or method
 //	  declaration: the return value deliberately aliases the named
 //	  receiver scratch field; callers must copy before the next call.
-//	//paylint:poolpair <reason>  — on a pooled-value acquire site: the
-//	  value's release is deliberately unbalanced here.
-//	//paylint:lockorder <reason>  — on a Lock call: the flagged
-//	  double-lock or unbalanced release is deliberate.
+//	//paylint:lockorder <reason>  — on a Lock statement: the flagged
+//	  release that is not deferred, or the second lock, is deliberate.
 //
 // The argument is mandatory: a directive is an auditable exception, and
 // an exception without a recorded justification is itself a finding (see

@@ -18,7 +18,7 @@ import (
 //   - //paylint:aliases without a field name, not attached to an
 //     exported function declaration, or naming a field that does not
 //     exist on the receiver's type;
-//   - //paylint:poolpair or lockorder without a reason;
+//   - //paylint:lockorder without a reason;
 //   - stale directives: a well-formed directive whose owning analyzer
 //     ran in this batch and suppressed nothing with it. The justification
 //     excused a finding that no longer exists, so the directive must go
@@ -41,12 +41,11 @@ var Directive = &Analyzer{
 var verbOwner = map[string]string{
 	"sorted":    "mapiter",
 	"aliases":   "scratchalias",
-	"poolpair":  "poolpair",
 	"lockorder": "lockorder",
 }
 
 // knownVerbs is the alphabetical verb list for the unknown-verb message.
-const knownVerbs = "aliases, lockorder, poolpair, sorted"
+const knownVerbs = "aliases, lockorder, sorted"
 
 func runDirective(pass *Pass) error {
 	idx := pass.directiveIdx()
@@ -82,7 +81,7 @@ func runDirective(pass *Pass) error {
 					d.Args, fn.Name.Name, d.Args)
 				malformed = true
 			}
-		case "poolpair", "lockorder":
+		case "lockorder":
 			if d.Args == "" {
 				pass.Reportf(d.Pos, "//paylint:%s needs a reason: say why this deviation from the %s invariant is safe",
 					d.Verb, verbOwner[d.Verb])

@@ -56,21 +56,8 @@ func TestWireBin(t *testing.T) {
 	analysistest.Run(t, analysis.WireBin, "wirebin", "paydemand/internal/wire/binary")
 }
 
-func TestPoolPair(t *testing.T) {
-	analysistest.Run(t, analysis.PoolPair, "poolpair", "paydemand/internal/server")
-}
-
 func TestLockOrder(t *testing.T) {
 	analysistest.Run(t, analysis.LockOrder, "lockorder", "paydemand/internal/engine")
-}
-
-// TestFlowOutOfScope proves the ConcurrencyPackages scoping of the
-// flow-sensitive analyzers: the same unbalanced constructs under an
-// out-of-scope path report nothing.
-func TestFlowOutOfScope(t *testing.T) {
-	analysistest.RunAnalyzers(t,
-		[]*analysis.Analyzer{analysis.PoolPair, analysis.LockOrder},
-		"lockorder_outofscope", "paydemand/internal/geo")
 }
 
 func TestDirective(t *testing.T) {
@@ -91,7 +78,7 @@ func TestDirectiveStale(t *testing.T) {
 // -only flag both refer to analyzers by these names.
 func TestSuiteNames(t *testing.T) {
 	want := []string{"mapiter", "detrand", "scratchalias", "wirejson", "wirebin",
-		"poolpair", "lockorder", "directive"}
+		"lockorder", "directive"}
 	all := analysis.All()
 	if len(all) != len(want) {
 		t.Fatalf("All() returned %d analyzers, want %d", len(all), len(want))

@@ -41,20 +41,18 @@ type guard struct {
 	n  int
 }
 
-// Used directive: suppresses a genuine double-lock finding.
-func reentrant(g *guard) {
+// Used directive: suppresses a genuine manual-unlock finding.
+func handOff(g *guard, release chan<- *guard) {
+	//paylint:lockorder the receiver of the channel unlocks g
 	g.mu.Lock()
-	//paylint:lockorder re-entry is guarded by a TryLock upstream
-	g.mu.Lock()
-	g.mu.Unlock()
-	g.mu.Unlock()
+	release <- g
 }
 
-// Stale directive: the lock below is balanced, so lockorder never
-// consults the suppression.
-func balancedLock(g *guard) {
-	g.n++
-	/* want `stale directive //paylint:lockorder` */ //paylint:lockorder legacy excuse from before the unlock was added
+// Stale directive: the lock below is released by defer, so lockorder
+// never consults the suppression.
+func deferredLock(g *guard) {
+	/* want `stale directive //paylint:lockorder` */ //paylint:lockorder legacy excuse from before the unlock was deferred
 	g.mu.Lock()
-	g.mu.Unlock()
+	defer g.mu.Unlock()
+	g.n++
 }

@@ -98,6 +98,23 @@ func runTrials[T any](o Options, configs int, run func(config, trial int) (T, er
 		wg sync.WaitGroup
 	)
 	next.Store(-1)
+	fail := func(idx int, err error) {
+		mu.Lock()
+		defer mu.Unlock()
+		// Keep the error of the earliest job so the report is stable
+		// when several trials fail concurrently.
+		if idx < firstErrIdx {
+			firstErr, firstErrIdx = err, idx
+		}
+	}
+	// Counting under the lock that serializes Progress keeps the
+	// reported counts strictly increasing.
+	progress := func() {
+		mu.Lock()
+		defer mu.Unlock()
+		completed++
+		o.Progress(completed, total)
+	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -111,23 +128,12 @@ func runTrials[T any](o Options, configs int, run func(config, trial int) (T, er
 				v, err := run(c, t)
 				if err != nil {
 					stop.Store(true)
-					mu.Lock()
-					// Keep the error of the earliest job so the report is
-					// stable when several trials fail concurrently.
-					if idx < firstErrIdx {
-						firstErr, firstErrIdx = err, idx
-					}
-					mu.Unlock()
+					fail(idx, err)
 					return
 				}
 				out[c][t] = v
 				if o.Progress != nil {
-					// Counting under the lock that serializes Progress
-					// keeps the reported counts strictly increasing.
-					mu.Lock()
-					completed++
-					o.Progress(completed, total)
-					mu.Unlock()
+					progress()
 				}
 			}
 		}()

@@ -34,16 +34,25 @@ func NewSolverPool(factory func() Algorithm) *SolverPool {
 // Get returns a solver for exclusive use: a recycled instance when one is
 // free, a freshly constructed one otherwise. Return it with Put when done.
 func (p *SolverPool) Get() Algorithm {
-	p.mu.Lock()
-	if n := len(p.free); n > 0 {
-		a := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-		p.mu.Unlock()
+	if a := p.takeFree(); a != nil {
 		return a
 	}
-	p.mu.Unlock()
 	return p.newAlg()
+}
+
+// takeFree pops the most recently returned instance off the free list,
+// or returns nil when the list is empty.
+func (p *SolverPool) takeFree() Algorithm {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := len(p.free)
+	if n == 0 {
+		return nil
+	}
+	a := p.free[n-1]
+	p.free[n-1] = nil
+	p.free = p.free[:n-1]
+	return a
 }
 
 // Put returns a solver obtained from Get to the free list. The caller must
@@ -53,8 +62,8 @@ func (p *SolverPool) Put(a Algorithm) {
 		return
 	}
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.free = append(p.free, a)
-	p.mu.Unlock()
 }
 
 // Idle returns the number of instances currently on the free list (for

@@ -29,7 +29,9 @@ import (
 // The first input selects the endpoint, the second is the raw body. The
 // seeds are one well-formed body per endpoint plus the edge cases the
 // decoder must refuse: trailing data, overflowing numbers, unknown
-// fields, and an empty body.
+// fields, and an empty body. The last seeds take each early return
+// after the platform mutex is locked: a plan and a submit from an
+// unknown worker, and a submit to a stale round.
 func FuzzJSONHandlers(f *testing.F) {
 	f.Add(uint8(0), []byte(`{"location":{"x":10,"y":20}}`))
 	f.Add(uint8(1), []byte(`{"user_id":1,"location":{"x":100,"y":100},"speed":1.4,"time_budget":600,"cost_per_meter":0.002}`))
@@ -40,6 +42,9 @@ func FuzzJSONHandlers(f *testing.F) {
 	f.Add(uint8(1), []byte(`{"user_id":1,"speed":1e999,"time_budget":1}`))
 	f.Add(uint8(2), []byte(`{"user_id":1,"round":1,"extra":true}`))
 	f.Add(uint8(0), []byte{})
+	f.Add(uint8(1), []byte(`{"user_id":99,"location":{"x":100,"y":100},"speed":1.4,"time_budget":600}`))
+	f.Add(uint8(2), []byte(`{"user_id":99,"round":1,"measurements":[{"task_id":1,"value":3.5}]}`))
+	f.Add(uint8(2), []byte(`{"user_id":1,"round":7,"measurements":[{"task_id":1,"value":3.5}]}`))
 
 	endpoints := []struct {
 		path string
@@ -150,13 +155,19 @@ func requireStatus(t *testing.T, p *Platform, before []byte, path string, body [
 
 // serveFuzz runs one request through the platform's handler, with body
 // and Accept headers of the given content type, and returns the status
-// code and response body.
+// code and response body. It panics if the handler returned with p.mu
+// still held, so a leaked lock names its request at once instead of
+// hanging the next one until the test binary times out.
 func serveFuzz(p *Platform, method, path, contentType string, body []byte) (int, []byte) {
 	req := httptest.NewRequest(method, path, bytes.NewReader(body))
 	req.Header.Set("Content-Type", contentType)
 	req.Header.Set("Accept", contentType)
 	rec := httptest.NewRecorder()
 	p.ServeHTTP(rec, req)
+	if !p.mu.TryLock() {
+		panic(fmt.Sprintf("%s %s returned with the platform mutex held", method, path))
+	}
+	p.mu.Unlock()
 	return rec.Code, rec.Body.Bytes()
 }
 

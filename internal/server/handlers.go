@@ -12,6 +12,8 @@ import (
 
 	"paydemand/internal/aggregate"
 	"paydemand/internal/engine"
+	"paydemand/internal/geo"
+	"paydemand/internal/selection"
 	"paydemand/internal/task"
 	"paydemand/internal/wire"
 	"paydemand/internal/wire/binary"
@@ -64,12 +66,17 @@ func (p *Platform) handleRegister(w http.ResponseWriter, r *http.Request) {
 		p.writeError(w, http.StatusBadRequest, "non-finite location")
 		return
 	}
-	p.mu.Lock()
-	p.workers = append(p.workers, req.Location)
-	id := len(p.workers)
-	p.mu.Unlock()
+	id := p.register(req.Location)
 	p.logger.Info("worker registered", "user_id", id)
 	p.writeJSON(w, http.StatusOK, wire.RegisterResponse{UserID: id})
+}
+
+// register records a new worker at loc and returns its ID.
+func (p *Platform) register(loc geo.Point) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.workers = append(p.workers, loc)
+	return len(p.workers)
 }
 
 // handleRound publishes the current round. A round whose reprice failed
@@ -92,26 +99,37 @@ func (p *Platform) handleRound(w http.ResponseWriter, r *http.Request) {
 			known, _ = strconv.Atoi(v)
 		}
 	}
-	p.mu.Lock()
-	if err := p.repriceErr; err != nil {
-		p.mu.Unlock()
+	info, tasks, err := p.publishedRound(known)
+	if err != nil {
 		p.writeError(w, http.StatusInternalServerError, "reprice failed: %v", err)
 		return
 	}
-	if known > 0 && known == p.round && !p.done {
-		info := wire.RoundInfo{Round: p.round, Unchanged: true}
-		p.mu.Unlock()
-		writeMessage(p, w, r, &info, func(b []byte) []byte { return binary.AppendRoundInfo(b, &info) })
+	writeMessage(p, w, r, &info, func(b []byte) []byte { return binary.AppendRoundInfo(b, &info) })
+	if tasks == nil {
 		return
 	}
-	tasks := taskListPool.Get().(*[]wire.TaskInfo)
-	info := p.roundInfoLocked(*tasks)
-	p.mu.Unlock()
-	writeMessage(p, w, r, &info, func(b []byte) []byte { return binary.AppendRoundInfo(b, &info) })
 	if info.Tasks != nil {
 		*tasks = info.Tasks[:0]
 	}
 	taskListPool.Put(tasks)
+}
+
+// publishedRound returns the round a poller that holds round known is
+// served: the failed reprice's error, an Unchanged marker, or the full
+// round with its task list built in a pooled slice. tasks is that pooled
+// slice, which the caller returns to taskListPool; it is nil unless the
+// full round was built.
+func (p *Platform) publishedRound(known int) (info wire.RoundInfo, tasks *[]wire.TaskInfo, err error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if err := p.repriceErr; err != nil {
+		return info, nil, err
+	}
+	if known > 0 && known == p.round && !p.done {
+		return wire.RoundInfo{Round: p.round, Unchanged: true}, nil, nil
+	}
+	tasks = taskListPool.Get().(*[]wire.TaskInfo)
+	return p.roundInfoLocked(*tasks), tasks, nil
 }
 
 // taskListPool recycles the task lists handleRound publishes: every
@@ -136,9 +154,7 @@ func (p *Platform) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	// Only the board and worker bookkeeping runs under the mutex; the log
 	// line and the response encode and write happen after it is released.
-	p.mu.Lock()
-	resp, round, status, msg := p.submitLocked(&req)
-	p.mu.Unlock()
+	resp, round, status, msg := p.submit(&req)
 	if status != 0 {
 		p.writeError(w, status, "%s", msg)
 		return
@@ -149,11 +165,13 @@ func (p *Platform) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeMessage(p, w, r, &resp, func(b []byte) []byte { return binary.AppendSubmitResponse(b, &resp) })
 }
 
-// submitLocked records one submission's measurements and returns the
-// response and the round they were recorded in. A rejected submission
-// returns a non-zero HTTP status and its error message instead. Callers
-// hold p.mu.
-func (p *Platform) submitLocked(req *wire.SubmitRequest) (resp wire.SubmitResponse, round, status int, msg string) {
+// submit records one submission's measurements under p.mu and returns
+// the response and the round they were recorded in. A rejected
+// submission returns a non-zero HTTP status and its error message
+// instead.
+func (p *Platform) submit(req *wire.SubmitRequest) (resp wire.SubmitResponse, round, status int, msg string) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	if !p.knownLocked(req.UserID) {
 		return resp, 0, http.StatusNotFound, fmt.Sprintf("unknown worker %d", req.UserID)
 	}
@@ -249,27 +267,15 @@ func (p *Platform) handlePlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	p.mu.Lock()
-	if !p.knownLocked(req.UserID) {
-		p.mu.Unlock()
-		p.writeError(w, http.StatusNotFound, "unknown worker %d", req.UserID)
+	problem, round, status := p.planProblem(&req, maxDistance)
+	switch status {
+	case http.StatusNotFound:
+		p.writeError(w, status, "unknown worker %d", req.UserID)
+		return
+	case http.StatusConflict:
+		p.writeError(w, status, "campaign is done")
 		return
 	}
-	if p.done {
-		p.mu.Unlock()
-		p.writeError(w, http.StatusConflict, "campaign is done")
-		return
-	}
-	p.workers[req.UserID-1] = req.Location
-	round := p.round
-	// The candidate buffer is per-request (nil, so ProblemInto allocates):
-	// the problem escapes the lock and must not share engine scratch.
-	problem, _ := p.eng.ProblemInto(engine.Spec{
-		Start:        req.Location,
-		MaxDistance:  maxDistance,
-		CostPerMeter: req.CostPerMeter,
-	}, engine.Worker(req.UserID), nil)
-	p.mu.Unlock()
 
 	alg := p.planners.Get()
 	plan, err := alg.Select(problem)
@@ -292,6 +298,30 @@ func (p *Platform) handlePlan(w http.ResponseWriter, r *http.Request) {
 	writeMessage(p, w, r, &resp, func(b []byte) []byte { return binary.AppendPlanResponse(b, &resp) })
 }
 
+// planProblem moves the worker to the request's location and builds
+// its selection problem against the current round, under p.mu. An
+// unknown worker gets http.StatusNotFound and a done campaign
+// http.StatusConflict, with no problem built; status is 0 otherwise.
+func (p *Platform) planProblem(req *wire.PlanRequest, maxDistance float64) (problem selection.Problem, round, status int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if !p.knownLocked(req.UserID) {
+		return problem, 0, http.StatusNotFound
+	}
+	if p.done {
+		return problem, 0, http.StatusConflict
+	}
+	p.workers[req.UserID-1] = req.Location
+	// The candidate buffer is per-request (nil, so ProblemInto allocates):
+	// the problem escapes the lock and must not share engine scratch.
+	problem, _ = p.eng.ProblemInto(engine.Spec{
+		Start:        req.Location,
+		MaxDistance:  maxDistance,
+		CostPerMeter: req.CostPerMeter,
+	}, engine.Worker(req.UserID), nil)
+	return problem, p.round, 0
+}
+
 // handleAdvance moves to the next round.
 func (p *Platform) handleAdvance(w http.ResponseWriter, r *http.Request) {
 	round, done, err := p.Advance()
@@ -308,7 +338,13 @@ func (p *Platform) handleAdvance(w http.ResponseWriter, r *http.Request) {
 // snapshot entries still open — the same filtering /v1/round applies, so
 // status and round agree on what is published.
 func (p *Platform) handleStatus(w http.ResponseWriter, r *http.Request) {
+	p.writeJSON(w, http.StatusOK, p.status())
+}
+
+// status computes the /v1/status response under p.mu.
+func (p *Platform) status() wire.StatusResponse {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	board := p.eng.Board()
 	openTasks := 0
 	for _, st := range p.eng.Open() {
@@ -316,7 +352,7 @@ func (p *Platform) handleStatus(w http.ResponseWriter, r *http.Request) {
 			openTasks++
 		}
 	}
-	resp := wire.StatusResponse{
+	return wire.StatusResponse{
 		Round:                   p.round,
 		Done:                    p.done,
 		Workers:                 len(p.workers),
@@ -327,8 +363,6 @@ func (p *Platform) handleStatus(w http.ResponseWriter, r *http.Request) {
 		TotalRewardPaid:         board.TotalRewardPaid(),
 		AvgRewardPerMeasurement: board.AverageRewardPerMeasurement(),
 	}
-	p.mu.Unlock()
-	p.writeJSON(w, http.StatusOK, resp)
 }
 
 // handleEstimate returns the aggregated estimate for ?task=ID.
@@ -343,11 +377,7 @@ func (p *Platform) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		p.writeError(w, http.StatusBadRequest, "bad task id %q", raw)
 		return
 	}
-	// The board check reads under the mutex: Restore swaps the board.
-	p.mu.Lock()
-	known := p.eng.Board().Get(task.ID(id)) != nil
-	values := p.valuesLocked(task.ID(id))
-	p.mu.Unlock()
+	known, values := p.taskValues(task.ID(id))
 	if !known {
 		p.writeError(w, http.StatusNotFound, "unknown task %d", id)
 		return
@@ -369,6 +399,15 @@ func (p *Platform) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		StdDev:        est.StdDev,
 		MarginOfError: est.MarginOfError,
 	})
+}
+
+// taskValues reports whether id is on the board and returns a copy of
+// its uploaded values. The board check reads under the mutex: Restore
+// swaps the board.
+func (p *Platform) taskValues(id task.ID) (known bool, values []float64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.eng.Board().Get(id) != nil, p.valuesLocked(id)
 }
 
 // handleHealth is the liveness probe.

@@ -198,7 +198,6 @@ func NewFromScenario(cfg Config, sc workload.Scenario, seed int64) (*Simulation,
 	}
 	// A Simulation that is never run keeps its bundle; the garbage
 	// collector takes it with the Simulation.
-	//paylint:poolpair the bundle lives in the Simulation until Run hands it back
 	s.trialScratch = scratchPool.Get().(*trialScratch)
 	s.mechRNG.Reset(mechSeed)
 	s.orderRNG.Reset(orderSeed)
