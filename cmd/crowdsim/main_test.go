@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"os"
@@ -106,6 +107,36 @@ func TestRunTraceFile(t *testing.T) {
 	}
 	if !strings.Contains(string(data), `"kind":"round_start"`) {
 		t.Errorf("trace content wrong: %.100s", data)
+	}
+}
+
+// TestRunJSONGolden pins, byte for byte, the JSON that crowdsim writes
+// at runArgs' config: the -json summary (metrics.Summary) and the -trace
+// JSONL of the first trial (sim.TraceEvent and the plans inside it), so a
+// field added to either, tagged or not, changes a golden. As with
+// cmd/experiments' goldens, the bytes are amd64 output. Regenerate, from
+// the repository root, only when the output is meant to change:
+//
+//	go run ./cmd/crowdsim -trials 2 -users 30 -tasks 6 -required 3 -json \
+//		-trace cmd/crowdsim/testdata/trace.jsonl > cmd/crowdsim/testdata/summary.json
+func TestRunJSONGolden(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "trace.jsonl")
+	summary := runArgs(t, "-json", "-trace", trace)
+	traced, err := os.ReadFile(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, out := range []struct {
+		name string
+		got  []byte
+	}{{"summary.json", []byte(summary)}, {"trace.jsonl", traced}} {
+		want, err := os.ReadFile(filepath.Join("testdata", out.name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.got, want) {
+			t.Errorf("output differs from testdata/%s; got:\n%s", out.name, out.got)
+		}
 	}
 }
 

@@ -1,8 +1,8 @@
 // Command paylint runs the repo's static-analysis suite: the custom
-// analyzers that enforce the determinism, aliasing, wire-compatibility,
-// and concurrency invariants every performance PR rests on
-// (byte-identical simulation output for a given seed at any worker
-// count; balanced locks and pools).
+// analyzers that enforce the determinism, aliasing and lock-release
+// invariants every performance PR rests on (byte-identical simulation
+// output for a given seed at any worker count; every lock released by
+// the shape of the code).
 //
 // Usage:
 //

@@ -22,11 +22,6 @@
 //   - scratchalias: exported functions must not leak a receiver's
 //     reusable scratch buffer unless their name says so (…Into) or a
 //     //paylint:aliases directive documents the contract.
-//   - wirejson: serialized structs must tag every exported field so an
-//     untagged field addition cannot silently change output bytes.
-//   - wirebin: the binary codec's TLV tag tables must cover exactly the
-//     json-serialized fields of every codec-covered struct, so a wire
-//     struct cannot grow a field the hand-written codec silently drops.
 //   - lockorder: every Lock is released by the shape of the code,
 //     directly followed by a defer of its unlock or unlocked later in
 //     its block by straight-line code, and no function body locks a
@@ -35,6 +30,10 @@
 //     attached to a node it can actually suppress, and still suppressing
 //     something (stale directives are findings too). It runs last so it
 //     can see which directives the other analyzers consulted.
+//
+// The shapes of the wire messages and of the JSON the programs write are
+// pinned by tests, not analyzers: internal/wire/binary's
+// TestJSONFieldParity and the byte goldens (DESIGN.md §14).
 package analysis
 
 import (
@@ -184,6 +183,5 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 // directive analyzer is last: it audits the suppression directives the
 // preceding analyzers consulted.
 func All() []*Analyzer {
-	return []*Analyzer{Mapiter, Detrand, ScratchAlias, WireJSON, WireBin,
-		LockOrder, Directive}
+	return []*Analyzer{Mapiter, Detrand, ScratchAlias, LockOrder, Directive}
 }

@@ -4,10 +4,10 @@ package analysis
 // byte-identity guarantee: given a seed, a simulation (and the round
 // engine, experiment harness and HTTP platform built on it) must produce
 // identical bytes at any worker count. This is paylint's only scope
-// list: mapiter, detrand, and scratchalias apply only here, and wirejson
-// treats these packages as its non-strict tier; lockorder checks every
-// package. Grow the list when a new package joins the deterministic core;
-// every analyzer picks the addition up at once.
+// list: mapiter, detrand, and scratchalias apply only here; lockorder
+// checks every package. Grow the list when a new package joins the
+// deterministic core; the three scoped analyzers pick the addition up at
+// once.
 var DeterministicPackages = []string{
 	"paydemand/internal/sim",
 	"paydemand/internal/selection",

@@ -9,7 +9,7 @@ import (
 
 // Each analyzer is exercised against a fixture that demonstrates both
 // reported violations and accepted counterparts (sorted keys, Into
-// naming, directives, explicit tags). The _outofscope fixtures prove the
+// naming, directives). The _outofscope fixtures prove the
 // deterministic-package scoping by re-checking the same constructs under
 // a package path the analyzers do not apply to.
 
@@ -44,18 +44,6 @@ func TestScratchAliasOutOfScope(t *testing.T) {
 	analysistest.Run(t, analysis.ScratchAlias, "scratchalias_outofscope", "paydemand/internal/geo")
 }
 
-func TestWireJSONStrict(t *testing.T) {
-	analysistest.Run(t, analysis.WireJSON, "wirejson", "paydemand/internal/wire")
-}
-
-func TestWireJSONOptIn(t *testing.T) {
-	analysistest.Run(t, analysis.WireJSON, "wirejson_optin", "paydemand/internal/metrics")
-}
-
-func TestWireBin(t *testing.T) {
-	analysistest.Run(t, analysis.WireBin, "wirebin", "paydemand/internal/wire/binary")
-}
-
 func TestLockOrder(t *testing.T) {
 	analysistest.Run(t, analysis.LockOrder, "lockorder", "paydemand/internal/engine")
 }
@@ -77,8 +65,7 @@ func TestDirectiveStale(t *testing.T) {
 // TestSuiteNames pins the suite composition: CI documentation and the
 // -only flag both refer to analyzers by these names.
 func TestSuiteNames(t *testing.T) {
-	want := []string{"mapiter", "detrand", "scratchalias", "wirejson", "wirebin",
-		"lockorder", "directive"}
+	want := []string{"mapiter", "detrand", "scratchalias", "lockorder", "directive"}
 	all := analysis.All()
 	if len(all) != len(want) {
 		t.Fatalf("All() returned %d analyzers, want %d", len(all), len(want))

@@ -70,6 +70,8 @@ var errBodyTooLarge = errors.New("request body exceeds limit")
 // caller must return the buffer with binary.PutBuffer once the decoded
 // message no longer references it (the TLV decoders copy strings and
 // decode scalars by value, so the decoded message never aliases it).
+// On error the buffer is left to the GC instead: an oversized body grew
+// it past maxBodyBytes, and the pool would hand that to small requests.
 func readBody(r *http.Request) (*[]byte, error) {
 	buf := binary.GetBuffer()
 	err := binary.ReadAll(buf, io.LimitReader(r.Body, maxBodyBytes+1))
@@ -77,7 +79,6 @@ func readBody(r *http.Request) (*[]byte, error) {
 		err = errBodyTooLarge
 	}
 	if err != nil {
-		binary.PutBuffer(buf)
 		return nil, err
 	}
 	return buf, nil

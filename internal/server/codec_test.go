@@ -48,7 +48,7 @@ func doTLV(t *testing.T, srv *httptest.Server, method, path string, body []byte)
 // exactly the struct the JSON endpoint serves.
 func TestTLVRoundMatchesJSON(t *testing.T) {
 	p := testPlatform(t)
-	srv := httptest.NewServer(p)
+	srv := newServer(p)
 	defer srv.Close()
 
 	var viaJSON wire.RoundInfo
@@ -140,7 +140,7 @@ func fillRound(t *testing.T, srv *httptest.Server) {
 // a round whose tasks have all filled, and a done campaign.
 func TestRoundFastJSONDecodeFires(t *testing.T) {
 	p := testPlatform(t)
-	srv := httptest.NewServer(p)
+	srv := newServer(p)
 	defer srv.Close()
 
 	check := func(name string, known int) wire.RoundInfo {
@@ -184,7 +184,7 @@ func TestRoundFastJSONDecodeFires(t *testing.T) {
 // list has grown.
 func TestDecodeRoundFastJSONNoAllocs(t *testing.T) {
 	p := testPlatform(t)
-	srv := httptest.NewServer(p)
+	srv := newServer(p)
 	defer srv.Close()
 	body := fetchRound(t, srv, 0, false)
 	var m wire.RoundInfo
@@ -209,7 +209,7 @@ func TestDecodeRoundFastJSONNoAllocs(t *testing.T) {
 // "tasks":[], and the TLV body of a nil list.
 func TestEmptyRoundAfterPooledPoll(t *testing.T) {
 	p := testPlatform(t)
-	srv := httptest.NewServer(p)
+	srv := newServer(p)
 	defer srv.Close()
 
 	for _, tlv := range []bool{false, true} {
@@ -236,7 +236,7 @@ func TestEmptyRoundAfterPooledPoll(t *testing.T) {
 // round gets the full response; a done campaign never short-circuits.
 func TestKnownRoundShortCircuit(t *testing.T) {
 	p := testPlatform(t)
-	srv := httptest.NewServer(p)
+	srv := newServer(p)
 	defer srv.Close()
 
 	fetch := func(known int, tlv bool) wire.RoundInfo {
@@ -308,7 +308,7 @@ func TestKnownRoundShortCircuit(t *testing.T) {
 // bodies and responses.
 func TestTLVPlanAndSubmit(t *testing.T) {
 	p := testPlatform(t)
-	srv := httptest.NewServer(p)
+	srv := newServer(p)
 	defer srv.Close()
 
 	var reg wire.RegisterResponse
@@ -368,7 +368,7 @@ func TestTLVPlanAndSubmit(t *testing.T) {
 // JSON error bodies (errors are always JSON, the debugging surface).
 func TestTLVBadBodies(t *testing.T) {
 	p := testPlatform(t)
-	srv := httptest.NewServer(p)
+	srv := newServer(p)
 	defer srv.Close()
 
 	for _, path := range []string{wire.PathPlan, wire.PathSubmit} {
@@ -382,6 +382,28 @@ func TestTLVBadBodies(t *testing.T) {
 		var apiErr wire.Error
 		if err := jsonUnmarshal(body, &apiErr); err != nil || apiErr.Message == "" {
 			t.Errorf("%s: error body %q not a JSON error", path, body)
+		}
+	}
+}
+
+// TestOversizedBodyLeavesPoolSmall pins that a TLV body over
+// maxBodyBytes is answered 400 and that the buffer ReadAll grew to hold
+// it does not go back to binary's pool, where it would serve small
+// requests until the GC drops it. The request runs on the test's
+// goroutine, as serveFuzz runs it, so a buffer put back would most
+// likely be the next one this P gets.
+func TestOversizedBodyLeavesPoolSmall(t *testing.T) {
+	p, _ := fuzzPlatform(t)
+	plan := planRequest(1)
+	body := binary.AppendPlanRequest(nil, &plan)
+	body = append(body, make([]byte, maxBodyBytes+10-len(body))...)
+	if code, resp := serveFuzz(p, http.MethodPost, wire.PathPlan, binary.ContentType, body); code != http.StatusBadRequest {
+		t.Fatalf("%d-byte plan: status %d, want 400 (%s)", len(body), code, resp)
+	}
+	for i := 0; i < 4; i++ {
+		if c := cap(*binary.GetBuffer()); c > maxBodyBytes {
+			t.Fatalf("GetBuffer #%d returned a %d-byte buffer after an oversized body, want at most %d",
+				i+1, c, maxBodyBytes)
 		}
 	}
 }
@@ -413,7 +435,7 @@ func TestTLVHandlerAllocs(t *testing.T) {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	p := testPlatform(t)
-	srv := httptest.NewServer(p)
+	srv := newServer(p)
 	var reg wire.RegisterResponse
 	if code := doJSON(t, srv, http.MethodPost, wire.PathRegister,
 		wire.RegisterRequest{Location: geo.Pt(500, 500)}, &reg); code != http.StatusOK {

@@ -86,7 +86,7 @@ func TestSimServerEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(p)
+	srv := newServer(p)
 	defer srv.Close()
 
 	m := &mirrorObserver{t: t, p: p, srv: srv, sc: sc}

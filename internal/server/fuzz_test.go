@@ -155,19 +155,15 @@ func requireStatus(t *testing.T, p *Platform, before []byte, path string, body [
 
 // serveFuzz runs one request through the platform's handler, with body
 // and Accept headers of the given content type, and returns the status
-// code and response body. It panics if the handler returned with p.mu
-// still held, so a leaked lock names its request at once instead of
-// hanging the next one until the test binary times out.
+// code and response body. checkUnlocked then names the request if the
+// handler returned with p.mu still held.
 func serveFuzz(p *Platform, method, path, contentType string, body []byte) (int, []byte) {
 	req := httptest.NewRequest(method, path, bytes.NewReader(body))
 	req.Header.Set("Content-Type", contentType)
 	req.Header.Set("Accept", contentType)
 	rec := httptest.NewRecorder()
 	p.ServeHTTP(rec, req)
-	if !p.mu.TryLock() {
-		panic(fmt.Sprintf("%s %s returned with the platform mutex held", method, path))
-	}
-	p.mu.Unlock()
+	checkUnlocked(p, method, path)
 	return rec.Code, rec.Body.Bytes()
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math"
 	"net/http"
-	"net/http/httptest"
 	"reflect"
 	"slices"
 	"sync"
@@ -30,7 +29,7 @@ func planRequest(userID int) wire.PlanRequest {
 
 func TestPlanEndpoint(t *testing.T) {
 	p := testPlatform(t)
-	srv := httptest.NewServer(p)
+	srv := newServer(p)
 	defer srv.Close()
 
 	var reg wire.RegisterResponse
@@ -87,7 +86,7 @@ func TestPlanEndpoint(t *testing.T) {
 
 func TestPlanEndpointRejections(t *testing.T) {
 	p := testPlatform(t)
-	srv := httptest.NewServer(p)
+	srv := newServer(p)
 	defer srv.Close()
 
 	var reg wire.RegisterResponse
@@ -140,7 +139,7 @@ func TestPlanEndpointRejections(t *testing.T) {
 // solver rejected with a 500.
 func TestPlanEndpointRejectsNonFiniteTLV(t *testing.T) {
 	p := testPlatform(t)
-	srv := httptest.NewServer(p)
+	srv := newServer(p)
 	defer srv.Close()
 
 	var reg wire.RegisterResponse
@@ -196,7 +195,7 @@ func TestPlanEndpointRejectsNonFiniteTLV(t *testing.T) {
 // against.
 func TestPlanEndpointConcurrent(t *testing.T) {
 	p := testPlatform(t)
-	srv := httptest.NewServer(p)
+	srv := newServer(p)
 	defer srv.Close()
 
 	const workers = 16
@@ -272,7 +271,7 @@ func TestPlanEndpointCustomPlanner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(p2)
+	srv := newServer(p2)
 	defer srv.Close()
 
 	var reg wire.RegisterResponse
@@ -297,7 +296,7 @@ func TestPlanEndpointCustomPlanner(t *testing.T) {
 // is reading).
 func TestProblemContextSurvivesAdvanceAndRestore(t *testing.T) {
 	p := testPlatform(t)
-	srv := httptest.NewServer(p)
+	srv := newServer(p)
 	defer srv.Close()
 	var reg wire.RegisterResponse
 	doJSON(t, srv, http.MethodPost, wire.PathRegister,

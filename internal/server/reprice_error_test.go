@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -39,7 +38,7 @@ func (m failAfterMechanism) RewardsInto(in *incentive.RoundInput, out map[task.I
 func TestAdvanceRepriceFailure(t *testing.T) {
 	p := testPlatform(t)
 	p.eng.SetMechanism(failAfterMechanism{inner: p.cfg.Mechanism, failFrom: 2})
-	srv := httptest.NewServer(p)
+	srv := newServer(p)
 	defer srv.Close()
 
 	var reg wire.RegisterResponse

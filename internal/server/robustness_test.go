@@ -5,7 +5,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 
 	"paydemand/internal/stats"
@@ -18,7 +17,7 @@ import (
 // never corrupts state.
 func TestMalformedBodiesNeverCrash(t *testing.T) {
 	p := testPlatform(t)
-	srv := httptest.NewServer(p)
+	srv := newServer(p)
 	defer srv.Close()
 
 	rng := stats.NewRNG(1337)
@@ -51,7 +50,7 @@ func TestMalformedBodiesNeverCrash(t *testing.T) {
 // literals by construction).
 func TestSubmitExtremeValues(t *testing.T) {
 	p := testPlatform(t)
-	srv := httptest.NewServer(p)
+	srv := newServer(p)
 	defer srv.Close()
 
 	var reg wire.RegisterResponse
@@ -87,7 +86,7 @@ func TestSubmitExtremeValues(t *testing.T) {
 // working.
 func TestSubmitNonFiniteTLV(t *testing.T) {
 	p := testPlatform(t)
-	srv := httptest.NewServer(p)
+	srv := newServer(p)
 	defer srv.Close()
 
 	var reg wire.RegisterResponse
@@ -122,7 +121,7 @@ func TestSubmitNonFiniteTLV(t *testing.T) {
 
 // TestOversizedBodyRejected checks the request size cap.
 func TestOversizedBodyRejected(t *testing.T) {
-	srv := httptest.NewServer(testPlatform(t))
+	srv := newServer(testPlatform(t))
 	defer srv.Close()
 	big := bytes.Repeat([]byte("9"), 2<<20) // 2 MiB of digits
 	resp, err := srv.Client().Post(srv.URL+wire.PathSubmit, "application/json", bytes.NewReader(big))

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"testing"
+	"time"
 
 	"paydemand/internal/demand"
 	"paydemand/internal/geo"
@@ -45,6 +47,33 @@ func testPlatform(t *testing.T) *Platform {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// newServer starts a test server for p that checks, after every request,
+// that the handler released p.mu (see checkUnlocked).
+func newServer(p *Platform) *httptest.Server {
+	return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		p.ServeHTTP(w, r)
+		checkUnlocked(p, r.Method, r.URL.Path)
+	}))
+}
+
+// lockDeadline bounds how long checkUnlocked waits for p.mu. Concurrent
+// requests hold it legitimately, but only for the length of a handler.
+const lockDeadline = 5 * time.Second
+
+// checkUnlocked takes and releases p.mu after a request to method path
+// returned. If it cannot within lockDeadline, the handler leaked the
+// lock: it panics from the timer's goroutine, which no HTTP server
+// recovers, so the test binary stops at once and names the request
+// instead of hanging the next one until -timeout.
+func checkUnlocked(p *Platform, method, path string) {
+	leak := time.AfterFunc(lockDeadline, func() {
+		panic(fmt.Sprintf("%s %s returned with the platform mutex held", method, path))
+	})
+	p.mu.Lock()
+	p.mu.Unlock()
+	leak.Stop()
 }
 
 // doJSON posts v and decodes the response into out, returning the status.
@@ -93,7 +122,7 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestHealthAndStatus(t *testing.T) {
-	srv := httptest.NewServer(testPlatform(t))
+	srv := newServer(testPlatform(t))
 	defer srv.Close()
 	if code := doJSON(t, srv, http.MethodGet, wire.PathHealth, nil, nil); code != 200 {
 		t.Errorf("health = %d", code)
@@ -108,7 +137,7 @@ func TestHealthAndStatus(t *testing.T) {
 }
 
 func TestRegisterAndRound(t *testing.T) {
-	srv := httptest.NewServer(testPlatform(t))
+	srv := newServer(testPlatform(t))
 	defer srv.Close()
 
 	var reg wire.RegisterResponse
@@ -139,7 +168,7 @@ func TestRegisterAndRound(t *testing.T) {
 }
 
 func TestSubmitFlow(t *testing.T) {
-	srv := httptest.NewServer(testPlatform(t))
+	srv := newServer(testPlatform(t))
 	defer srv.Close()
 
 	var reg wire.RegisterResponse
@@ -173,7 +202,7 @@ func TestSubmitFlow(t *testing.T) {
 }
 
 func TestSubmitRejections(t *testing.T) {
-	srv := httptest.NewServer(testPlatform(t))
+	srv := newServer(testPlatform(t))
 	defer srv.Close()
 
 	var reg wire.RegisterResponse
@@ -214,7 +243,7 @@ func TestSubmitRejections(t *testing.T) {
 }
 
 func TestDoubleContribution(t *testing.T) {
-	srv := httptest.NewServer(testPlatform(t))
+	srv := newServer(testPlatform(t))
 	defer srv.Close()
 
 	var reg wire.RegisterResponse
@@ -241,7 +270,7 @@ func TestDoubleContribution(t *testing.T) {
 }
 
 func TestTaskFillsUp(t *testing.T) {
-	srv := httptest.NewServer(testPlatform(t))
+	srv := newServer(testPlatform(t))
 	defer srv.Close()
 
 	ids := make([]int, 3)
@@ -272,7 +301,7 @@ func TestTaskFillsUp(t *testing.T) {
 
 func TestAdvanceToCompletion(t *testing.T) {
 	p := testPlatform(t)
-	srv := httptest.NewServer(p)
+	srv := newServer(p)
 	defer srv.Close()
 
 	rounds := []int{}
@@ -309,7 +338,7 @@ func TestAdvanceToCompletion(t *testing.T) {
 
 func TestRewardsChangeWithDemand(t *testing.T) {
 	p := testPlatform(t)
-	srv := httptest.NewServer(p)
+	srv := newServer(p)
 	defer srv.Close()
 
 	var before wire.RoundInfo
@@ -376,7 +405,7 @@ func TestHardBudgetStopsPayouts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(p)
+	srv := newServer(p)
 	defer srv.Close()
 
 	accepted, exhausted := 0, 0
@@ -411,7 +440,7 @@ func TestHardBudgetStopsPayouts(t *testing.T) {
 }
 
 func TestEstimateEndpoint(t *testing.T) {
-	srv := httptest.NewServer(testPlatform(t))
+	srv := newServer(testPlatform(t))
 	defer srv.Close()
 
 	// No data yet.
@@ -462,7 +491,7 @@ func TestEstimateEndpoint(t *testing.T) {
 }
 
 func TestMethodNotAllowed(t *testing.T) {
-	srv := httptest.NewServer(testPlatform(t))
+	srv := newServer(testPlatform(t))
 	defer srv.Close()
 	// GET on a POST-only route.
 	resp, err := srv.Client().Get(srv.URL + wire.PathSubmit)
@@ -510,7 +539,7 @@ func TestAdvanceLogCountsOpenTasks(t *testing.T) {
 	if round, done, err := p.Advance(); err != nil || done || round != 2 {
 		t.Fatalf("Advance = %d, %v, %v; want round 2, not done", round, done, err)
 	}
-	srv := httptest.NewServer(p)
+	srv := newServer(p)
 	defer srv.Close()
 	var status wire.StatusResponse
 	doJSON(t, srv, http.MethodGet, wire.PathStatus, nil, &status)

@@ -16,7 +16,7 @@ import (
 // one advance.
 func runSomeCampaign(t *testing.T, p *Platform) {
 	t.Helper()
-	srv := httptest.NewServer(p)
+	srv := newServer(p)
 	defer srv.Close()
 	for i := 0; i < 2; i++ {
 		var reg wire.RegisterResponse
@@ -67,7 +67,7 @@ func TestSnapshotRestoreResumesCampaign(t *testing.T) {
 
 	// The restarted platform keeps serving: an existing worker can upload
 	// to a still-open task; the once-per-user rule survived.
-	srv := httptest.NewServer(restarted)
+	srv := newServer(restarted)
 	defer srv.Close()
 	var resp wire.SubmitResponse
 	doJSON(t, srv, http.MethodPost, wire.PathSubmit, wire.SubmitRequest{

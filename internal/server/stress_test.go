@@ -6,7 +6,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"net/http/httptest"
 	"sync"
 	"testing"
 
@@ -62,7 +61,7 @@ func TestConcurrentSubmissions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(p)
+	srv := newServer(p)
 	defer srv.Close()
 
 	const nWorkers = 24
@@ -163,7 +162,7 @@ func TestConcurrentSubmitAdvanceSnapshot(t *testing.T) {
 		return p
 	}
 	p := newPlatform()
-	srv := httptest.NewServer(p)
+	srv := newServer(p)
 	defer srv.Close()
 
 	const nWorkers = 16

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -94,7 +93,7 @@ func wireGoldenPlatform(t *testing.T) *Platform {
 // wireGoldenCampaign runs the scripted campaign against a fresh platform
 // in one codec and appends its transcript to out.
 func wireGoldenCampaign(t *testing.T, out *bytes.Buffer, tlv bool) {
-	srv := httptest.NewServer(wireGoldenPlatform(t))
+	srv := newServer(wireGoldenPlatform(t))
 	defer srv.Close()
 	codec := "json"
 	if tlv {

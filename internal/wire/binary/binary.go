@@ -14,13 +14,13 @@
 // Floats travel as their IEEE 754 bit patterns, so values round-trip
 // exactly and JSON/TLV campaign outcomes stay byte-identical.
 //
-// Evolution rules (see DESIGN.md §14): new fields get fresh tags and are
-// appended to the message's tag table; decoders skip unknown tags (every
-// variable-width payload is length-prefixed, every scalar's width is
-// implied by its wire type), so old readers tolerate new writers. Tags
-// are never reused or renumbered. paylint's wirebin analyzer pins each
-// codec's tag table to the struct's json tag set, so a field added to
-// only one codec fails the build.
+// Evolution rules (see DESIGN.md §14): new fields get fresh tags,
+// appended to the message's tag constants; decoders skip unknown tags
+// (every variable-width payload is length-prefixed, every scalar's width
+// is implied by its wire type), so old readers tolerate new writers. Tags
+// are never reused or renumbered. TestJSONFieldParity round-trips every
+// field of every message through both codecs, so a field added to only
+// one codec fails the tests.
 //
 // Encoding targets recycled buffers (GetBuffer/PutBuffer); decoding into
 // a reused message allocates nothing beyond the returned message's own

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"strconv"
 	"testing"
 	"testing/iotest"
 
@@ -156,62 +157,144 @@ func TestFloatExactness(t *testing.T) {
 	}
 }
 
-// TestJSONFieldParity pins that decoding a JSON round-trip and a TLV
-// round-trip of the same message yield identical structs for all five
-// messages — both codecs cover the same field set with the same
-// semantics (the wirebin analyzer pins the field sets statically; this
-// pins the values dynamically).
+// wireMessage is one type of package wire under test: newMsg returns a
+// pointer to a fresh zero message, and tlv, set for the five messages the
+// binary codec carries, encodes such a message and decodes it into a
+// fresh one.
+type wireMessage struct {
+	newMsg func() any
+	tlv    func(any) (any, error)
+}
+
+func tlvMessage[M any](enc func([]byte, *M) []byte, dec func([]byte, *M) error) wireMessage {
+	return wireMessage{
+		newMsg: func() any { return new(M) },
+		tlv: func(in any) (any, error) {
+			out := new(M)
+			return out, dec(enc(nil, in.(*M)), out)
+		},
+	}
+}
+
+func jsonMessage[M any]() wireMessage {
+	return wireMessage{newMsg: func() any { return new(M) }}
+}
+
+// wireMessages are the protocol's messages. With TaskInfo, Measurement
+// and SubmitResult, which fill reaches inside RoundInfo, SubmitRequest
+// and SubmitResponse, they are all 14 types of package wire; a new wire
+// type belongs here.
+var wireMessages = []wireMessage{
+	tlvMessage(AppendRoundInfo, DecodeRoundInfo),
+	tlvMessage(AppendPlanRequest, DecodePlanRequest),
+	tlvMessage(AppendPlanResponse, DecodePlanResponse),
+	tlvMessage(AppendSubmitRequest, DecodeSubmitRequest),
+	tlvMessage(AppendSubmitResponse, DecodeSubmitResponse),
+	jsonMessage[wire.RegisterRequest](),
+	jsonMessage[wire.RegisterResponse](),
+	jsonMessage[wire.AdvanceResponse](),
+	jsonMessage[wire.StatusResponse](),
+	jsonMessage[wire.EstimateResponse](),
+	jsonMessage[wire.Error](),
+}
+
+// A source supplies fill's leaf values and slice lengths.
+type source interface {
+	i() int64
+	f() float64
+	bool() bool
+	str() string
+	n() int
+}
+
+// distinct is the source that gives every leaf a value no other leaf
+// gets (bools aside: they are all true) and every slice two elements.
+type distinct struct{ last int64 }
+
+func (d *distinct) i() int64    { d.last++; return d.last }
+func (d *distinct) f() float64  { return float64(d.i()) + 0.5 }
+func (d *distinct) bool() bool  { return true }
+func (d *distinct) str() string { return "s" + strconv.FormatInt(d.i(), 10) }
+func (*distinct) n() int        { return 2 }
+
+// fill sets every exported field reachable from v, depth first, from src.
+// A slice of length zero stays nil, as both decoders leave it. In the
+// same walk it fails t on any exported field of a package wire struct
+// that has no json tag: encoding/json would marshal it under its Go name.
+func fill(t testing.TB, v reflect.Value, src source) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Struct:
+		typ := v.Type()
+		for i := 0; i < typ.NumField(); i++ {
+			field := typ.Field(i)
+			if !field.IsExported() {
+				continue
+			}
+			if typ.PkgPath() == wirePkg && field.Tag.Get("json") == "" {
+				t.Errorf("wire.%s.%s has no json tag", typ.Name(), field.Name)
+			}
+			fill(t, v.Field(i), src)
+		}
+	case reflect.Slice:
+		n := src.n()
+		if n == 0 {
+			return
+		}
+		s := reflect.MakeSlice(v.Type(), n, n)
+		for i := 0; i < n; i++ {
+			fill(t, s.Index(i), src)
+		}
+		v.Set(s)
+	case reflect.Int, reflect.Int64:
+		v.SetInt(src.i())
+	case reflect.Float64:
+		v.SetFloat(src.f())
+	case reflect.Bool:
+		v.SetBool(src.bool())
+	case reflect.String:
+		v.SetString(src.str())
+	default:
+		t.Fatalf("fill: no values for %s fields", v.Type())
+	}
+}
+
+var wirePkg = reflect.TypeOf(wire.Error{}).PkgPath()
+
+// TestJSONFieldParity pins that both codecs carry every field of every
+// message. fill gives each field a value of its own, so a field the TLV
+// codec drops, or two fields that share a tag, change the TLV round
+// trip, and a json:"-" field changes the JSON one. The same walk
+// requires a json tag on every exported field of the wire types, whose
+// JSON is the protocol.
 func TestJSONFieldParity(t *testing.T) {
-	check := func(t *testing.T, name string, in, viaJSON, viaTLV any, encode func() []byte, decode func([]byte) error) {
-		t.Helper()
+	for _, m := range wireMessages {
+		in := m.newMsg()
+		fill(t, reflect.ValueOf(in).Elem(), &distinct{})
+		name := reflect.TypeOf(in).Elem().Name()
+
 		j, err := json.Marshal(in)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", name, err)
 		}
+		viaJSON := m.newMsg()
 		if err := json.Unmarshal(j, viaJSON); err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		if err := decode(encode()); err != nil {
-			t.Fatal(err)
+		if !reflect.DeepEqual(viaJSON, in) {
+			t.Errorf("%s: the JSON round trip changed the message:\n  in=%+v\njson=%+v", name, in, viaJSON)
 		}
-		// Deep-compare through the pointers' elements.
-		a := reflect.ValueOf(viaJSON).Elem().Interface()
-		b := reflect.ValueOf(viaTLV).Elem().Interface()
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("%s: JSON and TLV round-trips disagree:\njson=%+v\n tlv=%+v", name, a, b)
+		if m.tlv == nil {
+			continue
+		}
+		viaTLV, err := m.tlv(in)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(viaTLV, in) {
+			t.Errorf("%s: the TLV round trip changed the message:\n in=%+v\ntlv=%+v", name, in, viaTLV)
 		}
 	}
-
-	ri := sampleRoundInfo(5)
-	var riJSON, riTLV wire.RoundInfo
-	check(t, "RoundInfo", &ri, &riJSON, &riTLV,
-		func() []byte { return AppendRoundInfo(nil, &ri) },
-		func(d []byte) error { return DecodeRoundInfo(d, &riTLV) })
-
-	pq := samplePlanRequest()
-	var pqJSON, pqTLV wire.PlanRequest
-	check(t, "PlanRequest", &pq, &pqJSON, &pqTLV,
-		func() []byte { return AppendPlanRequest(nil, &pq) },
-		func(d []byte) error { return DecodePlanRequest(d, &pqTLV) })
-
-	pr := samplePlanResponse()
-	var prJSON, prTLV wire.PlanResponse
-	check(t, "PlanResponse", &pr, &prJSON, &prTLV,
-		func() []byte { return AppendPlanResponse(nil, &pr) },
-		func(d []byte) error { return DecodePlanResponse(d, &prTLV) })
-
-	sq := sampleSubmitRequest()
-	sq.Measurements[2].Value = 3.25 // JSON cannot carry Inf
-	var sqJSON, sqTLV wire.SubmitRequest
-	check(t, "SubmitRequest", &sq, &sqJSON, &sqTLV,
-		func() []byte { return AppendSubmitRequest(nil, &sq) },
-		func(d []byte) error { return DecodeSubmitRequest(d, &sqTLV) })
-
-	sr := sampleSubmitResponse()
-	var srJSON, srTLV wire.SubmitResponse
-	check(t, "SubmitResponse", &sr, &srJSON, &srTLV,
-		func() []byte { return AppendSubmitResponse(nil, &sr) },
-		func(d []byte) error { return DecodeSubmitResponse(d, &srTLV) })
 }
 
 // TestUnknownTagSkipped pins the evolution rule: a decoder skips fields

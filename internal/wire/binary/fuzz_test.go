@@ -6,8 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"paydemand/internal/geo"
-	"paydemand/internal/task"
 	"paydemand/internal/wire"
 )
 
@@ -26,12 +24,12 @@ func (c *consumer) byte() byte {
 	return b
 }
 
-func (c *consumer) i() int {
+func (c *consumer) i() int64 {
 	var u uint32
 	for k := 0; k < 4; k++ {
 		u = u<<8 | uint32(c.byte())
 	}
-	return int(int32(u))
+	return int64(int32(u))
 }
 
 func (c *consumer) f() float64 {
@@ -59,12 +57,13 @@ func (c *consumer) str() string {
 	return string(b)
 }
 
-func (c *consumer) point() geo.Point { return geo.Pt(c.f(), c.f()) }
+func (c *consumer) n() int { return int(c.byte()) % 8 }
 
-// FuzzBinaryRoundTrip derives all five protocol messages from the fuzz
-// input, requires TLV encode→decode to reproduce them exactly, and then
-// feeds the raw input to every decoder, requiring graceful errors (no
-// panics, no unbounded allocations) on arbitrary bytes.
+// FuzzBinaryRoundTrip fills all five TLV messages from the fuzz input,
+// requires TLV encode→decode to reproduce them exactly, and then feeds
+// the raw input to every decoder, requiring graceful errors (no panics,
+// no unbounded allocations) on arbitrary bytes. fill walks the messages
+// by reflection, so a new wire field is fuzzed as soon as it exists.
 func FuzzBinaryRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
@@ -78,83 +77,19 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := &consumer{data: data}
-
-		ri := wire.RoundInfo{Round: c.i(), Done: c.bool(), Unchanged: c.bool()}
-		for n := int(c.byte()) % 8; n > 0; n-- {
-			ri.Tasks = append(ri.Tasks, wire.TaskInfo{
-				ID:       task.ID(c.i()),
-				Location: c.point(),
-				Deadline: c.i(),
-				Required: c.i(),
-				Received: c.i(),
-				Reward:   c.f(),
-			})
-		}
-		var ri2 wire.RoundInfo
-		if err := DecodeRoundInfo(AppendRoundInfo(nil, &ri), &ri2); err != nil {
-			t.Fatalf("RoundInfo: %v", err)
-		}
-		if len(ri.Tasks) == 0 {
-			ri.Tasks, ri2.Tasks = nil, nil
-		}
-		if !reflect.DeepEqual(ri, ri2) {
-			t.Fatalf("RoundInfo mismatch:\n in=%+v\nout=%+v", ri, ri2)
-		}
-
-		pq := wire.PlanRequest{UserID: c.i(), Location: c.point(), Speed: c.f(), TimeBudget: c.f(), CostPerMeter: c.f()}
-		var pq2 wire.PlanRequest
-		if err := DecodePlanRequest(AppendPlanRequest(nil, &pq), &pq2); err != nil {
-			t.Fatalf("PlanRequest: %v", err)
-		}
-		if !reflect.DeepEqual(pq, pq2) {
-			t.Fatalf("PlanRequest mismatch:\n in=%+v\nout=%+v", pq, pq2)
-		}
-
-		pr := wire.PlanResponse{Round: c.i(), Distance: c.f(), Reward: c.f(), Cost: c.f(), Profit: c.f()}
-		for n := int(c.byte()) % 8; n > 0; n-- {
-			pr.Order = append(pr.Order, task.ID(c.i()))
-		}
-		var pr2 wire.PlanResponse
-		if err := DecodePlanResponse(AppendPlanResponse(nil, &pr), &pr2); err != nil {
-			t.Fatalf("PlanResponse: %v", err)
-		}
-		if len(pr.Order) == 0 {
-			pr.Order, pr2.Order = nil, nil
-		}
-		if !reflect.DeepEqual(pr, pr2) {
-			t.Fatalf("PlanResponse mismatch:\n in=%+v\nout=%+v", pr, pr2)
-		}
-
-		sq := wire.SubmitRequest{UserID: c.i(), Round: c.i(), Location: c.point()}
-		for n := int(c.byte()) % 8; n > 0; n-- {
-			sq.Measurements = append(sq.Measurements, wire.Measurement{TaskID: task.ID(c.i()), Value: c.f()})
-		}
-		var sq2 wire.SubmitRequest
-		if err := DecodeSubmitRequest(AppendSubmitRequest(nil, &sq), &sq2); err != nil {
-			t.Fatalf("SubmitRequest: %v", err)
-		}
-		if len(sq.Measurements) == 0 {
-			sq.Measurements, sq2.Measurements = nil, nil
-		}
-		if !reflect.DeepEqual(sq, sq2) {
-			t.Fatalf("SubmitRequest mismatch:\n in=%+v\nout=%+v", sq, sq2)
-		}
-
-		sr := wire.SubmitResponse{TotalPaid: c.f()}
-		for n := int(c.byte()) % 8; n > 0; n-- {
-			sr.Results = append(sr.Results, wire.SubmitResult{
-				TaskID: task.ID(c.i()), Accepted: c.bool(), Reward: c.f(), Reason: c.str(),
-			})
-		}
-		var sr2 wire.SubmitResponse
-		if err := DecodeSubmitResponse(AppendSubmitResponse(nil, &sr), &sr2); err != nil {
-			t.Fatalf("SubmitResponse: %v", err)
-		}
-		if len(sr.Results) == 0 {
-			sr.Results, sr2.Results = nil, nil
-		}
-		if !reflect.DeepEqual(sr, sr2) {
-			t.Fatalf("SubmitResponse mismatch:\n in=%+v\nout=%+v", sr, sr2)
+		for _, m := range wireMessages {
+			if m.tlv == nil {
+				continue
+			}
+			in := m.newMsg()
+			fill(t, reflect.ValueOf(in).Elem(), c)
+			out, err := m.tlv(in)
+			if err != nil {
+				t.Fatalf("%T: %v", in, err)
+			}
+			if !reflect.DeepEqual(in, out) {
+				t.Fatalf("%T mismatch:\n in=%+v\nout=%+v", in, in, out)
+			}
 		}
 
 		// Hardening: the raw fuzz input through every decoder must never

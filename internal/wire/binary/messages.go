@@ -9,10 +9,10 @@ import (
 )
 
 // Field tags per message. Tags are append-only: never reuse or renumber a
-// tag once released (DESIGN.md §14 evolution rules). The Tags table below
-// mirrors these constants keyed by json field name; paylint's wirebin
-// analyzer checks that mapping against the wire structs, so a field added
-// to only the JSON codec (or a stale TLV entry) fails the build.
+// tag once released (DESIGN.md §14 evolution rules). TestJSONFieldParity
+// gives every field of each message a distinct value and requires the
+// TLV round trip to return it, so a field added to only the JSON codec,
+// or two fields sharing a tag, fails the tests.
 const (
 	tagPointX = 1
 	tagPointY = 2
@@ -58,68 +58,6 @@ const (
 	tagSubmitResponseResults   = 1
 	tagSubmitResponseTotalPaid = 2
 )
-
-// Tags is the machine-checkable codec coverage table: for every wire
-// struct this package encodes, the json tag name of each serialized field
-// mapped to its TLV tag. paylint's wirebin analyzer compares each entry
-// against the struct's json tag set (json:"-" fields excluded on both
-// sides) and fails the build on drift in either direction, and on
-// duplicate TLV tags within a message.
-var Tags = map[string]map[string]uint8{
-	"Point": {
-		"x": tagPointX,
-		"y": tagPointY,
-	},
-	"TaskInfo": {
-		"id":       tagTaskInfoID,
-		"location": tagTaskInfoLocation,
-		"deadline": tagTaskInfoDeadline,
-		"required": tagTaskInfoRequired,
-		"received": tagTaskInfoReceived,
-		"reward":   tagTaskInfoReward,
-	},
-	"RoundInfo": {
-		"round":     tagRoundInfoRound,
-		"tasks":     tagRoundInfoTasks,
-		"done":      tagRoundInfoDone,
-		"unchanged": tagRoundInfoUnchanged,
-	},
-	"PlanRequest": {
-		"user_id":        tagPlanRequestUserID,
-		"location":       tagPlanRequestLocation,
-		"speed":          tagPlanRequestSpeed,
-		"time_budget":    tagPlanRequestTimeBudget,
-		"cost_per_meter": tagPlanRequestCostPerMeter,
-	},
-	"PlanResponse": {
-		"round":    tagPlanResponseRound,
-		"order":    tagPlanResponseOrder,
-		"distance": tagPlanResponseDistance,
-		"reward":   tagPlanResponseReward,
-		"cost":     tagPlanResponseCost,
-		"profit":   tagPlanResponseProfit,
-	},
-	"Measurement": {
-		"task_id": tagMeasurementTaskID,
-		"value":   tagMeasurementValue,
-	},
-	"SubmitRequest": {
-		"user_id":      tagSubmitRequestUserID,
-		"round":        tagSubmitRequestRound,
-		"measurements": tagSubmitRequestMeasurements,
-		"location":     tagSubmitRequestLocation,
-	},
-	"SubmitResult": {
-		"task_id":  tagSubmitResultTaskID,
-		"accepted": tagSubmitResultAccepted,
-		"reward":   tagSubmitResultReward,
-		"reason":   tagSubmitResultReason,
-	},
-	"SubmitResponse": {
-		"results":    tagSubmitResponseResults,
-		"total_paid": tagSubmitResponseTotalPaid,
-	},
-}
 
 // appendPoint appends a geo.Point as a nested message field.
 func appendPoint(b []byte, tag uint8, p geo.Point) []byte {
