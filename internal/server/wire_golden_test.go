@@ -29,9 +29,11 @@ var updateWireGolden = flag.Bool("update-wire", false, "rewrite testdata/wire-go
 // TLV). Three workers, five tasks, four rounds; each round makes a full
 // round poll, a known-round poll, one plan and one submit per worker (the
 // first worker's submit replayed once), a status call and an advance, and
-// the script ends with malformed plan and submit bodies. In TLV mode
-// every request carries the TLV Accept header, as the client sends it, so
-// the transcript also pins which endpoints answer JSON regardless.
+// the script ends with malformed plan and submit bodies, an estimate, and
+// the platform's WriteSnapshot bytes, the JSON a -state file holds. In
+// TLV mode every request carries the TLV Accept header, as the client
+// sends it, so the transcript also pins which endpoints answer JSON
+// regardless.
 // Rewrite with -update-wire only when the protocol is meant to change.
 func TestWireGolden(t *testing.T) {
 	var got bytes.Buffer
@@ -93,7 +95,8 @@ func wireGoldenPlatform(t *testing.T) *Platform {
 // wireGoldenCampaign runs the scripted campaign against a fresh platform
 // in one codec and appends its transcript to out.
 func wireGoldenCampaign(t *testing.T, out *bytes.Buffer, tlv bool) {
-	srv := newServer(wireGoldenPlatform(t))
+	p := wireGoldenPlatform(t)
+	srv := newServer(p)
 	defer srv.Close()
 	codec := "json"
 	if tlv {
@@ -205,4 +208,9 @@ func wireGoldenCampaign(t *testing.T, out *bytes.Buffer, tlv bool) {
 	call(http.MethodPost, wire.PathPlan, 0, []byte{0xff}, tlv)
 	call(http.MethodPost, wire.PathSubmit, 0, []byte("{\"user_id\":"), false)
 	call(http.MethodPost, wire.PathSubmit, 0, []byte{1, 1, 0}, true)
+	call(http.MethodGet, wire.PathEstimate+"?task=1", 0, nil, false)
+	fmt.Fprintln(out, "# snapshot")
+	if err := p.WriteSnapshot(out); err != nil {
+		t.Fatal(err)
+	}
 }
