@@ -6,7 +6,7 @@
 STATICCHECK_VERSION := 2025.1.1
 GOVULNCHECK_VERSION := v1.1.4
 
-.PHONY: all build test race cover lint fmt-check vet paylint lint-fixtures staticcheck govulncheck fuzz-smoke bench-check bench-smoke bench-wire bench-pairs loadgen-smoke examples-smoke paper-check ci
+.PHONY: all build test test-single-proc race cover lint fmt-check vet paylint lint-fixtures staticcheck govulncheck fuzz-smoke bench-check bench-smoke bench-wire bench-pairs loadgen-smoke examples-smoke paper-check ci
 
 all: build test
 
@@ -15,6 +15,11 @@ build:
 
 test:
 	go test ./...
+
+# The packages with parallel code paths, with the runtime on one thread:
+# byte-identity is a determinism guarantee, not a scheduling accident.
+test-single-proc:
+	GOMAXPROCS=1 go test ./internal/sim/ ./internal/selection/ ./internal/server/ ./internal/engine/ ./internal/experiments/ ./internal/incentive/ ./internal/mobility/ ./cmd/crowdsim/ ./cmd/experiments/ ./internal/client/ ./cmd/loadgen/ ./cmd/worker/ ./cmd/platform/
 
 race:
 	go test -race ./internal/experiments/ ./internal/sim/ ./internal/selection/ ./internal/server/ ./internal/engine/ ./internal/geo/ ./internal/sat/ ./internal/client/ ./internal/incentive/ ./internal/mobility/ ./cmd/loadgen/ ./cmd/worker/ ./cmd/platform/
@@ -135,4 +140,4 @@ paper-check:
 		echo "paper-check: output differs from the golden; kept paper-check.out"; exit 1; }
 	rm -f paper-check.out
 
-ci: lint build test race bench-check fuzz-smoke bench-smoke loadgen-smoke examples-smoke paper-check
+ci: lint build test test-single-proc race bench-check fuzz-smoke bench-smoke loadgen-smoke examples-smoke paper-check

@@ -11,7 +11,6 @@ import (
 	"paydemand/internal/selection"
 	"paydemand/internal/sim"
 	"paydemand/internal/stats"
-	"paydemand/internal/workload"
 )
 
 // Ablation benchmarks for the design choices DESIGN.md calls out: the AHP
@@ -109,28 +108,6 @@ func BenchmarkAblationSelection(b *testing.B) {
 			}
 			b.ReportMetric(s.AvgUserProfit, "avg_profit")
 			b.ReportMetric(s.OverallCompleteness*100, "completeness%")
-		})
-	}
-}
-
-// BenchmarkAblationPlacement compares uniform, clustered, and grid
-// user/task placements; clustering stresses the neighbor-count factor.
-func BenchmarkAblationPlacement(b *testing.B) {
-	placements := []workload.Placement{
-		workload.PlacementUniform,
-		workload.PlacementClustered,
-		workload.PlacementGrid,
-	}
-	for _, p := range placements {
-		b.Run(p.String(), func(b *testing.B) {
-			cfg := paydemand.Config{}
-			cfg.Workload.UserPlacement = p
-			var s metrics.Summary
-			for i := 0; i < b.N; i++ {
-				s = runAblation(b, cfg)
-			}
-			b.ReportMetric(s.Coverage*100, "coverage%")
-			b.ReportMetric(s.VarianceMeasurements, "variance")
 		})
 	}
 }

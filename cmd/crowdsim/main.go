@@ -143,17 +143,7 @@ func run(args []string, out io.Writer) error {
 
 	fmt.Fprintf(out, "mechanism=%s algorithm=%s users=%d tasks=%d phi=%d trials=%d\n\n",
 		mech, alg, *users, *tasks, *required, *trials)
-	fmt.Fprintf(out, "%-28s %12s\n", "metric", "mean")
-	fmt.Fprintf(out, "%-28s %12.4f\n", "coverage", summary.Coverage)
-	fmt.Fprintf(out, "%-28s %12.4f\n", "overall completeness", summary.OverallCompleteness)
-	fmt.Fprintf(out, "%-28s %12.4f\n", "strict completeness", summary.StrictCompleteness)
-	fmt.Fprintf(out, "%-28s %12.4f\n", "avg measurements / task", summary.AvgMeasurements)
-	fmt.Fprintf(out, "%-28s %12.4f\n", "variance of measurements", summary.VarianceMeasurements)
-	fmt.Fprintf(out, "%-28s %12.4f\n", "total reward paid ($)", summary.TotalRewardPaid)
-	fmt.Fprintf(out, "%-28s %12.4f\n", "avg reward / measurement", summary.AvgRewardPerMeasurement)
-	fmt.Fprintf(out, "%-28s %12.4f\n", "avg user profit ($)", summary.AvgUserProfit)
-	fmt.Fprintf(out, "%-28s %12.4f\n", "task gini (balance)", summary.TaskGini)
-	fmt.Fprintf(out, "%-28s %12.4f\n", "profit gini (fairness)", summary.ProfitGini)
+	printSummaries(out, []string{"mean"}, []metrics.Summary{summary})
 
 	if *perRound {
 		fmt.Fprintf(out, "\n%-6s %10s %12s %14s\n", "round", "coverage", "complete", "new-measure")
@@ -232,7 +222,13 @@ func runComparison(out io.Writer, cfg sim.Config, trials int, seed int64, parall
 	}
 	summaries = append(summaries, satAgg.Summary())
 	names = append(names, "sat-auction")
+	printSummaries(out, names, summaries)
+	return nil
+}
 
+// printSummaries prints the campaign metrics as a table: one row per
+// metric and one column per summary, headed by its name.
+func printSummaries(out io.Writer, names []string, summaries []metrics.Summary) {
 	fmt.Fprintf(out, "%-28s", "metric")
 	for _, n := range names {
 		fmt.Fprintf(out, " %12s", n)
@@ -255,5 +251,4 @@ func runComparison(out io.Writer, cfg sim.Config, trials int, seed int64, parall
 	row("avg user profit ($)", func(s metrics.Summary) float64 { return s.AvgUserProfit })
 	row("task gini (balance)", func(s metrics.Summary) float64 { return s.TaskGini })
 	row("profit gini (fairness)", func(s metrics.Summary) float64 { return s.ProfitGini })
-	return nil
 }

@@ -135,9 +135,8 @@ func ExampleAggregateValues() {
 // ExampleGenerateScenario builds a reproducible workload.
 func ExampleGenerateScenario() {
 	sc, err := paydemand.GenerateScenario(7, paydemand.WorkloadConfig{
-		NumTasks:      4,
-		NumUsers:      2,
-		TaskPlacement: paydemand.PlacementGrid,
+		NumTasks: 4,
+		NumUsers: 2,
 	})
 	if err != nil {
 		panic(err)
@@ -146,8 +145,8 @@ func ExampleGenerateScenario() {
 		fmt.Printf("task %d at %v\n", t.ID, t.Location)
 	}
 	// Output:
-	// task 1 at (750.00, 750.00)
-	// task 2 at (2250.00, 750.00)
-	// task 3 at (750.00, 2250.00)
-	// task 4 at (2250.00, 2250.00)
+	// task 1 at (2756.68, 694.52)
+	// task 2 at (724.16, 2734.69)
+	// task 3 at (2094.71, 438.47)
+	// task 4 at (1062.64, 1028.05)
 }

@@ -141,16 +141,9 @@ type Inputs struct {
 	Neighbors int `json:"neighbors"`
 }
 
-// Demand computes the raw demand d_i^k (Eq. 2) of one task at the given
-// round, given the maximum neighbor count over all tasks this round.
-func (c Config) Demand(round int, in Inputs, maxNeighbors int) (float64, error) {
-	if err := c.Validate(); err != nil {
-		return 0, err
-	}
-	return c.demand(round, in, maxNeighbors)
-}
-
-// demand is Demand over a configuration the caller has validated.
+// demand computes the raw demand d_i^k (Eq. 2) of one task at the given
+// round, given the maximum neighbor count over all tasks this round, over
+// a configuration the caller has validated.
 func (c Config) demand(round int, in Inputs, maxNeighbors int) (float64, error) {
 	x1 := c.DeadlineFactor(in.Deadline, round)
 	x2, err := c.ProgressFactor(in.Progress)
@@ -164,16 +157,11 @@ func (c Config) demand(round int, in Inputs, maxNeighbors int) (float64, error) 
 	return c.Weights[0]*x1 + c.Weights[1]*x2 + c.Weights[2]*x3, nil
 }
 
-// Demands computes the raw demands of all tasks at the given round. The
-// maximum neighbor count N_max is taken over the provided inputs, as in
-// Eq. 5.
-func (c Config) Demands(round int, inputs []Inputs) ([]float64, error) {
-	return c.DemandsInto(round, inputs, make([]float64, 0, len(inputs)))
-}
-
-// DemandsInto is the recycled-scratch form of Demands: it truncates out,
-// appends one raw demand per input, and returns the (possibly regrown)
-// slice. A call whose out already has capacity allocates nothing.
+// DemandsInto computes the raw demands of all tasks at the given round.
+// The maximum neighbor count N_max is taken over the provided inputs, as
+// in Eq. 5. It truncates out, appends one raw demand per input, and
+// returns the (possibly regrown) slice, so a call whose out already has
+// capacity allocates nothing.
 func (c Config) DemandsInto(round int, inputs []Inputs, out []float64) ([]float64, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -209,19 +197,7 @@ func (c Config) Normalize(d float64) float64 {
 	return n
 }
 
-// NormalizedDemands computes Demands and normalizes each entry.
-func (c Config) NormalizedDemands(round int, inputs []Inputs) ([]float64, error) {
-	ds, err := c.Demands(round, inputs)
-	if err != nil {
-		return nil, err
-	}
-	for i, d := range ds {
-		ds[i] = c.Normalize(d)
-	}
-	return ds, nil
-}
-
-// NormalizedDemandsInto is the recycled-scratch form of NormalizedDemands,
+// NormalizedDemandsInto computes DemandsInto and normalizes each entry,
 // with DemandsInto's reuse contract.
 func (c Config) NormalizedDemandsInto(round int, inputs []Inputs, out []float64) ([]float64, error) {
 	ds, err := c.DemandsInto(round, inputs, out)

@@ -165,7 +165,7 @@ func TestDemandBoundProperty(t *testing.T) {
 		if maxN > 0 {
 			n = int(nRaw) % (maxN + 1)
 		}
-		d, err := c.Demand(round, Inputs{Deadline: deadline, Progress: progress, Neighbors: n}, maxN)
+		d, err := c.demand(round, Inputs{Deadline: deadline, Progress: progress, Neighbors: n}, maxN)
 		if err != nil {
 			return false
 		}
@@ -186,7 +186,7 @@ func TestDemandsComputesNmax(t *testing.T) {
 		{Deadline: 10, Progress: 0.5, Neighbors: 2},
 		{Deadline: 10, Progress: 0.5, Neighbors: 8},
 	}
-	ds, err := c.Demands(1, inputs)
+	ds, err := c.DemandsInto(1, inputs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,19 +198,19 @@ func TestDemandsComputesNmax(t *testing.T) {
 }
 
 func TestDemandsEmptyInput(t *testing.T) {
-	ds, err := DefaultConfig().Demands(1, nil)
+	ds, err := DefaultConfig().DemandsInto(1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ds) != 0 {
-		t.Errorf("Demands(nil) = %v", ds)
+		t.Errorf("DemandsInto(nil) = %v", ds)
 	}
 }
 
 func TestDemandsInvalidConfig(t *testing.T) {
 	c := DefaultConfig()
 	c.Weights = [3]float64{1, 1, 1}
-	if _, err := c.Demands(1, []Inputs{{Deadline: 5}}); err == nil {
+	if _, err := c.DemandsInto(1, []Inputs{{Deadline: 5}}, nil); err == nil {
 		t.Error("invalid config accepted")
 	}
 }
@@ -218,12 +218,12 @@ func TestDemandsInvalidConfig(t *testing.T) {
 func TestDemandDirectionality(t *testing.T) {
 	c := DefaultConfig()
 	base := Inputs{Deadline: 10, Progress: 0.5, Neighbors: 5}
-	baseD, err := c.Demand(5, base, 10)
+	baseD, err := c.demand(5, base, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Closer to the deadline -> higher demand.
-	closer, err := c.Demand(9, base, 10)
+	closer, err := c.demand(9, base, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestDemandDirectionality(t *testing.T) {
 	// Smaller progress -> higher demand.
 	lessDone := base
 	lessDone.Progress = 0.1
-	ld, err := c.Demand(5, lessDone, 10)
+	ld, err := c.demand(5, lessDone, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestDemandDirectionality(t *testing.T) {
 	// Fewer neighbors -> higher demand.
 	lonely := base
 	lonely.Neighbors = 0
-	lo, err := c.Demand(5, lonely, 10)
+	lo, err := c.demand(5, lonely, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestDemandDirectionality(t *testing.T) {
 func TestNormalizedDemands(t *testing.T) {
 	c := DefaultConfig()
 	// Maximum-demand task: deadline round, zero progress, no neighbors.
-	ds, err := c.NormalizedDemands(10, []Inputs{{Deadline: 10, Progress: 0, Neighbors: 0}})
+	ds, err := c.NormalizedDemandsInto(10, []Inputs{{Deadline: 10, Progress: 0, Neighbors: 0}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

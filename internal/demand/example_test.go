@@ -15,7 +15,7 @@ func Example() {
 		{Deadline: 15, Progress: 0.0, Neighbors: 5}, // no progress yet
 		{Deadline: 15, Progress: 0.5, Neighbors: 0}, // nobody nearby
 	}
-	norm, err := cfg.NormalizedDemands(3, inputs)
+	norm, err := cfg.NormalizedDemandsInto(3, inputs, nil)
 	if err != nil {
 		panic(err)
 	}

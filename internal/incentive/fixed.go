@@ -50,10 +50,3 @@ func (m *Fixed) RewardsInto(in *RoundInput, out map[task.ID]float64) error {
 	}
 	return nil
 }
-
-// Level returns the memoized level for a task and whether it has been
-// drawn yet.
-func (m *Fixed) Level(id task.ID) (int, bool) {
-	lvl, ok := m.levels[id]
-	return lvl, ok
-}

@@ -87,23 +87,29 @@ func TestOnDemandDemandLevels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	levels, err := m.DemandLevels(2, testViews())
+	// Eqs. 2-6 straight from the demand package: each view's level.
+	views := testViews()
+	inputs := make([]demand.Inputs, len(views))
+	for i, v := range views {
+		inputs[i] = demand.Inputs{Deadline: v.Deadline, Progress: v.Progress(), Neighbors: v.Neighbors}
+	}
+	norm, err := demand.DefaultConfig().NormalizedDemandsInto(2, inputs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for id, lvl := range levels {
+	rewards, err := price(m, &RoundInput{Round: 2, Views: views})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range views {
+		lvl := m.scheme.Levels.Level(norm[i])
 		if lvl < 1 || lvl > 5 {
-			t.Errorf("task %d level %d outside 1..5", id, lvl)
+			t.Errorf("task %d level %d outside 1..5", v.ID, lvl)
 		}
-	}
-	// Rewards must equal scheme.Reward(level) exactly.
-	rewards, err := price(m, &RoundInput{Round: 2, Views: testViews()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id, lvl := range levels {
-		if got, want := rewards[id], m.scheme.Reward(lvl); got != want {
-			t.Errorf("task %d reward %v != Reward(level %d) = %v", id, got, lvl, want)
+		// The published reward must equal scheme.Reward(level) (Eq. 7)
+		// exactly.
+		if got, want := rewards[v.ID], m.scheme.Reward(lvl); got != want {
+			t.Errorf("task %d reward %v != Reward(level %d) = %v", v.ID, got, lvl, want)
 		}
 	}
 }
@@ -156,25 +162,29 @@ func TestFixedLevelsWithinRange(t *testing.T) {
 	for i := range views {
 		views[i] = TaskView{ID: task.ID(i), Deadline: 10, Required: 20}
 	}
-	if _, err := price(m, &RoundInput{Round: 1, Views: views, RNG: stats.NewRNG(7)}); err != nil {
+	rewards, err := price(m, &RoundInput{Round: 1, Views: views, RNG: stats.NewRNG(7)})
+	if err != nil {
 		t.Fatal(err)
+	}
+	// Each published reward is Eq. 7 of one level in 1..5.
+	levelOf := map[float64]int{}
+	for lvl := 1; lvl <= 5; lvl++ {
+		levelOf[m.scheme.Reward(lvl)] = lvl
 	}
 	seen := map[int]bool{}
 	for i := range views {
-		lvl, ok := m.Level(task.ID(i))
+		r, ok := rewards[task.ID(i)]
 		if !ok {
-			t.Fatalf("task %d has no memoized level", i)
+			t.Fatalf("task %d has no reward", i)
 		}
-		if lvl < 1 || lvl > 5 {
-			t.Fatalf("task %d level %d", i, lvl)
+		lvl, ok := levelOf[r]
+		if !ok {
+			t.Fatalf("task %d reward %v is no level's reward", i, r)
 		}
 		seen[lvl] = true
 	}
 	if len(seen) < 3 {
 		t.Errorf("only %d distinct levels in 100 draws; RNG suspicious", len(seen))
-	}
-	if _, ok := m.Level(task.ID(999)); ok {
-		t.Error("unknown task has a level")
 	}
 }
 

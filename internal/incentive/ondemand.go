@@ -64,25 +64,3 @@ func (m *OnDemand) RewardsInto(in *RoundInput, out map[task.ID]float64) error {
 	}
 	return nil
 }
-
-// DemandLevels returns the demand level the mechanism would assign each
-// view at the given round, for diagnostics and experiment traces.
-func (m *OnDemand) DemandLevels(round int, views []TaskView) (map[task.ID]int, error) {
-	inputs := make([]demand.Inputs, len(views))
-	for i, v := range views {
-		inputs[i] = demand.Inputs{
-			Deadline:  v.Deadline,
-			Progress:  v.Progress(),
-			Neighbors: v.Neighbors,
-		}
-	}
-	norm, err := m.demandCfg.NormalizedDemands(round, inputs)
-	if err != nil {
-		return nil, fmt.Errorf("incentive: on-demand round %d: %w", round, err)
-	}
-	out := make(map[task.ID]int, len(views))
-	for i, v := range views {
-		out[v.ID] = m.scheme.Levels.Level(norm[i])
-	}
-	return out, nil
-}

@@ -38,9 +38,6 @@ type Auto struct {
 	// means DefaultAutoThreshold, values above DPHardMaxTasks route the
 	// excess instances to the beam (the DP solver clamps there anyway).
 	Threshold int
-	// BeamMaxTasks is the largest filtered instance routed to the beam
-	// solver; zero means DefaultAutoBeamMaxTasks.
-	BeamMaxTasks int
 	// BeamWidth is the beam width used in the mid band; zero means
 	// DefaultBeamWidth.
 	BeamWidth int
@@ -60,14 +57,6 @@ var _ Algorithm = (*Auto)(nil)
 // Name implements Algorithm.
 func (*Auto) Name() string { return "auto" }
 
-// beamMaxTasks resolves the beam-band upper bound.
-func (a *Auto) beamMaxTasks() int {
-	if a.BeamMaxTasks <= 0 {
-		return DefaultAutoBeamMaxTasks
-	}
-	return a.BeamMaxTasks
-}
-
 // Select implements Algorithm.
 func (a *Auto) Select(p Problem) (Plan, error) {
 	threshold := a.Threshold
@@ -85,7 +74,7 @@ func (a *Auto) Select(p Problem) (Plan, error) {
 		a.dp.MaxTasks = threshold
 		return a.dp.solve(&p, &a.reach)
 	}
-	if m <= a.beamMaxTasks() {
+	if m <= DefaultAutoBeamMaxTasks {
 		a.beam.Width = a.BeamWidth
 		a.beam.Improve = a.BeamImprove
 		return a.beam.solve(&p, &a.reach)

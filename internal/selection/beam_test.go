@@ -29,6 +29,15 @@ func denseProblem(rng *stats.RNG, m int) Problem {
 	return p
 }
 
+// crowdProblem is a denseProblem past Auto's beam band: every one of its
+// DefaultAutoBeamMaxTasks+8 candidates is in reach, so Auto dispatches it
+// to its last rung, greedy + 2-opt.
+func crowdProblem(rng *stats.RNG) Problem {
+	p := denseProblem(rng, DefaultAutoBeamMaxTasks+8)
+	p.MaxDistance = 4000 // beyond the 1000 m square's diagonal
+	return p
+}
+
 // TestBeamDominatesTwoOptGreedy pins the beam's floor contract on dense
 // instances beyond the DP cap: profit >= greedy + 2-opt >= greedy, and
 // the plan is always feasible.
@@ -264,12 +273,12 @@ func TestBeamEdgeCases(t *testing.T) {
 // removes: near-equal rewards placed so marginal-profit order zig-zags.
 func TestAutoFallbackRunsTwoOpt(t *testing.T) {
 	// Build an instance whose greedy route 2-opt provably shortens, with
-	// enough candidates to clear any dispatch threshold we pin below.
+	// enough candidates to clear the beam band.
 	rng := stats.NewRNG(123)
 	var p Problem
 	found := false
 	for try := 0; try < 200 && !found; try++ {
-		p = denseProblem(rng, 40)
+		p = crowdProblem(rng)
 		gr, err := (&Greedy{}).Select(p)
 		if err != nil {
 			t.Fatal(err)
@@ -284,10 +293,7 @@ func TestAutoFallbackRunsTwoOpt(t *testing.T) {
 		t.Fatal("could not generate an instance where 2-opt beats raw greedy")
 	}
 
-	// Pin Auto into its last-resort band: exact and beam thresholds both
-	// below the instance size.
-	auto := &Auto{Threshold: 1, BeamMaxTasks: 1}
-	ap, err := auto.Select(p)
+	ap, err := (&Auto{}).Select(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,9 +350,8 @@ func TestAutoDispatchLadder(t *testing.T) {
 	}
 
 	// Last resort: past the beam band the plan is greedy + 2-opt.
-	big := denseProblem(rng, 30)
-	bounded := &Auto{Threshold: 4, BeamMaxTasks: 8}
-	ap, err = bounded.Select(big)
+	big := crowdProblem(rng)
+	ap, err = auto.Select(big)
 	if err != nil {
 		t.Fatal(err)
 	}

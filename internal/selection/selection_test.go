@@ -449,25 +449,23 @@ func TestAutoMatchesDPOnSmall(t *testing.T) {
 }
 
 func TestAutoOverThresholdStaysHeuristic(t *testing.T) {
-	// 30 free tasks with an effectively unlimited budget: over the exact
-	// threshold Auto must dispatch a heuristic band (beam here, greedy +
-	// 2-opt past the beam bound) that still collects everything.
-	p := Problem{Start: geo.Pt(0, 0), MaxDistance: 1e9, CostPerMeter: 0}
-	for i := 0; i < 30; i++ {
-		p.Candidates = append(p.Candidates, Candidate{
-			ID: task.ID(i), Location: geo.Pt(float64(i*10), 0), Reward: 1,
-		})
-	}
-	for _, auto := range []*Auto{
-		{Threshold: 10},                  // beam band
-		{Threshold: 10, BeamMaxTasks: 5}, // greedy+2opt last resort
-	} {
+	// Free tasks with an effectively unlimited budget: over the exact
+	// threshold Auto must dispatch a heuristic band (beam for 30 tasks,
+	// greedy + 2-opt past the beam bound) that still collects everything.
+	auto := &Auto{Threshold: 10}
+	for _, n := range []int{30, DefaultAutoBeamMaxTasks + 8} {
+		p := Problem{Start: geo.Pt(0, 0), MaxDistance: 1e9, CostPerMeter: 0}
+		for i := 0; i < n; i++ {
+			p.Candidates = append(p.Candidates, Candidate{
+				ID: task.ID(i), Location: geo.Pt(float64(i*10), 0), Reward: 1,
+			})
+		}
 		pl, err := auto.Select(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pl.Len() != 30 {
-			t.Errorf("auto (beam max %d) selected %d of 30 free tasks", auto.BeamMaxTasks, pl.Len())
+		if pl.Len() != n {
+			t.Errorf("auto selected %d of %d free tasks", pl.Len(), n)
 		}
 	}
 }

@@ -1,13 +1,18 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strings"
 	"testing"
 
 	"paydemand/internal/demand"
+	"paydemand/internal/geo"
 	"paydemand/internal/incentive"
+	"paydemand/internal/mobility"
 	"paydemand/internal/selection"
 	"paydemand/internal/sim"
 	"paydemand/internal/stats"
@@ -242,4 +247,175 @@ func (m *mirrorObserver) UserPlanned(round, userID int, problem selection.Proble
 	if subResp.TotalPaid != plan.Reward {
 		t.Fatalf("round %d user %d: paid %v, plan reward %v", round, userID, subResp.TotalPaid, plan.Reward)
 	}
+}
+
+// TestRestartEquivalence is the restart oracle: a campaign snapshotted
+// after round k and restored into a fresh Platform, built from the same
+// seeded config, must go on exactly as the campaign that never stopped.
+// The restart sends nothing over the wire, so for every k the transcript
+// (every published round, plan, upload result and the final status) is
+// byte-equal to the uninterrupted run's, and the restored platform's
+// snapshot equals the one it was restored from.
+//
+// Mechanism state is not in the snapshot. The fixed mechanism's levels
+// survive a restart only because New reprices round 1, with every task
+// open and in board order, so the fresh platform draws every task's
+// level from the same seeded stream; this oracle pins that coupling.
+func TestRestartEquivalence(t *testing.T) {
+	for _, kind := range []sim.MechanismKind{
+		sim.MechanismOnDemand, sim.MechanismFixed, sim.MechanismSteered,
+		sim.MechanismAuction, sim.MechanismIncentMe,
+	} {
+		for _, tlv := range []bool{false, true} {
+			codec := "json"
+			if tlv {
+				codec = "tlv"
+			}
+			t.Run(kind.String()+"/"+codec, func(t *testing.T) {
+				want, rounds := restartCampaign(t, kind, tlv, 0)
+				if rounds < 3 {
+					t.Fatalf("degenerate campaign: %d rounds", rounds)
+				}
+				for k := 1; k <= rounds; k++ {
+					got, _ := restartCampaign(t, kind, tlv, k)
+					if !bytes.Equal(got, want) {
+						gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+						for i := 0; i < len(gl) && i < len(wl); i++ {
+							if gl[i] != wl[i] {
+								t.Fatalf("restart after round %d: transcript line %d:\ngot:  %s\nwant: %s", k, i+1, gl[i], wl[i])
+							}
+						}
+						t.Fatalf("restart after round %d: transcript has %d lines, want %d", k, len(gl), len(wl))
+					}
+				}
+			})
+		}
+	}
+}
+
+// restartSeed seeds the restart oracle's scenario and mechanism stream.
+const restartSeed = 11
+
+// restartPlatform builds the restart oracle's platform as cmd/platform
+// does: the seeded scenario's tasks, an Eq. 9 reward scheme, the seeded
+// mechanism stream, a budget, a bid cost and a stationary forecast.
+// Every call builds the same platform.
+func restartPlatform(t *testing.T, kind sim.MechanismKind, sc workload.Scenario) *Platform {
+	t.Helper()
+	const (
+		budget = 300.0
+		radius = 500.0
+	)
+	totalRequired := 0
+	for _, tk := range sc.Tasks {
+		totalRequired += tk.Required
+	}
+	scheme, err := incentive.SchemeFromBudget(budget, totalRequired, 0.5, demand.LevelMapper{N: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mech, err := sim.NewMechanism(kind, scheme)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forecast, err := mobility.NewForecast(mobility.Stationary{}, 0.25, sc.Area, radius, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := New(Config{
+		Tasks:          sc.Tasks,
+		Mechanism:      mech,
+		Area:           sc.Area,
+		NeighborRadius: radius,
+		Logger:         discardLogger(),
+		RNG:            stats.NewRNG(restartSeed + 1),
+		Budget:         budget,
+		CostPerMeter:   0.01,
+		Forecast:       forecast,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// restartCampaign runs the restart oracle's campaign on a platform of
+// kind in one codec and returns its transcript and the number of rounds
+// played. Workers register at the scenario's user locations; each round
+// the full round is fetched, every worker plans and uploads its plan,
+// ending at its last task, and the round is advanced until the campaign
+// is done. With restartAfter = k > 0 the platform is snapshotted after
+// round k's advance and replaced by a fresh restartPlatform restored
+// from the snapshot's JSON.
+func restartCampaign(t *testing.T, kind sim.MechanismKind, tlv bool, restartAfter int) ([]byte, int) {
+	t.Helper()
+	sc, err := workload.Generate(stats.NewRNG(restartSeed), workload.Config{Area: geo.Square(1000), NumTasks: 8, NumUsers: 6, Required: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	taskAt := make(map[task.ID]geo.Point, len(sc.Tasks))
+	for _, tk := range sc.Tasks {
+		taskAt[tk.ID] = tk.Location
+	}
+	p := restartPlatform(t, kind, sc)
+	var out bytes.Buffer
+	c := &transcriptClient{t: t, srv: newServer(p), tlv: tlv, out: &out}
+	defer func() { c.srv.Close() }()
+
+	locs := append([]geo.Point(nil), sc.UserLocations...)
+	for _, loc := range locs {
+		c.call(http.MethodPost, wire.PathRegister, 0, c.encode(&wire.RegisterRequest{Location: loc}), false)
+	}
+	round := 1
+	for ; ; round++ {
+		c.call(http.MethodGet, wire.PathRound, 0, nil, false)
+		for i := range locs {
+			id := i + 1
+			plan := c.plan(&wire.PlanRequest{
+				UserID: id, Location: locs[i], Speed: 10, TimeBudget: 60, CostPerMeter: 0.01,
+			})
+			if len(plan.Order) == 0 {
+				continue
+			}
+			sub := wire.SubmitRequest{UserID: id, Round: round}
+			for k, tid := range plan.Order {
+				sub.Measurements = append(sub.Measurements, wire.Measurement{TaskID: tid, Value: float64(10*id + k)})
+			}
+			locs[i] = taskAt[plan.Order[len(plan.Order)-1]]
+			sub.Location = locs[i]
+			c.call(http.MethodPost, wire.PathSubmit, 0, c.encode(&sub), tlv)
+		}
+		var adv wire.AdvanceResponse
+		if err := json.Unmarshal(c.call(http.MethodPost, wire.PathAdvance, 0, []byte("{}"), false), &adv); err != nil {
+			t.Fatal(err)
+		}
+		if round == restartAfter {
+			var snap bytes.Buffer
+			if err := p.WriteSnapshot(&snap); err != nil {
+				t.Fatal(err)
+			}
+			s, err := ReadSnapshot(bytes.NewReader(snap.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			p = restartPlatform(t, kind, sc)
+			if err := p.Restore(s); err != nil {
+				t.Fatalf("restore after round %d: %v", round, err)
+			}
+			var restored bytes.Buffer
+			if err := p.WriteSnapshot(&restored); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(restored.Bytes(), snap.Bytes()) {
+				t.Fatalf("restore after round %d: snapshot of the restored platform differs:\n%s\nwant:\n%s", round, restored.Bytes(), snap.Bytes())
+			}
+			c.srv.Close()
+			c.srv = newServer(p)
+		}
+		if adv.Done {
+			break
+		}
+	}
+	c.call(http.MethodGet, wire.PathStatus, 0, nil, false)
+	return out.Bytes(), round
 }

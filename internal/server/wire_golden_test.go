@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -92,6 +93,97 @@ func wireGoldenPlatform(t *testing.T) *Platform {
 	return p
 }
 
+// transcriptClient calls a platform over HTTP in one codec, as the
+// worker client does, and appends one transcript line per response to
+// out: status code, Content-Type and body (hex for TLV).
+type transcriptClient struct {
+	t   *testing.T
+	srv *httptest.Server
+	tlv bool
+	out *bytes.Buffer
+}
+
+// call sends one request and returns the response body. In TLV mode it
+// carries the TLV Accept header; bodyTLV labels the body as TLV, and
+// known > 0 sends it as the known round.
+func (c *transcriptClient) call(method, path string, known int, body []byte, bodyTLV bool) []byte {
+	t := c.t
+	t.Helper()
+	req, err := http.NewRequest(method, c.srv.URL+path, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.tlv {
+		req.Header.Set("Accept", binary.ContentType)
+	}
+	if body != nil {
+		ct := "application/json"
+		if bodyTLV {
+			ct = binary.ContentType
+		}
+		req.Header.Set("Content-Type", ct)
+	}
+	if known > 0 {
+		req.Header.Set(wire.HeaderKnownRound, strconv.Itoa(known))
+	}
+	resp, err := c.srv.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct := resp.Header.Get("Content-Type")
+	shown := strings.TrimSuffix(string(data), "\n")
+	if ct == binary.ContentType {
+		shown = hex.EncodeToString(data)
+	}
+	label := method + " " + path
+	if known > 0 {
+		label += " known=" + strconv.Itoa(known)
+	}
+	fmt.Fprintf(c.out, "%s -> %d %s %s\n", label, resp.StatusCode, ct, shown)
+	return data
+}
+
+// encode encodes a request body: plan and submit requests in the
+// client's codec, everything else as JSON.
+func (c *transcriptClient) encode(m any) []byte {
+	c.t.Helper()
+	if c.tlv {
+		switch m := m.(type) {
+		case *wire.PlanRequest:
+			return binary.AppendPlanRequest(nil, m)
+		case *wire.SubmitRequest:
+			return binary.AppendSubmitRequest(nil, m)
+		}
+	}
+	b, err := json.Marshal(m)
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	return b
+}
+
+// plan requests a plan in the client's codec and decodes it.
+func (c *transcriptClient) plan(req *wire.PlanRequest) wire.PlanResponse {
+	c.t.Helper()
+	body := c.call(http.MethodPost, wire.PathPlan, 0, c.encode(req), c.tlv)
+	var plan wire.PlanResponse
+	var err error
+	if c.tlv {
+		err = binary.DecodePlanResponse(body, &plan)
+	} else {
+		err = json.Unmarshal(body, &plan)
+	}
+	if err != nil {
+		c.t.Fatalf("worker %d plan: %v", req.UserID, err)
+	}
+	return plan
+}
+
 // wireGoldenCampaign runs the scripted campaign against a fresh platform
 // in one codec and appends its transcript to out.
 func wireGoldenCampaign(t *testing.T, out *bytes.Buffer, tlv bool) {
@@ -103,112 +195,46 @@ func wireGoldenCampaign(t *testing.T, out *bytes.Buffer, tlv bool) {
 		codec = "tlv"
 	}
 	fmt.Fprintf(out, "# codec %s\n", codec)
-
-	call := func(method, path string, known int, body []byte, bodyTLV bool) []byte {
-		t.Helper()
-		req, err := http.NewRequest(method, srv.URL+path, bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tlv {
-			req.Header.Set("Accept", binary.ContentType)
-		}
-		if body != nil {
-			ct := "application/json"
-			if bodyTLV {
-				ct = binary.ContentType
-			}
-			req.Header.Set("Content-Type", ct)
-		}
-		if known > 0 {
-			req.Header.Set(wire.HeaderKnownRound, strconv.Itoa(known))
-		}
-		resp, err := srv.Client().Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		data, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ct := resp.Header.Get("Content-Type")
-		shown := strings.TrimSuffix(string(data), "\n")
-		if ct == binary.ContentType {
-			shown = hex.EncodeToString(data)
-		}
-		label := method + " " + path
-		if known > 0 {
-			label += " known=" + strconv.Itoa(known)
-		}
-		fmt.Fprintf(out, "%s -> %d %s %s\n", label, resp.StatusCode, ct, shown)
-		return data
-	}
-	encode := func(m any) []byte {
-		t.Helper()
-		if tlv {
-			switch m := m.(type) {
-			case *wire.PlanRequest:
-				return binary.AppendPlanRequest(nil, m)
-			case *wire.SubmitRequest:
-				return binary.AppendSubmitRequest(nil, m)
-			}
-		}
-		b, err := json.Marshal(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
+	c := &transcriptClient{t: t, srv: srv, tlv: tlv, out: out}
 
 	starts := []geo.Point{geo.Pt(150, 120), geo.Pt(520, 480), geo.Pt(850, 880)}
 	ids := make([]int, len(starts))
 	locs := append([]geo.Point(nil), starts...)
 	for i, loc := range starts {
 		var reg wire.RegisterResponse
-		body := call(http.MethodPost, wire.PathRegister, 0, encode(&wire.RegisterRequest{Location: loc}), false)
+		body := c.call(http.MethodPost, wire.PathRegister, 0, c.encode(&wire.RegisterRequest{Location: loc}), false)
 		if err := json.Unmarshal(body, &reg); err != nil {
 			t.Fatal(err)
 		}
 		ids[i] = reg.UserID
 	}
 	for round := 1; round <= 4; round++ {
-		call(http.MethodGet, wire.PathRound, 0, nil, false)
-		call(http.MethodGet, wire.PathRound, round, nil, false)
+		c.call(http.MethodGet, wire.PathRound, 0, nil, false)
+		c.call(http.MethodGet, wire.PathRound, round, nil, false)
 		for i, id := range ids {
-			body := call(http.MethodPost, wire.PathPlan, 0, encode(&wire.PlanRequest{
+			plan := c.plan(&wire.PlanRequest{
 				UserID: id, Location: locs[i], Speed: 10, TimeBudget: 100, CostPerMeter: 0.01,
-			}), tlv)
-			var plan wire.PlanResponse
-			var err error
-			if tlv {
-				err = binary.DecodePlanResponse(body, &plan)
-			} else {
-				err = json.Unmarshal(body, &plan)
-			}
-			if err != nil {
-				t.Fatalf("round %d worker %d plan: %v", round, id, err)
-			}
+			})
 			sub := wire.SubmitRequest{UserID: id, Round: round, Location: locs[i]}
 			for k, tid := range plan.Order {
 				sub.Measurements = append(sub.Measurements, wire.Measurement{
 					TaskID: tid, Value: float64(10*id + k),
 				})
 			}
-			call(http.MethodPost, wire.PathSubmit, 0, encode(&sub), tlv)
+			c.call(http.MethodPost, wire.PathSubmit, 0, c.encode(&sub), tlv)
 			if i == 0 {
 				// A same-round replay: every measurement is rejected.
-				call(http.MethodPost, wire.PathSubmit, 0, encode(&sub), tlv)
+				c.call(http.MethodPost, wire.PathSubmit, 0, c.encode(&sub), tlv)
 			}
 			locs[i] = geo.Pt(locs[i].X+30, locs[i].Y+20)
 		}
-		call(http.MethodGet, wire.PathStatus, 0, nil, false)
-		call(http.MethodPost, wire.PathAdvance, 0, []byte("{}"), false)
+		c.call(http.MethodGet, wire.PathStatus, 0, nil, false)
+		c.call(http.MethodPost, wire.PathAdvance, 0, []byte("{}"), false)
 	}
-	call(http.MethodPost, wire.PathPlan, 0, []byte{0xff}, tlv)
-	call(http.MethodPost, wire.PathSubmit, 0, []byte("{\"user_id\":"), false)
-	call(http.MethodPost, wire.PathSubmit, 0, []byte{1, 1, 0}, true)
-	call(http.MethodGet, wire.PathEstimate+"?task=1", 0, nil, false)
+	c.call(http.MethodPost, wire.PathPlan, 0, []byte{0xff}, tlv)
+	c.call(http.MethodPost, wire.PathSubmit, 0, []byte("{\"user_id\":"), false)
+	c.call(http.MethodPost, wire.PathSubmit, 0, []byte{1, 1, 0}, true)
+	c.call(http.MethodGet, wire.PathEstimate+"?task=1", 0, nil, false)
 	fmt.Fprintln(out, "# snapshot")
 	if err := p.WriteSnapshot(out); err != nil {
 		t.Fatal(err)

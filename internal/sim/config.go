@@ -511,7 +511,7 @@ func (c Config) algorithm(prev selection.Algorithm) (selection.Algorithm, error)
 		return reuse[selection.Greedy](prev), nil
 	case AlgorithmAuto:
 		a := reuse[selection.Auto](prev)
-		a.Threshold, a.BeamMaxTasks = c.DPMaxTasks, 0
+		a.Threshold = c.DPMaxTasks
 		a.BeamWidth, a.BeamImprove = c.BeamWidth, c.BeamImprove
 		return a, nil
 	case AlgorithmTwoOpt:

@@ -33,9 +33,6 @@ type TraceEvent struct {
 type TraceObserver struct {
 	enc *json.Encoder
 	err error
-	// SkipEmptyPlans drops user_planned events whose plan selects nothing,
-	// which dominate late rounds.
-	SkipEmptyPlans bool
 }
 
 var _ Observer = (*TraceObserver)(nil)
@@ -62,9 +59,6 @@ func (t *TraceObserver) RoundStart(round int, rewards map[task.ID]float64) {
 
 // UserPlanned implements Observer.
 func (t *TraceObserver) UserPlanned(round, userID int, p selection.Problem, plan selection.Plan) {
-	if t.SkipEmptyPlans && plan.Empty() {
-		return
-	}
 	t.emit(TraceEvent{
 		Kind:       "user_planned",
 		Round:      round,

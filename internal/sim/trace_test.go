@@ -51,30 +51,6 @@ func TestTraceObserverEmitsValidJSONL(t *testing.T) {
 	}
 }
 
-func TestTraceObserverSkipEmptyPlans(t *testing.T) {
-	s, err := New(smallConfig(), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	obs := NewTraceObserver(&sb)
-	obs.SkipEmptyPlans = true
-	if _, err := s.Run(obs); err != nil {
-		t.Fatal(err)
-	}
-	scanner := bufio.NewScanner(strings.NewReader(sb.String()))
-	scanner.Buffer(make([]byte, 1<<20), 1<<20)
-	for scanner.Scan() {
-		var ev TraceEvent
-		if err := json.Unmarshal(scanner.Bytes(), &ev); err != nil {
-			t.Fatal(err)
-		}
-		if ev.Kind == "user_planned" && (ev.Plan == nil || ev.Plan.Empty()) {
-			t.Fatal("empty plan event not skipped")
-		}
-	}
-}
-
 // failingWriter injects a sink failure.
 type failingWriter struct{}
 

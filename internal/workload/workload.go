@@ -1,49 +1,18 @@
-// Package workload generates simulation scenarios: task and user
-// placements over the sensing area, task deadlines and measurement
-// requirements. The paper's evaluation scenario (Section VI) is random
-// uniform placement in a 3000 m x 3000 m square; clustered and grid
-// placements are provided for the ablation studies.
+// Package workload generates simulation scenarios in the paper's
+// evaluation setting (Section VI): tasks and users placed uniformly at
+// random over the sensing area (a 3000 m x 3000 m square by default),
+// deadlines drawn from U{5..15}, and the same measurement requirement phi
+// for every task.
 package workload
 
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"paydemand/internal/geo"
 	"paydemand/internal/stats"
 	"paydemand/internal/task"
 )
-
-// Placement selects a spatial distribution for tasks or users.
-type Placement int
-
-// Supported placements.
-const (
-	// PlacementUniform scatters points uniformly over the area (the
-	// paper's setting).
-	PlacementUniform Placement = iota + 1
-	// PlacementClustered concentrates points in Gaussian hotspots, a city
-	// downtown model that stresses the neighbor-count demand factor.
-	PlacementClustered
-	// PlacementGrid lays points on a regular grid, a synthetic worst case
-	// of even spacing.
-	PlacementGrid
-)
-
-// String implements fmt.Stringer.
-func (p Placement) String() string {
-	switch p {
-	case PlacementUniform:
-		return "uniform"
-	case PlacementClustered:
-		return "clustered"
-	case PlacementGrid:
-		return "grid"
-	default:
-		return fmt.Sprintf("Placement(%d)", int(p))
-	}
-}
 
 // Paper defaults (Section VI).
 const (
@@ -53,7 +22,6 @@ const (
 	DefaultRequired    = 20
 	DefaultDeadlineMin = 5
 	DefaultDeadlineMax = 15
-	DefaultHotspots    = 3
 )
 
 // Config parameterizes scenario generation.
@@ -66,25 +34,6 @@ type Config struct {
 	NumUsers int `json:"num_users"`
 	// Required is the measurements each task needs (phi). Zero means 20.
 	Required int `json:"required"`
-	// RequiredMin/RequiredMax, when both positive, draw each task's phi
-	// uniformly from [RequiredMin, RequiredMax] instead of the fixed
-	// Required (the paper fixes phi = 20; heterogeneous requirements model
-	// tasks of varying evidential weight).
-	RequiredMin int `json:"required_min"`
-	RequiredMax int `json:"required_max"`
-	// DeadlineMin/DeadlineMax bound the uniform integer deadline draw.
-	// Zero values mean the paper's U{5..15}.
-	DeadlineMin int `json:"deadline_min"`
-	DeadlineMax int `json:"deadline_max"`
-	// TaskPlacement and UserPlacement pick the spatial distributions; zero
-	// values mean uniform.
-	TaskPlacement Placement `json:"task_placement"`
-	UserPlacement Placement `json:"user_placement"`
-	// Hotspots is the cluster count for clustered placements; zero means 3.
-	Hotspots int `json:"hotspots"`
-	// ClusterStdDev is the hotspot standard deviation in meters; zero
-	// means 1/10 of the area's shorter side.
-	ClusterStdDev float64 `json:"cluster_std_dev"`
 }
 
 // withDefaults fills zero values with the paper's defaults.
@@ -101,24 +50,6 @@ func (c Config) withDefaults() Config {
 	if c.Required == 0 {
 		c.Required = DefaultRequired
 	}
-	if c.DeadlineMin == 0 {
-		c.DeadlineMin = DefaultDeadlineMin
-	}
-	if c.DeadlineMax == 0 {
-		c.DeadlineMax = DefaultDeadlineMax
-	}
-	if c.TaskPlacement == 0 {
-		c.TaskPlacement = PlacementUniform
-	}
-	if c.UserPlacement == 0 {
-		c.UserPlacement = PlacementUniform
-	}
-	if c.Hotspots == 0 {
-		c.Hotspots = DefaultHotspots
-	}
-	if c.ClusterStdDev == 0 {
-		c.ClusterStdDev = math.Min(c.Area.Width(), c.Area.Height()) / 10
-	}
 	return c
 }
 
@@ -131,21 +62,6 @@ func (c Config) Validate() error {
 	if c.Required < 1 {
 		return fmt.Errorf("workload: required measurements %d, want >= 1", c.Required)
 	}
-	if c.DeadlineMin < 1 || c.DeadlineMax < c.DeadlineMin {
-		return fmt.Errorf("workload: bad deadline range [%d, %d]", c.DeadlineMin, c.DeadlineMax)
-	}
-	if (c.RequiredMin != 0) != (c.RequiredMax != 0) {
-		return fmt.Errorf("workload: required range needs both bounds, got [%d, %d]", c.RequiredMin, c.RequiredMax)
-	}
-	if c.RequiredMin != 0 && (c.RequiredMin < 1 || c.RequiredMax < c.RequiredMin) {
-		return fmt.Errorf("workload: bad required range [%d, %d]", c.RequiredMin, c.RequiredMax)
-	}
-	if c.Hotspots < 1 {
-		return fmt.Errorf("workload: hotspots %d, want >= 1", c.Hotspots)
-	}
-	if c.ClusterStdDev <= 0 {
-		return fmt.Errorf("workload: cluster std dev %v, want > 0", c.ClusterStdDev)
-	}
 	return nil
 }
 
@@ -157,8 +73,9 @@ type Scenario struct {
 	UserLocations []geo.Point `json:"user_locations"`
 }
 
-// Generate draws a scenario from the configuration using rng. Task IDs are
-// 1-based and sequential.
+// Generate draws a scenario from the configuration using rng: task
+// locations, then per task its deadline, then user locations. Task IDs
+// are 1-based and sequential.
 func Generate(rng *stats.RNG, cfg Config) (Scenario, error) {
 	if err := cfg.Validate(); err != nil {
 		return Scenario{}, err
@@ -166,43 +83,18 @@ func Generate(rng *stats.RNG, cfg Config) (Scenario, error) {
 	cfg = cfg.withDefaults()
 	sc := Scenario{Area: cfg.Area}
 
-	taskLocs, err := place(rng, cfg, cfg.TaskPlacement, cfg.NumTasks)
-	if err != nil {
-		return Scenario{}, err
-	}
+	taskLocs := placeUniform(rng, cfg.Area, cfg.NumTasks)
 	sc.Tasks = make([]task.Task, cfg.NumTasks)
 	for i := range sc.Tasks {
-		required := cfg.Required
-		if cfg.RequiredMin > 0 {
-			required = rng.IntBetween(cfg.RequiredMin, cfg.RequiredMax)
-		}
 		sc.Tasks[i] = task.Task{
 			ID:       task.ID(i + 1),
 			Location: taskLocs[i],
-			Deadline: rng.IntBetween(cfg.DeadlineMin, cfg.DeadlineMax),
-			Required: required,
+			Deadline: rng.IntBetween(DefaultDeadlineMin, DefaultDeadlineMax),
+			Required: cfg.Required,
 		}
 	}
-
-	sc.UserLocations, err = place(rng, cfg, cfg.UserPlacement, cfg.NumUsers)
-	if err != nil {
-		return Scenario{}, err
-	}
+	sc.UserLocations = placeUniform(rng, cfg.Area, cfg.NumUsers)
 	return sc, nil
-}
-
-// place draws n points with the given placement.
-func place(rng *stats.RNG, cfg Config, p Placement, n int) ([]geo.Point, error) {
-	switch p {
-	case PlacementUniform:
-		return placeUniform(rng, cfg.Area, n), nil
-	case PlacementClustered:
-		return placeClustered(rng, cfg, n), nil
-	case PlacementGrid:
-		return placeGrid(cfg.Area, n), nil
-	default:
-		return nil, fmt.Errorf("workload: unknown placement %v", p)
-	}
 }
 
 func placeUniform(rng *stats.RNG, area geo.Rect, n int) []geo.Point {
@@ -212,38 +104,6 @@ func placeUniform(rng *stats.RNG, area geo.Rect, n int) []geo.Point {
 			rng.Uniform(area.Min.X, area.Max.X),
 			rng.Uniform(area.Min.Y, area.Max.Y),
 		)
-	}
-	return pts
-}
-
-func placeClustered(rng *stats.RNG, cfg Config, n int) []geo.Point {
-	centers := placeUniform(rng, cfg.Area, cfg.Hotspots)
-	pts := make([]geo.Point, n)
-	for i := range pts {
-		c := centers[rng.Intn(len(centers))]
-		p := geo.Pt(
-			c.X+rng.NormFloat64()*cfg.ClusterStdDev,
-			c.Y+rng.NormFloat64()*cfg.ClusterStdDev,
-		)
-		pts[i] = cfg.Area.Clamp(p)
-	}
-	return pts
-}
-
-func placeGrid(area geo.Rect, n int) []geo.Point {
-	if n == 0 {
-		return nil
-	}
-	cols := int(math.Ceil(math.Sqrt(float64(n))))
-	rows := (n + cols - 1) / cols
-	pts := make([]geo.Point, 0, n)
-	for r := 0; r < rows && len(pts) < n; r++ {
-		for c := 0; c < cols && len(pts) < n; c++ {
-			pts = append(pts, geo.Pt(
-				area.Min.X+(float64(c)+0.5)*area.Width()/float64(cols),
-				area.Min.Y+(float64(r)+0.5)*area.Height()/float64(rows),
-			))
-		}
 	}
 	return pts
 }

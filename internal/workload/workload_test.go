@@ -3,7 +3,6 @@ package workload
 import (
 	"testing"
 
-	"paydemand/internal/geo"
 	"paydemand/internal/stats"
 )
 
@@ -96,9 +95,6 @@ func TestValidateRejections(t *testing.T) {
 		{"negative users", Config{NumUsers: -1}},
 		{"negative tasks", Config{NumTasks: -1}},
 		{"negative required", Config{Required: -2}},
-		{"deadline min > max", Config{DeadlineMin: 10, DeadlineMax: 5}},
-		{"negative hotspots", Config{Hotspots: -1}},
-		{"negative cluster stddev", Config{ClusterStdDev: -5}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -106,143 +102,6 @@ func TestValidateRejections(t *testing.T) {
 				t.Error("invalid config accepted")
 			}
 		})
-	}
-}
-
-func TestHeterogeneousRequirements(t *testing.T) {
-	sc, err := Generate(stats.NewRNG(9), Config{
-		NumTasks:    40,
-		RequiredMin: 5,
-		RequiredMax: 25,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	distinct := map[int]bool{}
-	for _, tk := range sc.Tasks {
-		if tk.Required < 5 || tk.Required > 25 {
-			t.Errorf("task %d required = %d outside [5, 25]", tk.ID, tk.Required)
-		}
-		distinct[tk.Required] = true
-	}
-	if len(distinct) < 5 {
-		t.Errorf("only %d distinct requirements over 40 tasks", len(distinct))
-	}
-}
-
-func TestRequiredRangeValidation(t *testing.T) {
-	if err := (Config{RequiredMin: 5}).Validate(); err == nil {
-		t.Error("half-open required range accepted")
-	}
-	if err := (Config{RequiredMax: 5}).Validate(); err == nil {
-		t.Error("half-open required range accepted")
-	}
-	if err := (Config{RequiredMin: 10, RequiredMax: 5}).Validate(); err == nil {
-		t.Error("inverted required range accepted")
-	}
-	if err := (Config{RequiredMin: 5, RequiredMax: 10}).Validate(); err != nil {
-		t.Errorf("valid required range rejected: %v", err)
-	}
-}
-
-func TestHeterogeneousRequirementsSimulate(t *testing.T) {
-	// End-to-end: the reward scheme derives r0 from the realized total
-	// requirement, so heterogeneous phi must run and respect the budget.
-	sc, err := Generate(stats.NewRNG(3), Config{
-		NumTasks:    10,
-		NumUsers:    40,
-		RequiredMin: 2,
-		RequiredMax: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, tk := range sc.Tasks {
-		total += tk.Required
-	}
-	if total == 10*2 || total == 10*8 {
-		t.Logf("suspiciously uniform total %d", total)
-	}
-}
-
-func TestClusteredPlacementTighter(t *testing.T) {
-	// Clustered users must have a smaller mean pairwise spread than
-	// uniform users.
-	rng := stats.NewRNG(5)
-	uniform, err := Generate(rng, Config{NumUsers: 200})
-	if err != nil {
-		t.Fatal(err)
-	}
-	clustered, err := Generate(rng, Config{NumUsers: 200, UserPlacement: PlacementClustered, Hotspots: 2, ClusterStdDev: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spread := func(pts []geo.Point) float64 {
-		c := geo.Point{}
-		for _, p := range pts {
-			c = c.Add(p)
-		}
-		c = c.Scale(1 / float64(len(pts)))
-		s := 0.0
-		for _, p := range pts {
-			s += p.Dist(c)
-		}
-		return s / float64(len(pts))
-	}
-	if spread(clustered.UserLocations) >= spread(uniform.UserLocations) {
-		t.Errorf("clustered spread %v >= uniform %v", spread(clustered.UserLocations), spread(uniform.UserLocations))
-	}
-	for _, p := range clustered.UserLocations {
-		if !clustered.Area.Contains(p) {
-			t.Errorf("clustered point escaped area: %v", p)
-		}
-	}
-}
-
-func TestGridPlacement(t *testing.T) {
-	sc, err := Generate(stats.NewRNG(1), Config{NumTasks: 9, TaskPlacement: PlacementGrid})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sc.Tasks) != 9 {
-		t.Fatalf("grid tasks = %d", len(sc.Tasks))
-	}
-	// A 3x3 grid in a 3000 square has points at 500, 1500, 2500.
-	if !sc.Tasks[0].Location.Equal(geo.Pt(500, 500)) {
-		t.Errorf("first grid point = %v", sc.Tasks[0].Location)
-	}
-	if !sc.Tasks[8].Location.Equal(geo.Pt(2500, 2500)) {
-		t.Errorf("last grid point = %v", sc.Tasks[8].Location)
-	}
-	// All distinct.
-	seen := map[geo.Point]bool{}
-	for _, tk := range sc.Tasks {
-		if seen[tk.Location] {
-			t.Errorf("duplicate grid point %v", tk.Location)
-		}
-		seen[tk.Location] = true
-	}
-}
-
-func TestGridPlacementNonSquareCount(t *testing.T) {
-	sc, err := Generate(stats.NewRNG(1), Config{NumTasks: 7, TaskPlacement: PlacementGrid})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sc.Tasks) != 7 {
-		t.Errorf("grid with n=7 produced %d tasks", len(sc.Tasks))
-	}
-}
-
-func TestPlacementString(t *testing.T) {
-	if PlacementUniform.String() != "uniform" ||
-		PlacementClustered.String() != "clustered" ||
-		PlacementGrid.String() != "grid" {
-		t.Error("placement strings wrong")
-	}
-	if Placement(42).String() != "Placement(42)" {
-		t.Error("unknown placement string wrong")
 	}
 }
 

@@ -44,16 +44,6 @@ type WorkloadConfig = workload.Config
 // Scenario is a generated workload instance.
 type Scenario = workload.Scenario
 
-// Placement selects a spatial distribution for tasks or users.
-type Placement = workload.Placement
-
-// Spatial placements.
-const (
-	PlacementUniform   = workload.PlacementUniform
-	PlacementClustered = workload.PlacementClustered
-	PlacementGrid      = workload.PlacementGrid
-)
-
 // MechanismKind selects the incentive mechanism under test.
 type MechanismKind = sim.MechanismKind
 

@@ -161,9 +161,8 @@ func TestPublicAHPAPI(t *testing.T) {
 
 func TestPublicScenarioAPI(t *testing.T) {
 	sc, err := paydemand.GenerateScenario(3, paydemand.WorkloadConfig{
-		NumTasks:      5,
-		NumUsers:      10,
-		TaskPlacement: paydemand.PlacementGrid,
+		NumTasks: 5,
+		NumUsers: 10,
 	})
 	if err != nil {
 		t.Fatal(err)
